@@ -2,6 +2,16 @@
 
 One chord-tangent code path covers every characteristic, matching the
 curve shapes used on both the even and odd sides of the constructions.
+The group law runs on integer encodings: inside this module a point is an
+``(x_enc, y_enc)`` tuple, or None for the point at infinity, and the
+arithmetic indexes the field's exp/log tables directly.  `Point` and
+`FieldElement` are the API layer, built only where a result leaves the
+curve.
+
+`Curve.group_structure` is the one place that works out point orders: its
+walk over E(F_q) = Z/d1 x Z/d2 gives every point's coordinates, and orders
+and torsion are read from them.
+
 Point lists are always produced in canonical order (infinity first, then
 lexicographic by encoded coordinates) so downstream artifacts are
 deterministic.
@@ -10,7 +20,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .gf import FieldElement, FieldSpec, factorize
@@ -90,11 +100,90 @@ class GroupStructure:
         return i * self.d2 + j
 
 
+def _enc(p: Point) -> Optional[tuple[int, int]]:
+    return None if p.x is None else (p.x.enc, p.y.enc)
+
+
+class _GroupLaw:
+    """The chord-tangent group law of one curve on encoded points.
+
+    The closures bind the field's exp/log tables and its integer add,
+    subtract and negate once.  Points passed in must lie on the curve.
+    """
+
+    __slots__ = ("add", "neg", "mul", "rhs", "contains")
+
+    def __init__(self, spec: FieldSpec, a1: int, a2: int, a3: int, a4: int,
+                 a6: int):
+        exp2, log = spec._exp2, spec._log
+        qm1 = spec.q - 1
+        fadd, fsub, fneg = spec.add_enc, spec.sub_enc, spec.neg_enc
+        two, three = 2 % spec.p, 3 % spec.p
+
+        def fmul(a: int, b: int) -> int:
+            return exp2[log[a] + log[b]] if a and b else 0
+
+        def fdiv(a: int, b: int) -> int:
+            return exp2[log[a] + qm1 - log[b]] if a else 0
+
+        def rhs(x: int) -> int:
+            return fadd(fmul(fadd(fmul(fadd(x, a2), x), a4), x), a6)
+
+        def contains(pt) -> bool:
+            if pt is None:
+                return True
+            x, y = pt
+            return fmul(y, fadd(fadd(y, fmul(a1, x)), a3)) == rhs(x)
+
+        def neg(pt):
+            if pt is None:
+                return None
+            x, y = pt
+            return (x, fneg(fadd(fadd(y, fmul(a1, x)), a3)))
+
+        def add(pt, qt):
+            if pt is None:
+                return qt
+            if qt is None:
+                return pt
+            x1, y1 = pt
+            x2, y2 = qt
+            if x1 != x2:
+                lam = fdiv(fsub(y2, y1), fsub(x2, x1))
+            else:
+                # same x: qt is pt or -pt, and pt = -pt on a vertical tangent
+                den = fadd(fadd(fmul(two, y1), fmul(a1, x1)), a3)
+                if y1 != y2 or not den:
+                    return None
+                num = fadd(fadd(fmul(three, fmul(x1, x1)), fmul(two, fmul(a2, x1))),
+                           fsub(a4, fmul(a1, y1)))
+                lam = fdiv(num, den)
+            x3 = fsub(fadd(fmul(lam, lam), fmul(a1, lam)), fadd(fadd(a2, x1), x2))
+            y3 = fsub(fmul(lam, fsub(x1, x3)), fadd(fadd(y1, fmul(a1, x3)), a3))
+            return (x3, y3)
+
+        def mul(n: int, pt):
+            if n < 0:
+                n, pt = -n, neg(pt)
+            acc = None
+            while n:
+                if n & 1:
+                    acc = add(acc, pt)
+                n >>= 1
+                if n:
+                    pt = add(pt, pt)
+            return acc
+
+        self.add, self.neg, self.mul = add, neg, mul
+        self.rhs, self.contains = rhs, contains
+
+
 class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6",
-                 "_points", "_point_set", "_structure", "_orders")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law",
+                 "_encoded", "_points", "_point_set", "_structure", "_coords",
+                 "_orders")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -105,10 +194,13 @@ class Curve:
         self.a6 = spec.element(a6)
         if not self.discriminant():
             raise CurveError("curve is singular (zero discriminant)")
+        self._law = _GroupLaw(spec, *self.coefficients())
+        self._encoded: Optional[list] = None
         self._points: Optional[list[Point]] = None
         self._point_set: Optional[set[Point]] = None
         self._structure: Optional[GroupStructure] = None
-        self._orders: Optional[dict[Point, int]] = None
+        self._coords: Optional[dict] = None
+        self._orders: Optional[dict] = None
 
     @classmethod
     def from_string(cls, spec: FieldSpec, text: str) -> "Curve":
@@ -143,68 +235,39 @@ class Curve:
         return (-(b2 * b2 * b8) - eight * (b4 ** 3) - ts * (b6 * b6)
                 + nine * b2 * b4 * b6)
 
+    # -- encodings <-> API points ---------------------------------------------
+
+    def _point(self, e: Optional[tuple[int, int]]) -> Point:
+        if e is None:
+            return INFINITY
+        spec = self.spec
+        return Point(FieldElement(spec, e[0]), FieldElement(spec, e[1]))
+
     # -- point predicates ---------------------------------------------------
 
     def _check_field(self, p: Point) -> None:
         if not p.is_infinity and p.x.spec != self.spec:
             raise CurveError("point and curve live over different fields")
 
-    def rhs(self, x: FieldElement) -> FieldElement:
-        return ((x + self.a2) * x + self.a4) * x + self.a6
-
     def is_on_curve(self, p: Point) -> bool:
         self._check_field(p)
-        if p.is_infinity:
-            return True
-        x, y = p.x, p.y
-        return y * y + self.a1 * x * y + self.a3 * y == self.rhs(x)
+        return self._law.contains(_enc(p))
 
     def is_ramified(self, p: Point) -> bool:
         """True iff p is fixed by the hyperelliptic involution (p = -p)."""
-        if p.is_infinity:
-            return True
-        two = self.spec.element(2 % self.spec.p)
-        return not (two * p.y + self.a1 * p.x + self.a3)
+        e = _enc(p)
+        return self._law.neg(e) == e
 
     # -- group law ------------------------------------------------------------
 
     def neg(self, p: Point) -> Point:
-        if p.is_infinity:
-            return INFINITY
-        return Point(p.x, -p.y - self.a1 * p.x - self.a3)
+        return self._point(self._law.neg(_enc(p)))
 
     def add(self, p: Point, q: Point) -> Point:
-        if p.is_infinity:
-            return q
-        if q.is_infinity:
-            return p
-        x1, y1, x2, y2 = p.x, p.y, q.x, q.y
-        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
-        if x1 == x2:
-            if y2 == -y1 - a1 * x1 - a3:
-                return INFINITY
-            s = self.spec
-            two, three = s.element(2 % s.p), s.element(3 % s.p)
-            num = three * x1 * x1 + two * a2 * x1 + a4 - a1 * y1
-            den = two * y1 + a1 * x1 + a3
-            lam = num / den
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = lam * (x1 - x3) - y1 - a1 * x3 - self.a3
-        return Point(x3, y3)
+        return self._point(self._law.add(_enc(p), _enc(q)))
 
     def mul(self, n: int, p: Point) -> Point:
-        if n < 0:
-            return self.mul(-n, self.neg(p))
-        acc = INFINITY
-        base = p
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
-        return acc
+        return self._point(self._law.mul(n, _enc(p)))
 
     # -- enumeration & structure ---------------------------------------------
 
@@ -213,37 +276,35 @@ class Curve:
         if self._points is not None:
             return self._points
         s = self.spec
-        pts = [INFINITY]
-        for xe in range(s.q):
-            x = s.element(xe)
-            b = self.a1 * x + self.a3
-            c = self.rhs(x)
-            ys: list[FieldElement] = []
+        a1, a3 = self.a1.enc, self.a3.enc
+        add, sub, neg, mul = s.add_enc, s.sub_enc, s.neg_enc, s.mul_enc
+        rhs = self._law.rhs
+        half = None if s.p == 2 else s.inv_enc(2 % s.p)
+        affine = []
+        for x in range(s.q):
+            b = add(mul(a1, x), a3)
+            c = rhs(x)
             if s.p == 2:
                 if not b:
-                    ys = [c.sqrt()]
+                    affine.append((x, s.sqrt_enc(c)))
                 else:
-                    binv2 = (b * b).inverse()
-                    z = s.artin_solve((c * binv2).enc)
+                    z = s.artin_solve(mul(c, s.inv_enc(mul(b, b))))
                     if z is not None:
-                        z0 = s.element(z)
-                        ys = [b * z0, b * (z0 + s.one)]
+                        y = mul(b, z)
+                        affine += [(x, y), (x, add(y, b))]
             else:
                 # complete the square: (y + b/2)^2 = c + b^2/4
-                half = s.element(2 % s.p).inverse()
-                shift = b * half
-                disc = c + shift * shift
-                r = disc.sqrt()
-                if r is not None:
-                    if not r:
-                        ys = [-shift]
-                    else:
-                        ys = [r - shift, -r - shift]
-            pts.extend(Point(x, y) for y in ys)
-        pts.sort(key=Point.key)
-        self._points = pts
-        self._point_set = set(pts)
-        return pts
+                shift = mul(b, half)
+                r = s.sqrt_enc(add(c, mul(shift, shift)))
+                if r == 0:
+                    affine.append((x, neg(shift)))
+                elif r is not None:
+                    affine += [(x, sub(r, shift)), (x, sub(neg(r), shift))]
+        affine.sort()
+        self._encoded = [None] + affine
+        self._points = [self._point(e) for e in self._encoded]
+        self._point_set = set(self._points)
+        return self._points
 
     def order(self) -> int:
         return len(self.points())
@@ -254,84 +315,79 @@ class Curve:
         return p in self._point_set
 
     def point_order(self, p: Point) -> int:
-        """Least n >= 1 with [n]p = O, by divisor-lattice descent from #E."""
+        """Least n >= 1 with [n]p = O, read from the group-structure walk."""
         if not self.is_on_curve(p):
             raise CurveError(f"{p} is not on the curve")
-        if p.is_infinity:
-            return 1
-        if self._orders is None:
-            self._orders = {}
-        cached = self._orders.get(p)
-        if cached is not None:
-            return cached
-        n = self.order()
-        for ell in factorize(n):
-            while n % ell == 0 and self.mul(n // ell, p).is_infinity:
-                n //= ell
-        self._orders[p] = n
-        return n
+        self.group_structure()
+        return self._orders[_enc(p)]
 
     def torsion_points(self, r: int) -> list[Point]:
+        """E[r] in canonical order: the points with d1 | r*i and d2 | r*j."""
         if r < 1:
             raise CurveError("torsion order must be positive")
-        return [p for p in self.points() if self.mul(r, p).is_infinity]
+        st = self.group_structure()
+        d1, d2, coords = st.d1, st.d2, self._coords
+        out = []
+        for p, e in zip(self._points, self._encoded):
+            i, j = coords[e]
+            if (r * i) % d1 == 0 and (r * j) % d2 == 0:
+                out.append(p)
+        return out
 
     def group_structure(self) -> GroupStructure:
-        """Find (d1, d2), a basis, and brute-force dlogs for every point."""
+        """(d1, d2), a basis (p1, p2) and the dlog of every point.
+
+        p2 is the smallest-key point of order d2, the group's exponent.
+        Points are scanned in canonical order, each one's order found by
+        descent over the divisors of #E.  A point whose order d2 is the lcm
+        of the orders so far is tried as p2: p1 is the smallest-key point
+        of order d1 = #E / d2 whose grid {i*p1 + j*p2} covers the group.
+        Such a p1 exists exactly when d2 is the exponent, so the first
+        point that gets one is the p2 of the rule.  The grid walk is the
+        dlog table; the order of the point at (i, j) is
+        lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
+        """
         if self._structure is not None:
             return self._structure
-        pts = self.points()
+        self.points()
+        pts = self._encoded
         n = len(pts)
-        orders = {p: self.point_order(p) for p in pts}
-        d2 = max(orders.values())
-        d1 = n // d2
-        if d1 * d2 != n or d2 % d1:
-            raise CurveError("group structure inconsistent with exponent")
-        if d1 > 1 and (self.spec.q - 1) % d1:
-            raise CurveError("d1 does not divide q - 1")
-        p2 = min((p for p in pts if orders[p] == d2), key=Point.key)
-        if d1 == 1:
-            p1 = INFINITY
-        else:
-            p1 = None
-            span2 = set()
-            acc = INFINITY
-            for _ in range(d2):
-                span2.add(acc)
-                acc = self.add(acc, p2)
-            for cand in pts:
-                if orders[cand] != d1 or cand in span2:
-                    continue
-                seen = set()
-                ok = True
-                base = INFINITY
-                for _ in range(d1):
-                    cur = base
-                    for _ in range(d2):
-                        if cur in seen:
-                            ok = False
-                            break
-                        seen.add(cur)
-                        cur = self.add(cur, p2)
-                    if not ok:
-                        break
-                    base = self.add(base, cand)
-                if ok and len(seen) == n:
-                    p1 = cand
-                    break
-            if p1 is None:
-                raise CurveError("no independent basis point found")
-        dlog: dict[Point, tuple[int, int]] = {}
-        base = INFINITY
-        for i in range(d1):
-            cur = base
+        add, mul = self._law.add, self._law.mul
+
+        def order(pt, m: int) -> int:
+            """ord(pt), for a multiple m of it."""
+            for ell in factorize(m):
+                while m % ell == 0 and mul(m // ell, pt) is None:
+                    m //= ell
+            return m
+
+        lcm_so_far, tried, coords = 1, set(), None
+        for p2 in pts:
+            d2 = order(p2, n)
+            lcm_so_far = lcm(lcm_so_far, d2)
+            d1 = n // d2
+            if d2 != lcm_so_far or d2 in tried or d2 % d1 or (self.spec.q - 1) % d1:
+                continue
+            tried.add(d2)
+            row, cur = {}, None
             for j in range(d2):
-                dlog[cur] = (i, j)
-                cur = self.add(cur, p2)
-            base = self.add(base, p1)
-        if len(dlog) != n:
-            raise CurveError("dlog table does not cover the group")
-        self._structure = GroupStructure(d1, d2, (p1, p2), dlog)
+                row[cur] = (0, j)
+                cur = add(cur, p2)
+            for p1 in pts:
+                if mul(d1, p1) is None and order(p1, d1) == d1:
+                    coords = _grid(add, row, p1, p2, d1, d2)
+                    if coords is not None:
+                        break
+            if coords is not None:
+                break
+        else:
+            raise CurveError("no basis of the group found")
+        self._coords = coords
+        self._orders = {e: lcm(d1 // gcd(i, d1), d2 // gcd(j, d2))
+                        for e, (i, j) in coords.items()}
+        point_of = dict(zip(pts, self._points))
+        dlog = {point_of[e]: ij for e, ij in coords.items()}
+        self._structure = GroupStructure(d1, d2, (point_of[p1], point_of[p2]), dlog)
         return self._structure
 
     def __repr__(self) -> str:
@@ -343,6 +399,24 @@ class Curve:
 
     def __hash__(self) -> int:
         return hash((self.spec, self.coefficients()))
+
+
+def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> Optional[dict]:
+    """{i*p1 + j*p2: (i, j)} over the d1 x d2 grid, or None at the first repeat.
+
+    `row` is the first row, the multiples of p2 keyed to (0, j).
+    """
+    coords = dict(row)
+    base = p1
+    for i in range(1, d1):
+        cur = base
+        for j in range(d2):
+            if cur in coords:
+                return None
+            coords[cur] = (i, j)
+            cur = add(cur, p2)
+        base = add(base, p1)
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +437,7 @@ def feasible_orders(q: int) -> list[tuple[int, int, str]]:
     out = []
     for beta in range(-bound, bound + 1):
         case = None
-        if _gcd(abs(beta), p) == 1 and beta != 0:
+        if gcd(abs(beta), p) == 1 and beta != 0:
             case = "a"
         elif n % 2 == 0 and beta * beta == 4 * q:
             case = "b"
@@ -379,47 +453,10 @@ def feasible_orders(q: int) -> list[tuple[int, int, str]]:
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def odd_part(n: int) -> int:
+    """n with every factor 2 divided out; n must be positive."""
+    if n < 1:
+        raise ValueError(f"odd_part needs a positive integer, got {n}")
     while n % 2 == 0:
         n //= 2
     return n
-
-
-# spec-facing operation names
-
-def is_on_curve(curve: Curve, p: Point) -> bool:
-    return curve.is_on_curve(p)
-
-
-def point_neg(curve: Curve, p: Point) -> Point:
-    return curve.neg(p)
-
-
-def point_add(curve: Curve, p: Point, q: Point) -> Point:
-    return curve.add(p, q)
-
-
-def scalar_mul(curve: Curve, n: int, p: Point) -> Point:
-    return curve.mul(n, p)
-
-
-def enumerate_points(curve: Curve) -> list[Point]:
-    return curve.points()
-
-
-def point_order(curve: Curve, p: Point) -> int:
-    return curve.point_order(p)
-
-
-def group_structure(curve: Curve) -> GroupStructure:
-    return curve.group_structure()
-
-
-def torsion_points(curve: Curve, r: int) -> list[Point]:
-    return curve.torsion_points(r)

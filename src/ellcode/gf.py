@@ -11,6 +11,7 @@ exp/log tables built from a fixed primitive element.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Iterator, Optional, Sequence
 
 
@@ -137,12 +138,14 @@ class FieldSpec:
     """GF(p^m) defined by a monic irreducible modulus c0 + c1 x + ... + cm x^m.
 
     The spec owns the arithmetic tables; raw ``*_enc`` methods operate on
-    integer encodings and back every `FieldElement` operator.  Specs are
-    immutable after construction and safe to share.
+    integer encodings and back every `FieldElement` operator.  The additive
+    ones, ``add_enc``, ``sub_enc`` and ``neg_enc``, are plain callables chosen
+    once per field by `_bind_addition`.  Specs are immutable after
+    construction and safe to share.
     """
 
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_exp2", "_log", "_addt",
-                 "_negt", "_gen_enc", "_artin")
+                 "_negt", "_gen_enc", "_artin", "add_enc", "sub_enc", "neg_enc")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -254,28 +257,37 @@ class FieldSpec:
                 self._addt = addt
             else:
                 self._addt = None
+        self._bind_addition()
+
+    def _bind_addition(self) -> None:
+        """Choose the integer add, subtract and negate, once per field.
+
+        Characteristic 2 adds by XOR.  Other fields up to `_ADD_TABLE_MAX_Q`
+        look sums up in the q x q table; larger prime fields add mod p and
+        larger extension fields add digit by digit.
+        """
+        p, addt, negt = self.p, self._addt, self._negt
+        if p == 2:
+            self.add_enc = self.sub_enc = xor
+            self.neg_enc = lambda a: a
+            return
+        self.neg_enc = negt.__getitem__
+        if addt is not None:
+            self.add_enc = lambda a, b: addt[a][b]
+            self.sub_enc = lambda a, b: addt[a][negt[b]]
+        elif self.m == 1:
+            self.add_enc = lambda a, b: (a + b) % p
+            self.sub_enc = lambda a, b: (a - b) % p
+        else:
+            coeffs, enc = self._coeffs_of, self._enc_of
+
+            def add(a: int, b: int) -> int:
+                return enc([(x + y) % p for x, y in zip(coeffs(a), coeffs(b))])
+
+            self.add_enc = add
+            self.sub_enc = lambda a, b: add(a, negt[b])
 
     # -- raw encoded arithmetic ----------------------------------------------
-
-    def add_enc(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._addt is not None:
-            return self._addt[a][b]
-        ca, cb = self._coeffs_of(a), self._coeffs_of(b)
-        return self._enc_of([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg_enc(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self._negt is not None:
-            return self._negt[a]
-        return self._enc_of([(-c) % self.p for c in self._coeffs_of(a)])
-
-    def sub_enc(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add_enc(a, self.neg_enc(b))
 
     def mul_enc(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -225,9 +225,10 @@ class IsoDualCertificate:
 
 def _odd_order_points(curve: Curve) -> list[Point]:
     """Non-identity rational points of odd order; O is excluded even though
-    its order 1 is odd, since a pair {P, -P} would degenerate."""
-    return [p for p in curve.points()
-            if not p.is_infinity and curve.point_order(p) % 2 == 1]
+    its order 1 is odd, since a pair {P, -P} would degenerate.  They are
+    the torsion of the odd part of #E, read from the dlog coordinates."""
+    return [p for p in curve.torsion_points(odd_part(curve.order()))
+            if not p.is_infinity]
 
 
 def _group_pairs(points: Sequence[Point]) -> dict[int, list[Point]]:

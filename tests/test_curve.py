@@ -173,3 +173,147 @@ def test_odd_part():
     assert odd_part(22) == 11
     assert odd_part(36) == 9
     assert odd_part(7) == 7
+    assert odd_part(1) == 1
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_odd_part_rejects_non_positive(n):
+    with pytest.raises(ValueError):
+        odd_part(n)
+
+
+# -- the group law on encodings against a FieldElement reference -------------
+
+def _reference_add(curve, p, q):
+    """The chord-tangent law written on FieldElement coordinates."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    s = curve.spec
+    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
+    x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+    if x1 == x2:
+        if y2 == -y1 - a1 * x1 - a3:
+            return INFINITY
+        two, three = s.element(2 % s.p), s.element(3 % s.p)
+        lam = ((three * x1 * x1 + two * a2 * x1 + a4 - a1 * y1)
+               / (two * y1 + a1 * x1 + a3))
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = lam * (x1 - x3) - y1 - a1 * x3 - a3
+    return Point(x3, y3)
+
+
+# (q, field, curve, (d1, d2), (p1, p2) as encodings with None for O,
+#  number of points of odd order other than O)
+PAPER_CURVES = [
+    (16, "p=2,m=4,mod=1,1,0,0,1", "1,8,0,0,9", (1, 22), (None, (1, 0)), 10),
+    (32, "p=2,m=5,mod=1,0,1,0,0,1", "1,1,0,0,6", (1, 42), (None, (6, 17)), 20),
+    (64, "p=2,m=6,mod=1,1,0,1,1,0,1", "1,8,0,0,9", (1, 78), (None, (1, 0)), 38),
+    (256, "p=2,m=8,mod=1,0,1,1,1,0,0,0,1", "1,32,0,0,50", (1, 286),
+     (None, (1, 208)), 142),
+    (25, "p=5,m=2,mod=2,4,1", "0,0,0,0,1", (6, 6), ((8, 14), (2, 2)), 8),
+    (49, "p=7,m=2,mod=3,6,1", "0,0,0,1,3", (2, 30), ((14, 0), (9, 19)), 14),
+    (289, "p=17,m=2,mod=3,16,1", "0,0,0,0,1", (18, 18), ((22, 146), (6, 8)), 80),
+    (729, "p=3,m=6,mod=2,1,0,0,0,0,1", "0,0,0,2,0", (28, 28),
+     ((4, 309), (3, 309)), 48),
+    (1031, "p=1031,m=1,mod=0,1", "0,1028,0,2,0", (2, 516), ((0, 0), (19, 367)), 128),
+]
+_CURVES: dict[int, Curve] = {}
+
+
+def paper_curve(q: int) -> Curve:
+    if q not in _CURVES:
+        _, field, text, *_ = next(row for row in PAPER_CURVES if row[0] == q)
+        _CURVES[q] = Curve.from_string(FieldSpec.from_string(field), text)
+    return _CURVES[q]
+
+
+# every coefficient in use, in characteristics 2, 3 and 5
+GENERAL_CURVES = [
+    ("p=2,m=4,mod=1,1,0,0,1", "1,2,3,4,5"),
+    ("p=2,m=4,mod=1,1,0,0,1", "0,0,1,0,0"),
+    ("p=3,m=3,mod=1,2,0,1", "1,2,3,4,5"),
+    ("p=5,m=2,mod=2,4,1", "3,1,2,1,1"),
+]
+
+
+def general_curves() -> list[Curve]:
+    return [Curve.from_string(FieldSpec.from_string(f), c) for f, c in GENERAL_CURVES]
+
+
+def test_add_matches_reference_on_all_pairs(e16, e25):
+    for curve in [e16, e25] + general_curves():
+        pts = curve.points()
+        for p in pts:
+            for q in pts:
+                assert curve.add(p, q) == _reference_add(curve, p, q)
+
+
+@pytest.mark.parametrize("q", [289, 729, 1031])
+def test_add_matches_reference_on_random_pairs(q):
+    curve = paper_curve(q)
+    pts = curve.points()
+    rng = random.Random(q)
+    pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(400)]
+    pairs += [(p, p) for p in rng.sample(pts, 50)]
+    pairs += [(p, curve.neg(p)) for p in rng.sample(pts, 50)]
+    pairs += [(p, p) for p in curve.torsion_points(2)]
+    for p, r in pairs:
+        assert curve.add(p, r) == _reference_add(curve, p, r)
+
+
+def test_mul_matches_repeated_add(e16, e25):
+    for curve in [e16, e25] + general_curves():
+        for p in curve.points():
+            acc = INFINITY
+            for n in range(2 * curve.order() + 1):
+                assert curve.mul(n, p) == acc
+                assert curve.mul(-n, p) == curve.neg(acc)
+                acc = curve.add(acc, p)
+
+
+def test_prime_field_above_table_cap_adds_mod_p():
+    p = 1031
+    spec = FieldSpec.from_string("p=1031,m=1,mod=0,1")
+    rng = random.Random(5)
+    samples = [(0, 0), (p - 1, 1), (1, p - 1), (p - 1, p - 1)]
+    samples += [(rng.randrange(p), rng.randrange(p)) for _ in range(2000)]
+    for a, b in samples:
+        assert spec.add_enc(a, b) == (a + b) % p
+        assert spec.sub_enc(a, b) == (a - b) % p
+        assert spec.neg_enc(a) == (-a) % p
+
+
+# -- structure, orders and torsion pinned to their exact values ---------------
+
+@pytest.mark.parametrize("q, field, text, shape, basis, odd_count", PAPER_CURVES,
+                         ids=[f"q{row[0]}" for row in PAPER_CURVES])
+def test_pinned_group_structure(q, field, text, shape, basis, odd_count):
+    curve = paper_curve(q)
+    st = curve.group_structure()
+    assert (st.d1, st.d2) == shape
+    assert tuple(None if p.is_infinity else p.key() for p in st.basis) == basis
+    odd = [p for p in curve.points()
+           if not p.is_infinity and curve.point_order(p) % 2 == 1]
+    assert len(odd) == odd_count
+
+
+def _brute_order(curve, p):
+    n, acc = 1, p
+    while not acc.is_infinity:
+        acc = curve.add(acc, p)
+        n += 1
+    return n
+
+
+def test_walk_orders_and_torsion_match_brute_force():
+    for curve in [paper_curve(q) for q in (16, 25, 49)] + general_curves():
+        pts = curve.points()
+        for p in pts:
+            assert curve.point_order(p) == _brute_order(curve, p)
+        for r in (2, 3, 9, 15):
+            assert curve.torsion_points(r) == [p for p in pts
+                                               if curve.mul(r, p).is_infinity]
