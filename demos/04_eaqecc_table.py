@@ -7,7 +7,8 @@ classical code to a different hull moves (k_q, c) without touching n, d.
 
 from ellcode import (ConstructionInput, Curve, FieldSpec, PairSelection,
                      construct1, construct2, derive, lcd_transform)
-from ellcode.eaqecc import rows_to_csv, table_rows, derive_from_certificate
+from ellcode.eaqecc import TABLE_COLUMNS, table_rows, derive_from_certificate
+from ellcode.search import rows_to_csv
 
 runs = [
     ("p=2,m=4,mod=1,1,0,0,1", "1,8,0,0,9", 1, 4, None, None),
@@ -38,4 +39,4 @@ for field, curve_s, construction, k, torsion, r in runs:
             print(f"{'':6}LCD rescaling of the same code -> {p0.label()}")
 
 print("\nCSV table:")
-print(rows_to_csv(table_rows(items)))
+print(rows_to_csv(table_rows(items), TABLE_COLUMNS))

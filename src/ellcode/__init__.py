@@ -20,8 +20,7 @@ from .funcspace import (Divisor, RationalFunction, RRBasis, FunctionError,
                         divisor_sum, evaluate, interpolation_poly,
                         is_principal, principal_divisor, rr_basis,
                         valuation, validate_rr_basis)
-from .code import (CodeError, LinearCode, ScalingVector, dual, hull_dim,
-                   mds_subset_check, min_distance, same_code, scale,
+from .code import (CodeError, LinearCode, ScalingVector, mds_subset_check,
                    subset_sum_counts)
 from .isodual import (CertificateSchemaError, ConstructionError,
                       ConstructionInput, IsoDualCertificate, PairSelection,

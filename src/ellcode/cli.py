@@ -204,8 +204,8 @@ def _cmd_eaqecc(args: argparse.Namespace) -> int:
         print(f"{params.label()} mds={str(params.mds).lower()}")
     if args.out:
         rows = eaqecc.table_rows(items)
-        text = eaqecc.rows_to_csv(rows) if args.format == "csv" \
-            else eaqecc.rows_to_json(rows)
+        text = search.rows_to_csv(rows, eaqecc.TABLE_COLUMNS) \
+            if args.format == "csv" else search.rows_to_json(rows)
         _atomic_write(args.out, text)
     return EXIT_OK
 

@@ -189,28 +189,6 @@ class LinearCode:
         return f"LinearCode[{self.n},{self.k}] over {self.spec!r}"
 
 
-# spec-facing operation names
-
-def dual(c: LinearCode) -> LinearCode:
-    return c.dual()
-
-
-def hull_dim(c: LinearCode, cross_check: bool = True) -> int:
-    return c.hull_dim(cross_check=cross_check)
-
-
-def min_distance(c: LinearCode, budget: int = 2 ** 24) -> int:
-    return c.min_distance(budget)
-
-
-def scale(c: LinearCode, v: ScalingVector | Sequence[int]) -> LinearCode:
-    return c.scale(v)
-
-
-def same_code(c1: LinearCode, c2: LinearCode) -> bool:
-    return c1.same_code(c2)
-
-
 # ---------------------------------------------------------------------------
 # subset-sum dynamic programming over Z/d1 x Z/d2
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class GroupStructure:
         except KeyError:
             raise CurveError(f"point {p} not in the discrete-log table") from None
 
-    def flat_index(self, p: Point) -> int:
-        i, j = self.coords(p)
-        return i * self.d2 + j
-
 
 def _enc(p: Point) -> Optional[tuple[int, int]]:
     return None if p.x is None else (p.x.enc, p.y.enc)

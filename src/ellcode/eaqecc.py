@@ -8,11 +8,8 @@ the MDS flag.  No stabilizer machinery is involved.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .isodual import IsoDualCertificate
 
@@ -84,16 +81,3 @@ def table_rows(items: Iterable[tuple[IsoDualCertificate, EaqeccParams]]) -> list
             "maximal_entanglement": params.maximal_entanglement,
         })
     return rows
-
-
-def rows_to_csv(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TABLE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def rows_to_json(rows: Sequence[dict]) -> str:
-    return json.dumps(list(rows), sort_keys=True, separators=(",", ":")) + "\n"

@@ -357,6 +357,8 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def generator(self) -> "FieldElement":
+        """The basis element theta when it is primitive, else the smallest
+        primitive encoding.  Its multiplicative order is q - 1 by construction."""
         return FieldElement(self, self._gen_enc)
 
     def elements(self) -> Iterator["FieldElement"]:
@@ -476,36 +478,6 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# operation names used throughout the package
-# ---------------------------------------------------------------------------
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def field_pow(a: FieldElement, e: int) -> FieldElement:
-    return a ** e
-
-
-def field_sqrt(a: FieldElement) -> Optional[FieldElement]:
-    return a.sqrt()
-
-
-def field_generator(spec: FieldSpec) -> FieldElement:
-    """The basis element theta when it is primitive, else the smallest
-    primitive encoding.  Its multiplicative order is q - 1 by construction."""
-    return spec.generator()
-
-
-# ---------------------------------------------------------------------------
 # polynomials over GF(q): tuples of FieldElement, index i = coefficient of x^i
 # ---------------------------------------------------------------------------
 
@@ -522,15 +494,6 @@ def poly_trim(f: Sequence[FieldElement]) -> Poly:
 def poly_degree(f: Sequence[FieldElement]) -> int:
     """Degree with the convention deg(0) = -1."""
     return len(poly_trim(f)) - 1
-
-
-def poly_constant(spec: FieldSpec, value: int | FieldElement) -> Poly:
-    e = spec.element(value)
-    return (e,) if e else ()
-
-
-def poly_x(spec: FieldSpec) -> Poly:
-    return (spec.zero, spec.one)
 
 
 def poly_add(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:

@@ -7,11 +7,16 @@ Construction 2 (odd characteristic, full rational 2-torsion) translates a
 k-point inverse-closed odd-order set by two 2-torsion points Qa, Qb and
 scales by v_i = (x_i - beta_a) / (h'(x_i) y_i).
 
-Every constructor verifies its certificate before returning: the iso-dual
-identity, the zero subset-sum witness, the hull bound and the length
-bound.  A verification failure inside a constructor is an internal error,
-not a user error: the construction succeeds whenever its preconditions
-hold, so a failed check means a bug.
+Constructors and `verify_certificate` share one ordered table of named
+certificate invariants, `INVARIANTS`: n_equals_2k, points_on_curve,
+points_distinct, x_pairs, y_nonzero, points_off_qa_x, g_shape,
+points_disjoint_from_G, matrix_rref, iso_dual_identity, evaluation_matrix,
+mds_witness, hull, hull_bound, length_bound and min_distance.  A
+constructor raises `VerificationError` naming the first one that fails.
+That is an internal error, not a user error: the construction succeeds
+whenever its preconditions hold, so a failed check means a bug.  The
+verifier runs the same table on the certificate file alone and reports
+every failure.
 
 Evaluation points are always emitted in canonical order (sorted by
 encoded coordinates); a pair selection chooses which pairs participate,
@@ -22,8 +27,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from . import gf, funcspace
 from ._version import __version__
@@ -74,11 +81,6 @@ class PairSelection:
     def to_dict(self) -> dict:
         return {"mode": self.mode, "r": self.r,
                 "pairs_x": list(self.pairs_x) if self.pairs_x else None}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairSelection":
-        return cls(d["mode"], d.get("r"),
-                   tuple(d["pairs_x"]) if d.get("pairs_x") else None)
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,13 @@ class IsoDualCertificate:
         for key in required:
             if key not in doc:
                 raise CertificateSchemaError(f"missing field {key!r}")
-        if any(v == 0 for v in doc["scaling_v"]):
-            raise CertificateSchemaError("scaling vector has a zero entry")
-        if len(doc["scaling_v"]) != doc["n"]:
-            raise CertificateSchemaError("scaling vector length differs from n")
-        if any(len(p) != 2 for p in doc["points"]):
-            raise CertificateSchemaError("points must be [x, y] pairs")
+        if not isinstance(doc["field"], str) or not isinstance(doc["curve"], str):
+            raise CertificateSchemaError("field and curve must be strings")
+        if doc["min_distance_method"] not in ("exhaustive", "dp"):
+            raise CertificateSchemaError(
+                f"unknown min_distance_method {doc['min_distance_method']!r}")
         try:
-            return cls(
+            cert = cls(
                 schema=doc["schema"],
                 tool_version=doc["tool_version"],
                 field_spec=doc["field"],
@@ -203,8 +204,8 @@ class IsoDualCertificate:
                 n=int(doc["n"]),
                 torsion_choice=tuple(doc["torsion_choice"]) if doc.get("torsion_choice") else None,
                 pair_selection=doc["pair_selection"],
-                points=tuple((int(x), int(y)) for x, y in doc["points"]),
-                g_divisor=tuple((tuple(pt) if pt else None, int(m))
+                points=tuple(_int_pair(p) for p in doc["points"]),
+                g_divisor=tuple((_int_pair(pt) if pt else None, int(m))
                                 for pt, m in doc["g_divisor"]),
                 generator_matrix=tuple(tuple(int(v) for v in r)
                                        for r in doc["generator_matrix"]),
@@ -217,6 +218,17 @@ class IsoDualCertificate:
             )
         except (TypeError, ValueError) as exc:
             raise CertificateSchemaError(f"malformed certificate: {exc}") from None
+        if 0 in cert.scaling_v:
+            raise CertificateSchemaError("scaling vector has a zero entry")
+        if len(cert.scaling_v) != cert.n:
+            raise CertificateSchemaError("scaling vector length differs from n")
+        return cert
+
+
+def _int_pair(value) -> tuple[int, int]:
+    """An [x, y] pair of encodings; anything else raises TypeError/ValueError."""
+    x, y = value
+    return int(x), int(y)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +364,6 @@ def construct2(inp: ConstructionInput) -> IsoDualCertificate:
     pset = [p for xe in keys for p in source[xe]]
     points = sorted([curve.add(qa, p) for p in pset]
                     + [curve.add(qb, p) for p in pset], key=Point.key)
-    if len(set(points)) != 2 * k:
-        raise VerificationError("translated point families collide")
     # MDS hypothesis: [k1]Qa + [k2]Qb + Qa != O for every split k1+k2 = k
     for k1 in range(k + 1):
         s = curve.add(curve.add(curve.mul(k1, qa), curve.mul(k - k1, qb)), qa)
@@ -364,76 +374,30 @@ def construct2(inp: ConstructionInput) -> IsoDualCertificate:
 
 def _finish(inp: ConstructionInput, curve: Curve, k: int, qa: Point,
             points: list[Point]) -> IsoDualCertificate:
-    """Shared tail: evaluate, scale, verify, certify."""
-    spec = curve.spec
-    n = 2 * k
+    """Shared tail: run the invariant table, then certify what it derived."""
     g_div = funcspace.Divisor(curve, {INFINITY: k - 1, qa: 1})
-    if any(p in g_div.coeffs for p in points):
-        raise VerificationError("evaluation points meet supp(G)")
-    basis = funcspace.rr_basis(curve, k, qa)
-    rows = [[funcspace.evaluate(f, p) for p in points] for f in basis.functions]
-    code = LinearCode(spec, rows, n=n)
-    if code.k != k:
-        raise VerificationError(f"evaluation code has rank {code.k}, expected {k}")
-    xs_enc = sorted({p.x.enc for p in points})
-    if len(xs_enc) != k:
-        raise VerificationError("expected exactly k distinct x-coordinates")
-    h, hp = funcspace.interpolation_poly([spec.element(x) for x in xs_enc])
-    v_entries = []
-    for p in points:
-        hval = gf.poly_eval(hp, p.x)
-        if not hval:
-            raise VerificationError("h' vanishes at an evaluation point")
-        if spec.p == 2:
-            v_entries.append(hval.inverse().enc)
-        else:
-            if not p.y:
-                raise VerificationError("evaluation point with y = 0")
-            num = p.x - qa.x
-            if not num:
-                raise VerificationError("evaluation point shares x with Qa")
-            v_entries.append((num / (hval * p.y)).enc)
-    v = ScalingVector(spec, v_entries)
-    iso = code.scale(v).same_code(code.dual())
-    if not iso:
-        raise VerificationError("iso-dual identity failed")
-    structure = curve.group_structure()
-    count = mds_subset_check(points, structure, k, funcspace.divisor_sum(g_div))
-    if count != 0:
-        raise VerificationError(f"MDS subset-sum witness is {count}, expected 0")
-    hull = code.hull_dim()
-    if (inp.construction == 2 or n >= 8) and hull > k - 1:
-        raise VerificationError(f"hull dimension {hull} exceeds k-1")
-    if n > curve.order() // 2:
-        raise VerificationError("length bound n <= #E/2 violated")
-    if spec.q ** k <= BRUTE_FORCE_BUDGET:
-        d = code.min_distance()
-        if d != k + 1:
-            raise VerificationError(f"exhaustive distance {d} != n-k+1")
-        method = "exhaustive"
-    else:
-        d = k + 1
-        method = "dp"
-    g_items: list[tuple[Optional[tuple[int, int]], int]] = \
-        [(None, k - 1), ((qa.x.enc, qa.y.enc), 1)]
+    ctx = _Context(curve, inp.construction, k, 2 * k, points, qa, g_div)
+    for name, holds in INVARIANTS:
+        if not holds(ctx):
+            raise VerificationError(f"certificate invariant {name} failed")
     return IsoDualCertificate(
         schema=CERTIFICATE_SCHEMA,
         tool_version=__version__,
-        field_spec=spec.to_string(),
+        field_spec=curve.spec.to_string(),
         curve_spec=curve.to_string(),
         construction=inp.construction,
         k=k,
-        n=n,
+        n=ctx.n,
         torsion_choice=inp.torsion_choice,
         pair_selection=inp.pair_selection.to_dict(),
-        points=tuple((p.x.enc, p.y.enc) for p in points),
-        g_divisor=tuple(g_items),
-        generator_matrix=code.matrix,
-        scaling_v=v.entries,
-        hull_dim=hull,
-        mds_subset_count=count,
-        min_distance=d,
-        min_distance_method=method,
+        points=tuple(p.key() for p in points),
+        g_divisor=((None, k - 1), (qa.key(), 1)),
+        generator_matrix=ctx.generator_matrix,
+        scaling_v=ctx.v.entries,
+        hull_dim=ctx.hull_dim,
+        mds_subset_count=ctx.mds_subset_count,
+        min_distance=ctx.min_distance,
+        min_distance_method=ctx.min_distance_method,
         iso_dual=True,
     )
 
@@ -447,66 +411,156 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
 
 
 # ---------------------------------------------------------------------------
-# certificate verification (from the file contents alone)
+# certificate invariants, shared by the constructors and the verifier
 # ---------------------------------------------------------------------------
 
+class _Context:
+    """One op's certificate data and the values derived from it.
+
+    Each derived value is computed on first use and kept, so an invariant
+    pays only for what it reads and a failed invariant skips the work of
+    the ones after it.  `claim` is the recorded results under check: `cert`
+    when verifying.  When constructing, `cert` is None and `claim` is the
+    context itself, whose derived values are what the certificate will
+    record; the evaluated code is then the code.
+    """
+
+    def __init__(self, curve: Curve, construction: int, k: int, n: int,
+                 points: list[Point], qa: Optional[Point],
+                 g_div: Optional[funcspace.Divisor],
+                 cert: Optional[IsoDualCertificate] = None):
+        self.curve, self.spec = curve, curve.spec
+        self.construction, self.k, self.n = construction, k, n
+        self.points, self.qa, self.g_div = points, qa, g_div
+        self.cert = cert
+
+    @property
+    def claim(self):
+        """Computed on each read: storing self would make a reference cycle."""
+        return self if self.cert is None else self.cert
+
+    @cached_property
+    def evaluated(self) -> LinearCode:
+        """The code spanned by the Riemann-Roch basis evaluated at the points."""
+        basis = funcspace.rr_basis(self.curve, self.k, self.qa)
+        rows = [[funcspace.evaluate(f, p) for p in self.points]
+                for f in basis.functions]
+        return LinearCode(self.spec, rows, n=self.n)
+
+    @cached_property
+    def code(self) -> LinearCode:
+        """The RREF code under check; `dual()` is cached on it."""
+        if self.cert is None:
+            return self.evaluated
+        return LinearCode(self.spec, self.cert.generator_matrix, n=self.n)
+
+    @property
+    def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
+        return self.code.matrix
+
+    @cached_property
+    def v(self) -> ScalingVector:
+        """The scaling carrying the code onto its dual (module docstring)."""
+        if self.cert is not None:
+            return self.cert.scaling(self.curve)
+        spec = self.spec
+        xs = sorted({p.x.enc for p in self.points})
+        _, hp = funcspace.interpolation_poly([spec.element(x) for x in xs])
+        entries = []
+        for p in self.points:
+            hval = gf.poly_eval(hp, p.x)
+            entries.append(hval.inverse() if spec.p == 2
+                           else (p.x - self.qa.x) / (hval * p.y))
+        return ScalingVector(spec, entries)
+
+    @cached_property
+    def mds_subset_count(self) -> int:
+        """k-subsets of the points summing to sum(G) (the group structure
+        is cached on the curve)."""
+        return mds_subset_check(self.points, self.curve.group_structure(),
+                                self.k, funcspace.divisor_sum(self.g_div))
+
+    @cached_property
+    def hull_dim(self) -> int:
+        return self.code.hull_dim()
+
+    @cached_property
+    def min_distance_method(self) -> str:
+        return "exhaustive" if self.spec.q ** self.k <= BRUTE_FORCE_BUDGET else "dp"
+
+    @cached_property
+    def min_distance(self) -> int:
+        """Enumerated within the budget; otherwise n-k+1 from the DP witness."""
+        if self.min_distance_method == "exhaustive":
+            return self.code.min_distance()
+        return self.k + 1
+
+
+def _x_pairs(c: _Context) -> bool:
+    """Exactly k distinct x's, each carried by two points."""
+    carriers = Counter(p.x.enc for p in c.points)
+    return len(carriers) == c.k and set(carriers.values()) == {2}
+
+
+# (name, predicate), in the order they run.  `x_pairs` makes the roots of h
+# distinct, so h' is nonzero at every point; `y_nonzero` and
+# `points_off_qa_x` keep the odd-characteristic v_i finite.
+INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
+    ("n_equals_2k", lambda c: c.n == 2 * c.k and len(c.points) == c.n),
+    ("points_on_curve", lambda c: all(c.curve.is_on_curve(p) for p in c.points)),
+    ("points_distinct", lambda c: len(set(c.points)) == len(c.points)),
+    ("x_pairs", _x_pairs),
+    ("y_nonzero", lambda c: c.spec.p == 2 or all(p.y for p in c.points)),
+    ("points_off_qa_x", lambda c: c.qa is None
+     or all(p.x != c.qa.x for p in c.points)),
+    ("g_shape", lambda c: c.qa is not None
+     and c.g_div.coeffs == {INFINITY: c.k - 1, c.qa: 1}
+     and c.curve.point_order(c.qa) == 2),
+    ("points_disjoint_from_G", lambda c: not any(p in c.g_div.coeffs
+                                                 for p in c.points)),
+    ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
+     and (c.code.k, c.code.n) == (c.k, c.n)),
+    ("iso_dual_identity", lambda c: c.code.scale(c.v).same_code(c.code.dual())),
+    ("evaluation_matrix", lambda c: c.evaluated.same_code(c.code)),
+    ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
+    ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
+    ("hull_bound", lambda c: (c.construction != 2 and c.n < 8)
+     or c.hull_dim <= c.k - 1),
+    ("length_bound", lambda c: c.n <= c.curve.order() // 2),
+    ("min_distance", lambda c: c.claim.min_distance_method == c.min_distance_method
+     and c.claim.min_distance == c.k + 1 == c.min_distance),
+)
+
+# a failed gate ends verification: the invariants after it read G or the code
+_GATES = ("g_shape", "matrix_rref")
+
+
 def verify_certificate(cert: IsoDualCertificate) -> list[str]:
-    """Re-run every invariant; returns the names of failed checks in order."""
+    """Run `INVARIANTS` on the file's data alone; returns the names of the
+    failed invariants in table order.
+
+    Data the library cannot evaluate (a bad encoding, a ragged matrix, a
+    point outside the group) raises `CertificateSchemaError`, unless an
+    invariant has already failed: the run then ends with those failures.
+    """
     failures: list[str] = []
     try:
         curve = cert.curve()
-    except (gf.FieldError, CurveError) as exc:
-        raise CertificateSchemaError(f"field/curve spec invalid: {exc}") from None
-    spec = curve.spec
-    pts = cert.point_objects(curve)
-    if cert.n != 2 * cert.k or len(pts) != cert.n:
-        failures.append("n_equals_2k")
-    if any(not curve.is_on_curve(p) for p in pts):
-        failures.append("points_on_curve")
-    if len(set(pts)) != len(pts):
-        failures.append("points_distinct")
-    try:
-        g_div = cert.g_divisor_object(curve)
-        q2 = next(p for p in g_div.support() if not p.is_infinity)
-        g_ok = (g_div.multiplicity(INFINITY) == cert.k - 1
-                and g_div.multiplicity(q2) == 1
-                and curve.point_order(q2) == 2
-                and g_div.degree() == cert.k)
-    except (StopIteration, CurveError):
-        g_ok, q2 = False, None
-    if not g_ok:
-        failures.append("g_shape")
-        return failures
-    if any(p in g_div.coeffs for p in pts):
-        failures.append("points_disjoint_from_G")
-    code = cert.code(curve)
-    if code.matrix != cert.generator_matrix or code.k != cert.k or code.n != cert.n:
-        failures.append("matrix_rref")
-        return failures
-    v = cert.scaling(curve)
-    if not code.scale(v).same_code(code.dual()):
-        failures.append("iso_dual_identity")
-    basis = funcspace.rr_basis(curve, cert.k, q2)
-    rows = [[funcspace.evaluate(f, p) for p in pts] for f in basis.functions]
-    if not LinearCode(spec, rows, n=cert.n).same_code(code):
-        failures.append("evaluation_matrix")
-    structure = curve.group_structure()
-    count = mds_subset_check(pts, structure, cert.k, funcspace.divisor_sum(g_div))
-    if count != cert.mds_subset_count or count != 0:
-        failures.append("mds_witness")
-    hull = code.hull_dim()
-    if hull != cert.hull_dim:
-        failures.append("hull")
-    if (cert.construction == 2 or cert.n >= 8) and hull > cert.k - 1:
-        failures.append("hull_bound")
-    if cert.n > curve.order() // 2:
-        failures.append("length_bound")
-    if cert.min_distance != cert.k + 1:
-        failures.append("min_distance")
-    elif cert.min_distance_method == "exhaustive" \
-            and spec.q ** cert.k <= BRUTE_FORCE_BUDGET:
-        if code.min_distance() != cert.min_distance:
-            failures.append("min_distance")
+        try:
+            g_div = cert.g_divisor_object(curve)
+            qa = next(p for p in g_div.support() if not p.is_infinity)
+        except (CurveError, StopIteration):     # such a G fails g_shape
+            g_div = qa = None
+        ctx = _Context(curve, cert.construction, cert.k, cert.n,
+                       cert.point_objects(curve), qa, g_div, cert)
+        for name, holds in INVARIANTS:
+            if not holds(ctx):
+                failures.append(name)
+                if name in _GATES:
+                    break
+    except (gf.FieldError, CurveError, CodeError, funcspace.FunctionError) as exc:
+        if not failures:
+            raise CertificateSchemaError(f"certificate data invalid: {exc}") from None
     return failures
 
 

@@ -18,10 +18,7 @@ def rref(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[int]], list[
     exp2, log = spec._exp2, spec._log
     char2 = spec.p == 2
     if not char2:
-        addt, negt = spec._addt, spec._negt
-        if addt is None:
-            # beyond the add-table size cap: fall back to digitwise adds
-            addt = _FallbackAdd(spec)
+        addt, negt, sub = spec._addt, spec._negt, spec.sub_enc
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -52,39 +49,22 @@ def rref(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[int]], list[
                     v = row_r[j]
                     if v:
                         row_i[j] ^= exp2[lf + log[v]]
-            else:
+            elif addt is not None:
                 for j in range(c, ncols):
                     v = row_r[j]
                     if v:
                         row_i[j] = addt[row_i[j]][negt[exp2[lf + log[v]]]]
+            else:
+                # beyond the add-table size cap: the field's own subtract
+                for j in range(c, ncols):
+                    v = row_r[j]
+                    if v:
+                        row_i[j] = sub(row_i[j], exp2[lf + log[v]])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return [a[i] for i in range(r)], pivots
-
-
-class _FallbackAdd:
-    """Row-at-a-time adapter so rref's table indexing works without a table."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-
-    def __getitem__(self, a: int) -> "_FallbackAddRow":
-        return _FallbackAddRow(self.spec, a)
-
-
-class _FallbackAddRow:
-    __slots__ = ("spec", "a")
-
-    def __init__(self, spec: FieldSpec, a: int):
-        self.spec = spec
-        self.a = a
-
-    def __getitem__(self, b: int) -> int:
-        return self.spec.add_enc(self.a, b)
 
 
 def rank(rows: list[list[int]], spec: FieldSpec) -> int:
@@ -138,9 +118,3 @@ def _dot(u: list[int], v: list[int], spec: FieldSpec) -> int:
         if x and y:
             acc = add(acc, exp2[log[x] + log[y]])
     return acc
-
-
-def is_rref(rows: list[list[int]], spec: FieldSpec) -> bool:
-    """True iff rows are a reduced row-echelon basis (no zero rows)."""
-    red, _ = rref(rows, spec)
-    return [list(r) for r in rows] == red and len(red) == len(rows)

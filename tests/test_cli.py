@@ -83,6 +83,43 @@ def test_verify_zeroed_scaling_is_schema_error(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def _ragged(doc):
+    doc["generator_matrix"][1] = doc["generator_matrix"][1][:-1]
+
+
+HOSTILE = {
+    "points-null": lambda doc: doc.update(points=None),
+    "point-encoding-99": lambda doc: doc["points"][0].__setitem__(0, 99),
+    "scaling-encoding-99": lambda doc: doc["scaling_v"].__setitem__(0, 99),
+    "ragged-matrix": _ragged,
+    "field-not-string": lambda doc: doc.update(field=5),
+    "unknown-distance-method": lambda doc: doc.update(min_distance_method="bogus"),
+}
+
+
+@pytest.mark.parametrize("mutate", HOSTILE.values(), ids=HOSTILE.keys())
+def test_verify_hostile_certificate_is_schema_error(tmp_path, capsys, mutate):
+    out = tmp_path / "c.json"
+    _construct16(out)
+    doc = json.loads(out.read_text())
+    mutate(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
+
+
+def test_verify_rejects_dp_claim_within_budget(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    _construct16(out)
+    doc = json.loads(out.read_text())
+    doc["min_distance_method"] = "dp"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert "verification failed: min_distance" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/cert.json"]) == 2
 

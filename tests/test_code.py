@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ellcode import linalg
+from ellcode import FieldSpec, linalg
 from ellcode.curve import INFINITY, Point
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
                           mds_subset_check, subset_sum_counts,
@@ -24,6 +24,36 @@ def test_rref_canonical(f25):
     for i, c in enumerate(pivots):
         assert red[i][c] == 1
         assert all(red[j][c] == 0 for j in range(len(red)) if j != i)
+
+
+def _gauss_jordan(rows, spec):
+    """Plain reference RREF on the field's encoded add/sub/mul/inv."""
+    a, pivots = [list(r) for r in rows], []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = spec.inv_enc(a[r][c])
+        a[r] = [spec.mul_enc(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [spec.sub_enc(x, spec.mul_enc(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("p, m, modulus", [(1031, 1, [0, 1]), (5, 2, [2, 4, 1])],
+                         ids=["GF(1031)", "GF(25)"])
+def test_rref_matches_plain_gauss_jordan(p, m, modulus):
+    # GF(1031) is above the add-table cap, so rref subtracts with sub_enc
+    spec = FieldSpec(p, m, modulus)
+    rng = random.Random(7)
+    rows = [[rng.randrange(spec.q) for _ in range(12)] for _ in range(5)]
+    rows.append([spec.add_enc(x, y) for x, y in zip(rows[0], rows[3])])
+    assert linalg.rref(rows, spec) == _gauss_jordan(rows, spec)
 
 
 def test_dual_orthogonality_and_dims(code16, f16):

@@ -1,8 +1,8 @@
 import pytest
 
-from ellcode.eaqecc import (EaqeccError, EaqeccParams, derive,
-                            derive_from_certificate, is_mds_eaqecc,
-                            rows_to_csv, rows_to_json, table_rows)
+from ellcode.eaqecc import (TABLE_COLUMNS, EaqeccError, EaqeccParams, derive,
+                            derive_from_certificate, is_mds_eaqecc, table_rows)
+from ellcode.search import rows_to_csv, rows_to_json
 
 
 def test_derive_example_iv1():
@@ -69,7 +69,7 @@ def test_table_writers(cert16, cert25):
     items = [(cert16, derive_from_certificate(cert16)),
              (cert25, derive_from_certificate(cert25))]
     rows = table_rows(items)
-    csv_text = rows_to_csv(rows)
+    csv_text = rows_to_csv(rows, TABLE_COLUMNS)
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("q,n,k,d,hull")
     assert len(lines) == 3

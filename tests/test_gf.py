@@ -88,15 +88,15 @@ def _mult_order(spec, enc):
 
 
 def test_generator_is_theta_with_full_order(f16, f25):
-    assert gf.field_generator(f16).enc == 2
+    assert f16.generator().enc == 2
     assert _mult_order(f16, 2) == 15
-    assert gf.field_generator(f25).enc == 5
+    assert f25.generator().enc == 5
     assert _mult_order(f25, 5) == 24
 
 
 def test_generator_gf2():
     f2 = FieldSpec(2, 1, [0, 1])
-    assert gf.field_generator(f2).enc == 1
+    assert f2.generator().enc == 1
 
 
 @pytest.mark.parametrize("spec_name", ["f16", "f25", "f27", "f32"])

@@ -3,10 +3,12 @@ import pytest
 from ellcode import FieldSpec
 from ellcode.curve import Curve, Point, INFINITY
 from ellcode.code import ScalingVector
-from ellcode.isodual import (CertificateSchemaError, ConstructionError,
-                             ConstructionInput, IsoDualCertificate,
-                             PairSelection, construct, construct1, construct2,
-                             find_scaling_with_hull, lcd_transform,
+from ellcode import isodual
+from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
+                             ConstructionError, ConstructionInput,
+                             IsoDualCertificate, PairSelection,
+                             VerificationError, construct, construct1,
+                             construct2, find_scaling_with_hull, lcd_transform,
                              sample_scaling_hulls, selfdual_transform,
                              verify_certificate)
 
@@ -228,3 +230,65 @@ def test_smallest_construction_n4(e16):
     cert = construct1(ConstructionInput(e16, 2, 1))
     assert (cert.n, cert.k, cert.min_distance) == (4, 2, 3)
     assert verify_certificate(cert) == []
+
+
+def test_invariant_names_unique_and_in_table_order():
+    names = [name for name, _ in INVARIANTS]
+    assert names == ["n_equals_2k", "points_on_curve", "points_distinct",
+                     "x_pairs", "y_nonzero", "points_off_qa_x", "g_shape",
+                     "points_disjoint_from_G", "matrix_rref",
+                     "iso_dual_identity", "evaluation_matrix", "mds_witness",
+                     "hull", "hull_bound", "length_bound", "min_distance"]
+    assert len(set(names)) == len(names)
+
+
+def _swap(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _replace_at(seq, i, value):
+    out = list(seq)
+    out[i] = value
+    return tuple(out)
+
+
+# Every invariant a single tampered field can make fail first.  The others
+# cannot: a point with y = 0, at x(Qa) or in supp(G) is alone on its x, so
+# x_pairs fails before y_nonzero, points_off_qa_x or points_disjoint_from_G;
+# hull_bound and length_bound hold for every point set that passes the
+# invariants before them.
+TAMPERS = [
+    ("n_equals_2k", "cert16", lambda c: {"n": 10}),
+    ("points_on_curve", "cert16", lambda c: {"points": _replace_at(c.points, 1, (1, 2))}),
+    ("points_distinct", "cert16", lambda c: {"points": _replace_at(c.points, 1, c.points[0])}),
+    ("x_pairs", "cert16", lambda c: {"points": _replace_at(c.points, 7, (3, 12))}),
+    ("g_shape", "cert16", lambda c: {"g_divisor": ((None, 2), c.g_divisor[1])}),
+    ("g_shape", "cert25", lambda c: {"g_divisor": (c.g_divisor[0],)}),
+    ("matrix_rref", "cert16", lambda c: {"generator_matrix": _swap(c.generator_matrix, 0, 1)}),
+    ("iso_dual_identity", "cert16", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
+    ("iso_dual_identity", "cert25", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
+    ("evaluation_matrix", "cert16", lambda c: {"points": _swap(c.points, 0, 2)}),
+    ("evaluation_matrix", "cert25", lambda c: {"points": _swap(c.points, 0, 2)}),
+    ("mds_witness", "cert16", lambda c: {"mds_subset_count": 1}),
+    ("hull", "cert25", lambda c: {"hull_dim": 1}),
+    ("min_distance", "cert16", lambda c: {"min_distance": 6}),
+    ("min_distance", "cert16", lambda c: {"min_distance_method": "dp"}),
+    ("min_distance", "cert25", lambda c: {"min_distance_method": "exhaustive"}),
+]
+
+
+@pytest.mark.parametrize("name, fixture, overrides", TAMPERS,
+                         ids=[f"{n}-{f}" for n, f, _ in TAMPERS])
+def test_tampered_certificate_fails_that_invariant_first(request, name, fixture,
+                                                         overrides):
+    cert = request.getfixturevalue(fixture)
+    failures = verify_certificate(_tamper(cert, **overrides(cert)))
+    assert failures[:1] == [name]
+
+
+def test_construct_names_the_failed_invariant(monkeypatch, e16):
+    monkeypatch.setattr(isodual, "mds_subset_check", lambda *args: 1)
+    with pytest.raises(VerificationError, match="mds_witness"):
+        construct(ConstructionInput(e16, 2, 1))
