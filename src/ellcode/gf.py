@@ -5,12 +5,18 @@ canonical integer encoding ``enc(a) = sum(coeffs[i] * p**i)``, which is a
 bijection onto ``[0, q)``.  The encoding is the interchange format used in
 files, certificates and the command line, so results are bit-reproducible.
 
-Fields are desk-scale (q up to a few thousand); multiplication runs on
-exp/log tables built from a fixed primitive element.
+Fields are desk-scale: q is at most `_MAX_Q`, checked before any other
+work.  Multiplication runs on exp/log tables built from a fixed primitive
+element.  Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a
+q x q table built digit by digit: the table for p^(i+1) is p x p blocks of
+the table for p^i, block (ha, hb) shifted by p^i * ((ha + hb) % p), so each
+row is a rotation of blocks of a smaller row.  Every entry is one of q
+shared int objects.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import xor
 from typing import Iterator, Optional, Sequence
 
@@ -132,6 +138,33 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
 
 _ADD_TABLE_MAX_Q = 1024
+_MAX_Q = 2 ** 16
+
+
+def _addition_table(p: int, q: int) -> list[list[int]]:
+    """The q x q table of a + b on encodings of GF(q), q = p^m, digit by digit.
+
+    ``rows[r][t]`` is row r of the addition table of the encodings below
+    ``size`` (the low digits seen so far), with t * size added to every
+    entry.  One more digit turns each run of p consecutive shifts of row lo
+    into row lo + size * ha: those blocks, rotated left by ha and
+    concatenated.  Entries are slices of one ``range(q)`` list, so the
+    table holds q int objects.
+    """
+    vals = list(range(q))
+    rows = [[vals[s + a:s + p] + vals[s:s + a] for s in range(0, q, p)]
+            for a in range(p)]
+    size = p
+    while size < q:
+        grown: list[list[list[int]]] = [[] for _ in range(size * p)]
+        for lo, shifts in enumerate(rows):
+            for t in range(0, len(shifts), p):
+                blocks = shifts[t:t + p]
+                for ha in range(p):
+                    grown[lo + size * ha].append(
+                        list(chain.from_iterable(blocks[ha:] + blocks[:ha])))
+        rows, size = grown, size * p
+    return [shifts[0] for shifts in rows]
 
 
 class FieldSpec:
@@ -148,10 +181,12 @@ class FieldSpec:
                  "_negt", "_gen_enc", "_artin", "add_enc", "sub_enc", "neg_enc")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise FieldError(f"p={p} is not prime")
         if not 1 <= m <= 8:
             raise FieldError(f"extension degree m={m} out of supported range 1..8")
+        if p ** m > _MAX_Q:
+            raise FieldError(f"field size {p}^{m} exceeds the supported {_MAX_Q}")
+        if not is_prime(p):
+            raise FieldError(f"p={p} is not prime")
         mod = [c % p for c in modulus]
         if len(mod) != m + 1:
             raise FieldError(f"modulus needs {m + 1} coefficients, got {len(mod)}")
@@ -240,31 +275,22 @@ class FieldSpec:
             self._addt = None
             self._negt = None
         else:
-            negt = [0] * q
-            for a in range(q):
-                negt[a] = self._enc_of([(-c) % p for c in self._coeffs_of(a)])
+            negt, size = [0], 1
+            while size < q:     # -(lo + size * h) = -lo + size * (-h % p)
+                negt = [n + size * (-h % p) for h in range(p) for n in negt]
+                size *= p
             self._negt = negt
-            if q <= _ADD_TABLE_MAX_Q:
-                addt = []
-                for a in range(q):
-                    ca = self._coeffs_of(a)
-                    row = [0] * q
-                    for b in range(q):
-                        cb = self._coeffs_of(b)
-                        row[b] = self._enc_of([(ca[i] + cb[i]) % p
-                                               for i in range(self.m)])
-                    addt.append(row)
-                self._addt = addt
-            else:
-                self._addt = None
+            self._addt = _addition_table(p, q) if q <= _ADD_TABLE_MAX_Q else None
         self._bind_addition()
 
     def _bind_addition(self) -> None:
         """Choose the integer add, subtract and negate, once per field.
 
         Characteristic 2 adds by XOR.  Other fields up to `_ADD_TABLE_MAX_Q`
-        look sums up in the q x q table; larger prime fields add mod p and
-        larger extension fields add digit by digit.
+        look sums up in the q x q table that `_addition_table` builds by
+        base-p digit recursion, and subtract through the negation table;
+        larger prime fields add mod p and larger extension fields add
+        digit by digit on every call.
         """
         p, addt, negt = self.p, self._addt, self._negt
         if p == 2:

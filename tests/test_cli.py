@@ -110,6 +110,18 @@ def test_verify_hostile_certificate_is_schema_error(tmp_path, capsys, mutate):
     assert "schema error" in err and "Traceback" not in err
 
 
+def test_verify_oversized_field_is_schema_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    _construct16(out)
+    doc = json.loads(out.read_text())
+    doc["field"] = "p=1000003,m=1,mod=0,1"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
+
+
 def test_verify_rejects_dp_claim_within_budget(tmp_path, capsys):
     out = tmp_path / "c.json"
     _construct16(out)

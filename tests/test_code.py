@@ -45,10 +45,12 @@ def _gauss_jordan(rows, spec):
     return a[:len(pivots)], pivots
 
 
-@pytest.mark.parametrize("p, m, modulus", [(1031, 1, [0, 1]), (5, 2, [2, 4, 1])],
-                         ids=["GF(1031)", "GF(25)"])
+@pytest.mark.parametrize("p, m, modulus", [(1031, 1, [0, 1]), (5, 2, [2, 4, 1]),
+                                            (3, 7, [1, 0, 2, 0, 0, 0, 0, 1])],
+                         ids=["GF(1031)", "GF(25)", "GF(2187)"])
 def test_rref_matches_plain_gauss_jordan(p, m, modulus):
-    # GF(1031) is above the add-table cap, so rref subtracts with sub_enc
+    # GF(1031) and GF(2187) are above the add-table cap, so rref subtracts
+    # with sub_enc: mod p for the prime field, digit by digit for GF(2187)
     spec = FieldSpec(p, m, modulus)
     rng = random.Random(7)
     rows = [[rng.randrange(spec.q) for _ in range(12)] for _ in range(5)]

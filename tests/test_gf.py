@@ -222,3 +222,73 @@ def test_spec_string_round_trip(f25, f16):
 def test_encoding_bijection(f27):
     seen = {f27._enc_of(f27._coeffs_of(e)) for e in range(27)}
     assert seen == set(range(27))
+
+
+def _digits(enc, p, m):
+    return [enc // p ** i % p for i in range(m)]
+
+
+def _digitwise_sum(a, b, p, m):
+    return sum((x + y) % p * p ** i
+               for i, (x, y) in enumerate(zip(_digits(a, p, m), _digits(b, p, m))))
+
+
+def _digitwise_neg(a, p, m):
+    return sum(-x % p * p ** i for i, x in enumerate(_digits(a, p, m)))
+
+
+ODD_TABLE_FIELDS = {
+    "GF(9)": (3, 2, [1, 0, 1]),
+    "GF(25)": (5, 2, [2, 4, 1]),
+    "GF(27)": (3, 3, [1, 2, 0, 1]),
+    "GF(49)": (7, 2, [3, 6, 1]),
+    "GF(243)": (3, 5, [1, 0, 0, 0, 2, 1]),
+    "GF(289)": (17, 2, [3, 16, 1]),
+}
+
+
+@pytest.mark.parametrize("p, m, modulus", ODD_TABLE_FIELDS.values(),
+                         ids=ODD_TABLE_FIELDS.keys())
+def test_addition_table_matches_digitwise_sums(p, m, modulus):
+    spec = FieldSpec(p, m, modulus)
+    q, addt, negt = spec.q, spec._addt, spec._negt
+    for a in range(q):
+        assert addt[a] == [_digitwise_sum(a, b, p, m) for b in range(q)]
+        assert negt[a] == _digitwise_neg(a, p, m)
+        assert addt[a][negt[a]] == 0
+
+
+def test_addition_table_gf729_sampled_and_shared():
+    p, m = 3, 6
+    spec = FieldSpec(p, m, [2, 1, 0, 0, 0, 0, 1])
+    q, addt, negt = spec.q, spec._addt, spec._negt
+    rng = random.Random(729)
+    for _ in range(20000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert addt[a][b] == _digitwise_sum(a, b, p, m)
+    assert all(addt[a][negt[a]] == 0 for a in range(q))
+    # one shared int object per encoding, not one per cell
+    assert len({id(x) for row in addt for x in row}) <= q
+
+
+def test_digitwise_fallback_above_table_cap():
+    p, m = 3, 7
+    spec = FieldSpec(p, m, [1, 0, 2, 0, 0, 0, 0, 1])
+    assert spec.q > gf._ADD_TABLE_MAX_Q and spec._addt is None
+    rng = random.Random(2187)
+    for _ in range(3000):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert spec.add_enc(a, b) == _digitwise_sum(a, b, p, m)
+        assert spec.sub_enc(a, b) == _digitwise_sum(a, _digitwise_neg(b, p, m), p, m)
+        assert spec.neg_enc(a) == _digitwise_neg(a, p, m)
+
+
+@pytest.mark.parametrize("p, m", [(2 ** 61 - 1, 1), (65537, 1), (3, 11), (2, 9)])
+def test_field_size_bounded_before_any_work(monkeypatch, p, m):
+    def refuse(*args):
+        raise AssertionError("work done before the field size was checked")
+
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    monkeypatch.setattr(FieldSpec, "_build_tables", refuse)
+    with pytest.raises(FieldError):
+        FieldSpec(p, m, [0] * m + [1])
