@@ -10,6 +10,7 @@ code C_L(D, G) is MDS exactly when the count for sum(G) is zero.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import xor
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -129,64 +130,74 @@ class LinearCode:
         return h
 
     def codewords(self, budget: int = 2 ** 24):
-        """Yield every codeword once, by odometer enumeration of messages."""
-        qk = self.spec.q ** self.k
+        """Every codeword once, as a tuple, by odometer enumeration of
+        messages."""
+        return map(tuple, self._words(budget))
+
+    def _words(self, budget: int):
+        """The words of `codewords`, as bytes in characteristic 2 and as
+        lists otherwise; both count their zeros with ``.count(0)``."""
+        spec, n, q = self.spec, self.n, self.spec.q
+        qk = q ** self.k
         if qk > budget:
             raise CodeError(
                 f"q^k = {qk} exceeds the brute-force budget {budget}; "
                 "certify MDS via mds_subset_check instead")
-        word = [0] * self.n
-        yield tuple(word)
-        if self.k == 0:
-            return
-        digits = [0] * self.k
-        spec = self.spec
-        add, mul = spec.add_enc, spec.mul_enc
-        q = spec.q
         # stepping message digit i from encoding a to a+1 adds
         # (elem(a+1) - elem(a)) * row_i; deltas depend on a in GF(p^m)
         delta = [spec.sub_enc((a + 1) % q, a) for a in range(q)]
-        rows = [list(r) for r in self.matrix]
-        for _ in range(qk - 1):
-            i = 0
-            while True:
-                row = rows[i]
-                d = delta[digits[i]]
-                for j in range(self.n):
-                    x = row[j]
-                    if x:
-                        word[j] = add(word[j], mul(d, x))
-                digits[i] += 1
-                if digits[i] < q:
-                    break
-                digits[i] = 0
-                i += 1
-            yield tuple(word)
+        if spec.p == 2:
+            # words and steps packed one byte per entry, added by XOR
+            mulb = spec._mulb
+            steps = [[int.from_bytes(bytes(row).translate(mulb[d]), "big")
+                      for d in delta] for row in self.matrix]
+            for word in _odometer(steps, q, 0, xor):
+                yield word.to_bytes(n, "big")
+            return
+        add, mul = spec.add_enc, spec.mul_enc
+        steps = [[[mul(d, x) for x in row] for d in delta] for row in self.matrix]
+        yield from _odometer(steps, q, [0] * n, lambda u, v: list(map(add, u, v)))
 
     def min_distance(self, budget: int = 2 ** 24) -> int:
         """Exact minimum Hamming weight by full codeword enumeration."""
         if self.k == 0:
             raise CodeError("zero code has no nonzero codeword")
-        best = self.n + 1
-        first = True
-        for word in self.codewords(budget):
-            if first:
-                first = False
-                continue
-            w = sum(1 for x in word if x)
-            if w < best:
-                best = w
-        return best
+        words = self._words(budget)
+        next(words)     # the zero word
+        return self.n - max(word.count(0) for word in words)
 
     def weight_distribution(self, budget: int = 2 ** 24) -> list[int]:
         """A_0..A_n by full enumeration, same budget as min_distance."""
-        dist = [0] * (self.n + 1)
-        for word in self.codewords(budget):
-            dist[sum(1 for x in word if x)] += 1
+        n = self.n
+        dist = [0] * (n + 1)
+        for word in self._words(budget):
+            dist[n - word.count(0)] += 1
         return dist
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}] over {self.spec!r}"
+
+
+def _odometer(steps, q: int, word, add):
+    """Every sum of one multiple of each row, message digit 0 fastest.
+
+    ``steps[i][a]`` is what moving digit i from encoding a to a + 1 adds to
+    the word, so each message after the first costs one `add` per digit
+    that turns over.
+    """
+    yield word
+    digits = [0] * len(steps)
+    for _ in range(q ** len(steps) - 1):
+        i = 0
+        while True:
+            a = digits[i]
+            word = add(word, steps[i][a])
+            if a + 1 < q:
+                digits[i] = a + 1
+                break
+            digits[i] = 0
+            i += 1
+        yield word
 
 
 # ---------------------------------------------------------------------------

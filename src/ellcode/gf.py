@@ -11,7 +11,10 @@ element.  Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a
 q x q table built digit by digit: the table for p^(i+1) is p x p blocks of
 the table for p^i, block (ha, hb) shifted by p^i * ((ha + hb) % p), so each
 row is a rotation of blocks of a smaller row.  Every entry is one of q
-shared int objects.
+shared int objects.  Characteristic-2 fields have q <= 256, so an encoding
+fits in one byte: their ``_mulb[s]`` is the 256-byte ``bytes.translate``
+table of x -> s * x, with which `linalg` and `code` scale whole rows packed
+one byte per entry.
 """
 
 from __future__ import annotations
@@ -175,10 +178,17 @@ class FieldSpec:
     ones, ``add_enc``, ``sub_enc`` and ``neg_enc``, are plain callables chosen
     once per field by `_bind_addition`.  Specs are immutable after
     construction and safe to share.
+
+    In characteristic 2, ``_mulb[s]`` is the translate table of
+    multiplication by s: ``_mulb[s][x] == mul_enc(s, x)`` for x < q, and
+    encodings q..255 map to 0.  The kernels of `linalg` and `code` pack a
+    row one byte per entry and scale it with ``row.translate(_mulb[s])``.
+    Other fields have ``_mulb = None``.
     """
 
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_exp2", "_log", "_addt",
-                 "_negt", "_gen_enc", "_artin", "add_enc", "sub_enc", "neg_enc")
+                 "_negt", "_mulb", "_gen_enc", "_artin", "add_enc", "sub_enc",
+                 "neg_enc")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not 1 <= m <= 8:
@@ -269,12 +279,22 @@ class FieldSpec:
         if x != 1:
             raise FieldError("generator search failed to close the cycle")
         self._exp = exp
-        self._exp2 = exp + exp      # doubled so mul can skip a modulo
+        self._exp2 = exp2 = exp + exp      # doubled so mul can skip a modulo
         self._log = log
         if p == 2:
             self._addt = None
             self._negt = None
+            # _mulb[gen^(i+1)] is _mulb[gen^i] translated by x -> gen * x
+            pad = bytes(256 - q)
+            by_gen = bytes(exp2[log[x] + 1] if x else 0 for x in range(q)) + pad
+            mulb = [bytes(256)] * q
+            table = bytes(range(q)) + pad
+            for e in exp:
+                mulb[e] = table
+                table = table.translate(by_gen)
+            self._mulb = mulb
         else:
+            self._mulb = None
             negt, size = [0], 1
             while size < q:     # -(lo + size * h) = -lo + size * (-h % p)
                 negt = [n + size * (-h % p) for h in range(p) for n in negt]

@@ -182,9 +182,10 @@ class IsoDualCertificate:
             raise CertificateSchemaError(
                 f"unknown schema {doc.get('schema')!r}, expected {CERTIFICATE_SCHEMA}")
         required = ["tool_version", "field", "curve", "construction", "k", "n",
-                    "pair_selection", "points", "g_divisor", "generator_matrix",
-                    "scaling_v", "hull_dim", "mds_subset_count", "min_distance",
-                    "min_distance_method", "iso_dual"]
+                    "torsion_choice", "pair_selection", "points", "g_divisor",
+                    "generator_matrix", "scaling_v", "hull_dim",
+                    "mds_subset_count", "min_distance", "min_distance_method",
+                    "iso_dual"]
         for key in required:
             if key not in doc:
                 raise CertificateSchemaError(f"missing field {key!r}")
@@ -193,28 +194,31 @@ class IsoDualCertificate:
         if doc["min_distance_method"] not in ("exhaustive", "dp"):
             raise CertificateSchemaError(
                 f"unknown min_distance_method {doc['min_distance_method']!r}")
+        if type(doc["iso_dual"]) is not bool:
+            raise CertificateSchemaError("iso_dual must be true or false")
+        tc = doc["torsion_choice"]
         try:
             cert = cls(
                 schema=doc["schema"],
                 tool_version=doc["tool_version"],
                 field_spec=doc["field"],
                 curve_spec=doc["curve"],
-                construction=int(doc["construction"]),
-                k=int(doc["k"]),
-                n=int(doc["n"]),
-                torsion_choice=tuple(doc["torsion_choice"]) if doc.get("torsion_choice") else None,
+                construction=_int(doc["construction"]),
+                k=_int(doc["k"]),
+                n=_int(doc["n"]),
+                torsion_choice=None if tc is None else _int_pair(tc),
                 pair_selection=doc["pair_selection"],
                 points=tuple(_int_pair(p) for p in doc["points"]),
-                g_divisor=tuple((_int_pair(pt) if pt else None, int(m))
+                g_divisor=tuple((None if pt is None else _int_pair(pt), _int(m))
                                 for pt, m in doc["g_divisor"]),
-                generator_matrix=tuple(tuple(int(v) for v in r)
+                generator_matrix=tuple(tuple(_int(v) for v in r)
                                        for r in doc["generator_matrix"]),
-                scaling_v=tuple(int(v) for v in doc["scaling_v"]),
-                hull_dim=int(doc["hull_dim"]),
-                mds_subset_count=int(doc["mds_subset_count"]),
-                min_distance=int(doc["min_distance"]),
+                scaling_v=tuple(_int(v) for v in doc["scaling_v"]),
+                hull_dim=_int(doc["hull_dim"]),
+                mds_subset_count=_int(doc["mds_subset_count"]),
+                min_distance=_int(doc["min_distance"]),
                 min_distance_method=doc["min_distance_method"],
-                iso_dual=bool(doc["iso_dual"]),
+                iso_dual=doc["iso_dual"],
             )
         except (TypeError, ValueError) as exc:
             raise CertificateSchemaError(f"malformed certificate: {exc}") from None
@@ -225,10 +229,20 @@ class IsoDualCertificate:
         return cert
 
 
+def _int(value) -> int:
+    """A JSON integer as it was written; a bool, float or string raises
+    TypeError, so every file that loads re-serialises to the same bytes."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _int_pair(value) -> tuple[int, int]:
-    """An [x, y] pair of encodings; anything else raises TypeError/ValueError."""
+    """An [x, y] pair of integers; anything else raises TypeError/ValueError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an [x, y] pair, got {value!r}")
     x, y = value
-    return int(x), int(y)
+    return _int(x), _int(y)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ HOSTILE = {
     "ragged-matrix": _ragged,
     "field-not-string": lambda doc: doc.update(field=5),
     "unknown-distance-method": lambda doc: doc.update(min_distance_method="bogus"),
+    # the packed char-2 kernels read entries as raw bytes; only the
+    # encoding check in LinearCode keeps these out of them
+    "matrix-encoding-16": lambda doc: doc["generator_matrix"][0].__setitem__(5, 16),
+    "matrix-encoding-255": lambda doc: doc["generator_matrix"][0].__setitem__(5, 255),
+    "matrix-encoding-256": lambda doc: doc["generator_matrix"][0].__setitem__(5, 256),
+    "matrix-encoding-negative": lambda doc: doc["generator_matrix"][0].__setitem__(5, -1),
 }
 
 

@@ -1,0 +1,99 @@
+"""Property test: `ellcode verify` on mutated q = 16 certificates.
+
+Whatever the mutation, the exit code means what it says (0 verified,
+1 invariant failed, 2 usage or schema error), nothing escapes as a
+traceback, and a file that verifies is exactly the canonical serialisation
+of what was read from it.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellcode.cli import main
+from ellcode.isodual import IsoDualCertificate
+
+INT_FIELDS = ("construction", "k", "n", "hull_dim", "mds_subset_count",
+              "min_distance")
+LIST_FIELDS = ("points", "g_divisor", "generator_matrix", "scaling_v")
+KEYS = INT_FIELDS + LIST_FIELDS + (
+    "schema", "tool_version", "field", "curve", "torsion_choice",
+    "pair_selection", "min_distance_method", "iso_dual")
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(-2, 20), max_size=3), st.just({}))
+# three in four values keep the type, and three in four edits change an
+# integer or a list entry, so about half of the files reach the invariants
+VALUE = st.sampled_from([st.integers(-1, 20)] * 3 + [JUNK]).flatmap(lambda s: s)
+EDITS = st.tuples(
+    st.sampled_from(["list_entry"] * 3 + ["int_field"] * 3 + ["type_swap", "drop_key"]),
+    st.integers(0, 10 ** 6), VALUE, JUNK)
+
+
+@pytest.fixture(scope="module")
+def cert16_doc(cert16):
+    return json.loads(cert16.to_json())
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _entry_paths(value, path=()):
+    """Index paths of the scalars inside nested lists."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _entry_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _apply(doc, edits):
+    """(kind, index, value, junk) edits: set an integer field or a nested
+    list entry to value, swap a top-level value for junk, or drop a key;
+    index picks the field, key or entry."""
+    doc = copy.deepcopy(doc)
+    for kind, index, value, junk in edits:
+        if kind == "int_field":
+            doc[INT_FIELDS[index % len(INT_FIELDS)]] = value
+        elif kind == "type_swap":
+            doc[KEYS[index % len(KEYS)]] = junk
+        elif kind == "drop_key":
+            doc.pop(KEYS[index % len(KEYS)], None)
+        else:
+            key = LIST_FIELDS[index % len(LIST_FIELDS)]
+            paths = [p for p in _entry_paths(doc.get(key)) if p]
+            if paths:
+                *parents, last = paths[index // len(LIST_FIELDS) % len(paths)]
+                target = doc[key]
+                for i in parents:
+                    target = target[i]
+                target[last] = value
+    return doc
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
+    text = _canonical(_apply(cert16_doc, edits))
+    path = work_dir / "c.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert IsoDualCertificate.from_json(text).to_json() == text

@@ -45,17 +45,63 @@ def _gauss_jordan(rows, spec):
     return a[:len(pivots)], pivots
 
 
+GF256 = (2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])
+CHAR2 = {"GF(2)": (2, 1, [0, 1]), "GF(16)": (2, 4, [1, 1, 0, 0, 1]), "GF(256)": GF256}
+
+
 @pytest.mark.parametrize("p, m, modulus", [(1031, 1, [0, 1]), (5, 2, [2, 4, 1]),
-                                            (3, 7, [1, 0, 2, 0, 0, 0, 0, 1])],
-                         ids=["GF(1031)", "GF(25)", "GF(2187)"])
+                                            (3, 7, [1, 0, 2, 0, 0, 0, 0, 1]),
+                                            *CHAR2.values()],
+                         ids=["GF(1031)", "GF(25)", "GF(2187)", *CHAR2])
 def test_rref_matches_plain_gauss_jordan(p, m, modulus):
     # GF(1031) and GF(2187) are above the add-table cap, so rref subtracts
-    # with sub_enc: mod p for the prime field, digit by digit for GF(2187)
+    # with sub_enc: mod p for the prime field, digit by digit for GF(2187);
+    # characteristic-2 fields run on rows packed one byte per entry
     spec = FieldSpec(p, m, modulus)
     rng = random.Random(7)
     rows = [[rng.randrange(spec.q) for _ in range(12)] for _ in range(5)]
     rows.append([spec.add_enc(x, y) for x, y in zip(rows[0], rows[3])])
     assert linalg.rref(rows, spec) == _gauss_jordan(rows, spec)
+
+
+def test_rref_packed_gf256_dependent_and_zero_rows():
+    spec = FieldSpec(*GF256)
+    rng = random.Random(256)
+    rows = [[rng.randrange(256) for _ in range(40)] for _ in range(18)]
+    rows.insert(4, [0] * 40)
+    rows.insert(11, [spec.add_enc(spec.mul_enc(7, x), y)
+                     for x, y in zip(rows[2], rows[9])])
+    red, pivots = linalg.rref(rows, spec)
+    assert (red, pivots) == _gauss_jordan(rows, spec)
+    assert len(red) == 18
+
+
+def _plain_product(a, b, spec):
+    """A B entry by entry on the field's encoded add and mul."""
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = spec.add_enc(acc, spec.mul_enc(x, y))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@pytest.mark.parametrize("p, m, modulus", CHAR2.values(), ids=CHAR2.keys())
+@pytest.mark.parametrize("shape", [(6, 13, 5), (1, 9, 1), (0, 7, 3)],
+                         ids=["6x13x5", "1x9x1", "0-rows"])
+def test_gram_and_mat_mul_match_plain_dot(p, m, modulus, shape):
+    spec = FieldSpec(p, m, modulus)
+    rng = random.Random(spec.q)
+    r, k, c = shape
+    a = [[rng.randrange(spec.q) for _ in range(k)] for _ in range(r)]
+    b = [[rng.randrange(spec.q) for _ in range(c)] for _ in range(k)]
+    assert linalg.mat_mul(a, b, spec) == _plain_product(a, b, spec)
+    a_t = [list(col) for col in zip(*a)]
+    assert linalg.gram(a, spec) == _plain_product(a, a_t, spec)
 
 
 def test_dual_orthogonality_and_dims(code16, f16):
@@ -199,6 +245,20 @@ def test_singleton_bound_random_codes(f25):
         if code.k == 0:
             continue
         assert code.min_distance() <= code.n - code.k + 1
+
+
+def test_codewords_in_odometer_order(code16, f16):
+    # generic reference: message digit 0 fastest, word = sum of digit * row
+    rows = code16.matrix
+    expected = []
+    for msg in range(16 ** code16.k):
+        word = [0] * code16.n
+        for i, row in enumerate(rows):
+            d = msg // 16 ** i % 16
+            word = [f16.add_enc(w, f16.mul_enc(d, x)) for w, x in zip(word, row)]
+        expected.append(tuple(word))
+    assert list(code16.codewords()) == expected
+    assert code16.weight_distribution() == [1, 0, 0, 0, 0, 840, 4620, 21000, 39075]
 
 
 def test_mds_weight_count(code16, f16):

@@ -292,3 +292,30 @@ def test_field_size_bounded_before_any_work(monkeypatch, p, m):
     monkeypatch.setattr(FieldSpec, "_build_tables", refuse)
     with pytest.raises(FieldError):
         FieldSpec(p, m, [0] * m + [1])
+
+
+CHAR2_FIELDS = {
+    "GF(2)": [0, 1],
+    "GF(4)": [1, 1, 1],
+    "GF(8)": [1, 1, 0, 1],
+    "GF(16)": [1, 1, 0, 0, 1],
+    "GF(32)": [1, 0, 1, 0, 0, 1],
+    "GF(64)": [1, 1, 0, 1, 1, 0, 1],
+    "GF(128)": [1, 1, 0, 0, 0, 0, 0, 1],
+    "GF(256)": [1, 0, 1, 1, 1, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("modulus", CHAR2_FIELDS.values(), ids=CHAR2_FIELDS.keys())
+def test_char2_translate_tables_are_multiplication(modulus):
+    spec = FieldSpec(2, len(modulus) - 1, modulus)
+    q, mulb = spec.q, spec._mulb
+    assert len(mulb) == q
+    for s in range(q):
+        assert len(mulb[s]) == 256
+        assert list(mulb[s][:q]) == [spec.mul_enc(s, x) for x in range(q)]
+        assert not any(mulb[s][q:])
+
+
+def test_odd_fields_have_no_translate_tables(f25):
+    assert f25._mulb is None
