@@ -19,9 +19,9 @@ from .curve import (Curve, CurveError, GroupStructure, Point, INFINITY,
 from .funcspace import (Divisor, RationalFunction, RRBasis, FunctionError,
                         divisor_sum, evaluate, interpolation_poly,
                         is_principal, principal_divisor, rr_basis,
-                        valuation, validate_rr_basis)
+                        rr_basis_rows, valuation, validate_rr_basis)
 from .code import (CodeError, LinearCode, ScalingVector, mds_subset_check,
-                   subset_sum_counts)
+                   subset_sum_counts, subset_sum_reachable)
 from .isodual import (CertificateSchemaError, ConstructionError,
                       ConstructionInput, IsoDualCertificate, PairSelection,
                       VerificationError, construct, construct1, construct2,

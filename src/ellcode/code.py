@@ -1,10 +1,13 @@
 """Linear codes over GF(q): duals, hulls, distances, scalings, MDS certifier.
 
 Generator matrices are kept in reduced row-echelon form, so code equality
-is literal matrix equality and certificates are canonical.  The MDS
-certifier counts k-subsets of evaluation points with a prescribed group
-sum by dynamic programming over (prefix, subset size, group element); a
-code C_L(D, G) is MDS exactly when the count for sum(G) is zero.
+is literal matrix equality and certificates are canonical.  A code
+C_L(D, G) is MDS exactly when no k-subset of the evaluation points has
+group sum sum(G).  The MDS certifier first asks only whether sum(G) is
+reachable, by dynamic programming over (prefix, subset size) with each
+size's reachable group elements held as one int bitset; only a reachable
+target, i.e. a failed certificate, pays for the exact count, a DP over
+(prefix, subset size, group element) with integer counts.
 """
 
 from __future__ import annotations
@@ -240,19 +243,55 @@ def subset_sum_counts(coords: Sequence[tuple[int, int]], k: int,
     return dp[k]
 
 
+def subset_sum_reachable(coords: Sequence[tuple[int, int]], k: int,
+                         d1: int, d2: int) -> int:
+    """The group elements some k-subset sums to, as an int bitset.
+
+    Bit i*d2 + j is set exactly where `subset_sum_counts` is nonzero.  The
+    DP runs over the same (prefix, subset size) states with one int per
+    size: adding a point ORs in the previous size's bitset rotated by the
+    point's coordinates.  On the flat layout that 2-D cyclic rotation is
+    two masked column shifts and one rotation of the whole int by rows.
+    """
+    n = len(coords)
+    if not 0 <= k <= n:
+        return 0
+    size = d1 * d2
+    full = (1 << size) - 1
+    column0 = full // ((1 << d2) - 1)   # bit 0 of every row
+    dp = [0] * (k + 1)
+    dp[0] = 1
+    for idx, (gi, gj) in enumerate(coords):
+        gj %= d2
+        shift = (gi % d1) * d2
+        stay = ((1 << (d2 - gj)) - 1) * column0     # columns that do not wrap
+        wrap = full ^ stay
+        hi = min(k, idx + 1)
+        lo = max(1, k - (n - idx - 1))
+        for s in range(hi, lo - 1, -1):
+            prev = dp[s - 1]
+            cols = ((prev & stay) << gj) | ((prev & wrap) >> (d2 - gj))
+            dp[s] |= ((cols << shift) | (cols >> (size - shift))) & full
+    return dp[k]
+
+
 def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
                      k: int, target: Point) -> int:
     """Number of k-subsets of `points` whose group sum equals `target`.
 
     C_L(D, G) with sum(G) = target is MDS iff this count is zero.  The
-    count itself feeds minimum-weight cross-checks, so it is exact.
+    bitset DP settles that case; only a reachable target runs the counting
+    DP, so a nonzero result is still the exact count.
     """
     if len(set(points)) != len(points):
         raise CodeError("evaluation points must be pairwise distinct")
     coords = [structure.coords(p) for p in points]
-    tgt = structure.coords(target)
-    counts = subset_sum_counts(coords, k, structure.d1, structure.d2)
-    return counts[tgt[0] * structure.d2 + tgt[1]]
+    d1, d2 = structure.d1, structure.d2
+    ti, tj = structure.coords(target)
+    bit = ti * d2 + tj
+    if not subset_sum_reachable(coords, k, d1, d2) >> bit & 1:
+        return 0
+    return subset_sum_counts(coords, k, d1, d2)[bit]
 
 
 def subset_sum_counts_exhaustive(coords: Sequence[tuple[int, int]], k: int,

@@ -1,7 +1,8 @@
 """Divisors and rational functions (a(x) + b(x) y) / c(x) on an elliptic curve.
 
 The only Riemann-Roch spaces materialized are the ones both constructions
-need, L((k-1)O + Q) for a rational 2-torsion point Q, via closed-form bases.
+need, L((k-1)O + Q) for a rational 2-torsion point Q, via closed-form bases;
+their evaluations at the code's points come in closed form too, on encodings.
 Valuations at affine points use the conjugate-norm technique: for
 g = a + b y the product with its involution image is a polynomial in x
 alone, whose root multiplicity at x(P) settles v_P(g) exactly, with no
@@ -230,7 +231,8 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
     """Closed-form basis of L((k-1)O + Q) for a 2-torsion point Q, |basis| = k.
 
     Even characteristic needs the curve shape y^2 + xy = x^3 + a2 x^2 + a6
-    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  The
+    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  The basis
+    is x^i and u x^j with u = (y - gamma1)/x, resp. u = y/(x - beta).  The
     functions come back sorted by pole order at O (0, 1, ..., k-1), which
     certifies their linear independence.
     """
@@ -274,6 +276,39 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
     g = Divisor(curve, {INFINITY: k - 1, q2: 1})
     return RRBasis(g, tuple(f for _, f in funcs),
                    tuple(o for o, _ in funcs))
+
+
+def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
+    """The functions of an `rr_basis` result evaluated at the points, as
+    encodings.
+
+    One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
+    a column costs one inverse for u(P) and a running power of x(P).  A
+    point where u has a pole raises `FunctionError`, as in `evaluate`, the
+    reference the rows are tested against.
+    """
+    spec = basis.divisor.curve.spec
+    q2 = basis.divisor.support()[1]         # (0, gamma1) or (beta, 0)
+    mul, sub = spec.mul_enc, spec.sub_enc
+    k = len(basis.functions)
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for p in points:
+        if p.is_infinity:
+            raise FunctionError("cannot evaluate at the place at infinity")
+        x, y = p.x.enc, p.y.enc
+        if spec.p == 2:
+            num, den = sub(y, q2.y.enc), x
+        else:
+            num, den = y, sub(x, q2.x.enc)
+        if den == 0:
+            raise FunctionError(f"pole or indeterminacy at {p} (denominator vanishes)")
+        u = mul(num, spec.inv_enc(den))
+        power = 1
+        for i in range(0, k, 2):
+            rows[i].append(power)
+            rows[i + 1].append(mul(u, power))
+            power = mul(power, x)
+    return rows
 
 
 def validate_rr_basis(basis: RRBasis) -> None:

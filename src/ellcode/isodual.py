@@ -208,12 +208,12 @@ class IsoDualCertificate:
                 n=_int(doc["n"]),
                 torsion_choice=None if tc is None else _int_pair(tc),
                 pair_selection=doc["pair_selection"],
-                points=tuple(_int_pair(p) for p in doc["points"]),
+                points=tuple(_int_pair(p) for p in _list(doc["points"])),
                 g_divisor=tuple((None if pt is None else _int_pair(pt), _int(m))
-                                for pt, m in doc["g_divisor"]),
-                generator_matrix=tuple(tuple(_int(v) for v in r)
-                                       for r in doc["generator_matrix"]),
-                scaling_v=tuple(_int(v) for v in doc["scaling_v"]),
+                                for pt, m in map(_list, _list(doc["g_divisor"]))),
+                generator_matrix=tuple(tuple(_int(v) for v in _list(r))
+                                       for r in _list(doc["generator_matrix"])),
+                scaling_v=tuple(_int(v) for v in _list(doc["scaling_v"])),
                 hull_dim=_int(doc["hull_dim"]),
                 mds_subset_count=_int(doc["mds_subset_count"]),
                 min_distance=_int(doc["min_distance"]),
@@ -237,11 +237,17 @@ def _int(value) -> int:
     return value
 
 
+def _list(value) -> list:
+    """A JSON list; a string, object or null raises TypeError instead of
+    being iterated as if it were one."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def _int_pair(value) -> tuple[int, int]:
     """An [x, y] pair of integers; anything else raises TypeError/ValueError."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected an [x, y] pair, got {value!r}")
-    x, y = value
+    x, y = _list(value)
     return _int(x), _int(y)
 
 
@@ -457,9 +463,8 @@ class _Context:
     def evaluated(self) -> LinearCode:
         """The code spanned by the Riemann-Roch basis evaluated at the points."""
         basis = funcspace.rr_basis(self.curve, self.k, self.qa)
-        rows = [[funcspace.evaluate(f, p) for p in self.points]
-                for f in basis.functions]
-        return LinearCode(self.spec, rows, n=self.n)
+        return LinearCode(self.spec, funcspace.rr_basis_rows(basis, self.points),
+                          n=self.n)
 
     @cached_property
     def code(self) -> LinearCode:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .gf import FieldSpec, factorize
 from .curve import Curve, CurveError, GroupStructure, feasible_orders, odd_part
-from .code import subset_sum_counts
+from .code import subset_sum_reachable
 from .isodual import (ConstructionInput, ConstructionError,
                       IsoDualCertificate, construct)
 
@@ -280,9 +280,9 @@ def lemma_max_search(g_spec: AbelianGroupSpec, n: int
                    if ((2 * g[0]) % d1, (2 * g[1]) % d2) == s and g not in in_a]
         if not targets:
             continue
-        counts = subset_sum_counts(combo, k, d1, d2)
+        reach = subset_sum_reachable(combo, k, d1, d2)
         for g in targets:
-            if counts[g[0] * d2 + g[1]] == 0:
+            if not reach >> (g[0] * d2 + g[1]) & 1:
                 out.append((combo, g))
     return out
 

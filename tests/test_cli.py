@@ -89,6 +89,10 @@ def _ragged(doc):
 
 HOSTILE = {
     "points-null": lambda doc: doc.update(points=None),
+    # a string where a list belongs must not be read as an empty list
+    "points-empty-string": lambda doc: doc.update(points=""),
+    "matrix-empty-string": lambda doc: doc.update(generator_matrix=""),
+    "g-divisor-empty-string": lambda doc: doc.update(g_divisor=""),
     "point-encoding-99": lambda doc: doc["points"][0].__setitem__(0, 99),
     "scaling-encoding-99": lambda doc: doc["scaling_v"].__setitem__(0, 99),
     "ragged-matrix": _ragged,

@@ -1,14 +1,17 @@
 import math
+import os
 import random
 from itertools import combinations
 
 import pytest
 
-from ellcode import FieldSpec, linalg
+from ellcode import FieldSpec, IsoDualCertificate, code, linalg
 from ellcode.curve import INFINITY, Point
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
                           mds_subset_check, subset_sum_counts,
-                          subset_sum_counts_exhaustive)
+                          subset_sum_counts_exhaustive, subset_sum_reachable)
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,55 @@ def test_dp_matches_exhaustive_random_groups():
         coords = [(rng.randrange(d1), rng.randrange(d2)) for _ in range(n)]
         assert subset_sum_counts(coords, k, d1, d2) == \
             subset_sum_counts_exhaustive(coords, k, d1, d2)
+
+
+def _support(counts):
+    return sum(1 << i for i, c in enumerate(counts) if c)
+
+
+def test_reachable_matches_exhaustive_random_groups():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        d1 = rng.choice([1, 1, 2, 3, 4, 6])
+        d2 = rng.choice([1, 2, 5, 6, 9, 12])
+        n = rng.randrange(1, 13)
+        k = rng.choice([0, n, rng.randrange(0, n + 1)])
+        coords = [(rng.choice([0, rng.randrange(d1)]),
+                   rng.choice([0, rng.randrange(d2)])) for _ in range(n)]
+        cases.append((coords, k, d1, d2))
+    # unreduced coordinates, a k outside [0, n], the trivial group
+    cases += [([(5, 7), (2, 13), (0, 0)], 2, 2, 6), ([(0, 1)] * 3, 4, 1, 3),
+              ([(0, 0)] * 4, 2, 1, 1), ([], 0, 3, 4)]
+    for coords, k, d1, d2 in cases:
+        exact = subset_sum_counts_exhaustive(
+            [(i % d1, j % d2) for i, j in coords], k, d1, d2)
+        assert subset_sum_reachable(coords, k, d1, d2) == _support(exact), \
+            (coords, k, d1, d2)
+
+
+def test_reachable_matches_counts_on_golden_curves():
+    # every target, not only sum(G), on the nine benchmark certificates
+    names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(GOLDENS, name)) as fh:
+            cert = IsoDualCertificate.from_json(fh.read())
+        curve = cert.curve()
+        st = curve.group_structure()
+        coords = [st.coords(p) for p in cert.point_objects(curve)]
+        assert subset_sum_reachable(coords, cert.k, st.d1, st.d2) == \
+            _support(subset_sum_counts(coords, cert.k, st.d1, st.d2)), name
+
+
+def test_mds_subset_check_counts_only_reachable_targets(cert16, e16, f16,
+                                                       monkeypatch):
+    def no_counts(*args):
+        raise AssertionError("exact count run for an unreachable target")
+    monkeypatch.setattr(code, "subset_sum_counts", no_counts)
+    q1 = Point(f16.element(0), f16.element(11))
+    assert mds_subset_check(cert16.point_objects(e16),
+                            e16.group_structure(), 4, q1) == 0
 
 
 def test_dp_total_count_is_binomial():

@@ -1,11 +1,15 @@
+import os
+
 import pytest
 
-from ellcode import gf
+from ellcode import IsoDualCertificate, gf
 from ellcode.curve import Point, INFINITY
 from ellcode.funcspace import (Divisor, FunctionError, RationalFunction,
                                divisor_sum, evaluate, interpolation_poly,
                                is_principal, principal_divisor, rr_basis,
-                               valuation, validate_rr_basis)
+                               rr_basis_rows, valuation, validate_rr_basis)
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,50 @@ def test_rr_basis_preconditions(e16, e25, q1_16, q1_25):
              and e25.point_order(q) == 3)
     with pytest.raises(FunctionError):
         rr_basis(e25, 4, p)                  # not 2-torsion
+
+
+def _evaluated(basis, points):
+    return [[evaluate(f, p).enc for p in points] for f in basis.functions]
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_rr_basis_rows_match_evaluate(e16, e25, q1_16, q1_25, k):
+    # every affine point off the pole of u: x != 0 in char 2, x != beta else
+    for curve, q2, pole_x in ((e16, q1_16, 0), (e25, q1_25, q1_25.x.enc)):
+        basis = rr_basis(curve, k, q2)
+        pts = [p for p in curve.points()
+               if not p.is_infinity and p.x.enc != pole_x]
+        assert rr_basis_rows(basis, pts) == _evaluated(basis, pts)
+
+
+@pytest.mark.parametrize("name", ["q16.json", "q25.json", "q49.json"])
+def test_rr_basis_rows_match_evaluate_on_certificates(name):
+    with open(os.path.join(GOLDENS, name)) as fh:
+        cert = IsoDualCertificate.from_json(fh.read())
+    curve = cert.curve()
+    basis = rr_basis(curve, cert.k, cert.g_divisor_object(curve).support()[1])
+    pts = cert.point_objects(curve)
+    rows = rr_basis_rows(basis, pts)
+    assert rows == _evaluated(basis, pts)
+    assert len(rows) == cert.k and {len(r) for r in rows} == {cert.n}
+
+
+def test_rr_basis_rows_pole_rejected(e16, e25, q1_16, q1_25):
+    # Q1 = (0, gamma1) is the only point with x = 0 in characteristic 2
+    basis16 = rr_basis(e16, 4, q1_16)
+    with pytest.raises(FunctionError):
+        rr_basis_rows(basis16, [q1_16])
+    with pytest.raises(FunctionError):
+        rr_basis_rows(basis16, [INFINITY])
+    basis25 = rr_basis(e25, 4, q1_25)
+    at_beta = [p for p in e25.points()
+               if not p.is_infinity and p.x.enc == q1_25.x.enc]
+    assert at_beta
+    for p in at_beta:
+        with pytest.raises(FunctionError):
+            rr_basis_rows(basis25, [p])
+        with pytest.raises(FunctionError):
+            _evaluated(basis25, [p])
 
 
 def test_evaluate_basics(e16, f16):
