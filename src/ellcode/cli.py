@@ -161,7 +161,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if args.selfdual:
             u, code = isodual.selfdual_transform(cert)
             kind = "selfdual"
-            hull = code.hull_dim()
+            hull = cert.k       # certified by selfdual_transform
         else:
             result = isodual.lcd_transform(cert, budget=args.budget)
             if result is None:

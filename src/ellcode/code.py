@@ -99,8 +99,7 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The [n, n-k] orthogonal code, via the kernel of the generator."""
         if self._dual is None:
-            basis = linalg.nullspace([list(r) for r in self.matrix],
-                                     self.spec, self.n)
+            basis = linalg.nullspace(self.matrix, self.spec, self.n)
             self._dual = LinearCode(self.spec, basis, n=self.n)
         return self._dual
 
@@ -119,17 +118,13 @@ class LinearCode:
             raise CodeError("codes must share field and length")
         return self.matrix == other.matrix
 
-    def hull_dim(self, cross_check: bool = True) -> int:
-        """dim(C n C-perp) = k - rank(G G^T), optionally cross-checked
-        against the rank of the stacked bases of C and its dual."""
-        g = linalg.gram([list(r) for r in self.matrix], self.spec)
-        h = self.k - linalg.rank(g, self.spec)
-        if cross_check:
-            stacked = [list(r) for r in self.matrix] + \
-                      [list(r) for r in self.dual().matrix]
-            h2 = self.n - linalg.rank(stacked, self.spec)
-            if h != h2:
-                raise CodeError(f"hull computations disagree: {h} vs {h2}")
+    def hull_dim(self) -> int:
+        """dim(C n C-perp) = k - rank(G G^T), cross-checked against the rank
+        of the stacked bases of C and its dual."""
+        h = self.k - linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
+        h2 = self.n - linalg.rank(self.matrix + self.dual().matrix, self.spec)
+        if h != h2:
+            raise CodeError(f"hull computations disagree: {h} vs {h2}")
         return h
 
     def codewords(self, budget: int = 2 ** 24):

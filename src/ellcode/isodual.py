@@ -8,12 +8,18 @@ k-point inverse-closed odd-order set by two 2-torsion points Qa, Qb and
 scales by v_i = (x_i - beta_a) / (h'(x_i) y_i).
 
 Constructors and `verify_certificate` share one ordered table of named
-certificate invariants, `INVARIANTS`: n_equals_2k, points_on_curve,
+certificate invariants, `INVARIANTS`: construction_matches_field,
+iso_dual_claimed, pair_selection_well_formed, n_equals_2k, points_on_curve,
 points_distinct, x_pairs, y_nonzero, points_off_qa_x, g_shape,
 points_disjoint_from_G, matrix_rref, iso_dual_identity, evaluation_matrix,
-mds_witness, hull, hull_bound, length_bound and min_distance.  A
-constructor raises `VerificationError` naming the first one that fails.
-That is an internal error, not a user error: the construction succeeds
+mds_witness, hull, hull_bound, length_bound and min_distance.
+iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
+C-perp and both have dimension k, so C.v = C-perp with no nullspace
+computed.  hull cross-checks k - rank(G G^T) against n - rank of G stacked
+with C.v, the dual that identity proved.
+
+A constructor raises `VerificationError` naming the first invariant that
+fails.  That is an internal error, not a user error: the construction succeeds
 whenever its preconditions hold, so a failed check means a bug.  The
 verifier runs the same table on the certificate file alone and reports
 every failure.
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from . import gf, funcspace
+from . import gf, funcspace, linalg
 from ._version import __version__
 from .gf import FieldSpec
 from .curve import Curve, CurveError, Point, INFINITY, odd_part
@@ -196,6 +202,8 @@ class IsoDualCertificate:
                 f"unknown min_distance_method {doc['min_distance_method']!r}")
         if type(doc["iso_dual"]) is not bool:
             raise CertificateSchemaError("iso_dual must be true or false")
+        if not isinstance(doc["tool_version"], str):
+            raise CertificateSchemaError("tool_version must be a string")
         tc = doc["torsion_choice"]
         try:
             cert = cls(
@@ -396,7 +404,8 @@ def _finish(inp: ConstructionInput, curve: Curve, k: int, qa: Point,
             points: list[Point]) -> IsoDualCertificate:
     """Shared tail: run the invariant table, then certify what it derived."""
     g_div = funcspace.Divisor(curve, {INFINITY: k - 1, qa: 1})
-    ctx = _Context(curve, inp.construction, k, 2 * k, points, qa, g_div)
+    ctx = _Context(curve, inp.construction, inp.pair_selection.to_dict(),
+                   k, 2 * k, points, qa, g_div)
     for name, holds in INVARIANTS:
         if not holds(ctx):
             raise VerificationError(f"certificate invariant {name} failed")
@@ -409,7 +418,7 @@ def _finish(inp: ConstructionInput, curve: Curve, k: int, qa: Point,
         k=k,
         n=ctx.n,
         torsion_choice=inp.torsion_choice,
-        pair_selection=inp.pair_selection.to_dict(),
+        pair_selection=ctx.pair_selection,
         points=tuple(p.key() for p in points),
         g_divisor=((None, k - 1), (qa.key(), 1)),
         generator_matrix=ctx.generator_matrix,
@@ -445,12 +454,15 @@ class _Context:
     record; the evaluated code is then the code.
     """
 
-    def __init__(self, curve: Curve, construction: int, k: int, n: int,
-                 points: list[Point], qa: Optional[Point],
+    iso_dual = True     # what a construction claims; the identity proves it
+
+    def __init__(self, curve: Curve, construction: int, pair_selection: object,
+                 k: int, n: int, points: list[Point], qa: Optional[Point],
                  g_div: Optional[funcspace.Divisor],
                  cert: Optional[IsoDualCertificate] = None):
         self.curve, self.spec = curve, curve.spec
-        self.construction, self.k, self.n = construction, k, n
+        self.construction, self.pair_selection = construction, pair_selection
+        self.k, self.n = k, n
         self.points, self.qa, self.g_div = points, qa, g_div
         self.cert = cert
 
@@ -468,7 +480,8 @@ class _Context:
 
     @cached_property
     def code(self) -> LinearCode:
-        """The RREF code under check; `dual()` is cached on it."""
+        """The RREF code under check; `iso_dual_identity` caches C.v as its
+        dual."""
         if self.cert is None:
             return self.evaluated
         return LinearCode(self.spec, self.cert.generator_matrix, n=self.n)
@@ -521,10 +534,39 @@ def _x_pairs(c: _Context) -> bool:
     return len(carriers) == c.k and set(carriers.values()) == {2}
 
 
+def _pair_selection(c: _Context) -> bool:
+    """Exactly what `PairSelection.to_dict` writes for a valid selection."""
+    sel = c.pair_selection
+    try:
+        r, xs = sel["r"], sel["pairs_x"]
+        made = PairSelection(sel["mode"], None if r is None else _int(r),
+                             None if xs is None else tuple(map(_int, _list(xs))))
+    except (TypeError, KeyError, ConstructionError):
+        return False
+    return made.to_dict() == sel
+
+
+def _iso_dual_identity(c: _Context) -> bool:
+    """G diag(v) G^T = 0 puts C.v inside C-perp, and with n = 2k both have
+    dimension k, so C.v is C-perp: it becomes the code's cached dual, which
+    the `hull` cross-check then reads without a nullspace."""
+    code = c.code
+    if code.n != 2 * code.k:
+        return False
+    if any(map(any, linalg.gram(code.matrix, c.spec, c.v.entries))):
+        return False
+    code._dual = code.scale(c.v)
+    return True
+
+
 # (name, predicate), in the order they run.  `x_pairs` makes the roots of h
 # distinct, so h' is nonzero at every point; `y_nonzero` and
 # `points_off_qa_x` keep the odd-characteristic v_i finite.
 INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
+    ("construction_matches_field",
+     lambda c: c.construction == (1 if c.spec.p == 2 else 2)),
+    ("iso_dual_claimed", lambda c: c.claim.iso_dual is True),
+    ("pair_selection_well_formed", _pair_selection),
     ("n_equals_2k", lambda c: c.n == 2 * c.k and len(c.points) == c.n),
     ("points_on_curve", lambda c: all(c.curve.is_on_curve(p) for p in c.points)),
     ("points_distinct", lambda c: len(set(c.points)) == len(c.points)),
@@ -539,7 +581,7 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
                                                  for p in c.points)),
     ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
-    ("iso_dual_identity", lambda c: c.code.scale(c.v).same_code(c.code.dual())),
+    ("iso_dual_identity", _iso_dual_identity),
     ("evaluation_matrix", lambda c: c.evaluated.same_code(c.code)),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
     ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
@@ -570,8 +612,8 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
             qa = next(p for p in g_div.support() if not p.is_infinity)
         except (CurveError, StopIteration):     # such a G fails g_shape
             g_div = qa = None
-        ctx = _Context(curve, cert.construction, cert.k, cert.n,
-                       cert.point_objects(curve), qa, g_div, cert)
+        ctx = _Context(curve, cert.construction, cert.pair_selection, cert.k,
+                       cert.n, cert.point_objects(curve), qa, g_div, cert)
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)
@@ -596,11 +638,7 @@ def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearC
             "odd characteristic: square roots of v may not exist; "
             "no self-dual scaling is provided")
     u = ScalingVector(spec, [spec.sqrt_enc(e) for e in cert.scaling_v])
-    code = cert.code(curve)
-    scaled = code.scale(u)
-    if scaled.hull_dim() != cert.k:
-        raise VerificationError("self-dual transform did not reach hull = k")
-    return u, scaled
+    return u, _accept(cert.code(curve), u, cert.k, "self-dual transform")
 
 
 def lcd_transform(cert: IsoDualCertificate,
@@ -633,10 +671,26 @@ def lcd_transform(cert: IsoDualCertificate,
                 for pos in combo:
                     entries[pos] = entry
                 u_hat = ScalingVector(spec, entries)
-                scaled = code.scale(u_hat)
-                if scaled.hull_dim() == 0:
-                    return u_hat, scaled
+                if _scaled_hull_dim(code, u_hat) == 0:
+                    return u_hat, _accept(code, u_hat, 0, "LCD search")
     return None
+
+
+def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
+    """dim of the hull of u.C as k - rank(G diag(u^2) G^T), with no scaled
+    code built: u.C has the generator G diag(u), and the rank of its Gram
+    matrix does not change under the change of basis that RREF applies."""
+    spec = code.spec
+    w = [spec.mul_enc(x, x) for x in u.entries]
+    return code.k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
+
+
+def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearCode:
+    """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it."""
+    scaled = code.scale(u)
+    if scaled.hull_dim() != hull:
+        raise VerificationError(f"{what} did not reach hull = {hull}")
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +720,7 @@ def sample_scaling_hulls(code: LinearCode, trials: int, seed: int = 0,
     out: dict[int, int] = {}
     for _ in range(trials):
         u = _random_scaling(code, rng, block)
-        h = code.scale(u).hull_dim(cross_check=False)
+        h = _scaled_hull_dim(code, u)
         out[h] = out.get(h, 0) + 1
     return dict(sorted(out.items()))
 
@@ -677,6 +731,7 @@ def find_scaling_with_hull(code: LinearCode, target_hull: int, trials: int = 200
     rng = random.Random(seed)
     for _ in range(trials):
         u = _random_scaling(code, rng, block)
-        if code.scale(u).hull_dim() == target_hull:
+        if _scaled_hull_dim(code, u) == target_hull:
+            _accept(code, u, target_hull, "hull search")
             return u
     return None

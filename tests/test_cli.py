@@ -97,6 +97,8 @@ HOSTILE = {
     "scaling-encoding-99": lambda doc: doc["scaling_v"].__setitem__(0, 99),
     "ragged-matrix": _ragged,
     "field-not-string": lambda doc: doc.update(field=5),
+    "tool-version-not-string": lambda doc: doc.update(tool_version=5),
+    "tool-version-null": lambda doc: doc.update(tool_version=None),
     "unknown-distance-method": lambda doc: doc.update(min_distance_method="bogus"),
     # the packed char-2 kernels read entries as raw bytes; only the
     # encoding check in LinearCode keeps these out of them
@@ -142,6 +144,26 @@ def test_verify_rejects_dp_claim_within_budget(tmp_path, capsys):
     assert "verification failed: min_distance" in capsys.readouterr().err
 
 
+HEADER_TAMPERS = {
+    "construction_matches_field": lambda doc: doc.update(construction=0),
+    "iso_dual_claimed": lambda doc: doc.update(iso_dual=False),
+    "pair_selection_well_formed": lambda doc: doc.update(pair_selection=True),
+}
+
+
+@pytest.mark.parametrize("name, mutate", HEADER_TAMPERS.items(),
+                         ids=HEADER_TAMPERS.keys())
+def test_verify_unchecked_header_fields_exit_1(tmp_path, capsys, name, mutate):
+    out = tmp_path / "c.json"
+    _construct16(out)
+    doc = json.loads(out.read_text())
+    mutate(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert f"verification failed: {name} " in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/cert.json"]) == 2
 
@@ -149,12 +171,14 @@ def test_verify_missing_file(capsys):
 def test_transform_selfdual(tmp_path, capsys):
     cert = tmp_path / "c.json"
     _construct16(cert)
+    capsys.readouterr()
     out = tmp_path / "sd.json"
     assert main(["transform", str(cert), "--selfdual", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "hull=4" in printed
+    assert printed == "selfdual: hull=4 u=4,4,3,3,2,2,5,5\n"
     doc = json.loads(out.read_text())
     assert doc["u"] == [4, 4, 3, 3, 2, 2, 5, 5]
+    assert doc["hull_dim"] == 4
 
 
 def test_transform_selfdual_odd_char_rejected(tmp_path, capsys):

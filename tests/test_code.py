@@ -50,6 +50,9 @@ def _gauss_jordan(rows, spec):
 
 GF256 = (2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])
 CHAR2 = {"GF(2)": (2, 1, [0, 1]), "GF(16)": (2, 4, [1, 1, 0, 0, 1]), "GF(256)": GF256}
+# GF(1031) and GF(2187) are above the add-table cap
+ODD = {"GF(25)": (5, 2, [2, 4, 1]), "GF(289)": (17, 2, [3, 16, 1]),
+       "GF(1031)": (1031, 1, [0, 1]), "GF(2187)": (3, 7, [1, 0, 2, 0, 0, 0, 0, 1])}
 
 
 @pytest.mark.parametrize("p, m, modulus", [(1031, 1, [0, 1]), (5, 2, [2, 4, 1]),
@@ -65,6 +68,19 @@ def test_rref_matches_plain_gauss_jordan(p, m, modulus):
     rows = [[rng.randrange(spec.q) for _ in range(12)] for _ in range(5)]
     rows.append([spec.add_enc(x, y) for x, y in zip(rows[0], rows[3])])
     assert linalg.rref(rows, spec) == _gauss_jordan(rows, spec)
+    _check_echelon(rows, spec)
+
+
+def _check_echelon(rows, spec):
+    """rref(reduced=False): the same pivots, each a 1 with zeros left of it
+    and below it, and rows that reduce to the same RREF."""
+    red, pivots = linalg.rref(rows, spec)
+    echelon, echelon_pivots = linalg.rref(rows, spec, reduced=False)
+    assert echelon_pivots == pivots and len(echelon) == linalg.rank(rows, spec)
+    for i, c in enumerate(pivots):
+        assert echelon[i][c] == 1 and not any(echelon[i][:c])
+        assert all(echelon[j][c] == 0 for j in range(i + 1, len(echelon)))
+    assert linalg.rref(echelon, spec) == (red, pivots)
 
 
 def test_rref_packed_gf256_dependent_and_zero_rows():
@@ -77,6 +93,25 @@ def test_rref_packed_gf256_dependent_and_zero_rows():
     red, pivots = linalg.rref(rows, spec)
     assert (red, pivots) == _gauss_jordan(rows, spec)
     assert len(red) == 18
+    _check_echelon(rows, spec)
+
+
+@pytest.mark.parametrize("p, m, modulus", [ODD[f] for f in ("GF(25)", "GF(1031)", "GF(2187)")],
+                         ids=["GF(25)", "GF(1031)", "GF(2187)"])
+def test_rref_odd_dependent_and_zero_rows(p, m, modulus):
+    spec = FieldSpec(p, m, modulus)
+    rng = random.Random(spec.q)
+    # sparse rows, so that pivot rows have zeros right of the pivot
+    rows = [[rng.randrange(spec.q) if rng.random() < 0.6 else 0 for _ in range(30)]
+            for _ in range(14)]
+    rows.insert(3, [0] * 30)
+    rows.insert(9, [spec.add_enc(spec.mul_enc(7, x), y)
+                    for x, y in zip(rows[1], rows[7])])
+    rows.append([0] * 30)
+    red, pivots = linalg.rref(rows, spec)
+    assert (red, pivots) == _gauss_jordan(rows, spec)
+    assert len(red) == 14
+    _check_echelon(rows, spec)
 
 
 def _plain_product(a, b, spec):
@@ -93,7 +128,8 @@ def _plain_product(a, b, spec):
     return out
 
 
-@pytest.mark.parametrize("p, m, modulus", CHAR2.values(), ids=CHAR2.keys())
+@pytest.mark.parametrize("p, m, modulus", [*CHAR2.values(), *ODD.values()],
+                         ids=[*CHAR2, *ODD])
 @pytest.mark.parametrize("shape", [(6, 13, 5), (1, 9, 1), (0, 7, 3)],
                          ids=["6x13x5", "1x9x1", "0-rows"])
 def test_gram_and_mat_mul_match_plain_dot(p, m, modulus, shape):
@@ -105,6 +141,10 @@ def test_gram_and_mat_mul_match_plain_dot(p, m, modulus, shape):
     assert linalg.mat_mul(a, b, spec) == _plain_product(a, b, spec)
     a_t = [list(col) for col in zip(*a)]
     assert linalg.gram(a, spec) == _plain_product(a, a_t, spec)
+    # the weighted Gram A diag(w) A^T, w nonzero
+    w = [rng.randrange(1, spec.q) for _ in range(k)]
+    wa_t = [[spec.mul_enc(wj, x) for x in col] for wj, col in zip(w, a_t)]
+    assert linalg.gram(a, spec, w) == _plain_product(a, wa_t, spec)
 
 
 def test_dual_orthogonality_and_dims(code16, f16):
@@ -317,6 +357,23 @@ def test_mds_weight_count(code16, f16):
     # A_{n-k+1} = (q-1) C(n, k-1) for MDS codes
     wd = code16.weight_distribution()
     assert wd[5] == 15 * math.comb(8, 3)
+
+
+@pytest.mark.parametrize("fixture", ["cert16", "cert25"])
+@pytest.mark.parametrize("block", [1, 2])
+def test_weighted_gram_hull_matches_scaled_code(request, fixture, block):
+    # hull(u.C) = k - rank(G diag(u^2) G^T) for the unscaled RREF generator G
+    cert = request.getfixturevalue(fixture)
+    code, spec = cert.code(), cert.spec()
+    rng = random.Random(block)
+    hulls = []
+    for _ in range(40):
+        u = [e for _ in range(code.n // block) for e in [rng.randrange(1, spec.q)] * block]
+        w = [spec.mul_enc(x, x) for x in u]
+        h = code.k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
+        assert h == code.scale(u).hull_dim()
+        hulls.append(h)
+    assert max(hulls) > 0
 
 
 def test_hull_gram_vs_stacked_on_scaled_codes(code16, f16):

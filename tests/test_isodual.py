@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from ellcode import FieldSpec
+from ellcode import FieldSpec, linalg
 from ellcode.curve import Curve, Point, INFINITY
 from ellcode.code import ScalingVector
 from ellcode import isodual
@@ -234,12 +236,17 @@ def test_smallest_construction_n4(e16):
 
 def test_invariant_names_unique_and_in_table_order():
     names = [name for name, _ in INVARIANTS]
-    assert names == ["n_equals_2k", "points_on_curve", "points_distinct",
+    assert names == ["construction_matches_field", "iso_dual_claimed",
+                     "pair_selection_well_formed", "n_equals_2k", "points_on_curve", "points_distinct",
                      "x_pairs", "y_nonzero", "points_off_qa_x", "g_shape",
                      "points_disjoint_from_G", "matrix_rref",
                      "iso_dual_identity", "evaluation_matrix", "mds_witness",
                      "hull", "hull_bound", "length_bound", "min_distance"]
     assert len(set(names)) == len(names)
+
+
+def _inv16(e):
+    return FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1").inv_enc(e)
 
 
 def _swap(seq, i, j):
@@ -260,6 +267,23 @@ def _replace_at(seq, i, value):
 # hull_bound and length_bound hold for every point set that passes the
 # invariants before them.
 TAMPERS = [
+    ("construction_matches_field", "cert16", lambda c: {"construction": 2}),
+    ("construction_matches_field", "cert25", lambda c: {"construction": 1}),
+    ("construction_matches_field", "cert25", lambda c: {"construction": 0}),
+    ("iso_dual_claimed", "cert16", lambda c: {"iso_dual": False}),
+    ("pair_selection_well_formed", "cert16", lambda c: {"pair_selection": True}),
+    ("pair_selection_well_formed", "cert16",
+     lambda c: {"pair_selection": {**c.pair_selection, "extra": 1}}),
+    ("pair_selection_well_formed", "cert16",
+     lambda c: {"pair_selection": {**c.pair_selection, "mode": "bogus"}}),
+    ("pair_selection_well_formed", "cert25",
+     lambda c: {"pair_selection": {**c.pair_selection, "r": 4}}),
+    ("pair_selection_well_formed", "cert25",
+     lambda c: {"pair_selection": {**c.pair_selection, "r": "3"}}),
+    ("pair_selection_well_formed", "cert16",
+     lambda c: {"pair_selection": {**c.pair_selection, "pairs_x": []}}),
+    ("pair_selection_well_formed", "cert16",
+     lambda c: {"pair_selection": {**c.pair_selection, "pairs_x": [5, 1.0, 2, 7]}}),
     ("n_equals_2k", "cert16", lambda c: {"n": 10}),
     ("points_on_curve", "cert16", lambda c: {"points": _replace_at(c.points, 1, (1, 2))}),
     ("points_distinct", "cert16", lambda c: {"points": _replace_at(c.points, 1, c.points[0])}),
@@ -286,6 +310,41 @@ def test_tampered_certificate_fails_that_invariant_first(request, name, fixture,
     cert = request.getfixturevalue(fixture)
     failures = verify_certificate(_tamper(cert, **overrides(cert)))
     assert failures[:1] == [name]
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+
+
+def test_golden_certificates_verify_without_a_nullspace(monkeypatch):
+    # iso_dual_identity proves C.v = C-perp, and the hull cross-check reads
+    # that as the dual, so no kernel is computed
+    def no_nullspace(*args):
+        raise AssertionError("verify computed a nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", no_nullspace)
+    names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(GOLDENS, name)) as fh:
+            cert = IsoDualCertificate.from_json(fh.read())
+        assert verify_certificate(cert) == [], name
+
+
+# a v that is right up to order, or right but for one entry's inverse: the
+# zero weighted Gram, not the nullspace, must now reject it.  Kept out of
+# TAMPERS, where a repeated id would rename the cases already there.
+SCALING_TAMPERS = {
+    "swapped-cert25": ("cert25", lambda v: _swap(v, 0, 2)),
+    "one-inverted-cert16": ("cert16", lambda v: _replace_at(v, 3, _inv16(v[3]))),
+}
+
+
+@pytest.mark.parametrize("fixture, tamper", SCALING_TAMPERS.values(),
+                         ids=SCALING_TAMPERS.keys())
+def test_tampered_scaling_reports_iso_dual_identity_first(request, fixture, tamper):
+    cert = request.getfixturevalue(fixture)
+    bad = _tamper(cert, scaling_v=tamper(cert.scaling_v))
+    assert verify_certificate(bad)[:1] == ["iso_dual_identity"]
 
 
 def test_construct_names_the_failed_invariant(monkeypatch, e16):
