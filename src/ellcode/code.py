@@ -78,7 +78,10 @@ class LinearCode:
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
                  n: Optional[int] = None):
-        enc_rows = [[spec.element(v).enc for v in row] for row in rows]
+        # a plain int encoding in range is kept; anything else is checked
+        q, element = spec.q, spec.element
+        enc_rows = [[v if type(v) is int and 0 <= v < q else element(v).enc
+                     for v in row] for row in rows]
         widths = {len(r) for r in enc_rows}
         if len(widths) > 1:
             raise CodeError("ragged generator matrix")
@@ -108,10 +111,9 @@ class LinearCode:
             ScalingVector(self.spec, v).entries
         if len(entries) != self.n:
             raise CodeError("scaling vector length mismatch")
-        mul = self.spec.mul_enc
-        rows = [[mul(x, entries[j]) for j, x in enumerate(row)]
-                for row in self.matrix]
-        return LinearCode(self.spec, rows, n=self.n)
+        return LinearCode(self.spec,
+                          linalg.scale_columns(self.matrix, entries, self.spec),
+                          n=self.n)
 
     def same_code(self, other: "LinearCode") -> bool:
         if other.spec != self.spec or other.n != self.n:
@@ -119,13 +121,25 @@ class LinearCode:
         return self.matrix == other.matrix
 
     def hull_dim(self) -> int:
-        """dim(C n C-perp) = k - rank(G G^T), cross-checked against the rank
-        of the stacked bases of C and its dual."""
+        """dim(C n C-perp) = k - rank(G G^T), cross-checked against
+        `stacked_hull_dim` at w = 1."""
         h = self.k - linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
-        h2 = self.n - linalg.rank(self.matrix + self.dual().matrix, self.spec)
+        h2 = self.stacked_hull_dim()
         if h != h2:
             raise CodeError(f"hull computations disagree: {h} vs {h2}")
         return h
+
+    def stacked_hull_dim(self, w: Optional[Sequence[int]] = None) -> int:
+        """dim(w.C n C-perp) = n - rank of G diag(w) stacked on the cached
+        dual's generator, w nonzero (all 1 when None).  At w = u^2 it is the
+        hull of u.C: x is in u.C n (u.C)-perp iff u.x is in w.C n C-perp.
+        For an MDS [2k, k] code the first k pivots each clear one dual row."""
+        rows = self.matrix
+        if w is not None:
+            if len(w) != self.n:
+                raise CodeError("scaling vector length mismatch")
+            rows = linalg.scale_columns(rows, w, self.spec)
+        return self.n - linalg.rank([*rows, *self.dual().matrix], self.spec)
 
     def codewords(self, budget: int = 2 ** 24):
         """Every codeword once, as a tuple, by odometer enumeration of

@@ -16,7 +16,9 @@ mds_witness, hull, hull_bound, length_bound and min_distance.
 iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
 C-perp and both have dimension k, so C.v = C-perp with no nullspace
 computed.  hull cross-checks k - rank(G G^T) against n - rank of G stacked
-with C.v, the dual that identity proved.
+with C.v, the dual that identity proved.  The samplers, the hull search and
+the LCD ladder take the hull of u.C from the same stacked rank, against
+the cached dual with G scaled by u^2; they form no Gram matrix per trial.
 
 A constructor raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -677,12 +679,12 @@ def lcd_transform(cert: IsoDualCertificate,
 
 
 def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
-    """dim of the hull of u.C as k - rank(G diag(u^2) G^T), with no scaled
-    code built: u.C has the generator G diag(u), and the rank of its Gram
-    matrix does not change under the change of basis that RREF applies."""
-    spec = code.spec
-    w = [spec.mul_enc(x, x) for x in u.entries]
-    return code.k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
+    """dim of the hull of u.C, with no scaled code and no Gram matrix built:
+    it is dim(u^2.C n C-perp), the `stacked_hull_dim` at w = u^2 against
+    the dual cached on `code` (C.v once `iso_dual_identity` proved it,
+    otherwise one nullspace)."""
+    mul = code.spec.mul_enc
+    return code.stacked_hull_dim([mul(x, x) for x in u.entries])
 
 
 def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearCode:
@@ -705,8 +707,9 @@ def _random_scaling(code: LinearCode, rng: random.Random, block: int) -> Scaling
     the inverse pairs the constructions emit adjacently, where the rare
     higher hull values actually live.
     """
-    if code.n % block:
-        raise CodeError(f"block size {block} does not divide n = {code.n}")
+    if block < 1 or code.n % block:
+        raise CodeError(f"block size {block} is not a positive divisor "
+                        f"of n = {code.n}")
     entries: list[int] = []
     for _ in range(code.n // block):
         entries.extend([rng.randrange(1, code.spec.q)] * block)

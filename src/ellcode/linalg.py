@@ -137,6 +137,18 @@ def mat_mul(a: list[list[int]], b: list[list[int]], spec: FieldSpec) -> list[lis
     return [[reduce(add, map(mul, row, col), 0) for col in bt] for row in a]
 
 
+def scale_columns(a: Sequence[Sequence[int]], w: Sequence[int],
+                  spec: FieldSpec) -> list[list[int]]:
+    """A diag(w), for nonzero weights w: by table lookup, zeros skipped."""
+    if spec.p == 2:
+        tables = [spec._mulb[wj] for wj in w]
+        return [[t[x] for t, x in zip(tables, row)] for row in a]
+    exp2, log = spec._exp2, spec._log
+    lw = [log[wj] for wj in w]
+    return [[exp2[log[x] + lj] if x else 0 for x, lj in zip(row, lw)]
+            for row in a]
+
+
 def gram(a: list[list[int]], spec: FieldSpec,
          w: Optional[Sequence[int]] = None) -> list[list[int]]:
     """A diag(w) A^T, the Gram matrix of the rows under the bilinear form

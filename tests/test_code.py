@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ellcode import FieldSpec, IsoDualCertificate, code, linalg
+from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, linalg
 from ellcode.curve import INFINITY, Point
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
                           mds_subset_check, subset_sum_counts,
@@ -387,3 +387,79 @@ def test_hull_gram_vs_stacked_on_scaled_codes(code16, f16):
             [list(r) for r in scaled.dual().matrix]
         h_stack = scaled.n - linalg.rank(stacked, f16)
         assert h_gram == h_stack == scaled.hull_dim()
+
+
+@pytest.mark.parametrize("rows, encs", [
+    ([[0, 24, 3]], [[0, 24, 3]]),
+    ([[True, False, 2]], [[1, 0, 2]]),
+    ([[7.9, "3", 1]], [[7, 3, 1]]),
+])
+def test_code_rows_keep_in_range_ints_and_convert_the_rest(f25, rows, encs):
+    # plain ints in range are kept as they are; everything else still goes
+    # through spec.element, so what it accepts and how it converts are unchanged
+    assert [list(r) for r in LinearCode(f25, rows).matrix] == \
+        linalg.rref(encs, f25)[0]
+    assert [[f25.element(v).enc for v in row] for row in rows] == encs
+    assert all(type(x) is int for r in LinearCode(f25, rows).matrix for x in r)
+
+
+@pytest.mark.parametrize("bad", [25, -1, -24, 2 ** 70])
+def test_code_rows_reject_out_of_range_ints(f25, bad):
+    with pytest.raises(FieldError, match="out of range"):
+        LinearCode(f25, [[1, bad, 0]])
+    with pytest.raises(FieldError, match="out of range"):
+        f25.element(bad)
+
+
+def test_code_rows_take_field_elements_of_their_own_field_only(f16, f25):
+    own = LinearCode(f25, [[f25.element(3), 1, f25.element(0)]])
+    assert own.matrix == LinearCode(f25, [[3, 1, 0]]).matrix
+    with pytest.raises(FieldError, match="different field"):
+        LinearCode(f25, [[f16.element(3), 1, 0]])
+
+
+def _random_weights(spec, n, rng):
+    return [rng.randrange(1, spec.q) for _ in range(n)]
+
+
+# non-MDS codes whose dual's pivot columns differ from their own, each with
+# a self-orthogonal first row so that nonzero hulls occur
+STACKED_CODES = {
+    "gf5": ((5, 1, [3, 1]), [[1, 2, 0, 0, 0, 0, 0],
+                             [0, 0, 1, 0, 2, 0, 1],
+                             [0, 0, 0, 1, 4, 0, 2]]),
+    "gf16": ((2, 4, [1, 1, 0, 0, 1]), [[1, 1, 0, 0, 0, 0],
+                                        [0, 0, 1, 0, 7, 0],
+                                        [0, 0, 0, 0, 3, 1]]),
+}
+
+
+@pytest.mark.parametrize("field, rows", STACKED_CODES.values(),
+                         ids=STACKED_CODES.keys())
+def test_stacked_hull_matches_weighted_gram_on_non_mds_codes(field, rows):
+    # dim(w.C n C-perp) = n - rank([G diag(w); H]) for any code, checked
+    # against k - rank(G diag(w) G^T) and, at w = u^2, the scaled code's hull
+    spec = FieldSpec(*field)
+    c = LinearCode(spec, rows)
+    assert linalg.rref(list(c.dual().matrix), spec)[1] != \
+        linalg.rref(list(c.matrix), spec)[1]
+    rng = random.Random(spec.q)
+    hulls = set()
+    for _ in range(60):
+        w = _random_weights(spec, c.n, rng)
+        assert linalg.scale_columns(c.matrix, w, spec) == \
+            [[spec.mul_enc(x, wj) for x, wj in zip(row, w)] for row in c.matrix]
+        h = c.stacked_hull_dim(w)
+        assert h == c.k - linalg.rank(linalg.gram(c.matrix, spec, w), spec)
+        u = _random_weights(spec, c.n, rng)
+        h = c.stacked_hull_dim([spec.mul_enc(x, x) for x in u])
+        assert h == c.scale(u).hull_dim()
+        hulls.add(h)
+    assert c.stacked_hull_dim() == c.hull_dim() > 0
+    assert len(hulls) > 1
+
+
+def test_stacked_hull_rejects_wrong_length(code16):
+    for n in (code16.n - 1, code16.n + 1, 0):
+        with pytest.raises(CodeError, match="length mismatch"):
+            code16.stacked_hull_dim([1] * n)

@@ -1,10 +1,12 @@
 import os
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from ellcode import FieldSpec, linalg
 from ellcode.curve import Curve, Point, INFINITY
-from ellcode.code import ScalingVector
+from ellcode.code import CodeError, ScalingVector
 from ellcode import isodual
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
                              ConstructionError, ConstructionInput,
@@ -351,3 +353,70 @@ def test_construct_names_the_failed_invariant(monkeypatch, e16):
     monkeypatch.setattr(isodual, "mds_subset_check", lambda *args: 1)
     with pytest.raises(VerificationError, match="mds_witness"):
         construct(ConstructionInput(e16, 2, 1))
+
+
+def _golden_cert(q):
+    with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
+        return IsoDualCertificate.from_json(fh.read())
+
+
+def _three_duals(cert):
+    """The code of `cert` three times: with its dual proved to be C.v by
+    iso_dual_identity, with the dual from a nullspace, and fresh."""
+    spec = cert.spec()
+    proved = cert.code()
+    ctx = SimpleNamespace(code=proved, spec=spec, v=cert.scaling())
+    assert isodual._iso_dual_identity(ctx) and proved._dual is not None
+    kernel = cert.code()
+    kernel.dual()
+    assert kernel.dual().same_code(proved.dual())
+    return proved, kernel, cert.code()
+
+
+@pytest.mark.parametrize("source, block, trials", [
+    ("cert16", 1, 40), ("cert25", 1, 40), ("cert25", 2, 40), (289, 1, 3)])
+def test_scaled_hull_dim_matches_gram_and_scaled_code(request, source, block,
+                                                      trials):
+    # hull(u.C) = n - rank([G diag(u^2); H]); the Gram formula is the reference
+    cert = (_golden_cert(source) if isinstance(source, int)
+            else request.getfixturevalue(source))
+    codes = _three_duals(cert)
+    code, spec = codes[0], codes[0].spec
+    rng = random.Random(block)
+    hulls = []
+    for _ in range(trials):
+        u = isodual._random_scaling(code, rng, block)
+        w = [spec.mul_enc(x, x) for x in u.entries]
+        h = code.k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
+        assert [isodual._scaled_hull_dim(c, u) for c in codes] == [h] * 3
+        assert h == code.scale(u).hull_dim()
+        hulls.append(h)
+    if source != 289:
+        assert max(hulls) > 0
+
+
+def test_sample_scaling_hulls_forms_no_gram(monkeypatch, cert25):
+    expected = sample_scaling_hulls(cert25.code(), 30, seed=5, block=2)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a hull sample formed a Gram matrix")
+
+    monkeypatch.setattr(linalg, "gram", no_gram)
+    assert sample_scaling_hulls(cert25.code(), 30, seed=5, block=2) == expected
+    assert max(expected) > 0
+
+
+@pytest.mark.parametrize("block", [0, -2, 3])
+def test_samplers_reject_bad_blocks(cert25, block):
+    code = cert25.code()
+    with pytest.raises(CodeError, match="positive divisor"):
+        sample_scaling_hulls(code, 2, block=block)
+    with pytest.raises(CodeError, match="positive divisor"):
+        find_scaling_with_hull(code, 0, trials=2, block=block)
+
+
+def test_scaled_hull_dim_rejects_wrong_length(cert25):
+    code, spec = cert25.code(), cert25.spec()
+    for n in (code.n - 2, code.n + 1, 0):
+        with pytest.raises(CodeError, match="length mismatch"):
+            isodual._scaled_hull_dim(code, ScalingVector(spec, [1] * n))
