@@ -105,11 +105,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     try:
         spec = FieldSpec.from_string(args.field)
         curve = Curve.from_string(spec, args.curve)
-        if args.pairs_x and args.p_torsion:
+        if args.pairs_x and args.p_torsion is not None:
             raise ConstructionError("--pairs-x and --p-torsion are exclusive")
         if args.pairs_x:
             selection = PairSelection("pairs_x", pairs_x=tuple(_int_list(args.pairs_x)))
-        elif args.p_torsion:
+        elif args.p_torsion is not None:
             selection = PairSelection("torsion", r=args.p_torsion)
         else:
             selection = PairSelection()

@@ -8,6 +8,12 @@ reachable, by dynamic programming over (prefix, subset size) with each
 size's reachable group elements held as one int bitset; only a reachable
 target, i.e. a failed certificate, pays for the exact count, a DP over
 (prefix, subset size, group element) with integer counts.
+
+The second, independent distance check (`min_distance`, the certificates'
+"exhaustive" method) enumerates one codeword per scalar class: lambda.c has
+the weight of c, so the (q^k - 1)/(q - 1) messages whose highest nonzero
+digit is 1 give every nonzero weight.  It runs only while q^k is within
+`BRUTE_FORCE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from typing import Iterable, Optional, Sequence
 from . import linalg
 from .gf import FieldElement, FieldSpec
 from .curve import GroupStructure, Point
+
+
+BRUTE_FORCE_BUDGET = 2 ** 24
+"""Largest q^k that `min_distance`, `weight_distribution` and `codewords`
+enumerate by default."""
 
 
 class CodeError(ValueError):
@@ -141,7 +152,7 @@ class LinearCode:
             rows = linalg.scale_columns(rows, w, self.spec)
         return self.n - linalg.rank([*rows, *self.dual().matrix], self.spec)
 
-    def codewords(self, budget: int = 2 ** 24):
+    def codewords(self, budget: int = BRUTE_FORCE_BUDGET):
         """Every codeword once, as a tuple, by odometer enumeration of
         messages."""
         return map(tuple, self._words(budget))
@@ -149,6 +160,24 @@ class LinearCode:
     def _words(self, budget: int):
         """The words of `codewords`, as bytes in characteristic 2 and as
         lists otherwise; both count their zeros with ``.count(0)``."""
+        steps, zero, add, out = self._enumeration(budget)
+        return map(out, _odometer(steps, self.spec.q, zero, add))
+
+    def _class_words(self, budget: int):
+        """One word per scalar class of nonzero codewords, in the form of
+        `_words`: for each t, the messages whose digit t is the field's 1
+        and whose higher digits are 0."""
+        steps, _, add, out = self._enumeration(budget)
+        q = self.spec.q
+        # steps[t][0], moving digit t from 0 to the field's 1, is row t
+        for t, row_steps in enumerate(steps):
+            yield from map(out, _odometer(steps[:t], q, row_steps[0], add))
+
+    def _enumeration(self, budget: int):
+        """Step tables, zero word and word addition for `_odometer`, and
+        the map from its words to the form of `_words`.
+
+        The budget bounds q^k, the size of the full enumeration."""
         spec, n, q = self.spec, self.n, self.spec.q
         qk = q ** self.k
         if qk > budget:
@@ -163,28 +192,27 @@ class LinearCode:
             mulb = spec._mulb
             steps = [[int.from_bytes(bytes(row).translate(mulb[d]), "big")
                       for d in delta] for row in self.matrix]
-            for word in _odometer(steps, q, 0, xor):
-                yield word.to_bytes(n, "big")
-            return
+            return steps, 0, xor, lambda word: word.to_bytes(n, "big")
         add, mul = spec.add_enc, spec.mul_enc
         steps = [[[mul(d, x) for x in row] for d in delta] for row in self.matrix]
-        yield from _odometer(steps, q, [0] * n, lambda u, v: list(map(add, u, v)))
+        return (steps, [0] * n, lambda u, v: list(map(add, u, v)),
+                lambda word: word)
 
-    def min_distance(self, budget: int = 2 ** 24) -> int:
-        """Exact minimum Hamming weight by full codeword enumeration."""
+    def min_distance(self, budget: int = BRUTE_FORCE_BUDGET) -> int:
+        """Exact minimum Hamming weight, over one codeword per scalar class
+        (lambda.c has the weight of c); the budget still bounds q^k."""
         if self.k == 0:
             raise CodeError("zero code has no nonzero codeword")
-        words = self._words(budget)
-        next(words)     # the zero word
-        return self.n - max(word.count(0) for word in words)
+        return self.n - max(word.count(0) for word in self._class_words(budget))
 
-    def weight_distribution(self, budget: int = 2 ** 24) -> list[int]:
-        """A_0..A_n by full enumeration, same budget as min_distance."""
-        n = self.n
+    def weight_distribution(self, budget: int = BRUTE_FORCE_BUDGET) -> list[int]:
+        """A_0..A_n, q - 1 times the weights of one codeword per scalar
+        class; same budget as min_distance."""
+        n, q = self.n, self.spec.q
         dist = [0] * (n + 1)
-        for word in self._words(budget):
+        for word in self._class_words(budget):
             dist[n - word.count(0)] += 1
-        return dist
+        return [1] + [(q - 1) * count for count in dist[1:]]
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}] over {self.spec!r}"

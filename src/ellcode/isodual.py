@@ -44,10 +44,10 @@ from . import gf, funcspace, linalg
 from ._version import __version__
 from .gf import FieldSpec
 from .curve import Curve, CurveError, Point, INFINITY, odd_part
-from .code import LinearCode, ScalingVector, CodeError, mds_subset_check
+from .code import (BRUTE_FORCE_BUDGET, LinearCode, ScalingVector, CodeError,
+                   mds_subset_check)
 
 CERTIFICATE_SCHEMA = "ellcode.isodual-certificate/1"
-BRUTE_FORCE_BUDGET = 2 ** 24
 
 
 class ConstructionError(ValueError):

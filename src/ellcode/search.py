@@ -51,6 +51,11 @@ class AbelianGroupSpec:
     d1: int
     d2: int
 
+    def __post_init__(self):
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError(
+                f"group Z/{self.d1} x Z/{self.d2} needs d1 >= 1 and d2 >= 1")
+
     @property
     def size(self) -> int:
         return self.d1 * self.d2

@@ -48,6 +48,19 @@ def test_construct_bad_k_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--pairs-x", "5,1,2,7"]],
+                         ids=["alone", "with-pairs-x"])
+def test_construct_p_torsion_zero_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "x.json"
+    code = main(["construct", "--field", FIELD16, "--curve", CURVE16,
+                 "--k", "4", "--construction", "1", "--p-torsion", "0",
+                 *extra, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("exclusive" if extra else "needs an odd r >= 1") in err
+    assert not out.exists()
+
+
 def test_construct_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _construct16(a) == 0
@@ -239,3 +252,11 @@ def test_search_lemma_max(capsys):
 def test_search_usage_errors(capsys):
     assert main(["search", "--table", "bounds"]) == 2
     assert main(["search", "--table", "lemma-max", "--group", "1x6"]) == 2
+
+
+@pytest.mark.parametrize("group", ["0x6", "2x-6"])
+def test_search_lemma_max_bad_group_exit_2(capsys, group):
+    assert main(["search", "--table", "lemma-max", "--group", group,
+                 "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "needs d1 >= 1 and d2 >= 1" in err and "must lie in" not in err

@@ -359,6 +359,63 @@ def test_mds_weight_count(code16, f16):
     assert wd[5] == 15 * math.comb(8, 3)
 
 
+def _random_codes(spec, seed):
+    # seeded codes with k = 1..3, each with one all-zero column
+    rng = random.Random(seed)
+    codes = []
+    for k, n in ((1, 5), (2, 6), (3, 5), (3, 7)):
+        zero = rng.randrange(n)
+        codes.append(LinearCode(spec, [[0 if j == zero else rng.randrange(spec.q)
+                                        for j in range(n)] for _ in range(k)], n=n))
+    return codes
+
+
+def _enumeration_cases(name, request):
+    if name == "code16":
+        return [request.getfixturevalue("code16")]
+    if name == "construct2-25":
+        from ellcode import ConstructionInput, construct2
+        e25 = request.getfixturevalue("e25")
+        return [construct2(ConstructionInput(e25, 4, 2)).code(e25)]
+    spec = request.getfixturevalue({"random-16": "f16", "random-25": "f25"}[name])
+    codes = _random_codes(spec, spec.q)
+    assert {c.k for c in codes} >= {1, 3}
+    assert all(any(not any(col) for col in zip(*c.matrix)) for c in codes)
+    return codes
+
+
+@pytest.mark.parametrize("name", ["code16", "construct2-25", "random-16",
+                                  "random-25"])
+def test_scalar_class_enumeration_matches_full(name, request):
+    # one word per scalar class must give the same weights as every word
+    for c in _enumeration_cases(name, request):
+        reference = [0] * (c.n + 1)
+        for word in c.codewords():
+            reference[c.n - word.count(0)] += 1
+        assert c.weight_distribution() == reference
+        assert sum(reference) == c.spec.q ** c.k
+        assert c.min_distance() == min(w for w in range(1, c.n + 1) if reference[w])
+
+
+def test_zero_code_weight_distribution(f16, f25):
+    for spec in (f16, f25):
+        zero = LinearCode(spec, [], n=5)
+        assert zero.weight_distribution() == [1, 0, 0, 0, 0, 0]
+        with pytest.raises(CodeError):
+            zero.min_distance()
+
+
+def test_budget_still_bounds_q_to_the_k(code16, f25):
+    # the budget tests q^k, not the (q^k - 1)/(q - 1) words enumerated
+    rep = LinearCode(f25, [[1, 2, 3, 4], [0, 1, 1, 2]])
+    for c in (code16, rep):
+        qk = c.spec.q ** c.k
+        for enumerate_ in (c.min_distance, c.weight_distribution):
+            with pytest.raises(CodeError, match="exceeds the brute-force budget"):
+                enumerate_(budget=qk - 1)
+            enumerate_(budget=qk)
+
+
 @pytest.mark.parametrize("fixture", ["cert16", "cert25"])
 @pytest.mark.parametrize("block", [1, 2])
 def test_weighted_gram_hull_matches_scaled_code(request, fixture, block):

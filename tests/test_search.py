@@ -105,6 +105,9 @@ def test_lemma_search_validation():
         lemma_max_search(AbelianGroupSpec(1, 6), 3)      # odd n
     with pytest.raises(ValueError):
         lemma_max_search(AbelianGroupSpec(1, 6), 2)      # below #G/2 + 1
+    for d1, d2 in ((0, 6), (2, -6), (1, 0)):
+        with pytest.raises(ValueError, match="needs d1 >= 1 and d2 >= 1"):
+            AbelianGroupSpec(d1, d2)
 
 
 def test_max_length_probe_gf4_has_no_room():
