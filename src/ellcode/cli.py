@@ -94,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bounds: also construct achieving certificates")
     p.add_argument("--group", help="lemma-max: group as d1xd2, e.g. 2x6")
     p.add_argument("--n", type=int, help="lemma-max: subset size (even)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized reporting features")
     p.add_argument("--out", help="write the table")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -105,9 +103,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     try:
         spec = FieldSpec.from_string(args.field)
         curve = Curve.from_string(spec, args.curve)
-        if args.pairs_x and args.p_torsion is not None:
+        if args.pairs_x is not None and args.p_torsion is not None:
             raise ConstructionError("--pairs-x and --p-torsion are exclusive")
-        if args.pairs_x:
+        if args.pairs_x is not None:
             selection = PairSelection("pairs_x", pairs_x=tuple(_int_list(args.pairs_x)))
         elif args.p_torsion is not None:
             selection = PairSelection("torsion", r=args.p_torsion)

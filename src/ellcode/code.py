@@ -65,9 +65,6 @@ class ScalingVector:
         return ScalingVector(self.spec,
                              [self.spec.inv_enc(e) for e in self.entries])
 
-    def elements(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, e) for e in self.entries)
-
     @classmethod
     def ones(cls, spec: FieldSpec, n: int) -> "ScalingVector":
         return cls(spec, [1] * n)

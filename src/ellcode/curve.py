@@ -85,10 +85,6 @@ class GroupStructure:
     basis: tuple[Point, Point]
     dlog: dict[Point, tuple[int, int]]
 
-    @property
-    def size(self) -> int:
-        return self.d1 * self.d2
-
     def coords(self, p: Point) -> tuple[int, int]:
         try:
             return self.dlog[p]
@@ -178,7 +174,7 @@ class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
     __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law",
-                 "_encoded", "_points", "_point_set", "_structure", "_coords",
+                 "_encoded", "_points", "_structure", "_coords",
                  "_orders")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
@@ -193,7 +189,6 @@ class Curve:
         self._law = _GroupLaw(spec, *self.coefficients())
         self._encoded: Optional[list] = None
         self._points: Optional[list[Point]] = None
-        self._point_set: Optional[set[Point]] = None
         self._structure: Optional[GroupStructure] = None
         self._coords: Optional[dict] = None
         self._orders: Optional[dict] = None
@@ -299,16 +294,10 @@ class Curve:
         affine.sort()
         self._encoded = [None] + affine
         self._points = [self._point(e) for e in self._encoded]
-        self._point_set = set(self._points)
         return self._points
 
     def order(self) -> int:
         return len(self.points())
-
-    def contains_rational(self, p: Point) -> bool:
-        if self._point_set is None:
-            self.points()
-        return p in self._point_set
 
     def point_order(self, p: Point) -> int:
         """Least n >= 1 with [n]p = O, read from the group-structure walk."""

@@ -51,20 +51,6 @@ class Divisor:
     def items(self) -> list[tuple[Point, int]]:
         return [(p, self.coeffs[p]) for p in self.support()]
 
-    def __add__(self, other: "Divisor") -> "Divisor":
-        if other.curve is not self.curve and other.curve != self.curve:
-            raise CurveError("divisors on different curves")
-        merged = dict(self.coeffs)
-        for p, n in other.coeffs.items():
-            merged[p] = merged.get(p, 0) + n
-        return Divisor(self.curve, merged)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, {p: -n for p, n in self.coeffs.items()})
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Divisor) and other.curve == self.curve
                 and other.coeffs == self.coeffs)
@@ -125,11 +111,6 @@ class RationalFunction:
         self.a = a
         self.b = b
         self.c = c
-
-    def serialize(self) -> dict[str, list[int]]:
-        return {"a": [e.enc for e in self.a],
-                "b": [e.enc for e in self.b],
-                "c": [e.enc for e in self.c]}
 
     def __repr__(self) -> str:
         def fmt(poly: Poly) -> str:
@@ -243,39 +224,29 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
         raise FunctionError("Q must be an affine rational point on the curve")
     if curve.point_order(q2) != 2:
         raise FunctionError("Q must have order 2")
-    funcs: list[tuple[int, RationalFunction]] = []
     if spec.p == 2:
         if (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
             raise FunctionError(
                 "even characteristic needs the curve shape y^2+xy = x^3+a2x^2+a6")
         if q2.x.enc != 0:
             raise FunctionError("even-characteristic Q must be (0, gamma1)")
-        gamma1 = q2.y
-        for i in range(k // 2):
-            xi = [spec.zero] * i + [spec.one]
-            funcs.append((2 * i, RationalFunction(curve, xi)))
-        for j in range(k // 2):
-            if j == 0:
-                f = RationalFunction(curve, (-gamma1,), (spec.one,), (spec.zero, spec.one))
-            else:
-                mono = [spec.zero] * (j - 1) + [spec.one]
-                f = RationalFunction(curve, gf.poly_scale(mono, -gamma1), mono)
-            funcs.append((2 * j + 1, f))
-    else:
-        if q2.y.enc != 0:
-            raise FunctionError("odd-characteristic Q must be (beta, 0)")
-        beta = q2.x
-        for i in range(k // 2):
-            xi = [spec.zero] * i + [spec.one]
-            funcs.append((2 * i, RationalFunction(curve, xi)))
-        for j in range(k // 2):
-            mono = [spec.zero] * j + [spec.one]
-            f = RationalFunction(curve, (), mono, (-beta, spec.one))
-            funcs.append((2 * j + 1, f))
-    funcs.sort(key=lambda t: t[0])
+    elif q2.y.enc != 0:
+        raise FunctionError("odd-characteristic Q must be (beta, 0)")
+    # x^i and u x^i have pole orders 2i and 2i + 1 at O; in even
+    # characteristic u x^i is x^(i-1) (y - gamma1) once i >= 1
+    funcs: list[RationalFunction] = []
+    for i in range(k // 2):
+        mono = [spec.zero] * i + [spec.one]
+        funcs.append(RationalFunction(curve, mono))
+        if spec.p != 2:
+            u = RationalFunction(curve, (), mono, (-q2.x, spec.one))
+        elif i == 0:
+            u = RationalFunction(curve, (-q2.y,), (spec.one,), (spec.zero, spec.one))
+        else:
+            u = RationalFunction(curve, gf.poly_scale(mono[1:], -q2.y), mono[1:])
+        funcs.append(u)
     g = Divisor(curve, {INFINITY: k - 1, q2: 1})
-    return RRBasis(g, tuple(f for _, f in funcs),
-                   tuple(o for o, _ in funcs))
+    return RRBasis(g, tuple(funcs), tuple(range(k)))
 
 
 def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:

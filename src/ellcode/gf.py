@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import xor
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class FieldError(ValueError):
@@ -406,10 +406,6 @@ class FieldSpec:
         """The basis element theta when it is primitive, else the smallest
         primitive encoding.  Its multiplicative order is q - 1 by construction."""
         return FieldElement(self, self._gen_enc)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for enc in range(self.q):
-            yield FieldElement(self, enc)
 
     # -- text format --------------------------------------------------------
 

@@ -265,12 +265,18 @@ def _int_pair(value) -> tuple[int, int]:
 # pair inventories
 # ---------------------------------------------------------------------------
 
-def _odd_order_points(curve: Curve) -> list[Point]:
-    """Non-identity rational points of odd order; O is excluded even though
-    its order 1 is odd, since a pair {P, -P} would degenerate.  They are
-    the torsion of the odd part of #E, read from the dlog coordinates."""
-    return [p for p in curve.torsion_points(odd_part(curve.order()))
-            if not p.is_infinity]
+def _pair_pool(curve: Curve, selection: PairSelection,
+               shift: Optional[Point] = None) -> dict[int, list[Point]]:
+    """The {P, -P} pairs a selection chooses from, keyed by x: the points of
+    E[r] other than O, translated by `shift` when given.  r is the
+    selection's own in torsion mode and the odd part of #E otherwise, whose
+    torsion is every point of odd order; O is left out, since its pair
+    {O, O} would degenerate."""
+    r = selection.r if selection.mode == "torsion" else odd_part(curve.order())
+    pool = [p for p in curve.torsion_points(r) if not p.is_infinity]
+    if shift is not None:
+        pool = [curve.add(shift, p) for p in pool]
+    return _group_pairs(pool)
 
 
 def _group_pairs(points: Sequence[Point]) -> dict[int, list[Point]]:
@@ -287,9 +293,8 @@ def _group_pairs(points: Sequence[Point]) -> dict[int, list[Point]]:
 
 
 def _select_pairs(pairs: dict[int, list[Point]], count: int,
-                  selection: PairSelection,
-                  torsion_pool: Optional[dict[int, list[Point]]]) -> list[int]:
-    """Resolve a selection to a sorted list of `count` pair keys."""
+                  selection: PairSelection) -> list[int]:
+    """Resolve a selection to a sorted list of `count` keys of its pool."""
     available = sorted(pairs)
     if selection.mode == "canonical":
         if len(available) < count:
@@ -307,13 +312,11 @@ def _select_pairs(pairs: dict[int, list[Point]], count: int,
             raise ConstructionError(
                 f"pairs_x selects {len(keys)} pairs, construction needs {count}")
         return sorted(keys)
-    # torsion mode: the caller passes the subgroup pool keyed the same way
-    if torsion_pool is None:
-        raise ConstructionError("torsion selection is not applicable here")
-    if len(torsion_pool) != count:
+    # torsion mode: the pool is E[r], and all of it is used
+    if len(available) != count:
         raise ConstructionError(
-            f"E[{selection.r}] provides {len(torsion_pool)} pairs, need {count}")
-    return sorted(torsion_pool)
+            f"E[{selection.r}] provides {len(available)} pairs, need {count}")
+    return available
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +347,8 @@ def construct1(inp: ConstructionInput) -> IsoDualCertificate:
     if not curve.is_on_curve(q1) or curve.point_order(q1) != 2:
         raise VerificationError("Q1 = (0, sqrt(a6)) is not 2-torsion")
     # translated pairs: {Q1+P, Q1-P} share their x-coordinate
-    translated = [curve.add(q1, p) for p in _odd_order_points(curve)]
-    pairs = _group_pairs(translated)
-    torsion_pool = None
-    if inp.pair_selection.mode == "torsion":
-        r = inp.pair_selection.r
-        pool = [curve.add(q1, p) for p in curve.torsion_points(r)
-                if not p.is_infinity]
-        torsion_pool = _group_pairs(pool)
-    keys = _select_pairs(pairs, k, inp.pair_selection, torsion_pool)
+    pairs = _pair_pool(curve, inp.pair_selection, q1)
+    keys = _select_pairs(pairs, k, inp.pair_selection)
     points = [p for xe in keys for p in pairs[xe]]
     # MDS hypothesis: [k]Q1 + [2-1]Q1 != O, automatic for even k
     if curve.mul(k + 1, q1).is_infinity:
@@ -382,16 +378,9 @@ def construct2(inp: ConstructionInput) -> IsoDualCertificate:
     if k > m - 1:
         raise ConstructionError(
             f"k = {k} exceeds the odd-order point supply {m - 1}")
-    odd_pts = _odd_order_points(curve)
-    base_pairs = _group_pairs(odd_pts)
-    torsion_pool = None
-    if inp.pair_selection.mode == "torsion":
-        pool = [p for p in curve.torsion_points(inp.pair_selection.r)
-                if not p.is_infinity]
-        torsion_pool = _group_pairs(pool)
-    keys = _select_pairs(base_pairs, k // 2, inp.pair_selection, torsion_pool)
-    source = torsion_pool if inp.pair_selection.mode == "torsion" else base_pairs
-    pset = [p for xe in keys for p in source[xe]]
+    pairs = _pair_pool(curve, inp.pair_selection)
+    keys = _select_pairs(pairs, k // 2, inp.pair_selection)
+    pset = [p for xe in keys for p in pairs[xe]]
     points = sorted([curve.add(qa, p) for p in pset]
                     + [curve.add(qb, p) for p in pset], key=Point.key)
     # MDS hypothesis: [k1]Qa + [k2]Qb + Qa != O for every split k1+k2 = k

@@ -12,7 +12,6 @@ XOR; results are unpacked to the same lists of encodings.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Optional, Sequence
 
 from .gf import FieldSpec
@@ -113,7 +112,8 @@ def rank(rows: list[list[int]], spec: FieldSpec) -> int:
 
 
 def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[int]]:
-    """RREF basis of {v : A v^T = 0} for the row space of A."""
+    """A basis of {v : A v^T = 0}, one vector per free column of A's RREF,
+    with 1 there and 0 at the other free columns; not itself reduced."""
     red, pivots = rref(rows, spec)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -123,18 +123,7 @@ def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[i
         for i, pc in enumerate(pivots):
             v[pc] = spec.neg_enc(red[i][fc])
         basis.append(v)
-    out, _ = rref(basis, spec)
-    return out
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]], spec: FieldSpec) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimension mismatch")
-    if spec.p == 2:
-        return _mul_packed(a, [bytes(r) for r in b], len(b[0]) if b else 0, spec)
-    add, mul = spec.add_enc, spec.mul_enc
-    bt = list(zip(*b))
-    return [[reduce(add, map(mul, row, col), 0) for col in bt] for row in a]
+    return basis
 
 
 def scale_columns(a: Sequence[Sequence[int]], w: Sequence[int],
@@ -157,7 +146,16 @@ def gram(a: list[list[int]], spec: FieldSpec,
         cols = [bytes(col) for col in zip(*a)]
         if w is not None:
             cols = [col.translate(spec._mulb[wj]) for col, wj in zip(cols, w)]
-        return _mul_packed(a, cols, len(a), spec)
+        # row i is the XOR over t of a[i][t] times column t of A diag(w)
+        mulb, k = spec._mulb, len(a)
+        out = []
+        for row in a:
+            acc = 0
+            for f, col in zip(row, cols):
+                if f:
+                    acc ^= int.from_bytes(col.translate(mulb[f]), "big")
+            out.append(list(acc.to_bytes(k, "big")))
+        return out
     log, addt, add = spec._log, spec._addt, spec.add_enc
     q1 = spec.q - 1
     if w is None:
@@ -182,17 +180,3 @@ def gram(a: list[list[int]], spec: FieldSpec,
             out[i][j] = out[j][i] = acc
     return out
 
-
-def _mul_packed(a: list[list[int]], b_rows: list[bytes], width: int,
-                spec: FieldSpec) -> list[list[int]]:
-    """A B in characteristic 2, B given as its rows of bytes, each `width`
-    long: row i of the product is the XOR over t of a[i][t] * B[t]."""
-    mulb = spec._mulb
-    out = []
-    for row in a:
-        acc = 0
-        for s, b_row in zip(row, b_rows):
-            if s:
-                acc ^= int.from_bytes(b_row.translate(mulb[s]), "big")
-        out.append(list(acc.to_bytes(width, "big")))
-    return out

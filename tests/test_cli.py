@@ -61,6 +61,20 @@ def test_construct_p_torsion_zero_exit_2(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "needs x-coordinates"),
+    (["--p-torsion", "3"], "exclusive"),
+], ids=["alone", "with-p-torsion"])
+def test_construct_empty_pairs_x_exit_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "x.json"
+    code = main(["construct", "--field", FIELD16, "--curve", CURVE16,
+                 "--k", "4", "--construction", "1", "--pairs-x", "",
+                 *extra, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _construct16(a) == 0
@@ -252,6 +266,13 @@ def test_search_lemma_max(capsys):
 def test_search_usage_errors(capsys):
     assert main(["search", "--table", "bounds"]) == 2
     assert main(["search", "--table", "lemma-max", "--group", "1x6"]) == 2
+
+
+def test_search_has_no_seed_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--table", "lemma-max", "--group", "2x4", "--n", "6",
+              "--seed", "5"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("group", ["0x6", "2x-6"])
