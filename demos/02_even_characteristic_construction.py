@@ -6,13 +6,13 @@ rescales to a self-dual and an LCD code.
 """
 
 from ellcode import (ConstructionInput, Curve, FieldSpec, PairSelection,
-                     construct1, lcd_transform, selfdual_transform,
+                     construct, lcd_transform, selfdual_transform,
                      verify_certificate)
 
 f16 = FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1")
 curve = Curve.from_string(f16, "1,8,0,0,9")
 
-cert = construct1(ConstructionInput(
+cert = construct(ConstructionInput(
     curve, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))
 
 print(f"[{cert.n},{cert.k},{cert.min_distance}] code on {curve}")

@@ -6,12 +6,12 @@ sampler then maps out how the hull dimension behaves under rescaling.
 """
 
 from ellcode import (ConstructionInput, Curve, FieldSpec, PairSelection,
-                     construct2, find_scaling_with_hull, sample_scaling_hulls)
+                     construct, find_scaling_with_hull, sample_scaling_hulls)
 
 f25 = FieldSpec.from_string("p=5,m=2,mod=2,4,1")
 curve = Curve.from_string(f25, "0,0,0,0,1")
 
-cert = construct2(ConstructionInput(
+cert = construct(ConstructionInput(
     curve, 8, 2, torsion_choice=(1, 2),
     pair_selection=PairSelection("torsion", r=3)))
 

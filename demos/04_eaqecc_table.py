@@ -6,7 +6,7 @@ classical code to a different hull moves (k_q, c) without touching n, d.
 """
 
 from ellcode import (ConstructionInput, Curve, FieldSpec, PairSelection,
-                     construct1, construct2, derive, lcd_transform)
+                     construct, derive, lcd_transform)
 from ellcode.eaqecc import TABLE_COLUMNS, table_rows, derive_from_certificate
 from ellcode.search import rows_to_csv
 
@@ -25,7 +25,7 @@ for field, curve_s, construction, k, torsion, r in runs:
     selection = PairSelection("torsion", r=r) if r else PairSelection()
     inp = ConstructionInput(curve, k, construction, torsion_choice=torsion,
                             pair_selection=selection)
-    cert = construct1(inp) if construction == 1 else construct2(inp)
+    cert = construct(inp)
     params = derive_from_certificate(cert)
     items.append((cert, params))
     print(f"q={spec.q:>3}  [{cert.n},{cert.k},{cert.min_distance}] hull "

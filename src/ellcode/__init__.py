@@ -6,7 +6,7 @@ gf         exact GF(p) / GF(p^m) arithmetic in a fixed polynomial basis
 curve      Weierstrass curves: group law, enumeration, orders, structure
 funcspace  divisors, rational functions, valuations, Riemann-Roch bases
 code       linear codes: duals, hulls, distances, the subset-sum certifier
-isodual    the two constructions, certificates, self-dual / LCD scalings
+isodual    the constructions, certificates, self-dual / LCD scalings
 eaqecc     entanglement-assisted quantum code parameters
 search     bound tables, curve census, small-group lemma searcher
 cli        command-line front-end (construct / verify / transform / ...)
@@ -24,9 +24,8 @@ from .code import (CodeError, LinearCode, ScalingVector, mds_subset_check,
                    subset_sum_counts, subset_sum_reachable)
 from .isodual import (CertificateSchemaError, ConstructionError,
                       ConstructionInput, IsoDualCertificate, PairSelection,
-                      VerificationError, construct, construct1, construct2,
-                      find_scaling_with_hull, lcd_transform,
-                      sample_scaling_hulls, selfdual_transform,
+                      VerificationError, construct, find_scaling_with_hull,
+                      lcd_transform, sample_scaling_hulls, selfdual_transform,
                       verify_certificate)
 from .eaqecc import EaqeccError, EaqeccParams, derive, derive_from_certificate, \
     is_mds_eaqecc

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs-x", help="explicit pair x-coordinates, comma separated")
     p.add_argument("--p-torsion", type=int,
                    help="take the odd-order set from E[r] minus identity")
-    p.add_argument("--torsion", help="construction 2: indices a,b of the "
+    p.add_argument("--torsion", help="construction 2 only: indices a,b of the "
                                      "2-torsion points to use (default 1,2)")
     p.add_argument("--out", default="certificate.json", help="certificate path")
 
@@ -112,7 +112,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         else:
             selection = PairSelection()
         torsion_choice = None
-        if args.torsion:
+        if args.torsion is not None:
             pair = _int_list(args.torsion)
             if len(pair) != 2:
                 raise ConstructionError("--torsion needs exactly two indices")

@@ -1,18 +1,21 @@
 """Iso-dual MDS code constructions on elliptic curves, with certificates.
 
-Construction 1 (even characteristic) translates k inverse-closed pairs of
-odd-order points by the 2-torsion point Q1 = (0, gamma1) and evaluates
-L((k-1)O + Q1); the dual is the same code scaled by v_i = 1/h'(x_i).
-Construction 2 (odd characteristic, full rational 2-torsion) translates a
-k-point inverse-closed odd-order set by two 2-torsion points Qa, Qb and
-scales by v_i = (x_i - beta_a) / (h'(x_i) y_i).
+Both constructions translate inverse-closed pairs of odd-order points by
+rational 2-torsion and evaluate L((k-1)O + Qa).  Construction 1 (even
+characteristic) translates k pairs by Qa = Q1 = (0, gamma1) and scales by
+v_i = 1/h'(x_i).  Construction 2 (odd characteristic, full rational
+2-torsion) translates k/2 pairs by two 2-torsion points Qa, Qb and scales
+by v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
+gives `construct` and the verifier Qa and the points.
 
-Constructors and `verify_certificate` share one ordered table of named
+`construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
 iso_dual_claimed, pair_selection_well_formed, n_equals_2k, points_on_curve,
 points_distinct, x_pairs, y_nonzero, points_off_qa_x, g_shape,
 points_disjoint_from_G, matrix_rref, iso_dual_identity, evaluation_matrix,
-mds_witness, hull, hull_bound, length_bound and min_distance.
+points_match_input, mds_witness, hull, hull_bound, length_bound and
+min_distance.  points_match_input re-derives Qa and the points, in order,
+from the input echo, so the file's points are the ones its input makes.
 iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
 C-perp and both have dimension k, so C.v = C-perp with no nullspace
 computed.  hull cross-checks k - rank(G G^T) against n - rank of G stacked
@@ -20,7 +23,7 @@ with C.v, the dual that identity proved.  The samplers, the hull search and
 the LCD ladder take the hull of u.C from the same stacked rank, against
 the cached dual with G scaled by u^2; they form no Gram matrix per trial.
 
-A constructor raises `VerificationError` naming the first invariant that
+`construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
 whenever its preconditions hold, so a failed check means a bug.  The
 verifier runs the same table on the certificate file alone and reports
@@ -294,12 +297,10 @@ def _group_pairs(points: Sequence[Point]) -> dict[int, list[Point]]:
 
 def _select_pairs(pairs: dict[int, list[Point]], count: int,
                   selection: PairSelection) -> list[int]:
-    """Resolve a selection to a sorted list of `count` keys of its pool."""
+    """Resolve a selection to a sorted list of `count` keys of its pool
+    (a canonical pool is large enough: `_derive_points` checked the supply)."""
     available = sorted(pairs)
     if selection.mode == "canonical":
-        if len(available) < count:
-            raise ConstructionError(
-                f"need {count} odd-order pairs, only {len(available)} available")
         return available[:count]
     if selection.mode == "pairs_x":
         keys = list(dict.fromkeys(selection.pairs_x))
@@ -320,83 +321,70 @@ def _select_pairs(pairs: dict[int, list[Point]], count: int,
 
 
 # ---------------------------------------------------------------------------
-# the two constructions
+# the construction
 # ---------------------------------------------------------------------------
 
-def construct1(inp: ConstructionInput) -> IsoDualCertificate:
-    """Even-characteristic construction: [2k, k, k+1] iso-dual MDS code."""
-    curve = inp.curve
-    spec = curve.spec
-    if spec.p != 2:
+def _derive_points(curve: Curve, k: int, construction: int,
+                   torsion_choice: Optional[tuple[int, int]],
+                   selection: PairSelection) -> tuple[Point, list[Point]]:
+    """(Qa, points) of a construction input, or `ConstructionError`.
+
+    Construction 1 translates k pairs by Qa = Q1 = (0, gamma1), the
+    only rational 2-torsion point of its curve shape, and selects them by
+    their translated x's.  Construction 2 translates each point of k/2
+    pairs by Qa and by Qb, the 2-torsion points `torsion_choice` names
+    ((1, 2) when None).  The points come back in canonical order.
+    """
+    if construction not in (1, 2):
+        raise ConstructionError(f"construction must be 1 or 2, got {construction}")
+    if construction == 1 and curve.spec.p != 2:
         raise ConstructionError("construction 1 needs characteristic 2")
-    if (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
+    if construction == 2 and curve.spec.p == 2:
+        raise ConstructionError("construction 2 needs odd characteristic")
+    if construction == 1 and (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
         raise ConstructionError(
             "construction 1 needs the curve shape y^2+xy = x^3+a2x^2+a6")
-    k = inp.k
-    if k < 2 or k % 2:
-        raise ConstructionError(f"k must be even and >= 2, got {k}")
-    order = curve.order()
-    if order % 2:
-        raise ConstructionError("#E must be even")
-    m = odd_part(order)
-    if 2 * k > m - 1:
-        raise ConstructionError(
-            f"2k = {2 * k} exceeds the odd-order point supply {m - 1}")
-    gamma1 = spec.element(spec.sqrt_enc(curve.a6.enc))
-    q1 = Point(spec.zero, gamma1)
-    if not curve.is_on_curve(q1) or curve.point_order(q1) != 2:
-        raise VerificationError("Q1 = (0, sqrt(a6)) is not 2-torsion")
-    # translated pairs: {Q1+P, Q1-P} share their x-coordinate
-    pairs = _pair_pool(curve, inp.pair_selection, q1)
-    keys = _select_pairs(pairs, k, inp.pair_selection)
-    points = [p for xe in keys for p in pairs[xe]]
-    # MDS hypothesis: [k]Q1 + [2-1]Q1 != O, automatic for even k
-    if curve.mul(k + 1, q1).is_infinity:
-        raise VerificationError("[k+1]Q1 = O; construction hypothesis broken")
-    return _finish(inp, curve, k, q1, points)
-
-
-def construct2(inp: ConstructionInput) -> IsoDualCertificate:
-    """Odd-characteristic construction with full rational 2-torsion."""
-    curve = inp.curve
-    spec = curve.spec
-    if spec.p == 2:
-        raise ConstructionError("construction 2 needs odd characteristic")
-    k = inp.k
     if k < 2 or k % 2:
         raise ConstructionError(f"k must be even and >= 2, got {k}")
     two_torsion = [p for p in curve.torsion_points(2) if not p.is_infinity]
-    if len(two_torsion) != 3:
-        raise ConstructionError("E[2] is not fully rational over this field")
-    choice = inp.torsion_choice or (1, 2)
-    a, b = choice
-    if not (1 <= a <= 3 and 1 <= b <= 3 and a != b):
-        raise ConstructionError(f"torsion choice must pick two of Q1,Q2,Q3, got {choice}")
-    qa, qb = two_torsion[a - 1], two_torsion[b - 1]
-    order = curve.order()
-    m = odd_part(order)
-    if k > m - 1:
+    if construction == 1:
+        if torsion_choice is not None:
+            raise ConstructionError(
+                "construction 1 always translates by Q1; it takes no torsion choice")
+        qa = two_torsion[0]
+        count = k
+    else:
+        if len(two_torsion) != 3:
+            raise ConstructionError("E[2] is not fully rational over this field")
+        choice = torsion_choice or (1, 2)
+        a, b = choice
+        if not (1 <= a <= 3 and 1 <= b <= 3 and a != b):
+            raise ConstructionError(
+                f"torsion choice must pick two of Q1,Q2,Q3, got {choice}")
+        qa, qb = two_torsion[a - 1], two_torsion[b - 1]
+        count = k // 2
+    supply = odd_part(curve.order()) - 1
+    if 2 * count > supply:
         raise ConstructionError(
-            f"k = {k} exceeds the odd-order point supply {m - 1}")
-    pairs = _pair_pool(curve, inp.pair_selection)
-    keys = _select_pairs(pairs, k // 2, inp.pair_selection)
-    pset = [p for xe in keys for p in pairs[xe]]
-    points = sorted([curve.add(qa, p) for p in pset]
-                    + [curve.add(qb, p) for p in pset], key=Point.key)
-    # MDS hypothesis: [k1]Qa + [k2]Qb + Qa != O for every split k1+k2 = k
-    for k1 in range(k + 1):
-        s = curve.add(curve.add(curve.mul(k1, qa), curve.mul(k - k1, qb)), qa)
-        if s.is_infinity:
-            raise VerificationError("2-torsion split hypothesis broken")
-    return _finish(inp, curve, k, qa, points)
+            f"{2 * count} odd-order points needed, the supply is {supply}")
+    # construction 1 selects among the translated pairs {Q1+P, Q1-P}
+    pairs = _pair_pool(curve, selection, qa if construction == 1 else None)
+    points = [p for xe in _select_pairs(pairs, count, selection) for p in pairs[xe]]
+    if construction == 2:
+        points = [curve.add(q, p) for q in (qa, qb) for p in points]
+    return qa, sorted(points, key=Point.key)
 
 
-def _finish(inp: ConstructionInput, curve: Curve, k: int, qa: Point,
-            points: list[Point]) -> IsoDualCertificate:
-    """Shared tail: run the invariant table, then certify what it derived."""
+def construct(inp: ConstructionInput) -> IsoDualCertificate:
+    """The [2k, k, k+1] iso-dual MDS code of a construction input."""
+    curve, k = inp.curve, inp.k
+    # the MDS hypothesis [k1]Qa + [k-k1]Qb + Qa != O (Qb = Qa in
+    # construction 1) needs no check: for even k the sum is Qa or Qb
+    qa, points = _derive_points(curve, k, inp.construction,
+                                inp.torsion_choice, inp.pair_selection)
     g_div = funcspace.Divisor(curve, {INFINITY: k - 1, qa: 1})
-    ctx = _Context(curve, inp.construction, inp.pair_selection.to_dict(),
-                   k, 2 * k, points, qa, g_div)
+    ctx = _Context(curve, inp.construction, inp.torsion_choice,
+                   inp.pair_selection.to_dict(), k, 2 * k, points, qa, g_div)
     for name, holds in INVARIANTS:
         if not holds(ctx):
             raise VerificationError(f"certificate invariant {name} failed")
@@ -422,16 +410,8 @@ def _finish(inp: ConstructionInput, curve: Curve, k: int, qa: Point,
     )
 
 
-def construct(inp: ConstructionInput) -> IsoDualCertificate:
-    if inp.construction == 1:
-        return construct1(inp)
-    if inp.construction == 2:
-        return construct2(inp)
-    raise ConstructionError(f"construction must be 1 or 2, got {inp.construction}")
-
-
 # ---------------------------------------------------------------------------
-# certificate invariants, shared by the constructors and the verifier
+# certificate invariants, shared by `construct` and the verifier
 # ---------------------------------------------------------------------------
 
 class _Context:
@@ -447,12 +427,14 @@ class _Context:
 
     iso_dual = True     # what a construction claims; the identity proves it
 
-    def __init__(self, curve: Curve, construction: int, pair_selection: object,
+    def __init__(self, curve: Curve, construction: int,
+                 torsion_choice: Optional[tuple[int, int]], pair_selection: object,
                  k: int, n: int, points: list[Point], qa: Optional[Point],
                  g_div: Optional[funcspace.Divisor],
                  cert: Optional[IsoDualCertificate] = None):
         self.curve, self.spec = curve, curve.spec
-        self.construction, self.pair_selection = construction, pair_selection
+        self.construction, self.torsion_choice = construction, torsion_choice
+        self.pair_selection = pair_selection
         self.k, self.n = k, n
         self.points, self.qa, self.g_div = points, qa, g_div
         self.cert = cert
@@ -525,16 +507,31 @@ def _x_pairs(c: _Context) -> bool:
     return len(carriers) == c.k and set(carriers.values()) == {2}
 
 
-def _pair_selection(c: _Context) -> bool:
-    """Exactly what `PairSelection.to_dict` writes for a valid selection."""
+def _selection(c: _Context) -> Optional[PairSelection]:
+    """The recorded pair selection, if it is exactly what
+    `PairSelection.to_dict` writes for a valid selection."""
     sel = c.pair_selection
     try:
         r, xs = sel["r"], sel["pairs_x"]
         made = PairSelection(sel["mode"], None if r is None else _int(r),
                              None if xs is None else tuple(map(_int, _list(xs))))
     except (TypeError, KeyError, ConstructionError):
+        return None
+    return made if made.to_dict() == sel else None
+
+
+def _points_match_input(c: _Context) -> bool:
+    """The input echo (construction, k, torsion choice, pair selection)
+    derives exactly the recorded Qa and points, in canonical order."""
+    selection = _selection(c)
+    if selection is None:
         return False
-    return made.to_dict() == sel
+    try:
+        qa, points = _derive_points(c.curve, c.k, c.construction,
+                                    c.torsion_choice, selection)
+    except ConstructionError:
+        return False
+    return qa == c.qa and points == c.points
 
 
 def _iso_dual_identity(c: _Context) -> bool:
@@ -557,7 +554,7 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("construction_matches_field",
      lambda c: c.construction == (1 if c.spec.p == 2 else 2)),
     ("iso_dual_claimed", lambda c: c.claim.iso_dual is True),
-    ("pair_selection_well_formed", _pair_selection),
+    ("pair_selection_well_formed", lambda c: _selection(c) is not None),
     ("n_equals_2k", lambda c: c.n == 2 * c.k and len(c.points) == c.n),
     ("points_on_curve", lambda c: all(c.curve.is_on_curve(p) for p in c.points)),
     ("points_distinct", lambda c: len(set(c.points)) == len(c.points)),
@@ -574,6 +571,7 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
     ("evaluation_matrix", lambda c: c.evaluated.same_code(c.code)),
+    ("points_match_input", _points_match_input),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
     ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
     ("hull_bound", lambda c: (c.construction != 2 and c.n < 8)
@@ -603,8 +601,9 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
             qa = next(p for p in g_div.support() if not p.is_infinity)
         except (CurveError, StopIteration):     # such a G fails g_shape
             g_div = qa = None
-        ctx = _Context(curve, cert.construction, cert.pair_selection, cert.k,
-                       cert.n, cert.point_objects(curve), qa, g_div, cert)
+        ctx = _Context(curve, cert.construction, cert.torsion_choice,
+                       cert.pair_selection, cert.k, cert.n,
+                       cert.point_objects(curve), qa, g_div, cert)
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)

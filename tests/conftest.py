@@ -1,7 +1,7 @@
 import pytest
 
 from ellcode import (Curve, FieldSpec, ConstructionInput, PairSelection,
-                     construct1, construct2)
+                     construct)
 
 
 @pytest.fixture(scope="session")
@@ -26,12 +26,12 @@ def e25(f25):
 
 @pytest.fixture(scope="session")
 def cert16(e16):
-    return construct1(ConstructionInput(
+    return construct(ConstructionInput(
         e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))
 
 
 @pytest.fixture(scope="session")
 def cert25(e25):
-    return construct2(ConstructionInput(
+    return construct(ConstructionInput(
         e25, 8, 2, torsion_choice=(1, 2),
         pair_selection=PairSelection("torsion", r=3)))

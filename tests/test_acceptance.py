@@ -18,8 +18,8 @@ from ellcode.funcspace import rr_basis, validate_rr_basis
 from ellcode.code import (LinearCode, ScalingVector, mds_subset_check,
                           subset_sum_counts, subset_sum_counts_exhaustive)
 from ellcode.isodual import (CertificateSchemaError, ConstructionInput,
-                             IsoDualCertificate, PairSelection, construct1,
-                             construct2, find_scaling_with_hull, lcd_transform,
+                             IsoDualCertificate, PairSelection, construct,
+                             find_scaling_with_hull, lcd_transform,
                              selfdual_transform, verify_certificate)
 from ellcode.eaqecc import derive, is_mds_eaqecc
 from ellcode.search import (AbelianGroupSpec, bound_table, lemma_max_search,
@@ -62,19 +62,19 @@ def e289():
 
 @pytest.fixture(scope="session")
 def cert32(e32):
-    return construct1(ConstructionInput(e32, 10, 1))
+    return construct(ConstructionInput(e32, 10, 1))
 
 
 @pytest.fixture(scope="session")
 def cert49(e49):
-    return construct2(ConstructionInput(
+    return construct(ConstructionInput(
         e49, 14, 2, torsion_choice=(1, 2),
         pair_selection=PairSelection("torsion", r=15)))
 
 
 @pytest.fixture(scope="session")
 def cert289(e289):
-    return construct2(ConstructionInput(
+    return construct(ConstructionInput(
         e289, 80, 2, torsion_choice=(2, 3),
         pair_selection=PairSelection("torsion", r=9)))
 
@@ -98,7 +98,7 @@ def _leave_one_out_search(curve, k, target_hull):
     assert len(keys) == k + 1
     for tried, drop in enumerate(keys, start=1):
         selection = tuple(x for x in keys if x != drop)
-        cert = construct1(ConstructionInput(
+        cert = construct(ConstructionInput(
             curve, k, 1, pair_selection=PairSelection("pairs_x", pairs_x=selection)))
         if cert.hull_dim == target_hull:
             return cert, tried
@@ -121,7 +121,7 @@ def cert256_hull2(e256):
 
 def test_criterion_1_example_iv1(e16, f16):
     t0 = time.time()
-    cert = construct1(ConstructionInput(
+    cert = construct(ConstructionInput(
         e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))
     assert (cert.n, cert.k, cert.min_distance) == (8, 4, 5)
     assert cert.min_distance_method == "exhaustive"
@@ -149,7 +149,7 @@ def test_criterion_2_example_v1(e25, cert25):
     code = cert25.code(e25)
     assert code.scale(cert25.scaling(e25)).same_code(code.dual())
     # 25^8 brute force is infeasible; the k=4 sibling is checked exhaustively
-    sibling = construct2(ConstructionInput(e25, 4, 2))
+    sibling = construct(ConstructionInput(e25, 4, 2))
     assert sibling.min_distance_method == "exhaustive"
     assert (sibling.n, sibling.k, sibling.min_distance) == (8, 4, 5)
     elapsed = time.time() - t0

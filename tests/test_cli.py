@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -72,6 +73,26 @@ def test_construct_empty_pairs_x_exit_2(tmp_path, capsys, extra, message):
                  *extra, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_empty_torsion_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["construct", "--field", FIELD25, "--curve", CURVE25,
+                 "--k", "4", "--construction", "2", "--torsion", "",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--torsion needs exactly two indices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_1_with_torsion_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["construct", "--field", FIELD16, "--curve", CURVE16,
+                 "--k", "4", "--construction", "1", "--torsion", "1,2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "takes no torsion choice" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -281,3 +302,45 @@ def test_search_lemma_max_bad_group_exit_2(capsys, group):
                  "--n", "4"]) == 2
     err = capsys.readouterr().err
     assert "needs d1 >= 1 and d2 >= 1" in err and "must lie in" not in err
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+
+# input echoes edited so that they no longer make the recorded points or Qa;
+# q = 25 with [2, 1] makes the same points but Qa = Q2
+ECHO_EDITS = {
+    "q25-torsion-3-1": ("q25.json", {"torsion_choice": [3, 1]}),
+    "q25-torsion-2-1": ("q25.json", {"torsion_choice": [2, 1]}),
+    "q25-r-5": ("q25.json", {"pair_selection": {"mode": "torsion", "r": 5,
+                                                "pairs_x": None}}),
+    "q16-torsion-1-2": ("q16.json", {"torsion_choice": [1, 2]}),
+    "q16-pairs-x-3": ("q16.json", {"pair_selection": {"mode": "pairs_x", "r": None,
+                                                      "pairs_x": [3]}}),
+}
+
+
+def _edited_golden(tmp_path, name, edit):
+    with open(os.path.join(GOLDENS, name)) as handle:
+        doc = json.load(handle)
+    doc.update(edit)
+    out = tmp_path / name
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("name, edit", ECHO_EDITS.values(), ids=ECHO_EDITS.keys())
+def test_verify_edited_input_echo_exit_1(tmp_path, capsys, name, edit):
+    path = _edited_golden(tmp_path, name, edit)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed: points_match_input " in err
+    assert "Traceback" not in err
+
+
+def test_verify_canonical_echo_of_the_same_points_exit_0(tmp_path):
+    # #E = 36, so the odd-order points are E[3]: its four pairs are also the
+    # canonical choice, and the echo reproduces the points however spelled
+    path = _edited_golden(tmp_path, "q25.json", {
+        "pair_selection": {"mode": "canonical", "r": None, "pairs_x": None}})
+    assert main(["verify", str(path)]) == 0

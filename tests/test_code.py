@@ -318,8 +318,8 @@ def test_dp_total_count_is_binomial():
 
 def test_min_distance_vs_dp_consistency(e25, f25):
     # brute-forceable construction instances: d = n-k+1 iff DP count is 0
-    from ellcode import ConstructionInput, construct2
-    cert = construct2(ConstructionInput(e25, 4, 2))
+    from ellcode import ConstructionInput, construct
+    cert = construct(ConstructionInput(e25, 4, 2))
     code = cert.code(e25)
     assert cert.mds_subset_count == 0
     assert code.min_distance() == code.n - code.k + 1
@@ -371,9 +371,9 @@ def _enumeration_cases(name, request):
     if name == "code16":
         return [request.getfixturevalue("code16")]
     if name == "construct2-25":
-        from ellcode import ConstructionInput, construct2
+        from ellcode import ConstructionInput, construct
         e25 = request.getfixturevalue("e25")
-        return [construct2(ConstructionInput(e25, 4, 2)).code(e25)]
+        return [construct(ConstructionInput(e25, 4, 2)).code(e25)]
     spec = request.getfixturevalue({"random-16": "f16", "random-25": "f25"}[name])
     codes = _random_codes(spec, spec.q)
     assert {c.k for c in codes} >= {1, 3}

@@ -11,8 +11,8 @@ from ellcode import isodual
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
                              ConstructionError, ConstructionInput,
                              IsoDualCertificate, PairSelection,
-                             VerificationError, construct, construct1,
-                             construct2, find_scaling_with_hull, lcd_transform,
+                             VerificationError, construct, find_scaling_with_hull,
+                             lcd_transform,
                              sample_scaling_hulls, selfdual_transform,
                              verify_certificate)
 
@@ -45,72 +45,103 @@ def test_construct_dispatch(e16):
 
 def test_selection_modes_agree(e16, cert16):
     # {5,1,2,7} are four of the five available pairs; torsion r=11 needs all 5
-    by_canonical = construct1(ConstructionInput(e16, 4, 1))
+    by_canonical = construct(ConstructionInput(e16, 4, 1))
     assert by_canonical.points != cert16.points      # different pair subset
     assert verify_certificate(by_canonical) == []
 
 
 def test_odd_k_rejected(e16, e25):
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(e16, 3, 1))
+        construct(ConstructionInput(e16, 3, 1))
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(e25, 5, 2))
+        construct(ConstructionInput(e25, 5, 2))
 
 
 def test_wrong_characteristic_rejected(e16, e25):
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(e25, 4, 1))
+        construct(ConstructionInput(e25, 4, 1))
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(e16, 4, 2))
+        construct(ConstructionInput(e16, 4, 2))
 
 
 def test_wrong_curve_shape_rejected(f16):
     supersingular = Curve(f16, 0, 0, 1, 0, 1)    # y^2 + y = x^3 + 1
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(supersingular, 2, 1))
+        construct(ConstructionInput(supersingular, 2, 1))
 
 
 def test_insufficient_pairs_rejected(e16):
     # odd part of 22 is 11: five pairs, so 2k <= 10 caps k at 4
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(e16, 6, 1))
+        construct(ConstructionInput(e16, 6, 1))
 
 
 def test_partial_two_torsion_rejected():
     f7 = FieldSpec(7, 1, [0, 1])
     e = Curve(f7, 0, 0, 0, 1, 1)     # x^3 + x + 1 has no roots mod 7
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(e, 2, 2))
+        construct(ConstructionInput(e, 2, 2))
 
 
 def test_pairs_x_validation(e16):
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(
+        construct(ConstructionInput(
             e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 5, 1, 2))))
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(
+        construct(ConstructionInput(
             e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(4, 1, 2, 7))))
     with pytest.raises(ConstructionError):
-        construct1(ConstructionInput(
+        construct(ConstructionInput(
             e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2))))
 
 
 def test_torsion_selection_size_mismatch(e25):
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(
+        construct(ConstructionInput(
             e25, 6, 2, pair_selection=PairSelection("torsion", r=3)))
 
 
 def test_torsion_choice_validation(e25):
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(e25, 4, 2, torsion_choice=(1, 1)))
+        construct(ConstructionInput(e25, 4, 2, torsion_choice=(1, 1)))
     with pytest.raises(ConstructionError):
-        construct2(ConstructionInput(e25, 4, 2, torsion_choice=(0, 2)))
+        construct(ConstructionInput(e25, 4, 2, torsion_choice=(0, 2)))
+
+
+def test_construction_1_rejects_a_torsion_choice(e16):
+    with pytest.raises(ConstructionError, match="takes no torsion choice"):
+        construct(ConstructionInput(e16, 4, 1, torsion_choice=(1, 2)))
+
+
+def test_supply_check_counts_points(e16, e25):
+    # #E = 22 over GF(16): ten odd-order points, k pairs for construction 1;
+    # #E = 36 over GF(25): eight, k/2 pairs for construction 2
+    with pytest.raises(ConstructionError, match="12 odd-order points needed, "
+                                                "the supply is 10"):
+        construct(ConstructionInput(e16, 6, 1))
+    with pytest.raises(ConstructionError, match="10 odd-order points needed, "
+                                                "the supply is 8"):
+        construct(ConstructionInput(e25, 10, 2))
+
+
+def test_construct_and_verify_share_one_derivation(monkeypatch, e25):
+    calls = []
+    derive = isodual._derive_points
+
+    def spy(*args):
+        calls.append(args[2:4])
+        return derive(*args)
+
+    monkeypatch.setattr(isodual, "_derive_points", spy)
+    cert = construct(ConstructionInput(e25, 4, 2))
+    assert calls == [(2, None)] * 2          # construct, then its invariant
+    assert verify_certificate(cert) == []
+    assert calls[2:] == [(2, None)]
 
 
 def test_torsion_choice_changes_g(e25):
-    c12 = construct2(ConstructionInput(e25, 4, 2, torsion_choice=(1, 2)))
-    c23 = construct2(ConstructionInput(e25, 4, 2, torsion_choice=(2, 3)))
+    c12 = construct(ConstructionInput(e25, 4, 2, torsion_choice=(1, 2)))
+    c23 = construct(ConstructionInput(e25, 4, 2, torsion_choice=(2, 3)))
     assert c12.g_divisor != c23.g_divisor
     assert verify_certificate(c23) == []
 
@@ -124,7 +155,7 @@ def test_certificate_round_trip_bit_exact(cert16, cert25):
 
 
 def test_certificate_determinism(e16, cert16):
-    rebuilt = construct1(ConstructionInput(
+    rebuilt = construct(ConstructionInput(
         e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))
     assert rebuilt.to_json() == cert16.to_json()
 
@@ -231,7 +262,7 @@ def test_find_scaling_with_hull_two(cert25, e25):
 
 
 def test_smallest_construction_n4(e16):
-    cert = construct1(ConstructionInput(e16, 2, 1))
+    cert = construct(ConstructionInput(e16, 2, 1))
     assert (cert.n, cert.k, cert.min_distance) == (4, 2, 3)
     assert verify_certificate(cert) == []
 
@@ -242,7 +273,8 @@ def test_invariant_names_unique_and_in_table_order():
                      "pair_selection_well_formed", "n_equals_2k", "points_on_curve", "points_distinct",
                      "x_pairs", "y_nonzero", "points_off_qa_x", "g_shape",
                      "points_disjoint_from_G", "matrix_rref",
-                     "iso_dual_identity", "evaluation_matrix", "mds_witness",
+                     "iso_dual_identity", "evaluation_matrix",
+                     "points_match_input", "mds_witness",
                      "hull", "hull_bound", "length_bound", "min_distance"]
     assert len(set(names)) == len(names)
 
@@ -263,11 +295,13 @@ def _replace_at(seq, i, value):
     return tuple(out)
 
 
-# Every invariant a single tampered field can make fail first.  The others
-# cannot: a point with y = 0, at x(Qa) or in supp(G) is alone on its x, so
-# x_pairs fails before y_nonzero, points_off_qa_x or points_disjoint_from_G;
-# hull_bound and length_bound hold for every point set that passes the
-# invariants before them.
+# Every invariant a single tampered field can make fail first, and
+# points_match_input, which takes two points swapped together with their G
+# columns and v entries: the code and its identity hold, the canonical
+# order does not.  The others cannot: a point with y = 0, at x(Qa) or in
+# supp(G) is alone on its x, so x_pairs fails before y_nonzero,
+# points_off_qa_x or points_disjoint_from_G; hull_bound and length_bound
+# hold for every point set that passes the invariants before them.
 TAMPERS = [
     ("construction_matches_field", "cert16", lambda c: {"construction": 2}),
     ("construction_matches_field", "cert25", lambda c: {"construction": 1}),
@@ -297,6 +331,9 @@ TAMPERS = [
     ("iso_dual_identity", "cert25", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
     ("evaluation_matrix", "cert16", lambda c: {"points": _swap(c.points, 0, 2)}),
     ("evaluation_matrix", "cert25", lambda c: {"points": _swap(c.points, 0, 2)}),
+    ("points_match_input", "cert16", lambda c: {
+        "points": _swap(c.points, 5, 7), "scaling_v": _swap(c.scaling_v, 5, 7),
+        "generator_matrix": tuple(_swap(r, 5, 7) for r in c.generator_matrix)}),
     ("mds_witness", "cert16", lambda c: {"mds_subset_count": 1}),
     ("hull", "cert25", lambda c: {"hull_dim": 1}),
     ("min_distance", "cert16", lambda c: {"min_distance": 6}),

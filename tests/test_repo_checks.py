@@ -1,10 +1,14 @@
 """Checks on the source tree itself: the library names the benchmark wraps
-still exist, and no `src/ellcode` module imports a name it never uses."""
+still exist, no `src/ellcode` module imports a name it never uses, README's
+quick start runs, and the docs list the certificate invariants in order."""
 
 import ast
+import contextlib
 import importlib.util
 import inspect
+import io
 import os
+import re
 
 import pytest
 
@@ -14,6 +18,7 @@ from ellcode.code import LinearCode
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH = os.path.join(ROOT, "bench")
 PACKAGE = os.path.join(ROOT, "src", "ellcode")
+README = os.path.join(ROOT, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +100,43 @@ def test_unused_import_check_flags_and_spares():
 def test_no_unused_imports(name):
     with open(os.path.join(PACKAGE, name)) as handle:
         assert _unused_imports(handle.read()) == []
+
+
+def _readme() -> str:
+    with open(README) as handle:
+        return handle.read()
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", _readme(), re.S)
+    assert len(blocks) == 1
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue() == "[[8,4,5;4]]_16\n"
+
+
+def _lists_in_order(words: list[str], names: list[str]) -> bool:
+    """Once the words that are not names are dropped, each occurrence of
+    the first name starts a run of all of `names` in order, and there is
+    at least one."""
+    kept = [w for w in words if w in names]
+    starts = [i for i, w in enumerate(kept) if w == names[0]]
+    return bool(starts) and all(kept[i:i + len(names)] == names for i in starts)
+
+
+def test_order_check_flags_and_spares():
+    names = ["a", "b", "c"]
+    assert _lists_in_order(["x", "a", "y", "b", "c", "b", "a", "b", "c"], names)
+    assert not _lists_in_order(["a", "c", "b"], names)
+    assert not _lists_in_order(["a", "b"], names)
+    assert not _lists_in_order(["a", "b", "c", "a", "c"], names)
+
+
+@pytest.mark.parametrize("doc", ["README", "isodual"])
+def test_docs_list_invariants_in_table_order(doc):
+    names = [name for name, _ in isodual.INVARIANTS]
+    if doc == "README":
+        words = re.findall(r"`(\w+)`", _readme())
+    else:
+        words = re.findall(r"\w+", isodual.__doc__)
+    assert _lists_in_order(words, names)
