@@ -174,8 +174,7 @@ class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
     __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law",
-                 "_encoded", "_points", "_structure", "_coords",
-                 "_orders")
+                 "_encoded", "_points", "_structure", "_coords")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -191,7 +190,6 @@ class Curve:
         self._points: Optional[list[Point]] = None
         self._structure: Optional[GroupStructure] = None
         self._coords: Optional[dict] = None
-        self._orders: Optional[dict] = None
 
     @classmethod
     def from_string(cls, spec: FieldSpec, text: str) -> "Curve":
@@ -303,8 +301,9 @@ class Curve:
         """Least n >= 1 with [n]p = O, read from the group-structure walk."""
         if not self.is_on_curve(p):
             raise CurveError(f"{p} is not on the curve")
-        self.group_structure()
-        return self._orders[_enc(p)]
+        st = self.group_structure()
+        i, j = self._coords[_enc(p)]
+        return lcm(st.d1 // gcd(i, st.d1), st.d2 // gcd(j, st.d2))
 
     def torsion_points(self, r: int) -> list[Point]:
         """E[r] in canonical order: the points with d1 | r*i and d2 | r*j."""
@@ -368,8 +367,6 @@ class Curve:
         else:
             raise CurveError("no basis of the group found")
         self._coords = coords
-        self._orders = {e: lcm(d1 // gcd(i, d1), d2 // gcd(j, d2))
-                        for e, (i, j) in coords.items()}
         point_of = dict(zip(pts, self._points))
         dlog = {point_of[e]: ij for e, ij in coords.items()}
         self._structure = GroupStructure(d1, d2, (point_of[p1], point_of[p2]), dlog)

@@ -16,6 +16,8 @@ points_disjoint_from_G, matrix_rref, iso_dual_identity, evaluation_matrix,
 points_match_input, mds_witness, hull, hull_bound, length_bound and
 min_distance.  points_match_input re-derives Qa and the points, in order,
 from the input echo, so the file's points are the ones its input makes.
+g_shape checks G exactly as written, ((None, k-1), (Qa, 1)), so the MDS
+target sum(G) is Qa.
 iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
 C-perp and both have dimension k, so C.v = C-perp with no nullspace
 computed.  hull cross-checks k - rank(G G^T) against n - rank of G stacked
@@ -27,7 +29,8 @@ the cached dual with G scaled by u^2; they form no Gram matrix per trial.
 fails.  That is an internal error, not a user error: the construction succeeds
 whenever its preconditions hold, so a failed check means a bug.  The
 verifier runs the same table on the certificate file alone and reports
-every failure.
+every failure; `field` and `curve` spelled otherwise than `construct`
+writes them are a schema error.
 
 Evaluation points are always emitted in canonical order (sorted by
 encoded coordinates); a pair selection chooses which pairs participate,
@@ -380,11 +383,8 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
     curve, k = inp.curve, inp.k
     # the MDS hypothesis [k1]Qa + [k-k1]Qb + Qa != O (Qb = Qa in
     # construction 1) needs no check: for even k the sum is Qa or Qb
-    qa, points = _derive_points(curve, k, inp.construction,
-                                inp.torsion_choice, inp.pair_selection)
-    g_div = funcspace.Divisor(curve, {INFINITY: k - 1, qa: 1})
-    ctx = _Context(curve, inp.construction, inp.torsion_choice,
-                   inp.pair_selection.to_dict(), k, 2 * k, points, qa, g_div)
+    ctx = _Context(curve, inp.construction, k, 2 * k, inp.torsion_choice,
+                   inp.pair_selection.to_dict())
     for name, holds in INVARIANTS:
         if not holds(ctx):
             raise VerificationError(f"certificate invariant {name} failed")
@@ -398,8 +398,8 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
         n=ctx.n,
         torsion_choice=inp.torsion_choice,
         pair_selection=ctx.pair_selection,
-        points=tuple(p.key() for p in points),
-        g_divisor=((None, k - 1), (qa.key(), 1)),
+        points=tuple(p.key() for p in ctx.points),
+        g_divisor=ctx.g_divisor,
         generator_matrix=ctx.generator_matrix,
         scaling_v=ctx.v.entries,
         hull_dim=ctx.hull_dim,
@@ -415,34 +415,45 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
 # ---------------------------------------------------------------------------
 
 class _Context:
-    """One op's certificate data and the values derived from it.
+    """One op's certificate fields and the values derived from it.
 
-    Each derived value is computed on first use and kept, so an invariant
-    pays only for what it reads and a failed invariant skips the work of
-    the ones after it.  `claim` is the recorded results under check: `cert`
-    when verifying.  When constructing, `cert` is None and `claim` is the
-    context itself, whose derived values are what the certificate will
-    record; the evaluated code is then the code.
+    `cert` is the recorded claim under check, or None when constructing:
+    then the input echo's one derivation gives Qa and the points, and
+    `claim` is the context itself.  Each derived value is computed on first
+    use and kept, so an invariant pays only for what it reads and a failed
+    invariant skips the work of the ones after it.
     """
 
     iso_dual = True     # what a construction claims; the identity proves it
 
-    def __init__(self, curve: Curve, construction: int,
+    def __init__(self, curve: Curve, construction: int, k: int, n: int,
                  torsion_choice: Optional[tuple[int, int]], pair_selection: object,
-                 k: int, n: int, points: list[Point], qa: Optional[Point],
-                 g_div: Optional[funcspace.Divisor],
                  cert: Optional[IsoDualCertificate] = None):
         self.curve, self.spec = curve, curve.spec
-        self.construction, self.torsion_choice = construction, torsion_choice
-        self.pair_selection = pair_selection
-        self.k, self.n = k, n
-        self.points, self.qa, self.g_div = points, qa, g_div
+        self.construction, self.k, self.n = construction, k, n
+        self.torsion_choice, self.pair_selection = torsion_choice, pair_selection
         self.cert = cert
+        if cert is None:        # a ConstructionError surfaces here
+            self.qa, self.points = self.derived
+            self.g_divisor = ((None, k - 1), (self.qa.key(), 1))
+        else:
+            self.points, self.g_divisor = cert.point_objects(curve), cert.g_divisor
+            self.qa = next((Point(*map(self.spec.element, pt))
+                            for pt, _ in cert.g_divisor if pt is not None), None)
 
     @property
     def claim(self):
         """Computed on each read: storing self would make a reference cycle."""
         return self if self.cert is None else self.cert
+
+    @cached_property
+    def derived(self) -> tuple[Point, list[Point]]:
+        """(Qa, points) of the input echo, or `ConstructionError`."""
+        selection = _selection(self)
+        if selection is None:
+            raise ConstructionError("the pair selection is not well formed")
+        return _derive_points(self.curve, self.k, self.construction,
+                              self.torsion_choice, selection)
 
     @cached_property
     def evaluated(self) -> LinearCode:
@@ -480,10 +491,10 @@ class _Context:
 
     @cached_property
     def mds_subset_count(self) -> int:
-        """k-subsets of the points summing to sum(G) (the group structure
-        is cached on the curve)."""
+        """k-subsets of the points summing to sum(G) = Qa (the group
+        structure is cached on the curve)."""
         return mds_subset_check(self.points, self.curve.group_structure(),
-                                self.k, funcspace.divisor_sum(self.g_div))
+                                self.k, self.qa)
 
     @cached_property
     def hull_dim(self) -> int:
@@ -523,15 +534,10 @@ def _selection(c: _Context) -> Optional[PairSelection]:
 def _points_match_input(c: _Context) -> bool:
     """The input echo (construction, k, torsion choice, pair selection)
     derives exactly the recorded Qa and points, in canonical order."""
-    selection = _selection(c)
-    if selection is None:
-        return False
     try:
-        qa, points = _derive_points(c.curve, c.k, c.construction,
-                                    c.torsion_choice, selection)
+        return c.derived == (c.qa, c.points)
     except ConstructionError:
         return False
-    return qa == c.qa and points == c.points
 
 
 def _iso_dual_identity(c: _Context) -> bool:
@@ -563,10 +569,9 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("points_off_qa_x", lambda c: c.qa is None
      or all(p.x != c.qa.x for p in c.points)),
     ("g_shape", lambda c: c.qa is not None
-     and c.g_div.coeffs == {INFINITY: c.k - 1, c.qa: 1}
-     and c.curve.point_order(c.qa) == 2),
-    ("points_disjoint_from_G", lambda c: not any(p in c.g_div.coeffs
-                                                 for p in c.points)),
+     and c.g_divisor == ((None, c.k - 1), (c.qa.key(), 1))
+     and c.curve.is_on_curve(c.qa) and c.curve.point_order(c.qa) == 2),
+    ("points_disjoint_from_G", lambda c: c.qa not in c.points),
     ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
@@ -596,14 +601,12 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     failures: list[str] = []
     try:
         curve = cert.curve()
-        try:
-            g_div = cert.g_divisor_object(curve)
-            qa = next(p for p in g_div.support() if not p.is_infinity)
-        except (CurveError, StopIteration):     # such a G fails g_shape
-            g_div = qa = None
-        ctx = _Context(curve, cert.construction, cert.torsion_choice,
-                       cert.pair_selection, cert.k, cert.n,
-                       cert.point_objects(curve), qa, g_div, cert)
+        if (curve.spec.to_string(), curve.to_string()) != (cert.field_spec,
+                                                           cert.curve_spec):
+            raise CertificateSchemaError(
+                "field and curve must be spelled as construct writes them")
+        ctx = _Context(curve, cert.construction, cert.k, cert.n,
+                       cert.torsion_choice, cert.pair_selection, cert)
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)

@@ -154,6 +154,13 @@ HOSTILE = {
     "matrix-encoding-255": lambda doc: doc["generator_matrix"][0].__setitem__(5, 255),
     "matrix-encoding-256": lambda doc: doc["generator_matrix"][0].__setitem__(5, 256),
     "matrix-encoding-negative": lambda doc: doc["generator_matrix"][0].__setitem__(5, -1),
+    "g-divisor-encoding-99": lambda doc: doc["g_divisor"][1][0].__setitem__(0, 99),
+    # field and curve are checked as construct spells them, so every file
+    # that verifies names its curve in one way only
+    "field-spaced": lambda doc: doc.update(field="p=2, m=4, mod=1,1,0,0,1"),
+    "field-modulus-unreduced": lambda doc: doc.update(field="p=2,m=4,mod=3,1,0,0,1"),
+    "curve-spaced": lambda doc: doc.update(curve="1, 8,0,0,9"),
+    "curve-leading-zero": lambda doc: doc.update(curve="1,8,0,0,09"),
 }
 
 
@@ -335,6 +342,26 @@ def test_verify_edited_input_echo_exit_1(tmp_path, capsys, name, edit):
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert "verification failed: points_match_input " in err
+    assert "Traceback" not in err
+
+
+# G is checked exactly as construct writes it, ((None, k-1), (Qa, 1)):
+# reordered or padded with a zero multiplicity it is the same divisor, but
+# not the same file
+G_EDITS = {
+    "q16-g-swapped": {"g_divisor": [[[0, 11], 1], [None, 3]]},
+    "q16-g-zero-entry": {"g_divisor": [[None, 3], [[0, 11], 1], [[1, 0], 0]]},
+    "q16-g-off-curve": {"g_divisor": [[None, 3], [[0, 12], 1]]},
+}
+
+
+@pytest.mark.parametrize("edit", G_EDITS.values(), ids=G_EDITS.keys())
+def test_verify_g_not_as_written_exit_1(tmp_path, capsys, edit):
+    path = _edited_golden(tmp_path, "q16.json", edit)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed: g_shape " in err
     assert "Traceback" not in err
 
 

@@ -3,20 +3,23 @@
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), nothing escapes as a
 traceback, and a file that verifies is exactly the canonical serialisation
-of what was read from it.
+of what was read from it and what `construct` writes for its input echo.
 """
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellcode.cli import main
-from ellcode.isodual import IsoDualCertificate
+from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
+                             PairSelection, construct)
 
 INT_FIELDS = ("construction", "k", "n", "hull_dim", "mds_subset_count",
               "min_distance")
@@ -84,10 +87,10 @@ def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(edits=st.lists(EDITS, min_size=1, max_size=2))
-def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
-    text = _canonical(_apply(cert16_doc, edits))
+def _verify_exit_means_what_it_says(work_dir, doc):
+    """Exit 0, 1 or 2 with no traceback; on 0 the file is its own canonical
+    serialisation and what `construct` writes for its input echo."""
+    text = _canonical(doc)
     path = work_dir / "c.json"
     path.write_text(text)
     err = io.StringIO()
@@ -96,4 +99,55 @@ def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        assert IsoDualCertificate.from_json(text).to_json() == text
+        cert = IsoDualCertificate.from_json(text)
+        assert cert.to_json() == text
+        # verify leaves tool_version and scaling_v free (any v that makes
+        # G diag(v) G^T = 0 passes), so those two come from the file
+        sel = cert.pair_selection
+        pairs_x = sel["pairs_x"] and tuple(sel["pairs_x"])
+        made = construct(ConstructionInput(
+            cert.curve(), cert.k, cert.construction, cert.torsion_choice,
+            PairSelection(sel["mode"], sel["r"], pairs_x)))
+        made = dataclasses.replace(made, tool_version=cert.tool_version,
+                                   scaling_v=cert.scaling_v)
+        assert made.to_json() == text
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
+    _verify_exit_means_what_it_says(work_dir, _apply(cert16_doc, edits))
+
+
+# edits that keep every value valid and often the code too: two entries of
+# a list swapped, a field or curve number respelled with a space or a
+# leading zero, a zero-multiplicity G entry appended, another tool_version
+TWEAKS = st.tuples(st.sampled_from(["swap", "respell", "zero_entry", "version"]),
+                   st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+SWAPPABLE = ("points", "g_divisor", "generator_matrix", "scaling_v")
+
+
+def _tweak(doc, tweaks):
+    doc = copy.deepcopy(doc)
+    for kind, i, j in tweaks:
+        if kind == "swap":
+            target = doc[SWAPPABLE[i % len(SWAPPABLE)]]
+            a, b = i // len(SWAPPABLE) % len(target), j % len(target)
+            target[a], target[b] = target[b], target[a]
+        elif kind == "respell":
+            key = ("field", "curve")[i % 2]
+            starts = [m.start() for m in re.finditer(r"(?<![0-9])[0-9]", doc[key])]
+            at = starts[j % len(starts)]
+            doc[key] = doc[key][:at] + " 0"[i // 2 % 2] + doc[key][at:]
+        elif kind == "zero_entry":
+            doc["g_divisor"].append([doc["points"][i % len(doc["points"])], 0])
+        else:
+            doc["tool_version"] = str(i)
+    return doc
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
+def test_verified_tweaked_certificate_is_what_construct_writes(cert16_doc, work_dir,
+                                                              tweaks):
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks))
