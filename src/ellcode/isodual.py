@@ -6,16 +6,18 @@ characteristic) translates k pairs by Qa = Q1 = (0, gamma1) and scales by
 v_i = 1/h'(x_i).  Construction 2 (odd characteristic, full rational
 2-torsion) translates k/2 pairs by two 2-torsion points Qa, Qb and scales
 by v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
-gives `construct` and the verifier Qa and the points.
+gives `construct` and the verifier Qa and the points; G and v follow from
+those alone, and verify compares the file's matrix and v with them.
 
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
 iso_dual_claimed, pair_selection_well_formed, n_equals_2k, points_on_curve,
 points_distinct, x_pairs, y_nonzero, points_off_qa_x, g_shape,
-points_disjoint_from_G, matrix_rref, iso_dual_identity, evaluation_matrix,
-points_match_input, mds_witness, hull, hull_bound, length_bound and
-min_distance.  points_match_input re-derives Qa and the points, in order,
-from the input echo, so the file's points are the ones its input makes.
+points_disjoint_from_G, matrix_rref, iso_dual_identity,
+scaling_matches_points, points_match_input, mds_witness, hull, hull_bound,
+length_bound and min_distance.  points_match_input re-derives Qa and the
+points, in order, from the input echo, so the file's points are the ones
+its input makes.
 g_shape checks G exactly as written, ((None, k-1), (Qa, 1)), so the MDS
 target sum(G) is Qa.
 iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
@@ -43,13 +45,13 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 from . import gf, funcspace, linalg
 from ._version import __version__
 from .gf import FieldSpec
-from .curve import Curve, CurveError, Point, INFINITY, odd_part
+from .curve import Curve, CurveError, Point, odd_part
 from .code import (BRUTE_FORCE_BUDGET, LinearCode, ScalingVector, CodeError,
                    mds_subset_check)
 
@@ -141,23 +143,10 @@ class IsoDualCertificate:
         curve = curve or self.curve()
         return LinearCode(curve.spec, self.generator_matrix, n=self.n)
 
-    def scaling(self, curve: Optional[Curve] = None) -> ScalingVector:
-        curve = curve or self.curve()
-        return ScalingVector(curve.spec, self.scaling_v)
-
     def point_objects(self, curve: Optional[Curve] = None) -> list[Point]:
         curve = curve or self.curve()
         s = curve.spec
         return [Point(s.element(x), s.element(y)) for x, y in self.points]
-
-    def g_divisor_object(self, curve: Optional[Curve] = None) -> funcspace.Divisor:
-        curve = curve or self.curve()
-        s = curve.spec
-        coeffs = {}
-        for pt, mult in self.g_divisor:
-            p = INFINITY if pt is None else Point(s.element(pt[0]), s.element(pt[1]))
-            coeffs[p] = mult
-        return funcspace.Divisor(curve, coeffs)
 
     # -- wire format ----------------------------------------------------------
 
@@ -401,7 +390,7 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
         points=tuple(p.key() for p in ctx.points),
         g_divisor=ctx.g_divisor,
         generator_matrix=ctx.generator_matrix,
-        scaling_v=ctx.v.entries,
+        scaling_v=ctx.scaling_v,
         hull_dim=ctx.hull_dim,
         mds_subset_count=ctx.mds_subset_count,
         min_distance=ctx.min_distance,
@@ -419,9 +408,10 @@ class _Context:
 
     `cert` is the recorded claim under check, or None when constructing:
     then the input echo's one derivation gives Qa and the points, and
-    `claim` is the context itself.  Each derived value is computed on first
-    use and kept, so an invariant pays only for what it reads and a failed
-    invariant skips the work of the ones after it.
+    `claim` is the context itself.  G and v always come from Qa and the
+    points.  Each derived value is computed on first use and kept, so an
+    invariant pays only for what it reads and a failed invariant skips the
+    work of the ones after it.
     """
 
     iso_dual = True     # what a construction claims; the identity proves it
@@ -456,38 +446,37 @@ class _Context:
                               self.torsion_choice, selection)
 
     @cached_property
-    def evaluated(self) -> LinearCode:
-        """The code spanned by the Riemann-Roch basis evaluated at the points."""
+    def code(self) -> LinearCode:
+        """The RREF of the Riemann-Roch basis evaluated at the points;
+        `iso_dual_identity` caches C.v as its dual."""
         basis = funcspace.rr_basis(self.curve, self.k, self.qa)
         return LinearCode(self.spec, funcspace.rr_basis_rows(basis, self.points),
                           n=self.n)
-
-    @cached_property
-    def code(self) -> LinearCode:
-        """The RREF code under check; `iso_dual_identity` caches C.v as its
-        dual."""
-        if self.cert is None:
-            return self.evaluated
-        return LinearCode(self.spec, self.cert.generator_matrix, n=self.n)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
         return self.code.matrix
 
     @cached_property
-    def v(self) -> ScalingVector:
-        """The scaling carrying the code onto its dual (module docstring)."""
-        if self.cert is not None:
-            return self.cert.scaling(self.curve)
-        spec = self.spec
-        xs = sorted({p.x.enc for p in self.points})
-        _, hp = funcspace.interpolation_poly([spec.element(x) for x in xs])
-        entries = []
-        for p in self.points:
-            hval = gf.poly_eval(hp, p.x)
-            entries.append(hval.inverse() if spec.p == 2
-                           else (p.x - self.qa.x) / (hval * p.y))
-        return ScalingVector(spec, entries)
+    def v(self) -> Optional[ScalingVector]:
+        """The scaling carrying the code onto its dual (module docstring),
+        with h'(alpha) = prod (alpha - beta) over the other distinct x's;
+        None when a point with y = 0 or x = beta leaves some v_i undefined
+        or zero, which only a file failing an earlier invariant holds."""
+        spec, points = self.spec, self.points
+        mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
+        xs = {p.x.enc for p in points}
+        hp = {a: reduce(mul, (sub(a, b) for b in xs - {a}), 1) for a in xs}
+        if spec.p == 2:
+            return ScalingVector(spec, [inv(hp[p.x.enc]) for p in points])
+        beta = self.qa.x.enc
+        entries = [mul(sub(p.x.enc, beta), inv(mul(hp[p.x.enc], p.y.enc)))
+                   if p.y.enc else 0 for p in points]
+        return ScalingVector(spec, entries) if all(entries) else None
+
+    @property
+    def scaling_v(self) -> tuple[int, ...]:
+        return self.v.entries
 
     @cached_property
     def mds_subset_count(self) -> int:
@@ -544,18 +533,20 @@ def _iso_dual_identity(c: _Context) -> bool:
     """G diag(v) G^T = 0 puts C.v inside C-perp, and with n = 2k both have
     dimension k, so C.v is C-perp: it becomes the code's cached dual, which
     the `hull` cross-check then reads without a nullspace."""
-    code = c.code
-    if code.n != 2 * code.k:
+    code, v = c.code, c.v
+    if v is None or code.n != 2 * code.k:
         return False
-    if any(map(any, linalg.gram(code.matrix, c.spec, c.v.entries))):
+    if any(map(any, linalg.gram(code.matrix, c.spec, v.entries))):
         return False
-    code._dual = code.scale(c.v)
+    code._dual = code.scale(v)
     return True
 
 
 # (name, predicate), in the order they run.  `x_pairs` makes the roots of h
 # distinct, so h' is nonzero at every point; `y_nonzero` and
-# `points_off_qa_x` keep the odd-characteristic v_i finite.
+# `points_off_qa_x` keep the odd-characteristic v_i finite and nonzero.  A
+# constant v makes C = C.v = C-perp, the one way `hull_bound` is exceeded
+# (four x's on an affine F_2-plane give h' constant).
 INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("construction_matches_field",
      lambda c: c.construction == (1 if c.spec.p == 2 else 2)),
@@ -575,28 +566,31 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
-    ("evaluation_matrix", lambda c: c.evaluated.same_code(c.code)),
+    ("scaling_matches_points", lambda c: c.v is not None
+     and c.claim.scaling_v == c.v.entries),
     ("points_match_input", _points_match_input),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
     ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
-    ("hull_bound", lambda c: (c.construction != 2 and c.n < 8)
-     or c.hull_dim <= c.k - 1),
+    ("hull_bound", lambda c: c.hull_dim <= c.k - 1
+     or c.v is not None and len(set(c.v.entries)) == 1),
     ("length_bound", lambda c: c.n <= c.curve.order() // 2),
     ("min_distance", lambda c: c.claim.min_distance_method == c.min_distance_method
      and c.claim.min_distance == c.k + 1 == c.min_distance),
 )
 
-# a failed gate ends verification: the invariants after it read G or the code
-_GATES = ("g_shape", "matrix_rref")
+# a failed gate ends verification: the invariants after it read Qa, or
+# build G from the file's k, which only n = 2k = #points bounds
+_GATES = ("n_equals_2k", "g_shape")
 
 
 def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     """Run `INVARIANTS` on the file's data alone; returns the names of the
     failed invariants in table order.
 
-    Data the library cannot evaluate (a bad encoding, a ragged matrix, a
-    point outside the group) raises `CertificateSchemaError`, unless an
-    invariant has already failed: the run then ends with those failures.
+    A matrix row not n long, or a matrix or v entry that is no encoding,
+    raises `CertificateSchemaError`.  So does other data the library cannot
+    evaluate (a bad point, one outside the group), unless an invariant has
+    already failed: the run then ends with those failures.
     """
     failures: list[str] = []
     try:
@@ -605,6 +599,12 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
                                                            cert.curve_spec):
             raise CertificateSchemaError(
                 "field and curve must be spelled as construct writes them")
+        q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
+        if not all(len(r) == n and all(0 <= e < q for e in r)
+                   for r in (*cert.generator_matrix, cert.scaling_v)):
+            raise CertificateSchemaError(
+                "generator_matrix rows must be n long, and they and scaling_v "
+                "must hold field encodings only")
         ctx = _Context(curve, cert.construction, cert.k, cert.n,
                        cert.torsion_choice, cert.pair_selection, cert)
         for name, holds in INVARIANTS:

@@ -126,7 +126,7 @@ def test_criterion_1_example_iv1(e16, f16):
     assert (cert.n, cert.k, cert.min_distance) == (8, 4, 5)
     assert cert.min_distance_method == "exhaustive"
     code = cert.code(e16)
-    v = cert.scaling(e16)
+    v = ScalingVector(e16.spec, cert.scaling_v)
     assert code.scale(v).same_code(code.dual())
     assert cert.hull_dim == 0 and code.hull_dim() == 0
     u = ScalingVector(f16, [4, 4, 3, 3, 2, 2, 5, 5])   # theta^2,...,theta^2+1
@@ -147,7 +147,7 @@ def test_criterion_2_example_v1(e25, cert25):
     assert cert25.mds_subset_count == 0
     assert cert25.hull_dim == 0
     code = cert25.code(e25)
-    assert code.scale(cert25.scaling(e25)).same_code(code.dual())
+    assert code.scale(ScalingVector(e25.spec, cert25.scaling_v)).same_code(code.dual())
     # 25^8 brute force is infeasible; the k=4 sibling is checked exhaustively
     sibling = construct(ConstructionInput(e25, 4, 2))
     assert sibling.min_distance_method == "exhaustive"
@@ -319,8 +319,8 @@ def test_criterion_7d_basis_divisor_constraints(e16, e25, e49, e64, e256, e289,
         (e25, 8, Point(e25.spec.element(4), e25.spec.element(0))),
         (e64, 18, Point(e64.spec.element(0), e64.spec.element(62))),
         (e256, 70, Point(e256.spec.element(0), e256.spec.element(175))),
-        (e49, 14, cert49.g_divisor_object(e49).support()[1]),
-        (e289, 80, cert289.g_divisor_object(e289).support()[1]),
+        (e49, 14, Point(*map(e49.spec.element, cert49.g_divisor[1][0]))),
+        (e289, 80, Point(*map(e289.spec.element, cert289.g_divisor[1][0]))),
     ]
     for curve, k, q2 in jobs:
         basis = rr_basis(curve, k, q2)

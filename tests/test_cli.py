@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from ellcode import FieldSpec
 from ellcode.cli import main
 
 FIELD16 = "p=2,m=4,mod=1,1,0,0,1"
@@ -148,8 +149,8 @@ HOSTILE = {
     "tool-version-not-string": lambda doc: doc.update(tool_version=5),
     "tool-version-null": lambda doc: doc.update(tool_version=None),
     "unknown-distance-method": lambda doc: doc.update(min_distance_method="bogus"),
-    # the packed char-2 kernels read entries as raw bytes; only the
-    # encoding check in LinearCode keeps these out of them
+    # verify compares the matrix as written, so only its own encoding
+    # check keeps these from reading as a mere mismatch (exit 1)
     "matrix-encoding-16": lambda doc: doc["generator_matrix"][0].__setitem__(5, 16),
     "matrix-encoding-255": lambda doc: doc["generator_matrix"][0].__setitem__(5, 255),
     "matrix-encoding-256": lambda doc: doc["generator_matrix"][0].__setitem__(5, 256),
@@ -326,9 +327,13 @@ ECHO_EDITS = {
 }
 
 
-def _edited_golden(tmp_path, name, edit):
+def _golden(name):
     with open(os.path.join(GOLDENS, name)) as handle:
-        doc = json.load(handle)
+        return json.load(handle)
+
+
+def _edited_golden(tmp_path, name, edit):
+    doc = _golden(name)
     doc.update(edit)
     out = tmp_path / name
     out.write_text(json.dumps(doc))
@@ -363,6 +368,55 @@ def test_verify_g_not_as_written_exit_1(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert "verification failed: g_shape " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["q16.json", "q25.json"])
+def test_verify_doubled_scaling_exit_1(tmp_path, capsys, name):
+    # 2v satisfies G diag(2v) G^T = 0 as well; only the v the points give
+    # is the certificate's
+    doc = _golden(name)
+    mul = FieldSpec.from_string(doc["field"]).mul_enc
+    path = _edited_golden(tmp_path, name,
+                          {"scaling_v": [mul(2, e) for e in doc["scaling_v"]]})
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed: scaling_matches_points " in err
+
+
+def test_verify_two_torsion_point_exit_1(tmp_path, capsys):
+    # (12, 0) has y = 0, where v is undefined: a failed invariant, not a crash
+    points = _golden("q25.json")["points"]
+    path = _edited_golden(tmp_path, "q25.json", {"points": [[12, 0]] + points[1:]})
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert ("(all failures: x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
+            "scaling_matches_points, points_match_input)") in err
+    assert "Traceback" not in err
+
+
+def test_verify_huge_k_stops_at_n_equals_2k(tmp_path, capsys):
+    # G would be built from k = 10**6; n = 2k = #points bounds it by the file
+    g_divisor = _golden("q16.json")["g_divisor"]
+    g_divisor[0][1] = 10 ** 6 - 1
+    path = _edited_golden(tmp_path, "q16.json",
+                          {"k": 10 ** 6, "g_divisor": g_divisor})
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert ("verification failed: n_equals_2k (all failures: n_equals_2k)"
+            in capsys.readouterr().err)
+
+
+def test_construct_self_dual_code_with_constant_v(tmp_path, capsys):
+    # the four x's form an affine F_2-plane, so h' and v are constant and
+    # the code is self-dual: hull = k, which hull_bound admits
+    out = tmp_path / "c.json"
+    assert main(["construct", "--field", FIELD16, "--curve", "1,14,0,0,1",
+                 "--k", "4", "--construction", "1", "--out", str(out)]) == 0
+    assert "[8,4,5] hull=4 " in capsys.readouterr().out
+    assert len(set(json.loads(out.read_text())["scaling_v"])) == 1
+    assert main(["verify", str(out)]) == 0
 
 
 def test_verify_canonical_echo_of_the_same_points_exit_0(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellcode import FieldSpec
 from ellcode.cli import main
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
                              PairSelection, construct)
@@ -101,15 +102,13 @@ def _verify_exit_means_what_it_says(work_dir, doc):
     if code == 0:
         cert = IsoDualCertificate.from_json(text)
         assert cert.to_json() == text
-        # verify leaves tool_version and scaling_v free (any v that makes
-        # G diag(v) G^T = 0 passes), so those two come from the file
+        # verify leaves tool_version free, so it comes from the file
         sel = cert.pair_selection
         pairs_x = sel["pairs_x"] and tuple(sel["pairs_x"])
         made = construct(ConstructionInput(
             cert.curve(), cert.k, cert.construction, cert.torsion_choice,
             PairSelection(sel["mode"], sel["r"], pairs_x)))
-        made = dataclasses.replace(made, tool_version=cert.tool_version,
-                                   scaling_v=cert.scaling_v)
+        made = dataclasses.replace(made, tool_version=cert.tool_version)
         assert made.to_json() == text
 
 
@@ -121,10 +120,14 @@ def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
 
 # edits that keep every value valid and often the code too: two entries of
 # a list swapped, a field or curve number respelled with a space or a
-# leading zero, a zero-multiplicity G entry appended, another tool_version
-TWEAKS = st.tuples(st.sampled_from(["swap", "respell", "zero_entry", "version"]),
+# leading zero, a zero-multiplicity G entry appended, every v entry times
+# a constant other than 1 (which keeps G diag(v) G^T = 0), another
+# tool_version
+TWEAKS = st.tuples(st.sampled_from(["swap", "respell", "zero_entry", "scale_v",
+                                    "version"]),
                    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 SWAPPABLE = ("points", "g_divisor", "generator_matrix", "scaling_v")
+F16 = FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1")
 
 
 def _tweak(doc, tweaks):
@@ -141,6 +144,9 @@ def _tweak(doc, tweaks):
             doc[key] = doc[key][:at] + " 0"[i // 2 % 2] + doc[key][at:]
         elif kind == "zero_entry":
             doc["g_divisor"].append([doc["points"][i % len(doc["points"])], 0])
+        elif kind == "scale_v":
+            c = 2 + i % (F16.q - 2)
+            doc["scaling_v"] = [F16.mul_enc(c, e) for e in doc["scaling_v"]]
         else:
             doc["tool_version"] = str(i)
     return doc

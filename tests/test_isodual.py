@@ -1,10 +1,12 @@
 import os
 import random
+from functools import reduce
+from operator import xor
 from types import SimpleNamespace
 
 import pytest
 
-from ellcode import FieldSpec, linalg
+from ellcode import FieldSpec, funcspace, gf, linalg
 from ellcode.curve import Curve, Point, INFINITY
 from ellcode.code import CodeError, ScalingVector
 from ellcode import isodual
@@ -198,7 +200,7 @@ def test_verify_detects_scaling_tampering(cert16):
     v[0] = 7
     bad = _tamper(cert16, scaling_v=tuple(v))
     failures = verify_certificate(bad)
-    assert "iso_dual_identity" in failures
+    assert "scaling_matches_points" in failures
 
 
 def test_verify_detects_wrong_hull(cert16):
@@ -273,7 +275,7 @@ def test_invariant_names_unique_and_in_table_order():
                      "pair_selection_well_formed", "n_equals_2k", "points_on_curve", "points_distinct",
                      "x_pairs", "y_nonzero", "points_off_qa_x", "g_shape",
                      "points_disjoint_from_G", "matrix_rref",
-                     "iso_dual_identity", "evaluation_matrix",
+                     "iso_dual_identity", "scaling_matches_points",
                      "points_match_input", "mds_witness",
                      "hull", "hull_bound", "length_bound", "min_distance"]
     assert len(set(names)) == len(names)
@@ -300,8 +302,9 @@ def _replace_at(seq, i, value):
 # columns and v entries: the code and its identity hold, the canonical
 # order does not.  The others cannot: a point with y = 0, at x(Qa) or in
 # supp(G) is alone on its x, so x_pairs fails before y_nonzero,
-# points_off_qa_x or points_disjoint_from_G; hull_bound and length_bound
-# hold for every point set that passes the invariants before them.
+# points_off_qa_x or points_disjoint_from_G; iso_dual_identity holds for
+# the G and v derived from any k pairs {P, -P} off x(Qa), and hull_bound and
+# length_bound for every point set that passes the invariants before them.
 TAMPERS = [
     ("construction_matches_field", "cert16", lambda c: {"construction": 2}),
     ("construction_matches_field", "cert25", lambda c: {"construction": 1}),
@@ -327,10 +330,8 @@ TAMPERS = [
     ("g_shape", "cert16", lambda c: {"g_divisor": ((None, 2), c.g_divisor[1])}),
     ("g_shape", "cert25", lambda c: {"g_divisor": (c.g_divisor[0],)}),
     ("matrix_rref", "cert16", lambda c: {"generator_matrix": _swap(c.generator_matrix, 0, 1)}),
-    ("iso_dual_identity", "cert16", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
-    ("iso_dual_identity", "cert25", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
-    ("evaluation_matrix", "cert16", lambda c: {"points": _swap(c.points, 0, 2)}),
-    ("evaluation_matrix", "cert25", lambda c: {"points": _swap(c.points, 0, 2)}),
+    ("scaling_matches_points", "cert16", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
+    ("scaling_matches_points", "cert25", lambda c: {"scaling_v": _replace_at(c.scaling_v, 0, 7)}),
     ("points_match_input", "cert16", lambda c: {
         "points": _swap(c.points, 5, 7), "scaling_v": _swap(c.scaling_v, 5, 7),
         "generator_matrix": tuple(_swap(r, 5, 7) for r in c.generator_matrix)}),
@@ -369,9 +370,9 @@ def test_golden_certificates_verify_without_a_nullspace(monkeypatch):
         assert verify_certificate(cert) == [], name
 
 
-# a v that is right up to order, or right but for one entry's inverse: the
-# zero weighted Gram, not the nullspace, must now reject it.  Kept out of
-# TAMPERS, where a repeated id would rename the cases already there.
+# a v that is right up to order, or right but for one entry's inverse: v is
+# compared as written with the v the points give.  Kept out of TAMPERS,
+# where a repeated id would rename the cases already there.
 SCALING_TAMPERS = {
     "swapped-cert25": ("cert25", lambda v: _swap(v, 0, 2)),
     "one-inverted-cert16": ("cert16", lambda v: _replace_at(v, 3, _inv16(v[3]))),
@@ -380,10 +381,27 @@ SCALING_TAMPERS = {
 
 @pytest.mark.parametrize("fixture, tamper", SCALING_TAMPERS.values(),
                          ids=SCALING_TAMPERS.keys())
-def test_tampered_scaling_reports_iso_dual_identity_first(request, fixture, tamper):
+def test_tampered_scaling_reports_scaling_matches_points_first(request, fixture,
+                                                               tamper):
     cert = request.getfixturevalue(fixture)
     bad = _tamper(cert, scaling_v=tamper(cert.scaling_v))
-    assert verify_certificate(bad)[:1] == ["iso_dual_identity"]
+    assert verify_certificate(bad)[:1] == ["scaling_matches_points"]
+
+
+# two points swapped: G and v follow the points, so the file's matrix no
+# longer is their RREF.  Kept out of TAMPERS for the same reason.
+POINT_TAMPERS = {
+    "swapped-cert16": "cert16",
+    "swapped-cert25": "cert25",
+}
+
+
+@pytest.mark.parametrize("fixture", POINT_TAMPERS.values(),
+                         ids=POINT_TAMPERS.keys())
+def test_swapped_points_report_matrix_rref_first(request, fixture):
+    cert = request.getfixturevalue(fixture)
+    bad = _tamper(cert, points=_swap(cert.points, 0, 2))
+    assert verify_certificate(bad)[:1] == ["matrix_rref"]
 
 
 def test_construct_names_the_failed_invariant(monkeypatch, e16):
@@ -397,17 +415,84 @@ def _golden_cert(q):
         return IsoDualCertificate.from_json(fh.read())
 
 
+def _construct_echo(cert):
+    """What `construct` writes for the certificate's input echo."""
+    sel = cert.pair_selection
+    pairs_x = sel["pairs_x"] and tuple(sel["pairs_x"])
+    return construct(ConstructionInput(
+        cert.curve(), cert.k, cert.construction, cert.torsion_choice,
+        PairSelection(sel["mode"], sel["r"], pairs_x)))
+
+
+def test_goldens_rebuild_byte_identical_from_their_echoes():
+    names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(GOLDENS, name)) as fh:
+            text = fh.read()
+        cert = IsoDualCertificate.from_json(text)
+        assert _construct_echo(cert).to_json() == text, name
+        assert verify_certificate(cert) == [], name
+
+
+def test_construct_and_verify_need_no_interpolation_polynomial(monkeypatch):
+    # G and v come from encodings alone: the basis rows and h'(alpha) as a
+    # product of differences
+    def banned(*args):
+        raise AssertionError("a FieldElement polynomial was used")
+
+    monkeypatch.setattr(funcspace, "interpolation_poly", banned)
+    monkeypatch.setattr(gf, "poly_eval", banned)
+    cert = _golden_cert(289)
+    assert _construct_echo(cert) == cert
+    assert verify_certificate(cert) == []
+
+
+def test_constant_v_gives_a_self_dual_code_that_constructs():
+    # four x's on an affine F_2-plane (x1 + x2 + x3 + x4 = 0) make h'
+    # constant, so v is constant and C = C.v = C-perp: hull = k
+    found = 0
+    for field in ("p=2,m=3,mod=1,1,0,1", "p=2,m=4,mod=1,1,0,0,1",
+                  "p=2,m=5,mod=1,0,1,0,0,1"):
+        spec = FieldSpec.from_string(field)
+        for a2 in range(spec.q):
+            for a6 in range(1, spec.q):
+                curve = Curve(spec, 1, a2, 0, 0, a6)
+                try:
+                    _, points = isodual._derive_points(curve, 4, 1, None,
+                                                       PairSelection())
+                except ConstructionError:
+                    continue
+                if reduce(xor, {p.x.enc for p in points}):
+                    continue
+                cert = construct(ConstructionInput(curve, 4, 1))
+                assert cert.hull_dim == 4 and len(set(cert.scaling_v)) == 1
+                assert verify_certificate(cert) == []
+                found += 1
+    assert found == 56
+
+
 def _three_duals(cert):
     """The code of `cert` three times: with its dual proved to be C.v by
     iso_dual_identity, with the dual from a nullspace, and fresh."""
     spec = cert.spec()
     proved = cert.code()
-    ctx = SimpleNamespace(code=proved, spec=spec, v=cert.scaling())
+    ctx = SimpleNamespace(code=proved, spec=spec, v=ScalingVector(spec, cert.scaling_v))
     assert isodual._iso_dual_identity(ctx) and proved._dual is not None
     kernel = cert.code()
     kernel.dual()
     assert kernel.dual().same_code(proved.dual())
     return proved, kernel, cert.code()
+
+
+@pytest.mark.parametrize("fixture", ["cert16", "cert25"])
+def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
+    # no TAMPERS edit reaches it, since it reads the v the points give
+    cert = request.getfixturevalue(fixture)
+    spec, code = cert.spec(), cert.code()
+    v = ScalingVector(spec, _replace_at(cert.scaling_v, 0, 7))
+    ctx = SimpleNamespace(code=code, spec=spec, v=v)
+    assert not isodual._iso_dual_identity(ctx) and code._dual is None
 
 
 @pytest.mark.parametrize("source, block, trials", [
