@@ -1,6 +1,11 @@
 """Command-line front-end: construct, verify, transform, eaqecc, search.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or schema error.
+Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
+for every subcommand and any input file; an output file that cannot be
+written is a usage error.  `main` alone maps failures to them.  Every
+certificate a subcommand names is read, parsed and verified before the
+subcommand runs (`_load_certificate`), so `transform` and `eaqecc` work
+only on claims that verify, and `verify` has nothing left to do but say so.
 Output files are written atomically (temp file + rename) and are
 byte-reproducible for identical configurations.
 """
@@ -15,12 +20,10 @@ from typing import Optional, Sequence
 
 from . import eaqecc, isodual, search
 from ._version import __version__
-from .gf import FieldError, FieldSpec
-from .curve import Curve, CurveError
-from .code import CodeError
-from .isodual import (CertificateSchemaError, ConstructionError,
-                      ConstructionInput, IsoDualCertificate, PairSelection,
-                      VerificationError)
+from .gf import FieldSpec
+from .curve import Curve
+from .isodual import (ConstructionError, ConstructionInput, IsoDualCertificate,
+                      PairSelection, VerificationError)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,8 +44,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _load_certificate(path: str) -> IsoDualCertificate:
+    """The certificate at `path`, parsed and verified; `VerificationError`
+    names the invariants it fails, the first one first."""
     with open(path) as handle:
-        return IsoDualCertificate.from_json(handle.read())
+        cert = IsoDualCertificate.from_json(handle.read())
+    failures = isodual.verify_certificate(cert)
+    if failures:
+        raise VerificationError(f"{failures[0]} (all failures: {', '.join(failures)})")
+    return cert
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="certificate.json", help="certificate path")
 
     p = sub.add_parser("verify", help="re-run all invariants of a certificate")
-    p.add_argument("certificate")
+    p.add_argument("certificate", nargs=1)
 
     p = sub.add_parser("transform", help="self-dual or LCD scaling of a certificate")
-    p.add_argument("certificate")
+    p.add_argument("certificate", nargs=1)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--selfdual", action="store_true")
     group.add_argument("--lcd", action="store_true")
@@ -100,33 +109,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        spec = FieldSpec.from_string(args.field)
-        curve = Curve.from_string(spec, args.curve)
-        if args.pairs_x is not None and args.p_torsion is not None:
-            raise ConstructionError("--pairs-x and --p-torsion are exclusive")
-        if args.pairs_x is not None:
-            selection = PairSelection("pairs_x", pairs_x=tuple(_int_list(args.pairs_x)))
-        elif args.p_torsion is not None:
-            selection = PairSelection("torsion", r=args.p_torsion)
-        else:
-            selection = PairSelection()
-        torsion_choice = None
-        if args.torsion is not None:
-            pair = _int_list(args.torsion)
-            if len(pair) != 2:
-                raise ConstructionError("--torsion needs exactly two indices")
-            torsion_choice = (pair[0], pair[1])
-        inp = ConstructionInput(curve, args.k, args.construction,
-                                torsion_choice=torsion_choice,
-                                pair_selection=selection)
-        cert = isodual.construct(inp)
-    except (FieldError, CurveError, CodeError, ConstructionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    spec = FieldSpec.from_string(args.field)
+    curve = Curve.from_string(spec, args.curve)
+    if args.pairs_x is not None and args.p_torsion is not None:
+        raise ConstructionError("--pairs-x and --p-torsion are exclusive")
+    if args.pairs_x is not None:
+        selection = PairSelection("pairs_x", pairs_x=tuple(_int_list(args.pairs_x)))
+    elif args.p_torsion is not None:
+        selection = PairSelection("torsion", r=args.p_torsion)
+    else:
+        selection = PairSelection()
+    torsion_choice = None
+    if args.torsion is not None:
+        pair = _int_list(args.torsion)
+        if len(pair) != 2:
+            raise ConstructionError("--torsion needs exactly two indices")
+        torsion_choice = (pair[0], pair[1])
+    inp = ConstructionInput(curve, args.k, args.construction,
+                            torsion_choice=torsion_choice,
+                            pair_selection=selection)
+    cert = isodual.construct(inp)
     _atomic_write(args.out, cert.to_json())
     print(f"[{cert.n},{cert.k},{cert.min_distance}] hull={cert.hull_dim} "
           f"iso_dual={str(cert.iso_dual).lower()} "
@@ -134,70 +136,35 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cert = _load_certificate(args.certificate)
-        failures = isodual.verify_certificate(cert)
-    except (OSError, CertificateSchemaError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if failures:
-        print(f"verification failed: {failures[0]} "
-              f"(all failures: {', '.join(failures)})", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+def _cmd_verify(args: argparse.Namespace, cert: IsoDualCertificate) -> int:
     print("certificate verifies")
     return EXIT_OK
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
-    try:
-        cert = _load_certificate(args.certificate)
-    except (OSError, CertificateSchemaError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.selfdual:
-            u, code = isodual.selfdual_transform(cert)
-            kind = "selfdual"
-            hull = cert.k       # certified by selfdual_transform
-        else:
-            result = isodual.lcd_transform(cert, budget=args.budget)
-            if result is None:
-                print("lcd: no scaling found within budget", file=sys.stderr)
-                return EXIT_VERIFY_FAIL
-            u, code = result
-            kind = "lcd"
-            hull = 0
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+def _cmd_transform(args: argparse.Namespace, cert: IsoDualCertificate) -> int:
+    if args.selfdual:
+        u, code = isodual.selfdual_transform(cert)
+        kind = "selfdual"
+        hull = cert.k       # certified by selfdual_transform
+    else:
+        result = isodual.lcd_transform(cert, budget=args.budget)
+        if result is None:
+            print("lcd: no scaling found within budget", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
+        u, code = result
+        kind = "lcd"
+        hull = 0
     print(f"{kind}: hull={hull} u={','.join(str(e) for e in u.entries)}")
     if args.out:
-        import json
         doc = {"transform": kind, "source_certificate_n": cert.n,
-               "u": list(u.entries), "hull_dim": hull,
-               "generator_matrix": [list(r) for r in code.matrix]}
-        _atomic_write(args.out,
-                      json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+               "u": u.entries, "hull_dim": hull,
+               "generator_matrix": code.matrix}
+        _atomic_write(args.out, isodual.canonical_json(doc))
     return EXIT_OK
 
 
-def _cmd_eaqecc(args: argparse.Namespace) -> int:
-    items = []
-    try:
-        for path in args.certificate:
-            cert = _load_certificate(path)
-            params = eaqecc.derive_from_certificate(cert)
-            items.append((cert, params))
-    except (OSError, CertificateSchemaError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except eaqecc.EaqeccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_eaqecc(args: argparse.Namespace, *certs: IsoDualCertificate) -> int:
+    items = [(cert, eaqecc.derive_from_certificate(cert)) for cert in certs]
     for cert, params in items:
         print(f"{params.label()} mds={str(params.mds).lower()}")
     if args.out:
@@ -209,39 +176,32 @@ def _cmd_eaqecc(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    try:
-        if args.table == "bounds":
-            if not args.q:
-                raise ValueError("--q is required for the bounds table")
-            qs = _int_list(args.q)
-            rows = [r.to_dict() for r in
-                    search.bound_table(qs, achieve=args.achieve, progress=True)]
-            columns = ["q", "case", "bound_n", "achieved_n", "witness"]
-        elif args.table == "census":
-            if not args.q:
-                raise ValueError("--q is required for the census table")
-            rows = []
-            for q in _int_list(args.q):
-                for curve, order, structure in search.enumerate_curves(q, progress=True):
-                    rows.append({"q": q, "curve": curve.to_string(), "order": order,
-                                 "d1": structure.d1, "d2": structure.d2})
-            columns = ["q", "curve", "order", "d1", "d2"]
-        else:
-            if not args.group or args.n is None:
-                raise ValueError("lemma-max needs --group d1xd2 and --n")
-            d1, d2 = (int(t) for t in args.group.lower().split("x"))
-            hits = search.lemma_max_search(search.AbelianGroupSpec(d1, d2), args.n)
-            rows = [{"group": f"{d1}x{d2}", "n": args.n,
-                     "subset": ";".join(f"{i},{j}" for i, j in combo),
-                     "g": f"{g[0]},{g[1]}"} for combo, g in hits]
-            print(f"{len(rows)} counterexample(s)")
-            columns = ["group", "n", "subset", "g"]
-    except (ValueError, CurveError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    if args.table == "bounds":
+        if not args.q:
+            raise ValueError("--q is required for the bounds table")
+        qs = _int_list(args.q)
+        rows = [r.to_dict() for r in
+                search.bound_table(qs, achieve=args.achieve, progress=True)]
+        columns = ["q", "case", "bound_n", "achieved_n", "witness"]
+    elif args.table == "census":
+        if not args.q:
+            raise ValueError("--q is required for the census table")
+        rows = []
+        for q in _int_list(args.q):
+            for curve, order, structure in search.enumerate_curves(q, progress=True):
+                rows.append({"q": q, "curve": curve.to_string(), "order": order,
+                             "d1": structure.d1, "d2": structure.d2})
+        columns = ["q", "curve", "order", "d1", "d2"]
+    else:
+        if not args.group or args.n is None:
+            raise ValueError("lemma-max needs --group d1xd2 and --n")
+        d1, d2 = (int(t) for t in args.group.lower().split("x"))
+        hits = search.lemma_max_search(search.AbelianGroupSpec(d1, d2), args.n)
+        rows = [{"group": f"{d1}x{d2}", "n": args.n,
+                 "subset": ";".join(f"{i},{j}" for i, j in combo),
+                 "g": f"{g[0]},{g[1]}"} for combo, g in hits]
+        print(f"{len(rows)} counterexample(s)")
+        columns = ["group", "n", "subset", "g"]
     if args.out:
         text = search.rows_to_csv(rows, columns) if args.format == "csv" \
             else search.rows_to_json(rows)
@@ -262,7 +222,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "eaqecc": _cmd_eaqecc,
         "search": _cmd_search,
     }
-    return handlers[args.command](args)
+    # while the certificates load, a failure is the file's: it cannot be
+    # read or parsed (2), or it fails an invariant (1); after that it is a
+    # usage error (2) or a check inside the library that broke (1)
+    usage, invariant = "schema error", "verification failed"
+    try:
+        certs = [_load_certificate(path) for path in getattr(args, "certificate", ())]
+        usage, invariant = "error", "internal verification failure"
+        return handlers[args.command](args, *certs)
+    except VerificationError as exc:
+        print(f"{invariant}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except (OSError, ValueError) as exc:
+        print(f"{usage}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

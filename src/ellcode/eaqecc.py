@@ -55,7 +55,8 @@ def is_mds_eaqecc(p: EaqeccParams) -> bool:
 
 def derive_from_certificate(cert: IsoDualCertificate,
                             hull_dim: int | None = None) -> EaqeccParams:
-    """Parameters from a construction certificate (or a rescaled hull)."""
+    """Parameters from a verified construction certificate (or a rescaled
+    hull): its n, k, d and hull are taken as recorded."""
     spec = cert.spec()
     return derive(cert.n, cert.k, cert.min_distance,
                   cert.hull_dim if hull_dim is None else hull_dim, spec.q)

@@ -14,8 +14,8 @@ certificate invariants, `INVARIANTS`: construction_matches_field,
 iso_dual_claimed, pair_selection_well_formed, n_equals_2k, points_on_curve,
 points_distinct, x_pairs, y_nonzero, points_off_qa_x, g_shape,
 points_disjoint_from_G, matrix_rref, iso_dual_identity,
-scaling_matches_points, points_match_input, mds_witness, hull, hull_bound,
-length_bound and min_distance.  points_match_input re-derives Qa and the
+scaling_matches_points, points_match_input, mds_witness, hull, length_bound
+and min_distance.  points_match_input re-derives Qa and the
 points, in order, from the input echo, so the file's points are the ones
 its input makes.
 g_shape checks G exactly as written, ((None, k-1), (Qa, 1)), so the MDS
@@ -46,7 +46,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from . import gf, funcspace, linalg
 from ._version import __version__
@@ -108,6 +108,46 @@ class ConstructionInput:
     pair_selection: PairSelection = field(default_factory=PairSelection)
 
 
+def canonical_json(doc) -> str:
+    """The one spelling of every JSON file ellcode writes: sorted keys, no
+    spaces, a final newline; tuples are written as lists."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _exactly(kind: type) -> Callable[[object], object]:
+    """A parser passing a JSON value of exactly `kind`, and raising TypeError
+    on any other: a bool or float is no integer, a string no list, so every
+    file that loads re-serialises to the same bytes."""
+    def parse(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return parse
+
+
+_int, _list, _str, _bool = (_exactly(t) for t in (int, list, str, bool))
+
+
+def _ints(value) -> tuple[int, ...]:
+    """A JSON list of integers."""
+    return tuple(map(_int, _list(value)))
+
+
+def _int_pair(value) -> tuple[int, int]:
+    """An [x, y] pair of integers; anything else raises TypeError/ValueError."""
+    x, y = _list(value)
+    return _int(x), _int(y)
+
+
+def _one_of(*allowed: str) -> Callable[[object], str]:
+    """A parser passing only the `allowed` strings, raising ValueError."""
+    def parse(value) -> str:
+        if value not in allowed:
+            raise ValueError(f"expected one of {allowed}, got {value!r}")
+        return value
+    return parse
+
+
 @dataclass(frozen=True)
 class IsoDualCertificate:
     """Full reproducible record of one construction run."""
@@ -131,6 +171,35 @@ class IsoDualCertificate:
     min_distance_method: str
     iso_dual: bool
 
+    # (JSON key, attribute, parser): `to_json` writes each attribute as it
+    # is, and `from_json` requires each key and parses it back.  A parser
+    # raises TypeError or ValueError; pair_selection is checked by the
+    # `pair_selection_well_formed` invariant, not here.
+    _WIRE: ClassVar[tuple[tuple[str, str, Callable[[object], object]], ...]] = (
+        ("schema", "schema", _one_of(CERTIFICATE_SCHEMA)),
+        ("tool_version", "tool_version", _str),
+        ("field", "field_spec", _str),
+        ("curve", "curve_spec", _str),
+        ("construction", "construction", _int),
+        ("k", "k", _int),
+        ("n", "n", _int),
+        ("torsion_choice", "torsion_choice",
+         lambda v: None if v is None else _int_pair(v)),
+        ("pair_selection", "pair_selection", lambda v: v),
+        ("points", "points", lambda v: tuple(map(_int_pair, _list(v)))),
+        ("g_divisor", "g_divisor",
+         lambda v: tuple((None if pt is None else _int_pair(pt), _int(m))
+                         for pt, m in map(_list, _list(v)))),
+        ("generator_matrix", "generator_matrix",
+         lambda v: tuple(map(_ints, _list(v)))),
+        ("scaling_v", "scaling_v", _ints),
+        ("hull_dim", "hull_dim", _int),
+        ("mds_subset_count", "mds_subset_count", _int),
+        ("min_distance", "min_distance", _int),
+        ("min_distance_method", "min_distance_method", _one_of("exhaustive", "dp")),
+        ("iso_dual", "iso_dual", _bool),
+    )
+
     # -- object reconstruction ---------------------------------------------
 
     def spec(self) -> FieldSpec:
@@ -151,109 +220,30 @@ class IsoDualCertificate:
     # -- wire format ----------------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "schema": self.schema,
-            "tool_version": self.tool_version,
-            "field": self.field_spec,
-            "curve": self.curve_spec,
-            "construction": self.construction,
-            "k": self.k,
-            "n": self.n,
-            "torsion_choice": list(self.torsion_choice) if self.torsion_choice else None,
-            "pair_selection": self.pair_selection,
-            "points": [list(p) for p in self.points],
-            "g_divisor": [[list(pt) if pt else None, m] for pt, m in self.g_divisor],
-            "generator_matrix": [list(r) for r in self.generator_matrix],
-            "scaling_v": list(self.scaling_v),
-            "hull_dim": self.hull_dim,
-            "mds_subset_count": self.mds_subset_count,
-            "min_distance": self.min_distance,
-            "min_distance_method": self.min_distance_method,
-            "iso_dual": self.iso_dual,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json({key: getattr(self, attr) for key, attr, _ in self._WIRE})
 
     @classmethod
     def from_json(cls, text: str) -> "IsoDualCertificate":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:     # too deep, too long an int
             raise CertificateSchemaError(f"not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CertificateSchemaError("certificate must be a JSON object")
-        if doc.get("schema") != CERTIFICATE_SCHEMA:
-            raise CertificateSchemaError(
-                f"unknown schema {doc.get('schema')!r}, expected {CERTIFICATE_SCHEMA}")
-        required = ["tool_version", "field", "curve", "construction", "k", "n",
-                    "torsion_choice", "pair_selection", "points", "g_divisor",
-                    "generator_matrix", "scaling_v", "hull_dim",
-                    "mds_subset_count", "min_distance", "min_distance_method",
-                    "iso_dual"]
-        for key in required:
+        values = {}
+        for key, attr, parse in cls._WIRE:
             if key not in doc:
                 raise CertificateSchemaError(f"missing field {key!r}")
-        if not isinstance(doc["field"], str) or not isinstance(doc["curve"], str):
-            raise CertificateSchemaError("field and curve must be strings")
-        if doc["min_distance_method"] not in ("exhaustive", "dp"):
-            raise CertificateSchemaError(
-                f"unknown min_distance_method {doc['min_distance_method']!r}")
-        if type(doc["iso_dual"]) is not bool:
-            raise CertificateSchemaError("iso_dual must be true or false")
-        if not isinstance(doc["tool_version"], str):
-            raise CertificateSchemaError("tool_version must be a string")
-        tc = doc["torsion_choice"]
-        try:
-            cert = cls(
-                schema=doc["schema"],
-                tool_version=doc["tool_version"],
-                field_spec=doc["field"],
-                curve_spec=doc["curve"],
-                construction=_int(doc["construction"]),
-                k=_int(doc["k"]),
-                n=_int(doc["n"]),
-                torsion_choice=None if tc is None else _int_pair(tc),
-                pair_selection=doc["pair_selection"],
-                points=tuple(_int_pair(p) for p in _list(doc["points"])),
-                g_divisor=tuple((None if pt is None else _int_pair(pt), _int(m))
-                                for pt, m in map(_list, _list(doc["g_divisor"]))),
-                generator_matrix=tuple(tuple(_int(v) for v in _list(r))
-                                       for r in _list(doc["generator_matrix"])),
-                scaling_v=tuple(_int(v) for v in _list(doc["scaling_v"])),
-                hull_dim=_int(doc["hull_dim"]),
-                mds_subset_count=_int(doc["mds_subset_count"]),
-                min_distance=_int(doc["min_distance"]),
-                min_distance_method=doc["min_distance_method"],
-                iso_dual=doc["iso_dual"],
-            )
-        except (TypeError, ValueError) as exc:
-            raise CertificateSchemaError(f"malformed certificate: {exc}") from None
+            try:
+                values[attr] = parse(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise CertificateSchemaError(f"field {key!r}: {exc}") from None
+        cert = cls(**values)
         if 0 in cert.scaling_v:
             raise CertificateSchemaError("scaling vector has a zero entry")
         if len(cert.scaling_v) != cert.n:
             raise CertificateSchemaError("scaling vector length differs from n")
         return cert
-
-
-def _int(value) -> int:
-    """A JSON integer as it was written; a bool, float or string raises
-    TypeError, so every file that loads re-serialises to the same bytes."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _list(value) -> list:
-    """A JSON list; a string, object or null raises TypeError instead of
-    being iterated as if it were one."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return value
-
-
-def _int_pair(value) -> tuple[int, int]:
-    """An [x, y] pair of integers; anything else raises TypeError/ValueError."""
-    x, y = _list(value)
-    return _int(x), _int(y)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +534,7 @@ def _iso_dual_identity(c: _Context) -> bool:
 
 # (name, predicate), in the order they run.  `x_pairs` makes the roots of h
 # distinct, so h' is nonzero at every point; `y_nonzero` and
-# `points_off_qa_x` keep the odd-characteristic v_i finite and nonzero.  A
-# constant v makes C = C.v = C-perp, the one way `hull_bound` is exceeded
-# (four x's on an affine F_2-plane give h' constant).
+# `points_off_qa_x` keep the odd-characteristic v_i finite and nonzero.
 INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("construction_matches_field",
      lambda c: c.construction == (1 if c.spec.p == 2 else 2)),
@@ -571,8 +559,6 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("points_match_input", _points_match_input),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
     ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
-    ("hull_bound", lambda c: c.hull_dim <= c.k - 1
-     or c.v is not None and len(set(c.v.entries)) == 1),
     ("length_bound", lambda c: c.n <= c.curve.order() // 2),
     ("min_distance", lambda c: c.claim.min_distance_method == c.min_distance_method
      and c.claim.min_distance == c.k + 1 == c.min_distance),
@@ -623,7 +609,11 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearCode]:
-    """u with u_i^2 = v_i turns the code self-dual (characteristic 2 only)."""
+    """u with u_i^2 = v_i turns the code self-dual (characteristic 2 only).
+
+    `cert` must be verified (`verify_certificate`): its matrix and v are
+    used as written.
+    """
     curve = cert.curve()
     spec = curve.spec
     if spec.p != 2:
@@ -641,7 +631,9 @@ def lcd_transform(cert: IsoDualCertificate,
     Candidates are 1 everywhere except ell' positions carrying one
     non-square-one entry; ordered by (ell', entry encoding, position
     combination).  Returns the first success within `budget` hull
-    evaluations, or None.
+    evaluations, or None.  `cert` must be verified (`verify_certificate`):
+    its recorded hull_dim starts the ladder, and hull_dim 0 returns the
+    all-ones scaling with no search.
     """
     from itertools import combinations
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -26,7 +25,7 @@ from .gf import FieldSpec, factorize
 from .curve import Curve, CurveError, GroupStructure, feasible_orders, odd_part
 from .code import subset_sum_reachable
 from .isodual import (ConstructionInput, ConstructionError,
-                      IsoDualCertificate, construct)
+                      IsoDualCertificate, canonical_json, construct)
 
 
 @dataclass(frozen=True)
@@ -351,4 +350,4 @@ def rows_to_csv(rows: Sequence[dict], columns: Sequence[str]) -> str:
 
 
 def rows_to_json(rows: Sequence[dict]) -> str:
-    return json.dumps(list(rows), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(list(rows))

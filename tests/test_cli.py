@@ -165,15 +165,28 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("mutate", HOSTILE.values(), ids=HOSTILE.keys())
-def test_verify_hostile_certificate_is_schema_error(tmp_path, capsys, mutate):
+# every subcommand that reads a certificate, as its arguments after the path
+READERS = {"verify": ["verify"], "transform-lcd": ["transform", "--lcd"],
+           "transform-selfdual": ["transform", "--selfdual"], "eaqecc": ["eaqecc"]}
+
+
+def _read(command, path):
+    return main([command[0], str(path), *command[1:]])
+
+
+# verify's cases keep the ids they had before the other readers joined
+@pytest.mark.parametrize("mutate, command", [
+    pytest.param(mutate, command, id=name + ("" if key == "verify" else f"-{key}"))
+    for name, mutate in HOSTILE.items() for key, command in READERS.items()])
+def test_verify_hostile_certificate_is_schema_error(tmp_path, capsys, mutate,
+                                                     command):
     out = tmp_path / "c.json"
     _construct16(out)
     doc = json.loads(out.read_text())
     mutate(doc)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(out)]) == 2
+    assert _read(command, out) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "Traceback" not in err
 
@@ -222,6 +235,45 @@ def test_verify_unchecked_header_fields_exit_1(tmp_path, capsys, name, mutate):
 
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/cert.json"]) == 2
+
+
+# files no certificate can be parsed from: not UTF-8, arrays nested past the
+# parser's recursion limit, an integer past Python's digit limit
+UNPARSABLE = {"not-utf8": b"\xff\xfe",
+              "nested-too-deep": b"[" * 10 ** 5 + b"]" * 10 ** 5,
+              "integer-too-long": b'{"k": ' + b"1" * 5000 + b"}"}
+
+
+@pytest.mark.parametrize("command", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE.keys())
+def test_unparsable_file_is_schema_error(tmp_path, capsys, content, command):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert _read(command, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and "Traceback" not in err
+
+
+# --out in a directory that does not exist, after each subcommand's own
+# arguments; the file named is a certificate that verifies
+OUT_WRITERS = {
+    "construct": ["construct", "--field", FIELD16, "--curve", CURVE16, "--k", "4",
+                  "--construction", "1"],
+    "transform": ["transform", "{cert}", "--lcd"],
+    "eaqecc": ["eaqecc", "{cert}"],
+    "search": ["search", "--table", "lemma-max", "--group", "1x6", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS.keys())
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    cert = tmp_path / "c.json"
+    _construct16(cert)
+    capsys.readouterr()
+    argv = [a.format(cert=cert) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_transform_selfdual(tmp_path, capsys):
@@ -340,6 +392,41 @@ def _edited_golden(tmp_path, name, edit):
     return out
 
 
+def _matrix_entry(value):
+    matrix = _golden("q16.json")["generator_matrix"]
+    matrix[0][5] = value
+    return {"generator_matrix": matrix}
+
+
+# edited goldens that a subcommand must refuse just as verify does, before
+# it prints a claim: (file, edit, command, exit code, start of the message)
+READER_EDITS = {
+    "q16-matrix-99-lcd": ("q16.json", _matrix_entry(99), READERS["transform-lcd"],
+                          2, "schema error: "),
+    "q16-matrix-99-selfdual": ("q16.json", _matrix_entry(99),
+                               READERS["transform-selfdual"], 2, "schema error: "),
+    "q16-matrix-99-eaqecc": ("q16.json", _matrix_entry(99), READERS["eaqecc"],
+                             2, "schema error: "),
+    # lcd_transform starts its ladder at the recorded hull; the true one is 2
+    "q64-hull-0-lcd": ("q64.json", {"hull_dim": 0}, READERS["transform-lcd"],
+                       1, "verification failed: hull "),
+    "q16-distance-3-eaqecc": ("q16.json", {"min_distance": 3}, READERS["eaqecc"],
+                              1, "verification failed: min_distance "),
+}
+
+
+@pytest.mark.parametrize("name, edit, command, code, message", READER_EDITS.values(),
+                         ids=READER_EDITS.keys())
+def test_readers_refuse_what_verify_refuses(tmp_path, capsys, name, edit, command,
+                                            code, message):
+    path = _edited_golden(tmp_path, name, edit)
+    capsys.readouterr()
+    assert _read(command, path) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert main(["verify", str(path)]) == code
+
+
 @pytest.mark.parametrize("name, edit", ECHO_EDITS.values(), ids=ECHO_EDITS.keys())
 def test_verify_edited_input_echo_exit_1(tmp_path, capsys, name, edit):
     path = _edited_golden(tmp_path, name, edit)
@@ -410,7 +497,7 @@ def test_verify_huge_k_stops_at_n_equals_2k(tmp_path, capsys):
 
 def test_construct_self_dual_code_with_constant_v(tmp_path, capsys):
     # the four x's form an affine F_2-plane, so h' and v are constant and
-    # the code is self-dual: hull = k, which hull_bound admits
+    # the code is self-dual: hull = k, which only a constant v allows
     out = tmp_path / "c.json"
     assert main(["construct", "--field", FIELD16, "--curve", "1,14,0,0,1",
                  "--k", "4", "--construction", "1", "--out", str(out)]) == 0

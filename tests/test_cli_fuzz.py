@@ -1,9 +1,10 @@
 """Property test: `ellcode verify` on mutated q = 16 certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
-1 invariant failed, 2 usage or schema error), nothing escapes as a
-traceback, and a file that verifies is exactly the canonical serialisation
-of what was read from it and what `construct` writes for its input echo.
+1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
+exit with the same code on the same file, nothing escapes as a traceback,
+and a file that verifies is exactly the canonical serialisation of what
+was read from it and what `construct` writes for its input echo.
 """
 
 import contextlib
@@ -88,17 +89,26 @@ def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _exit_code(argv) -> int:
+    """`main`'s exit code, which a traceback on stderr must not accompany."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
 def _verify_exit_means_what_it_says(work_dir, doc):
-    """Exit 0, 1 or 2 with no traceback; on 0 the file is its own canonical
-    serialisation and what `construct` writes for its input echo."""
+    """Exit 0, 1 or 2 with no traceback, and `eaqecc` and `transform --lcd`
+    exit as `verify` does; on 0 the file is its own canonical serialisation
+    and what `construct` writes for its input echo."""
     text = _canonical(doc)
     path = work_dir / "c.json"
     path.write_text(text)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["verify", str(path)])
+    code = _exit_code(["verify", str(path)])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert _exit_code(["eaqecc", str(path)]) == code
+    assert _exit_code(["transform", str(path), "--lcd"]) == code
     if code == 0:
         cert = IsoDualCertificate.from_json(text)
         assert cert.to_json() == text

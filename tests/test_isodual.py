@@ -277,7 +277,7 @@ def test_invariant_names_unique_and_in_table_order():
                      "points_disjoint_from_G", "matrix_rref",
                      "iso_dual_identity", "scaling_matches_points",
                      "points_match_input", "mds_witness",
-                     "hull", "hull_bound", "length_bound", "min_distance"]
+                     "hull", "length_bound", "min_distance"]
     assert len(set(names)) == len(names)
 
 
@@ -303,8 +303,8 @@ def _replace_at(seq, i, value):
 # order does not.  The others cannot: a point with y = 0, at x(Qa) or in
 # supp(G) is alone on its x, so x_pairs fails before y_nonzero,
 # points_off_qa_x or points_disjoint_from_G; iso_dual_identity holds for
-# the G and v derived from any k pairs {P, -P} off x(Qa), and hull_bound and
-# length_bound for every point set that passes the invariants before them.
+# the G and v derived from any k pairs {P, -P} off x(Qa), and length_bound
+# for every point set that passes the invariants before it.
 TAMPERS = [
     ("construction_matches_field", "cert16", lambda c: {"construction": 2}),
     ("construction_matches_field", "cert25", lambda c: {"construction": 1}),

@@ -1,6 +1,7 @@
 """Checks on the source tree itself: the library names the benchmark wraps
-still exist, no `src/ellcode` module imports a name it never uses, README's
-quick start runs, and the docs list the certificate invariants in order."""
+still exist, no `src/ellcode` module imports a name it never uses, the CLI
+maps errors to exit codes in `main` alone, README's quick start runs, and
+the docs list the certificate invariants in order."""
 
 import ast
 import contextlib
@@ -100,6 +101,35 @@ def test_unused_import_check_flags_and_spares():
 def test_no_unused_imports(name):
     with open(os.path.join(PACKAGE, name)) as handle:
         assert _unused_imports(handle.read()) == []
+
+
+def _try_owners(source: str) -> list[str]:
+    """The top-level function around each `try` of a module, in order;
+    `<module>` for a `try` outside every function."""
+    owners = []
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef)) else "<module>"
+        owners += [name for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Try, ast.TryStar))]
+    return owners
+
+
+def test_try_check_flags_and_spares():
+    source = ("def main():\n"
+              "    try:\n        pass\n    except ValueError:\n        pass\n"
+              "def _cmd_verify(args):\n"
+              "    if args:\n        try:\n            pass\n"
+              "        finally:\n            pass\n"
+              "def _cmd_search(args):\n    return 0\n")
+    assert _try_owners(source) == ["main", "_cmd_verify"]
+
+
+def test_cli_maps_errors_to_exit_codes_in_main_alone():
+    """`main` turns every failure into an exit code; the one other `try`
+    removes `_atomic_write`'s temp file before re-raising."""
+    with open(os.path.join(PACKAGE, "cli.py")) as handle:
+        assert _try_owners(handle.read()) == ["_atomic_write", "main"]
 
 
 def _readme() -> str:
