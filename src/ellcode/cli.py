@@ -31,16 +31,20 @@ EXIT_USAGE = 2
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`;
+    a failure names `path`, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellcode-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellcode-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_certificate(path: str) -> IsoDualCertificate:
@@ -154,24 +158,24 @@ def _cmd_transform(args: argparse.Namespace, cert: IsoDualCertificate) -> int:
         u, code = result
         kind = "lcd"
         hull = 0
-    print(f"{kind}: hull={hull} u={','.join(str(e) for e in u.entries)}")
     if args.out:
         doc = {"transform": kind, "source_certificate_n": cert.n,
                "u": u.entries, "hull_dim": hull,
                "generator_matrix": code.matrix}
         _atomic_write(args.out, isodual.canonical_json(doc))
+    print(f"{kind}: hull={hull} u={','.join(str(e) for e in u.entries)}")
     return EXIT_OK
 
 
 def _cmd_eaqecc(args: argparse.Namespace, *certs: IsoDualCertificate) -> int:
     items = [(cert, eaqecc.derive_from_certificate(cert)) for cert in certs]
-    for cert, params in items:
-        print(f"{params.label()} mds={str(params.mds).lower()}")
     if args.out:
         rows = eaqecc.table_rows(items)
         text = search.rows_to_csv(rows, eaqecc.TABLE_COLUMNS) \
             if args.format == "csv" else search.rows_to_json(rows)
         _atomic_write(args.out, text)
+    for cert, params in items:
+        print(f"{params.label()} mds={str(params.mds).lower()}")
     return EXIT_OK
 
 
@@ -200,13 +204,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         rows = [{"group": f"{d1}x{d2}", "n": args.n,
                  "subset": ";".join(f"{i},{j}" for i, j in combo),
                  "g": f"{g[0]},{g[1]}"} for combo, g in hits]
-        print(f"{len(rows)} counterexample(s)")
         columns = ["group", "n", "subset", "g"]
     if args.out:
         text = search.rows_to_csv(rows, columns) if args.format == "csv" \
             else search.rows_to_json(rows)
         _atomic_write(args.out, text)
-    else:
+    if args.table == "lemma-max":
+        print(f"{len(rows)} counterexample(s)")
+    if not args.out:
         for row in rows:
             print(" ".join(f"{c}={row.get(c)}" for c in columns))
     return EXIT_OK

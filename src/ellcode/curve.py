@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Optional
 
-from .gf import FieldElement, FieldSpec, factorize
+from .gf import _MAX_Q, FieldElement, FieldSpec, factorize
 
 
 class CurveError(ValueError):
@@ -405,12 +405,20 @@ def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> Optional[dict]:
 # admissible group orders (exact characterization over any prime power)
 # ---------------------------------------------------------------------------
 
+def check_field_size(q: int) -> None:
+    """`CurveError` unless q is at most the field-size cap that `FieldSpec`
+    enforces, so no factorization starts on an out-of-range q."""
+    if q > _MAX_Q:
+        raise CurveError(f"q={q} exceeds the supported field size {_MAX_Q}")
+
+
 def feasible_orders(q: int) -> list[tuple[int, int, str]]:
     """Every admissible #E(F_q) = q + 1 - beta with the case that admits it.
 
     Cases (a)-(e) on beta: coprimality with p, and the square/trace
     exceptions depending on the parity of n and p mod 3 / mod 4.
     """
+    check_field_size(q)
     fac = factorize(q)
     if len(fac) != 1:
         raise CurveError(f"q={q} is not a prime power")

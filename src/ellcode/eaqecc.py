@@ -53,13 +53,10 @@ def is_mds_eaqecc(p: EaqeccParams) -> bool:
     return 2 * p.d == p.n - p.k_q + p.c + 2
 
 
-def derive_from_certificate(cert: IsoDualCertificate,
-                            hull_dim: int | None = None) -> EaqeccParams:
-    """Parameters from a verified construction certificate (or a rescaled
-    hull): its n, k, d and hull are taken as recorded."""
-    spec = cert.spec()
-    return derive(cert.n, cert.k, cert.min_distance,
-                  cert.hull_dim if hull_dim is None else hull_dim, spec.q)
+def derive_from_certificate(cert: IsoDualCertificate) -> EaqeccParams:
+    """Parameters from a verified construction certificate: its n, k, d
+    and hull are taken as recorded."""
+    return derive(cert.n, cert.k, cert.min_distance, cert.hull_dim, cert.spec().q)
 
 
 TABLE_COLUMNS = ["q", "n", "k", "d", "hull", "qk", "qd", "c", "mds",

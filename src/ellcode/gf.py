@@ -7,7 +7,9 @@ files, certificates and the command line, so results are bit-reproducible.
 
 Fields are desk-scale: q is at most `_MAX_Q`, checked before any other
 work.  Multiplication runs on exp/log tables built from a fixed primitive
-element.  Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a
+element.  The bootstrap works on plain mod-p coefficient lists with one
+product (`_pp_mulmod`), one square-and-multiply (`_pp_powmod`) and one
+irreducibility test (`_is_irreducible`).  Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a
 q x q table built digit by digit: the table for p^(i+1) is p x p blocks of
 the table for p^i, block (ha, hb) shifted by p^i * ((ha + hb) % p), so each
 row is a rotation of blocks of a smaller row.  Every entry is one of q
@@ -29,18 +31,7 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -60,7 +51,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p) with plain-int coefficients (modulus bootstrap only)
+# polynomials over GF(p) with plain-int coefficients (field bootstrap only)
 # ---------------------------------------------------------------------------
 
 def _pp_trim(f: list[int]) -> list[int]:
@@ -69,7 +60,7 @@ def _pp_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _pp_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
+def _pp_mulmod(f: list[int], g: list[int], mod: Sequence[int], p: int) -> list[int]:
     out = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, fi in enumerate(f):
         if fi:
@@ -78,7 +69,7 @@ def _pp_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
     return _pp_mod(out, mod, p)
 
 
-def _pp_mod(f: list[int], g: list[int], p: int) -> list[int]:
+def _pp_mod(f: list[int], g: Sequence[int], p: int) -> list[int]:
     f = _pp_trim(list(f))
     dg = len(g) - 1
     inv_lead = pow(g[-1], p - 2, p)
@@ -98,44 +89,29 @@ def _pp_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return f
 
 
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exhaustive-style irreducibility test for monic f of degree m <= 8.
+def _pp_powmod(f: list[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    """f^e mod `mod` by square-and-multiply."""
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _pp_mulmod(acc, f, mod, p)
+        f = _pp_mulmod(f, f, mod, p)
+        e >>= 1
+    return acc
 
-    Degree <= 3 is settled by a root search; degrees 4..8 check
-    gcd(f, x^(p^i) - x) = const for i = 1..m//2.
-    """
+
+def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
+    """Rabin's criterion: monic f of degree m is irreducible over GF(p) iff
+    gcd(f, x^(p^i) - x) = 1 for i = 1..m//2, since a reducible f has an
+    irreducible factor of degree i <= m/2, and that factor divides
+    x^(p^i) - x.  Degree 1 runs no round."""
     f = [c % p for c in modulus]
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if m <= 3:
-        for a in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
-        return True
-    # x^(p^i) mod f via repeated Frobenius of x
-    x = [0, 1]
-    xp = x
-    for _ in range(m // 2):
-        # raise to the p-th power by square-and-multiply on exponent p
-        acc = [1]
-        base = xp
-        e = p
-        while e:
-            if e & 1:
-                acc = _pp_mulmod(acc, base, f, p)
-            base = _pp_mulmod(base, base, f, p)
-            e >>= 1
-        xp = acc
-        diff = list(xp)
-        while len(diff) < 2:
-            diff.append(0)
+    xp = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        xp = _pp_powmod(xp, p, f, p)          # x^(p^i) mod f
+        diff = xp + [0] * (2 - len(xp))
         diff[1] = (diff[1] - 1) % p
-        g = _pp_gcd(f, diff, p)
-        if len(g) - 1 >= 1:
+        if len(_pp_gcd(f, diff, p)) > 1:
             return False
     return True
 
@@ -228,46 +204,21 @@ class FieldSpec:
         return enc
 
     def _raw_mul(self, a: int, b: int) -> int:
-        fa, fb = self._coeffs_of(a), self._coeffs_of(b)
-        prod = [0] * (2 * self.m - 1)
-        p = self.p
-        for i, ai in enumerate(fa):
-            if ai:
-                for j, bj in enumerate(fb):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        prod = _pp_mod(prod, list(self.modulus), p)
-        return self._enc_of(prod + [0] * (self.m - len(prod)))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return acc
+        return self._enc_of(_pp_mulmod(self._coeffs_of(a), self._coeffs_of(b),
+                                       self.modulus, self.p))
 
     def _is_primitive(self, enc: int, q1_factors: dict[int, int]) -> bool:
-        if enc == 0:
-            return False
-        for ell in q1_factors:
-            if self._raw_pow(enc, (self.q - 1) // ell) == 1:
-                return False
-        return True
+        a, mod, p = self._coeffs_of(enc), self.modulus, self.p
+        return all(_pp_powmod(a, (self.q - 1) // ell, mod, p) != [1]
+                   for ell in q1_factors)
 
     def _build_tables(self) -> None:
         q, p = self.q, self.p
-        q1_factors = factorize(q - 1) if q > 2 else {}
-        gen = 1
-        if q > 2:
-            gen = 0
-            if self.m >= 2 and self._is_primitive(p, q1_factors):
-                gen = p          # enc(theta) = p: prefer the basis element
-            else:
-                for cand in range(2, q):
-                    if self._is_primitive(cand, q1_factors):
-                        gen = cand
-                        break
+        q1_factors = factorize(q - 1)
+        # the smallest primitive encoding: below p lies GF(p), so for m >= 2
+        # it is theta (enc p) whenever theta is primitive; 1 is primitive
+        # only in GF(2), and gen = 0 fails the cycle check below
+        gen = next((c for c in range(1, q) if self._is_primitive(c, q1_factors)), 0)
         self._gen_enc = gen
         exp = [0] * (q - 1)
         log = [0] * q
@@ -403,8 +354,9 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def generator(self) -> "FieldElement":
-        """The basis element theta when it is primitive, else the smallest
-        primitive encoding.  Its multiplicative order is q - 1 by construction."""
+        """The smallest primitive encoding, which is the basis element theta
+        when theta is primitive.  Its multiplicative order is q - 1 by
+        construction."""
         return FieldElement(self, self._gen_enc)
 
     # -- text format --------------------------------------------------------
@@ -459,10 +411,6 @@ class FieldElement:
     def __init__(self, spec: FieldSpec, enc: int):
         self.spec = spec
         self.enc = enc
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.spec._coeffs_of(self.enc))
 
     def _check(self, other: "FieldElement") -> "FieldElement":
         if not isinstance(other, FieldElement):

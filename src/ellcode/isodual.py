@@ -3,9 +3,10 @@
 Both constructions translate inverse-closed pairs of odd-order points by
 rational 2-torsion and evaluate L((k-1)O + Qa).  Construction 1 (even
 characteristic) translates k pairs by Qa = Q1 = (0, gamma1) and scales by
-v_i = 1/h'(x_i).  Construction 2 (odd characteristic, full rational
-2-torsion) translates k/2 pairs by two 2-torsion points Qa, Qb and scales
-by v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
+v_i = 1/h'(x_i).  Construction 2 (odd characteristic, the curve shape
+y^2 = x^3+a2x^2+a4x+a6 with full rational 2-torsion) translates k/2 pairs
+by two 2-torsion points Qa, Qb and scales by
+v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
 gives `construct` and the verifier Qa and the points; G and v follow from
 those alone, and verify compares the file's matrix and v with them.
 
@@ -326,6 +327,9 @@ def _derive_points(curve: Curve, k: int, construction: int,
     if construction == 1 and (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
         raise ConstructionError(
             "construction 1 needs the curve shape y^2+xy = x^3+a2x^2+a6")
+    if construction == 2 and (curve.a1.enc, curve.a3.enc) != (0, 0):
+        raise ConstructionError(
+            "construction 2 needs the curve shape y^2 = x^3+a2x^2+a4x+a6")
     if k < 2 or k % 2:
         raise ConstructionError(f"k must be even and >= 2, got {k}")
     two_torsion = [p for p in curve.torsion_points(2) if not p.is_infinity]

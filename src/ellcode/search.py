@@ -18,11 +18,12 @@ import io
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
-from typing import Callable, Optional, Sequence
+from math import comb, isqrt
+from typing import Optional, Sequence
 
 from .gf import FieldSpec, factorize
-from .curve import Curve, CurveError, GroupStructure, feasible_orders, odd_part
+from .curve import (Curve, CurveError, GroupStructure, check_field_size,
+                    feasible_orders, odd_part)
 from .code import subset_sum_reachable
 from .isodual import (ConstructionInput, ConstructionError,
                       IsoDualCertificate, canonical_json, construct)
@@ -116,7 +117,10 @@ def bound_table(qs: Sequence[int], achieve: bool = False,
                 progress: bool = False) -> list[BoundTableRow]:
     """One row per q with the attainable bound; optionally run the
     catalogued witness construction (or enumerate, for small q) to fill
-    achieved_n."""
+    achieved_n.  Every q is checked against the field-size cap before
+    any row is computed."""
+    for q in qs:
+        check_field_size(q)
     rows = []
     for q in qs:
         p = next(iter(factorize(q)))
@@ -223,9 +227,7 @@ def _curve_family(q: int):
                     continue
 
 
-def enumerate_curves(q: int,
-                     predicate: Optional[Callable[[Curve, int], bool]] = None,
-                     with_structure: bool = True,
+def enumerate_curves(q: int, with_structure: bool = True,
                      progress: bool = False
                      ) -> list[tuple[Curve, int, Optional[GroupStructure]]]:
     """All nonsingular curves of the canonical families over GF(q)."""
@@ -236,8 +238,6 @@ def enumerate_curves(q: int,
         if progress and i % 500 == 0:
             print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
         order = curve.order()
-        if predicate is not None and not predicate(curve, order):
-            continue
         structure = curve.group_structure() if with_structure else None
         out.append((curve, order, structure))
     return out
@@ -254,6 +254,12 @@ def realized_orders(q: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # maximal-length lemma searcher
 # ---------------------------------------------------------------------------
+
+# `lemma_max_search` refuses larger inputs before it builds any list; one
+# subset costs about 10 us, so the subset cap holds a run near a second
+LEMMA_MAX_GROUP = 64
+LEMMA_MAX_SUBSETS = 10 ** 5
+
 
 def lemma_max_search(g_spec: AbelianGroupSpec, n: int
                      ) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, int]]]:
@@ -274,6 +280,12 @@ def lemma_max_search(g_spec: AbelianGroupSpec, n: int
         raise ValueError("n must be even")
     if not size // 2 + 1 <= n <= size:
         raise ValueError(f"n must lie in [{size // 2 + 1}, {size}]")
+    if size > LEMMA_MAX_GROUP:
+        raise ValueError(f"group order {size} exceeds the lemma search cap "
+                         f"of {LEMMA_MAX_GROUP}")
+    if comb(size, n) > LEMMA_MAX_SUBSETS:
+        raise ValueError(f"C({size}, {n}) = {comb(size, n)} subsets exceed the "
+                         f"lemma search cap of {LEMMA_MAX_SUBSETS}")
     elements = g_spec.elements()
     k = n // 2
     out = []
@@ -295,8 +307,7 @@ def lemma_max_search(g_spec: AbelianGroupSpec, n: int
 # per-curve maximal-length probe
 # ---------------------------------------------------------------------------
 
-def max_length_probe(q: int, curves: Optional[Sequence[Curve]] = None,
-                     progress: bool = False) -> list[dict]:
+def max_length_probe(q: int, curves: Optional[Sequence[Curve]] = None) -> list[dict]:
     """Run every applicable construction size on each curve and confirm
     the produced lengths respect n <= #E / 2."""
     if q > 64:
@@ -304,9 +315,7 @@ def max_length_probe(q: int, curves: Optional[Sequence[Curve]] = None,
     if curves is None:
         curves = [c for c, _, _ in enumerate_curves(q, with_structure=False)]
     rows = []
-    for idx, curve in enumerate(curves):
-        if progress and idx % 50 == 0:
-            print(f"max_length_probe: curve {idx}/{len(curves)}", file=sys.stderr)
+    for curve in curves:
         order = curve.order()
         m = odd_part(order)
         construction = None

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -271,9 +272,14 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     _construct16(cert)
     capsys.readouterr()
     argv = [a.format(cert=cert) for a in argv]
-    assert main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    out = tmp_path / "missing" / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    # nothing is claimed on stdout, and the error names the path given,
+    # not the temp file beside it
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+    assert repr(str(out)) in printed.err
 
 
 def test_transform_selfdual(tmp_path, capsys):
@@ -336,6 +342,36 @@ def test_search_census(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
     assert {r["order"] for r in rows} == set(range(1, 10))
+
+
+# inputs the search must refuse before any work: a q past the field-size
+# cap (trial division would run for hours) and C(40, 22) lemma subsets
+OUT_OF_RANGE_SEARCHES = {
+    "bounds-huge-q": ["--table", "bounds", "--q", "1000000000000000003"],
+    "bounds-huge-q-last": ["--table", "bounds", "--q", "16,1000000000000000003"],
+    "lemma-max-large-group": ["--table", "lemma-max", "--group", "1x40", "--n", "22"],
+    "lemma-max-group-order": ["--table", "lemma-max", "--group", "1x100000000",
+                              "--n", "100000000"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_SEARCHES.values(),
+                         ids=OUT_OF_RANGE_SEARCHES.keys())
+def test_search_out_of_range_input_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(["search", *argv]) == 2
+    assert time.perf_counter() - start < 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and "exceed" in printed.err
+
+
+def test_construct_2_wrong_curve_shape_exit_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["construct", "--field", "p=7,m=1,mod=0,1", "--curve", "1,0,0,6,0",
+                 "--k", "2", "--construction", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: construction 2 needs the curve shape y^2 = x^3+a2x^2+a4x+a6\n"
+    assert not out.exists()
 
 
 def test_search_lemma_max(capsys):

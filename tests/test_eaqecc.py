@@ -61,7 +61,7 @@ def test_construction1_certificates_have_kq_equal_c(cert16):
 
 
 def test_derive_from_certificate_with_override(cert16):
-    p = derive_from_certificate(cert16, hull_dim=2)
+    p = derive(cert16.n, cert16.k, cert16.min_distance, 2, cert16.spec().q)
     assert p.label() == "[[8,2,5;2]]_16"
 
 

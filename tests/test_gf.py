@@ -1,4 +1,7 @@
+import json
+import os
 import random
+from itertools import product
 
 import pytest
 
@@ -191,6 +194,50 @@ def test_root_multiplicity(f25):
     f = gf.poly_mul(gf.poly_mul(lin, lin), (f25.one, f25.one))
     assert gf.root_multiplicity(f, x0) == 2
     assert gf.root_multiplicity(f, f25.element(9)) == 0
+
+
+def _monic(p, m):
+    return [list(c) + [1] for c in product(range(p), repeat=m)]
+
+
+def _poly_product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@pytest.mark.parametrize("p, max_m", [(2, 5), (3, 5), (5, 3), (7, 3)])
+def test_irreducibility_matches_factor_search(p, max_m):
+    # every monic polynomial of degree 1..max_m, reducible exactly when it
+    # is a product of two monic factors of degree >= 1
+    reducible = {tuple(_poly_product(f, g, p))
+                 for d in range(1, max_m) for e in range(d, max_m - d + 1)
+                 for f in _monic(p, d) for g in _monic(p, e)}
+    for m in range(1, max_m + 1):
+        for f in _monic(p, m):
+            assert gf._is_irreducible(f, p) == (tuple(f) not in reducible), f
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+GOLDEN_GENERATORS = {16: 2, 25: 5, 32: 2, 49: 7, 64: 2, 256: 2, 289: 17, 729: 3,
+                     1031: 14}
+
+
+@pytest.mark.parametrize("q, gen", GOLDEN_GENERATORS.items(),
+                         ids=map(str, GOLDEN_GENERATORS))
+def test_golden_field_generators(q, gen):
+    with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
+        spec = FieldSpec.from_string(json.load(fh)["field"])
+    assert spec.q == q and spec.generator().enc == gen
+    assert _mult_order(spec, gen) == q - 1
+
+
+def test_no_primitive_candidate_fails_the_cycle_check(monkeypatch):
+    monkeypatch.setattr(FieldSpec, "_is_primitive", lambda self, enc, factors: False)
+    with pytest.raises(FieldError, match="cycle"):
+        FieldSpec(5, 2, [2, 4, 1])
 
 
 def test_reducible_modulus_rejected():

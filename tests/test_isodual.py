@@ -1,13 +1,14 @@
 import os
 import random
 from functools import reduce
+from itertools import product
 from operator import xor
 from types import SimpleNamespace
 
 import pytest
 
 from ellcode import FieldSpec, funcspace, gf, linalg
-from ellcode.curve import Curve, Point, INFINITY
+from ellcode.curve import Curve, CurveError, Point, INFINITY
 from ellcode.code import CodeError, ScalingVector
 from ellcode import isodual
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
@@ -83,6 +84,28 @@ def test_partial_two_torsion_rejected():
     e = Curve(f7, 0, 0, 0, 1, 1)     # x^3 + x + 1 has no roots mod 7
     with pytest.raises(ConstructionError):
         construct(ConstructionInput(e, 2, 2))
+
+
+def test_construction_2_needs_the_shape_without_a1_a3():
+    # every GF(7) curve with (a1, a3) != (0, 0) and full rational 2-torsion,
+    # at k = 2 and 4: the evaluation rows and the scaling assume the shape
+    # y^2 = x^3 + a2x^2 + a4x + a6, so each is refused up front
+    f7 = FieldSpec(7, 1, [0, 1])
+    tried = 0
+    for a1, a2, a3, a4, a6 in product(range(7), repeat=5):
+        if (a1, a3) == (0, 0):
+            continue
+        try:
+            curve = Curve(f7, a1, a2, a3, a4, a6)
+        except CurveError:
+            continue
+        if len(curve.torsion_points(2)) != 4:
+            continue
+        for k in (2, 4):
+            with pytest.raises(ConstructionError, match="curve shape"):
+                construct(ConstructionInput(curve, k, 2))
+            tried += 1
+    assert tried == 3360
 
 
 def test_pairs_x_validation(e16):

@@ -56,7 +56,7 @@ def test_enumerate_curves_gf4():
 
 
 def test_enumerate_curves_predicate():
-    rows = enumerate_curves(4, predicate=lambda c, n: n == 9)
+    rows = [row for row in enumerate_curves(4) if row[1] == 9]
     assert rows and all(order == 9 for _, order, _ in rows)
 
 
@@ -66,8 +66,8 @@ def test_enumerate_curves_cap():
 
 
 def test_census_gf16_realizes_order_22():
-    rows = enumerate_curves(16, predicate=lambda c, n: n == 22,
-                            with_structure=False)
+    rows = [row for row in enumerate_curves(16, with_structure=False)
+            if row[1] == 22]
     assert rows
     curve, order, _ = rows[0]
     assert order == 22 and curve.order() == 22
