@@ -307,17 +307,12 @@ def _select_pairs(pairs: dict[int, list[Point]], count: int,
 # the construction
 # ---------------------------------------------------------------------------
 
-def _derive_points(curve: Curve, k: int, construction: int,
-                   torsion_choice: Optional[tuple[int, int]],
-                   selection: PairSelection) -> tuple[Point, list[Point]]:
-    """(Qa, points) of a construction input, or `ConstructionError`.
-
-    Construction 1 translates k pairs by Qa = Q1 = (0, gamma1), the
-    only rational 2-torsion point of its curve shape, and selects them by
-    their translated x's.  Construction 2 translates each point of k/2
-    pairs by Qa and by Qb, the 2-torsion points `torsion_choice` names
-    ((1, 2) when None).  The points come back in canonical order.
-    """
+def applicable_two_torsion(curve: Curve, construction: int) -> list[Point]:
+    """The non-identity rational 2-torsion points of a curve the
+    construction can run on, or `ConstructionError`: construction 1 needs
+    characteristic 2 and the shape y^2+xy = x^3+a2x^2+a6, whose one such
+    point is Q1; construction 2 needs odd characteristic, the shape
+    y^2 = x^3+a2x^2+a4x+a6 and all three points Q1, Q2, Q3."""
     if construction not in (1, 2):
         raise ConstructionError(f"construction must be 1 or 2, got {construction}")
     if construction == 1 and curve.spec.p != 2:
@@ -330,9 +325,26 @@ def _derive_points(curve: Curve, k: int, construction: int,
     if construction == 2 and (curve.a1.enc, curve.a3.enc) != (0, 0):
         raise ConstructionError(
             "construction 2 needs the curve shape y^2 = x^3+a2x^2+a4x+a6")
+    two_torsion = [p for p in curve.torsion_points(2) if not p.is_infinity]
+    if construction == 2 and len(two_torsion) != 3:
+        raise ConstructionError("E[2] is not fully rational over this field")
+    return two_torsion
+
+
+def _derive_points(curve: Curve, k: int, construction: int,
+                   torsion_choice: Optional[tuple[int, int]],
+                   selection: PairSelection) -> tuple[Point, list[Point]]:
+    """(Qa, points) of a construction input, or `ConstructionError`.
+
+    Construction 1 translates k pairs by Qa = Q1 = (0, gamma1), the
+    only rational 2-torsion point of its curve shape, and selects them by
+    their translated x's.  Construction 2 translates each point of k/2
+    pairs by Qa and by Qb, the 2-torsion points `torsion_choice` names
+    ((1, 2) when None).  The points come back in canonical order.
+    """
+    two_torsion = applicable_two_torsion(curve, construction)
     if k < 2 or k % 2:
         raise ConstructionError(f"k must be even and >= 2, got {k}")
-    two_torsion = [p for p in curve.torsion_points(2) if not p.is_infinity]
     if construction == 1:
         if torsion_choice is not None:
             raise ConstructionError(
@@ -340,8 +352,6 @@ def _derive_points(curve: Curve, k: int, construction: int,
         qa = two_torsion[0]
         count = k
     else:
-        if len(two_torsion) != 3:
-            raise ConstructionError("E[2] is not fully rational over this field")
         choice = torsion_choice or (1, 2)
         a, b = choice
         if not (1 <= a <= 3 and 1 <= b <= 3 and a != b):

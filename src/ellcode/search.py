@@ -1,6 +1,16 @@
 """Batch curve enumeration, length-bound tables, and the small-group
 searcher for the combinatorial maximal-length lemma.
 
+Every walk of the curve families is bounded by one budget, `WALK_BUDGET`,
+counted in curves walked x q (a point count costs about q).  The census,
+`realized_orders` and the probe walk a whole family, whose size has a
+closed form, and refuse up front with `CurveError` when it passes the
+budget: the largest q they accept is 32 in characteristic 2, 27 in
+characteristic 3 and 113 otherwise.  The witness hunt of an uncatalogued
+q stops at its first success, so it walks at most WALK_BUDGET // q curves.
+Whether a construction applies to a curve is decided by the rules
+`construct` itself enforces, never by a copy of them here.
+
 The length bound per field size is computed from first principles: over
 all admissible group orders (an exact characterization), the even-side
 construction caps at the largest n = 0 mod 4 with n <= oddpart(#E) - 1,
@@ -17,16 +27,17 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .gf import FieldSpec, factorize
+from .gf import FieldSpec, _is_irreducible, factorize
 from .curve import (Curve, CurveError, GroupStructure, check_field_size,
                     feasible_orders, odd_part)
 from .code import subset_sum_reachable
 from .isodual import (ConstructionInput, ConstructionError,
-                      IsoDualCertificate, canonical_json, construct)
+                      IsoDualCertificate, applicable_two_torsion,
+                      canonical_json, construct)
 
 
 @dataclass(frozen=True)
@@ -78,17 +89,11 @@ BOUND_WITNESSES: dict[int, dict] = {
 }
 
 
-def floor_2sqrt(q: int) -> int:
-    """Exact integer floor(2 sqrt(q)) via isqrt(4q); no floating point."""
-    return isqrt(4 * q)
-
-
 def construction_length_cap(q: int, order: int) -> Optional[int]:
     """Largest code length either construction can reach on a curve of the
     given order, or None when neither applies."""
-    p = next(iter(factorize(q)))
     m = odd_part(order)
-    if p == 2:
+    if q % 2 == 0:
         if order % 2:
             return None
         n = (m - 1) - (m - 1) % 4
@@ -116,18 +121,15 @@ def length_bound(q: int) -> tuple[int, int]:
 def bound_table(qs: Sequence[int], achieve: bool = False,
                 progress: bool = False) -> list[BoundTableRow]:
     """One row per q with the attainable bound; optionally run the
-    catalogued witness construction (or enumerate, for small q) to fill
-    achieved_n.  Every q is checked against the field-size cap before
-    any row is computed."""
+    catalogued witness construction (or hunt for one within the walk
+    budget) to fill achieved_n.  Every q is checked against the field-size
+    cap before any row is computed."""
     for q in qs:
         check_field_size(q)
     rows = []
     for q in qs:
-        p = next(iter(factorize(q)))
-        if p == 2:
-            case = "even-square" if isqrt(q) ** 2 == q else "even-nonsquare"
-        else:
-            case = "odd"
+        case = "odd" if q % 2 else \
+            "even-square" if isqrt(q) ** 2 == q else "even-nonsquare"
         bound, order = length_bound(q)
         achieved = None
         witness = None
@@ -141,55 +143,39 @@ def bound_table(qs: Sequence[int], achieve: bool = False,
 
 
 def _achieve(q: int, bound: int, order: int) -> IsoDualCertificate:
+    """The catalogued witness, or else the first curve of the attaining
+    order on which `construct` succeeds, among the first WALK_BUDGET // q
+    curves of the family."""
+    construction = 1 if q % 2 == 0 else 2
     entry = BOUND_WITNESSES.get(q)
     if entry is not None:
-        spec = FieldSpec.from_string(entry["field"])
-        curve = Curve.from_string(spec, entry["curve"])
-    else:
-        curve = _find_curve_with_order(q, order)
-    construction = 1 if curve.spec.p == 2 else 2
-    cert = construct(ConstructionInput(curve, bound // 2, construction))
-    if cert.n != bound:
-        raise ConstructionError(f"witness length {cert.n} != bound {bound}")
-    return cert
-
-
-def _find_curve_with_order(q: int, order: int) -> Curve:
-    if q > ENUMERATION_CAP:
-        raise CurveError(f"no catalogued witness for q={q} and enumeration "
-                         f"is capped at q <= {ENUMERATION_CAP}")
-    for curve in _curve_family(q):
+        curve = Curve.from_string(FieldSpec.from_string(entry["field"]), entry["curve"])
+        return construct(ConstructionInput(curve, bound // 2, construction))
+    for curve in islice(_curve_family(q), WALK_BUDGET // q):
         if curve.order() == order:
-            return curve
-    raise CurveError(f"no enumerated curve over GF({q}) has order {order}")
+            try:
+                return construct(ConstructionInput(curve, bound // 2, construction))
+            except ConstructionError:
+                continue
+    raise CurveError(f"no curve of order {order} among the first {WALK_BUDGET // q} "
+                     f"over GF({q}) reaches n = {bound} (walk budget {WALK_BUDGET})")
 
 
 # ---------------------------------------------------------------------------
 # curve enumeration
 # ---------------------------------------------------------------------------
 
-ENUMERATION_CAP = 512
+# curves walked x q: the q = 113 census (1.44e6) takes about 18 s on 2
+# cores; the longest witness hunt, q = 449, walks 2,744 of its 3,340 curves
+WALK_BUDGET = 1_500_000
 
 
 def _default_spec(q: int) -> FieldSpec:
-    """Smallest-encoding irreducible monic modulus for GF(q)."""
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise CurveError(f"q={q} is not a prime power")
-    (p, m), = fac.items()
-    if m == 1:
-        return FieldSpec(p, 1, [0, 1])
-    from .gf import _is_irreducible
-    for mask in range(p ** m):
-        coeffs = []
-        val = mask
-        for _ in range(m):
-            coeffs.append(val % p)
-            val //= p
-        mod = coeffs + [1]
-        if _is_irreducible(mod, p):
-            return FieldSpec(p, m, mod)
-    raise CurveError(f"no irreducible modulus found for GF({q})")
+    """Smallest-encoding irreducible monic modulus for GF(q), q a prime power
+    (x itself when q is prime)."""
+    (p, m), = factorize(q).items()
+    mods = ([enc // p ** i % p for i in range(m)] + [1] for enc in range(p ** m))
+    return FieldSpec(p, m, next(mod for mod in mods if _is_irreducible(mod, p)))
 
 
 def _curve_family(q: int):
@@ -227,14 +213,27 @@ def _curve_family(q: int):
                     continue
 
 
+def _whole_family(q: int):
+    """The walk of `_curve_family(q)`, or `CurveError` before any work when
+    its closed-form size x q passes `WALK_BUDGET`."""
+    check_field_size(q)
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise CurveError(f"q={q} is not a prime power")
+    p = next(iter(fac))
+    size = (q - 1) * q * (q + 1) if p == 2 else q ** 3 if p == 3 else q ** 2
+    if size * q > WALK_BUDGET:
+        raise CurveError(f"walking the {size} curves over GF({q}) costs {size} x {q} "
+                         f"= {size * q}, which exceeds the walk budget {WALK_BUDGET}")
+    return _curve_family(q)
+
+
 def enumerate_curves(q: int, with_structure: bool = True,
                      progress: bool = False
                      ) -> list[tuple[Curve, int, Optional[GroupStructure]]]:
     """All nonsingular curves of the canonical families over GF(q)."""
-    if q > ENUMERATION_CAP:
-        raise CurveError(f"enumeration cap is q <= {ENUMERATION_CAP}")
     out = []
-    for i, curve in enumerate(_curve_family(q)):
+    for i, curve in enumerate(_whole_family(q)):
         if progress and i % 500 == 0:
             print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
         order = curve.order()
@@ -245,10 +244,7 @@ def enumerate_curves(q: int, with_structure: bool = True,
 
 def realized_orders(q: int) -> list[int]:
     """Orders attained by the enumerated families, sorted and deduplicated."""
-    seen = set()
-    for curve in _curve_family(q):
-        seen.add(curve.order())
-    return sorted(seen)
+    return sorted({curve.order() for curve in _whole_family(q)})
 
 
 # ---------------------------------------------------------------------------
@@ -308,39 +304,33 @@ def lemma_max_search(g_spec: AbelianGroupSpec, n: int
 # ---------------------------------------------------------------------------
 
 def max_length_probe(q: int, curves: Optional[Sequence[Curve]] = None) -> list[dict]:
-    """Run every applicable construction size on each curve and confirm
-    the produced lengths respect n <= #E / 2."""
-    if q > 64:
-        raise CurveError("probe cap is q <= 64")
+    """Run `construct` at every k = 2, 4, ... < oddpart(#E) on each curve
+    (the family over GF(q) when none are given) and confirm the lengths it
+    accepts respect n <= #E / 2.  A curve is applicable when its
+    characteristic's construction can run on it at all."""
     if curves is None:
-        curves = [c for c, _, _ in enumerate_curves(q, with_structure=False)]
+        curves = _whole_family(q)
     rows = []
     for curve in curves:
         order = curve.order()
-        m = odd_part(order)
-        construction = None
-        if curve.spec.p == 2:
-            if (curve.a1.enc, curve.a3.enc, curve.a4.enc) == (1, 0, 0) \
-                    and order % 2 == 0:
-                construction = 1
-                ks = [k for k in range(2, (m - 1) // 2 + 1, 2)]
-        else:
-            if len(curve.torsion_points(2)) == 4:
-                construction = 2
-                ks = [k for k in range(2, m, 2)]
+        construction = 1 if curve.spec.p == 2 else 2
+        try:
+            applicable_two_torsion(curve, construction)
+            applicable = True
+        except ConstructionError:
+            applicable = False
         row = {"field": curve.spec.to_string(), "curve": curve.to_string(),
-               "order": order, "applicable": construction is not None,
+               "order": order, "applicable": applicable,
                "max_n": None, "bound": order // 2, "ok": True, "certificates": 0}
-        if construction is not None:
-            for k in ks:
-                try:
-                    cert = construct(ConstructionInput(curve, k, construction))
-                except ConstructionError:
-                    continue
-                row["certificates"] += 1
-                row["max_n"] = max(row["max_n"] or 0, cert.n)
-                if cert.n > order // 2:
-                    row["ok"] = False
+        for k in range(2, odd_part(order), 2) if applicable else ():
+            try:
+                cert = construct(ConstructionInput(curve, k, construction))
+            except ConstructionError:
+                continue
+            row["certificates"] += 1
+            row["max_n"] = max(row["max_n"] or 0, cert.n)
+            if cert.n > order // 2:
+                row["ok"] = False
         rows.append(row)
     return rows
 

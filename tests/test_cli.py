@@ -336,6 +336,14 @@ def test_search_bounds_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_search_bounds_achieve_uncatalogued_q(capsys):
+    # the first curve of order 12 over GF(11) has one rational 2-torsion
+    # point, so the witness is the first one construction 2 runs on
+    assert main(["search", "--table", "bounds", "--q", "11", "--achieve"]) == 0
+    assert capsys.readouterr().out == \
+        "q=11 case=odd bound_n=4 achieved_n=4 witness=p=11,m=1,mod=0,1;0,0,0,2,0;k=2\n"
+
+
 def test_search_census(tmp_path):
     out = tmp_path / "census.json"
     assert main(["search", "--table", "census", "--q", "4",
@@ -345,10 +353,12 @@ def test_search_census(tmp_path):
 
 
 # inputs the search must refuse before any work: a q past the field-size
-# cap (trial division would run for hours) and C(40, 22) lemma subsets
+# cap (trial division would run for hours), a census whose curve family
+# times q passes the walk budget and C(40, 22) lemma subsets
 OUT_OF_RANGE_SEARCHES = {
     "bounds-huge-q": ["--table", "bounds", "--q", "1000000000000000003"],
     "bounds-huge-q-last": ["--table", "bounds", "--q", "16,1000000000000000003"],
+    **{f"census-{q}": ["--table", "census", "--q", str(q)] for q in (64, 81, 128, 256)},
     "lemma-max-large-group": ["--table", "lemma-max", "--group", "1x40", "--n", "22"],
     "lemma-max-group-order": ["--table", "lemma-max", "--group", "1x100000000",
                               "--n", "100000000"],

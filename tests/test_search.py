@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
+from ellcode import search
 from ellcode.curve import Curve, CurveError, feasible_orders
 from ellcode.search import (AbelianGroupSpec, bound_table, enumerate_curves,
-                            floor_2sqrt, lemma_max_search, length_bound,
+                            lemma_max_search, length_bound,
                             max_length_probe, realized_orders, rows_to_csv,
                             rows_to_json)
 
@@ -17,16 +20,6 @@ def test_bound_table_reference_values():
     assert cases[25] == "odd"
 
 
-def test_floor_2sqrt_integer_exact():
-    assert floor_2sqrt(16) == 8
-    assert floor_2sqrt(32) == 11
-    assert floor_2sqrt(49) == 14
-    assert floor_2sqrt(289) == 34
-    # perfect squares must not suffer float rounding
-    for s in range(1, 60):
-        assert floor_2sqrt(s * s) == 2 * s
-
-
 def test_length_bound_returns_attaining_order():
     bound, order = length_bound(49)
     assert bound == 28 and order == 60
@@ -39,6 +32,21 @@ def test_bound_achieved_small():
     row = rows[0]
     assert row.achieved_n == row.bound_n == 8
     assert row.witness is not None and row.witness.n == 8
+
+
+@pytest.mark.parametrize("q", [11, 17, 23, 83])
+def test_bound_achieved_where_the_first_curve_of_the_order_lacks_e2(q):
+    # the first curve of the attaining order has no full rational E[2], so
+    # the hunt must go on to the first curve construction 2 runs on
+    row, = bound_table([q], achieve=True)
+    assert row.achieved_n == row.bound_n
+    assert row.witness.curve().order() == length_bound(q)[1]
+
+
+def test_witness_hunt_stops_at_the_walk_budget(monkeypatch):
+    monkeypatch.setattr(search, "WALK_BUDGET", 11 * 10)
+    with pytest.raises(CurveError, match="walk budget"):
+        bound_table([11], achieve=True)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -139,6 +147,25 @@ def test_max_length_probe_single_curve(e16):
 def test_probe_cap():
     with pytest.raises(CurveError):
         max_length_probe(128)
+
+
+@pytest.mark.parametrize("walk", [realized_orders, max_length_probe, enumerate_curves])
+def test_whole_family_walks_refuse_past_the_budget_at_once(walk):
+    # GF(64) has 262,080 curves in its family, 1.7e7 curves x q
+    start = time.perf_counter()
+    with pytest.raises(CurveError, match="exceeds the walk budget"):
+        walk(64)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q, curves, applicable, certificates",
+                         [(8, 504, 56, 16), (9, 648, 84, 36), (13, 156, 22, 14),
+                          (17, 272, 40, 40)])
+def test_max_length_probe_totals(q, curves, applicable, certificates):
+    rows = max_length_probe(q)
+    assert len(rows) == curves
+    assert sum(row["applicable"] for row in rows) == applicable
+    assert sum(row["certificates"] for row in rows) == certificates
 
 
 def test_report_writers():
