@@ -2,14 +2,12 @@
 searcher for the combinatorial maximal-length lemma.
 
 Every walk of the curve families is bounded by one budget, `WALK_BUDGET`,
-counted in curves walked x q (a point count costs about q).  The census,
-`realized_orders` and the probe walk a whole family, whose size has a
-closed form, and refuse up front with `CurveError` when it passes the
-budget: the largest q they accept is 32 in characteristic 2, 27 in
-characteristic 3 and 113 otherwise.  The witness hunt of an uncatalogued
-q stops at its first success, so it walks at most WALK_BUDGET // q curves.
-Whether a construction applies to a curve is decided by the rules
-`construct` itself enforces, never by a copy of them here.
+counted in curves walked x q (a point count costs about q); the census
+and `realized_orders` accept q up to 32, 27 and 113 in characteristic 2,
+3 and above, and the probe, charged q x q per curve, up to 16, 9 and 31.
+The witness hunt walks at most WALK_BUDGET // q curves and runs only for
+q <= HUNT_MAX_Q.  Whether a construction applies to a curve is decided
+by the rules `construct` itself enforces, never by a copy of them here.
 
 The length bound per field size is computed from first principles: over
 all admissible group orders (an exact characterization), the even-side
@@ -93,29 +91,20 @@ def construction_length_cap(q: int, order: int) -> Optional[int]:
     """Largest code length either construction can reach on a curve of the
     given order, or None when neither applies."""
     m = odd_part(order)
-    if q % 2 == 0:
-        if order % 2:
-            return None
-        n = (m - 1) - (m - 1) % 4
-        return n if n >= 4 else None
-    if order % 4:
+    if order % (4 if q % 2 else 2):
         return None
-    n = 2 * m - 2
+    n = 2 * m - 2 if q % 2 else (m - 1) - (m - 1) % 4
     return n if n >= 4 else None
 
 
 def length_bound(q: int) -> tuple[int, int]:
     """(bound_n, order attaining it) maximized over admissible orders."""
-    best = None
-    best_order = None
-    for order, _beta, _case in feasible_orders(q):
-        cap = construction_length_cap(q, order)
-        if cap is not None and (best is None or cap > best
-                                or (cap == best and order < best_order)):
-            best, best_order = cap, order
-    if best is None:
+    caps = [(cap, -order) for order, _beta, _case in feasible_orders(q)
+            if (cap := construction_length_cap(q, order)) is not None]
+    if not caps:
         raise CurveError(f"no admissible order over GF({q}) supports a construction")
-    return best, best_order
+    best, neg_order = max(caps)
+    return best, -neg_order
 
 
 def bound_table(qs: Sequence[int], achieve: bool = False,
@@ -123,22 +112,24 @@ def bound_table(qs: Sequence[int], achieve: bool = False,
     """One row per q with the attainable bound; optionally run the
     catalogued witness construction (or hunt for one within the walk
     budget) to fill achieved_n.  Every q is checked against the field-size
-    cap before any row is computed."""
+    cap, and with achieve an uncatalogued q against `HUNT_MAX_Q`, before
+    any row is computed."""
     for q in qs:
         check_field_size(q)
+        if achieve and q not in BOUND_WITNESSES and q > HUNT_MAX_Q:
+            raise CurveError(f"q={q} has no catalogued witness and exceeds the "
+                             f"witness hunt's range q <= {HUNT_MAX_Q}")
     rows = []
     for q in qs:
         case = "odd" if q % 2 else \
             "even-square" if isqrt(q) ** 2 == q else "even-nonsquare"
         bound, order = length_bound(q)
-        achieved = None
         witness = None
         if achieve:
             if progress:
                 print(f"bound_table: constructing witness for q={q}", file=sys.stderr)
             witness = _achieve(q, bound, order)
-            achieved = witness.n
-        rows.append(BoundTableRow(q, case, bound, achieved, witness))
+        rows.append(BoundTableRow(q, case, bound, witness and witness.n, witness))
     return rows
 
 
@@ -169,6 +160,11 @@ def _achieve(q: int, bound: int, order: int) -> IsoDualCertificate:
 # cores; the longest witness hunt, q = 449, walks 2,744 of its 3,340 curves
 WALK_BUDGET = 1_500_000
 
+# the walk budget does not count the hunt's witness construct, which grows
+# faster than n^2 (0.12 s at n = 140, 0.6 s at n = 272); every uncatalogued
+# q <= 512 hunts in under 4 s, and bound_table refuses a larger one at once
+HUNT_MAX_Q = 512
+
 
 def _default_spec(q: int) -> FieldSpec:
     """Smallest-encoding irreducible monic modulus for GF(q), q a prime power
@@ -196,35 +192,34 @@ def _curve_family(q: int):
             for a4 in range(q):
                 for a6 in range(q):
                     yield Curve(spec, 0, 0, a3, a4, a6)
-    elif p == 3:
-        for a2 in range(q):
+    else:
+        for a2 in range(q if p == 3 else 1):
             for a4 in range(q):
                 for a6 in range(q):
                     try:
                         yield Curve(spec, 0, a2, 0, a4, a6)
                     except CurveError:
                         continue
-    else:
-        for a4 in range(q):
-            for a6 in range(q):
-                try:
-                    yield Curve(spec, 0, 0, 0, a4, a6)
-                except CurveError:
-                    continue
 
 
-def _whole_family(q: int):
+def _charge(q: int, curves: int, curve_cost: int) -> None:
+    """`CurveError` when `curves` x `curve_cost` passes `WALK_BUDGET`."""
+    if curves * curve_cost > WALK_BUDGET:
+        raise CurveError(f"walking {curves} curves over GF({q}) costs {curves} x "
+                         f"{curve_cost} = {curves * curve_cost}, which exceeds the "
+                         f"walk budget {WALK_BUDGET}")
+
+
+def _whole_family(q: int, curve_cost: int):
     """The walk of `_curve_family(q)`, or `CurveError` before any work when
-    its closed-form size x q passes `WALK_BUDGET`."""
+    its closed-form size x curve_cost passes `WALK_BUDGET`."""
     check_field_size(q)
     fac = factorize(q)
     if len(fac) != 1:
         raise CurveError(f"q={q} is not a prime power")
     p = next(iter(fac))
-    size = (q - 1) * q * (q + 1) if p == 2 else q ** 3 if p == 3 else q ** 2
-    if size * q > WALK_BUDGET:
-        raise CurveError(f"walking the {size} curves over GF({q}) costs {size} x {q} "
-                         f"= {size * q}, which exceeds the walk budget {WALK_BUDGET}")
+    _charge(q, (q - 1) * q * (q + 1) if p == 2 else q ** 3 if p == 3 else q ** 2,
+            curve_cost)
     return _curve_family(q)
 
 
@@ -233,18 +228,17 @@ def enumerate_curves(q: int, with_structure: bool = True,
                      ) -> list[tuple[Curve, int, Optional[GroupStructure]]]:
     """All nonsingular curves of the canonical families over GF(q)."""
     out = []
-    for i, curve in enumerate(_whole_family(q)):
+    for i, curve in enumerate(_whole_family(q, q)):
         if progress and i % 500 == 0:
             print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
-        order = curve.order()
-        structure = curve.group_structure() if with_structure else None
-        out.append((curve, order, structure))
+        out.append((curve, curve.order(),
+                    curve.group_structure() if with_structure else None))
     return out
 
 
 def realized_orders(q: int) -> list[int]:
     """Orders attained by the enumerated families, sorted and deduplicated."""
-    return sorted({curve.order() for curve in _whole_family(q)})
+    return sorted({curve.order() for curve in _whole_family(q, q)})
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +302,12 @@ def max_length_probe(q: int, curves: Optional[Sequence[Curve]] = None) -> list[d
     (the family over GF(q) when none are given) and confirm the lengths it
     accepts respect n <= #E / 2.  A curve is applicable when its
     characteristic's construction can run on it at all."""
+    # a point count and up to q/2 constructs per curve are charged q x q:
+    # the largest probe accepted, q = 31, takes 3.7 s
     if curves is None:
-        curves = _whole_family(q)
+        curves = _whole_family(q, q * q)
+    else:
+        _charge(q, len(curves), q * q)
     rows = []
     for curve in curves:
         order = curve.order()

@@ -353,11 +353,14 @@ def test_search_census(tmp_path):
 
 
 # inputs the search must refuse before any work: a q past the field-size
-# cap (trial division would run for hours), a census whose curve family
-# times q passes the walk budget and C(40, 22) lemma subsets
+# cap (trial division would run for hours), an uncatalogued witness past
+# the hunt's range (q = 8839 would construct n = 4512), a census whose
+# curve family times q passes the walk budget and C(40, 22) lemma subsets
 OUT_OF_RANGE_SEARCHES = {
     "bounds-huge-q": ["--table", "bounds", "--q", "1000000000000000003"],
     "bounds-huge-q-last": ["--table", "bounds", "--q", "16,1000000000000000003"],
+    "bounds-achieve-8839": ["--table", "bounds", "--q", "8839", "--achieve"],
+    "bounds-achieve-8839-last": ["--table", "bounds", "--q", "16,8839", "--achieve"],
     **{f"census-{q}": ["--table", "census", "--q", str(q)] for q in (64, 81, 128, 256)},
     "lemma-max-large-group": ["--table", "lemma-max", "--group", "1x40", "--n", "22"],
     "lemma-max-group-order": ["--table", "lemma-max", "--group", "1x100000000",

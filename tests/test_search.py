@@ -43,6 +43,15 @@ def test_bound_achieved_where_the_first_curve_of_the_order_lacks_e2(q):
     assert row.witness.curve().order() == length_bound(q)[1]
 
 
+@pytest.mark.parametrize("qs", [[521], [16, 8839]])
+def test_witness_hunt_refuses_past_its_range_at_once(qs):
+    start = time.perf_counter()
+    with pytest.raises(CurveError, match="witness hunt's range"):
+        bound_table(qs, achieve=True)
+    assert time.perf_counter() - start < 1
+    assert bound_table(qs)[-1].bound_n > 0
+
+
 def test_witness_hunt_stops_at_the_walk_budget(monkeypatch):
     monkeypatch.setattr(search, "WALK_BUDGET", 11 * 10)
     with pytest.raises(CurveError, match="walk budget"):
@@ -68,9 +77,18 @@ def test_enumerate_curves_predicate():
     assert rows and all(order == 9 for _, order, _ in rows)
 
 
+def _refused_at_once(walk, q):
+    start = time.perf_counter()
+    with pytest.raises(CurveError, match="exceeds the walk budget"):
+        walk(q)
+    assert time.perf_counter() - start < 1
+
+
 def test_enumerate_curves_cap():
-    with pytest.raises(CurveError):
-        enumerate_curves(1024)
+    # GF(64) has 262,080 curves in its family, 1.7e7 curves x q
+    for walk in (enumerate_curves, realized_orders):
+        _refused_at_once(walk, 64)
+        _refused_at_once(walk, 1024)
 
 
 def test_census_gf16_realizes_order_22():
@@ -144,18 +162,13 @@ def test_max_length_probe_single_curve(e16):
     assert row["ok"]
 
 
-def test_probe_cap():
-    with pytest.raises(CurveError):
-        max_length_probe(128)
-
-
-@pytest.mark.parametrize("walk", [realized_orders, max_length_probe, enumerate_curves])
-def test_whole_family_walks_refuse_past_the_budget_at_once(walk):
-    # GF(64) has 262,080 curves in its family, 1.7e7 curves x q
-    start = time.perf_counter()
+def test_probe_cap(e25):
+    # each curve is charged q x q: 37^2 curves x 37^2 = 1.87e6
+    for q in (37, 64, 128):
+        _refused_at_once(max_length_probe, q)
+    # 2,500 given curves x 25^2 = 1.56e6
     with pytest.raises(CurveError, match="exceeds the walk budget"):
-        walk(64)
-    assert time.perf_counter() - start < 1
+        max_length_probe(25, curves=[e25] * 2500)
 
 
 @pytest.mark.parametrize("q, curves, applicable, certificates",
