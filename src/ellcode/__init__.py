@@ -4,7 +4,8 @@ Modules
 -------
 gf         exact GF(p) / GF(p^m) arithmetic in a fixed polynomial basis
 curve      Weierstrass curves: group law, enumeration, orders, structure
-funcspace  divisors, rational functions, valuations, Riemann-Roch bases
+funcspace  divisors, rational functions, valuations, Riemann-Roch bases,
+           the closed-form systematic generator and moment Grams
 code       linear codes: duals, hulls, distances, the subset-sum certifier
 isodual    the constructions, certificates, self-dual / LCD scalings
 eaqecc     entanglement-assisted quantum code parameters

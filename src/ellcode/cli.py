@@ -190,11 +190,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elif args.table == "census":
         if not args.q:
             raise ValueError("--q is required for the census table")
-        rows = []
-        for q in _int_list(args.q):
-            for curve, order, structure in search.enumerate_curves(q, progress=True):
-                rows.append({"q": q, "curve": curve.to_string(), "order": order,
-                             "d1": structure.d1, "d2": structure.d2})
+        rows = search.census_rows(_int_list(args.q), progress=True)
         columns = ["q", "curve", "order", "d1", "d2"]
     else:
         if not args.group or args.n is None:

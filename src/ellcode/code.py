@@ -128,10 +128,14 @@ class LinearCode:
             raise CodeError("codes must share field and length")
         return self.matrix == other.matrix
 
-    def hull_dim(self) -> int:
-        """dim(C n C-perp) = k - rank(G G^T), cross-checked against
-        `stacked_hull_dim` at w = 1."""
-        h = self.k - linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
+    def hull_dim(self, gram: Optional[list[list[int]]] = None) -> int:
+        """dim(C n C-perp) = k - rank(B B^T) for the rows B of any basis of
+        C, cross-checked against `stacked_hull_dim` at w = 1.  `gram` is
+        that B B^T, G G^T when None; a caller with another basis (the
+        point moments of `isodual`) makes the two routes independent."""
+        if gram is None:
+            gram = linalg.gram(self.matrix, self.spec)
+        h = self.k - linalg.rank(gram, self.spec)
         h2 = self.stacked_hull_dim()
         if h != h2:
             raise CodeError(f"hull computations disagree: {h} vs {h2}")

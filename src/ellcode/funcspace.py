@@ -3,6 +3,13 @@
 The only Riemann-Roch spaces materialized are the ones both constructions
 need, L((k-1)O + Q) for a rational 2-torsion point Q, via closed-form bases;
 their evaluations at the code's points come in closed form too, on encodings.
+Two closed forms serve `isodual`'s construct and verify, with no k^3
+elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
+when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
+of the Cauchy systematic form of GRS codes), and `basis_gram`, the Gram
+matrix of the evaluated basis under weights w from the 3(k-1) point
+moments sum_j w_j u_j^e x_j^t.  `rr_basis_rows` and `linalg` are their
+test references.
 Valuations at affine points use the conjugate-norm technique: for
 g = a + b y the product with its involution image is a polynomial in x
 alone, whose root multiplicity at x(P) settles v_P(g) exactly, with no
@@ -12,7 +19,7 @@ local power-series machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import gf
 from .gf import FieldElement, Poly
@@ -249,20 +256,15 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
     return RRBasis(g, tuple(funcs), tuple(range(k)))
 
 
-def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
-    """The functions of an `rr_basis` result evaluated at the points, as
-    encodings.
-
-    One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
-    a column costs one inverse for u(P) and a running power of x(P).  A
-    point where u has a pole raises `FunctionError`, as in `evaluate`, the
-    reference the rows are tested against.
-    """
+def _u_values(basis: RRBasis, points: Sequence[Point]) -> list[int]:
+    """u(P) at each point, as encodings: u = (y - gamma1)/x in
+    characteristic 2 and y/(x - beta) otherwise.  The place at infinity,
+    or a point where u has a pole (x = x(Q), that is P = Q), raises
+    `FunctionError`, as in `evaluate`."""
     spec = basis.divisor.curve.spec
     q2 = basis.divisor.support()[1]         # (0, gamma1) or (beta, 0)
-    mul, sub = spec.mul_enc, spec.sub_enc
-    k = len(basis.functions)
-    rows: list[list[int]] = [[] for _ in range(k)]
+    mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
+    out = []
     for p in points:
         if p.is_infinity:
             raise FunctionError("cannot evaluate at the place at infinity")
@@ -273,13 +275,132 @@ def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
             num, den = y, sub(x, q2.x.enc)
         if den == 0:
             raise FunctionError(f"pole or indeterminacy at {p} (denominator vanishes)")
-        u = mul(num, spec.inv_enc(den))
-        power = 1
+        out.append(mul(num, inv(den)))
+    return out
+
+
+def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
+    """The functions of an `rr_basis` result evaluated at the points, as
+    encodings.
+
+    One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
+    a column costs one inverse for u(P) and a running power of x(P).  A
+    point where u has a pole raises `FunctionError`, as in `evaluate`, the
+    reference the rows are tested against.
+    """
+    mul = basis.divisor.curve.spec.mul_enc
+    k = len(basis.functions)
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for p, u in zip(points, _u_values(basis, points)):
+        x, power = p.x.enc, 1
         for i in range(0, k, 2):
             rows[i].append(power)
             rows[i + 1].append(mul(u, power))
             power = mul(power, x)
     return rows
+
+
+def systematic_rows(basis: RRBasis,
+                    points: Sequence[Point]) -> Optional[list[list[int]]]:
+    """The RREF [I | A] of `rr_basis_rows(basis, points)` in closed form, or
+    None where the closed form does not apply.
+
+    It applies when the first k points are k/2 whole pairs {P, -P}: two
+    points on each of k/2 x's alpha_r, with distinct u, and no later point
+    on an alpha_r.  Row i is f_i / f_i(P_i) with
+
+        f_i = prod_{r != r(i)} (x - alpha_r) * (u - u(P_i')),
+
+    where P_i' = -P_i is P_i's partner.  u - u(-P_i) is l_i / (x - x(Q)),
+    l_i the line through Q and -P_i, whose third zero is P_i + Q.  So
+    div f_i = sum_{l <= k, l != i} P_l + (P_i + Q) - Q - (k-1) O: f_i lies
+    in L(G), vanishes on the other first points and not on P_i.  As
+    sum_{l <= k} P_l = O and Q != O, L(G - sum P_l) = 0, so the first k
+    columns are independent and [I | A] is the RREF.  f_i is written in
+    the basis, so the rows span the rows of `rr_basis_rows` for any
+    points, on the curve or not.  In logs, entry (i, j) after the first k
+    columns is the column factor prod_r (x_j - alpha_r) over
+    x_j - alpha_r(i), times u_j - u(P_i'), over f_i(P_i).  A point at a
+    pole of u raises `FunctionError`, as in `rr_basis_rows`.
+    """
+    spec = basis.divisor.curve.spec
+    k = len(basis.functions)
+    us = _u_values(basis, points)
+    xs = [p.x.enc for p in points]
+    pairs: dict[int, list[int]] = {}
+    for i, x in enumerate(xs[:k]):
+        pairs.setdefault(x, []).append(i)
+    if len(pairs) != k // 2 or any(len(g) != 2 or us[g[0]] == us[g[1]]
+                                   for g in pairs.values()):
+        return None
+    sub, log, exp, q1 = spec.sub_enc, spec._log, spec._exp, spec.q - 1
+    alphas = list(pairs)
+    # diff[r][c]: x_j - alpha_r for the c-th point after the first k
+    diff = [[sub(x, a) for x in xs[k:]] for a in alphas]
+    if any(0 in row for row in diff):
+        return None
+    ldiff = [[log[d] for d in row] for row in diff]
+    column = [sum(col) for col in zip(*ldiff)]
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for r, a in enumerate(alphas):
+        # log of prod_{r' != r} (alpha_r - alpha_r')
+        lh = sum(log[sub(a, b)] for b in alphas if b != a)
+        base = [c - d for c, d in zip(column, ldiff[r])]
+        for i, partner in (pairs[a], pairs[a][::-1]):
+            up = us[partner]
+            lead = lh + log[sub(us[i], up)]
+            rows[i] += [exp[(b + log[d] - lead) % q1] if d else 0
+                        for b, d in zip(base, [sub(u, up) for u in us[k:]])]
+    return rows
+
+
+def basis_gram(basis: RRBasis, points: Sequence[Point],
+               w: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """`linalg.gram(rr_basis_rows(basis, points), spec, w)` from point
+    moments: the entry of basis functions u^e x^a and u^e' x^a' is
+    S[e + e'][a + a'], with S[e][t] = sum_j w_j u_j^e x_j^t for e <= 2 and
+    t <= k - 2.  Points on one x share their powers, so the 3(k - 1)
+    moments cost 3(k - 1) terms per distinct x.  Rows and columns follow
+    the basis order 1, u, x, u x, ...; w is all 1 when None.  A point at a
+    pole of u raises `FunctionError`, as in `rr_basis_rows`.
+
+    By the residue theorem sum_j v_j (f g)(P_j) = 0 for f, g in L(G) when
+    v is the iso-dual scaling, so every moment at w = v is 0."""
+    spec = basis.divisor.curve.spec
+    k = len(basis.functions)
+    add, mul, log, exp2 = spec.add_enc, spec.mul_enc, spec._log, spec._exp2
+    addt, q1 = spec._addt, spec.q - 1
+    # per distinct x: sum of w_j u_j^e over the points on it, e = 0, 1, 2
+    weights: dict[int, list[int]] = {}
+    for p, u, wj in zip(points, _u_values(basis, points), w or [1] * len(points)):
+        acc = weights.setdefault(p.x.enc, [0, 0, 0])
+        for e in range(3):
+            acc[e] = add(acc[e], wj)
+            wj = mul(wj, u)
+    moments = [[0] * (k - 1) for _ in range(3)]
+    for x, acc in weights.items():
+        if x == 0:          # x^t is 1 at t = 0 and 0 after
+            for e in range(3):
+                moments[e][0] = add(moments[e][0], acc[e])
+            continue
+        lpow = [t * log[x] % q1 for t in range(k - 1)]
+        for e, c in enumerate(acc):
+            if not c:
+                continue
+            lc = log[c]
+            if addt is not None:    # the q x q table, without a call per term
+                moments[e] = [addt[s][exp2[lc + lp]] for s, lp in zip(moments[e], lpow)]
+            else:
+                moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
+    half = k // 2
+    gram = []
+    for i in range(k):
+        a, e = divmod(i, 2)
+        row = [0] * k
+        row[0::2] = moments[e][a:a + half]
+        row[1::2] = moments[e + 1][a:a + half]
+        gram.append(row)
+    return gram
 
 
 def validate_rr_basis(basis: RRBasis) -> None:

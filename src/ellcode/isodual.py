@@ -10,6 +10,17 @@ v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
 gives `construct` and the verifier Qa and the points; G and v follow from
 those alone, and verify compares the file's matrix and v with them.
 
+Neither G nor a Gram matrix takes a k^3 elimination.  The first k points
+are k/2 whole pairs {P, -P}, so G is the systematic [I | A] in closed form
+(`funcspace.systematic_rows`): row i is f_i / f_i(P_i), f_i the product
+of x - alpha over the other first pairs' x's times the line through Qa and
+-P_i over x - beta.  The Gram of the basis 1, u, x, u x, ... of L(G)
+(u = y/(x - beta), or (y - gamma1)/x in characteristic 2) under weights w
+comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
+(`funcspace.basis_gram`).  A file whose first k points are not whole pairs
+has no G (`matrix_rref` fails, and so does `min_distance` where it
+enumerates); its identity and hull still read the moments.
+
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
 iso_dual_claimed, pair_selection_well_formed, n_equals_2k, points_on_curve,
@@ -21,12 +32,15 @@ points, in order, from the input echo, so the file's points are the ones
 its input makes.
 g_shape checks G exactly as written, ((None, k-1), (Qa, 1)), so the MDS
 target sum(G) is Qa.
-iso_dual_identity holds when n = 2k and G diag(v) G^T = 0: then C.v lies in
-C-perp and both have dimension k, so C.v = C-perp with no nullspace
-computed.  hull cross-checks k - rank(G G^T) against n - rank of G stacked
-with C.v, the dual that identity proved.  The samplers, the hull search and
-the LCD ladder take the hull of u.C from the same stacked rank, against
-the cached dual with G scaled by u^2; they form no Gram matrix per trial.
+iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
+residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
+lies in C-perp and both have dimension k, so C.v = C-perp with no
+nullspace computed.  hull is k - rank of the moment Gram at w = 1, which
+reads only the points, cross-checked against n - rank of G stacked with
+C.v, the dual that identity proved, which reads G.  The samplers, the hull
+search and the LCD ladder take the hull of u.C from the same stacked rank,
+against the cached dual with G scaled by u^2; they form no Gram matrix per
+trial.
 
 `construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -450,12 +464,25 @@ class _Context:
                               self.torsion_choice, selection)
 
     @cached_property
-    def code(self) -> LinearCode:
-        """The RREF of the Riemann-Roch basis evaluated at the points;
-        `iso_dual_identity` caches C.v as its dual."""
-        basis = funcspace.rr_basis(self.curve, self.k, self.qa)
-        return LinearCode(self.spec, funcspace.rr_basis_rows(basis, self.points),
-                          n=self.n)
+    def basis(self) -> funcspace.RRBasis:
+        """The basis 1, u, x, u x, ... of L((k-1)O + Qa); `FunctionError`
+        for a G no construction has."""
+        return funcspace.rr_basis(self.curve, self.k, self.qa)
+
+    @cached_property
+    def code(self) -> Optional[LinearCode]:
+        """The systematic generator [I | A] of the points, in closed form
+        (`funcspace.systematic_rows`); `iso_dual_identity` caches C.v as
+        its dual.  None when the first k points are not k/2 whole pairs,
+        which only a file failing an earlier invariant holds."""
+        rows = funcspace.systematic_rows(self.basis, self.points)
+        return None if rows is None else LinearCode(self.spec, rows, n=self.n)
+
+    def gram(self, w: Optional[Sequence[int]] = None) -> list[list[int]]:
+        """The Gram matrix under weights w of the basis evaluated at the
+        points, from point moments (`funcspace.basis_gram`); any basis of
+        the code serves `iso_dual_identity` and `hull`."""
+        return funcspace.basis_gram(self.basis, self.points, w)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -491,17 +518,23 @@ class _Context:
 
     @cached_property
     def hull_dim(self) -> int:
-        return self.code.hull_dim()
+        """k - rank of the moment Gram, which reads only the points; with
+        a code, `LinearCode.hull_dim` cross-checks it against G."""
+        gram = self.gram()
+        if self.code is None:
+            return self.k - linalg.rank(gram, self.spec)
+        return self.code.hull_dim(gram)
 
     @cached_property
     def min_distance_method(self) -> str:
         return "exhaustive" if self.spec.q ** self.k <= BRUTE_FORCE_BUDGET else "dp"
 
     @cached_property
-    def min_distance(self) -> int:
-        """Enumerated within the budget; otherwise n-k+1 from the DP witness."""
+    def min_distance(self) -> Optional[int]:
+        """Enumerated within the budget (None without a code); otherwise
+        n-k+1 from the DP witness."""
         if self.min_distance_method == "exhaustive":
-            return self.code.min_distance()
+            return None if self.code is None else self.code.min_distance()
         return self.k + 1
 
 
@@ -534,15 +567,18 @@ def _points_match_input(c: _Context) -> bool:
 
 
 def _iso_dual_identity(c: _Context) -> bool:
-    """G diag(v) G^T = 0 puts C.v inside C-perp, and with n = 2k both have
-    dimension k, so C.v is C-perp: it becomes the code's cached dual, which
-    the `hull` cross-check then reads without a nullspace."""
+    """A zero Gram under v of a basis of C, here every point moment at
+    w = v, puts C.v inside C-perp, and with n = 2k both have dimension k,
+    so C.v is C-perp.  The moments read only the points; where the closed
+    form gives a code, C.v becomes its cached dual, which the `hull`
+    cross-check then reads without a nullspace."""
     code, v = c.code, c.v
-    if v is None or code.n != 2 * code.k:
+    if v is None or any(map(any, c.gram(v.entries))):
         return False
-    if any(map(any, linalg.gram(code.matrix, c.spec, v.entries))):
-        return False
-    code._dual = code.scale(v)
+    if code is not None:
+        if code.n != 2 * code.k:
+            return False
+        code._dual = code.scale(v)
     return True
 
 
@@ -565,7 +601,8 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
      and c.g_divisor == ((None, c.k - 1), (c.qa.key(), 1))
      and c.curve.is_on_curve(c.qa) and c.curve.point_order(c.qa) == 2),
     ("points_disjoint_from_G", lambda c: c.qa not in c.points),
-    ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
+    ("matrix_rref", lambda c: c.code is not None
+     and c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
     ("scaling_matches_points", lambda c: c.v is not None

@@ -42,28 +42,30 @@ def rref(rows: list[list[int]], spec: FieldSpec, *,
             continue
         a[r], a[pr] = a[pr], a[r]
         row_r = a[r]
-        # scale the pivot row to a leading 1, listing its nonzeros once as
-        # (column, log)
         lp = log[row_r[c]]
-        nz = [(j, (log[v] - lp) % q1) for j, v in enumerate(row_r[c:], c) if v]
-        for j, lv in nz:
-            row_r[j] = exp2[lv]
-        # -1 has log (q-1)/2, so row_i -= f * row_r adds -f * x = exp2[lf + lx]
-        # with the shift folded into lx, over the pivot row's nonzeros only
-        nz = [(j, (lv + q1 // 2) % q1) for j, lv in nz]
-        for i in range(0 if reduced else r + 1, nrows):
-            f = a[i][c]
-            if i == r or not f:
-                continue
-            row_i = a[i]
-            lf = log[f]
-            if addt is not None:
-                for j, lv in nz:
-                    row_i[j] = addt[row_i[j]][exp2[lf + lv]]
-            else:
-                # beyond the add-table size cap: the field's own add
-                for j, lv in nz:
-                    row_i[j] = add(row_i[j], exp2[lf + lv])
+        clear = [i for i in range(0 if reduced else r + 1, nrows) if a[i][c] and i != r]
+        # a leading 1 with nothing to clear, as in every row of a systematic
+        # [I | A], costs no pass over the row
+        if lp or clear:
+            # scale the pivot row to a leading 1, listing its nonzeros once
+            # as (column, log)
+            nz = [(j, (log[v] - lp) % q1) for j, v in enumerate(row_r[c:], c) if v]
+            for j, lv in nz:
+                row_r[j] = exp2[lv]
+            # -1 has log (q-1)/2, so row_i -= f * row_r adds -f * x =
+            # exp2[lf + lx] with the shift folded into lx, over the pivot
+            # row's nonzeros only
+            nz = [(j, (lv + q1 // 2) % q1) for j, lv in nz]
+            for i in clear:
+                row_i = a[i]
+                lf = log[row_i[c]]
+                if addt is not None:
+                    for j, lv in nz:
+                        row_i[j] = addt[row_i[j]][exp2[lf + lv]]
+                else:
+                    # beyond the add-table size cap: the field's own add
+                    for j, lv in nz:
+                        row_i[j] = add(row_i[j], exp2[lf + lv])
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -352,6 +352,15 @@ def test_search_census(tmp_path):
     assert {r["order"] for r in rows} == set(range(1, 10))
 
 
+def test_search_census_refuses_every_q_before_walking_any(capsys):
+    # GF(64) passes the walk budget, so GF(16), listed first, is not walked:
+    # the walk would print its progress on the first curve
+    assert main(["search", "--table", "census", "--q", "16,64"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "exceeds the walk budget" in printed.err
+    assert "scanned" not in printed.err
+
+
 # inputs the search must refuse before any work: a q past the field-size
 # cap (trial division would run for hours), an uncatalogued witness past
 # the hunt's range (q = 8839 would construct n = 4512), a census whose
@@ -529,6 +538,47 @@ def test_verify_two_torsion_point_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("(all failures: x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
             "scaling_matches_points, points_match_input)") in err
+    assert "Traceback" not in err
+
+
+def _points_at(name, i, point):
+    points = _golden(name)["points"]
+    points[i] = point
+    return points
+
+
+def _points_swapped(name, i, j):
+    points = _golden(name)["points"]
+    points[i], points[j] = points[j], points[i]
+    return points
+
+
+# point sets on which the closed-form generator does not apply: a y = 0
+# point or one at x(Qa) = beta (q25: Qa = (4, 0); q16: Q1 = (0, 11)), where
+# u has its pole, or first k = 8 (q25), 4 (q16) points that are not whole
+# pairs {P, -P}.  Each fails an invariant, never with a traceback.
+HOSTILE_POINTS = {
+    "y-zero-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [12, 0]), "x_pairs"),
+    "at-beta-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [4, 0]), "x_pairs"),
+    "at-beta-after-first-k-q25": ("q25.json", _points_at("q25.json", 12, [4, 0]),
+                                  "x_pairs"),
+    "at-beta-q16": ("q16.json", _points_at("q16.json", 1, [0, 11]), "x_pairs"),
+    "unpaired-first-k-q25": ("q25.json", _points_swapped("q25.json", 1, 8),
+                             "matrix_rref"),
+    "unpaired-first-k-q16": ("q16.json", _points_swapped("q16.json", 1, 4),
+                             "matrix_rref"),
+}
+
+
+@pytest.mark.parametrize("name, points, first", HOSTILE_POINTS.values(),
+                         ids=HOSTILE_POINTS.keys())
+def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, name, points,
+                                                  first):
+    path = _edited_golden(tmp_path, name, {"points": points})
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"verification failed: {first} " in err
     assert "Traceback" not in err
 
 

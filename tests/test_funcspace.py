@@ -1,13 +1,16 @@
 import os
+import random
+from itertools import islice, permutations, product
 
 import pytest
 
-from ellcode import IsoDualCertificate, gf
+from ellcode import IsoDualCertificate, PairSelection, gf, isodual, linalg, search
 from ellcode.curve import Point, INFINITY
 from ellcode.funcspace import (Divisor, FunctionError, RationalFunction,
-                               divisor_sum, evaluate, interpolation_poly,
-                               is_principal, principal_divisor, rr_basis,
-                               rr_basis_rows, valuation, validate_rr_basis)
+                               basis_gram, divisor_sum, evaluate,
+                               interpolation_poly, is_principal,
+                               principal_divisor, rr_basis, rr_basis_rows,
+                               systematic_rows, valuation, validate_rr_basis)
 
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
@@ -224,3 +227,136 @@ def test_principal_divisors_have_zero_sum(e25, cert25, f25):
     assert div.degree() == 0
     assert is_principal(div)
     assert div.coeffs == {**{p: 1 for p in pts}, INFINITY: -16}
+
+
+# -- the closed forms of the op path: systematic rows and the moment Gram ------
+
+def _golden_inputs():
+    """(spec, basis, points) of each of the nine golden certificates."""
+    names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(GOLDENS, name)) as fh:
+            cert = IsoDualCertificate.from_json(fh.read())
+        curve = cert.curve()
+        qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
+        yield cert, rr_basis(curve, cert.k, qa), cert.point_objects(curve)
+
+
+def test_systematic_rows_are_the_rref_on_the_goldens():
+    for cert, basis, pts in _golden_inputs():
+        rows = systematic_rows(basis, pts)
+        assert rows == linalg.rref(rr_basis_rows(basis, pts), cert.spec())[0]
+        assert tuple(map(tuple, rows)) == cert.generator_matrix
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(curve, k, torsion choice, selection, Qa, points) of every input that
+    `_derive_points` accepts on the first 24 curves a construction runs on,
+    among every (q^2 // 48 + 1)-th curve of the canonical families over
+    GF(8), 16, 32, 9, 25, 27 and 49: k = 2, 4, ..., every torsion choice,
+    canonical and torsion selections."""
+    selections = [PairSelection()] + [PairSelection("torsion", r) for r in (3, 5, 7)]
+    out = []
+    for q in (8, 16, 32, 9, 25, 27, 49):
+        construction = 1 if q % 2 == 0 else 2
+        choices = [None] if construction == 1 else list(permutations((1, 2, 3), 2))
+        curves = []
+        for curve in islice(search._curve_family(q), 0, None, q * q // 48 + 1):
+            try:
+                isodual.applicable_two_torsion(curve, construction)
+            except isodual.ConstructionError:
+                continue
+            curves.append(curve)
+            if len(curves) == 24:
+                break
+        for curve in curves:
+            for k, choice, sel in product(range(2, curve.order() // 2 + 1, 2),
+                                          choices, selections):
+                try:
+                    qa, pts = isodual._derive_points(curve, k, construction, choice, sel)
+                except isodual.ConstructionError:
+                    continue
+                out.append((curve, k, choice, sel, qa, pts))
+    return out
+
+
+def test_systematic_rows_are_the_rref_on_a_field_sweep(sweep):
+    seen = set()
+    for curve, k, choice, sel, qa, pts in sweep:
+        basis = rr_basis(curve, k, qa)
+        assert (systematic_rows(basis, pts)
+                == linalg.rref(rr_basis_rows(basis, pts), curve.spec)[0]), (curve, k)
+        seen.add((curve.spec.q, choice, sel.mode))
+    # every field, both constructions, every torsion choice, both selections
+    assert {q for q, _, _ in seen} == {8, 16, 32, 9, 25, 27, 49}
+    assert {c for _, c, _ in seen} == {None, *permutations((1, 2, 3), 2)}
+    assert {(q % 2, m) for q, _, m in seen} == {(0, "canonical"), (0, "torsion"),
+                                                (1, "canonical"), (1, "torsion")}
+
+
+def _random_weights(rng, q, n):
+    return [rng.randrange(1, q) for _ in range(n)]
+
+
+def test_basis_gram_is_the_gram_of_the_rows(sweep):
+    rng = random.Random(17)
+    cases = [(basis, pts) for _, basis, pts in _golden_inputs()]
+    cases += [(rr_basis(c, k, qa), pts)
+              for c, k, _, _, qa, pts in sweep[::10]]
+    for basis, pts in cases:
+        spec, rows = basis.divisor.curve.spec, rr_basis_rows(basis, pts)
+        assert basis_gram(basis, pts) == linalg.gram(rows, spec)
+        w = _random_weights(rng, spec.q, len(pts))
+        assert basis_gram(basis, pts, w) == linalg.gram(rows, spec, w)
+
+
+def test_basis_gram_reads_any_points_off_the_pole(e16, e25, q1_16, q1_25):
+    # not the points of a construction: unpaired, with x = 0 in odd
+    # characteristic, where x^t is 0 after t = 0
+    rng = random.Random(3)
+    for curve, q2 in ((e16, q1_16), (e25, q1_25)):
+        pts = [p for p in curve.points()
+               if not p.is_infinity and p.x != q2.x][::3]
+        assert curve.spec.p == 2 or any(p.x.enc == 0 for p in pts)
+        for k in (2, 6):
+            basis = rr_basis(curve, k, q2)
+            w = _random_weights(rng, curve.spec.q, len(pts))
+            assert (basis_gram(basis, pts, w)
+                    == linalg.gram(rr_basis_rows(basis, pts), curve.spec, w))
+
+
+def test_iso_dual_scaling_zeroes_every_moment():
+    for cert, basis, pts in _golden_inputs():
+        assert not any(map(any, basis_gram(basis, pts, cert.scaling_v)))
+
+
+def test_systematic_rows_apply_only_to_whole_first_pairs(e25, q1_25, cert25):
+    basis = rr_basis(e25, cert25.k, q1_25)
+    pts = cert25.point_objects(e25)
+    k = cert25.k
+    # the first k points in any order still give the RREF
+    shuffled = pts[:k][::-1] + pts[k:]
+    assert (systematic_rows(basis, shuffled)
+            == linalg.rref(rr_basis_rows(basis, shuffled), e25.spec)[0])
+    # a pair split across the first k, a repeated point, a 2-torsion point
+    two_torsion = next(p for p in e25.points()
+                       if not p.is_infinity and not p.y and p.x != q1_25.x)
+    for bad in (_swap(pts, 1, k), _replace_at(pts, 1, pts[0]),
+                _replace_at(pts, 1, two_torsion), _replace_at(pts, k, pts[0])):
+        assert systematic_rows(basis, bad) is None
+    with pytest.raises(FunctionError):
+        systematic_rows(basis, _replace_at(pts, k, q1_25))
+
+
+def _swap(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _replace_at(seq, i, value):
+    out = list(seq)
+    out[i] = value
+    return out

@@ -495,12 +495,19 @@ def test_constant_v_gives_a_self_dual_code_that_constructs():
     assert found == 56
 
 
+def _g_gram(code):
+    """The Gram under weights w of G, a basis of the code: what a context's
+    point moments give, for a context holding only a code."""
+    return lambda w: linalg.gram(code.matrix, code.spec, w)
+
+
 def _three_duals(cert):
     """The code of `cert` three times: with its dual proved to be C.v by
     iso_dual_identity, with the dual from a nullspace, and fresh."""
     spec = cert.spec()
     proved = cert.code()
-    ctx = SimpleNamespace(code=proved, spec=spec, v=ScalingVector(spec, cert.scaling_v))
+    ctx = SimpleNamespace(code=proved, spec=spec, v=ScalingVector(spec, cert.scaling_v),
+                          gram=_g_gram(proved))
     assert isodual._iso_dual_identity(ctx) and proved._dual is not None
     kernel = cert.code()
     kernel.dual()
@@ -514,7 +521,7 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
     cert = request.getfixturevalue(fixture)
     spec, code = cert.spec(), cert.code()
     v = ScalingVector(spec, _replace_at(cert.scaling_v, 0, 7))
-    ctx = SimpleNamespace(code=code, spec=spec, v=v)
+    ctx = SimpleNamespace(code=code, spec=spec, v=v, gram=_g_gram(code))
     assert not isodual._iso_dual_identity(ctx) and code._dual is None
 
 
