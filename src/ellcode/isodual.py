@@ -474,7 +474,7 @@ class _Context:
         """The systematic generator [I | A] of the points, in closed form
         (`funcspace.systematic_rows`); `iso_dual_identity` caches C.v as
         its dual.  None when the first k points are not k/2 whole pairs,
-        which only a file failing an earlier invariant holds."""
+        which the canonical order of `construct`'s points never gives."""
         rows = funcspace.systematic_rows(self.basis, self.points)
         return None if rows is None else LinearCode(self.spec, rows, n=self.n)
 
