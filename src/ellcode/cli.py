@@ -190,7 +190,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elif args.table == "census":
         if not args.q:
             raise ValueError("--q is required for the census table")
-        rows = search.census_rows(_int_list(args.q), progress=True)
+        rows = search.census_rows(_int_list(args.q))
         columns = ["q", "curve", "order", "d1", "d2"]
     else:
         if not args.group or args.n is None:

@@ -8,8 +8,9 @@ elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
 of the Cauchy systematic form of GRS codes), and `basis_gram`, the Gram
 matrix of the evaluated basis under weights w from the 3(k-1) point
-moments sum_j w_j u_j^e x_j^t.  `rr_basis_rows` and `linalg` are their
-test references.
+moments sum_j w_j u_j^e x_j^t.  `rr_basis_rows` and `linalg.gram` are
+their test references; the verifier also takes G from `rr_basis_rows` for
+a file whose first k points are not whole pairs.
 Valuations at affine points use the conjugate-norm technique: for
 g = a + b y the product with its involution image is a polynomial in x
 alone, whose root multiplicity at x(P) settles v_P(g) exactly, with no

@@ -17,9 +17,9 @@ of x - alpha over the other first pairs' x's times the line through Qa and
 -P_i over x - beta.  The Gram of the basis 1, u, x, u x, ... of L(G)
 (u = y/(x - beta), or (y - gamma1)/x in characteristic 2) under weights w
 comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
-(`funcspace.basis_gram`).  A file whose first k points are not whole pairs
-has no G (`matrix_rref` fails, and so does `min_distance` where it
-enumerates); its identity and hull still read the moments.
+(`funcspace.basis_gram`).  Only a file whose first k points are not whole
+pairs, which `construct` never writes, takes G as the RREF of the
+evaluated basis, as before the closed form.
 
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, ClassVar, Optional, Sequence
 
-from . import gf, funcspace, linalg
+from . import gf, funcspace
 from ._version import __version__
 from .gf import FieldSpec
 from .curve import Curve, CurveError, Point, odd_part
@@ -470,13 +470,15 @@ class _Context:
         return funcspace.rr_basis(self.curve, self.k, self.qa)
 
     @cached_property
-    def code(self) -> Optional[LinearCode]:
+    def code(self) -> LinearCode:
         """The systematic generator [I | A] of the points, in closed form
         (`funcspace.systematic_rows`); `iso_dual_identity` caches C.v as
-        its dual.  None when the first k points are not k/2 whole pairs,
-        which the canonical order of `construct`'s points never gives."""
-        rows = funcspace.systematic_rows(self.basis, self.points)
-        return None if rows is None else LinearCode(self.spec, rows, n=self.n)
+        its dual.  Where the first k points are not k/2 whole pairs, which
+        the canonical order of `construct`'s points never gives, it is the
+        RREF of the evaluated basis."""
+        rows = (funcspace.systematic_rows(self.basis, self.points)
+                or funcspace.rr_basis_rows(self.basis, self.points))
+        return LinearCode(self.spec, rows, n=self.n)
 
     def gram(self, w: Optional[Sequence[int]] = None) -> list[list[int]]:
         """The Gram matrix under weights w of the basis evaluated at the
@@ -518,23 +520,19 @@ class _Context:
 
     @cached_property
     def hull_dim(self) -> int:
-        """k - rank of the moment Gram, which reads only the points; with
-        a code, `LinearCode.hull_dim` cross-checks it against G."""
-        gram = self.gram()
-        if self.code is None:
-            return self.k - linalg.rank(gram, self.spec)
-        return self.code.hull_dim(gram)
+        """k - rank of the moment Gram, which reads only the points;
+        `LinearCode.hull_dim` cross-checks it against G."""
+        return self.code.hull_dim(self.gram())
 
     @cached_property
     def min_distance_method(self) -> str:
         return "exhaustive" if self.spec.q ** self.k <= BRUTE_FORCE_BUDGET else "dp"
 
     @cached_property
-    def min_distance(self) -> Optional[int]:
-        """Enumerated within the budget (None without a code); otherwise
-        n-k+1 from the DP witness."""
+    def min_distance(self) -> int:
+        """Enumerated within the budget; otherwise n-k+1 from the DP witness."""
         if self.min_distance_method == "exhaustive":
-            return None if self.code is None else self.code.min_distance()
+            return self.code.min_distance()
         return self.k + 1
 
 
@@ -569,16 +567,12 @@ def _points_match_input(c: _Context) -> bool:
 def _iso_dual_identity(c: _Context) -> bool:
     """A zero Gram under v of a basis of C, here every point moment at
     w = v, puts C.v inside C-perp, and with n = 2k both have dimension k,
-    so C.v is C-perp.  The moments read only the points; where the closed
-    form gives a code, C.v becomes its cached dual, which the `hull`
+    so C.v is C-perp: it becomes the code's cached dual, which the `hull`
     cross-check then reads without a nullspace."""
     code, v = c.code, c.v
-    if v is None or any(map(any, c.gram(v.entries))):
+    if v is None or code.n != 2 * code.k or any(map(any, c.gram(v.entries))):
         return False
-    if code is not None:
-        if code.n != 2 * code.k:
-            return False
-        code._dual = code.scale(v)
+    code._dual = code.scale(v)
     return True
 
 
@@ -601,8 +595,7 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
      and c.g_divisor == ((None, c.k - 1), (c.qa.key(), 1))
      and c.curve.is_on_curve(c.qa) and c.curve.point_order(c.qa) == 2),
     ("points_disjoint_from_G", lambda c: c.qa not in c.points),
-    ("matrix_rref", lambda c: c.code is not None
-     and c.code.matrix == c.claim.generator_matrix
+    ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
     ("scaling_matches_points", lambda c: c.v is not None

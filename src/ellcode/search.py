@@ -236,16 +236,16 @@ def enumerate_curves(q: int, with_structure: bool = True,
     return out
 
 
-def census_rows(qs: Sequence[int], progress: bool = False) -> list[dict]:
+def census_rows(qs: Sequence[int]) -> list[dict]:
     """The census table: q, curve, order, d1 and d2 of every curve of the
-    families over each GF(q).  Like `bound_table`, it refuses a q past
-    `WALK_BUDGET` before walking any of them."""
+    families over each GF(q), with progress on stderr.  Like `bound_table`,
+    it refuses a q past `WALK_BUDGET` before walking any of them."""
     for q in qs:
         _whole_family(q, q)     # charges the walk; the census makes its own
     return [{"q": q, "curve": curve.to_string(), "order": order,
              "d1": structure.d1, "d2": structure.d2}
             for q in qs
-            for curve, order, structure in enumerate_curves(q, progress=progress)]
+            for curve, order, structure in enumerate_curves(q, progress=True)]
 
 
 def realized_orders(q: int) -> list[int]:

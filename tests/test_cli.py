@@ -556,29 +556,37 @@ def _points_swapped(name, i, j):
 # point sets on which the closed-form generator does not apply: a y = 0
 # point or one at x(Qa) = beta (q25: Qa = (4, 0); q16: Q1 = (0, 11)), where
 # u has its pole, or first k = 8 (q25), 4 (q16) points that are not whole
-# pairs {P, -P}.  Each fails an invariant, never with a traceback.
+# pairs {P, -P}, where G is the RREF of the evaluated basis.  Each fails
+# the invariants it failed before the closed form, never with a traceback.
 HOSTILE_POINTS = {
-    "y-zero-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [12, 0]), "x_pairs"),
-    "at-beta-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [4, 0]), "x_pairs"),
+    "y-zero-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [12, 0]),
+                              "x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
+                              "scaling_matches_points, points_match_input"),
+    "at-beta-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [4, 0]),
+                               "x_pairs, y_nonzero, points_off_qa_x, "
+                               "points_disjoint_from_G"),
     "at-beta-after-first-k-q25": ("q25.json", _points_at("q25.json", 12, [4, 0]),
-                                  "x_pairs"),
-    "at-beta-q16": ("q16.json", _points_at("q16.json", 1, [0, 11]), "x_pairs"),
+                                  "x_pairs, y_nonzero, points_off_qa_x, "
+                                  "points_disjoint_from_G"),
+    "at-beta-q16": ("q16.json", _points_at("q16.json", 1, [0, 11]),
+                    "x_pairs, points_off_qa_x, points_disjoint_from_G"),
     "unpaired-first-k-q25": ("q25.json", _points_swapped("q25.json", 1, 8),
-                             "matrix_rref"),
+                             "matrix_rref, scaling_matches_points, points_match_input"),
     "unpaired-first-k-q16": ("q16.json", _points_swapped("q16.json", 1, 4),
-                             "matrix_rref"),
+                             "matrix_rref, scaling_matches_points, points_match_input"),
 }
 
 
-@pytest.mark.parametrize("name, points, first", HOSTILE_POINTS.values(),
+@pytest.mark.parametrize("name, points, failures", HOSTILE_POINTS.values(),
                          ids=HOSTILE_POINTS.keys())
 def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, name, points,
-                                                  first):
+                                                  failures):
     path = _edited_golden(tmp_path, name, {"points": points})
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
-    assert f"verification failed: {first} " in err
+    first = failures.split(",")[0]
+    assert f"verification failed: {first} (all failures: {failures})" in err
     assert "Traceback" not in err
 
 
