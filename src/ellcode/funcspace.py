@@ -1,8 +1,9 @@
 """Divisors and rational functions (a(x) + b(x) y) / c(x) on an elliptic curve.
 
-The only Riemann-Roch spaces materialized are the ones both constructions
-need, L((k-1)O + Q) for a rational 2-torsion point Q, via closed-form bases;
-their evaluations at the code's points come in closed form too, on encodings.
+The only Riemann-Roch spaces are the ones both constructions need,
+L((k-1)O + Q) for a rational 2-torsion point Q.  `rr_basis` checks G and
+returns `RRBasis`, the handle (curve, Q, k) that the closed forms read on
+encodings; its symbolic basis functions are the reference, built when read.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
@@ -20,6 +21,7 @@ local power-series machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import gf
@@ -50,14 +52,11 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.coeffs.values())
 
-    def support(self) -> list[Point]:
-        return sorted(self.coeffs, key=Point.key)
-
     def multiplicity(self, p: Point) -> int:
         return self.coeffs.get(p, 0)
 
     def items(self) -> list[tuple[Point, int]]:
-        return [(p, self.coeffs[p]) for p in self.support()]
+        return [(p, self.coeffs[p]) for p in sorted(self.coeffs, key=Point.key)]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Divisor) and other.curve == self.curve
@@ -209,21 +208,49 @@ def principal_divisor(f: RationalFunction) -> Divisor:
 
 @dataclass(frozen=True)
 class RRBasis:
-    """Basis of L(G) with pairwise-distinct pole orders at O."""
+    """The checked handle (curve, Q, k) of the basis x^i, u x^i of L(G),
+    G = (k-1)O + Q, with pole orders 0, ..., k-1 at O: the closed forms read
+    it alone.  Its symbolic `functions`, the reference `validate_rr_basis`
+    and the tests read, are built on first read."""
 
-    divisor: Divisor
-    functions: tuple[RationalFunction, ...]
-    pole_orders_at_O: tuple[int, ...]
+    curve: Curve
+    point: Point
+    k: int
+
+    @property
+    def divisor(self) -> Divisor:
+        return Divisor(self.curve, {INFINITY: self.k - 1, self.point: 1})
+
+    @property
+    def pole_orders_at_O(self) -> tuple[int, ...]:
+        return tuple(range(self.k))
+
+    @cached_property
+    def functions(self) -> tuple[RationalFunction, ...]:
+        curve, k, q2, spec = self.curve, self.k, self.point, self.curve.spec
+        # x^i and u x^i have pole orders 2i and 2i + 1 at O; in even
+        # characteristic u x^i is x^(i-1) (y - gamma1) once i >= 1
+        funcs: list[RationalFunction] = []
+        for i in range(k // 2):
+            mono = [spec.zero] * i + [spec.one]
+            funcs.append(RationalFunction(curve, mono))
+            if spec.p != 2:
+                u = RationalFunction(curve, (), mono, (-q2.x, spec.one))
+            elif i == 0:
+                u = RationalFunction(curve, (-q2.y,), (spec.one,), (spec.zero, spec.one))
+            else:
+                u = RationalFunction(curve, gf.poly_scale(mono[1:], -q2.y), mono[1:])
+            funcs.append(u)
+        return tuple(funcs)
 
 
 def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
-    """Closed-form basis of L((k-1)O + Q) for a 2-torsion point Q, |basis| = k.
+    """The basis of L((k-1)O + Q) for a 2-torsion point Q, |basis| = k.
 
     Even characteristic needs the curve shape y^2 + xy = x^3 + a2 x^2 + a6
-    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  The basis
-    is x^i and u x^j with u = (y - gamma1)/x, resp. u = y/(x - beta).  The
-    functions come back sorted by pole order at O (0, 1, ..., k-1), which
-    certifies their linear independence.
+    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  Each
+    violation raises `FunctionError`; what comes back is the checked
+    handle, whose functions are built only when read.
     """
     spec = curve.spec
     if k < 2 or k % 2:
@@ -240,21 +267,7 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
             raise FunctionError("even-characteristic Q must be (0, gamma1)")
     elif q2.y.enc != 0:
         raise FunctionError("odd-characteristic Q must be (beta, 0)")
-    # x^i and u x^i have pole orders 2i and 2i + 1 at O; in even
-    # characteristic u x^i is x^(i-1) (y - gamma1) once i >= 1
-    funcs: list[RationalFunction] = []
-    for i in range(k // 2):
-        mono = [spec.zero] * i + [spec.one]
-        funcs.append(RationalFunction(curve, mono))
-        if spec.p != 2:
-            u = RationalFunction(curve, (), mono, (-q2.x, spec.one))
-        elif i == 0:
-            u = RationalFunction(curve, (-q2.y,), (spec.one,), (spec.zero, spec.one))
-        else:
-            u = RationalFunction(curve, gf.poly_scale(mono[1:], -q2.y), mono[1:])
-        funcs.append(u)
-    g = Divisor(curve, {INFINITY: k - 1, q2: 1})
-    return RRBasis(g, tuple(funcs), tuple(range(k)))
+    return RRBasis(curve, q2, k)
 
 
 def _u_values(basis: RRBasis, points: Sequence[Point]) -> list[int]:
@@ -262,8 +275,7 @@ def _u_values(basis: RRBasis, points: Sequence[Point]) -> list[int]:
     characteristic 2 and y/(x - beta) otherwise.  The place at infinity,
     or a point where u has a pole (x = x(Q), that is P = Q), raises
     `FunctionError`, as in `evaluate`."""
-    spec = basis.divisor.curve.spec
-    q2 = basis.divisor.support()[1]         # (0, gamma1) or (beta, 0)
+    spec, q2 = basis.curve.spec, basis.point    # Q is (0, gamma1) or (beta, 0)
     mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
     out = []
     for p in points:
@@ -289,8 +301,7 @@ def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
     point where u has a pole raises `FunctionError`, as in `evaluate`, the
     reference the rows are tested against.
     """
-    mul = basis.divisor.curve.spec.mul_enc
-    k = len(basis.functions)
+    mul, k = basis.curve.spec.mul_enc, basis.k
     rows: list[list[int]] = [[] for _ in range(k)]
     for p, u in zip(points, _u_values(basis, points)):
         x, power = p.x.enc, 1
@@ -324,8 +335,7 @@ def systematic_rows(basis: RRBasis,
     x_j - alpha_r(i), times u_j - u(P_i'), over f_i(P_i).  A point at a
     pole of u raises `FunctionError`, as in `rr_basis_rows`.
     """
-    spec = basis.divisor.curve.spec
-    k = len(basis.functions)
+    spec, k = basis.curve.spec, basis.k
     us = _u_values(basis, points)
     xs = [p.x.enc for p in points]
     pairs: dict[int, list[int]] = {}
@@ -367,8 +377,7 @@ def basis_gram(basis: RRBasis, points: Sequence[Point],
 
     By the residue theorem sum_j v_j (f g)(P_j) = 0 for f, g in L(G) when
     v is the iso-dual scaling, so every moment at w = v is 0."""
-    spec = basis.divisor.curve.spec
-    k = len(basis.functions)
+    spec, k = basis.curve.spec, basis.k
     add, mul, log, exp2 = spec.add_enc, spec.mul_enc, spec._log, spec._exp2
     addt, q1 = spec._addt, spec.q - 1
     # per distinct x: sum of w_j u_j^e over the points on it, e = 0, 1, 2
@@ -410,24 +419,24 @@ def validate_rr_basis(basis: RRBasis) -> None:
     Valuations are taken at every rational point of the curve; the pole
     bound at O uses the weighted-degree formula.  Raises on violation.
     """
-    curve = basis.divisor.curve
+    curve, g = basis.curve, basis.divisor
     pole_orders = set()
     for f, stated in zip(basis.functions, basis.pole_orders_at_O):
         v_inf = valuation(f, INFINITY)
         if -v_inf != stated:
             raise FunctionError(
                 f"pole order at O is {-v_inf}, basis claims {stated}")
-        if v_inf + basis.divisor.multiplicity(INFINITY) < 0:
+        if v_inf + g.multiplicity(INFINITY) < 0:
             raise FunctionError(f"{f} violates the bound at O")
         for p in curve.points():
             if p.is_infinity:
                 continue
-            if valuation(f, p) + basis.divisor.multiplicity(p) < 0:
+            if valuation(f, p) + g.multiplicity(p) < 0:
                 raise FunctionError(f"{f} has a disallowed pole at {p}")
         pole_orders.add(stated)
     if len(pole_orders) != len(basis.functions):
         raise FunctionError("pole orders at O are not pairwise distinct")
-    if len(basis.functions) != basis.divisor.degree():
+    if len(basis.functions) != g.degree():
         raise FunctionError("basis size differs from deg(G)")
 
 

@@ -19,7 +19,9 @@ of x - alpha over the other first pairs' x's times the line through Qa and
 comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
 (`funcspace.basis_gram`).  Only a file whose first k points are not whole
 pairs, which `construct` never writes, takes G as the RREF of the
-evaluated basis, as before the closed form.
+evaluated basis, as before the closed form.  All three read only the
+checked handle (curve, Qa, k) of `funcspace.rr_basis`: no op builds the
+symbolic basis, the tests' reference, which is built only when read.
 
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
@@ -465,8 +467,8 @@ class _Context:
 
     @cached_property
     def basis(self) -> funcspace.RRBasis:
-        """The basis 1, u, x, u x, ... of L((k-1)O + Qa); `FunctionError`
-        for a G no construction has."""
+        """The checked handle (curve, Qa, k) of the basis 1, u, x, u x, ...
+        of L((k-1)O + Qa); `FunctionError` for a G no construction has."""
         return funcspace.rr_basis(self.curve, self.k, self.qa)
 
     @cached_property
@@ -479,12 +481,6 @@ class _Context:
         rows = (funcspace.systematic_rows(self.basis, self.points)
                 or funcspace.rr_basis_rows(self.basis, self.points))
         return LinearCode(self.spec, rows, n=self.n)
-
-    def gram(self, w: Optional[Sequence[int]] = None) -> list[list[int]]:
-        """The Gram matrix under weights w of the basis evaluated at the
-        points, from point moments (`funcspace.basis_gram`); any basis of
-        the code serves `iso_dual_identity` and `hull`."""
-        return funcspace.basis_gram(self.basis, self.points, w)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -522,7 +518,7 @@ class _Context:
     def hull_dim(self) -> int:
         """k - rank of the moment Gram, which reads only the points;
         `LinearCode.hull_dim` cross-checks it against G."""
-        return self.code.hull_dim(self.gram())
+        return self.code.hull_dim(funcspace.basis_gram(self.basis, self.points))
 
     @cached_property
     def min_distance_method(self) -> str:
@@ -570,7 +566,8 @@ def _iso_dual_identity(c: _Context) -> bool:
     so C.v is C-perp: it becomes the code's cached dual, which the `hull`
     cross-check then reads without a nullspace."""
     code, v = c.code, c.v
-    if v is None or code.n != 2 * code.k or any(map(any, c.gram(v.entries))):
+    if v is None or code.n != 2 * code.k or any(
+            map(any, funcspace.basis_gram(c.basis, c.points, v.entries))):
         return False
     code._dual = code.scale(v)
     return True

@@ -46,16 +46,13 @@ def rref(rows: list[list[int]], spec: FieldSpec, *,
         clear = [i for i in range(0 if reduced else r + 1, nrows) if a[i][c] and i != r]
         # a leading 1 with nothing to clear, as in every row of a systematic
         # [I | A], costs no pass over the row
-        if lp or clear:
-            # scale the pivot row to a leading 1, listing its nonzeros once
-            # as (column, log)
-            nz = [(j, (log[v] - lp) % q1) for j, v in enumerate(row_r[c:], c) if v]
-            for j, lv in nz:
-                row_r[j] = exp2[lv]
+        if lp:      # scale the pivot row to a leading 1
+            row_r[c:] = [exp2[log[v] - lp + q1] if v else 0 for v in row_r[c:]]
+        if clear:
             # -1 has log (q-1)/2, so row_i -= f * row_r adds -f * x =
             # exp2[lf + lx] with the shift folded into lx, over the pivot
-            # row's nonzeros only
-            nz = [(j, (lv + q1 // 2) % q1) for j, lv in nz]
+            # row's nonzeros only, listed once as (column, shifted log)
+            nz = [(j, (log[v] + q1 // 2) % q1) for j, v in enumerate(row_r[c:], c) if v]
             for i in clear:
                 row_i = a[i]
                 lf = log[row_i[c]]

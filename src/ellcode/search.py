@@ -223,29 +223,26 @@ def _whole_family(q: int, curve_cost: int):
     return _curve_family(q)
 
 
-def enumerate_curves(q: int, with_structure: bool = True,
-                     progress: bool = False
+def enumerate_curves(q: int, with_structure: bool = True
                      ) -> list[tuple[Curve, int, Optional[GroupStructure]]]:
     """All nonsingular curves of the canonical families over GF(q)."""
-    out = []
-    for i, curve in enumerate(_whole_family(q, q)):
-        if progress and i % 500 == 0:
-            print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
-        out.append((curve, curve.order(),
-                    curve.group_structure() if with_structure else None))
-    return out
+    return [(curve, curve.order(), curve.group_structure() if with_structure else None)
+            for curve in _whole_family(q, q)]
 
 
 def census_rows(qs: Sequence[int]) -> list[dict]:
     """The census table: q, curve, order, d1 and d2 of every curve of the
-    families over each GF(q), with progress on stderr.  Like `bound_table`,
-    it refuses a q past `WALK_BUDGET` before walking any of them."""
-    for q in qs:
-        _whole_family(q, q)     # charges the walk; the census makes its own
-    return [{"q": q, "curve": curve.to_string(), "order": order,
-             "d1": structure.d1, "d2": structure.d2}
-            for q in qs
-            for curve, order, structure in enumerate_curves(q, progress=True)]
+    families over each GF(q), keeping no curve, with progress on stderr.
+    Like `bound_table`, it refuses a q past `WALK_BUDGET` before any walk."""
+    rows = []
+    for q, walk in [(q, _whole_family(q, q)) for q in qs]:     # charges every q first
+        for i, curve in enumerate(walk):
+            if i % 500 == 0:
+                print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
+            structure = curve.group_structure()
+            rows.append({"q": q, "curve": curve.to_string(), "order": curve.order(),
+                         "d1": structure.d1, "d2": structure.d2})
+    return rows
 
 
 def realized_orders(q: int) -> list[int]:

@@ -459,16 +459,20 @@ def test_goldens_rebuild_byte_identical_from_their_echoes():
 
 
 def test_construct_and_verify_need_no_interpolation_polynomial(monkeypatch):
-    # G and v come from encodings alone: the basis rows and h'(alpha) as a
-    # product of differences
+    # G and v come from encodings alone: the closed forms read the basis
+    # handle, h'(alpha) is a product of differences, and no symbolic basis
+    # function is built; q = 16 and q = 289 cover both forms of u
     def banned(*args):
         raise AssertionError("a FieldElement polynomial was used")
 
-    monkeypatch.setattr(funcspace, "interpolation_poly", banned)
-    monkeypatch.setattr(gf, "poly_eval", banned)
-    cert = _golden_cert(289)
-    assert _construct_echo(cert) == cert
-    assert verify_certificate(cert) == []
+    for module, name in ((funcspace, "interpolation_poly"), (gf, "poly_eval"),
+                         (gf, "poly_gcd"), (gf, "poly_divmod"),
+                         (funcspace, "RationalFunction")):
+        monkeypatch.setattr(module, name, banned)
+    for q in (16, 289):
+        cert = _golden_cert(q)
+        assert _construct_echo(cert) == cert
+        assert verify_certificate(cert) == []
 
 
 def test_constant_v_gives_a_self_dual_code_that_constructs():
@@ -495,10 +499,12 @@ def test_constant_v_gives_a_self_dual_code_that_constructs():
     assert found == 56
 
 
-def _g_gram(code):
-    """The Gram under weights w of G, a basis of the code: what a context's
-    point moments give, for a context holding only a code."""
-    return lambda w: linalg.gram(code.matrix, code.spec, w)
+def _moment_fields(cert):
+    """The basis handle and points whose moments give a context's Gram."""
+    curve = cert.curve()
+    qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
+    return {"basis": funcspace.rr_basis(curve, cert.k, qa),
+            "points": cert.point_objects(curve)}
 
 
 def _three_duals(cert):
@@ -507,7 +513,7 @@ def _three_duals(cert):
     spec = cert.spec()
     proved = cert.code()
     ctx = SimpleNamespace(code=proved, spec=spec, v=ScalingVector(spec, cert.scaling_v),
-                          gram=_g_gram(proved))
+                          **_moment_fields(cert))
     assert isodual._iso_dual_identity(ctx) and proved._dual is not None
     kernel = cert.code()
     kernel.dual()
@@ -521,7 +527,7 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
     cert = request.getfixturevalue(fixture)
     spec, code = cert.spec(), cert.code()
     v = ScalingVector(spec, _replace_at(cert.scaling_v, 0, 7))
-    ctx = SimpleNamespace(code=code, spec=spec, v=v, gram=_g_gram(code))
+    ctx = SimpleNamespace(code=code, spec=spec, v=v, **_moment_fields(cert))
     assert not isodual._iso_dual_identity(ctx) and code._dual is None
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,20 @@ def test_enumerate_curves_cap():
     for walk in (enumerate_curves, realized_orders):
         _refused_at_once(walk, 64)
         _refused_at_once(walk, 1024)
+
+
+def test_census_keeps_no_curve(capsys):
+    # each Curve caches its points and group structure; the 504 rows over
+    # GF(8) take about 0.15 MB, the 504 curves with their caches 3.2 MB more
+    tracemalloc.start()
+    try:
+        rows = search.census_rows([8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 504 and peak < 1_000_000
+    assert capsys.readouterr().err == "enumerate_curves: 0 candidates scanned\n" \
+        "enumerate_curves: 500 candidates scanned\n"
 
 
 def test_census_gf16_realizes_order_22():
