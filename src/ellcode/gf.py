@@ -9,19 +9,20 @@ Fields are desk-scale: q is at most `_MAX_Q`, checked before any other
 work.  Multiplication runs on exp/log tables built from a fixed primitive
 element.  The bootstrap works on plain mod-p coefficient lists with one
 product (`_pp_mulmod`), one square-and-multiply (`_pp_powmod`) and one
-irreducibility test (`_is_irreducible`).  Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a
-q x q table built digit by digit: the table for p^(i+1) is p x p blocks of
-the table for p^i, block (ha, hb) shifted by p^i * ((ha + hb) % p), so each
-row is a rotation of blocks of a smaller row.  Every entry is one of q
-shared int objects.  Characteristic-2 fields have q <= 256, so an encoding
-fits in one byte: their ``_mulb[s]`` is the 256-byte ``bytes.translate``
-table of x -> s * x, with which `linalg` and `code` scale whole rows packed
-one byte per entry.
+irreducibility test (`_is_irreducible`).  Multiplication by the generator
+is GF(p)-linear, so the exp/log walk splits an encoding as lo + P * hi
+with P = p^(m//2) and steps through two tables of about sqrt(q) products.
+Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a q x q table
+of the same split: row lo + P * hi is row lo of the low-digit table shifted
+by multiples of P, in the order of row hi of the high-digit table.  Every
+entry is one of q shared int objects.  Characteristic-2 fields have
+q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
+256-byte ``bytes.translate`` table of x -> s * x, with which `linalg` and
+`code` scale whole rows packed one byte per entry.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import xor
 from typing import Optional, Sequence
 
@@ -120,30 +121,32 @@ _ADD_TABLE_MAX_Q = 1024
 _MAX_Q = 2 ** 16
 
 
-def _addition_table(p: int, q: int) -> list[list[int]]:
-    """The q x q table of a + b on encodings of GF(q), q = p^m, digit by digit.
+def _addition_table(p: int, m: int) -> list[list[int]]:
+    """The q x q table of a + b on encodings of GF(q), q = p^m, from one split.
 
-    ``rows[r][t]`` is row r of the addition table of the encodings below
-    ``size`` (the low digits seen so far), with t * size added to every
-    entry.  One more digit turns each run of p consecutive shifts of row lo
-    into row lo + size * ha: those blocks, rotated left by ha and
-    concatenated.  Entries are slices of one ``range(q)`` list, so the
-    table holds q int objects.
+    With P = p^(m//2), a = lo + P * hi adds as two smaller tables: the low
+    digits by the P x P table, the high digits by the (q/P) x (q/P) one.
+    ``blocks[lo][s]`` is row lo of the low table shifted by P * s, so row
+    a is the blocks of lo listed in the order of row hi of the high table,
+    each copied by one slice assignment.  Entries are slices of one
+    ``range(q)`` list, so the table holds q int objects.
     """
+    q = p ** m
     vals = list(range(q))
-    rows = [[vals[s + a:s + p] + vals[s:s + a] for s in range(0, q, p)]
-            for a in range(p)]
-    size = p
-    while size < q:
-        grown: list[list[list[int]]] = [[] for _ in range(size * p)]
-        for lo, shifts in enumerate(rows):
-            for t in range(0, len(shifts), p):
-                blocks = shifts[t:t + p]
-                for ha in range(p):
-                    grown[lo + size * ha].append(
-                        list(chain.from_iterable(blocks[ha:] + blocks[:ha])))
-        rows, size = grown, size * p
-    return [shifts[0] for shifts in rows]
+    if m == 1:
+        return [vals[a:] + vals[:a] for a in range(q)]
+    P = p ** (m // 2)
+    blocks = [[list(map(vals[s:s + P].__getitem__, low)) for s in range(0, q, P)]
+              for low in _addition_table(p, m // 2)]
+    spans = [slice(s, s + P) for s in range(0, q, P)]
+    rows = []
+    for high in _addition_table(p, m - m // 2):
+        for blk in blocks:
+            row = [0] * q       # full length at once: no regrowth, no slack
+            for span, s in zip(spans, high):
+                row[span] = blk[s]
+            rows.append(row)
+    return rows
 
 
 class FieldSpec:
@@ -213,28 +216,39 @@ class FieldSpec:
                    for ell in q1_factors)
 
     def _build_tables(self) -> None:
-        q, p = self.q, self.p
+        q, p, m = self.q, self.p, self.m
+        self._addt = self._negt = self._mulb = None
+        if p != 2:
+            negt, size = [0], 1
+            while size < q:     # -(lo + size * h) = -lo + size * (-h % p)
+                negt = [n + size * (-h % p) for h in range(p) for n in negt]
+                size *= p
+            self._negt = negt
+            self._addt = _addition_table(p, m) if q <= _ADD_TABLE_MAX_Q else None
+        self._bind_addition()
         q1_factors = factorize(q - 1)
         # the smallest primitive encoding: below p lies GF(p), so for m >= 2
         # it is theta (enc p) whenever theta is primitive; 1 is primitive
         # only in GF(2), and gen = 0 fails the cycle check below
         gen = next((c for c in range(1, q) if self._is_primitive(c, q1_factors)), 0)
         self._gen_enc = gen
-        exp = [0] * (q - 1)
-        log = [0] * q
-        x = 1
+        if m > 1:
+            # x -> gen * x is GF(p)-linear on the digits, so with x = lo + P * hi
+            # it is gen * lo + gen * (P * hi): two tables of about sqrt(q) products
+            P, add = p ** (m // 2), self.add_enc
+            by_lo = [self._raw_mul(lo, gen) for lo in range(P)]
+            by_hi = [self._raw_mul(hi, gen) for hi in range(0, q, P)]
+        exp, log, x = [0] * (q - 1), [0] * q, 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._raw_mul(x, gen)
+            x = x * gen % p if m == 1 else add(by_lo[x % P], by_hi[x // P])
         if x != 1:
             raise FieldError("generator search failed to close the cycle")
         self._exp = exp
         self._exp2 = exp2 = exp + exp      # doubled so mul can skip a modulo
         self._log = log
         if p == 2:
-            self._addt = None
-            self._negt = None
             # _mulb[gen^(i+1)] is _mulb[gen^i] translated by x -> gen * x
             pad = bytes(256 - q)
             by_gen = bytes(exp2[log[x] + 1] if x else 0 for x in range(q)) + pad
@@ -244,25 +258,14 @@ class FieldSpec:
                 mulb[e] = table
                 table = table.translate(by_gen)
             self._mulb = mulb
-        else:
-            self._mulb = None
-            negt, size = [0], 1
-            while size < q:     # -(lo + size * h) = -lo + size * (-h % p)
-                negt = [n + size * (-h % p) for h in range(p) for n in negt]
-                size *= p
-            self._negt = negt
-            self._addt = _addition_table(p, q) if q <= _ADD_TABLE_MAX_Q else None
-        self._bind_addition()
 
     def _bind_addition(self) -> None:
-        """Choose the integer add, subtract and negate, once per field.
-
-        Characteristic 2 adds by XOR.  Other fields up to `_ADD_TABLE_MAX_Q`
-        look sums up in the q x q table that `_addition_table` builds by
-        base-p digit recursion, and subtract through the negation table;
-        larger prime fields add mod p and larger extension fields add
-        digit by digit on every call.
-        """
+        """Choose the integer add, subtract and negate, once per field, before
+        the exp/log walk, which steps by ``add_enc``.  Characteristic 2 adds
+        by XOR.  Other fields up to `_ADD_TABLE_MAX_Q` look sums up in the
+        q x q table of `_addition_table`, and subtract through the negation
+        table; larger prime fields add mod p and larger extension fields add
+        digit by digit on every call."""
         p, addt, negt = self.p, self._addt, self._negt
         if p == 2:
             self.add_enc = self.sub_enc = xor
@@ -363,29 +366,25 @@ class FieldSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
-        """Parse ``p=<int>,m=<int>,mod=<c0,...,cm>``."""
-        tokens = [t.strip() for t in text.split(",") if t.strip()]
-        p = m = None
-        mod: list[int] = []
-        in_mod = False
+        """Parse ``p=<int>,m=<int>,mod=<c0,...,cm>``.  Each key comes once,
+        and every token after ``mod=`` is a coefficient, so a repeated or
+        late key is an error, not an override."""
+        keys: dict[str, int] = {}
+        rest: list[int] = []
         try:
-            for tok in tokens:
-                if tok.startswith("p="):
-                    p = int(tok[2:])
-                elif tok.startswith("m=") and not in_mod:
-                    m = int(tok[2:])
-                elif tok.startswith("mod="):
-                    in_mod = True
-                    mod.append(int(tok[4:]))
-                elif in_mod:
-                    mod.append(int(tok))
+            for tok in (t.strip() for t in text.split(",") if t.strip()):
+                key, _, value = tok.partition("=")
+                if "mod" in keys:
+                    rest.append(int(tok))
+                elif key in keys or key not in ("p", "m", "mod"):
+                    raise ValueError(f"unexpected or repeated {tok!r}")
                 else:
-                    raise ValueError(tok)
+                    keys[key] = int(value)
         except ValueError as exc:
             raise FieldError(f"cannot parse field spec {text!r}: {exc}") from None
-        if p is None or m is None or not mod:
+        if len(keys) != 3:
             raise FieldError(f"field spec {text!r} must define p, m and mod")
-        return cls(p, m, mod)
+        return cls(keys["p"], keys["m"], [keys["mod"], *rest])
 
     def to_string(self) -> str:
         return f"p={self.p},m={self.m},mod=" + ",".join(str(c) for c in self.modulus)

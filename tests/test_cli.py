@@ -396,6 +396,16 @@ def test_construct_2_wrong_curve_shape_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_repeated_field_key_exit_2(tmp_path, capsys):
+    # the last p= would otherwise win and build GF(25)
+    out = tmp_path / "c.json"
+    assert main(["construct", "--field", "p=17,p=5,m=2,mod=2,4,1", "--curve", CURVE25,
+                 "--k", "8", "--construction", "2", "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "repeated 'p=5'" in printed.err
+    assert not out.exists()
+
+
 def test_search_lemma_max(capsys):
     assert main(["search", "--table", "lemma-max", "--group", "1x6",
                  "--n", "4"]) == 0

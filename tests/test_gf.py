@@ -260,10 +260,20 @@ def test_spec_string_round_trip(f25, f16):
     for spec in (f25, f16):
         assert FieldSpec.from_string(spec.to_string()) == spec
     assert FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1") == f16
+    assert FieldSpec.from_string(" p=5 , m=2,mod= 2, 4 ,1 ,") == f25
     with pytest.raises(FieldError):
         FieldSpec.from_string("p=2,mod=1,1")
     with pytest.raises(FieldError):
         FieldSpec.from_string("garbage")
+
+
+@pytest.mark.parametrize("text", ["p=17,p=5,m=2,mod=2,4,1", "p=5,m=3,m=2,mod=2,4,1",
+                                  "p=5,m=2,mod=2,mod=4,1", "m=2,mod=2,4,1,p=5"],
+                         ids=["p-twice", "m-twice", "mod-twice", "p-after-mod"])
+def test_spec_string_refuses_repeated_or_late_keys(text):
+    # each spelling builds GF(25) if the last value or the merged list wins
+    with pytest.raises(FieldError, match="cannot parse"):
+        FieldSpec.from_string(text)
 
 
 def test_encoding_bijection(f27):
@@ -284,6 +294,15 @@ def _digitwise_neg(a, p, m):
     return sum(-x % p * p ** i for i, x in enumerate(_digits(a, p, m)))
 
 
+def _digitwise_row(a, p, m):
+    """``[_digitwise_sum(a, b, p, m) for b in range(p ** m)]``, one digit at a time."""
+    row = [0] * p ** m
+    for i in range(m):
+        w, ai = p ** i, a // p ** i % p
+        row = [r + (ai + b // w) % p * w for r, b in zip(row, range(p ** m))]
+    return row
+
+
 ODD_TABLE_FIELDS = {
     "GF(9)": (3, 2, [1, 0, 1]),
     "GF(25)": (5, 2, [2, 4, 1]),
@@ -291,7 +310,15 @@ ODD_TABLE_FIELDS = {
     "GF(49)": (7, 2, [3, 6, 1]),
     "GF(243)": (3, 5, [1, 0, 0, 0, 2, 1]),
     "GF(289)": (17, 2, [3, 16, 1]),
+    "GF(343)": (7, 3, [2, 0, 0, 1]),
+    "GF(625)": (5, 4, [2, 0, 0, 0, 1]),
+    "GF(1021)": (1021, 1, [0, 1]),
 }
+
+
+def _assert_shared_ints(spec):
+    # one shared int object per encoding, not one per cell
+    assert len({id(x) for row in spec._addt for x in row}) <= spec.q
 
 
 @pytest.mark.parametrize("p, m, modulus", ODD_TABLE_FIELDS.values(),
@@ -300,22 +327,28 @@ def test_addition_table_matches_digitwise_sums(p, m, modulus):
     spec = FieldSpec(p, m, modulus)
     q, addt, negt = spec.q, spec._addt, spec._negt
     for a in range(q):
-        assert addt[a] == [_digitwise_sum(a, b, p, m) for b in range(q)]
+        assert addt[a] == _digitwise_row(a, p, m)
         assert negt[a] == _digitwise_neg(a, p, m)
         assert addt[a][negt[a]] == 0
+    _assert_shared_ints(spec)
 
 
-def test_addition_table_gf729_sampled_and_shared():
-    p, m = 3, 6
-    spec = FieldSpec(p, m, [2, 1, 0, 0, 0, 0, 1])
-    q, addt, negt = spec.q, spec._addt, spec._negt
-    rng = random.Random(729)
+def _check_sampled_table(spec, seed):
+    p, m, q, addt, negt = spec.p, spec.m, spec.q, spec._addt, spec._negt
+    rng = random.Random(seed)
     for _ in range(20000):
         a, b = rng.randrange(q), rng.randrange(q)
         assert addt[a][b] == _digitwise_sum(a, b, p, m)
     assert all(addt[a][negt[a]] == 0 for a in range(q))
-    # one shared int object per encoding, not one per cell
-    assert len({id(x) for row in addt for x in row}) <= q
+    _assert_shared_ints(spec)
+
+
+def test_addition_table_gf729_sampled_and_shared():
+    _check_sampled_table(FieldSpec(3, 6, [2, 1, 0, 0, 0, 0, 1]), 729)
+
+
+def test_addition_table_gf961_sampled_and_shared():
+    _check_sampled_table(FieldSpec(31, 2, [1, 0, 1]), 961)
 
 
 def test_digitwise_fallback_above_table_cap():
@@ -366,3 +399,43 @@ def test_char2_translate_tables_are_multiplication(modulus):
 
 def test_odd_fields_have_no_translate_tables(f25):
     assert f25._mulb is None
+
+
+BOOTSTRAP_FIELDS = {
+    **{f"GF(2^{len(mod) - 1})": (2, len(mod) - 1, mod) for mod in CHAR2_FIELDS.values()},
+    "GF(243)": (3, 5, [1, 0, 0, 0, 2, 1]),
+    "GF(625)": (5, 4, [2, 0, 0, 0, 1]),
+    "GF(729)": (3, 6, [2, 1, 0, 0, 0, 0, 1]),
+    "GF(1021)": (1021, 1, [0, 1]),
+    "GF(1031)": (1031, 1, [0, 1]),
+    "GF(65521)": (65521, 1, [0, 1]),
+    "GF(2187)": (3, 7, [1, 0, 2, 0, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("p, m, modulus", BOOTSTRAP_FIELDS.values(),
+                         ids=BOOTSTRAP_FIELDS.keys())
+def test_exp_log_follow_the_generator(p, m, modulus):
+    # exp[i + 1] = exp[i] * gen by the polynomial product itself, around
+    # the whole cycle, and log inverts exp
+    spec = FieldSpec(p, m, modulus)
+    exp, log, gen, q1 = spec._exp, spec._log, spec._gen_enc, spec.q - 1
+    assert exp[0] == 1 and len(exp) == q1
+    for i, x in enumerate(exp):
+        assert exp[(i + 1) % q1] == spec._raw_mul(x, gen)
+        assert log[x] == i
+
+
+def test_gf729_bootstrap_makes_about_sqrt_q_products(monkeypatch):
+    # at most 2 * ceil(sqrt(729)) polynomial products, where a walk by one
+    # product per step makes 728; the generator search uses _pp_powmod
+    calls = []
+    raw_mul = FieldSpec._raw_mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_raw_mul", counted)
+    FieldSpec(3, 6, [2, 1, 0, 0, 0, 0, 1])
+    assert 0 < len(calls) <= 2 * 27
