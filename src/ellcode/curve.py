@@ -9,8 +9,10 @@ arithmetic indexes the field's exp/log tables directly.  `Point` and
 curve.
 
 `Curve.group_structure` is the one place that works out point orders: its
-walk over E(F_q) = Z/d1 x Z/d2 gives every point's coordinates, and orders
-and torsion are read from them.
+walk over E(F_q) = Z/d1 x Z/d2 is the one discrete-log table, keyed by
+encoded points, and orders and torsion are read from it.  The enumeration
+behind it is encoded too; `points`, `torsion_points` and the basis build
+`Point`s only for what they return.
 
 Point lists are always produced in canonical order (infinity first, then
 lexicographic by encoded coordinates) so downstream artifacts are
@@ -78,16 +80,20 @@ INFINITY = Point.infinity()
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table."""
+    """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table.
+
+    ``dlog`` is the walk's own table, keyed by encoded points (None for O);
+    the basis is a pair of `Point`s, built at the edge.
+    """
 
     d1: int
     d2: int
     basis: tuple[Point, Point]
-    dlog: dict[Point, tuple[int, int]]
+    dlog: dict[Optional[tuple[int, int]], tuple[int, int]]
 
     def coords(self, p: Point) -> tuple[int, int]:
         try:
-            return self.dlog[p]
+            return self.dlog[_enc(p)]
         except KeyError:
             raise CurveError(f"point {p} not in the discrete-log table") from None
 
@@ -173,8 +179,8 @@ class _GroupLaw:
 class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law",
-                 "_encoded", "_points", "_structure", "_coords")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law", "_encoded",
+                 "_structure")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -187,9 +193,7 @@ class Curve:
             raise CurveError("curve is singular (zero discriminant)")
         self._law = _GroupLaw(spec, *self.coefficients())
         self._encoded: Optional[list] = None
-        self._points: Optional[list[Point]] = None
         self._structure: Optional[GroupStructure] = None
-        self._coords: Optional[dict] = None
 
     @classmethod
     def from_string(cls, spec: FieldSpec, text: str) -> "Curve":
@@ -262,8 +266,12 @@ class Curve:
 
     def points(self) -> list[Point]:
         """All rational points in canonical order, infinity first."""
-        if self._points is not None:
-            return self._points
+        return [self._point(e) for e in self._enumerate()]
+
+    def _enumerate(self) -> list:
+        """The encoded points in canonical order, None (O) first; cached."""
+        if self._encoded is not None:
+            return self._encoded
         s = self.spec
         a1, a3 = self.a1.enc, self.a3.enc
         add, sub, neg, mul = s.add_enc, s.sub_enc, s.neg_enc, s.mul_enc
@@ -291,18 +299,17 @@ class Curve:
                     affine += [(x, sub(r, shift)), (x, sub(neg(r), shift))]
         affine.sort()
         self._encoded = [None] + affine
-        self._points = [self._point(e) for e in self._encoded]
-        return self._points
+        return self._encoded
 
     def order(self) -> int:
-        return len(self.points())
+        return len(self._enumerate())
 
     def point_order(self, p: Point) -> int:
         """Least n >= 1 with [n]p = O, read from the group-structure walk."""
         if not self.is_on_curve(p):
             raise CurveError(f"{p} is not on the curve")
         st = self.group_structure()
-        i, j = self._coords[_enc(p)]
+        i, j = st.dlog[_enc(p)]
         return lcm(st.d1 // gcd(i, st.d1), st.d2 // gcd(j, st.d2))
 
     def torsion_points(self, r: int) -> list[Point]:
@@ -310,12 +317,12 @@ class Curve:
         if r < 1:
             raise CurveError("torsion order must be positive")
         st = self.group_structure()
-        d1, d2, coords = st.d1, st.d2, self._coords
+        d1, d2, dlog = st.d1, st.d2, st.dlog
         out = []
-        for p, e in zip(self._points, self._encoded):
-            i, j = coords[e]
+        for e in self._encoded:
+            i, j = dlog[e]
             if (r * i) % d1 == 0 and (r * j) % d2 == 0:
-                out.append(p)
+                out.append(self._point(e))
         return out
 
     def group_structure(self) -> GroupStructure:
@@ -333,8 +340,7 @@ class Curve:
         """
         if self._structure is not None:
             return self._structure
-        self.points()
-        pts = self._encoded
+        pts = self._enumerate()
         n = len(pts)
         add, mul = self._law.add, self._law.mul
 
@@ -366,10 +372,8 @@ class Curve:
                 break
         else:
             raise CurveError("no basis of the group found")
-        self._coords = coords
-        point_of = dict(zip(pts, self._points))
-        dlog = {point_of[e]: ij for e, ij in coords.items()}
-        self._structure = GroupStructure(d1, d2, (point_of[p1], point_of[p2]), dlog)
+        basis = (self._point(p1), self._point(p2))
+        self._structure = GroupStructure(d1, d2, basis, coords)
         return self._structure
 
     def __repr__(self) -> str:

@@ -15,7 +15,8 @@ with P = p^(m//2) and steps through two tables of about sqrt(q) products.
 Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a q x q table
 of the same split: row lo + P * hi is row lo of the low-digit table shifted
 by multiples of P, in the order of row hi of the high-digit table.  Every
-entry is one of q shared int objects.  Characteristic-2 fields have
+entry is one of q shared int objects.  Above the cap, a sum adds the two
+halves of the same split in their own tables.  Characteristic-2 fields have
 q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
 256-byte ``bytes.translate`` table of x -> s * x, with which `linalg` and
 `code` scale whole rows packed one byte per entry.
@@ -23,6 +24,7 @@ q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from operator import xor
 from typing import Optional, Sequence
 
@@ -149,6 +151,19 @@ def _addition_table(p: int, m: int) -> list[list[int]]:
     return rows
 
 
+def _split_add(p: int, m: int):
+    """a + b on encodings of GF(p^m) above `_ADD_TABLE_MAX_Q`, by the split
+    of `_addition_table`: the low digits add in the table of GF(p^(m//2)),
+    the high digits in theirs, or split again while still above the cap."""
+    P, high_m = p ** (m // 2), m - m // 2
+    low = _addition_table(p, m // 2)
+    if p ** high_m > _ADD_TABLE_MAX_Q:      # only GF(37^3), through 37^2
+        high = _split_add(p, high_m)
+        return lambda a, b: low[a % P][b % P] + P * high(a // P, b // P)
+    high = _addition_table(p, high_m)
+    return lambda a, b: low[a % P][b % P] + P * high[a // P][b // P]
+
+
 class FieldSpec:
     """GF(p^m) defined by a monic irreducible modulus c0 + c1 x + ... + cm x^m.
 
@@ -193,18 +208,10 @@ class FieldSpec:
     # -- construction helpers -------------------------------------------------
 
     def _coeffs_of(self, enc: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(enc % p)
-            enc //= p
-        return out
+        return [enc // self.p ** i % self.p for i in range(self.m)]
 
     def _enc_of(self, coeffs: Sequence[int]) -> int:
-        enc = 0
-        for c in reversed(list(coeffs)):
-            enc = enc * self.p + (c % self.p)
-        return enc
+        return sum(c % self.p * self.p ** i for i, c in enumerate(coeffs))
 
     def _raw_mul(self, a: int, b: int) -> int:
         return self._enc_of(_pp_mulmod(self._coeffs_of(a), self._coeffs_of(b),
@@ -264,8 +271,8 @@ class FieldSpec:
         the exp/log walk, which steps by ``add_enc``.  Characteristic 2 adds
         by XOR.  Other fields up to `_ADD_TABLE_MAX_Q` look sums up in the
         q x q table of `_addition_table`, and subtract through the negation
-        table; larger prime fields add mod p and larger extension fields add
-        digit by digit on every call."""
+        table; larger prime fields add mod p, and larger extension fields
+        add the two halves of the same split in smaller tables (`_split_add`)."""
         p, addt, negt = self.p, self._addt, self._negt
         if p == 2:
             self.add_enc = self.sub_enc = xor
@@ -279,12 +286,7 @@ class FieldSpec:
             self.add_enc = lambda a, b: (a + b) % p
             self.sub_enc = lambda a, b: (a - b) % p
         else:
-            coeffs, enc = self._coeffs_of, self._enc_of
-
-            def add(a: int, b: int) -> int:
-                return enc([(x + y) % p for x, y in zip(coeffs(a), coeffs(b))])
-
-            self.add_enc = add
+            add = self.add_enc = _split_add(p, self.m)
             self.sub_enc = lambda a, b: add(a, negt[b])
 
     # -- raw encoded arithmetic ----------------------------------------------
@@ -486,16 +488,8 @@ def poly_degree(f: Sequence[FieldElement]) -> int:
 
 
 def poly_add(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        if i < len(f) and i < len(g):
-            out.append(f[i] + g[i])
-        elif i < len(f):
-            out.append(f[i])
-        else:
-            out.append(g[i])
-    return poly_trim(out)
+    return poly_trim([b if a is None else a if b is None else a + b
+                      for a, b in zip_longest(f, g)])
 
 
 def poly_neg(f: Sequence[FieldElement]) -> Poly:

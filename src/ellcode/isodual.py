@@ -672,12 +672,14 @@ def lcd_transform(cert: IsoDualCertificate,
     Candidates are 1 everywhere except ell' positions carrying one
     non-square-one entry; ordered by (ell', entry encoding, position
     combination).  Returns the first success within `budget` hull
-    evaluations, or None.  `cert` must be verified (`verify_certificate`):
-    its recorded hull_dim starts the ladder, and hull_dim 0 returns the
-    all-ones scaling with no search.
+    evaluations, or None; a budget below 1 is a `ValueError`.  `cert` must
+    be verified (`verify_certificate`): its recorded hull_dim starts the
+    ladder, and hull_dim 0 returns the all-ones scaling with no search.
     """
     from itertools import combinations
 
+    if budget < 1:
+        raise ValueError(f"LCD search budget must be at least 1, got {budget}")
     curve = cert.curve()
     spec = curve.spec
     code = cert.code(curve)

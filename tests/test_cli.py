@@ -310,6 +310,19 @@ def test_transform_lcd(tmp_path, capsys):
     assert "hull=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("golden", ["q16.json", "q64.json"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_transform_lcd_budget_below_one_is_a_usage_error(tmp_path, capsys,
+                                                         golden, budget):
+    # q16 has hull 0 and q64 hull 2: both refuse the budget, neither searches
+    out = tmp_path / "lcd.json"
+    assert main(["transform", os.path.join(GOLDENS, golden), "--lcd",
+                 "--budget", budget, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "budget must be at least 1" in printed.err
+    assert not out.exists()
+
+
 def test_eaqecc_row(tmp_path, capsys):
     cert = tmp_path / "c.json"
     _construct16(cert)

@@ -93,10 +93,34 @@ def test_structure_invariants_and_reconstruction(e16, e25):
         if st.d1 > 1:
             assert (curve.spec.q - 1) % st.d1 == 0
         p1, p2 = st.basis
-        for point, (i, j) in st.dlog.items():
+        points = curve.points()
+        assert len(st.dlog) == len(points)
+        for point in points:
+            i, j = st.coords(point)
             rebuilt = curve.add(curve.mul(i, p1), curve.mul(j, p2))
             assert rebuilt == point
         assert st.coords(p2) == (0, 1 % st.d2)
+
+
+def test_points_built_only_at_the_edge(monkeypatch):
+    # order, structure and point_order run on encodings: only the basis
+    # becomes Points; torsion_points builds exactly the points it returns
+    f = FieldSpec(17, 2, [3, 16, 1])
+    curve = Curve(f, 0, 0, 0, 0, 1)
+    q = Point(f.element(16), f.element(0))
+    built, make = [], Curve._point
+
+    def counted(self, e):
+        built.append(e)
+        return make(self, e)
+
+    monkeypatch.setattr(Curve, "_point", counted)
+    assert curve.order() == 324
+    assert (curve.group_structure().d1, curve.point_order(q)) == (18, 2)
+    assert len(built) <= 2
+    built.clear()
+    torsion = curve.torsion_points(3)
+    assert len(built) == len(torsion) == 9
 
 
 def test_torsion_points(e25, f25):

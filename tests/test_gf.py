@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from ellcode import gf
+from ellcode import gf, search
 from ellcode.gf import FieldError, FieldSpec
 
 
@@ -351,12 +351,29 @@ def test_addition_table_gf961_sampled_and_shared():
     _check_sampled_table(FieldSpec(31, 2, [1, 0, 1]), 961)
 
 
-def test_digitwise_fallback_above_table_cap():
-    p, m = 3, 7
-    spec = FieldSpec(p, m, [1, 0, 2, 0, 0, 0, 0, 1])
-    assert spec.q > gf._ADD_TABLE_MAX_Q and spec._addt is None
-    rng = random.Random(2187)
-    for _ in range(3000):
+def _prime_power_degree(q):
+    fac = gf.factorize(q)
+    return next(iter(fac.values())) if len(fac) == 1 else 0
+
+
+# every odd extension field above the add-table cap that FieldSpec accepts:
+# 16 with m >= 3, and p^2 for each prime p from 37 to 251
+SPLIT_ADD_FIELDS = [q for q in range(gf._ADD_TABLE_MAX_Q + 1, gf._MAX_Q + 1, 2)
+                    if 2 <= _prime_power_degree(q) <= 8]
+
+
+def test_split_add_fields_listed():
+    assert len(SPLIT_ADD_FIELDS) == 59
+    assert sum(_prime_power_degree(q) >= 3 for q in SPLIT_ADD_FIELDS) == 16
+
+
+@pytest.mark.parametrize("q", SPLIT_ADD_FIELDS, ids=lambda q: f"GF({q})")
+def test_split_addition_above_table_cap(q):
+    spec = search._default_spec(q)
+    p, m = spec.p, spec.m
+    assert spec._addt is None
+    rng = random.Random(q)
+    for _ in range(1000):
         a, b = rng.randrange(spec.q), rng.randrange(spec.q)
         assert spec.add_enc(a, b) == _digitwise_sum(a, b, p, m)
         assert spec.sub_enc(a, b) == _digitwise_sum(a, _digitwise_neg(b, p, m), p, m)

@@ -265,10 +265,22 @@ def test_lcd_transform_search_from_selfdual(cert16, e16, f16):
     assert non_one and all(f16.mul_enc(e, e) != 1 for e in non_one)
 
 
-def test_lcd_transform_budget_exhaustion(cert16, e16):
-    u, scaled = selfdual_transform(cert16)
-    source = _tamper(cert16, generator_matrix=scaled.matrix, hull_dim=4)
-    assert lcd_transform(source, budget=0) is None
+def test_lcd_transform_budget_exhaustion(cert16, e16, f16):
+    # a hull-1 scaling whose LCD search succeeds on its second candidate
+    w = ScalingVector(f16, [1, 12, 5, 6, 12, 3, 5, 13])
+    scaled = cert16.code(e16).scale(w)
+    assert scaled.hull_dim() == 1
+    source = _tamper(cert16, generator_matrix=scaled.matrix, hull_dim=1)
+    assert lcd_transform(source, budget=1) is None
+    assert lcd_transform(source, budget=2) is not None
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_lcd_transform_refuses_budget_below_one(cert16, budget):
+    # refused before the hull-0 shortcut, so an LCD certificate is no exception
+    assert cert16.hull_dim == 0
+    with pytest.raises(ValueError, match="at least 1"):
+        lcd_transform(cert16, budget=budget)
 
 
 def test_scaling_samplers_deterministic(cert25, e25):

@@ -1,9 +1,10 @@
+import hashlib
 import time
 import tracemalloc
 
 import pytest
 
-from ellcode import search
+from ellcode import isodual, search
 from ellcode.curve import Curve, CurveError, feasible_orders
 from ellcode.search import (AbelianGroupSpec, bound_table, enumerate_curves,
                             lemma_max_search, length_bound,
@@ -19,6 +20,14 @@ def test_bound_table_reference_values():
     assert cases[16] == "even-square"
     assert cases[32] == "even-nonsquare"
     assert cases[25] == "odd"
+
+
+def test_census_rows_pinned():
+    # every curve's order and (d1, d2) over eight fields of both parities
+    rows = search.census_rows([4, 5, 7, 8, 9, 11, 13, 16])
+    assert len(rows) == 5620
+    digest = hashlib.sha256(isodual.canonical_json(rows).encode()).hexdigest()
+    assert digest == "14734abd5d8f576fa9d6c1cee62a55a5ef1a6ac44e7d487aaf0fa1e2456b923b"
 
 
 def test_length_bound_returns_attaining_order():
