@@ -9,6 +9,15 @@ size's reachable group elements held as one int bitset; only a reachable
 target, i.e. a failed certificate, pays for the exact count, a DP over
 (prefix, subset size, group element) with integer counts.
 
+Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
+the cached dual ([I | A'] when the code is MDS): `stacked_hull_dim` ranks
+G diag(w) stacked on it, or, for an odd [2k, k] code with nodes (the x's of
+its evaluation points) from k = `_DISPLACEMENT_MIN_K` on, ranks
+M = A' - W1^-1 A W2 from displacement generators.  For the elliptic codes
+A and A' are Cauchy-like in the nodes, so M has displacement rank at most 4
+and `linalg.cauchy_like_rank` ranks it in O(k^2); the factors of A's and
+A''s displacements are computed once per code and cached, like the dual.
+
 The second, independent distance check (`min_distance`, the certificates'
 "exhaustive" method) enumerates one codeword per scalar class: lambda.c has
 the weight of c, so the (q^k - 1)/(q - 1) messages whose highest nonzero
@@ -30,6 +39,13 @@ from .curve import GroupStructure, Point
 BRUTE_FORCE_BUDGET = 2 ** 24
 """Largest q^k that `min_distance`, `weight_distribution` and `codewords`
 enumerate by default."""
+
+
+_DISPLACEMENT_MIN_K = 28
+"""Smallest k that ranks scaled hulls from displacement generators.  On
+[2k, k] curve codes over GF(289), per scaling, the generator route took
+0.86-0.92 of the stacked rank's time at k = 28, 1.00-1.03 at k = 24 and
+1.25 at k = 16 (see `LinearCode.stacked_hull_dim`)."""
 
 
 class CodeError(ValueError):
@@ -81,11 +97,12 @@ class LinearCode:
     spanning set is accepted and reduced.
     """
 
-    __slots__ = ("spec", "n", "k", "matrix", "_dual")
+    __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_factors")
 
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
-                 n: Optional[int] = None):
+                 n: Optional[int] = None,
+                 nodes: Optional[Sequence[int]] = None):
         # a plain int encoding in range is kept; anything else is checked
         q, element = spec.q, spec.element
         enc_rows = [[v if type(v) is int and 0 <= v < q else element(v).enc
@@ -100,18 +117,25 @@ class LinearCode:
             n = width
         elif n is None:
             raise CodeError("empty code needs an explicit length")
+        if nodes is not None:
+            nodes = tuple(nodes)
+            if len(nodes) != n or not all(type(x) is int and 0 <= x < q
+                                          for x in nodes):
+                raise CodeError("nodes must be n field encodings")
         red, _ = linalg.rref(enc_rows, spec)
         self.spec = spec
         self.n = n
         self.k = len(red)
         self.matrix = tuple(tuple(r) for r in red)
+        self.nodes = nodes
         self._dual: Optional["LinearCode"] = None
+        self._factors: Optional[tuple] = None
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] orthogonal code, via the kernel of the generator."""
         if self._dual is None:
             basis = linalg.nullspace(self.matrix, self.spec, self.n)
-            self._dual = LinearCode(self.spec, basis, n=self.n)
+            self._dual = LinearCode(self.spec, basis, n=self.n, nodes=self.nodes)
         return self._dual
 
     def scale(self, v: ScalingVector | Sequence[int]) -> "LinearCode":
@@ -121,7 +145,7 @@ class LinearCode:
             raise CodeError("scaling vector length mismatch")
         return LinearCode(self.spec,
                           linalg.scale_columns(self.matrix, entries, self.spec),
-                          n=self.n)
+                          n=self.n, nodes=self.nodes)
 
     def same_code(self, other: "LinearCode") -> bool:
         if other.spec != self.spec or other.n != self.n:
@@ -142,16 +166,83 @@ class LinearCode:
         return h
 
     def stacked_hull_dim(self, w: Optional[Sequence[int]] = None) -> int:
-        """dim(w.C n C-perp) = n - rank of G diag(w) stacked on the cached
-        dual's generator, w nonzero (all 1 when None).  At w = u^2 it is the
-        hull of u.C: x is in u.C n (u.C)-perp iff u.x is in w.C n C-perp.
-        For an MDS [2k, k] code the first k pivots each clear one dual row."""
-        rows = self.matrix
+        """dim(w.C n C-perp) for nonzero weights w (all 1 when None); at
+        w = u^2 it is the hull of u.C: x is in u.C n (u.C)-perp iff u.x is
+        in w.C n C-perp.  It is n - rank of G diag(w) stacked on the cached
+        dual's generator H, computed one of two ways.
+
+        Where G = [I | A] and H = [I | A'] with n = 2k, eliminating H's
+        identity against G diag(w) leaves k - rank(M) with
+        M = A' - W1^-1 A W2, W = diag(w) split at k.  With the nodes, the
+        row nodes alpha = nodes[:k] and column nodes x = nodes[k:],
+        D_alpha M - M D_x = R' - W1^-1 R W2, where R = D_alpha A - A D_x
+        and R' likewise from A'.  For the elliptic codes R and R' have rank
+        2, so M has displacement rank at most 4 and
+        `linalg.cauchy_like_rank` ranks it from generators in O(k^2): see
+        `_displacement_factors` for when this route applies.  Every other
+        code, characteristic 2 among them, ranks the 2k x 2k stack, where
+        for an MDS [2k, k] code the first k pivots each clear one row of H.
+        """
+        spec = self.spec
         if w is not None:
             if len(w) != self.n:
                 raise CodeError("scaling vector length mismatch")
-            rows = linalg.scale_columns(rows, w, self.spec)
-        return self.n - linalg.rank([*rows, *self.dual().matrix], self.spec)
+            if 0 in w:
+                raise CodeError("hull weights must be nonzero")
+        factors = self._displacement_factors()
+        if factors is not None:
+            alpha, x, p_cols, q_rows, dual_p_cols, dual_q_rows = factors
+            k = self.k
+            w = w or [1] * self.n
+            # generators of M: G = [P' | -W1^-1 P], H = [Q'; Q W2]
+            neg_inv = [spec.neg_enc(spec.inv_enc(e)) for e in w[:k]]
+            g = [*dual_p_cols, *linalg.scale_columns(p_cols, neg_inv, spec)]
+            h = [*dual_q_rows, *linalg.scale_columns(q_rows, w[k:], spec)]
+            return k - linalg.cauchy_like_rank(alpha, x, g, h, spec)
+        rows = self.matrix
+        if w is not None:
+            rows = linalg.scale_columns(rows, w, spec)
+        return self.n - linalg.rank([*rows, *self.dual().matrix], spec)
+
+    def _displacement_factors(self) -> Optional[tuple]:
+        """(alpha, x, P, Q, P', Q') with R = P Q and R' = P' Q' as in
+        `stacked_hull_dim`, P and P' given by columns; None where the
+        generator route does not apply.  Computed once and cached, like the
+        dual.
+
+        It applies in odd characteristic up to the add-table cap when the
+        code has nodes, n = 2k with k at least `_DISPLACEMENT_MIN_K`, the
+        row nodes are disjoint from the column nodes, G and H both lead
+        with I_k, and R and R' have rank at most 2 each.  Each R is
+        factored by its RREF: P is R at the pivot columns, Q the RREF."""
+        if self._factors is None:
+            self._factors = self._factor_displacements() or ()
+        return self._factors or None
+
+    def _factor_displacements(self) -> Optional[tuple]:
+        spec, k, nodes = self.spec, self.k, self.nodes
+        if (spec.p == 2 or spec._addt is None or nodes is None
+                or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
+            return None
+        alpha, x = nodes[:k], nodes[k:]
+        if not set(alpha).isdisjoint(x):
+            return None
+        log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
+        # log (alpha_i - x_j), nonzero as the nodes are disjoint
+        neg_x = [negt[b] for b in x]
+        ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
+        out = [alpha, x]
+        for matrix in (self.matrix, self.dual().matrix):
+            # an RREF leads with I_k iff the pivot of its last row is column k-1
+            if not any(matrix[-1][:k]):
+                return None
+            r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row[k:], lrow)]
+                 for row, lrow in zip(matrix, ldiff)]
+            q_rows, pivots = linalg.rref(r, spec)
+            if len(pivots) > 2:
+                return None
+            out += [[[row[c] for row in r] for c in pivots], q_rows]
+        return tuple(out)
 
     def codewords(self, budget: int = BRUTE_FORCE_BUDGET):
         """Every codeword once, as a tuple, by odometer enumeration of

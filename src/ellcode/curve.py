@@ -83,15 +83,20 @@ class GroupStructure:
     """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table.
 
     ``dlog`` is the walk's own table, keyed by encoded points (None for O);
-    the basis is a pair of `Point`s, built at the edge.
+    the basis is a pair of `Point`s, built at the edge.  ``spec`` is the
+    curve's field: encodings alone do not tell a point over another field
+    from one of the curve's.
     """
 
     d1: int
     d2: int
     basis: tuple[Point, Point]
     dlog: dict[Optional[tuple[int, int]], tuple[int, int]]
+    spec: FieldSpec
 
     def coords(self, p: Point) -> tuple[int, int]:
+        if p.x is not None and p.x.spec != self.spec:
+            raise CurveError(f"point {p} is over {p.x.spec!r}, not {self.spec!r}")
         try:
             return self.dlog[_enc(p)]
         except KeyError:
@@ -373,7 +378,7 @@ class Curve:
         else:
             raise CurveError("no basis of the group found")
         basis = (self._point(p1), self._point(p2))
-        self._structure = GroupStructure(d1, d2, basis, coords)
+        self._structure = GroupStructure(d1, d2, basis, coords, self.spec)
         return self._structure
 
     def __repr__(self) -> str:

@@ -38,11 +38,15 @@ iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
 residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed.  hull is k - rank of the moment Gram at w = 1, which
-reads only the points, cross-checked against n - rank of G stacked with
-C.v, the dual that identity proved, which reads G.  The samplers, the hull
-search and the LCD ladder take the hull of u.C from the same stacked rank,
-against the cached dual with G scaled by u^2; they form no Gram matrix per
-trial.
+reads only the points, cross-checked against `LinearCode.stacked_hull_dim`
+with C.v, the dual that identity proved, which reads G.  The samplers, the
+hull search and the LCD ladder take the hull of u.C from the same method,
+against the cached dual at w = u^2; they form no Gram matrix per trial.
+The codes of `_Context.code` and `IsoDualCertificate.code` carry the
+points' x's as nodes.  So in odd characteristic, from k =
+`code._DISPLACEMENT_MIN_K` on, that method ranks from the displacement
+generators of the Cauchy-like G and C.v, in O(k^2) per scaling; otherwise
+it ranks G stacked on the dual.
 
 `construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -226,8 +230,11 @@ class IsoDualCertificate:
         return Curve.from_string(self.spec(), self.curve_spec)
 
     def code(self, curve: Optional[Curve] = None) -> LinearCode:
+        """The code of the recorded matrix, with the x's of the points as
+        its nodes, which rank its scaled hulls from generators."""
         curve = curve or self.curve()
-        return LinearCode(curve.spec, self.generator_matrix, n=self.n)
+        return LinearCode(curve.spec, self.generator_matrix, n=self.n,
+                          nodes=[x for x, _ in self.points])
 
     def point_objects(self, curve: Optional[Curve] = None) -> list[Point]:
         curve = curve or self.curve()
@@ -474,13 +481,15 @@ class _Context:
     @cached_property
     def code(self) -> LinearCode:
         """The systematic generator [I | A] of the points, in closed form
-        (`funcspace.systematic_rows`); `iso_dual_identity` caches C.v as
-        its dual.  Where the first k points are not k/2 whole pairs, which
-        the canonical order of `construct`'s points never gives, it is the
-        RREF of the evaluated basis."""
+        (`funcspace.systematic_rows`), with the points' x's as its nodes;
+        `iso_dual_identity` caches C.v as its dual.  Where the first k
+        points are not k/2 whole pairs, which the canonical order of
+        `construct`'s points never gives, it is the RREF of the evaluated
+        basis."""
         rows = (funcspace.systematic_rows(self.basis, self.points)
                 or funcspace.rr_basis_rows(self.basis, self.points))
-        return LinearCode(self.spec, rows, n=self.n)
+        return LinearCode(self.spec, rows, n=self.n,
+                          nodes=[p.x.enc for p in self.points])
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -708,7 +717,8 @@ def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
     """dim of the hull of u.C, with no scaled code and no Gram matrix built:
     it is dim(u^2.C n C-perp), the `stacked_hull_dim` at w = u^2 against
     the dual cached on `code` (C.v once `iso_dual_identity` proved it,
-    otherwise one nullspace)."""
+    otherwise one nullspace), from displacement generators where the code
+    has nodes and the route applies."""
     mul = code.spec.mul_enc
     return code.stacked_hull_dim([mul(x, x) for x in u.entries])
 

@@ -8,6 +8,12 @@ In characteristic 2 (q <= 256) the kernels pack each row into one int, one
 byte per entry with column 0 most significant.  A row is scaled by
 ``bytes.translate`` with the field's ``_mulb`` table and rows are added by
 XOR; results are unpacked to the same lists of encodings.
+
+`cauchy_like_rank` is the one structured kernel: the exact rank of a
+Cauchy-like matrix, D_a M - M D_b = G H, by elimination on the r columns
+of G and rows of H (Gohberg-Kailath-Olshevsky), O(m n r) with no m x n
+matrix formed.  It runs in odd characteristic, on encodings, with the
+field's log, exp and add tables.
 """
 
 from __future__ import annotations
@@ -108,6 +114,97 @@ def _rref_packed(rows: list[list[int]], spec: FieldSpec,
 
 def rank(rows: list[list[int]], spec: FieldSpec) -> int:
     return len(rref(rows, spec, reduced=False)[0])
+
+
+def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
+                     g: Sequence[Sequence[int]], h: Sequence[Sequence[int]],
+                     spec: FieldSpec) -> int:
+    """Rank of the m x n matrix M with D_a M - M D_b = G H, from G and H.
+
+    a holds the m row nodes and b the n column nodes, with a_i != b_j, so
+    M_ij = (row i of G . column j of H) / (a_i - b_j): M is Cauchy-like.
+    G is given as its r columns, each m long, and H as its r rows, each n
+    long.  Gaussian elimination runs on the generators (Gohberg-Kailath-
+    Olshevsky), in O(m n r) instead of O(m n min(m, n)): each step forms
+    the first active column of the Schur complement, drops it when it is
+    zero, and otherwise pivots on its first nonzero entry, forms the pivot
+    row and folds both into G and H, which then generate the next Schur
+    complement.  Odd characteristic up to the add-table cap only.
+    """
+    if spec.p == 2 or spec._addt is None:
+        raise ValueError("cauchy_like_rank needs odd q with an add table")
+    if not set(a).isdisjoint(b):
+        raise ValueError("row and column nodes must be disjoint")
+    log, addt, negt = spec._log, spec._addt, spec._negt
+    q1 = spec.q - 1
+    # zlog is log with 0 sent to Z: every exponent sum below stays under Z
+    # for nonzero factors and at or above it otherwise, where ez reads 0
+    z = 4 * q1
+    ez = spec._exp * 4 + [0] * z
+    zlog = log.copy()
+    zlog[0] = z
+    g = [list(col) for col in g]
+    h = [list(row) for row in h]
+    rows = list(a)
+    nb = [negt[x] for x in b]
+    rank = base = 0         # h's lists start at column base
+    for j, nbj in enumerate(nb):
+        if not rows:
+            break
+        jj = j - base
+        # column j of the Schur complement times (a_i - b_j)
+        s = _combine([(log[ht[jj]], gt) for gt, ht in zip(g, h) if ht[jj]],
+                     ez, zlog, addt)
+        if s is None or not any(s):
+            continue
+        p = next(i for i, v in enumerate(s) if v)
+        rank += 1
+        ap = rows.pop(p)
+        # c = -(a_p - b_j) / s_p, whose log lc is shifted into [q - 1, 2(q - 1))
+        # so that the exponents below stay nonnegative
+        lc = (log[addt[ap][nbj]] - log[s.pop(p)] + q1 // 2) % q1 + q1
+        # logs of -M_ij / M_pj = s_i c / (a_i - b_j), which clear column j
+        ls = [zlog[v] + lc - log[addt[ai][nbj]] for v, ai in zip(s, rows)]
+        gp = [gt.pop(p) for gt in g]
+        tail = [ht[jj + 1:] for ht in h]
+        base = j + 1
+        # logs of -M_pc / M_pj, from row p of M past column j; s_p != 0, so
+        # row p of G is not zero
+        t = _combine([(log[x], ht) for x, ht in zip(gp, tail) if x],
+                     ez, zlog, addt)
+        lt = [zlog[v] + lc - log[addt[ap][nbc]] for v, nbc in zip(t, nb[base:])]
+        for i, x in enumerate(gp):
+            if x:
+                x = log[x]
+                g[i] = [addt[v][ez[y + x]] for v, y in zip(g[i], ls)]
+        for i, ht in enumerate(h):
+            x = ht[jj]
+            if x:
+                x = log[x]
+                h[i] = [addt[v][ez[y + x]] for v, y in zip(tail[i], lt)]
+            else:
+                h[i] = tail[i]
+    return rank
+
+
+def _combine(terms: list[tuple[int, list[int]]], ez: list[int],
+             zlog: list[int], addt: list[list[int]]) -> Optional[list[int]]:
+    """The sum of the vectors of `terms`, each times its scalar, given as
+    (log of the scalar, vector); None for no terms.  Two terms per pass."""
+    acc = None
+    for (l0, v0), (l1, v1) in zip(terms[::2], terms[1::2]):
+        if acc is None:
+            acc = [addt[ez[zlog[x] + l0]][ez[zlog[y] + l1]] for x, y in zip(v0, v1)]
+        else:
+            acc = [addt[s][addt[ez[zlog[x] + l0]][ez[zlog[y] + l1]]]
+                   for s, x, y in zip(acc, v0, v1)]
+    if len(terms) % 2:
+        l0, v0 = terms[-1]
+        if acc is None:
+            acc = [ez[zlog[x] + l0] for x in v0]
+        else:
+            acc = [addt[s][ez[zlog[x] + l0]] for s, x in zip(acc, v0)]
+    return acc
 
 
 def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[int]]:

@@ -517,3 +517,164 @@ def test_stacked_hull_rejects_wrong_length(code16):
     for n in (code16.n - 1, code16.n + 1, 0):
         with pytest.raises(CodeError, match="length mismatch"):
             code16.stacked_hull_dim([1] * n)
+
+
+# -- scaled hulls from displacement generators ------------------------------
+
+CAUCHY_FIELDS = {"gf25": (5, 2, [2, 4, 1]), "gf49": (7, 2, [3, 6, 1]),
+                 "gf289": (17, 2, [3, 16, 1])}
+
+
+def _cauchy_dense(spec, a, b, g, h):
+    """M_ij = (row i of G . column j of H) / (a_i - b_j), entry by entry."""
+    mul, add, sub, inv = spec.mul_enc, spec.add_enc, spec.sub_enc, spec.inv_enc
+    out = []
+    for i, ai in enumerate(a):
+        row = []
+        for j, bj in enumerate(b):
+            acc = 0
+            for col, hrow in zip(g, h):
+                acc = add(acc, mul(col[i], hrow[j]))
+            row.append(mul(acc, inv(sub(ai, bj))))
+        out.append(row)
+    return out
+
+
+def _cauchy_cases(spec, rng):
+    """(name, a, b, G by columns, H by rows), with repeated row nodes."""
+    q, mul, neg = spec.q, spec.mul_enc, spec.neg_enc
+    pool = rng.sample(range(q), 10)
+    for trial in range(12):
+        m, n = rng.randint(1, 11), rng.randint(1, 11)
+        a = [rng.choice(pool[:4]) for _ in range(m)]
+        b = [rng.choice(pool[4:]) for _ in range(n)]
+
+        def rand(size, zeros=0):
+            return [0] * zeros + [rng.randrange(q) for _ in range(size - zeros)]
+
+        r = rng.randint(1, 4)
+        yield "random", a, b, [rand(m) for _ in range(r)], [rand(n) for _ in range(r)]
+        # M = X Y of rank at most rho: D_a M - M D_b = [D_a X, -X] [Y; Y D_b];
+        # Y's zero leading columns make M's, which the kernel drops
+        rho = rng.randint(0, min(m, n) - 1) if min(m, n) > 1 else 0
+        xs = [rand(m) for _ in range(rho)]
+        ys = [rand(n, zeros=trial % 4) for _ in range(rho)]
+        g = [[mul(ai, x) for ai, x in zip(a, col)] for col in xs] + \
+            [[neg(x) for x in col] for col in xs]
+        h = ys + [[mul(y, bj) for y, bj in zip(row, b)] for row in ys]
+        yield "planted", a, b, g, h
+        # G H = 0 with G and H nonzero: every column is zero
+        col, row = rand(m), rand(n)
+        yield "zero", a, b, [col, col], [row, [neg(x) for x in row]]
+
+
+@pytest.mark.parametrize("field", CAUCHY_FIELDS.values(), ids=CAUCHY_FIELDS.keys())
+def test_cauchy_like_rank_matches_dense_rank(field):
+    spec = FieldSpec(*field)
+    rng = random.Random(spec.q)
+    ranks = {}
+    for name, a, b, g, h in _cauchy_cases(spec, rng):
+        dense = _cauchy_dense(spec, a, b, g, h)
+        frozen = ([list(x) for x in g], [list(x) for x in h])
+        got = linalg.cauchy_like_rank(a, b, g, h, spec)
+        assert got == linalg.rank(dense, spec), name
+        assert (g, h) == frozen      # the generators are not modified
+        ranks.setdefault(name, []).append((got, min(len(a), len(b))))
+    assert all(r == 0 for r, _ in ranks["zero"])
+    assert any(0 < r < full for r, full in ranks["planted"])
+    assert any(r == full for r, full in ranks["random"])
+
+
+def test_cauchy_like_rank_rejects_shared_nodes_and_characteristic_2(f16, f25):
+    with pytest.raises(ValueError, match="disjoint"):
+        linalg.cauchy_like_rank([1, 2], [3, 2], [[1, 1]], [[1, 1]], f25)
+    with pytest.raises(ValueError, match="odd q"):
+        linalg.cauchy_like_rank([1, 2], [3, 4], [[1, 1]], [[1, 1]], f16)
+
+
+@pytest.mark.parametrize("fixture", ["cert16", "cert25"])
+def test_stacked_hull_rejects_a_zero_weight(request, fixture):
+    # log[0] reads as the log of 1, so a zero weight would count as a 1
+    cert = request.getfixturevalue(fixture)
+    c = cert.code()
+    for pos in (0, c.n - 1):
+        w = [1] * c.n
+        w[pos] = 0
+        with pytest.raises(CodeError, match="nonzero"):
+            c.stacked_hull_dim(w)
+
+
+def test_code_nodes_are_checked_and_carried(cert25, f25):
+    c = cert25.code()
+    assert c.nodes == tuple(x for x, _ in cert25.points)
+    assert c.dual().nodes == c.scale([2] * c.n).nodes == c.nodes
+    assert LinearCode(f25, c.matrix).nodes is None
+    for bad in (c.nodes[:-1], (*c.nodes[:-1], 25), (*c.nodes[:-1], -1)):
+        with pytest.raises(CodeError, match="nodes"):
+            LinearCode(f25, c.matrix, nodes=bad)
+
+
+def _golden_code(q):
+    with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
+        return IsoDualCertificate.from_json(fh.read()).code()
+
+
+def test_generator_route_runs_from_the_crossover(monkeypatch):
+    # the q = 289 code (k = 80) ranks from generators, the q = 49 code
+    # (k = 14) below the crossover ranks the stack
+    big, small = _golden_code(289), _golden_code(49)
+    assert big.k >= code._DISPLACEMENT_MIN_K > small.k
+    assert big._displacement_factors() is not None
+    assert small._displacement_factors() is None
+    calls = []
+    for name in ("rank", "cauchy_like_rank"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for c in (big, small):
+        c.stacked_hull_dim([3] * c.n)
+    assert calls == ["cauchy_like_rank", "rank"]
+
+
+def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
+                                                            cert25, f25):
+    # with no crossover, every code that qualifies takes the route, and
+    # every code that does not keeps the stacked rank
+    monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 1)
+    route = cert25.code()
+    assert route._displacement_factors() is not None
+    nodes, k = list(route.nodes), route.k
+    shared = LinearCode(f25, route.matrix, nodes=[*nodes[:k], nodes[0], *nodes[k + 1:]])
+    systematic_no_dual = LinearCode(f25, [[int(i == j) for j in range(6)]
+                                          for i in range(3)], nodes=range(6))
+    gf5, rows = STACKED_CODES["gf5"]
+    rng = random.Random(5)
+    random_a = LinearCode(f25, [[int(i == j) for j in range(k)]
+                                + [rng.randrange(1, 25) for _ in range(k)]
+                                for i in range(k)], nodes=nodes)
+    assert any(random_a.dual().matrix[-1][:k])      # only R's rank fails
+    fallbacks = {
+        "no nodes": LinearCode(f25, route.matrix),
+        "shared node": shared,
+        "dual not systematic": systematic_no_dual,
+        "non-systematic, n != 2k": LinearCode(FieldSpec(*gf5), rows,
+                                              nodes=[0, 1, 2, 3, 4, 0, 1]),
+        "non-systematic": LinearCode(f25, [[1, 2, 0, 0, 0, 0], [0, 0, 1, 0, 2, 1],
+                                           [0, 0, 0, 1, 4, 2]], nodes=range(6)),
+        "displacement rank above 2": random_a,
+        "characteristic 2": cert16.code(),
+    }
+    for name, c in fallbacks.items():
+        assert c._displacement_factors() is None, name
+    plain = fallbacks["no nodes"]
+    for _ in range(20):
+        w = _random_weights(f25, route.n, rng)
+        assert route.stacked_hull_dim(w) == plain.stacked_hull_dim(w)
+    # characteristic 2 still ranks the packed stack
+    packed = []
+    real = linalg._rref_packed
+    monkeypatch.setattr(linalg, "_rref_packed",
+                        lambda rows, *args: packed.append(len(rows)) or real(rows, *args))
+    c16 = fallbacks["characteristic 2"]
+    assert c16.stacked_hull_dim([1] * c16.n) == c16.hull_dim()
+    assert 2 * c16.k in packed

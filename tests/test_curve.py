@@ -102,6 +102,18 @@ def test_structure_invariants_and_reconstruction(e16, e25):
         assert st.coords(p2) == (0, 1 % st.d2)
 
 
+def test_coords_rejects_a_point_over_another_field(e25, f25):
+    # the dlog table is keyed by encodings, and (2, 2) has the encodings of
+    # a point of the GF(25) curve over GF(29) too
+    st = e25.group_structure()
+    own = Point(f25.element(2), f25.element(2))
+    assert e25.is_on_curve(own) and st.coords(own) == (0, 1)
+    f29 = FieldSpec(29, 1, [0, 1])
+    with pytest.raises(CurveError, match="GF\\(29\\)"):
+        st.coords(Point(f29.element(2), f29.element(2)))
+    assert st.coords(INFINITY) == (0, 0)
+
+
 def test_points_built_only_at_the_edge(monkeypatch):
     # order, structure and point_order run on encodings: only the basis
     # becomes Points; torsion_points builds exactly the points it returns

@@ -9,7 +9,8 @@ import pytest
 
 from ellcode import FieldSpec, funcspace, gf, linalg
 from ellcode.curve import Curve, CurveError, Point, INFINITY
-from ellcode.code import CodeError, ScalingVector
+from ellcode import code as code_module
+from ellcode.code import CodeError, LinearCode, ScalingVector
 from ellcode import isodual
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
                              ConstructionError, ConstructionInput,
@@ -544,25 +545,50 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
 
 
 @pytest.mark.parametrize("source, block, trials", [
-    ("cert16", 1, 40), ("cert25", 1, 40), ("cert25", 2, 40), (289, 1, 3)])
+    ("cert16", 1, 40), ("cert25", 1, 40), ("cert25", 2, 40), (289, 1, 3),
+    (49, 1, 30), (49, 2, 30), (289, 1, 10), (289, 2, 6)])
 def test_scaled_hull_dim_matches_gram_and_scaled_code(request, source, block,
                                                       trials):
-    # hull(u.C) = n - rank([G diag(u^2); H]); the Gram formula is the reference
+    # hull(u.C) = n - rank([G diag(u^2); H]); the Gram formula is the
+    # reference.  The three codes carry nodes, so from the crossover on they
+    # rank from displacement generators; a fourth without nodes ranks the
+    # stack.
     cert = (_golden_cert(source) if isinstance(source, int)
             else request.getfixturevalue(source))
     codes = _three_duals(cert)
     code, spec = codes[0], codes[0].spec
+    stacked = LinearCode(spec, code.matrix, n=code.n)
+    codes += (stacked,)
+    k = code.k
+    assert (code._displacement_factors() is not None) == (
+        spec.p != 2 and k >= code_module._DISPLACEMENT_MIN_K)
+    assert stacked._displacement_factors() is None
+
+    def reference(w):
+        return k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
+
     rng = random.Random(block)
     hulls = []
     for _ in range(trials):
         u = isodual._random_scaling(code, rng, block)
         w = [spec.mul_enc(x, x) for x in u.entries]
-        h = code.k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
-        assert [isodual._scaled_hull_dim(c, u) for c in codes] == [h] * 3
-        assert h == code.scale(u).hull_dim()
+        h = reference(w)
+        assert [isodual._scaled_hull_dim(c, u) for c in codes] == [h] * 4
+        if len(hulls) < 3:
+            assert h == code.scale(u).hull_dim()
         hulls.append(h)
     if source != 289:
         assert max(hulls) > 0
+    # w = lambda v makes the Gram zero, so the hull is k; w equal to v on a
+    # prefix of L coordinates and random after it gives hulls in between
+    v = cert.scaling_v
+    for lam in (1, spec.q - 1, rng.randrange(2, spec.q)):
+        w = [spec.mul_enc(lam, x) for x in v]
+        assert reference(w) == k
+        assert [c.stacked_hull_dim(w) for c in codes] == [k] * 4
+    for size in (k // 2, k + 1, k + k // 2, 2 * k - 1):
+        w = [*v[:size], *(rng.randrange(1, spec.q) for _ in v[size:])]
+        assert [c.stacked_hull_dim(w) for c in codes] == [reference(w)] * 4
 
 
 def test_sample_scaling_hulls_forms_no_gram(monkeypatch, cert25):
