@@ -10,13 +10,14 @@ target, i.e. a failed certificate, pays for the exact count, a DP over
 (prefix, subset size, group element) with integer counts.
 
 Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
-the cached dual ([I | A'] when the code is MDS): `stacked_hull_dim` ranks
-G diag(w) stacked on it, or, for an odd [2k, k] code with nodes (the x's of
-its evaluation points) from k = `_DISPLACEMENT_MIN_K` on, ranks
-M = A' - W1^-1 A W2 from displacement generators.  For the elliptic codes
-A and A' are Cauchy-like in the nodes, so M has displacement rank at most 4
-and `linalg.cauchy_like_rank` ranks it in O(k^2); the factors of A's and
-A''s displacements are computed once per code and cached, like the dual.
+the cached dual.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
+MDS [2k, k] codes, `stacked_hull_dim` ranks the k x k M = A' - W1^-1 A W2
+(on bytes in characteristic 2); in odd characteristic from k =
+`_DISPLACEMENT_MIN_K` on, with nodes (the x's of the evaluation points), it
+ranks M from displacement generators: A and A' are Cauchy-like in the
+nodes, so `linalg.cauchy_like_rank` takes O(k^2).  Other codes rank
+G diag(w) stacked on the dual.  `scale` writes the RREF of G diag(w)
+directly and carries a cached dual as w^-1.C-perp, with no elimination.
 
 The second, independent distance check (`min_distance`, the certificates'
 "exhaustive" method) enumerates one codeword per scalar class: lambda.c has
@@ -41,11 +42,11 @@ BRUTE_FORCE_BUDGET = 2 ** 24
 enumerate by default."""
 
 
-_DISPLACEMENT_MIN_K = 28
+_DISPLACEMENT_MIN_K = 32
 """Smallest k that ranks scaled hulls from displacement generators.  On
 [2k, k] curve codes over GF(289), per scaling, the generator route took
-0.86-0.92 of the stacked rank's time at k = 28, 1.00-1.03 at k = 24 and
-1.25 at k = 16 (see `LinearCode.stacked_hull_dim`)."""
+0.93-1.01 of the dense k x k rank's time at k = 32, 0.82-0.87 at k = 36,
+1.06-1.11 at k = 28 and 1.15-1.25 at k = 24 (`stacked_hull_dim`)."""
 
 
 class CodeError(ValueError):
@@ -97,7 +98,7 @@ class LinearCode:
     spanning set is accepted and reduced.
     """
 
-    __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_factors")
+    __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_factors", "_halves")
 
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
@@ -123,13 +124,12 @@ class LinearCode:
                                           for x in nodes):
                 raise CodeError("nodes must be n field encodings")
         red, _ = linalg.rref(enc_rows, spec)
-        self.spec = spec
-        self.n = n
-        self.k = len(red)
-        self.matrix = tuple(tuple(r) for r in red)
-        self.nodes = nodes
-        self._dual: Optional["LinearCode"] = None
-        self._factors: Optional[tuple] = None
+        self._set(spec, n, tuple(map(tuple, red)), nodes)
+
+    def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes) -> None:
+        self.spec, self.n, self.k = spec, n, len(matrix)
+        self.matrix, self.nodes = matrix, nodes
+        self._dual = self._factors = self._halves = None
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] orthogonal code, via the kernel of the generator."""
@@ -139,13 +139,44 @@ class LinearCode:
         return self._dual
 
     def scale(self, v: ScalingVector | Sequence[int]) -> "LinearCode":
-        entries = v.entries if isinstance(v, ScalingVector) else \
-            ScalingVector(self.spec, v).entries
-        if len(entries) != self.n:
+        """w.C for w = v, with no elimination: row i of G diag(w) over w at
+        row i's pivot is its RREF, as each pivot column keeps one nonzero.
+        A cached dual is carried as w^-1.C-perp, which is (w.C)-perp."""
+        w, spec = self._weights(v), self.spec
+        inv = [spec.inv_enc(e) for e in w]
+        pivot_inv = [inv[row.index(1)] for row in self.matrix]
+        if spec.p == 2:
+            # column j of G is the strided slice g[j::n]; the joined scaled
+            # columns hold row i at [i::k]
+            mulb, n, k = spec._mulb, self.n, self.k
+            g = b"".join(map(bytes, self.matrix))
+            cols = b"".join(g[j::n].translate(mulb[e]) for j, e in enumerate(w))
+            rows = tuple(tuple(cols[i::k].translate(mulb[c]))
+                         for i, c in enumerate(pivot_inv))
+        else:
+            exp2, log = spec._exp2, spec._log
+            rows = tuple(tuple([exp2[log[x] + lc] if x else 0 for x in row])
+                         for row, lc in zip(linalg.scale_columns(self.matrix, w, spec),
+                                            map(log.__getitem__, pivot_inv)))
+        out = LinearCode.__new__(LinearCode)
+        out._set(spec, self.n, rows, self.nodes)
+        if self._dual is not None:
+            out._dual = self._dual.scale(inv)
+        return out
+
+    def _weights(self, w: ScalingVector | Sequence[int]) -> Sequence[int]:
+        """The entries of a scaling or of hull weights, checked: n nonzero
+        encodings of the code's field, a `ScalingVector` only over it."""
+        if isinstance(w, ScalingVector):
+            if w.spec != self.spec:
+                raise CodeError(f"scaling vector over {w.spec!r}, not {self.spec!r}")
+            w = w.entries
+        if len(w) != self.n:
             raise CodeError("scaling vector length mismatch")
-        return LinearCode(self.spec,
-                          linalg.scale_columns(self.matrix, entries, self.spec),
-                          n=self.n, nodes=self.nodes)
+        q = self.spec.q
+        if not all(type(e) is int and 0 < e < q for e in w):
+            raise CodeError(f"weights must be nonzero encodings of GF({q})")
+        return w
 
     def same_code(self, other: "LinearCode") -> bool:
         if other.spec != self.spec or other.n != self.n:
@@ -169,40 +200,63 @@ class LinearCode:
         """dim(w.C n C-perp) for nonzero weights w (all 1 when None); at
         w = u^2 it is the hull of u.C: x is in u.C n (u.C)-perp iff u.x is
         in w.C n C-perp.  It is n - rank of G diag(w) stacked on the cached
-        dual's generator H, computed one of two ways.
+        dual's generator H, computed one of three ways.
 
-        Where G = [I | A] and H = [I | A'] with n = 2k, eliminating H's
-        identity against G diag(w) leaves k - rank(M) with
+        Where n = 2k and G = [I | A] and H = [I | A'] (`_systematic_halves`),
+        eliminating H's identity against G diag(w) leaves k - rank(M) with
         M = A' - W1^-1 A W2, W = diag(w) split at k.  With the nodes, the
         row nodes alpha = nodes[:k] and column nodes x = nodes[k:],
         D_alpha M - M D_x = R' - W1^-1 R W2, where R = D_alpha A - A D_x
         and R' likewise from A'.  For the elliptic codes R and R' have rank
         2, so M has displacement rank at most 4 and
         `linalg.cauchy_like_rank` ranks it from generators in O(k^2): see
-        `_displacement_factors` for when this route applies.  Every other
-        code, characteristic 2 among them, ranks the 2k x 2k stack, where
-        for an MDS [2k, k] code the first k pivots each clear one row of H.
+        `_displacement_factors` for when this route applies.  Otherwise
+        `linalg.rank` ranks the k x k matrix W1 A' - A W2, of M's rank; in
+        characteristic 2 it is formed on bytes, A W2 by strided column
+        slices.  Only a code without that form ranks the 2k x 2k stack.
         """
-        spec = self.spec
-        if w is not None:
-            if len(w) != self.n:
-                raise CodeError("scaling vector length mismatch")
-            if 0 in w:
-                raise CodeError("hull weights must be nonzero")
+        spec, k = self.spec, self.k
+        w = [1] * self.n if w is None else self._weights(w)
         factors = self._displacement_factors()
         if factors is not None:
             alpha, x, p_cols, q_rows, dual_p_cols, dual_q_rows = factors
-            k = self.k
-            w = w or [1] * self.n
             # generators of M: G = [P' | -W1^-1 P], H = [Q'; Q W2]
             neg_inv = [spec.neg_enc(spec.inv_enc(e)) for e in w[:k]]
             g = [*dual_p_cols, *linalg.scale_columns(p_cols, neg_inv, spec)]
             h = [*dual_q_rows, *linalg.scale_columns(q_rows, w[k:], spec)]
             return k - linalg.cauchy_like_rank(alpha, x, g, h, spec)
-        rows = self.matrix
-        if w is not None:
-            rows = linalg.scale_columns(rows, w, spec)
-        return self.n - linalg.rank([*rows, *self.dual().matrix], spec)
+        halves = self._systematic_halves()
+        if halves is None:
+            rows = [*linalg.scale_columns(self.matrix, w, spec), *self.dual().matrix]
+            return self.n - linalg.rank(rows, spec)
+        a, dual_a = halves
+        if spec.p == 2:
+            mulb = spec._mulb
+            aw = b"".join(a[j::k].translate(mulb[e]) for j, e in enumerate(w[k:]))
+            rows = [(int.from_bytes(aw[i::k], "big") ^ int.from_bytes(
+                dual_a[i * k:(i + 1) * k].translate(mulb[e]), "big")).to_bytes(k, "big")
+                for i, e in enumerate(w[:k])]
+        else:
+            exp2, log, add = spec._exp2, spec._log, spec.add_enc
+            aw = linalg.scale_columns(a, [spec.neg_enc(e) for e in w[k:]], spec)
+            rows = [list(map(add, [exp2[log[x] + le] if x else 0 for x in row], r))
+                    for row, r, le in zip(dual_a, aw, map(log.__getitem__, w))]
+        return k - linalg.rank(rows, spec)
+
+    def _systematic_halves(self) -> Optional[tuple]:
+        """(A, A') where n = 2k > 0, G = [I | A] and the dual's H = [I | A'];
+        None for any other code.  Cached, like the dual.  In characteristic
+        2 each half is one bytes, row by row: column j of A is a[j::k]."""
+        if self._halves is None:
+            k, self._halves = self.k, ()
+            if self.n == 2 * k > 0:
+                pair = (self.matrix, self.dual().matrix)
+                # a k-row RREF leads with I_k iff its last row's pivot is column k-1
+                if all(any(m[-1][:k]) for m in pair):
+                    self._halves = tuple(
+                        b"".join(bytes(r[k:]) for r in m) if self.spec.p == 2
+                        else [r[k:] for r in m] for m in pair)
+        return self._halves or None
 
     def _displacement_factors(self) -> Optional[tuple]:
         """(alpha, x, P, Q, P', Q') with R = P Q and R' = P' Q' as in
@@ -225,19 +279,17 @@ class LinearCode:
                 or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
             return None
         alpha, x = nodes[:k], nodes[k:]
-        if not set(alpha).isdisjoint(x):
+        halves = self._systematic_halves()
+        if halves is None or not set(alpha).isdisjoint(x):
             return None
         log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
         # log (alpha_i - x_j), nonzero as the nodes are disjoint
         neg_x = [negt[b] for b in x]
         ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
         out = [alpha, x]
-        for matrix in (self.matrix, self.dual().matrix):
-            # an RREF leads with I_k iff the pivot of its last row is column k-1
-            if not any(matrix[-1][:k]):
-                return None
-            r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row[k:], lrow)]
-                 for row, lrow in zip(matrix, ldiff)]
+        for half in halves:
+            r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row, lrow)]
+                 for row, lrow in zip(half, ldiff)]
             q_rows, pivots = linalg.rref(r, spec)
             if len(pivots) > 2:
                 return None

@@ -46,7 +46,7 @@ The codes of `_Context.code` and `IsoDualCertificate.code` carry the
 points' x's as nodes.  So in odd characteristic, from k =
 `code._DISPLACEMENT_MIN_K` on, that method ranks from the displacement
 generators of the Cauchy-like G and C.v, in O(k^2) per scaling; otherwise
-it ranks G stacked on the dual.
+it ranks the k x k M of `LinearCode.stacked_hull_dim`.
 
 `construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -724,7 +724,8 @@ def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
 
 
 def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearCode:
-    """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it."""
+    """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it
+    against its dual, carried by `LinearCode.scale` where `code` has one."""
     scaled = code.scale(u)
     if scaled.hull_dim() != hull:
         raise VerificationError(f"{what} did not reach hull = {hull}")

@@ -224,7 +224,10 @@ def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[i
 
 def scale_columns(a: Sequence[Sequence[int]], w: Sequence[int],
                   spec: FieldSpec) -> list[list[int]]:
-    """A diag(w), for nonzero weights w: by table lookup, zeros skipped."""
+    """A diag(w), for nonzero weights w: by table lookup, zeros skipped.
+    A zero weight is a `ValueError`: the odd kernel's log would read it as 1."""
+    if 0 in w:
+        raise ValueError("column weights must be nonzero")
     if spec.p == 2:
         tables = [spec._mulb[wj] for wj in w]
         return [[t[x] for t, x in zip(tables, row)] for row in a]
@@ -237,7 +240,10 @@ def scale_columns(a: Sequence[Sequence[int]], w: Sequence[int],
 def gram(a: list[list[int]], spec: FieldSpec,
          w: Optional[Sequence[int]] = None) -> list[list[int]]:
     """A diag(w) A^T, the Gram matrix of the rows under the bilinear form
-    with weights w; plain A A^T when w is None.  Entries of w are nonzero."""
+    with weights w; plain A A^T when w is None.  Entries of w are nonzero,
+    as in `scale_columns`."""
+    if w is not None and 0 in w:
+        raise ValueError("Gram weights must be nonzero")
     if spec.p == 2:
         cols = [bytes(col) for col in zip(*a)]
         if w is not None:

@@ -637,7 +637,7 @@ def test_generator_route_runs_from_the_crossover(monkeypatch):
 
 
 def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
-                                                            cert25, f25):
+                                                            cert25, f16, f25):
     # with no crossover, every code that qualifies takes the route, and
     # every code that does not keeps the stacked rank
     monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 1)
@@ -670,11 +670,139 @@ def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
     for _ in range(20):
         w = _random_weights(f25, route.n, rng)
         assert route.stacked_hull_dim(w) == plain.stacked_hull_dim(w)
-    # characteristic 2 still ranks the packed stack
+    # characteristic 2 ranks the k x k matrix W1 A' - A W2 where G and its
+    # dual lead with I_k, and the packed 2k-row stack only where they do not
     packed = []
     real = linalg._rref_packed
     monkeypatch.setattr(linalg, "_rref_packed",
                         lambda rows, *args: packed.append(len(rows)) or real(rows, *args))
     c16 = fallbacks["characteristic 2"]
     assert c16.stacked_hull_dim([1] * c16.n) == c16.hull_dim()
-    assert 2 * c16.k in packed
+    assert c16.k in packed and 2 * c16.k not in packed
+    no_dual16 = LinearCode(f16, systematic_no_dual.matrix)
+    assert no_dual16._systematic_halves() is None
+    packed.clear()
+    assert no_dual16.stacked_hull_dim([1] * 6) == no_dual16.hull_dim() == 0
+    assert 2 * no_dual16.k in packed
+
+
+# -- scaling in RREF, the carried dual and the k x k hull route --------------
+
+GF289 = (17, 2, [3, 16, 1])
+SCALE_FIELDS = {"gf16": CHAR2["GF(16)"], "gf25": ODD["GF(25)"], "gf256": GF256,
+                "gf289": GF289}
+
+
+def _random_rref_codes(spec, rng):
+    """Codes with systematic and non-systematic pivots, k = 0 and k = n."""
+    q = spec.q
+    for n in (1, 4, 7, 10):
+        yield LinearCode(spec, [], n=n)
+        yield LinearCode(spec, [[int(i == j) or rng.randrange(1, q) * (j > i)
+                                 for j in range(n)] for i in range(n)])
+        for _ in range(4):
+            k = rng.randint(1, n)
+            # zero leading columns and repeated rows move the pivots
+            lead = rng.randint(0, n - 1)
+            rows = [[0] * lead + [rng.randrange(q) for _ in range(n - lead)]
+                    for _ in range(k)]
+            yield LinearCode(spec, rows + rows[:rng.randint(0, k)], n=n)
+
+
+def _stack_hull(c, w):
+    """dim(w.C n C-perp) as n - rank of the 2k x 2k stack [G diag(w); H]."""
+    rows = [*linalg.scale_columns(c.matrix, w, c.spec), *c.dual().matrix]
+    return c.n - linalg.rank(rows, c.spec)
+
+
+@pytest.mark.parametrize("field", SCALE_FIELDS.values(), ids=SCALE_FIELDS.keys())
+def test_scale_writes_the_rref_and_carries_the_dual(field):
+    # RREF(G diag(w)) is row i of G diag(w) over w at row i's pivot, and
+    # (w.C)-perp = w^-1.C-perp, with no elimination
+    spec = FieldSpec(*field)
+    rng = random.Random(spec.q)
+    shapes = set()
+    for c in _random_rref_codes(spec, rng):
+        pivots = linalg.rref([list(r) for r in c.matrix], spec)[1]
+        shapes.add((c.k, c.n, pivots == list(range(c.k))))
+        w = _random_weights(spec, c.n, rng)
+        fresh = c.scale(w)
+        assert fresh._dual is None and fresh.k == c.k and fresh.nodes == c.nodes
+        expected = linalg.rref(linalg.scale_columns(c.matrix, w, spec), spec)[0]
+        assert fresh.matrix == tuple(map(tuple, expected))
+        assert all(type(x) is int for row in fresh.matrix for x in row)
+        c.dual()
+        scaled = c.scale(ScalingVector(spec, w))
+        assert scaled.matrix == fresh.matrix and scaled._dual is not None
+        kernel = LinearCode(spec, linalg.nullspace(list(scaled.matrix), spec, c.n),
+                            n=c.n)
+        assert scaled._dual.matrix == kernel.matrix
+        assert scaled.stacked_hull_dim() == _stack_hull(fresh, [1] * c.n)
+    assert {k for k, _, _ in shapes} >= {0, 1, 10}
+    assert any(not systematic for k, _, systematic in shapes if k)
+    assert any(k == n for k, n, _ in shapes)
+
+
+@pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
+def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
+    # the k x k rank (and at q = 289 the generator route) against the stack,
+    # with the dual from a nullspace and with C.v, the dual iso_dual_identity
+    # proves; w = lambda v has hull k, and v on a prefix hulls in between
+    with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
+        cert = IsoDualCertificate.from_json(fh.read())
+    kernel, spec = cert.code(), cert.spec()
+    v, k = cert.scaling_v, kernel.k
+    proved = cert.code()
+    proved._dual = proved.scale(v)
+    assert proved._dual.matrix == kernel.dual().matrix
+    dense = LinearCode(spec, kernel.matrix, n=kernel.n)
+    assert dense._systematic_halves() is not None
+    assert dense._displacement_factors() is None
+    assert (kernel._displacement_factors() is not None) == (
+        spec.p != 2 and k >= code._DISPLACEMENT_MIN_K and spec._addt is not None)
+    rng = random.Random(q)
+    weights = [_random_weights(spec, kernel.n, rng) for _ in range(4)]
+    weights += [[spec.mul_enc(lam, x) for x in v]
+                for lam in (1, spec.q - 1, rng.randrange(2, spec.q))]
+    weights += [[*v[:size], *_random_weights(spec, kernel.n - size, rng)]
+                for size in (k // 2, k + 1, k + k // 2, 2 * k - 1)]
+    hulls = []
+    for w in weights:
+        h = _stack_hull(kernel, w)
+        assert [c.stacked_hull_dim(w) for c in (kernel, proved, dense)] == [h] * 3
+        hulls.append(h)
+    assert hulls[4:7] == [k] * 3 and min(hulls[7:]) < k
+
+
+@pytest.mark.parametrize("fixture, bad", [("f25", -1), ("f25", 30), ("f25", 0),
+                                          ("f16", 200), ("f16", 16), ("f16", True)])
+def test_hull_weights_and_scalings_outside_the_field_are_refused(request, fixture, bad):
+    # a negative encoding read log[-1], one past q an IndexError
+    spec = request.getfixturevalue(fixture)
+    c = LinearCode(spec, [[1, 2, 3, 4], [0, 1, 1, 2]])
+    for call in (c.stacked_hull_dim, c.scale):
+        with pytest.raises(CodeError, match="nonzero encodings"):
+            call([1, 1, 1, bad])
+
+
+def test_scalings_over_another_field_are_refused(f16, f25):
+    f256 = FieldSpec(*GF256)
+    c16 = LinearCode(f16, [[1, 2, 3, 4], [0, 1, 1, 2]])
+    for other in (ScalingVector(f256, [200, 1, 1, 1]), ScalingVector(f25, [3, 1, 1, 1])):
+        for call in (c16.scale, c16.stacked_hull_dim):
+            with pytest.raises(CodeError, match="scaling vector over"):
+                call(other)
+    assert c16.scale(ScalingVector(FieldSpec(*CHAR2["GF(16)"]), [3, 1, 1, 1])).k == 2
+
+
+@pytest.mark.parametrize("fixture", ["f16", "f25"])
+def test_gram_and_scale_columns_refuse_a_zero_weight(request, fixture):
+    # in odd characteristic log[0] == 0 read a zero weight as 1: over GF(25)
+    # gram([[1, 2, 3]], w = (0, 1, 1)) gave [[4]], the value at w = 1
+    spec = request.getfixturevalue(fixture)
+    for w in ([0, 1, 1], [1, 1, 0]):
+        with pytest.raises(ValueError, match="nonzero"):
+            linalg.gram([[1, 2, 3]], spec, w)
+        with pytest.raises(ValueError, match="nonzero"):
+            linalg.scale_columns([[1, 2, 3]], w, spec)
+    assert linalg.gram([[1, 2, 3]], spec, [1, 1, 1]) == linalg.gram([[1, 2, 3]], spec)

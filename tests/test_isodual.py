@@ -552,7 +552,7 @@ def test_scaled_hull_dim_matches_gram_and_scaled_code(request, source, block,
     # hull(u.C) = n - rank([G diag(u^2); H]); the Gram formula is the
     # reference.  The three codes carry nodes, so from the crossover on they
     # rank from displacement generators; a fourth without nodes ranks the
-    # stack.
+    # k x k M = A' - W1^-1 A W2.
     cert = (_golden_cert(source) if isinstance(source, int)
             else request.getfixturevalue(source))
     codes = _three_duals(cert)
