@@ -28,10 +28,9 @@ from .isodual import (CertificateSchemaError, ConstructionError,
                       VerificationError, construct, find_scaling_with_hull,
                       lcd_transform, sample_scaling_hulls, selfdual_transform,
                       verify_certificate)
-from .eaqecc import EaqeccError, EaqeccParams, derive, derive_from_certificate, \
-    is_mds_eaqecc
+from .eaqecc import EaqeccError, EaqeccParams, derive, derive_from_certificate
 from .search import (AbelianGroupSpec, BoundTableRow, bound_table,
-                     enumerate_curves, lemma_max_search, length_bound,
-                     max_length_probe, realized_orders)
+                     lemma_max_search, length_bound, max_length_probe,
+                     realized_orders)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

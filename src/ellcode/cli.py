@@ -167,13 +167,17 @@ def _cmd_transform(args: argparse.Namespace, cert: IsoDualCertificate) -> int:
     return EXIT_OK
 
 
+def _write_rows(args: argparse.Namespace, rows: list[dict],
+                columns: Sequence[str]) -> None:
+    """A table to `--out`, when given, as `--format` CSV or JSON."""
+    if args.out:
+        _atomic_write(args.out, search.rows_to_csv(rows, columns)
+                      if args.format == "csv" else search.rows_to_json(rows))
+
+
 def _cmd_eaqecc(args: argparse.Namespace, *certs: IsoDualCertificate) -> int:
     items = [(cert, eaqecc.derive_from_certificate(cert)) for cert in certs]
-    if args.out:
-        rows = eaqecc.table_rows(items)
-        text = search.rows_to_csv(rows, eaqecc.TABLE_COLUMNS) \
-            if args.format == "csv" else search.rows_to_json(rows)
-        _atomic_write(args.out, text)
+    _write_rows(args, eaqecc.table_rows(items), eaqecc.TABLE_COLUMNS)
     for cert, params in items:
         print(f"{params.label()} mds={str(params.mds).lower()}")
     return EXIT_OK
@@ -201,10 +205,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                  "subset": ";".join(f"{i},{j}" for i, j in combo),
                  "g": f"{g[0]},{g[1]}"} for combo, g in hits]
         columns = ["group", "n", "subset", "g"]
-    if args.out:
-        text = search.rows_to_csv(rows, columns) if args.format == "csv" \
-            else search.rows_to_json(rows)
-        _atomic_write(args.out, text)
+    _write_rows(args, rows, columns)
     if args.table == "lemma-max":
         print(f"{len(rows)} counterexample(s)")
     if not args.out:

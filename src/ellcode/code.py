@@ -28,7 +28,6 @@ digit is 1 give every nonzero weight.  It runs only while q^k is within
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import xor
 from typing import Iterable, Optional, Sequence
 
@@ -39,7 +38,7 @@ from .curve import GroupStructure, Point
 
 BRUTE_FORCE_BUDGET = 2 ** 24
 """Largest q^k that `min_distance`, `weight_distribution` and `codewords`
-enumerate by default."""
+enumerate."""
 
 
 _DISPLACEMENT_MIN_K = 32
@@ -73,14 +72,6 @@ class ScalingVector:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ScalingVector) and other.spec == self.spec
-                and other.entries == self.entries)
-
-    def inverse(self) -> "ScalingVector":
-        return ScalingVector(self.spec,
-                             [self.spec.inv_enc(e) for e in self.entries])
 
     @classmethod
     def ones(cls, spec: FieldSpec, n: int) -> "ScalingVector":
@@ -178,11 +169,6 @@ class LinearCode:
             raise CodeError(f"weights must be nonzero encodings of GF({q})")
         return w
 
-    def same_code(self, other: "LinearCode") -> bool:
-        if other.spec != self.spec or other.n != self.n:
-            raise CodeError("codes must share field and length")
-        return self.matrix == other.matrix
-
     def hull_dim(self, gram: Optional[list[list[int]]] = None) -> int:
         """dim(C n C-perp) = k - rank(B B^T) for the rows B of any basis of
         C, cross-checked against `stacked_hull_dim` at w = 1.  `gram` is
@@ -270,63 +256,60 @@ class LinearCode:
         with I_k, and R and R' have rank at most 2 each.  Each R is
         factored by its RREF: P is R at the pivot columns, Q the RREF."""
         if self._factors is None:
-            self._factors = self._factor_displacements() or ()
+            spec, k, nodes, self._factors = self.spec, self.k, self.nodes, ()
+            if (spec.p == 2 or spec._addt is None or nodes is None
+                    or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
+                return None
+            alpha, x = nodes[:k], nodes[k:]
+            halves = self._systematic_halves()
+            if halves is None or not set(alpha).isdisjoint(x):
+                return None
+            log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
+            # log (alpha_i - x_j), nonzero as the nodes are disjoint
+            neg_x = [negt[b] for b in x]
+            ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
+            out = [alpha, x]
+            for half in halves:
+                r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row, lrow)]
+                     for row, lrow in zip(half, ldiff)]
+                q_rows, pivots = linalg.rref(r, spec)
+                if len(pivots) > 2:
+                    return None
+                out += [[[row[c] for row in r] for c in pivots], q_rows]
+            self._factors = tuple(out)
         return self._factors or None
 
-    def _factor_displacements(self) -> Optional[tuple]:
-        spec, k, nodes = self.spec, self.k, self.nodes
-        if (spec.p == 2 or spec._addt is None or nodes is None
-                or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
-            return None
-        alpha, x = nodes[:k], nodes[k:]
-        halves = self._systematic_halves()
-        if halves is None or not set(alpha).isdisjoint(x):
-            return None
-        log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
-        # log (alpha_i - x_j), nonzero as the nodes are disjoint
-        neg_x = [negt[b] for b in x]
-        ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
-        out = [alpha, x]
-        for half in halves:
-            r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row, lrow)]
-                 for row, lrow in zip(half, ldiff)]
-            q_rows, pivots = linalg.rref(r, spec)
-            if len(pivots) > 2:
-                return None
-            out += [[[row[c] for row in r] for c in pivots], q_rows]
-        return tuple(out)
-
-    def codewords(self, budget: int = BRUTE_FORCE_BUDGET):
+    def codewords(self):
         """Every codeword once, as a tuple, by odometer enumeration of
         messages."""
-        return map(tuple, self._words(budget))
+        return map(tuple, self._words())
 
-    def _words(self, budget: int):
+    def _words(self):
         """The words of `codewords`, as bytes in characteristic 2 and as
         lists otherwise; both count their zeros with ``.count(0)``."""
-        steps, zero, add, out = self._enumeration(budget)
+        steps, zero, add, out = self._enumeration()
         return map(out, _odometer(steps, self.spec.q, zero, add))
 
-    def _class_words(self, budget: int):
+    def _class_words(self):
         """One word per scalar class of nonzero codewords, in the form of
         `_words`: for each t, the messages whose digit t is the field's 1
         and whose higher digits are 0."""
-        steps, _, add, out = self._enumeration(budget)
+        steps, _, add, out = self._enumeration()
         q = self.spec.q
         # steps[t][0], moving digit t from 0 to the field's 1, is row t
         for t, row_steps in enumerate(steps):
             yield from map(out, _odometer(steps[:t], q, row_steps[0], add))
 
-    def _enumeration(self, budget: int):
+    def _enumeration(self):
         """Step tables, zero word and word addition for `_odometer`, and
         the map from its words to the form of `_words`.
 
-        The budget bounds q^k, the size of the full enumeration."""
+        `BRUTE_FORCE_BUDGET` bounds q^k, the size of the full enumeration."""
         spec, n, q = self.spec, self.n, self.spec.q
         qk = q ** self.k
-        if qk > budget:
+        if qk > BRUTE_FORCE_BUDGET:
             raise CodeError(
-                f"q^k = {qk} exceeds the brute-force budget {budget}; "
+                f"q^k = {qk} exceeds the brute-force budget {BRUTE_FORCE_BUDGET}; "
                 "certify MDS via mds_subset_check instead")
         # stepping message digit i from encoding a to a+1 adds
         # (elem(a+1) - elem(a)) * row_i; deltas depend on a in GF(p^m)
@@ -342,19 +325,19 @@ class LinearCode:
         return (steps, [0] * n, lambda u, v: list(map(add, u, v)),
                 lambda word: word)
 
-    def min_distance(self, budget: int = BRUTE_FORCE_BUDGET) -> int:
+    def min_distance(self) -> int:
         """Exact minimum Hamming weight, over one codeword per scalar class
-        (lambda.c has the weight of c); the budget still bounds q^k."""
+        (lambda.c has the weight of c); `BRUTE_FORCE_BUDGET` bounds q^k."""
         if self.k == 0:
             raise CodeError("zero code has no nonzero codeword")
-        return self.n - max(word.count(0) for word in self._class_words(budget))
+        return self.n - max(word.count(0) for word in self._class_words())
 
-    def weight_distribution(self, budget: int = BRUTE_FORCE_BUDGET) -> list[int]:
+    def weight_distribution(self) -> list[int]:
         """A_0..A_n, q - 1 times the weights of one codeword per scalar
         class; same budget as min_distance."""
         n, q = self.n, self.spec.q
         dist = [0] * (n + 1)
-        for word in self._class_words(budget):
+        for word in self._class_words():
             dist[n - word.count(0)] += 1
         return [1] + [(q - 1) * count for count in dist[1:]]
 
@@ -474,14 +457,3 @@ def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
         return 0
     return subset_sum_counts(coords, k, d1, d2)[bit]
 
-
-def subset_sum_counts_exhaustive(coords: Sequence[tuple[int, int]], k: int,
-                                 d1: int, d2: int) -> list[int]:
-    """Brute-force oracle for the DP, usable up to n around 16."""
-    size = d1 * d2
-    out = [0] * size
-    for combo in combinations(coords, k):
-        si = sum(c[0] for c in combo) % d1
-        sj = sum(c[1] for c in combo) % d2
-        out[si * d2 + sj] += 1
-    return out

@@ -46,13 +46,6 @@ def derive(n: int, k: int, d: int, hull_dim: int, q: int) -> EaqeccParams:
                         maximal_entanglement=(c == n - k_q))
 
 
-def is_mds_eaqecc(p: EaqeccParams) -> bool:
-    """Equality in the Singleton-type bound; d must satisfy 2d <= n + 2."""
-    if 2 * p.d > p.n + 2:
-        raise EaqeccError("Singleton-type bound precondition violated")
-    return 2 * p.d == p.n - p.k_q + p.c + 2
-
-
 def derive_from_certificate(cert: IsoDualCertificate) -> EaqeccParams:
     """Parameters from a verified construction certificate: its n, k, d
     and hull are taken as recorded."""

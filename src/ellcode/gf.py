@@ -341,14 +341,16 @@ class FieldSpec:
     # -- element access ---------------------------------------------------
 
     def element(self, value: "int | FieldElement") -> "FieldElement":
+        """A FieldElement of this field, or an int (not a bool) encoding."""
         if isinstance(value, FieldElement):
             if value.spec is not self and value.spec != self:
                 raise FieldError("element belongs to a different field")
             return value
-        enc = int(value)
-        if not 0 <= enc < self.q:
-            raise FieldError(f"encoding {enc} out of range for {self!r}")
-        return FieldElement(self, enc)
+        if type(value) is not int:
+            raise FieldError(f"not an int encoding or a FieldElement: {value!r}")
+        if not 0 <= value < self.q:
+            raise FieldError(f"encoding {value} out of range for {self!r}")
+        return FieldElement(self, value)
 
     @property
     def zero(self) -> "FieldElement":

@@ -236,8 +236,7 @@ class IsoDualCertificate:
         return LinearCode(curve.spec, self.generator_matrix, n=self.n,
                           nodes=[x for x, _ in self.points])
 
-    def point_objects(self, curve: Optional[Curve] = None) -> list[Point]:
-        curve = curve or self.curve()
+    def point_objects(self, curve: Curve) -> list[Point]:
         s = curve.spec
         return [Point(s.element(x), s.element(y)) for x, y in self.points]
 
@@ -737,6 +736,16 @@ def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearC
 # all (q-1)^n vectors, which is not exhaustively checkable)
 # ---------------------------------------------------------------------------
 
+def _sampler_rng(code: LinearCode, trials: int, seed: int, block: int) -> random.Random:
+    """The samplers' seeded generator, after `ValueError` for a negative
+    trial count and `CodeError` for a block size that does not divide n."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if block < 1 or code.n % block:
+        raise CodeError(f"block size {block} is not a positive divisor of n = {code.n}")
+    return random.Random(seed)
+
+
 def _random_scaling(code: LinearCode, rng: random.Random, block: int) -> ScalingVector:
     """Random vector, constant on consecutive blocks of the given size.
 
@@ -744,9 +753,6 @@ def _random_scaling(code: LinearCode, rng: random.Random, block: int) -> Scaling
     the inverse pairs the constructions emit adjacently, where the rare
     higher hull values actually live.
     """
-    if block < 1 or code.n % block:
-        raise CodeError(f"block size {block} is not a positive divisor "
-                        f"of n = {code.n}")
     entries: list[int] = []
     for _ in range(code.n // block):
         entries.extend([rng.randrange(1, code.spec.q)] * block)
@@ -756,7 +762,7 @@ def _random_scaling(code: LinearCode, rng: random.Random, block: int) -> Scaling
 def sample_scaling_hulls(code: LinearCode, trials: int, seed: int = 0,
                          block: int = 1) -> dict[int, int]:
     """Hull-dimension histogram over `trials` random scaling vectors."""
-    rng = random.Random(seed)
+    rng = _sampler_rng(code, trials, seed, block)
     out: dict[int, int] = {}
     for _ in range(trials):
         u = _random_scaling(code, rng, block)
@@ -768,7 +774,7 @@ def sample_scaling_hulls(code: LinearCode, trials: int, seed: int = 0,
 def find_scaling_with_hull(code: LinearCode, target_hull: int, trials: int = 2000,
                            seed: int = 0, block: int = 1) -> Optional[ScalingVector]:
     """First random scaling vector reaching the target hull dimension."""
-    rng = random.Random(seed)
+    rng = _sampler_rng(code, trials, seed, block)
     for _ in range(trials):
         u = _random_scaling(code, rng, block)
         if _scaled_hull_dim(code, u) == target_hull:

@@ -30,8 +30,8 @@ from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .gf import FieldSpec, _is_irreducible, factorize
-from .curve import (Curve, CurveError, GroupStructure, check_field_size,
-                    feasible_orders, odd_part)
+from .curve import (Curve, CurveError, check_field_size, feasible_orders,
+                    odd_part)
 from .code import subset_sum_reachable
 from .isodual import (ConstructionInput, ConstructionError,
                       IsoDualCertificate, applicable_two_torsion,
@@ -223,13 +223,6 @@ def _whole_family(q: int, curve_cost: int):
     return _curve_family(q)
 
 
-def enumerate_curves(q: int, with_structure: bool = True
-                     ) -> list[tuple[Curve, int, Optional[GroupStructure]]]:
-    """All nonsingular curves of the canonical families over GF(q)."""
-    return [(curve, curve.order(), curve.group_structure() if with_structure else None)
-            for curve in _whole_family(q, q)]
-
-
 def census_rows(qs: Sequence[int]) -> list[dict]:
     """The census table: q, curve, order, d1 and d2 of every curve of the
     families over each GF(q), keeping no curve, with progress on stderr.
@@ -238,7 +231,7 @@ def census_rows(qs: Sequence[int]) -> list[dict]:
     for q, walk in [(q, _whole_family(q, q)) for q in qs]:     # charges every q first
         for i, curve in enumerate(walk):
             if i % 500 == 0:
-                print(f"enumerate_curves: {i} candidates scanned", file=sys.stderr)
+                print(f"census_rows: {i} candidates scanned", file=sys.stderr)
             structure = curve.group_structure()
             rows.append({"q": q, "curve": curve.to_string(), "order": curve.order(),
                          "d1": structure.d1, "d2": structure.d2})

@@ -8,8 +8,8 @@ import pytest
 from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, linalg
 from ellcode.curve import INFINITY, Point
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
-                          mds_subset_check, subset_sum_counts,
-                          subset_sum_counts_exhaustive, subset_sum_reachable)
+                          mds_subset_check, subset_sum_counts, subset_sum_reachable)
+from oracle import subset_sum_counts_exhaustive
 
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
@@ -154,7 +154,8 @@ def test_dual_orthogonality_and_dims(code16, f16):
 
 
 def test_dual_is_involution(code16):
-    assert code16.dual().dual().same_code(code16)
+    assert code16.dual().dual().matrix == code16.matrix
+    assert code16.dual().matrix != code16.matrix
 
 
 def test_full_and_zero_codes(f16):
@@ -162,7 +163,7 @@ def test_full_and_zero_codes(f16):
                             for i in range(3)])
     zero = full.dual()
     assert zero.k == 0 and zero.n == 3
-    assert zero.dual().same_code(full)
+    assert zero.dual().matrix == full.matrix
     with pytest.raises(CodeError):
         LinearCode(f16, [])
 
@@ -183,19 +184,28 @@ def test_min_distance_examples(code16, f16):
     assert rep.min_distance() == 6
 
 
-def test_min_distance_budget(f25):
+def test_min_distance_budget(monkeypatch, f25):
+    monkeypatch.setattr(code, "BRUTE_FORCE_BUDGET", 2 ** 20)
     big = LinearCode(f25, [[1 if i == j else 0 for j in range(12)]
                            for i in range(6)])
     with pytest.raises(CodeError):
-        big.min_distance(budget=2 ** 20)
+        big.min_distance()
 
 
 def test_scale_identities(code16, f16):
     ones = ScalingVector.ones(f16, 8)
-    assert code16.scale(ones).same_code(code16)
+    assert code16.scale(ones).matrix == code16.matrix
     v = ScalingVector(f16, [3, 7, 2, 9, 11, 4, 6, 13])
-    assert code16.scale(v).scale(v.inverse()).same_code(code16)
+    assert code16.scale(v).scale([f16.inv_enc(e) for e in v]).matrix == code16.matrix
     assert code16.scale(v).weight_distribution() == code16.weight_distribution()
+
+
+def test_codes_and_scalings_refuse_non_integer_entries(f25):
+    for row in ([2.7, 1, 0, 3], [True, False, 2], [7, "3", 1]):
+        with pytest.raises(FieldError):
+            LinearCode(f25, [row])
+    with pytest.raises(FieldError):
+        ScalingVector(f25, [2.9, "4"])
 
 
 def test_scaling_vector_rejects_zero(f16):
@@ -208,16 +218,9 @@ def test_scale_length_mismatch(code16, f16):
         code16.scale(ScalingVector(f16, [1, 1]))
 
 
-def test_same_code(code16, f16):
-    assert code16.same_code(code16)
-    assert not code16.same_code(code16.dual())
-    with pytest.raises(CodeError):
-        code16.same_code(LinearCode(f16, [[1, 1]]))
-
-
 def test_iso_dual_identity_via_scale(cert16, code16, f16):
     v = ScalingVector(f16, cert16.scaling_v)
-    assert code16.scale(v).same_code(code16.dual())
+    assert code16.scale(v).matrix == code16.dual().matrix
 
 
 def test_mds_subset_check_construction(cert16, e16, f16):
@@ -402,15 +405,17 @@ def test_zero_code_weight_distribution(f16, f25):
             zero.min_distance()
 
 
-def test_budget_still_bounds_q_to_the_k(code16, f25):
+def test_budget_still_bounds_q_to_the_k(monkeypatch, code16, f25):
     # the budget tests q^k, not the (q^k - 1)/(q - 1) words enumerated
     rep = LinearCode(f25, [[1, 2, 3, 4], [0, 1, 1, 2]])
     for c in (code16, rep):
         qk = c.spec.q ** c.k
         for enumerate_ in (c.min_distance, c.weight_distribution):
+            monkeypatch.setattr(code, "BRUTE_FORCE_BUDGET", qk - 1)
             with pytest.raises(CodeError, match="exceeds the brute-force budget"):
-                enumerate_(budget=qk - 1)
-            enumerate_(budget=qk)
+                enumerate_()
+            monkeypatch.setattr(code, "BRUTE_FORCE_BUDGET", qk)
+            enumerate_()
 
 
 @pytest.mark.parametrize("fixture", ["cert16", "cert25"])
@@ -443,14 +448,18 @@ def test_hull_gram_vs_stacked_on_scaled_codes(code16, f16):
         assert h_gram == h_stack == scaled.hull_dim()
 
 
+_F25 = FieldSpec(5, 2, [2, 4, 1])     # equal to the f25 fixture
+
+
 @pytest.mark.parametrize("rows, encs", [
     ([[0, 24, 3]], [[0, 24, 3]]),
-    ([[True, False, 2]], [[1, 0, 2]]),
-    ([[7.9, "3", 1]], [[7, 3, 1]]),
+    ([[_F25.element(1), _F25.element(0), 2]], [[1, 0, 2]]),
+    ([[7, _F25.element(3), 1]], [[7, 3, 1]]),
 ])
 def test_code_rows_keep_in_range_ints_and_convert_the_rest(f25, rows, encs):
-    # plain ints in range are kept as they are; everything else still goes
-    # through spec.element, so what it accepts and how it converts are unchanged
+    # plain ints in range are kept as they are; everything else goes through
+    # spec.element, which converts a FieldElement and refuses any other type
+    # (test_codes_and_scalings_refuse_non_integer_entries)
     assert [list(r) for r in LinearCode(f25, rows).matrix] == \
         linalg.rref(encs, f25)[0]
     assert [[f25.element(v).enc for v in row] for row in rows] == encs
@@ -621,11 +630,12 @@ def _golden_code(q):
 
 def test_generator_route_runs_from_the_crossover(monkeypatch):
     # the q = 289 code (k = 80) ranks from generators, the q = 49 code
-    # (k = 14) below the crossover ranks the stack
+    # (k = 14) below the crossover ranks the k x k W1 A' - A W2
     big, small = _golden_code(289), _golden_code(49)
     assert big.k >= code._DISPLACEMENT_MIN_K > small.k
     assert big._displacement_factors() is not None
     assert small._displacement_factors() is None
+    assert small._systematic_halves() is not None
     calls = []
     for name in ("rank", "cauchy_like_rank"):
         real = getattr(linalg, name)

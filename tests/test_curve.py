@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ellcode import FieldSpec, feasible_orders, odd_part
+from ellcode import FieldError, FieldSpec, feasible_orders, odd_part
 from ellcode.curve import Curve, CurveError, Point, INFINITY
 from ellcode.search import realized_orders
 
@@ -21,6 +21,11 @@ def test_field_mismatch_rejected(e16, f25):
 def test_singular_curve_rejected(f25):
     with pytest.raises(CurveError):
         Curve(f25, 0, 0, 0, 0, 0)     # y^2 = x^3
+
+
+def test_curve_refuses_non_integer_coefficients(f25):
+    with pytest.raises(FieldError):
+        Curve(f25, 0, 0, 0, 0, 1.9)     # once read as y^2 = x^3 + 1
 
 
 def test_negation(f16, e16, f25, e25):

@@ -1,7 +1,7 @@
 import pytest
 
-from ellcode.eaqecc import (TABLE_COLUMNS, EaqeccError, EaqeccParams, derive,
-                            derive_from_certificate, is_mds_eaqecc, table_rows)
+from ellcode.eaqecc import (TABLE_COLUMNS, EaqeccError, derive,
+                            derive_from_certificate, table_rows)
 from ellcode.search import rows_to_csv, rows_to_json
 
 
@@ -25,15 +25,19 @@ def test_derive_selfdual_collapse():
 
 
 def test_is_mds_examples():
-    assert is_mds_eaqecc(EaqeccParams(8, 4, 5, 4, 16, True, True))
-    assert is_mds_eaqecc(EaqeccParams(20, 8, 11, 8, 32, True, True))
-    assert is_mds_eaqecc(EaqeccParams(160, 80, 81, 80, 289, True, True))
-    assert not is_mds_eaqecc(EaqeccParams(8, 4, 4, 4, 16, False, True))
+    # [[8,4,5;4]]_16, [[20,8,11;8]]_32 and [[160,80,81;80]]_289 meet the
+    # Singleton-type bound with equality; [[8,4,4;4]]_16 does not
+    assert derive(8, 4, 5, 0, 16).mds
+    assert derive(20, 10, 11, 2, 32).mds
+    assert derive(160, 80, 81, 0, 289).mds
+    assert not derive(8, 4, 4, 0, 16).mds
 
 
 def test_is_mds_precondition():
-    with pytest.raises(EaqeccError):
-        is_mds_eaqecc(EaqeccParams(8, 1, 6, 1, 16, False, False))
+    # [[8,1,6;1]]_16 has 2d > n + 2, outside the bound's range: never MDS
+    p = derive(8, 4, 6, 3, 16)
+    assert (p.k_q, p.c) == (1, 1)
+    assert not p.mds
 
 
 def test_derive_parameter_validation():

@@ -56,6 +56,15 @@ def test_cross_field_operations_rejected(f16, f25):
         f16.element(3) * f25.element(3)
 
 
+@pytest.mark.parametrize("value", [2.7, "3", True, None])
+def test_element_takes_only_int_encodings_and_elements(f25, value):
+    # int() once read 2.7 as 2, "3" as 3 and True as 1
+    with pytest.raises(FieldError, match="int encoding"):
+        f25.element(value)
+    three = f25.element(3)
+    assert f25.element(three) is three and three.enc == 3
+
+
 def test_sqrt_char2_is_total_frobenius_inverse(f16):
     for enc in range(16):
         r = f16.sqrt_enc(enc)

@@ -530,7 +530,7 @@ def _three_duals(cert):
     assert isodual._iso_dual_identity(ctx) and proved._dual is not None
     kernel = cert.code()
     kernel.dual()
-    assert kernel.dual().same_code(proved.dual())
+    assert kernel.dual().matrix == proved.dual().matrix
     return proved, kernel, cert.code()
 
 
@@ -604,10 +604,16 @@ def test_sample_scaling_hulls_forms_no_gram(monkeypatch, cert25):
 @pytest.mark.parametrize("block", [0, -2, 3])
 def test_samplers_reject_bad_blocks(cert25, block):
     code = cert25.code()
-    with pytest.raises(CodeError, match="positive divisor"):
-        sample_scaling_hulls(code, 2, block=block)
-    with pytest.raises(CodeError, match="positive divisor"):
-        find_scaling_with_hull(code, 0, trials=2, block=block)
+    # checked before the first draw, so also when there is none
+    for trials in (2, 0):
+        with pytest.raises(CodeError, match="positive divisor"):
+            sample_scaling_hulls(code, trials, block=block)
+        with pytest.raises(CodeError, match="positive divisor"):
+            find_scaling_with_hull(code, 0, trials=trials, block=block)
+    with pytest.raises(ValueError, match="at least 0"):
+        sample_scaling_hulls(code, -5)
+    with pytest.raises(ValueError, match="at least 0"):
+        find_scaling_with_hull(code, 1, trials=-1)
 
 
 def test_scaled_hull_dim_rejects_wrong_length(cert25):

@@ -6,7 +6,7 @@ import pytest
 
 from ellcode import isodual, search
 from ellcode.curve import Curve, CurveError, feasible_orders
-from ellcode.search import (AbelianGroupSpec, bound_table, enumerate_curves,
+from ellcode.search import (AbelianGroupSpec, bound_table, census_rows,
                             lemma_max_search, length_bound,
                             max_length_probe, realized_orders, rows_to_csv,
                             rows_to_json)
@@ -74,17 +74,17 @@ def test_realized_orders_match_feasible(q):
 
 
 def test_enumerate_curves_gf4():
-    rows = enumerate_curves(4, with_structure=True)
-    orders = {order for _, order, _ in rows}
+    rows = census_rows([4])
+    orders = {row["order"] for row in rows}
     assert orders == set(range(1, 10))
-    for curve, order, structure in rows:
-        assert structure.d1 * structure.d2 == order
-        assert (order - 5) ** 2 <= 16      # Hasse window around q + 1
+    for row in rows:
+        assert row["d1"] * row["d2"] == row["order"]
+        assert (row["order"] - 5) ** 2 <= 16      # Hasse window around q + 1
 
 
 def test_enumerate_curves_predicate():
-    rows = [row for row in enumerate_curves(4) if row[1] == 9]
-    assert rows and all(order == 9 for _, order, _ in rows)
+    curves = [curve for curve in search._whole_family(4, 4) if curve.order() == 9]
+    assert curves and all(curve.order() == 9 for curve in curves)
 
 
 def _refused_at_once(walk, q):
@@ -96,7 +96,7 @@ def _refused_at_once(walk, q):
 
 def test_enumerate_curves_cap():
     # GF(64) has 262,080 curves in its family, 1.7e7 curves x q
-    for walk in (enumerate_curves, realized_orders):
+    for walk in (lambda q: census_rows([q]), realized_orders):
         _refused_at_once(walk, 64)
         _refused_at_once(walk, 1024)
 
@@ -111,16 +111,14 @@ def test_census_keeps_no_curve(capsys):
     finally:
         tracemalloc.stop()
     assert len(rows) == 504 and peak < 1_000_000
-    assert capsys.readouterr().err == "enumerate_curves: 0 candidates scanned\n" \
-        "enumerate_curves: 500 candidates scanned\n"
+    assert capsys.readouterr().err == "census_rows: 0 candidates scanned\n" \
+        "census_rows: 500 candidates scanned\n"
 
 
 def test_census_gf16_realizes_order_22():
-    rows = [row for row in enumerate_curves(16, with_structure=False)
-            if row[1] == 22]
-    assert rows
-    curve, order, _ = rows[0]
-    assert order == 22 and curve.order() == 22
+    curve = next(c for c in search._whole_family(16, 16) if c.order() == 22)
+    structure = curve.group_structure()
+    assert structure.d1 * structure.d2 == 22
 
 
 def test_max_length_probe_gf25_curve(e25):
