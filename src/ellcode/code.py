@@ -4,8 +4,8 @@ Generator matrices are kept in reduced row-echelon form, so code equality
 is literal matrix equality and certificates are canonical.  A code
 C_L(D, G) is MDS exactly when no k-subset of the evaluation points has
 group sum sum(G).  The MDS certifier first asks only whether sum(G) is
-reachable, by dynamic programming over (prefix, subset size) with each
-size's reachable group elements held as one int bitset; only a reachable
+reachable, by dynamic programming over (prefix, subset size) with every
+size's reachable group elements packed in one int; only a reachable
 target, i.e. a failed certificate, pays for the exact count, a DP over
 (prefix, subset size, group element) with integer counts.
 
@@ -58,14 +58,16 @@ class ScalingVector:
     __slots__ = ("spec", "entries")
 
     def __init__(self, spec: FieldSpec, entries: Iterable[int | FieldElement]):
-        encs = []
-        for e in entries:
-            enc = spec.element(e).enc
-            if enc == 0:
+        encs = tuple(entries)
+        # nonzero int encodings pass in one C-level pass; any other entry
+        # goes through `spec.element`, which raises `FieldError`
+        if not (set(map(type, encs)) <= {int}
+                and 0 < min(encs, default=1) and max(encs, default=0) < spec.q):
+            encs = tuple(spec.element(e).enc for e in encs)
+            if 0 in encs:
                 raise CodeError("scaling vector entries must be nonzero")
-            encs.append(enc)
         self.spec = spec
-        self.entries = tuple(encs)
+        self.entries = encs
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -86,19 +88,21 @@ class LinearCode:
 
     k = 0 (zero code) and k = n (full space) are representable so `dual`
     is total.  Rows may be given as encodings or FieldElements; any
-    spanning set is accepted and reduced.
+    spanning set is accepted and reduced; [I | A] is kept as given.
     """
 
-    __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_factors", "_halves")
+    __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_dual_v",
+                 "_factors", "_halves")
 
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
                  n: Optional[int] = None,
                  nodes: Optional[Sequence[int]] = None):
-        # a plain int encoding in range is kept; anything else is checked
+        # a row of in-range int encodings passes in one C-level pass
         q, element = spec.q, spec.element
-        enc_rows = [[v if type(v) is int and 0 <= v < q else element(v).enc
-                     for v in row] for row in rows]
+        enc_rows = [list(row) if set(map(type, row)) <= {int}
+                    and 0 <= min(row, default=0) and max(row, default=0) < q
+                    else [element(v).enc for v in row] for row in rows]
         widths = {len(r) for r in enc_rows}
         if len(widths) > 1:
             raise CodeError("ragged generator matrix")
@@ -114,13 +118,21 @@ class LinearCode:
             if len(nodes) != n or not all(type(x) is int and 0 <= x < q
                                           for x in nodes):
                 raise CodeError("nodes must be n field encodings")
-        red, _ = linalg.rref(enc_rows, spec)
-        self._set(spec, n, tuple(map(tuple, red)), nodes)
+        k = len(enc_rows)
+        if not (k <= n and all(r[i] == 1 and not any(r[:i]) and not any(r[i + 1:k])
+                               for i, r in enumerate(enc_rows))):
+            enc_rows, _ = linalg.rref(enc_rows, spec)
+        self._set(spec, n, tuple(map(tuple, enc_rows)), nodes)
 
     def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes) -> None:
         self.spec, self.n, self.k = spec, n, len(matrix)
         self.matrix, self.nodes = matrix, nodes
-        self._dual = self._factors = self._halves = None
+        self._dual = self._dual_v = self._factors = self._halves = None
+
+    def _carry_dual(self, v: Sequence[int]) -> None:
+        """Cache C.v as the dual, for a v the caller proved gives C-perp,
+        and keep v for `_displacement_factors`."""
+        self._dual, self._dual_v = self.scale(v), tuple(v)
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] orthogonal code, via the kernel of the generator."""
@@ -254,7 +266,9 @@ class LinearCode:
         code has nodes, n = 2k with k at least `_DISPLACEMENT_MIN_K`, the
         row nodes are disjoint from the column nodes, G and H both lead
         with I_k, and R and R' have rank at most 2 each.  Each R is
-        factored by its RREF: P is R at the pivot columns, Q the RREF."""
+        factored by its RREF: P is R at the pivot columns, Q the RREF.  A
+        dual C.v (`_carry_dual`) has A' = D_v1^-1 A D_v2, so P' = D_v1^-1 P
+        and Q' = Q D_v2, with no second RREF."""
         if self._factors is None:
             spec, k, nodes, self._factors = self.spec, self.k, self.nodes, ()
             if (spec.p == 2 or spec._addt is None or nodes is None
@@ -268,14 +282,18 @@ class LinearCode:
             # log (alpha_i - x_j), nonzero as the nodes are disjoint
             neg_x = [negt[b] for b in x]
             ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
-            out = [alpha, x]
-            for half in halves:
+            out, dual_v = [alpha, x], self._dual_v
+            for half in halves if dual_v is None else halves[:1]:
                 r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row, lrow)]
                      for row, lrow in zip(half, ldiff)]
                 q_rows, pivots = linalg.rref(r, spec)
                 if len(pivots) > 2:
                     return None
                 out += [[[row[c] for row in r] for c in pivots], q_rows]
+            if dual_v is not None:
+                out += [linalg.scale_columns(out[2], [spec.inv_enc(e) for e in dual_v[:k]],
+                                             spec),
+                        linalg.scale_columns(out[3], dual_v[k:], spec)]
             self._factors = tuple(out)
         return self._factors or None
 
@@ -412,31 +430,46 @@ def subset_sum_reachable(coords: Sequence[tuple[int, int]], k: int,
     """The group elements some k-subset sums to, as an int bitset.
 
     Bit i*d2 + j is set exactly where `subset_sum_counts` is nonzero.  The
-    DP runs over the same (prefix, subset size) states with one int per
-    size: adding a point ORs in the previous size's bitset rotated by the
-    point's coordinates.  On the flat layout that 2-D cyclic rotation is
-    two masked column shifts and one rotation of the whole int by rows.
+    DP runs over the same (prefix, subset size) states, size s in the s-th
+    block of d1*d2 bits of one int.  Adding a point rotates every block at
+    once by the point's coordinates (`_rotate`), shifts the result up one
+    block and ORs it in.  Sizes above k, or too small to reach k with the
+    points left, are cut off.
     """
     n = len(coords)
     if not 0 <= k <= n:
         return 0
     size = d1 * d2
-    full = (1 << size) - 1
-    column0 = full // ((1 << d2) - 1)   # bit 0 of every row
-    dp = [0] * (k + 1)
-    dp[0] = 1
+    total, masks = (k + 1) * size, {}
+    # block b of dp is size base + b; sizes below base can no longer reach k
+    dp, base, top = 1, 0, (1 << total) - 1
     for idx, (gi, gj) in enumerate(coords):
-        gj %= d2
-        shift = (gi % d1) * d2
-        stay = ((1 << (d2 - gj)) - 1) * column0     # columns that do not wrap
-        wrap = full ^ stay
-        hi = min(k, idx + 1)
-        lo = max(1, k - (n - idx - 1))
-        for s in range(hi, lo - 1, -1):
-            prev = dp[s - 1]
-            cols = ((prev & stay) << gj) | ((prev & wrap) >> (d2 - gj))
-            dp[s] |= ((cols << shift) | (cols >> (size - shift))) & full
-    return dp[k]
+        # columns rotate inside each d2-bit row, rows inside each block
+        cols = _rotate(_rotate(dp, gj % d2, d2, total, masks),
+                       gi % d1 * d2, size, total, masks)
+        dp = (dp | cols << size) & top
+        low = k - (n - idx - 1)
+        if low > base:
+            dp >>= (low - base) * size
+            base, top = low, top >> (low - base) * size
+    return dp >> (k - base) * size
+
+
+def _rotate(x: int, by: int, width: int, total: int, masks: dict) -> int:
+    """x < 2^total with every width-bit slot rotated up by `by` bits; the
+    masks of the bits that do and do not wrap are built once per (by,
+    width) by doubling, and kept in `masks`."""
+    if not by:
+        return x
+    if (by, width) not in masks:
+        stay, span = (1 << (width - by)) - 1, width
+        while span < total:
+            stay |= stay << span
+            span *= 2
+        ones = (1 << total) - 1
+        masks[by, width] = stay & ones, ones ^ (stay & ones)
+    stay, wrap = masks[by, width]
+    return ((x & stay) << by) | ((x & wrap) >> (width - by))
 
 
 def mds_subset_check(points: Sequence[Point], structure: GroupStructure,

@@ -339,8 +339,11 @@ class Curve:
         of the orders so far is tried as p2: p1 is the smallest-key point
         of order d1 = #E / d2 whose grid {i*p1 + j*p2} covers the group.
         Such a p1 exists exactly when d2 is the exponent, so the first
-        point that gets one is the p2 of the rule.  The grid walk is the
-        dlog table; the order of the point at (i, j) is
+        point that gets one is the p2 of the rule.  The grid covers the
+        group iff <p1> n <p2> = {O}, that is iff for each prime l | d1 the
+        order-l point (d1/l)*p1 is not a multiple of p2, so p1 is chosen by
+        that test and only its grid is walked.  The walk is the dlog table;
+        the order of the point at (i, j) is
         lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
         """
         if self._structure is not None:
@@ -356,7 +359,7 @@ class Curve:
                     m //= ell
             return m
 
-        lcm_so_far, tried, coords = 1, set(), None
+        lcm_so_far, tried = 1, set()
         for p2 in pts:
             d2 = order(p2, n)
             lcm_so_far = lcm(lcm_so_far, d2)
@@ -368,15 +371,19 @@ class Curve:
             for j in range(d2):
                 row[cur] = (0, j)
                 cur = add(cur, p2)
+            cofactors = [d1 // ell for ell in factorize(d1)]
             for p1 in pts:
-                if mul(d1, p1) is None and order(p1, d1) == d1:
-                    coords = _grid(add, row, p1, p2, d1, d2)
-                    if coords is not None:
-                        break
-            if coords is not None:
-                break
+                if (mul(d1, p1) is None and order(p1, d1) == d1
+                        and all(mul(c, p1) not in row for c in cofactors)):
+                    break
+            else:
+                continue        # no p1 for this p2
+            break
         else:
             raise CurveError("no basis of the group found")
+        coords = _grid(add, row, p1, p2, d1, d2)
+        if len(coords) != n:
+            raise CurveError("the basis grid does not cover the group")
         basis = (self._point(p1), self._point(p2))
         self._structure = GroupStructure(d1, d2, basis, coords, self.spec)
         return self._structure
@@ -392,8 +399,8 @@ class Curve:
         return hash((self.spec, self.coefficients()))
 
 
-def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> Optional[dict]:
-    """{i*p1 + j*p2: (i, j)} over the d1 x d2 grid, or None at the first repeat.
+def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> dict:
+    """{i*p1 + j*p2: (i, j)} over the d1 x d2 grid.
 
     `row` is the first row, the multiples of p2 keyed to (0, j).
     """
@@ -402,8 +409,6 @@ def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> Optional[dict]:
     for i in range(1, d1):
         cur = base
         for j in range(d2):
-            if cur in coords:
-                return None
             coords[cur] = (i, j)
             cur = add(cur, p2)
         base = add(base, p1)

@@ -6,9 +6,10 @@ characteristic) translates k pairs by Qa = Q1 = (0, gamma1) and scales by
 v_i = 1/h'(x_i).  Construction 2 (odd characteristic, the curve shape
 y^2 = x^3+a2x^2+a4x+a6 with full rational 2-torsion) translates k/2 pairs
 by two 2-torsion points Qa, Qb and scales by
-v_i = (x_i - beta_a) / (h'(x_i) y_i).  One derivation, `_derive_points`,
-gives `construct` and the verifier Qa and the points; G and v follow from
-those alone, and verify compares the file's matrix and v with them.
+v_i = (x_i - beta_a) / (h'(x_i) y_i), log h'(x_i) a sum of table lookups.
+One derivation, `_derive_points`, gives `construct` and the verifier Qa
+and the points; G and v follow from those alone, and verify compares the
+file's matrix and v with them.
 
 Neither G nor a Gram matrix takes a k^3 elimination.  The first k points
 are k/2 whole pairs {P, -P}, so G is the systematic [I | A] in closed form
@@ -37,9 +38,11 @@ target sum(G) is Qa.
 iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
 residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
-nullspace computed.  hull is k - rank of the moment Gram at w = 1, which
-reads only the points, cross-checked against `LinearCode.stacked_hull_dim`
-with C.v, the dual that identity proved, which reads G.  The samplers, the
+nullspace computed; the code keeps v for the dual's displacement factors,
+and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
+k - rank of the moment Gram at w = 1, which reads only the points,
+cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
+that identity proved, which reads G.  The samplers, the
 hull search and the LCD ladder take the hull of u.C from the same method,
 against the cached dual at w = u^2; they form no Gram matrix per trial.
 The codes of `_Context.code` and `IsoDualCertificate.code` carry the
@@ -66,10 +69,10 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, Sequence
 
-from . import gf, funcspace
+from . import gf, funcspace, linalg
 from ._version import __version__
 from .gf import FieldSpec
 from .curve import Curve, CurveError, Point, odd_part
@@ -150,7 +153,9 @@ _int, _list, _str, _bool = (_exactly(t) for t in (int, list, str, bool))
 
 
 def _ints(value) -> tuple[int, ...]:
-    """A JSON list of integers."""
+    """A JSON list of integers; the per-entry parser runs only to raise."""
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return tuple(value)
     return tuple(map(_int, _list(value)))
 
 
@@ -497,19 +502,27 @@ class _Context:
     @cached_property
     def v(self) -> Optional[ScalingVector]:
         """The scaling carrying the code onto its dual (module docstring),
-        with h'(alpha) = prod (alpha - beta) over the other distinct x's;
+        with log h'(alpha) the sum of log (alpha - beta) over all distinct
+        x's beta, alpha's own term adding the table's log 0 = 0.
         None when a point with y = 0 or x = beta leaves some v_i undefined
         or zero, which only a file failing an earlier invariant holds."""
         spec, points = self.spec, self.points
-        mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
+        log, exp, q1 = spec._log, spec._exp, spec.q - 1
         xs = {p.x.enc for p in points}
-        hp = {a: reduce(mul, (sub(a, b) for b in xs - {a}), 1) for a in xs}
         if spec.p == 2:
-            return ScalingVector(spec, [inv(hp[p.x.enc]) for p in points])
-        beta = self.qa.x.enc
-        entries = [mul(sub(p.x.enc, beta), inv(mul(hp[p.x.enc], p.y.enc)))
-                   if p.y.enc else 0 for p in points]
-        return ScalingVector(spec, entries) if all(entries) else None
+            lhp = {a: sum([log[a ^ b] for b in xs]) for a in xs}
+            return ScalingVector(spec, [exp[-lhp[p.x.enc] % q1] for p in points])
+        beta, sub = self.qa.x.enc, spec.sub_enc
+        if any(p.x.enc == beta or not p.y.enc for p in points):
+            return None
+        if spec._addt is None:
+            lhp = {a: sum([log[sub(a, b)] for b in xs]) for a in xs}
+        else:
+            addt, neg_xs = spec._addt, [spec._negt[b] for b in xs]
+            lhp = {a: sum(map(log.__getitem__, map(addt[a].__getitem__, neg_xs))) for a in xs}
+        return ScalingVector(spec, [
+            exp[(log[sub(p.x.enc, beta)] - lhp[p.x.enc] - log[p.y.enc]) % q1]
+            for p in points])
 
     @property
     def scaling_v(self) -> tuple[int, ...]:
@@ -572,12 +585,12 @@ def _iso_dual_identity(c: _Context) -> bool:
     """A zero Gram under v of a basis of C, here every point moment at
     w = v, puts C.v inside C-perp, and with n = 2k both have dimension k,
     so C.v is C-perp: it becomes the code's cached dual, which the `hull`
-    cross-check then reads without a nullspace."""
+    cross-check then reads without a nullspace; the code keeps v too."""
     code, v = c.code, c.v
     if v is None or code.n != 2 * code.k or any(
             map(any, funcspace.basis_gram(c.basis, c.points, v.entries))):
         return False
-    code._dual = code.scale(v)
+    code._carry_dual(v.entries)
     return True
 
 
@@ -635,7 +648,7 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
             raise CertificateSchemaError(
                 "field and curve must be spelled as construct writes them")
         q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
-        if not all(len(r) == n and all(0 <= e < q for e in r)
+        if not all(len(r) == n and (not r or 0 <= min(r) and max(r) < q)
                    for r in (*cert.generator_matrix, cert.scaling_v)):
             raise CertificateSchemaError(
                 "generator_matrix rows must be n long, and they and scaling_v "
@@ -670,7 +683,7 @@ def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearC
             "odd characteristic: square roots of v may not exist; "
             "no self-dual scaling is provided")
     u = ScalingVector(spec, [spec.sqrt_enc(e) for e in cert.scaling_v])
-    return u, _accept(cert.code(curve), u, cert.k, "self-dual transform")
+    return u, _accept(_code_with_dual(cert, curve), u, cert.k, "self-dual transform")
 
 
 def lcd_transform(cert: IsoDualCertificate,
@@ -690,10 +703,10 @@ def lcd_transform(cert: IsoDualCertificate,
         raise ValueError(f"LCD search budget must be at least 1, got {budget}")
     curve = cert.curve()
     spec = curve.spec
-    code = cert.code(curve)
     ell = cert.hull_dim
     if ell == 0:
-        return ScalingVector.ones(spec, cert.n), code
+        return ScalingVector.ones(spec, cert.n), cert.code(curve)
+    code = _code_with_dual(cert, curve)
     non_square_one = [e for e in range(2, spec.q)
                       if spec.mul_enc(e, e) != 1]
     spent = 0
@@ -712,12 +725,21 @@ def lcd_transform(cert: IsoDualCertificate,
     return None
 
 
+def _code_with_dual(cert: IsoDualCertificate, curve: Curve) -> LinearCode:
+    """The certificate's code, with C.v as its dual where n = 2k and
+    G diag(v) G^T = 0; otherwise `LinearCode.dual` takes the kernel."""
+    code, v = cert.code(curve), cert.scaling_v
+    if code.n == 2 * code.k and not any(map(any, linalg.gram(code.matrix, curve.spec, v))):
+        code._carry_dual(v)
+    return code
+
+
 def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
     """dim of the hull of u.C, with no scaled code and no Gram matrix built:
     it is dim(u^2.C n C-perp), the `stacked_hull_dim` at w = u^2 against
-    the dual cached on `code` (C.v once `iso_dual_identity` proved it,
-    otherwise one nullspace), from displacement generators where the code
-    has nodes and the route applies."""
+    the dual cached on `code` (C.v once `iso_dual_identity` or
+    `_code_with_dual` proved it, otherwise one nullspace), from displacement
+    generators where the code has nodes and the route applies."""
     mul = code.spec.mul_enc
     return code.stacked_hull_dim([mul(x, x) for x in u.entries])
 

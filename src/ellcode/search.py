@@ -231,7 +231,7 @@ def census_rows(qs: Sequence[int]) -> list[dict]:
     for q, walk in [(q, _whole_family(q, q)) for q in qs]:     # charges every q first
         for i, curve in enumerate(walk):
             if i % 500 == 0:
-                print(f"census_rows: {i} candidates scanned", file=sys.stderr)
+                print(f"census_rows: q={q}: {i} candidates scanned", file=sys.stderr)
             structure = curve.group_structure()
             rows.append({"q": q, "curve": curve.to_string(), "order": curve.order(),
                          "d1": structure.d1, "d2": structure.d2})

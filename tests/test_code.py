@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -763,7 +764,7 @@ def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
     kernel, spec = cert.code(), cert.spec()
     v, k = cert.scaling_v, kernel.k
     proved = cert.code()
-    proved._dual = proved.scale(v)
+    proved._carry_dual(v)
     assert proved._dual.matrix == kernel.dual().matrix
     dense = LinearCode(spec, kernel.matrix, n=kernel.n)
     assert dense._systematic_halves() is not None
@@ -816,3 +817,88 @@ def test_gram_and_scale_columns_refuse_a_zero_weight(request, fixture):
         with pytest.raises(ValueError, match="nonzero"):
             linalg.scale_columns([[1, 2, 3]], w, spec)
     assert linalg.gram([[1, 2, 3]], spec, [1, 1, 1]) == linalg.gram([[1, 2, 3]], spec)
+
+
+def test_dual_factors_from_v_reproduce_r_prime(monkeypatch):
+    # with the dual C.v, A' = D_v1^-1 A D_v2, so the dual's displacement
+    # R' = D_alpha A' - A' D_x is P' Q' for P' = D_v1^-1 P and Q' = Q D_v2:
+    # one RREF (of R) where the kernel's dual takes two
+    with open(os.path.join(GOLDENS, "q289.json")) as fh:
+        cert = IsoDualCertificate.from_json(fh.read())
+    spec, v = cert.spec(), cert.scaling_v
+    proved, kernel = cert.code(), cert.code()
+    proved._carry_dual(v)
+    kernel_factors = kernel._displacement_factors()
+    rrefs = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, *args, **kw:
+                        rrefs.append(len(rows)) or real(rows, *args, **kw))
+    alpha, x, p_cols, q_rows, dual_p, dual_q = proved._displacement_factors()
+    assert rrefs == [proved.k] and kernel_factors[:4] == (alpha, x, p_cols, q_rows)
+    k, mul, add, sub = proved.k, spec.mul_enc, spec.add_enc, spec.sub_enc
+    dual_a = [row[k:] for row in proved.dual().matrix]
+    for i in range(k):
+        for j in range(k):
+            r = mul(sub(alpha[i], x[j]), dual_a[i][j])
+            assert r == reduce(add, (mul(col[i], row[j])
+                                     for col, row in zip(dual_p, dual_q)), 0)
+    rng = random.Random(289)
+    for _ in range(30):
+        w = _random_weights(spec, proved.n, rng)
+        assert proved.stacked_hull_dim(w) == kernel.stacked_hull_dim(w)
+
+
+def test_reachable_packs_long_inputs_and_wide_groups():
+    # sizes cut off at both ends once n passes 2k, masks wider than one
+    # machine word, and every shift; the counting DP is the reference
+    rng = random.Random(25)
+    for _ in range(300):
+        d1 = rng.choice([1, 1, 2, 3, 6])
+        d2 = d1 * rng.choice([1, 2, 5, 13, 43])
+        n = rng.randrange(0, 25)
+        k = rng.choice([0, n, n + 1, rng.randrange(0, n + 1), rng.randrange(0, n + 1)])
+        coords = [(rng.randrange(-d1, 2 * d1), rng.randrange(-d2, 2 * d2))
+                  for _ in range(n)]
+        assert subset_sum_reachable(coords, k, d1, d2) == \
+            _support(subset_sum_counts(coords, k, d1, d2)), (coords, k, d1, d2)
+
+
+@pytest.mark.parametrize("field", [CHAR2["GF(16)"], ODD["GF(25)"], ODD["GF(1031)"]],
+                         ids=["gf16", "gf25", "gf1031"])
+def test_systematic_generator_is_kept_without_rref(monkeypatch, field):
+    # [I | A] is its own RREF; any other generator is still reduced
+    spec = FieldSpec(*field)
+    rng = random.Random(spec.q)
+    reduced = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, *args, **kw:
+                        reduced.append(len(rows)) or real(rows, *args, **kw))
+    for k, n in ((1, 1), (3, 3), (2, 5), (4, 8)):
+        rows = [[int(i == j) for j in range(k)] + [rng.randrange(spec.q) for _ in range(n - k)]
+                for i in range(k)]
+        c = LinearCode(spec, rows)
+        assert not reduced and [list(r) for r in c.matrix] == rows
+        assert c.matrix == tuple(map(tuple, real(rows, spec)[0]))
+    for rows in ([[2, 0, 1]], [[0, 1, 3]], [[1, 0, 4], [1, 1, 0]], [[0, 1], [1, 0]],
+                 [[1, 0], [0, 1], [1, 1]]):
+        c = LinearCode(spec, rows)
+        assert reduced and c.matrix == tuple(map(tuple, real(rows, spec)[0]))
+
+
+BAD_ENTRIES = {"bool": True, "float": 2.0, "str": "3", "negative": -1, "too-large": 25}
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_row_and_scaling_checks_raise_the_entrywise_errors(f25, bad):
+    # rows and scalings of in-range ints pass in one C-level pass; any other
+    # entry goes through spec.element, whose error is raised unchanged
+    with pytest.raises(FieldError) as expected:
+        f25.element(bad)
+    for build in (lambda: LinearCode(f25, [[1, 2, 3], [0, 1, bad]]),
+                  lambda: ScalingVector(f25, [1, 2, bad])):
+        with pytest.raises(FieldError) as raised:
+            build()
+        assert str(raised.value) == str(expected.value)
+    with pytest.raises(CodeError, match="nonzero"):
+        ScalingVector(f25, [1, 0, 2])
+    assert ScalingVector(f25, [1, 24, f25.element(3)]).entries == (1, 24, 3)

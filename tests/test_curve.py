@@ -3,8 +3,10 @@ import random
 import pytest
 
 from ellcode import FieldError, FieldSpec, feasible_orders, odd_part
+from ellcode import curve as curve_module
 from ellcode.curve import Curve, CurveError, Point, INFINITY
-from ellcode.search import realized_orders
+from ellcode.search import _curve_family, _default_spec, realized_orders
+from oracle import group_structure_grid_walk
 
 
 def test_known_points_lie_on_curves(f16, e16, f25, e25):
@@ -358,3 +360,45 @@ def test_walk_orders_and_torsion_match_brute_force():
         for r in (2, 3, 9, 15):
             assert curve.torsion_points(r) == [p for p in pts
                                                if curve.mul(r, p).is_infinity]
+
+
+def _sweep_curves(q: int, rng: random.Random, count: int) -> list[Curve]:
+    """`count` random nonsingular curves over GF(q), every coefficient drawn."""
+    spec, out = _default_spec(q), []
+    while len(out) < count:
+        try:
+            out.append(Curve(spec, *(rng.randrange(q) for _ in range(5))))
+        except CurveError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 16, 25, 27, 49])
+def test_group_structure_matches_the_grid_walk_rule(q):
+    # the basis is chosen by the prime-order test and one grid is walked;
+    # the oracle walks grids until one covers the group.  Every curve of
+    # the census family over GF(5), 7 and 9, sampled general curves of
+    # every field, and the paper curves of the field where there is one
+    rng = random.Random(q)
+    curves = _sweep_curves(q, rng, 40)
+    if q in (5, 7, 9):
+        curves += list(_curve_family(q))
+    curves += [paper_curve(row[0]) for row in PAPER_CURVES if row[0] == q]
+    for curve in curves:
+        st = curve.group_structure()
+        basis = tuple(None if p.is_infinity else p.key() for p in st.basis)
+        assert (st.d1, st.d2, *basis, st.dlog) == \
+            group_structure_grid_walk(curve), curve
+
+
+@pytest.mark.parametrize("q", [row[0] for row in PAPER_CURVES])
+def test_group_structure_walks_one_grid_on_the_paper_curves(monkeypatch, q):
+    walks = []
+    real = curve_module._grid
+    monkeypatch.setattr(curve_module, "_grid",
+                        lambda *args: walks.append(args[2]) or real(*args))
+    _, field, text, *_ = next(row for row in PAPER_CURVES if row[0] == q)
+    curve = Curve.from_string(FieldSpec.from_string(field), text)    # uncached
+    st = curve.group_structure()
+    d1, d2, p1, p2, dlog = group_structure_grid_walk(curve)
+    assert walks == [p1] and st.dlog == dlog and len(dlog) == curve.order()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 from functools import reduce
@@ -12,6 +14,7 @@ from ellcode.curve import Curve, CurveError, Point, INFINITY
 from ellcode import code as code_module
 from ellcode.code import CodeError, LinearCode, ScalingVector
 from ellcode import isodual
+from oracle import scaling_v_product
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
                              ConstructionError, ConstructionInput,
                              IsoDualCertificate, PairSelection,
@@ -621,3 +624,72 @@ def test_scaled_hull_dim_rejects_wrong_length(cert25):
     for n in (code.n - 2, code.n + 1, 0):
         with pytest.raises(CodeError, match="length mismatch"):
             isodual._scaled_hull_dim(code, ScalingVector(spec, [1] * n))
+
+
+def _verify_context(cert):
+    curve = cert.curve()
+    return isodual._Context(curve, cert.construction, cert.k, cert.n,
+                            cert.torsion_choice, cert.pair_selection, cert)
+
+
+@pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
+def test_v_from_log_sums_matches_the_product_formula(q):
+    # characteristic 2, the add-table rows of odd q up to the cap, and
+    # sub_enc above it (GF(1031))
+    ctx = _verify_context(_golden_cert(q))
+    assert ctx.v.entries == ctx.cert.scaling_v == \
+        scaling_v_product(ctx.spec, ctx.points, ctx.qa)
+
+
+@pytest.mark.parametrize("point", ["y = 0", "x = beta"])
+def test_v_is_none_where_a_point_leaves_it_undefined(cert25, point):
+    # v_i = (x_i - beta)/(h'(x_i) y_i) is undefined at y = 0 and zero at
+    # x = beta; only a file failing an earlier invariant holds such a point
+    ctx = _verify_context(cert25)
+    beta = ctx.qa.x.enc
+    x, _ = next(p for p in cert25.points if p[0] != beta)
+    bad = (x, 0) if point == "y = 0" else (beta, 3)
+    ctx = _verify_context(_tamper(cert25, points=(bad, *cert25.points[1:])))
+    assert ctx.v is None
+    assert scaling_v_product(ctx.spec, ctx.points, ctx.qa) is None
+
+
+@pytest.mark.parametrize("q", [64, 256])
+def test_transforms_take_the_dual_from_v(monkeypatch, q):
+    # G diag(v) G^T = 0 on the file's matrix makes C.v the dual: no
+    # nullspace, and the outputs are the benchmark's goldens
+    with open(os.path.join(GOLDENS, "manifest.json")) as fh:
+        golden = json.load(fh)["transforms"][str(q)]
+    cert = _golden_cert(q)
+
+    def no_nullspace(*args):
+        raise AssertionError("a transform computed a nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", no_nullspace)
+    for name, transform in (("selfdual", selfdual_transform), ("lcd", lcd_transform)):
+        u, scaled = transform(cert)
+        rows = json.dumps([list(r) for r in scaled.matrix], separators=(",", ":"))
+        assert list(u.entries) == golden[name]["u"], name
+        assert hashlib.sha256(rows.encode()).hexdigest() == \
+            golden[name]["matrix_sha256"], name
+
+
+BAD_FILE_ENTRIES = {"bool": (True, "expected int"), "float": (2.0, "expected int"),
+                    "str": ("3", "expected int"),
+                    "negative": (-1, "field encodings only"),
+                    "too-large": (25, "field encodings only")}
+
+
+@pytest.mark.parametrize("key", ["generator_matrix", "scaling_v"])
+@pytest.mark.parametrize("bad, message", BAD_FILE_ENTRIES.values(),
+                         ids=BAD_FILE_ENTRIES.keys())
+def test_file_entries_are_checked_per_row(cert25, key, bad, message):
+    # a list of ints parses in one C-level pass and each row's range is its
+    # min and max; anything else is refused as by the per-entry checks
+    doc = json.loads(cert25.to_json())
+    if key == "scaling_v":
+        doc[key][3] = bad
+    else:
+        doc[key][1][3] = bad
+    with pytest.raises(CertificateSchemaError, match=message):
+        verify_certificate(IsoDualCertificate.from_json(json.dumps(doc)))

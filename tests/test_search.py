@@ -30,6 +30,15 @@ def test_census_rows_pinned():
     assert digest == "14734abd5d8f576fa9d6c1cee62a55a5ef1a6ac44e7d487aaf0fa1e2456b923b"
 
 
+def test_census_rows_pinned_up_to_gf27():
+    # the rest of GF(4 ... 27), digest as written before group_structure
+    # chose p1 by the prime-order test instead of trial grid walks
+    rows = search.census_rows([17, 19, 23, 25, 27])
+    assert len(rows) == 20674
+    digest = hashlib.sha256(isodual.canonical_json(rows).encode()).hexdigest()
+    assert digest == "e31040affda720ddfbfd36e51051cdb0e66410374f13425106b2d9828e282ee5"
+
+
 def test_length_bound_returns_attaining_order():
     bound, order = length_bound(49)
     assert bound == 28 and order == 60
@@ -111,8 +120,8 @@ def test_census_keeps_no_curve(capsys):
     finally:
         tracemalloc.stop()
     assert len(rows) == 504 and peak < 1_000_000
-    assert capsys.readouterr().err == "census_rows: 0 candidates scanned\n" \
-        "census_rows: 500 candidates scanned\n"
+    assert capsys.readouterr().err == "census_rows: q=8: 0 candidates scanned\n" \
+        "census_rows: q=8: 500 candidates scanned\n"
 
 
 def test_census_gf16_realizes_order_22():
