@@ -100,9 +100,9 @@ class LinearCode:
                  nodes: Optional[Sequence[int]] = None):
         # a row of in-range int encodings passes in one C-level pass
         q, element = spec.q, spec.element
-        enc_rows = [list(row) if set(map(type, row)) <= {int}
+        enc_rows = [row if set(map(type, row)) <= {int}
                     and 0 <= min(row, default=0) and max(row, default=0) < q
-                    else [element(v).enc for v in row] for row in rows]
+                    else [element(v).enc for v in row] for row in map(list, rows)]
         widths = {len(r) for r in enc_rows}
         if len(widths) > 1:
             raise CodeError("ragged generator matrix")

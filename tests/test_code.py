@@ -878,6 +878,7 @@ def test_systematic_generator_is_kept_without_rref(monkeypatch, field):
                 for i in range(k)]
         c = LinearCode(spec, rows)
         assert not reduced and [list(r) for r in c.matrix] == rows
+        assert LinearCode(spec, map(iter, rows)).matrix == c.matrix   # rows read once
         assert c.matrix == tuple(map(tuple, real(rows, spec)[0]))
     for rows in ([[2, 0, 1]], [[0, 1, 3]], [[1, 0, 4], [1, 1, 0]], [[0, 1], [1, 0]],
                  [[1, 0], [0, 1], [1, 1]]):
