@@ -22,7 +22,7 @@ from .funcspace import (Divisor, RationalFunction, RRBasis, FunctionError,
                         is_principal, principal_divisor, rr_basis,
                         rr_basis_rows, valuation, validate_rr_basis)
 from .code import (CodeError, LinearCode, ScalingVector, mds_subset_check,
-                   subset_sum_counts, subset_sum_reachable)
+                   subset_sum_reachable)
 from .isodual import (CertificateSchemaError, ConstructionError,
                       ConstructionInput, IsoDualCertificate, PairSelection,
                       VerificationError, construct, find_scaling_with_hull,

@@ -3,11 +3,9 @@
 Generator matrices are kept in reduced row-echelon form, so code equality
 is literal matrix equality and certificates are canonical.  A code
 C_L(D, G) is MDS exactly when no k-subset of the evaluation points has
-group sum sum(G).  The MDS certifier first asks only whether sum(G) is
+group sum sum(G).  The MDS certifier asks only whether sum(G) is
 reachable, by dynamic programming over (prefix, subset size) with every
-size's reachable group elements packed in one int; only a reachable
-target, i.e. a failed certificate, pays for the exact count, a DP over
-(prefix, subset size, group element) with integer counts.
+size's reachable group elements packed in one int, and answers 0 or 1.
 
 Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
 the cached dual.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
@@ -124,6 +122,16 @@ class LinearCode:
             enc_rows, _ = linalg.rref(enc_rows, spec)
         self._set(spec, n, tuple(map(tuple, enc_rows)), nodes)
 
+    @classmethod
+    def _made(cls, spec: FieldSpec, n: int, matrix: tuple,
+              nodes: Optional[tuple] = None) -> "LinearCode":
+        """A code on an RREF the library itself produced, with none of
+        `__init__`'s entry checks: `matrix` is a tuple of n-long tuples of
+        encodings, `nodes` a tuple of n encodings or None."""
+        out = cls.__new__(cls)
+        out._set(spec, n, matrix, nodes)
+        return out
+
     def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes) -> None:
         self.spec, self.n, self.k = spec, n, len(matrix)
         self.matrix, self.nodes = matrix, nodes
@@ -161,8 +169,7 @@ class LinearCode:
             rows = tuple(tuple([exp2[log[x] + lc] if x else 0 for x in row])
                          for row, lc in zip(linalg.scale_columns(self.matrix, w, spec),
                                             map(log.__getitem__, pivot_inv)))
-        out = LinearCode.__new__(LinearCode)
-        out._set(spec, self.n, rows, self.nodes)
+        out = LinearCode._made(spec, self.n, rows, self.nodes)
         if self._dual is not None:
             out._dual = self._dual.scale(inv)
         return out
@@ -389,52 +396,16 @@ def _odometer(steps, q: int, word, add):
 # subset-sum dynamic programming over Z/d1 x Z/d2
 # ---------------------------------------------------------------------------
 
-def subset_sum_counts(coords: Sequence[tuple[int, int]], k: int,
-                      d1: int, d2: int) -> list[int]:
-    """Exact counts of k-subsets by group sum, flat-indexed i*d2 + j.
-
-    The DP state is (prefix, subset size, group element); adding one more
-    point shifts the previous size's table by the point's coordinates,
-    which on the flat layout is a 2-D cyclic rotation done with slices.
-    """
-    n = len(coords)
-    if not 0 <= k <= n:
-        return [0] * (d1 * d2)
-    size = d1 * d2
-    dp = [[0] * size for _ in range(k + 1)]
-    dp[0][0] = 1
-    for idx, (gi, gj) in enumerate(coords):
-        gi %= d1
-        gj %= d2
-        hi = min(k, idx + 1)
-        lo = max(1, k - (n - idx - 1))
-        for s in range(hi, lo - 1, -1):
-            prev = dp[s - 1]
-            if d1 == 1:
-                shifted = (prev[-gj:] + prev[:-gj]) if gj else prev
-            else:
-                shifted = []
-                for i in range(d1):
-                    base = ((i - gi) % d1) * d2
-                    row = prev[base:base + d2]
-                    if gj:
-                        row = row[-gj:] + row[:-gj]
-                    shifted.extend(row)
-            cur = dp[s]
-            dp[s] = [x + y for x, y in zip(cur, shifted)]
-    return dp[k]
-
-
 def subset_sum_reachable(coords: Sequence[tuple[int, int]], k: int,
                          d1: int, d2: int) -> int:
     """The group elements some k-subset sums to, as an int bitset.
 
-    Bit i*d2 + j is set exactly where `subset_sum_counts` is nonzero.  The
-    DP runs over the same (prefix, subset size) states, size s in the s-th
-    block of d1*d2 bits of one int.  Adding a point rotates every block at
-    once by the point's coordinates (`_rotate`), shifts the result up one
-    block and ORs it in.  Sizes above k, or too small to reach k with the
-    points left, are cut off.
+    Bit i*d2 + j is set exactly where some k-subset's coordinates sum to
+    (i, j) mod (d1, d2).  The DP runs over (prefix, subset size) states,
+    size s in the s-th block of d1*d2 bits of one int.  Adding a point
+    rotates every block at once by the point's coordinates (`_rotate`),
+    shifts the result up one block and ORs it in.  Sizes above k, or too
+    small to reach k with the points left, are cut off.
     """
     n = len(coords)
     if not 0 <= k <= n:
@@ -474,19 +445,15 @@ def _rotate(x: int, by: int, width: int, total: int, masks: dict) -> int:
 
 def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
                      k: int, target: Point) -> int:
-    """Number of k-subsets of `points` whose group sum equals `target`.
+    """1 if some k-subset of `points` has group sum `target`, else 0.
 
-    C_L(D, G) with sum(G) = target is MDS iff this count is zero.  The
-    bitset DP settles that case; only a reachable target runs the counting
-    DP, so a nonzero result is still the exact count.
+    C_L(D, G) with sum(G) = target is MDS iff this is 0.  One bitset DP
+    (`subset_sum_reachable`) decides it; the number of such subsets is
+    never needed, so none is counted.
     """
     if len(set(points)) != len(points):
         raise CodeError("evaluation points must be pairwise distinct")
     coords = [structure.coords(p) for p in points]
-    d1, d2 = structure.d1, structure.d2
     ti, tj = structure.coords(target)
-    bit = ti * d2 + tj
-    if not subset_sum_reachable(coords, k, d1, d2) >> bit & 1:
-        return 0
-    return subset_sum_counts(coords, k, d1, d2)[bit]
-
+    d1, d2 = structure.d1, structure.d2
+    return subset_sum_reachable(coords, k, d1, d2) >> (ti * d2 + tj) & 1

@@ -486,14 +486,17 @@ class _Context:
     def code(self) -> LinearCode:
         """The systematic generator [I | A] of the points, in closed form
         (`funcspace.systematic_rows`), with the points' x's as its nodes;
-        `iso_dual_identity` caches C.v as its dual.  Where the first k
-        points are not k/2 whole pairs, which the canonical order of
-        `construct`'s points never gives, it is the RREF of the evaluated
-        basis."""
-        rows = (funcspace.systematic_rows(self.basis, self.points)
-                or funcspace.rr_basis_rows(self.basis, self.points))
-        return LinearCode(self.spec, rows, n=self.n,
-                          nodes=[p.x.enc for p in self.points])
+        `iso_dual_identity` caches C.v as its dual.  The closed form is
+        already an RREF of n-long rows (the `n_equals_2k` gate), so it
+        skips `LinearCode`'s entry checks.  Where the first k points are
+        not k/2 whole pairs, which the canonical order of `construct`'s
+        points never gives, it is the RREF of the evaluated basis."""
+        nodes = tuple(p.x.enc for p in self.points)
+        rows = funcspace.systematic_rows(self.basis, self.points)
+        if rows is not None:
+            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)), nodes)
+        return LinearCode(self.spec, funcspace.rr_basis_rows(self.basis, self.points),
+                          n=self.n, nodes=nodes)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -530,8 +533,9 @@ class _Context:
 
     @cached_property
     def mds_subset_count(self) -> int:
-        """k-subsets of the points summing to sum(G) = Qa (the group
-        structure is cached on the curve)."""
+        """1 if some k-subset of the points sums to sum(G) = Qa, else 0
+        (the group structure is cached on the curve); an int, so the
+        certificate writes 0, not false."""
         return mds_subset_check(self.points, self.curve.group_structure(),
                                 self.k, self.qa)
 

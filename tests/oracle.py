@@ -1,5 +1,10 @@
 """Independent reference implementations that the tests compare the library
-against; `ellcode` never imports this module."""
+against; `ellcode` never imports this module.
+
+The subset-sum references count k-subsets by group sum: by brute force up
+to n around 16, and by the counting DP (`subset_sum_counts`) on inputs too
+large for that.  The library's MDS witness only asks whether a sum is
+reachable, so the support of these counts is what it must reproduce."""
 
 from functools import reduce
 from itertools import combinations
@@ -17,6 +22,42 @@ def subset_sum_counts_exhaustive(coords: Sequence[tuple[int, int]], k: int,
         sj = sum(c[1] for c in combo) % d2
         out[si * d2 + sj] += 1
     return out
+
+
+def subset_sum_counts(coords: Sequence[tuple[int, int]], k: int,
+                      d1: int, d2: int) -> list[int]:
+    """Exact counts of k-subsets by group sum, flat-indexed i*d2 + j.
+
+    The DP state is (prefix, subset size, group element); adding one more
+    point shifts the previous size's table by the point's coordinates,
+    which on the flat layout is a 2-D cyclic rotation done with slices.
+    """
+    n = len(coords)
+    if not 0 <= k <= n:
+        return [0] * (d1 * d2)
+    size = d1 * d2
+    dp = [[0] * size for _ in range(k + 1)]
+    dp[0][0] = 1
+    for idx, (gi, gj) in enumerate(coords):
+        gi %= d1
+        gj %= d2
+        hi = min(k, idx + 1)
+        lo = max(1, k - (n - idx - 1))
+        for s in range(hi, lo - 1, -1):
+            prev = dp[s - 1]
+            if d1 == 1:
+                shifted = (prev[-gj:] + prev[:-gj]) if gj else prev
+            else:
+                shifted = []
+                for i in range(d1):
+                    base = ((i - gi) % d1) * d2
+                    row = prev[base:base + d2]
+                    if gj:
+                        row = row[-gj:] + row[:-gj]
+                    shifted.extend(row)
+            cur = dp[s]
+            dp[s] = [x + y for x, y in zip(cur, shifted)]
+    return dp[k]
 
 
 def scaling_v_product(spec, points, qa) -> Optional[tuple[int, ...]]:

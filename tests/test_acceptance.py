@@ -16,7 +16,7 @@ from ellcode.gf import FieldSpec
 from ellcode.curve import Curve, Point, INFINITY, feasible_orders
 from ellcode.funcspace import rr_basis, validate_rr_basis
 from ellcode.code import (LinearCode, ScalingVector, mds_subset_check,
-                          subset_sum_counts)
+                          subset_sum_reachable)
 from ellcode.isodual import (CertificateSchemaError, ConstructionInput,
                              IsoDualCertificate, PairSelection, construct,
                              find_scaling_with_hull, lcd_transform,
@@ -25,7 +25,7 @@ from ellcode.eaqecc import derive
 from ellcode.search import (AbelianGroupSpec, bound_table, lemma_max_search,
                             realized_orders)
 from ellcode.cli import main as cli_main
-from oracle import subset_sum_counts_exhaustive
+from oracle import subset_sum_counts, subset_sum_counts_exhaustive
 
 
 def _report(criterion, message):
@@ -337,8 +337,7 @@ def test_criterion_7e_dp_equals_exhaustive(e25):
     pts = [p for p in e25.points() if not p.is_infinity][:16]
     coords = [st.coords(p) for p in pts]
     for k in (0, 1, 5, 8, 16):
-        assert subset_sum_counts(coords, k, st.d1, st.d2) == \
-            subset_sum_counts_exhaustive(coords, k, st.d1, st.d2)
+        _assert_dps_match_exhaustive(coords, k, st.d1, st.d2)
     import random
     rng = random.Random(17)
     for _ in range(10):
@@ -346,10 +345,18 @@ def test_criterion_7e_dp_equals_exhaustive(e25):
         n = rng.randrange(10, 17)
         k = rng.randrange(0, n + 1)
         abstract = [(rng.randrange(d1), rng.randrange(d2)) for _ in range(n)]
-        assert subset_sum_counts(abstract, k, d1, d2) == \
-            subset_sum_counts_exhaustive(abstract, k, d1, d2)
+        _assert_dps_match_exhaustive(abstract, k, d1, d2)
     _report("7e", f"DP equals exhaustive subset enumeration for n <= 16 "
                   f"in {time.time()-t0:.1f}s")
+
+
+def _assert_dps_match_exhaustive(coords, k, d1, d2):
+    """The oracle's counting DP equals brute force, and the library's
+    packed witness reaches exactly the sums with a nonzero count."""
+    exact = subset_sum_counts_exhaustive(coords, k, d1, d2)
+    assert subset_sum_counts(coords, k, d1, d2) == exact
+    assert subset_sum_reachable(coords, k, d1, d2) == \
+        sum(1 << i for i, c in enumerate(exact) if c)
 
 
 def test_criterion_7f_certificate_bounds(cert16, cert25, cert32, cert49,

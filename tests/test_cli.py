@@ -613,6 +613,28 @@ def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, name, points
     assert "Traceback" not in err
 
 
+# G's point moved from Qa to the third 2-torsion point Qa + Qb: g_shape
+# still holds, but some k-subset of the points now sums to the target
+# sum(G), so mds_witness fails along with the invariants that re-derive G
+# and v from Qa
+TARGET_REACHED = {"q25": 19, "q49": 37, "q289": 16}
+
+
+@pytest.mark.parametrize("key", ["verify", "eaqecc", "transform-lcd"])
+@pytest.mark.parametrize("name", TARGET_REACHED)
+def test_reachable_mds_target_exit_1(tmp_path, capsys, name, key):
+    g_divisor = _golden(f"{name}.json")["g_divisor"]
+    g_divisor[1][0] = [TARGET_REACHED[name], 0]
+    path = _edited_golden(tmp_path, f"{name}.json", {"g_divisor": g_divisor})
+    capsys.readouterr()
+    assert _read(READERS[key], path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(
+        "verification failed: matrix_rref (all failures: matrix_rref, "
+        "scaling_matches_points, points_match_input, mds_witness)")
+
+
 def test_verify_huge_k_stops_at_n_equals_2k(tmp_path, capsys):
     # G would be built from k = 10**6; n = 2k = #points bounds it by the file
     g_divisor = _golden("q16.json")["g_divisor"]

@@ -2,15 +2,15 @@ import math
 import os
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, linalg
 from ellcode.curve import INFINITY, Point
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
-                          mds_subset_check, subset_sum_counts, subset_sum_reachable)
-from oracle import subset_sum_counts_exhaustive
+                          mds_subset_check, subset_sum_reachable)
+from oracle import subset_sum_counts, subset_sum_counts_exhaustive
 
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
@@ -229,14 +229,17 @@ def test_mds_subset_check_construction(cert16, e16, f16):
     pts = cert16.point_objects(e16)
     q1 = Point(f16.element(0), f16.element(11))
     assert mds_subset_check(pts, st, 4, q1) == 0
-    count_zero = mds_subset_check(pts, st, 4, INFINITY)
-    # pairs of inverse pairs alone give C(4,2) = 6 such subsets
-    assert count_zero >= 6
+    assert not any(_group_sum(e16, combo) == q1 for combo in combinations(pts, 4))
+    # pairs of inverse pairs alone give C(4,2) = 6 subsets summing to O;
+    # the witness answers 1, not their number
     exhaustive = sum(
         1 for combo in combinations(pts, 4)
         if _group_sum(e16, combo) == INFINITY)
-    assert count_zero == exhaustive
+    assert exhaustive >= 6
+    assert mds_subset_check(pts, st, 4, INFINITY) == 1
+    # the empty subset sums to O
     assert mds_subset_check(pts, st, 0, INFINITY) == 1
+    assert mds_subset_check(pts, st, 0, q1) == 0
 
 
 def _group_sum(curve, pts):
@@ -261,12 +264,34 @@ def test_dp_matches_exhaustive_random_groups():
         n = rng.randrange(6, 17)
         k = rng.randrange(0, n + 1)
         coords = [(rng.randrange(d1), rng.randrange(d2)) for _ in range(n)]
-        assert subset_sum_counts(coords, k, d1, d2) == \
-            subset_sum_counts_exhaustive(coords, k, d1, d2)
+        counts = subset_sum_counts_exhaustive(coords, k, d1, d2)
+        assert subset_sum_counts(coords, k, d1, d2) == counts
+        _assert_witness_is_support(coords, k, d1, d2, counts)
 
 
 def _support(counts):
     return sum(1 << i for i, c in enumerate(counts) if c)
+
+
+class _Labelled:
+    """A stand-in group structure for `mds_subset_check` on a bare set of
+    coordinates: point i is the label i, with coordinates coords[i], and a
+    target is its own coordinate pair."""
+
+    def __init__(self, coords, d1, d2):
+        self.points, self.d1, self.d2 = coords, d1, d2
+
+    def coords(self, p):
+        return self.points[p] if type(p) is int else p
+
+
+def _assert_witness_is_support(coords, k, d1, d2, counts):
+    """`mds_subset_check` answers 1 exactly where the oracle's count is
+    nonzero, on every target of Z/d1 x Z/d2."""
+    st = _Labelled(coords, d1, d2)
+    for i, j in product(range(d1), range(d2)):
+        assert mds_subset_check(range(len(coords)), st, k, (i, j)) == \
+            (counts[i * d2 + j] != 0), (coords, k, d1, d2, (i, j))
 
 
 def test_reachable_matches_exhaustive_random_groups():
@@ -288,10 +313,13 @@ def test_reachable_matches_exhaustive_random_groups():
             [(i % d1, j % d2) for i, j in coords], k, d1, d2)
         assert subset_sum_reachable(coords, k, d1, d2) == _support(exact), \
             (coords, k, d1, d2)
+        _assert_witness_is_support(coords, k, d1, d2, exact)
 
 
 def test_reachable_matches_counts_on_golden_curves():
-    # every target, not only sum(G), on the nine benchmark certificates
+    # every target, not only sum(G), on the nine benchmark certificates:
+    # the packed witness, and `mds_subset_check` on each group element,
+    # answer 1 exactly where the oracle's count is nonzero
     names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
     assert len(names) == 9
     for name in names:
@@ -299,19 +327,33 @@ def test_reachable_matches_counts_on_golden_curves():
             cert = IsoDualCertificate.from_json(fh.read())
         curve = cert.curve()
         st = curve.group_structure()
-        coords = [st.coords(p) for p in cert.point_objects(curve)]
+        points = cert.point_objects(curve)
+        coords = [st.coords(p) for p in points]
+        counts = subset_sum_counts(coords, cert.k, st.d1, st.d2)
         assert subset_sum_reachable(coords, cert.k, st.d1, st.d2) == \
-            _support(subset_sum_counts(coords, cert.k, st.d1, st.d2)), name
+            _support(counts), name
+        assert len(st.dlog) == st.d1 * st.d2 == len(counts)
+        for enc, (i, j) in st.dlog.items():
+            target = INFINITY if enc is None else Point(*map(curve.spec.element, enc))
+            assert mds_subset_check(points, st, cert.k, target) == \
+                (counts[i * st.d2 + j] != 0), (name, enc)
 
 
-def test_mds_subset_check_counts_only_reachable_targets(cert16, e16, f16,
-                                                       monkeypatch):
-    def no_counts(*args):
-        raise AssertionError("exact count run for an unreachable target")
-    monkeypatch.setattr(code, "subset_sum_counts", no_counts)
+def test_mds_subset_check_runs_one_witness(cert16, e16, f16, monkeypatch):
+    # one packed DP per call, for an unreachable target (sum(G) = Q1) and
+    # a reachable one (O) alike
+    calls = []
+
+    def witness(*args):
+        calls.append(args)
+        return subset_sum_reachable(*args)
+    monkeypatch.setattr(code, "subset_sum_reachable", witness)
+    pts, st = cert16.point_objects(e16), e16.group_structure()
     q1 = Point(f16.element(0), f16.element(11))
-    assert mds_subset_check(cert16.point_objects(e16),
-                            e16.group_structure(), 4, q1) == 0
+    assert mds_subset_check(pts, st, 4, q1) == 0
+    assert len(calls) == 1
+    assert mds_subset_check(pts, st, 4, INFINITY) == 1
+    assert len(calls) == 2
 
 
 def test_dp_total_count_is_binomial():
@@ -850,7 +892,8 @@ def test_dual_factors_from_v_reproduce_r_prime(monkeypatch):
 
 def test_reachable_packs_long_inputs_and_wide_groups():
     # sizes cut off at both ends once n passes 2k, masks wider than one
-    # machine word, and every shift; the counting DP is the reference
+    # machine word, and every shift; the oracle's counting DP is the
+    # reference
     rng = random.Random(25)
     for _ in range(300):
         d1 = rng.choice([1, 1, 2, 3, 6])
@@ -859,8 +902,10 @@ def test_reachable_packs_long_inputs_and_wide_groups():
         k = rng.choice([0, n, n + 1, rng.randrange(0, n + 1), rng.randrange(0, n + 1)])
         coords = [(rng.randrange(-d1, 2 * d1), rng.randrange(-d2, 2 * d2))
                   for _ in range(n)]
-        assert subset_sum_reachable(coords, k, d1, d2) == \
-            _support(subset_sum_counts(coords, k, d1, d2)), (coords, k, d1, d2)
+        counts = subset_sum_counts(coords, k, d1, d2)
+        assert subset_sum_reachable(coords, k, d1, d2) == _support(counts), \
+            (coords, k, d1, d2)
+        _assert_witness_is_support(coords, k, d1, d2, counts)
 
 
 @pytest.mark.parametrize("field", [CHAR2["GF(16)"], ODD["GF(25)"], ODD["GF(1031)"]],

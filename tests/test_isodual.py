@@ -641,6 +641,30 @@ def test_v_from_log_sums_matches_the_product_formula(q):
         scaling_v_product(ctx.spec, ctx.points, ctx.qa)
 
 
+@pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
+def test_library_rows_skip_the_entry_checks_and_give_the_checked_code(monkeypatch, q):
+    # the closed form [I | A] and scale's rows build their codes without
+    # `LinearCode.__init__`; that constructor, checking the same rows (and
+    # reducing G diag(v)), gives the same code
+    ctx, checked_init = _verify_context(_golden_cert(q)), LinearCode.__init__
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("the library's own rows were checked")
+    monkeypatch.setattr(LinearCode, "__init__", no_checks)
+    made, scaled = ctx.code, ctx.code.scale(ctx.v.entries)
+    monkeypatch.setattr(LinearCode, "__init__", checked_init)
+    spec, nodes = ctx.spec, [p.x.enc for p in ctx.points]
+    checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points),
+                         n=ctx.n, nodes=nodes)
+    checked_scaled = LinearCode(
+        spec, linalg.scale_columns(checked.matrix, ctx.v.entries, spec),
+        n=ctx.n, nodes=nodes)
+    for got, want in ((made, checked), (scaled, checked_scaled)):
+        assert (got.matrix, got.nodes, got.k, got.n) == \
+            (want.matrix, want.nodes, want.k, want.n)
+    assert made.matrix == ctx.cert.generator_matrix
+
+
 @pytest.mark.parametrize("point", ["y = 0", "x = beta"])
 def test_v_is_none_where_a_point_leaves_it_undefined(cert25, point):
     # v_i = (x_i - beta)/(h'(x_i) y_i) is undefined at y = 0 and zero at

@@ -1,8 +1,8 @@
 """Checks on the source tree itself: the library names the benchmark wraps
-still exist, no `src/ellcode` module imports a name it never uses, every
-public name has a reader outside the tests, the CLI maps errors to exit
-codes in `main` alone, README's quick start runs, and the docs list the
-certificate invariants in order."""
+still exist, no `src/ellcode` module imports a name it never uses or
+computes in floating point, every public name has a reader outside the
+tests, the CLI maps errors to exit codes in `main` alone, README's quick
+start runs, and the docs list the certificate invariants in order."""
 
 import ast
 import contextlib
@@ -104,6 +104,53 @@ def test_unused_import_check_flags_and_spares():
 def test_no_unused_imports(name):
     with open(os.path.join(PACKAGE, name)) as handle:
         assert _unused_imports(handle.read()) == []
+
+
+def _inexact_arithmetic(source: str, divides: frozenset = frozenset()) -> list[str]:
+    """Float constants, `float()` and `round()` calls, and true divisions
+    `/` and `/=` in a module, in source order; a division inside a
+    top-level function named in `divides` (a field's `/`) is spared."""
+    tree = ast.parse(source)
+    spared = {id(sub) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in divides
+              for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, node.col_offset, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            found.append((node.lineno, node.col_offset, f"{node.func.id}()"))
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Div) and id(node) not in spared):
+            found.append((node.lineno, node.col_offset, "/"))
+    return [f"{what} (line {line})" for line, _, what in sorted(found)]
+
+
+def test_inexact_arithmetic_check_flags_and_spares():
+    source = ('"""Halves: 1 / 2 is 0.5, float(), round()."""\n'
+              "x = 1.5 + 2\n"
+              "y = float(x) + round(x, 1)\n"
+              "z = x / y\n"
+              "z /= 2\n"
+              "w = 7 // 2\n"
+              "w //= 2\n"
+              "spec.float(x)\n"
+              "def evaluate(f, p):\n"
+              "    return f / p\n")
+    flagged = ["1.5 (line 2)", "float() (line 3)", "round() (line 3)",
+               "/ (line 4)", "/ (line 5)"]
+    assert _inexact_arithmetic(source, frozenset({"evaluate"})) == flagged
+    assert _inexact_arithmetic(source) == flagged + ["/ (line 10)"]
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_library_arithmetic_is_exact(name):
+    """The library is exact: its one `/` is `funcspace.evaluate`'s field
+    division of `FieldElement`s."""
+    divides = frozenset({"evaluate"} if name == "funcspace.py" else ())
+    with open(os.path.join(PACKAGE, name)) as handle:
+        assert _inexact_arithmetic(handle.read(), divides) == []
 
 
 def _identifiers(source: str) -> set[str]:
