@@ -20,7 +20,8 @@ print(f"  evaluation points: {cert.points}")
 print(f"  G = {cert.k - 1}*O + Q1 with Q1 = {cert.g_divisor[1][0]}")
 print(f"  scaling vector v = {cert.scaling_v}")
 print(f"  iso-dual identity verified: {cert.iso_dual}")
-print(f"  subsets summing to sum(G): {cert.mds_subset_count} (zero = MDS)")
+print(f"  some k-subset sums to sum(G): "
+      f"{'yes' if cert.mds_subset_count else 'no'} (no = MDS)")
 print(f"  hull dimension: {cert.hull_dim} (zero = already LCD)")
 print(f"  re-verification from the certificate alone: "
       f"{'ok' if verify_certificate(cert) == [] else 'FAILED'}")

@@ -73,10 +73,6 @@ class ScalingVector:
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
 
-    @classmethod
-    def ones(cls, spec: FieldSpec, n: int) -> "ScalingVector":
-        return cls(spec, [1] * n)
-
     def __repr__(self) -> str:
         return f"ScalingVector({list(self.entries)})"
 
@@ -176,7 +172,8 @@ class LinearCode:
 
     def _weights(self, w: ScalingVector | Sequence[int]) -> Sequence[int]:
         """The entries of a scaling or of hull weights, checked: n nonzero
-        encodings of the code's field, a `ScalingVector` only over it."""
+        encodings of the code's field, a `ScalingVector` only over it.  It is
+        the one check on the u and u^2 the library makes itself."""
         if isinstance(w, ScalingVector):
             if w.spec != self.spec:
                 raise CodeError(f"scaling vector over {w.spec!r}, not {self.spec!r}")

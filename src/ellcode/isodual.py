@@ -42,9 +42,11 @@ nullspace computed; the code keeps v for the dual's displacement factors,
 and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
 k - rank of the moment Gram at w = 1, which reads only the points,
 cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
-that identity proved, which reads G.  The samplers, the
-hull search and the LCD ladder take the hull of u.C from the same method,
-against the cached dual at w = u^2; they form no Gram matrix per trial.
+that identity proved, which reads G.  The sampler and the hull search
+share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
+each u as encodings, take the hull of u.C from the same method against the
+cached dual at w = u^2, with no Gram matrix per trial, and wrap only the u
+they return in a ScalingVector.
 The codes of `_Context.code` and `IsoDualCertificate.code` carry the
 points' x's as nodes.  So in odd characteristic, from k =
 `code._DISPLACEMENT_MIN_K` on, that method ranks from the displacement
@@ -70,7 +72,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from . import gf, funcspace, linalg
 from ._version import __version__
@@ -503,7 +505,7 @@ class _Context:
         return self.code.matrix
 
     @cached_property
-    def v(self) -> Optional[ScalingVector]:
+    def scaling_v(self) -> Optional[tuple[int, ...]]:
         """The scaling carrying the code onto its dual (module docstring),
         with log h'(alpha) the sum of log (alpha - beta) over all distinct
         x's beta, alpha's own term adding the table's log 0 = 0.
@@ -514,7 +516,7 @@ class _Context:
         xs = {p.x.enc for p in points}
         if spec.p == 2:
             lhp = {a: sum([log[a ^ b] for b in xs]) for a in xs}
-            return ScalingVector(spec, [exp[-lhp[p.x.enc] % q1] for p in points])
+            return tuple([exp[-lhp[p.x.enc] % q1] for p in points])
         beta, sub = self.qa.x.enc, spec.sub_enc
         if any(p.x.enc == beta or not p.y.enc for p in points):
             return None
@@ -523,13 +525,8 @@ class _Context:
         else:
             addt, neg_xs = spec._addt, [spec._negt[b] for b in xs]
             lhp = {a: sum(map(log.__getitem__, map(addt[a].__getitem__, neg_xs))) for a in xs}
-        return ScalingVector(spec, [
-            exp[(log[sub(p.x.enc, beta)] - lhp[p.x.enc] - log[p.y.enc]) % q1]
-            for p in points])
-
-    @property
-    def scaling_v(self) -> tuple[int, ...]:
-        return self.v.entries
+        return tuple([exp[(log[sub(p.x.enc, beta)] - lhp[p.x.enc] - log[p.y.enc]) % q1]
+                      for p in points])
 
     @cached_property
     def mds_subset_count(self) -> int:
@@ -590,11 +587,11 @@ def _iso_dual_identity(c: _Context) -> bool:
     w = v, puts C.v inside C-perp, and with n = 2k both have dimension k,
     so C.v is C-perp: it becomes the code's cached dual, which the `hull`
     cross-check then reads without a nullspace; the code keeps v too."""
-    code, v = c.code, c.v
+    code, v = c.code, c.scaling_v
     if v is None or code.n != 2 * code.k or any(
-            map(any, funcspace.basis_gram(c.basis, c.points, v.entries))):
+            map(any, funcspace.basis_gram(c.basis, c.points, v))):
         return False
-    code._carry_dual(v.entries)
+    code._carry_dual(v)
     return True
 
 
@@ -620,8 +617,8 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
     ("iso_dual_identity", _iso_dual_identity),
-    ("scaling_matches_points", lambda c: c.v is not None
-     and c.claim.scaling_v == c.v.entries),
+    ("scaling_matches_points", lambda c: c.scaling_v is not None
+     and c.claim.scaling_v == c.scaling_v),
     ("points_match_input", _points_match_input),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
     ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
@@ -686,8 +683,9 @@ def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearC
         raise ConstructionError(
             "odd characteristic: square roots of v may not exist; "
             "no self-dual scaling is provided")
-    u = ScalingVector(spec, [spec.sqrt_enc(e) for e in cert.scaling_v])
-    return u, _accept(_code_with_dual(cert, curve), u, cert.k, "self-dual transform")
+    u = [spec.sqrt_enc(e) for e in cert.scaling_v]
+    return ScalingVector(spec, u), _accept(_code_with_dual(cert, curve), u, cert.k,
+                                           "self-dual transform")
 
 
 def lcd_transform(cert: IsoDualCertificate,
@@ -709,10 +707,10 @@ def lcd_transform(cert: IsoDualCertificate,
     spec = curve.spec
     ell = cert.hull_dim
     if ell == 0:
-        return ScalingVector.ones(spec, cert.n), cert.code(curve)
+        return ScalingVector(spec, [1] * cert.n), cert.code(curve)
     code = _code_with_dual(cert, curve)
-    non_square_one = [e for e in range(2, spec.q)
-                      if spec.mul_enc(e, e) != 1]
+    mul = spec.mul_enc
+    non_square_one = [e for e in range(2, spec.q) if mul(e, e) != 1]
     spent = 0
     for lprime in range(ell, cert.n + 1):
         for entry in non_square_one:
@@ -720,12 +718,11 @@ def lcd_transform(cert: IsoDualCertificate,
                 if spent >= budget:
                     return None
                 spent += 1
-                entries = [1] * cert.n
+                u = [1] * cert.n
                 for pos in combo:
-                    entries[pos] = entry
-                u_hat = ScalingVector(spec, entries)
-                if _scaled_hull_dim(code, u_hat) == 0:
-                    return u_hat, _accept(code, u_hat, 0, "LCD search")
+                    u[pos] = entry
+                if code.stacked_hull_dim([mul(x, x) for x in u]) == 0:
+                    return ScalingVector(spec, u), _accept(code, u, 0, "LCD search")
     return None
 
 
@@ -738,17 +735,7 @@ def _code_with_dual(cert: IsoDualCertificate, curve: Curve) -> LinearCode:
     return code
 
 
-def _scaled_hull_dim(code: LinearCode, u: ScalingVector) -> int:
-    """dim of the hull of u.C, with no scaled code and no Gram matrix built:
-    it is dim(u^2.C n C-perp), the `stacked_hull_dim` at w = u^2 against
-    the dual cached on `code` (C.v once `iso_dual_identity` or
-    `_code_with_dual` proved it, otherwise one nullspace), from displacement
-    generators where the code has nodes and the route applies."""
-    mul = code.spec.mul_enc
-    return code.stacked_hull_dim([mul(x, x) for x in u.entries])
-
-
-def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearCode:
+def _accept(code: LinearCode, u: Sequence[int], hull: int, what: str) -> LinearCode:
     """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it
     against its dual, carried by `LinearCode.scale` where `code` has one."""
     scaled = code.scale(u)
@@ -762,48 +749,42 @@ def _accept(code: LinearCode, u: ScalingVector, hull: int, what: str) -> LinearC
 # all (q-1)^n vectors, which is not exhaustively checkable)
 # ---------------------------------------------------------------------------
 
-def _sampler_rng(code: LinearCode, trials: int, seed: int, block: int) -> random.Random:
-    """The samplers' seeded generator, after `ValueError` for a negative
-    trial count and `CodeError` for a block size that does not divide n."""
+def _scaling_trials(code: LinearCode, trials: int, seed: int,
+                    block: int) -> Iterator[tuple[list[int], int]]:
+    """`trials` seeded random scalings u, each with the hull of u.C.
+
+    u is constant on blocks of `block` coordinates, one `randrange(1, q)`
+    per block: block=1 samples all of (F_q*)^n, block=2 the vectors
+    constant on the inverse pairs the constructions emit adjacently, where
+    the rare higher hulls live.  The hull is the `stacked_hull_dim` at
+    w = u^2 against the dual cached on `code` (C.v once proved, otherwise
+    one nullspace), with no scaled code and no Gram matrix built.  A
+    negative trial count is a `ValueError`, and a block size that does not
+    divide n a `CodeError`, both before the first draw."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if block < 1 or code.n % block:
         raise CodeError(f"block size {block} is not a positive divisor of n = {code.n}")
-    return random.Random(seed)
-
-
-def _random_scaling(code: LinearCode, rng: random.Random, block: int) -> ScalingVector:
-    """Random vector, constant on consecutive blocks of the given size.
-
-    block=1 samples all of (F_q*)^n; block=2 samples vectors constant on
-    the inverse pairs the constructions emit adjacently, where the rare
-    higher hull values actually live.
-    """
-    entries: list[int] = []
-    for _ in range(code.n // block):
-        entries.extend([rng.randrange(1, code.spec.q)] * block)
-    return ScalingVector(code.spec, entries)
+    rng, q, mul = random.Random(seed), code.spec.q, code.spec.mul_enc
+    for _ in range(trials):
+        u: list[int] = []
+        for _ in range(code.n // block):
+            u.extend([rng.randrange(1, q)] * block)
+        yield u, code.stacked_hull_dim([mul(x, x) for x in u])
 
 
 def sample_scaling_hulls(code: LinearCode, trials: int, seed: int = 0,
                          block: int = 1) -> dict[int, int]:
     """Hull-dimension histogram over `trials` random scaling vectors."""
-    rng = _sampler_rng(code, trials, seed, block)
-    out: dict[int, int] = {}
-    for _ in range(trials):
-        u = _random_scaling(code, rng, block)
-        h = _scaled_hull_dim(code, u)
-        out[h] = out.get(h, 0) + 1
-    return dict(sorted(out.items()))
+    hulls = Counter(h for _, h in _scaling_trials(code, trials, seed, block))
+    return dict(sorted(hulls.items()))
 
 
 def find_scaling_with_hull(code: LinearCode, target_hull: int, trials: int = 2000,
                            seed: int = 0, block: int = 1) -> Optional[ScalingVector]:
     """First random scaling vector reaching the target hull dimension."""
-    rng = _sampler_rng(code, trials, seed, block)
-    for _ in range(trials):
-        u = _random_scaling(code, rng, block)
-        if _scaled_hull_dim(code, u) == target_hull:
+    for u, h in _scaling_trials(code, trials, seed, block):
+        if h == target_hull:
             _accept(code, u, target_hull, "hull search")
-            return u
+            return ScalingVector(code.spec, u)
     return None

@@ -5,22 +5,17 @@ The heavyweight certificates are session fixtures shared across criteria.
 """
 
 import json
-import math
 import time
-from itertools import combinations
 
 import pytest
 
-from ellcode import gf
 from ellcode.gf import FieldSpec
 from ellcode.curve import Curve, Point, INFINITY, feasible_orders
 from ellcode.funcspace import rr_basis, validate_rr_basis
-from ellcode.code import (LinearCode, ScalingVector, mds_subset_check,
-                          subset_sum_reachable)
-from ellcode.isodual import (CertificateSchemaError, ConstructionInput,
-                             IsoDualCertificate, PairSelection, construct,
-                             find_scaling_with_hull, lcd_transform,
-                             selfdual_transform, verify_certificate)
+from ellcode.code import ScalingVector, subset_sum_reachable
+from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
+                             PairSelection, construct, find_scaling_with_hull,
+                             lcd_transform, selfdual_transform)
 from ellcode.eaqecc import derive
 from ellcode.search import (AbelianGroupSpec, bound_table, lemma_max_search,
                             realized_orders)

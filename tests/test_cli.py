@@ -255,6 +255,20 @@ def test_unparsable_file_is_schema_error(tmp_path, capsys, content, command):
     assert err.startswith("schema error: ") and "Traceback" not in err
 
 
+# valid JSON that is not an object
+NOT_OBJECTS = {"list": b"[]", "number": b"3", "string": b'"x"', "null": b"null"}
+
+
+@pytest.mark.parametrize("command", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("content", NOT_OBJECTS.values(), ids=NOT_OBJECTS.keys())
+def test_non_object_json_is_schema_error(tmp_path, capsys, content, command):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert _read(command, path) == 2
+    assert capsys.readouterr().err == \
+        "schema error: certificate must be a JSON object\n"
+
+
 # --out in a directory that does not exist, after each subcommand's own
 # arguments; the file named is a certificate that verifies
 OUT_WRITERS = {

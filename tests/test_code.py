@@ -194,7 +194,7 @@ def test_min_distance_budget(monkeypatch, f25):
 
 
 def test_scale_identities(code16, f16):
-    ones = ScalingVector.ones(f16, 8)
+    ones = ScalingVector(f16, [1] * 8)
     assert code16.scale(ones).matrix == code16.matrix
     v = ScalingVector(f16, [3, 7, 2, 9, 11, 4, 6, 13])
     assert code16.scale(v).scale([f16.inv_enc(e) for e in v]).matrix == code16.matrix

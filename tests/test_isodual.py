@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ellcode import FieldSpec, funcspace, gf, linalg
-from ellcode.curve import Curve, CurveError, Point, INFINITY
+from ellcode.curve import Curve, CurveError, Point
 from ellcode import code as code_module
 from ellcode.code import CodeError, LinearCode, ScalingVector
 from ellcode import isodual
@@ -528,7 +528,7 @@ def _three_duals(cert):
     iso_dual_identity, with the dual from a nullspace, and fresh."""
     spec = cert.spec()
     proved = cert.code()
-    ctx = SimpleNamespace(code=proved, spec=spec, v=ScalingVector(spec, cert.scaling_v),
+    ctx = SimpleNamespace(code=proved, spec=spec, scaling_v=cert.scaling_v,
                           **_moment_fields(cert))
     assert isodual._iso_dual_identity(ctx) and proved._dual is not None
     kernel = cert.code()
@@ -542,8 +542,8 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
     # no TAMPERS edit reaches it, since it reads the v the points give
     cert = request.getfixturevalue(fixture)
     spec, code = cert.spec(), cert.code()
-    v = ScalingVector(spec, _replace_at(cert.scaling_v, 0, 7))
-    ctx = SimpleNamespace(code=code, spec=spec, v=v, **_moment_fields(cert))
+    v = _replace_at(cert.scaling_v, 0, 7)
+    ctx = SimpleNamespace(code=code, spec=spec, scaling_v=v, **_moment_fields(cert))
     assert not isodual._iso_dual_identity(ctx) and code._dual is None
 
 
@@ -570,13 +570,15 @@ def test_scaled_hull_dim_matches_gram_and_scaled_code(request, source, block,
     def reference(w):
         return k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
 
+    # the trial loop draws one randrange(1, q) per block, in order
     rng = random.Random(block)
     hulls = []
-    for _ in range(trials):
-        u = isodual._random_scaling(code, rng, block)
-        w = [spec.mul_enc(x, x) for x in u.entries]
+    for u, trial_hull in isodual._scaling_trials(code, trials, block, block):
+        assert u == [e for _ in range(code.n // block)
+                     for e in [rng.randrange(1, spec.q)] * block]
+        w = [spec.mul_enc(x, x) for x in u]
         h = reference(w)
-        assert [isodual._scaled_hull_dim(c, u) for c in codes] == [h] * 4
+        assert [trial_hull, *(c.stacked_hull_dim(w) for c in codes[1:])] == [h] * 4
         assert h == code.scale(u).hull_dim()
         hulls.append(h)
     if source != 289:
@@ -620,10 +622,70 @@ def test_samplers_reject_bad_blocks(cert25, block):
 
 
 def test_scaled_hull_dim_rejects_wrong_length(cert25):
-    code, spec = cert25.code(), cert25.spec()
+    code = cert25.code()
     for n in (code.n - 2, code.n + 1, 0):
         with pytest.raises(CodeError, match="length mismatch"):
-            isodual._scaled_hull_dim(code, ScalingVector(spec, [1] * n))
+            code.stacked_hull_dim([1] * n)
+
+
+def test_samplers_keep_their_draw_order(cert25):
+    # the values demos/03_odd_characteristic_construction.py prints
+    code = cert25.code()
+    assert sample_scaling_hulls(code, 300, seed=0) == {0: 287, 1: 13}
+    assert sample_scaling_hulls(code, 300, seed=0, block=2) == {0: 276, 1: 24}
+    u = find_scaling_with_hull(code, 2, trials=3000, seed=0, block=2)
+    assert u.entries == (14, 14, 14, 14, 14, 14, 12, 12,
+                         19, 19, 4, 4, 3, 3, 18, 18)
+
+
+def _count_scaling_vectors(monkeypatch) -> list:
+    """A list that grows by one on each `ScalingVector.__init__` call."""
+    calls, init = [], ScalingVector.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ScalingVector, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [25, 289])
+def test_construct_and_verify_build_no_scaling_vector(monkeypatch, q):
+    cert = _golden_cert(q)
+    built = _count_scaling_vectors(monkeypatch)
+    assert _construct_echo(cert) == cert
+    assert verify_certificate(cert) == []
+    assert built == []
+
+
+def test_samplers_wrap_only_the_scaling_they_return(monkeypatch, cert25):
+    code = cert25.code()
+    built = _count_scaling_vectors(monkeypatch)
+    assert sum(sample_scaling_hulls(code, 30, seed=0, block=2).values()) == 30
+    assert len(built) == 0
+    u = find_scaling_with_hull(code, 1, trials=300, seed=0)
+    assert u is not None and len(built) == 1
+    assert find_scaling_with_hull(code, code.k + 1, trials=30, seed=0) is None
+    assert len(built) == 1
+
+
+def _ladder_cert():
+    """A [12, 6] code over GF(32) with hull 2, whose LCD ladder accepts its
+    22nd candidate; the goldens' ladders accept their first."""
+    spec = _golden_cert(32).spec()
+    return construct(ConstructionInput(Curve(spec, 1, 1, 0, 0, 15), 6, 1))
+
+
+@pytest.mark.parametrize("source, hull, u", [
+    (64, 2, (2, 2) + (1,) * 34), (16, 0, (1,) * 8),
+    ("ladder", 2, (1, 1, 2, 2) + (1,) * 8)])
+def test_lcd_transform_wraps_only_the_scaling_it_returns(monkeypatch, source,
+                                                         hull, u):
+    # hull 0 is the shortcut, with no search
+    cert = _golden_cert(source) if isinstance(source, int) else _ladder_cert()
+    built = _count_scaling_vectors(monkeypatch)
+    got, _ = lcd_transform(cert)
+    assert (cert.hull_dim, got.entries, len(built)) == (hull, u, 1)
 
 
 def _verify_context(cert):
@@ -637,7 +699,7 @@ def test_v_from_log_sums_matches_the_product_formula(q):
     # characteristic 2, the add-table rows of odd q up to the cap, and
     # sub_enc above it (GF(1031))
     ctx = _verify_context(_golden_cert(q))
-    assert ctx.v.entries == ctx.cert.scaling_v == \
+    assert ctx.scaling_v == ctx.cert.scaling_v == \
         scaling_v_product(ctx.spec, ctx.points, ctx.qa)
 
 
@@ -651,13 +713,13 @@ def test_library_rows_skip_the_entry_checks_and_give_the_checked_code(monkeypatc
     def no_checks(*args, **kwargs):
         raise AssertionError("the library's own rows were checked")
     monkeypatch.setattr(LinearCode, "__init__", no_checks)
-    made, scaled = ctx.code, ctx.code.scale(ctx.v.entries)
+    made, scaled = ctx.code, ctx.code.scale(ctx.scaling_v)
     monkeypatch.setattr(LinearCode, "__init__", checked_init)
     spec, nodes = ctx.spec, [p.x.enc for p in ctx.points]
     checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points),
                          n=ctx.n, nodes=nodes)
     checked_scaled = LinearCode(
-        spec, linalg.scale_columns(checked.matrix, ctx.v.entries, spec),
+        spec, linalg.scale_columns(checked.matrix, ctx.scaling_v, spec),
         n=ctx.n, nodes=nodes)
     for got, want in ((made, checked), (scaled, checked_scaled)):
         assert (got.matrix, got.nodes, got.k, got.n) == \
@@ -674,7 +736,7 @@ def test_v_is_none_where_a_point_leaves_it_undefined(cert25, point):
     x, _ = next(p for p in cert25.points if p[0] != beta)
     bad = (x, 0) if point == "y = 0" else (beta, 3)
     ctx = _verify_context(_tamper(cert25, points=(bad, *cert25.points[1:])))
-    assert ctx.v is None
+    assert ctx.scaling_v is None
     assert scaling_v_product(ctx.spec, ctx.points, ctx.qa) is None
 
 

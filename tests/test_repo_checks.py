@@ -1,8 +1,9 @@
 """Checks on the source tree itself: the library names the benchmark wraps
-still exist, no `src/ellcode` module imports a name it never uses or
-computes in floating point, every public name has a reader outside the
-tests, the CLI maps errors to exit codes in `main` alone, README's quick
-start runs, and the docs list the certificate invariants in order."""
+still exist, no `src/ellcode` module, test or demo imports a name it never
+uses, no library module computes in floating point, every public name has
+a reader outside the tests, the CLI maps errors to exit codes in `main`
+alone, README's quick start runs, and the docs list the certificate
+invariants in order."""
 
 import ast
 import contextlib
@@ -99,10 +100,14 @@ def test_unused_import_check_flags_and_spares():
     assert _unused_imports(source) == ["Iterator (line 1)", "os (line 2)"]
 
 
+# a library module by its file name, a demo or test by its path in the repo
 @pytest.mark.parametrize("name", sorted(
-    f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"))
+    f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py") + [
+    f"{d}/{f}" for d in ("demos", "tests")
+    for f in sorted(os.listdir(os.path.join(ROOT, d))) if f.endswith(".py")])
 def test_no_unused_imports(name):
-    with open(os.path.join(PACKAGE, name)) as handle:
+    path = os.path.join(ROOT if "/" in name else PACKAGE, name)
+    with open(path) as handle:
         assert _unused_imports(handle.read()) == []
 
 

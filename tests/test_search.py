@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from ellcode import isodual, search
-from ellcode.curve import Curve, CurveError, feasible_orders
+from ellcode.curve import CurveError, feasible_orders
 from ellcode.search import (AbelianGroupSpec, bound_table, census_rows,
                             lemma_max_search, length_bound,
                             max_length_probe, realized_orders, rows_to_csv,
