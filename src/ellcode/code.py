@@ -5,7 +5,8 @@ is literal matrix equality and certificates are canonical.  A code
 C_L(D, G) is MDS exactly when no k-subset of the evaluation points has
 group sum sum(G).  The MDS certifier asks only whether sum(G) is
 reachable, by dynamic programming over (prefix, subset size) with every
-size's reachable group elements packed in one int, and answers 0 or 1.
+size's reachable group elements packed in one int, and answers 0 or 1; it
+first asks in the 2-primary quotient, where the paper's parity settles it.
 
 Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
 the cached dual.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
@@ -185,14 +186,14 @@ class LinearCode:
             raise CodeError(f"weights must be nonzero encodings of GF({q})")
         return w
 
-    def hull_dim(self, gram: Optional[list[list[int]]] = None) -> int:
+    def hull_dim(self, gram_rank: Optional[int] = None) -> int:
         """dim(C n C-perp) = k - rank(B B^T) for the rows B of any basis of
-        C, cross-checked against `stacked_hull_dim` at w = 1.  `gram` is
-        that B B^T, G G^T when None; a caller with another basis (the
+        C, cross-checked against `stacked_hull_dim` at w = 1.  `gram_rank`
+        is that rank, G G^T's when None; a caller with another basis (the
         point moments of `isodual`) makes the two routes independent."""
-        if gram is None:
-            gram = linalg.gram(self.matrix, self.spec)
-        h = self.k - linalg.rank(gram, self.spec)
+        if gram_rank is None:
+            gram_rank = linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
+        h = self.k - gram_rank
         h2 = self.stacked_hull_dim()
         if h != h2:
             raise CodeError(f"hull computations disagree: {h} vs {h2}")
@@ -444,13 +445,20 @@ def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
                      k: int, target: Point) -> int:
     """1 if some k-subset of `points` has group sum `target`, else 0.
 
-    C_L(D, G) with sum(G) = target is MDS iff this is 0.  One bitset DP
-    (`subset_sum_reachable`) decides it; the number of such subsets is
-    never needed, so none is counted.
+    C_L(D, G) with sum(G) = target is MDS iff this is 0.  The witness
+    (`subset_sum_reachable`) first runs on the 2-primary quotient Z/e1 x
+    Z/e2, e_i the 2-part of d_i: reduction is a homomorphism, so a target
+    unreachable there is unreachable; only a reachable one pays for the full
+    group.  The paper's parity argument settles all nine goldens there; odd
+    k, hostile files and random point sets can pay.  No subset is counted.
     """
     if len(set(points)) != len(points):
         raise CodeError("evaluation points must be pairwise distinct")
     coords = [structure.coords(p) for p in points]
     ti, tj = structure.coords(target)
     d1, d2 = structure.d1, structure.d2
+    e1, e2 = d1 & -d1, d2 & -d2
+    if not subset_sum_reachable([(i % e1, j % e2) for i, j in coords],
+                                k, e1, e2) >> (ti % e1 * e2 + tj % e2) & 1:
+        return 0
     return subset_sum_reachable(coords, k, d1, d2) >> (ti * d2 + tj) & 1

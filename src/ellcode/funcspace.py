@@ -7,11 +7,12 @@ encodings; its symbolic basis functions are the reference, built when read.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
-of the Cauchy systematic form of GRS codes), and `basis_gram`, the Gram
-matrix of the evaluated basis under weights w from the 3(k-1) point
-moments sum_j w_j u_j^e x_j^t.  `rr_basis_rows` and `linalg.gram` are
-their test references; the verifier also takes G from `rr_basis_rows` for
-a file whose first k points are not whole pairs.
+of the Cauchy systematic form of GRS codes), and `point_moments`, the
+3(k-1) sums sum_j w_j u_j^e x_j^t, which `moment_gram` lays out as the
+Gram of the evaluated basis under weights w (both: `basis_gram`).  Their
+test references are `rr_basis_rows` and `linalg.gram`; the verifier also
+takes G from `rr_basis_rows` for a file whose first k points are not whole
+pairs.
 Valuations at affine points use the conjugate-norm technique: for
 g = a + b y the product with its involution image is a polynomial in x
 alone, whose root multiplicity at x(P) settles v_P(g) exactly, with no
@@ -365,21 +366,17 @@ def systematic_rows(basis: RRBasis,
     return rows
 
 
-def basis_gram(basis: RRBasis, points: Sequence[Point],
-               w: Optional[Sequence[int]] = None) -> list[list[int]]:
-    """`linalg.gram(rr_basis_rows(basis, points), spec, w)` from point
-    moments: the entry of basis functions u^e x^a and u^e' x^a' is
-    S[e + e'][a + a'], with S[e][t] = sum_j w_j u_j^e x_j^t for e <= 2 and
-    t <= k - 2.  Points on one x share their powers, so the 3(k - 1)
-    moments cost 3(k - 1) terms per distinct x.  Rows and columns follow
-    the basis order 1, u, x, u x, ...; w is all 1 when None.  A point at a
-    pole of u raises `FunctionError`, as in `rr_basis_rows`.
-
-    By the residue theorem sum_j v_j (f g)(P_j) = 0 for f, g in L(G) when
-    v is the iso-dual scaling, so every moment at w = v is 0."""
+def point_moments(basis: RRBasis, points: Sequence[Point],
+                  w: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """[S0, S1, S2], S[e][t] = sum_j w_j u_j^e x_j^t for t <= k - 2, w all 1
+    when None: 3(k - 1) terms per distinct x, one packed step per (x, e) in
+    characteristic 2 up to q = 256 (x^t a strided slice of the exp bytes).
+    A point at a pole of u raises `FunctionError`, as in `rr_basis_rows`.
+    Every moment at the iso-dual scaling w = v is 0 (residue theorem); at
+    w = 1, S1 is 0 over whole pairs {P, -P} if a1 = a3 = 0: u(-P) = -u(P)."""
     spec, k = basis.curve.spec, basis.k
     add, mul, log, exp2 = spec.add_enc, spec.mul_enc, spec._log, spec._exp2
-    addt, q1 = spec._addt, spec.q - 1
+    addt, mulb, q1 = spec._addt, spec._mulb, spec.q - 1
     # per distinct x: sum of w_j u_j^e over the points on it, e = 0, 1, 2
     weights: dict[int, list[int]] = {}
     for p, u, wj in zip(points, _u_values(basis, points), w or [1] * len(points)):
@@ -387,30 +384,44 @@ def basis_gram(basis: RRBasis, points: Sequence[Point],
         for e in range(3):
             acc[e] = add(acc[e], wj)
             wj = mul(wj, u)
-    moments = [[0] * (k - 1) for _ in range(3)]
+    # the points on x = 0, if any, first: x^t is 1 at t = 0 and 0 after
+    moments = [[c] + [0] * (k - 2) for c in weights.pop(0, [0, 0, 0])]
+    if mulb is not None:
+        expb, packed = bytes(spec._exp) * k, [0, 0, 0]
+        for x, acc in weights.items():
+            lx = log[x]
+            powers = expb[0:(k - 1) * lx:lx] if lx else b"\x01" * (k - 1)
+            for e, c in enumerate(acc):
+                if c:
+                    packed[e] ^= int.from_bytes(powers.translate(mulb[c]), "big")
+        return [[m ^ v for m, v in zip(row, acc.to_bytes(k - 1, "big"))]
+                for row, acc in zip(moments, packed)]
     for x, acc in weights.items():
-        if x == 0:          # x^t is 1 at t = 0 and 0 after
-            for e in range(3):
-                moments[e][0] = add(moments[e][0], acc[e])
-            continue
         lpow = [t * log[x] % q1 for t in range(k - 1)]
-        for e, c in enumerate(acc):
-            if not c:
-                continue
-            lc = log[c]
+        for e, lc in [(e, log[c]) for e, c in enumerate(acc) if c]:
             if addt is not None:    # the q x q table, without a call per term
                 moments[e] = [addt[s][exp2[lc + lp]] for s, lp in zip(moments[e], lpow)]
             else:
                 moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
-    half = k // 2
-    gram = []
-    for i in range(k):
+    return moments
+
+
+def moment_gram(moments: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The Gram matrix of the basis 1, u, x, u x, ... from `point_moments`:
+    the entry of u^e x^a and u^e' x^a' is S[e + e'][a + a']."""
+    k = len(moments[0]) + 1
+    gram = [[0] * k for _ in range(k)]
+    for i, row in enumerate(gram):
         a, e = divmod(i, 2)
-        row = [0] * k
-        row[0::2] = moments[e][a:a + half]
-        row[1::2] = moments[e + 1][a:a + half]
-        gram.append(row)
+        row[0::2], row[1::2] = moments[e][a:a + k // 2], moments[e + 1][a:a + k // 2]
     return gram
+
+
+def basis_gram(basis: RRBasis, points: Sequence[Point],
+               w: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """`linalg.gram(rr_basis_rows(basis, points), spec, w)` from the
+    `point_moments`, in the basis order 1, u, x, u x, ... (`moment_gram`)."""
+    return moment_gram(point_moments(basis, points, w))
 
 
 def validate_rr_basis(basis: RRBasis) -> None:

@@ -18,7 +18,7 @@ of x - alpha over the other first pairs' x's times the line through Qa and
 -P_i over x - beta.  The Gram of the basis 1, u, x, u x, ... of L(G)
 (u = y/(x - beta), or (y - gamma1)/x in characteristic 2) under weights w
 comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
-(`funcspace.basis_gram`).  Only a file whose first k points are not whole
+(`funcspace.point_moments`).  Only a file whose first k points are not whole
 pairs, which `construct` never writes, takes G as the RREF of the
 evaluated basis, as before the closed form.  All three read only the
 checked handle (curve, Qa, k) of `funcspace.rr_basis`: no op builds the
@@ -40,8 +40,8 @@ residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed; the code keeps v for the dual's displacement factors,
 and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
-k - rank of the moment Gram at w = 1, which reads only the points,
-cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
+k - rank of the moment Gram at w = 1, which reads only the points: in odd
+characteristic with S1 = 0 two Berlekamp-Massey Hankel ranks, cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
 that identity proved, which reads G.  The sampler and the hull search
 share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
 each u as encodings, take the hull of u.C from the same method against the
@@ -538,9 +538,16 @@ class _Context:
 
     @cached_property
     def hull_dim(self) -> int:
-        """k - rank of the moment Gram, which reads only the points;
-        `LinearCode.hull_dim` cross-checks it against G."""
-        return self.code.hull_dim(funcspace.basis_gram(self.basis, self.points))
+        """k - rank of the moment Gram at w = 1, which reads only the points;
+        `LinearCode.hull_dim` cross-checks it against G.  For odd p and S1 = 0
+        (construction 2's whole pairs) the Gram is diag(H0, H2) reordered,
+        (k/2) x (k/2) Hankel blocks of S0 and S2 (`linalg.hankel_rank`)."""
+        spec, moments = self.spec, funcspace.point_moments(self.basis, self.points)
+        if spec.p != 2 and not any(moments[1]):
+            rank = linalg.hankel_rank(moments[0], spec) + linalg.hankel_rank(moments[2], spec)
+        else:
+            rank = linalg.rank(funcspace.moment_gram(moments), spec)
+        return self.code.hull_dim(rank)
 
     @cached_property
     def min_distance_method(self) -> str:
@@ -583,13 +590,14 @@ def _points_match_input(c: _Context) -> bool:
 
 
 def _iso_dual_identity(c: _Context) -> bool:
-    """A zero Gram under v of a basis of C, here every point moment at
-    w = v, puts C.v inside C-perp, and with n = 2k both have dimension k,
-    so C.v is C-perp: it becomes the code's cached dual, which the `hull`
-    cross-check then reads without a nullspace; the code keeps v too."""
+    """A zero Gram under v of a basis of C puts C.v inside C-perp, and with
+    n = 2k both have dimension k, so C.v is C-perp: it becomes the code's
+    cached dual, which the `hull` cross-check then reads without a
+    nullspace; the code keeps v too.  For even k every point moment at
+    w = v is a Gram entry, so the Gram is 0 iff the 3(k-1) moments are."""
     code, v = c.code, c.scaling_v
     if v is None or code.n != 2 * code.k or any(
-            map(any, funcspace.basis_gram(c.basis, c.points, v))):
+            map(any, funcspace.point_moments(c.basis, c.points, v))):
         return False
     code._carry_dual(v)
     return True

@@ -9,11 +9,12 @@ byte per entry with column 0 most significant.  A row is scaled by
 ``bytes.translate`` with the field's ``_mulb`` table and rows are added by
 XOR; results are unpacked to the same lists of encodings.
 
-`cauchy_like_rank` is the one structured kernel: the exact rank of a
-Cauchy-like matrix, D_a M - M D_b = G H, by elimination on the r columns
-of G and rows of H (Gohberg-Kailath-Olshevsky), O(m n r) with no m x n
-matrix formed.  It runs in odd characteristic, on encodings, with the
-field's log, exp and add tables.
+Two structured kernels rank a matrix with none formed.  `cauchy_like_rank`
+ranks a Cauchy-like matrix, D_a M - M D_b = G H, by elimination on the r
+columns of G and rows of H (Gohberg-Kailath-Olshevsky), O(m n r); it runs
+in odd characteristic, with the field's log, exp and add tables.
+`hankel_rank` ranks an m x m Hankel matrix from the linear complexity of
+its 2m - 1 entries (Berlekamp-Massey), O(m^2), in any field.
 """
 
 from __future__ import annotations
@@ -205,6 +206,37 @@ def _combine(terms: list[tuple[int, list[int]]], ez: list[int],
         else:
             acc = [addt[s][ez[zlog[x] + l0]] for s, x in zip(acc, v0)]
     return acc
+
+
+def hankel_rank(s: Sequence[int], spec: FieldSpec) -> int:
+    """Rank of the m x m Hankel matrix [s_(i+j)] of s_0 ... s_(2m-2):
+    min(L, 2m - L), L the sequence's linear complexity (Heinig-Rost), from
+    Berlekamp-Massey (Massey 1969) in O(m^2).  c is the connection
+    polynomial, lc the logs of c[1:], lb those of the polynomial before the
+    last length change, ld the log of that step's discrepancy and gap the
+    steps since; a zero has log 2(q-1), which `ez` maps to 0."""
+    if len(s) % 2 == 0:
+        raise ValueError("a Hankel matrix has 2m - 1 distinct entries")
+    log, addt, add, q1 = spec._log, spec._addt, spec.add_enc, spec.q - 1
+    z, neg = 2 * q1, (q1 // 2 if spec.p != 2 else 0)      # neg = log of -1
+    ez, ls = spec._exp2 + [0] * (z + 1), [log[x] if x else z for x in s]
+    c, lc, lb, length, gap, ld = [1], [], [0], 0, 1, 0
+    for t, d in enumerate(s):
+        # the discrepancy s_t + sum_i c_i s_(t-i), by the add table where
+        # there is one; len(lc) <= length <= t
+        for v in [ez[u + v] for u, v in zip(lc, ls[t - 1::-1])]:
+            d = addt[d][v] if addt is not None else add(d, v)
+        if d:       # c - (d / d_b) x^gap b, term by term
+            lf = (log[d] - ld + neg) % q1
+            new = c + [0] * (len(lb) + gap - len(c))
+            for i, y in enumerate(lb, gap):
+                v = ez[lf + y]
+                new[i] = addt[new[i]][v] if addt is not None else add(new[i], v)
+            if 2 * length <= t:
+                length, lb, ld, gap = t + 1 - length, [0] + lc, log[d], 0
+            c, lc = new, [log[v] if v else z for v in new[1:]]
+        gap += 1
+    return min(length, len(s) + 1 - length)
 
 
 def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[int]]:

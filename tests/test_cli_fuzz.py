@@ -1,10 +1,14 @@
-"""Property test: `ellcode verify` on mutated q = 16 certificates.
+"""Property test: `ellcode verify` on mutated q = 16 and q = 25 certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
 exit with the same code on the same file, nothing escapes as a traceback,
 and a file that verifies is exactly the canonical serialisation of what
-was read from it and what `construct` writes for its input echo.
+was read from it and what `construct` writes for its input echo.  The
+q = 16 file is characteristic 2 with an exhaustive distance and the packed
+kernels; the q = 25 golden reaches the odd routes: the add table, the
+Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where an
+edit breaks the parity, the full witness.
 """
 
 import contextlib
@@ -12,6 +16,7 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import re
 
 import pytest
@@ -42,9 +47,20 @@ EDITS = st.tuples(
     st.integers(0, 10 ** 6), VALUE, JUNK)
 
 
+GOLDEN25 = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens",
+                        "q25.json")
+F25 = FieldSpec.from_string("p=5,m=2,mod=2,4,1")
+
+
 @pytest.fixture(scope="module")
 def cert16_doc(cert16):
     return json.loads(cert16.to_json())
+
+
+@pytest.fixture(scope="module")
+def cert25_doc():
+    with open(GOLDEN25) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +144,12 @@ def test_verify_exit_codes_on_mutated_certificates(cert16_doc, work_dir, edits):
     _verify_exit_means_what_it_says(work_dir, _apply(cert16_doc, edits))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_q25_certificates(cert25_doc, work_dir, edits):
+    _verify_exit_means_what_it_says(work_dir, _apply(cert25_doc, edits))
+
+
 # edits that keep every value valid and often the code too: two entries of
 # a list swapped, a field or curve number respelled with a space or a
 # leading zero, a zero-multiplicity G entry appended, every v entry times
@@ -140,7 +162,7 @@ SWAPPABLE = ("points", "g_divisor", "generator_matrix", "scaling_v")
 F16 = FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1")
 
 
-def _tweak(doc, tweaks):
+def _tweak(doc, tweaks, spec):
     doc = copy.deepcopy(doc)
     for kind, i, j in tweaks:
         if kind == "swap":
@@ -155,8 +177,8 @@ def _tweak(doc, tweaks):
         elif kind == "zero_entry":
             doc["g_divisor"].append([doc["points"][i % len(doc["points"])], 0])
         elif kind == "scale_v":
-            c = 2 + i % (F16.q - 2)
-            doc["scaling_v"] = [F16.mul_enc(c, e) for e in doc["scaling_v"]]
+            c = 2 + i % (spec.q - 2)
+            doc["scaling_v"] = [spec.mul_enc(c, e) for e in doc["scaling_v"]]
         else:
             doc["tool_version"] = str(i)
     return doc
@@ -166,4 +188,11 @@ def _tweak(doc, tweaks):
 @given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
 def test_verified_tweaked_certificate_is_what_construct_writes(cert16_doc, work_dir,
                                                               tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks))
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks, F16))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
+def test_verified_tweaked_q25_certificate_is_what_construct_writes(cert25_doc, work_dir,
+                                                                  tweaks):
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert25_doc, tweaks, F25))

@@ -316,18 +316,24 @@ def test_reachable_matches_exhaustive_random_groups():
         _assert_witness_is_support(coords, k, d1, d2, exact)
 
 
-def test_reachable_matches_counts_on_golden_curves():
-    # every target, not only sum(G), on the nine benchmark certificates:
-    # the packed witness, and `mds_subset_check` on each group element,
-    # answer 1 exactly where the oracle's count is nonzero
+def _golden_groups():
+    """(name, certificate, curve, group structure, points, Qa) of each of
+    the nine benchmark certificates."""
     names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
     assert len(names) == 9
     for name in names:
         with open(os.path.join(GOLDENS, name)) as fh:
             cert = IsoDualCertificate.from_json(fh.read())
         curve = cert.curve()
-        st = curve.group_structure()
-        points = cert.point_objects(curve)
+        qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
+        yield name, cert, curve, curve.group_structure(), cert.point_objects(curve), qa
+
+
+def test_reachable_matches_counts_on_golden_curves():
+    # every target, not only sum(G), on the nine benchmark certificates:
+    # the packed witness, and `mds_subset_check` on each group element,
+    # answer 1 exactly where the oracle's count is nonzero
+    for name, cert, curve, st, points, _ in _golden_groups():
         coords = [st.coords(p) for p in points]
         counts = subset_sum_counts(coords, cert.k, st.d1, st.d2)
         assert subset_sum_reachable(coords, cert.k, st.d1, st.d2) == \
@@ -339,21 +345,95 @@ def test_reachable_matches_counts_on_golden_curves():
                 (counts[i * st.d2 + j] != 0), (name, enc)
 
 
-def test_mds_subset_check_runs_one_witness(cert16, e16, f16, monkeypatch):
-    # one packed DP per call, for an unreachable target (sum(G) = Q1) and
-    # a reachable one (O) alike
-    calls = []
+def _witness_groups(monkeypatch):
+    """The (d1, d2) of every `subset_sum_reachable` call `code` makes."""
+    groups = []
 
-    def witness(*args):
-        calls.append(args)
-        return subset_sum_reachable(*args)
+    def witness(coords, k, d1, d2):
+        groups.append((d1, d2))
+        return subset_sum_reachable(coords, k, d1, d2)
     monkeypatch.setattr(code, "subset_sum_reachable", witness)
+    return groups
+
+
+def test_mds_subset_check_pays_for_the_full_group_only_past_the_quotient(
+        cert16, e16, f16, monkeypatch):
+    # #E = 22, so the 2-primary quotient is Z/1 x Z/2: sum(G) = Q1 is
+    # unreachable there and one call settles it; O is reachable there, so
+    # the full group decides it with one more call
+    groups = _witness_groups(monkeypatch)
     pts, st = cert16.point_objects(e16), e16.group_structure()
+    assert (st.d1, st.d2) == (1, 22)
     q1 = Point(f16.element(0), f16.element(11))
     assert mds_subset_check(pts, st, 4, q1) == 0
-    assert len(calls) == 1
+    assert groups == [(1, 2)]
     assert mds_subset_check(pts, st, 4, INFINITY) == 1
-    assert len(calls) == 2
+    assert groups == [(1, 2), (1, 2), (1, 22)]
+
+
+def test_the_quotient_settles_the_witness_of_every_golden(monkeypatch):
+    # the paper's parity argument: an even k-subset of points odd-order +
+    # Qa or Qb sums to O or Qa + Qb in the 2-primary part, never to Qa
+    groups = _witness_groups(monkeypatch)
+    for name, cert, _, st, points, qa in _golden_groups():
+        groups.clear()
+        assert mds_subset_check(points, st, cert.k, qa) == 0, name
+        assert groups == [(st.d1 & -st.d1, st.d2 & -st.d2)], name
+
+
+def test_a_target_the_quotient_reaches_pays_for_the_full_witness(monkeypatch):
+    # the files of test_cli's reachable-target test: G's point moved to
+    # Qa + Qb, which some k-subset reaches in the quotient and in the group
+    groups = _witness_groups(monkeypatch)
+    moved = {"q25.json": 19, "q49.json": 37, "q289.json": 16}
+    for name, cert, curve, st, points, _ in _golden_groups():
+        if name in moved:
+            groups.clear()
+            target = Point(curve.spec.element(moved[name]), curve.spec.element(0))
+            assert mds_subset_check(points, st, cert.k, target) == 1, name
+            assert groups == [(st.d1 & -st.d1, st.d2 & -st.d2), (st.d1, st.d2)], name
+
+
+class _Listed:
+    """A group structure stand-in: point i has coordinates coords[i], and a
+    target is given as its own coordinates."""
+
+    def __init__(self, coords, d1, d2):
+        self.list, self.d1, self.d2 = coords, d1, d2
+
+    def coords(self, p):
+        return p if isinstance(p, tuple) else self.list[p]
+
+
+def test_mds_subset_check_is_the_count_support_on_random_sets(monkeypatch):
+    # the 300 sets of the packed-witness sweep as points, on every target:
+    # the quotient's 0 and the full witness's answer are the oracle's
+    # support; each DP is run once per (set, group) and then read back
+    seen, reached_in_quotient_only = {}, 0
+
+    def witness(coords, k, d1, d2):
+        key = (tuple(coords), k, d1, d2)
+        if key not in seen:
+            seen[key] = subset_sum_reachable(coords, k, d1, d2)
+        return seen[key]
+    monkeypatch.setattr(code, "subset_sum_reachable", witness)
+    rng = random.Random(25)
+    for _ in range(300):
+        d1 = rng.choice([1, 1, 2, 3, 6])
+        d2 = d1 * rng.choice([1, 2, 5, 13, 43])
+        n = rng.randrange(0, 25)
+        k = rng.choice([0, n, n + 1, rng.randrange(0, n + 1), rng.randrange(0, n + 1)])
+        coords = [(rng.randrange(-d1, 2 * d1), rng.randrange(-d2, 2 * d2))
+                  for _ in range(n)]
+        support = _support(subset_sum_counts(coords, k, d1, d2))
+        st, e1, e2 = _Listed(coords, d1, d2), d1 & -d1, d2 & -d2
+        quotient = subset_sum_reachable([(i % e1, j % e2) for i, j in coords], k, e1, e2)
+        for i, j in product(range(d1), range(d2)):
+            answer = mds_subset_check(range(n), st, k, (i, j))
+            assert answer == support >> (i * d2 + j) & 1, (coords, k, d1, d2, i, j)
+            reached_in_quotient_only += (not answer
+                                         and quotient >> (i % e1 * e2 + j % e2) & 1)
+    assert reached_in_quotient_only > 10000
 
 
 def test_dp_total_count_is_binomial():
@@ -569,6 +649,50 @@ def test_stacked_hull_rejects_wrong_length(code16):
     for n in (code16.n - 1, code16.n + 1, 0):
         with pytest.raises(CodeError, match="length mismatch"):
             code16.stacked_hull_dim([1] * n)
+
+
+# -- Hankel ranks by Berlekamp-Massey ----------------------------------------
+
+HANKEL_FIELDS = {"GF(5)": (5, 1, [3, 1]), "GF(7)": (7, 1, [0, 1]),
+                 "GF(9)": (3, 2, [1, 0, 1]), **ODD, "GF(16)": CHAR2["GF(16)"]}
+
+
+def _hankel_cases(spec, rng):
+    """Sequences s_0 ... s_(2m-2), m <= 9: uniform, sparse, with a zero
+    prefix, sums of up to m geometric sequences (rank-deficient), and the
+    all-zero and m = 1 edges."""
+    q = spec.q
+    cases = [[0] * (2 * m - 1) for m in (1, 2, 5)] + [[x] for x in (1, q - 1)]
+    for _ in range(40):
+        length = 2 * rng.randrange(1, 10) - 1
+        cases.append([rng.randrange(q) for _ in range(length)])
+        cases.append([rng.choice([0, 0, 0, rng.randrange(q)]) for _ in range(length)])
+        zeros = rng.randrange(length + 1)
+        cases.append([0] * zeros + [rng.randrange(q) for _ in range(length - zeros)])
+        s = [0] * length
+        for _ in range(rng.randrange(length // 2 + 2)):
+            ratio, term = rng.randrange(q), rng.randrange(1, q)
+            for t in range(length):
+                s[t] = spec.add_enc(s[t], term)
+                term = spec.mul_enc(term, ratio)
+        cases.append(s)
+    return cases
+
+
+@pytest.mark.parametrize("field", HANKEL_FIELDS.values(), ids=HANKEL_FIELDS.keys())
+def test_hankel_rank_matches_dense_rank(field):
+    # GF(1031) adds mod p and GF(2187) by `_split_add`, above the add-table
+    # cap; GF(16) adds by XOR
+    spec = FieldSpec(*field)
+    deficient = 0
+    for s in _hankel_cases(spec, random.Random(spec.q)):
+        m = (len(s) + 1) // 2
+        dense = linalg.rank([s[i:i + m] for i in range(m)], spec)
+        assert linalg.hankel_rank(s, spec) == dense, s
+        deficient += 0 < dense < m
+    assert deficient > 10
+    with pytest.raises(ValueError, match="2m - 1"):
+        linalg.hankel_rank([1, 2], spec)
 
 
 # -- scaled hulls from displacement generators ------------------------------

@@ -327,6 +327,26 @@ def test_basis_gram_reads_any_points_off_the_pole(e16, e25, q1_16, q1_25):
                     == linalg.gram(rr_basis_rows(basis, pts), curve.spec, w))
 
 
+@pytest.mark.parametrize("name", ["q16.json", "q64.json", "q256.json"])
+def test_packed_characteristic_2_moments_give_the_gram(name):
+    # one packed step per (x, e) where _mulb exists: every affine point off
+    # the pole, x = 1 among them (log x = 0, the all-ones powers), at k = 2,
+    # 6 and the golden's k, for w = 1 and random w
+    with open(os.path.join(GOLDENS, name)) as fh:
+        cert = IsoDualCertificate.from_json(fh.read())
+    curve = cert.curve()
+    spec, qa = curve.spec, Point(*map(curve.spec.element, cert.g_divisor[1][0]))
+    pts = [p for p in curve.points() if not p.is_infinity and p.x != qa.x]
+    assert spec._mulb is not None and any(p.x.enc == 1 for p in pts)
+    rng = random.Random(spec.q)
+    for k in (2, 6, cert.k):
+        basis = rr_basis(curve, k, qa)
+        rows = rr_basis_rows(basis, pts)
+        assert basis_gram(basis, pts) == linalg.gram(rows, spec)
+        w = _random_weights(rng, spec.q, len(pts))
+        assert basis_gram(basis, pts, w) == linalg.gram(rows, spec, w)
+
+
 def test_iso_dual_scaling_zeroes_every_moment():
     for cert, basis, pts in _golden_inputs():
         assert not any(map(any, basis_gram(basis, pts, cert.scaling_v)))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ellcode import FieldSpec, funcspace, gf, linalg
+from ellcode import FieldSpec, funcspace, gf, linalg, search
 from ellcode.curve import Curve, CurveError, Point
 from ellcode import code as code_module
 from ellcode.code import CodeError, LinearCode, ScalingVector
@@ -779,3 +779,96 @@ def test_file_entries_are_checked_per_row(cert25, key, bad, message):
         doc[key][1][3] = bad
     with pytest.raises(CertificateSchemaError, match=message):
         verify_certificate(IsoDualCertificate.from_json(json.dumps(doc)))
+
+
+# -- the w = 1 hull from the point moments -----------------------------------
+
+def _hull_routes(monkeypatch):
+    """The sequences `linalg.hankel_rank` reads and the matrices
+    `linalg.rank` reads, as every later call records them."""
+    seen = SimpleNamespace(hankel=[], ranked=[])
+    hankel_rank, rank = linalg.hankel_rank, linalg.rank
+
+    def hankel(s, spec):
+        seen.hankel.append(list(s))
+        return hankel_rank(s, spec)
+
+    def ranked(rows, spec):
+        seen.ranked.append([list(r) for r in rows])
+        return rank(rows, spec)
+    monkeypatch.setattr(linalg, "hankel_rank", hankel)
+    monkeypatch.setattr(linalg, "rank", ranked)
+    return seen
+
+
+def _moments(cert, points=None):
+    curve = cert.curve()
+    qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
+    basis = funcspace.rr_basis(curve, cert.k, qa)
+    points = cert.point_objects(curve) if points is None else points
+    return funcspace.point_moments(basis, points), funcspace.basis_gram(basis, points)
+
+
+def test_golden_hulls_take_berlekamp_massey_in_odd_characteristic(monkeypatch):
+    # the odd goldens rank two Hankel blocks, S0 and S2, and no moment
+    # Gram reaches linalg.rank; the even ones rank the moment Gram
+    seen = _hull_routes(monkeypatch)
+    names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(GOLDENS, name)) as fh:
+            cert = IsoDualCertificate.from_json(fh.read())
+        (s0, s1, s2), gram = _moments(cert)
+        seen.hankel.clear()
+        seen.ranked.clear()
+        assert verify_certificate(cert) == [], name
+        if cert.spec().p == 2:
+            assert seen.hankel == [] and gram in seen.ranked, name
+        else:
+            assert not any(s1) and seen.hankel == [s0, s2], name
+            assert gram not in seen.ranked, name
+
+
+# odd codes with hull > 0 from random pairs_x selections over GF(25) ...
+# GF(169), k <= 24: (q, curve, k, torsion choice, pairs_x, hull)
+ODD_HULLS = [
+    (25, "0,0,0,18,12", 6, (3, 2), (20, 23, 13), 1),
+    (49, "0,0,0,0,38", 4, (3, 2), (47, 20), 2),
+    (49, "0,0,0,6,28", 10, (2, 1), (37, 42, 21, 40, 7), 1),
+    (81, "0,0,0,9,77", 12, (2, 1), (73, 10, 21, 30, 75, 46), 3),
+    (81, "0,0,0,9,20", 20, (1, 2), (75, 64, 8, 46, 57, 19, 35, 48, 10, 71), 2),
+    (121, "0,0,0,0,71", 24, (2, 1), (103, 53, 101, 33, 31, 82, 46, 3, 70, 62, 26, 50), 2),
+    (125, "0,0,0,2,10", 22, (2, 1), (31, 3, 18, 102, 90, 100, 17, 71, 14, 47, 89), 1),
+    (169, "0,0,0,1,9", 24, (3, 2), (24, 145, 45, 4, 67, 1, 136, 9, 165, 6, 28, 0), 1),
+]
+
+
+@pytest.mark.parametrize("q, curve, k, choice, pairs_x, hull", ODD_HULLS,
+                         ids=[f"q{c[0]}-k{c[2]}" for c in ODD_HULLS])
+def test_berlekamp_massey_gives_nonzero_odd_hulls(monkeypatch, q, curve, k, choice,
+                                                  pairs_x, hull):
+    seen = _hull_routes(monkeypatch)
+    spec = search._default_spec(q)
+    cert = construct(ConstructionInput(Curve.from_string(spec, curve), k, 2, choice,
+                                       PairSelection("pairs_x", pairs_x=pairs_x)))
+    (s0, _, s2), gram = _moments(cert)
+    assert seen.hankel == [s0, s2] and gram not in seen.ranked
+    assert cert.hull_dim == hull == k - linalg.rank(
+        linalg.gram([list(r) for r in cert.generator_matrix], spec), spec)
+
+
+def test_a_nonzero_s1_takes_the_dense_moment_gram(monkeypatch):
+    # the q = 25 golden with point 9 moved to (0, 1), a curve point on a new
+    # x: S1 is not 0, so the moment Gram is ranked, and the failures are
+    # those of the dense route alone
+    with open(os.path.join(GOLDENS, "q25.json")) as fh:
+        doc = json.load(fh)
+    doc["points"][9] = [0, 1]
+    cert = IsoDualCertificate.from_json(json.dumps(doc))
+    (_, s1, _), gram = _moments(cert)
+    assert any(s1)
+    seen = _hull_routes(monkeypatch)
+    assert verify_certificate(cert) == [
+        "x_pairs", "matrix_rref", "iso_dual_identity", "scaling_matches_points",
+        "points_match_input", "mds_witness", "hull"]
+    assert seen.hankel == [] and gram in seen.ranked
