@@ -40,8 +40,9 @@ residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed; the code keeps v for the dual's displacement factors,
 and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
-k - rank of the moment Gram at w = 1, which reads only the points: in odd
-characteristic with S1 = 0 two Berlekamp-Massey Hankel ranks, cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
+k - rank of the moment Gram at w = 1, which reads only the points (in odd
+characteristic with S1 = 0, two Berlekamp-Massey Hankel ranks),
+cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
 that identity proved, which reads G.  The sampler and the hull search
 share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
 each u as encodings, take the hull of u.C from the same method against the
