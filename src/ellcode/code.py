@@ -189,8 +189,8 @@ class LinearCode:
     def hull_dim(self, gram_rank: Optional[int] = None) -> int:
         """dim(C n C-perp) = k - rank(B B^T) for the rows B of any basis of
         C, cross-checked against `stacked_hull_dim` at w = 1.  `gram_rank`
-        is that rank, G G^T's when None; a caller with another basis (the
-        point moments of `isodual`) makes the two routes independent."""
+        is that rank, G G^T's when None; `isodual` passes one from the
+        Hankel blocks of its point moments, a route independent of G."""
         if gram_rank is None:
             gram_rank = linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
         h = self.k - gram_rank

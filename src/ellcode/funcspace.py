@@ -8,9 +8,10 @@ Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
 of the Cauchy systematic form of GRS codes), and `point_moments`, the
-3(k-1) sums sum_j w_j u_j^e x_j^t, which `moment_gram` lays out as the
-Gram of the evaluated basis under weights w (both: `basis_gram`).  Their
-test references are `rr_basis_rows` and `linalg.gram`; the verifier also
+3(k-1) sums S[e][t] = sum_j w_j u_j^e x_j^t, the entries S[e + e'][a + a']
+at u^e x^a, u^e' x^a' of the Gram of the evaluated basis under weights w,
+whose Hankel blocks `isodual` ranks for the hull.  Their test
+references are `rr_basis_rows` and `linalg.gram`; the verifier also
 takes G from `rr_basis_rows` for a file whose first k points are not whole
 pairs.
 Valuations at affine points use the conjugate-norm technique: for
@@ -372,8 +373,9 @@ def point_moments(basis: RRBasis, points: Sequence[Point],
     when None: 3(k - 1) terms per distinct x, one packed step per (x, e) in
     characteristic 2 up to q = 256 (x^t a strided slice of the exp bytes).
     A point at a pole of u raises `FunctionError`, as in `rr_basis_rows`.
-    Every moment at the iso-dual scaling w = v is 0 (residue theorem); at
-    w = 1, S1 is 0 over whole pairs {P, -P} if a1 = a3 = 0: u(-P) = -u(P)."""
+    Every moment at the iso-dual scaling w = v is 0 (residue theorem).  At
+    w = 1 over whole pairs {P, -P}, S1 = 0 if a1 = a3 = 0 (u(-P) = -u(P)),
+    and S0 = 0, S1 = S2 in characteristic 2 (a1 = 1, u(-P) = u(P) + 1)."""
     spec, k = basis.curve.spec, basis.k
     add, mul, log, exp2 = spec.add_enc, spec.mul_enc, spec._log, spec._exp2
     addt, mulb, q1 = spec._addt, spec._mulb, spec.q - 1
@@ -404,24 +406,6 @@ def point_moments(basis: RRBasis, points: Sequence[Point],
             else:
                 moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
     return moments
-
-
-def moment_gram(moments: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The Gram matrix of the basis 1, u, x, u x, ... from `point_moments`:
-    the entry of u^e x^a and u^e' x^a' is S[e + e'][a + a']."""
-    k = len(moments[0]) + 1
-    gram = [[0] * k for _ in range(k)]
-    for i, row in enumerate(gram):
-        a, e = divmod(i, 2)
-        row[0::2], row[1::2] = moments[e][a:a + k // 2], moments[e + 1][a:a + k // 2]
-    return gram
-
-
-def basis_gram(basis: RRBasis, points: Sequence[Point],
-               w: Optional[Sequence[int]] = None) -> list[list[int]]:
-    """`linalg.gram(rr_basis_rows(basis, points), spec, w)` from the
-    `point_moments`, in the basis order 1, u, x, u x, ... (`moment_gram`)."""
-    return moment_gram(point_moments(basis, points, w))
 
 
 def validate_rr_basis(basis: RRBasis) -> None:

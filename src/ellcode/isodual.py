@@ -40,8 +40,10 @@ residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed; the code keeps v for the dual's displacement factors,
 and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
-k - rank of the moment Gram at w = 1, which reads only the points (in odd
-characteristic with S1 = 0, two Berlekamp-Massey Hankel ranks),
+k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
+Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
+(construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
+so its hulls are even); other points rank G G^T.  Either is
 cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
 that identity proved, which reads G.  The sampler and the hull search
 share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
@@ -539,15 +541,19 @@ class _Context:
 
     @cached_property
     def hull_dim(self) -> int:
-        """k - rank of the moment Gram at w = 1, which reads only the points;
-        `LinearCode.hull_dim` cross-checks it against G.  For odd p and S1 = 0
-        (construction 2's whole pairs) the Gram is diag(H0, H2) reordered,
-        (k/2) x (k/2) Hankel blocks of S0 and S2 (`linalg.hankel_rank`)."""
-        spec, moments = self.spec, funcspace.point_moments(self.basis, self.points)
-        if spec.p != 2 and not any(moments[1]):
-            rank = linalg.hankel_rank(moments[0], spec) + linalg.hankel_rank(moments[2], spec)
+        """k - rank of the moment Gram at w = 1, entry S[e + e'][a + a'] at
+        u^e x^a, u^e' x^a', from its (k/2) x (k/2) Hankel blocks H(S)
+        (`linalg.hankel_rank`); `LinearCode.hull_dim` cross-checks it
+        against G.  Reordered, the Gram is diag(H, H) [[0, I], [I, I]] of
+        rank 2 rank H, H = H(S1), when S0 = 0 and S1 = S2, diag(H(S0), H(S2))
+        when S1 = 0 (`funcspace.point_moments`); other points rank G G^T."""
+        spec, (s0, s1, s2) = self.spec, funcspace.point_moments(self.basis, self.points)
+        if not any(s0) and s1 == s2:
+            rank = 2 * linalg.hankel_rank(s1, spec)
+        elif not any(s1):
+            rank = linalg.hankel_rank(s0, spec) + linalg.hankel_rank(s2, spec)
         else:
-            rank = linalg.rank(funcspace.moment_gram(moments), spec)
+            rank = None
         return self.code.hull_dim(rank)
 
     @cached_property

@@ -7,8 +7,9 @@ and a file that verifies is exactly the canonical serialisation of what
 was read from it and what `construct` writes for its input echo.  The
 q = 16 file is characteristic 2 with an exhaustive distance and the packed
 kernels; the q = 25 golden reaches the odd routes: the add table, the
-Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where an
-edit breaks the parity, the full witness.
+Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where a
+tweak moves G to a target the quotient reaches, the full witness, and
+where a tweak moves a point off the pairs, the hull's G G^T fallback.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellcode import FieldSpec
+from ellcode import code, linalg
 from ellcode.cli import main
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
                              PairSelection, construct)
@@ -49,7 +50,6 @@ EDITS = st.tuples(
 
 GOLDEN25 = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens",
                         "q25.json")
-F25 = FieldSpec.from_string("p=5,m=2,mod=2,4,1")
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +114,10 @@ def _exit_code(argv) -> int:
     return code
 
 
-def _verify_exit_means_what_it_says(work_dir, doc):
+def _verify_exit_means_what_it_says(work_dir, doc) -> int:
     """Exit 0, 1 or 2 with no traceback, and `eaqecc` and `transform --lcd`
     exit as `verify` does; on 0 the file is its own canonical serialisation
-    and what `construct` writes for its input echo."""
+    and what `construct` writes for its input echo.  Returns the code."""
     text = _canonical(doc)
     path = work_dir / "c.json"
     path.write_text(text)
@@ -136,6 +136,7 @@ def _verify_exit_means_what_it_says(work_dir, doc):
             PairSelection(sel["mode"], sel["r"], pairs_x)))
         made = dataclasses.replace(made, tool_version=cert.tool_version)
         assert made.to_json() == text
+    return code
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -155,15 +156,21 @@ def test_verify_exit_codes_on_mutated_q25_certificates(cert25_doc, work_dir, edi
 # leading zero, a zero-multiplicity G entry appended, every v entry times
 # a constant other than 1 (which keeps G diag(v) G^T = 0), another
 # tool_version
-TWEAKS = st.tuples(st.sampled_from(["swap", "respell", "zero_entry", "scale_v",
-                                    "version"]),
-                   st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+KINDS = ["swap", "respell", "zero_entry", "scale_v", "version"]
+TWEAKS = st.tuples(st.sampled_from(KINDS), st.integers(0, 10 ** 6),
+                   st.integers(0, 10 ** 6))
+# the q = 25 file may also move G's point to another rational 2-torsion
+# point, a target the MDS witness's 2-primary quotient can reach, so the
+# full witness runs, or move a point to a curve point on an unused x,
+# which leaves both Hankel shapes of the hull's moment Gram
+TWEAKS25 = st.tuples(st.sampled_from(KINDS + ["torsion", "off_x"]),
+                     st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 SWAPPABLE = ("points", "g_divisor", "generator_matrix", "scaling_v")
-F16 = FieldSpec.from_string("p=2,m=4,mod=1,1,0,0,1")
 
 
-def _tweak(doc, tweaks, spec):
+def _tweak(doc, tweaks, curve):
     doc = copy.deepcopy(doc)
+    spec = curve.spec
     for kind, i, j in tweaks:
         if kind == "swap":
             target = doc[SWAPPABLE[i % len(SWAPPABLE)]]
@@ -179,6 +186,18 @@ def _tweak(doc, tweaks, spec):
         elif kind == "scale_v":
             c = 2 + i % (spec.q - 2)
             doc["scaling_v"] = [spec.mul_enc(c, e) for e in doc["scaling_v"]]
+        elif kind == "torsion":
+            torsion = [[p.x.enc, p.y.enc] for p in curve.torsion_points(2)
+                       if not p.is_infinity]
+            entries = [e for e in doc["g_divisor"] if e[0] in torsion]
+            others = [t for t in torsion if t not in [e[0] for e in entries]]
+            for e in entries:
+                e[0] = others[i % len(others)]
+        elif kind == "off_x":
+            used = {x for x, _ in doc["points"]}
+            free = [[p.x.enc, p.y.enc] for p in curve.points()
+                    if not p.is_infinity and p.y.enc and p.x.enc not in used]
+            doc["points"][i % len(doc["points"])] = free[j % len(free)]
         else:
             doc["tool_version"] = str(i)
     return doc
@@ -186,13 +205,46 @@ def _tweak(doc, tweaks, spec):
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
-def test_verified_tweaked_certificate_is_what_construct_writes(cert16_doc, work_dir,
+def test_verified_tweaked_certificate_is_what_construct_writes(cert16_doc, e16, work_dir,
                                                               tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks, F16))
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks, e16))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
-def test_verified_tweaked_q25_certificate_is_what_construct_writes(cert25_doc, work_dir,
-                                                                  tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert25_doc, tweaks, F25))
+@given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
+def test_verified_tweaked_q25_certificate_is_what_construct_writes(cert25_doc, e25,
+                                                                  work_dir, tweaks):
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert25_doc, tweaks, e25))
+
+
+def _calls(monkeypatch, module, name):
+    """The argument tuples of every later call of `module.name`."""
+    calls, fn = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_q25_torsion_tweak_pays_for_the_full_witness(cert25_doc, e25, work_dir,
+                                                     monkeypatch):
+    # G's point moved from (4, 0) to (19, 0), which the quotient Z/2 x Z/2
+    # reaches: each command runs the witness once there and once on Z/6 x Z/6
+    doc = _tweak(cert25_doc, [("torsion", 1, 0)], e25)
+    assert doc["g_divisor"][1][0] == [19, 0]
+    calls = _calls(monkeypatch, code, "subset_sum_reachable")
+    assert _verify_exit_means_what_it_says(work_dir, doc) == 1
+    assert [args[2:] for args in calls] == [(2, 2), (6, 6)] * 3
+
+
+def test_q25_off_x_tweak_ranks_the_gram_of_g(cert25_doc, e25, work_dir, monkeypatch):
+    # point 9 moved to (0, 1), on an unused x: the hull ranks G G^T, with no
+    # Hankel rank, in each command
+    doc = _tweak(cert25_doc, [("off_x", 9, 0)], e25)
+    assert doc["points"][9] == [0, 1]
+    hankel = _calls(monkeypatch, linalg, "hankel_rank")
+    hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
+    assert _verify_exit_means_what_it_says(work_dir, doc) == 1
+    assert hankel == [] and [args[1:] for args in hulls] == [(None,)] * 3

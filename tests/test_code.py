@@ -654,7 +654,8 @@ def test_stacked_hull_rejects_wrong_length(code16):
 # -- Hankel ranks by Berlekamp-Massey ----------------------------------------
 
 HANKEL_FIELDS = {"GF(5)": (5, 1, [3, 1]), "GF(7)": (7, 1, [0, 1]),
-                 "GF(9)": (3, 2, [1, 0, 1]), **ODD, "GF(16)": CHAR2["GF(16)"]}
+                 "GF(9)": (3, 2, [1, 0, 1]), **ODD, "GF(16)": CHAR2["GF(16)"],
+                 "GF(64)": (2, 6, [1, 1, 0, 1, 1, 0, 1]), "GF(256)": GF256}
 
 
 def _hankel_cases(spec, rng):
@@ -682,7 +683,7 @@ def _hankel_cases(spec, rng):
 @pytest.mark.parametrize("field", HANKEL_FIELDS.values(), ids=HANKEL_FIELDS.keys())
 def test_hankel_rank_matches_dense_rank(field):
     # GF(1031) adds mod p and GF(2187) by `_split_add`, above the add-table
-    # cap; GF(16) adds by XOR
+    # cap; GF(16), GF(64) and GF(256) add by XOR
     spec = FieldSpec(*field)
     deficient = 0
     for s in _hankel_cases(spec, random.Random(spec.q)):

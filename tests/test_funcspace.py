@@ -7,10 +7,10 @@ import pytest
 from ellcode import IsoDualCertificate, PairSelection, gf, isodual, linalg, search
 from ellcode.curve import Point, INFINITY
 from ellcode.funcspace import (Divisor, FunctionError, RationalFunction,
-                               basis_gram, divisor_sum, evaluate,
-                               interpolation_poly, is_principal,
-                               principal_divisor, rr_basis, rr_basis_rows,
-                               systematic_rows, valuation, validate_rr_basis)
+                               divisor_sum, evaluate, interpolation_poly,
+                               is_principal, point_moments, principal_divisor,
+                               rr_basis, rr_basis_rows, systematic_rows,
+                               valuation, validate_rr_basis)
 
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
@@ -300,19 +300,30 @@ def _random_weights(rng, q, n):
     return [rng.randrange(1, q) for _ in range(n)]
 
 
-def test_basis_gram_is_the_gram_of_the_rows(sweep):
+def _assert_moments_give_the_gram(basis, pts, w=None):
+    """Entry (i, j) of the Gram of `rr_basis_rows` under w, in the basis
+    order 1, u, x, u x, ..., is S[i % 2 + j % 2][i // 2 + j // 2]."""
+    moments = point_moments(basis, pts, w)
+    gram = linalg.gram(rr_basis_rows(basis, pts), basis.curve.spec, w)
+    assert len(gram) == basis.k
+    for i, row in enumerate(gram):
+        assert row == [moments[i % 2 + j % 2][i // 2 + j // 2]
+                       for j in range(basis.k)], i
+
+
+def test_point_moments_are_the_gram_of_the_rows(sweep):
     rng = random.Random(17)
     cases = [(basis, pts) for _, basis, pts in _golden_inputs()]
     cases += [(rr_basis(c, k, qa), pts)
               for c, k, _, _, qa, pts in sweep[::10]]
     for basis, pts in cases:
-        spec, rows = basis.divisor.curve.spec, rr_basis_rows(basis, pts)
-        assert basis_gram(basis, pts) == linalg.gram(rows, spec)
+        spec = basis.divisor.curve.spec
+        _assert_moments_give_the_gram(basis, pts)
         w = _random_weights(rng, spec.q, len(pts))
-        assert basis_gram(basis, pts, w) == linalg.gram(rows, spec, w)
+        _assert_moments_give_the_gram(basis, pts, w)
 
 
-def test_basis_gram_reads_any_points_off_the_pole(e16, e25, q1_16, q1_25):
+def test_point_moments_read_any_points_off_the_pole(e16, e25, q1_16, q1_25):
     # not the points of a construction: unpaired, with x = 0 in odd
     # characteristic, where x^t is 0 after t = 0
     rng = random.Random(3)
@@ -323,8 +334,7 @@ def test_basis_gram_reads_any_points_off_the_pole(e16, e25, q1_16, q1_25):
         for k in (2, 6):
             basis = rr_basis(curve, k, q2)
             w = _random_weights(rng, curve.spec.q, len(pts))
-            assert (basis_gram(basis, pts, w)
-                    == linalg.gram(rr_basis_rows(basis, pts), curve.spec, w))
+            _assert_moments_give_the_gram(basis, pts, w)
 
 
 @pytest.mark.parametrize("name", ["q16.json", "q64.json", "q256.json"])
@@ -341,15 +351,14 @@ def test_packed_characteristic_2_moments_give_the_gram(name):
     rng = random.Random(spec.q)
     for k in (2, 6, cert.k):
         basis = rr_basis(curve, k, qa)
-        rows = rr_basis_rows(basis, pts)
-        assert basis_gram(basis, pts) == linalg.gram(rows, spec)
+        _assert_moments_give_the_gram(basis, pts)
         w = _random_weights(rng, spec.q, len(pts))
-        assert basis_gram(basis, pts, w) == linalg.gram(rows, spec, w)
+        _assert_moments_give_the_gram(basis, pts, w)
 
 
 def test_iso_dual_scaling_zeroes_every_moment():
     for cert, basis, pts in _golden_inputs():
-        assert not any(map(any, basis_gram(basis, pts, cert.scaling_v)))
+        assert not any(map(any, point_moments(basis, pts, cert.scaling_v)))
 
 
 def test_systematic_rows_apply_only_to_whole_first_pairs(e25, q1_25, cert25):

@@ -801,32 +801,38 @@ def _hull_routes(monkeypatch):
     return seen
 
 
-def _moments(cert, points=None):
+def _moments(cert):
+    """The w = 1 point moments of the file's points, the Gram of the
+    evaluated basis, whose entries they are (`tests/test_funcspace.py`),
+    and G G^T for G, that basis's RREF, the matrix the verifier derives."""
     curve = cert.curve()
     qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
     basis = funcspace.rr_basis(curve, cert.k, qa)
-    points = cert.point_objects(curve) if points is None else points
-    return funcspace.point_moments(basis, points), funcspace.basis_gram(basis, points)
+    points = cert.point_objects(curve)
+    rows = funcspace.rr_basis_rows(basis, points)
+    return (funcspace.point_moments(basis, points), linalg.gram(rows, curve.spec),
+            linalg.gram(LinearCode(curve.spec, rows).matrix, curve.spec))
 
 
 def test_golden_hulls_take_berlekamp_massey_in_odd_characteristic(monkeypatch):
-    # the odd goldens rank two Hankel blocks, S0 and S2, and no moment
-    # Gram reaches linalg.rank; the even ones rank the moment Gram
+    # every golden ranks Hankel blocks, S0 and S2 in odd characteristic and
+    # S1 alone in characteristic 2, where S0 = 0 and S1 = S2; neither the
+    # moment Gram nor G G^T reaches linalg.rank
     seen = _hull_routes(monkeypatch)
     names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
     assert len(names) == 9
     for name in names:
         with open(os.path.join(GOLDENS, name)) as fh:
             cert = IsoDualCertificate.from_json(fh.read())
-        (s0, s1, s2), gram = _moments(cert)
+        (s0, s1, s2), gram, gram_of_g = _moments(cert)
         seen.hankel.clear()
         seen.ranked.clear()
         assert verify_certificate(cert) == [], name
         if cert.spec().p == 2:
-            assert seen.hankel == [] and gram in seen.ranked, name
+            assert not any(s0) and s1 == s2 and seen.hankel == [s1], name
         else:
             assert not any(s1) and seen.hankel == [s0, s2], name
-            assert gram not in seen.ranked, name
+        assert gram not in seen.ranked and gram_of_g not in seen.ranked, name
 
 
 # odd codes with hull > 0 from random pairs_x selections over GF(25) ...
@@ -851,24 +857,61 @@ def test_berlekamp_massey_gives_nonzero_odd_hulls(monkeypatch, q, curve, k, choi
     spec = search._default_spec(q)
     cert = construct(ConstructionInput(Curve.from_string(spec, curve), k, 2, choice,
                                        PairSelection("pairs_x", pairs_x=pairs_x)))
-    (s0, _, s2), gram = _moments(cert)
+    (s0, _, s2), gram, _ = _moments(cert)
     assert seen.hankel == [s0, s2] and gram not in seen.ranked
     assert cert.hull_dim == hull == k - linalg.rank(
         linalg.gram([list(r) for r in cert.generator_matrix], spec), spec)
 
 
-def test_a_nonzero_s1_takes_the_dense_moment_gram(monkeypatch):
-    # the q = 25 golden with point 9 moved to (0, 1), a curve point on a new
-    # x: S1 is not 0, so the moment Gram is ranked, and the failures are
-    # those of the dense route alone
-    with open(os.path.join(GOLDENS, "q25.json")) as fh:
-        doc = json.load(fh)
-    doc["points"][9] = [0, 1]
-    cert = IsoDualCertificate.from_json(json.dumps(doc))
-    (_, s1, _), gram = _moments(cert)
-    assert any(s1)
+# characteristic-2 codes with hull > 0 from random pairs_x selections over
+# GF(32) ... GF(256), construction 1: (q, curve, k, pairs_x, hull)
+CHAR2_HULLS = [
+    (32, "1,1,0,0,10", 6, (9, 13, 15, 22, 27, 29), 2),
+    (64, "1,0,0,0,43", 6, (2, 8, 12, 13, 18, 25), 6),
+    (128, "1,0,0,0,1", 10, (26, 34, 50, 56, 58, 66, 86, 90, 94, 114), 2),
+    (128, "1,1,0,0,42", 12, (14, 18, 40, 44, 52, 56, 58, 78, 88, 92, 96, 102), 4),
+    (256, "1,0,0,0,86", 6, (31, 71, 166, 226, 239, 241), 2),
+]
+
+
+@pytest.mark.parametrize("q, curve, k, pairs_x, hull", CHAR2_HULLS,
+                         ids=[f"q{c[0]}-k{c[2]}-h{c[4]}" for c in CHAR2_HULLS])
+def test_berlekamp_massey_gives_even_characteristic_2_hulls(monkeypatch, q, curve, k,
+                                                            pairs_x, hull):
+    # the hull is k - 2 rank H(S1): one Hankel rank, of S1
     seen = _hull_routes(monkeypatch)
-    assert verify_certificate(cert) == [
-        "x_pairs", "matrix_rref", "iso_dual_identity", "scaling_matches_points",
-        "points_match_input", "mds_witness", "hull"]
-    assert seen.hankel == [] and gram in seen.ranked
+    spec = search._default_spec(q)
+    cert = construct(ConstructionInput(Curve.from_string(spec, curve), k, 1, None,
+                                       PairSelection("pairs_x", pairs_x=pairs_x)))
+    (s0, s1, s2), _, _ = _moments(cert)
+    assert not any(s0) and s1 == s2 and seen.hankel == [s1]
+    assert cert.hull_dim == hull == k - linalg.rank(
+        linalg.gram([list(r) for r in cert.generator_matrix], spec), spec)
+
+
+# a golden with one point moved to a curve point on a new x: the points are
+# in neither Hankel shape, so the verifier ranks G G^T, and the failures
+# are those of the moment Gram it replaced
+OFF_SHAPE = {
+    "q25": ("q25.json", 9, [0, 1], ["x_pairs", "matrix_rref", "iso_dual_identity",
+                                    "scaling_matches_points", "points_match_input",
+                                    "mds_witness", "hull"]),
+    "q64": ("q64.json", 5, [1, 0], ["x_pairs", "matrix_rref", "iso_dual_identity",
+                                    "scaling_matches_points", "points_match_input",
+                                    "hull"]),
+}
+
+
+@pytest.mark.parametrize("name, index, point, failures", OFF_SHAPE.values(),
+                         ids=OFF_SHAPE.keys())
+def test_points_off_both_hankel_shapes_rank_g_gt(monkeypatch, name, index, point,
+                                                 failures):
+    with open(os.path.join(GOLDENS, name)) as fh:
+        doc = json.load(fh)
+    doc["points"][index] = point
+    cert = IsoDualCertificate.from_json(json.dumps(doc))
+    (s0, s1, s2), _, gram_of_g = _moments(cert)
+    assert any(s1) and (any(s0) or s1 != s2)
+    seen = _hull_routes(monkeypatch)
+    assert verify_certificate(cert) == failures
+    assert seen.hankel == [] and gram_of_g in seen.ranked

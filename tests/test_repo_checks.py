@@ -1,9 +1,9 @@
 """Checks on the source tree itself: the library names the benchmark wraps
 still exist, no `src/ellcode` module, test or demo imports a name it never
-uses, no library module computes in floating point, every public name has
-a reader outside the tests, the CLI maps errors to exit codes in `main`
-alone, README's quick start runs, and the docs list the certificate
-invariants in order."""
+uses, no library module computes in floating point, every public name,
+function, class and method of the library has a reader outside the tests,
+the CLI maps errors to exit codes in `main` alone, README's quick start
+runs, and the docs list the certificate invariants in order."""
 
 import ast
 import contextlib
@@ -184,15 +184,47 @@ def test_identifier_check_flags_and_spares():
     assert _identifiers("stored = 1\nellcode.derive = None\n") == {"ellcode"}
 
 
+def _public_definitions(source: str) -> set[str]:
+    """The public functions and classes a module defines at top level, and
+    the public methods of its classes, as ``name`` or ``Class.method``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{sub.name}" for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)
+                         and not sub.name.startswith("_"))
+    return names
+
+
+def test_public_definition_check_flags_and_spares():
+    source = ("LIMIT = 3\n"
+              "def build(x):\n    def inner(): pass\n    return inner\n"
+              "def _helper(): pass\n"
+              "class Code:\n"
+              "    size = 2\n"
+              "    def __init__(self): pass\n"
+              "    def dual(self): pass\n"
+              "    @property\n    def k(self): pass\n"
+              "    def _cache(self): pass\n"
+              "class _Context:\n    def hull(self): pass\n")
+    assert _public_definitions(source) == {"build", "Code", "Code.dual", "Code.k",
+                                           "_Context.hull"}
+
+
 # the symbolic function-field layer, which only the tests and its own
 # module read; ROADMAP 3d moves it out of the library
 TEST_ONLY_NAMES = {"is_principal", "principal_divisor", "validate_rr_basis"}
+# the tests' references for the scalar-class enumeration of `min_distance`
+REFERENCE_NAMES = {"LinearCode.codewords", "LinearCode.weight_distribution"}
 
 
 def test_public_names_are_read_outside_the_tests(layers):
-    """Each name of `ellcode.__all__` is read by a library module other
+    """Each name of `ellcode.__all__`, and each public function, class and
+    method that `src/ellcode` defines, is read by a library module other
     than `__init__`, a demo, the benchmark (its wrapped targets included)
-    or README's quick start."""
+    or README's quick start; a method counts as read by its bare name."""
     paths = [os.path.join(d, f) for d in (PACKAGE, DEMOS, BENCH)
              for f in sorted(os.listdir(d))
              if f.endswith(".py") and not (d == PACKAGE and f == "__init__.py")]
@@ -204,7 +236,13 @@ def test_public_names_are_read_outside_the_tests(layers):
     for kind in ("span", "count"):
         for owner, attr in layers.targets(kind):
             read |= {attr, getattr(owner, "__name__", "")}
-    assert sorted(set(ellcode.__all__) - read - TEST_ONLY_NAMES) == []
+    defined = set(ellcode.__all__)
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as handle:
+                defined |= _public_definitions(handle.read())
+    unread = {n for n in defined if n.rsplit(".", 1)[-1] not in read}
+    assert sorted(unread - TEST_ONLY_NAMES - REFERENCE_NAMES) == []
 
 
 def _try_owners(source: str) -> list[str]:
