@@ -7,6 +7,7 @@ group sum sum(G).  The MDS certifier asks only whether sum(G) is
 reachable, by dynamic programming over (prefix, subset size) with every
 size's reachable group elements packed in one int, and answers 0 or 1; it
 first asks in the 2-primary quotient, where the paper's parity settles it.
+It reads the points as (x, y) encodings, keys of the group's dlog table.
 
 Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
 the cached dual.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
@@ -32,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .gf import FieldElement, FieldSpec
-from .curve import GroupStructure, Point
+from .curve import CurveError, GroupStructure
 
 
 BRUTE_FORCE_BUDGET = 2 ** 24
@@ -441,9 +442,10 @@ def _rotate(x: int, by: int, width: int, total: int, masks: dict) -> int:
     return ((x & stay) << by) | ((x & wrap) >> (width - by))
 
 
-def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
-                     k: int, target: Point) -> int:
-    """1 if some k-subset of `points` has group sum `target`, else 0.
+def mds_subset_check(points: Sequence[tuple[int, int]], structure: GroupStructure,
+                     k: int, target: Optional[tuple[int, int]]) -> int:
+    """1 if some k-subset of `points` has group sum `target`, else 0; both
+    are encoded, None for O, and one off ``structure.dlog`` is a `CurveError`.
 
     C_L(D, G) with sum(G) = target is MDS iff this is 0.  The witness
     (`subset_sum_reachable`) first runs on the 2-primary quotient Z/e1 x
@@ -454,8 +456,11 @@ def mds_subset_check(points: Sequence[Point], structure: GroupStructure,
     """
     if len(set(points)) != len(points):
         raise CodeError("evaluation points must be pairwise distinct")
-    coords = [structure.coords(p) for p in points]
-    ti, tj = structure.coords(target)
+    try:
+        coords = [structure.dlog[p] for p in points]
+        ti, tj = structure.dlog[target]
+    except KeyError as exc:
+        raise CurveError(f"point {exc.args[0]} not in the discrete-log table") from None
     d1, d2 = structure.d1, structure.d2
     e1, e2 = d1 & -d1, d2 & -d2
     if not subset_sum_reachable([(i % e1, j % e2) for i, j in coords],

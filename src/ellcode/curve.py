@@ -12,7 +12,9 @@ curve.
 walk over E(F_q) = Z/d1 x Z/d2 is the one discrete-log table, keyed by
 encoded points, and orders and torsion are read from it.  The enumeration
 behind it is encoded too; `points`, `torsion_points` and the basis build
-`Point`s only for what they return.
+`Point`s only for what they return.  `isodual`'s construct and verify read
+the encoded torsion and group law directly, so their points stay
+``(x_enc, y_enc)`` pairs, the certificate's own encoding.
 
 Point lists are always produced in canonical order (infinity first, then
 lexicographic by encoded coordinates) so downstream artifacts are
@@ -43,10 +45,6 @@ class Point:
         self.x = x
         self.y = y
 
-    @classmethod
-    def infinity(cls) -> "Point":
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -75,7 +73,7 @@ class Point:
         return f"({self.x.enc},{self.y.enc})"
 
 
-INFINITY = Point.infinity()
+INFINITY = Point(None, None)
 
 
 @dataclass(frozen=True)
@@ -83,24 +81,13 @@ class GroupStructure:
     """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table.
 
     ``dlog`` is the walk's own table, keyed by encoded points (None for O);
-    the basis is a pair of `Point`s, built at the edge.  ``spec`` is the
-    curve's field: encodings alone do not tell a point over another field
-    from one of the curve's.
+    the basis is a pair of `Point`s, built at the edge.
     """
 
     d1: int
     d2: int
     basis: tuple[Point, Point]
     dlog: dict[Optional[tuple[int, int]], tuple[int, int]]
-    spec: FieldSpec
-
-    def coords(self, p: Point) -> tuple[int, int]:
-        if p.x is not None and p.x.spec != self.spec:
-            raise CurveError(f"point {p} is over {p.x.spec!r}, not {self.spec!r}")
-        try:
-            return self.dlog[_enc(p)]
-        except KeyError:
-            raise CurveError(f"point {p} not in the discrete-log table") from None
 
 
 def _enc(p: Point) -> Optional[tuple[int, int]]:
@@ -243,12 +230,9 @@ class Curve:
 
     # -- point predicates ---------------------------------------------------
 
-    def _check_field(self, p: Point) -> None:
+    def is_on_curve(self, p: Point) -> bool:
         if not p.is_infinity and p.x.spec != self.spec:
             raise CurveError("point and curve live over different fields")
-
-    def is_on_curve(self, p: Point) -> bool:
-        self._check_field(p)
         return self._law.contains(_enc(p))
 
     def is_ramified(self, p: Point) -> bool:
@@ -319,16 +303,16 @@ class Curve:
 
     def torsion_points(self, r: int) -> list[Point]:
         """E[r] in canonical order: the points with d1 | r*i and d2 | r*j."""
+        return [self._point(e) for e in self._torsion(r)]
+
+    def _torsion(self, r: int) -> list:
+        """E[r] as encoded points, None (O) first, in canonical order."""
         if r < 1:
             raise CurveError("torsion order must be positive")
         st = self.group_structure()
         d1, d2, dlog = st.d1, st.d2, st.dlog
-        out = []
-        for e in self._encoded:
-            i, j = dlog[e]
-            if (r * i) % d1 == 0 and (r * j) % d2 == 0:
-                out.append(self._point(e))
-        return out
+        return [e for e in self._encoded
+                if (r * dlog[e][0]) % d1 == 0 and (r * dlog[e][1]) % d2 == 0]
 
     def group_structure(self) -> GroupStructure:
         """(d1, d2), a basis (p1, p2) and the dlog of every point.
@@ -385,7 +369,7 @@ class Curve:
         if len(coords) != n:
             raise CurveError("the basis grid does not cover the group")
         basis = (self._point(p1), self._point(p2))
-        self._structure = GroupStructure(d1, d2, basis, coords, self.spec)
+        self._structure = GroupStructure(d1, d2, basis, coords)
         return self._structure
 
     def __repr__(self) -> str:

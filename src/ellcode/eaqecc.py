@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .gf import FieldSpec
 from .isodual import IsoDualCertificate
 
 
@@ -48,8 +49,9 @@ def derive(n: int, k: int, d: int, hull_dim: int, q: int) -> EaqeccParams:
 
 def derive_from_certificate(cert: IsoDualCertificate) -> EaqeccParams:
     """Parameters from a verified construction certificate: its n, k, d
-    and hull are taken as recorded."""
-    return derive(cert.n, cert.k, cert.min_distance, cert.hull_dim, cert.spec().q)
+    and hull are taken as recorded, and q = p^m from its field string."""
+    p, m, _ = FieldSpec.parse(cert.field_spec)
+    return derive(cert.n, cert.k, cert.min_distance, cert.hull_dim, p ** m)
 
 
 TABLE_COLUMNS = ["q", "n", "k", "d", "hull", "qk", "qd", "c", "mds",

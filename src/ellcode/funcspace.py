@@ -2,8 +2,9 @@
 
 The only Riemann-Roch spaces are the ones both constructions need,
 L((k-1)O + Q) for a rational 2-torsion point Q.  `rr_basis` checks G and
-returns `RRBasis`, the handle (curve, Q, k) that the closed forms read on
-encodings; its symbolic basis functions are the reference, built when read.
+returns `RRBasis`, the handle (curve, Q, k) that the closed forms read,
+with the points as the (x, y) encoding pairs a certificate writes; its
+symbolic basis functions are the reference, built when read.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
@@ -272,30 +273,30 @@ def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
     return RRBasis(curve, q2, k)
 
 
-def _u_values(basis: RRBasis, points: Sequence[Point]) -> list[int]:
-    """u(P) at each point, as encodings: u = (y - gamma1)/x in
-    characteristic 2 and y/(x - beta) otherwise.  The place at infinity,
-    or a point where u has a pole (x = x(Q), that is P = Q), raises
+def _u_values(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[int]:
+    """u(P) at each encoded point, as encodings: u = (y - gamma1)/x in
+    characteristic 2 and y/(x - beta) otherwise.  The place at infinity
+    (None), or a point where u has a pole (x = x(Q), that is P = Q), raises
     `FunctionError`, as in `evaluate`."""
     spec, q2 = basis.curve.spec, basis.point    # Q is (0, gamma1) or (beta, 0)
     mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
     out = []
     for p in points:
-        if p.is_infinity:
+        if p is None:
             raise FunctionError("cannot evaluate at the place at infinity")
-        x, y = p.x.enc, p.y.enc
+        x, y = p
         if spec.p == 2:
             num, den = sub(y, q2.y.enc), x
         else:
             num, den = y, sub(x, q2.x.enc)
         if den == 0:
-            raise FunctionError(f"pole or indeterminacy at {p} (denominator vanishes)")
+            raise FunctionError(f"pole or indeterminacy at ({x},{y}) (denominator vanishes)")
         out.append(mul(num, inv(den)))
     return out
 
 
-def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
-    """The functions of an `rr_basis` result evaluated at the points, as
+def rr_basis_rows(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The functions of an `rr_basis` result evaluated at encoded points, as
     encodings.
 
     One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
@@ -305,8 +306,8 @@ def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
     """
     mul, k = basis.curve.spec.mul_enc, basis.k
     rows: list[list[int]] = [[] for _ in range(k)]
-    for p, u in zip(points, _u_values(basis, points)):
-        x, power = p.x.enc, 1
+    for (x, _), u in zip(points, _u_values(basis, points)):
+        power = 1
         for i in range(0, k, 2):
             rows[i].append(power)
             rows[i + 1].append(mul(u, power))
@@ -315,7 +316,7 @@ def rr_basis_rows(basis: RRBasis, points: Sequence[Point]) -> list[list[int]]:
 
 
 def systematic_rows(basis: RRBasis,
-                    points: Sequence[Point]) -> Optional[list[list[int]]]:
+                    points: Sequence[tuple[int, int]]) -> Optional[list[list[int]]]:
     """The RREF [I | A] of `rr_basis_rows(basis, points)` in closed form, or
     None where the closed form does not apply.
 
@@ -339,7 +340,7 @@ def systematic_rows(basis: RRBasis,
     """
     spec, k = basis.curve.spec, basis.k
     us = _u_values(basis, points)
-    xs = [p.x.enc for p in points]
+    xs = [x for x, _ in points]
     pairs: dict[int, list[int]] = {}
     for i, x in enumerate(xs[:k]):
         pairs.setdefault(x, []).append(i)
@@ -367,11 +368,12 @@ def systematic_rows(basis: RRBasis,
     return rows
 
 
-def point_moments(basis: RRBasis, points: Sequence[Point],
+def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
                   w: Optional[Sequence[int]] = None) -> list[list[int]]:
     """[S0, S1, S2], S[e][t] = sum_j w_j u_j^e x_j^t for t <= k - 2, w all 1
     when None: 3(k - 1) terms per distinct x, one packed step per (x, e) in
-    characteristic 2 up to q = 256 (x^t a strided slice of the exp bytes).
+    characteristic 2 (x^t a strided slice of the exp bytes; `FieldSpec`
+    caps m at 8, so every such field packs), a term loop for odd q.
     A point at a pole of u raises `FunctionError`, as in `rr_basis_rows`.
     Every moment at the iso-dual scaling w = v is 0 (residue theorem).  At
     w = 1 over whole pairs {P, -P}, S1 = 0 if a1 = a3 = 0 (u(-P) = -u(P)),
@@ -381,8 +383,8 @@ def point_moments(basis: RRBasis, points: Sequence[Point],
     addt, mulb, q1 = spec._addt, spec._mulb, spec.q - 1
     # per distinct x: sum of w_j u_j^e over the points on it, e = 0, 1, 2
     weights: dict[int, list[int]] = {}
-    for p, u, wj in zip(points, _u_values(basis, points), w or [1] * len(points)):
-        acc = weights.setdefault(p.x.enc, [0, 0, 0])
+    for (x, _), u, wj in zip(points, _u_values(basis, points), w or [1] * len(points)):
+        acc = weights.setdefault(x, [0, 0, 0])
         for e in range(3):
             acc[e] = add(acc[e], wj)
             wj = mul(wj, u)

@@ -370,9 +370,12 @@ class FieldSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
-        """Parse ``p=<int>,m=<int>,mod=<c0,...,cm>``.  Each key comes once,
-        and every token after ``mod=`` is a coefficient, so a repeated or
-        late key is an error, not an override."""
+        return cls(*cls.parse(text))
+
+    @staticmethod
+    def parse(text: str) -> tuple[int, int, list[int]]:
+        """(p, m, modulus) of ``p=<int>,m=<int>,mod=<c0,...,cm>``, building
+        no table.  A repeated key, or one after ``mod=``, is an error."""
         keys: dict[str, int] = {}
         rest: list[int] = []
         try:
@@ -388,7 +391,7 @@ class FieldSpec:
             raise FieldError(f"cannot parse field spec {text!r}: {exc}") from None
         if len(keys) != 3:
             raise FieldError(f"field spec {text!r} must define p, m and mod")
-        return cls(keys["p"], keys["m"], [keys["mod"], *rest])
+        return keys["p"], keys["m"], [keys["mod"], *rest]
 
     def to_string(self) -> str:
         return f"p={self.p},m={self.m},mod=" + ",".join(str(c) for c in self.modulus)

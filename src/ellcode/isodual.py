@@ -8,8 +8,9 @@ y^2 = x^3+a2x^2+a4x+a6 with full rational 2-torsion) translates k/2 pairs
 by two 2-torsion points Qa, Qb and scales by
 v_i = (x_i - beta_a) / (h'(x_i) y_i), log h'(x_i) a sum of table lookups.
 One derivation, `_derive_points`, gives `construct` and the verifier Qa
-and the points; G and v follow from those alone, and verify compares the
-file's matrix and v with them.
+and the points as the (x, y) encoding pairs a certificate writes, from the
+curve's encoded torsion and group law; both ops keep them so, and G and v
+follow from them alone.  Verify compares the file's matrix and v with them.
 
 Neither G nor a Gram matrix takes a k^3 elimination.  The first k points
 are k/2 whole pairs {P, -P}, so G is the systematic [I | A] in closed form
@@ -34,7 +35,7 @@ and min_distance.  points_match_input re-derives Qa and the
 points, in order, from the input echo, so the file's points are the ones
 its input makes.
 g_shape checks G exactly as written, ((None, k-1), (Qa, 1)), so the MDS
-target sum(G) is Qa.
+target sum(G) is Qa, and Qa + Qa = O on the group law.
 iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
 residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
@@ -80,7 +81,7 @@ from typing import Callable, ClassVar, Iterator, Optional, Sequence
 from . import gf, funcspace, linalg
 from ._version import __version__
 from .gf import FieldSpec
-from .curve import Curve, CurveError, Point, odd_part
+from .curve import Curve, CurveError, odd_part
 from .code import (BRUTE_FORCE_BUDGET, LinearCode, ScalingVector, CodeError,
                    mds_subset_check)
 
@@ -246,10 +247,6 @@ class IsoDualCertificate:
         return LinearCode(curve.spec, self.generator_matrix, n=self.n,
                           nodes=[x for x, _ in self.points])
 
-    def point_objects(self, curve: Curve) -> list[Point]:
-        s = curve.spec
-        return [Point(s.element(x), s.element(y)) for x, y in self.points]
-
     # -- wire format ----------------------------------------------------------
 
     def to_json(self) -> str:
@@ -284,33 +281,33 @@ class IsoDualCertificate:
 # ---------------------------------------------------------------------------
 
 def _pair_pool(curve: Curve, selection: PairSelection,
-               shift: Optional[Point] = None) -> dict[int, list[Point]]:
-    """The {P, -P} pairs a selection chooses from, keyed by x: the points of
-    E[r] other than O, translated by `shift` when given.  r is the
-    selection's own in torsion mode and the odd part of #E otherwise, whose
-    torsion is every point of odd order; O is left out, since its pair
-    {O, O} would degenerate."""
+               shift: Optional[tuple[int, int]] = None) -> dict[int, list]:
+    """The {P, -P} pairs a selection chooses from, keyed by x: the encoded
+    points of E[r] other than O, translated by `shift` when given.  r is
+    the selection's own in torsion mode and the odd part of #E otherwise,
+    whose torsion is every point of odd order; O is left out, since its
+    pair {O, O} would degenerate."""
     r = selection.r if selection.mode == "torsion" else odd_part(curve.order())
-    pool = [p for p in curve.torsion_points(r) if not p.is_infinity]
+    pool = [p for p in curve._torsion(r) if p is not None]
     if shift is not None:
-        pool = [curve.add(shift, p) for p in pool]
+        pool = [curve._law.add(shift, p) for p in pool]
     return _group_pairs(pool)
 
 
-def _group_pairs(points: Sequence[Point]) -> dict[int, list[Point]]:
-    """Group an inverse-closed point set into {P, -P} pairs keyed by x."""
-    pairs: dict[int, list[Point]] = {}
+def _group_pairs(points: Sequence[tuple[int, int]]) -> dict[int, list]:
+    """Group an inverse-closed set of encoded points into {P, -P} pairs by x."""
+    pairs: dict[int, list] = {}
     for p in points:
-        pairs.setdefault(p.x.enc, []).append(p)
+        pairs.setdefault(p[0], []).append(p)
     for xe, grp in pairs.items():
         if len(grp) != 2:
             raise ConstructionError(
                 f"point set is not inverse-closed at x={xe}")
-        grp.sort(key=Point.key)
+        grp.sort()
     return pairs
 
 
-def _select_pairs(pairs: dict[int, list[Point]], count: int,
+def _select_pairs(pairs: dict[int, list], count: int,
                   selection: PairSelection) -> list[int]:
     """Resolve a selection to a sorted list of `count` keys of its pool
     (a canonical pool is large enough: `_derive_points` checked the supply)."""
@@ -339,8 +336,8 @@ def _select_pairs(pairs: dict[int, list[Point]], count: int,
 # the construction
 # ---------------------------------------------------------------------------
 
-def applicable_two_torsion(curve: Curve, construction: int) -> list[Point]:
-    """The non-identity rational 2-torsion points of a curve the
+def applicable_two_torsion(curve: Curve, construction: int) -> list[tuple[int, int]]:
+    """The non-identity rational 2-torsion points, encoded, of a curve the
     construction can run on, or `ConstructionError`: construction 1 needs
     characteristic 2 and the shape y^2+xy = x^3+a2x^2+a6, whose one such
     point is Q1; construction 2 needs odd characteristic, the shape
@@ -357,7 +354,7 @@ def applicable_two_torsion(curve: Curve, construction: int) -> list[Point]:
     if construction == 2 and (curve.a1.enc, curve.a3.enc) != (0, 0):
         raise ConstructionError(
             "construction 2 needs the curve shape y^2 = x^3+a2x^2+a4x+a6")
-    two_torsion = [p for p in curve.torsion_points(2) if not p.is_infinity]
+    two_torsion = [p for p in curve._torsion(2) if p is not None]
     if construction == 2 and len(two_torsion) != 3:
         raise ConstructionError("E[2] is not fully rational over this field")
     return two_torsion
@@ -365,8 +362,8 @@ def applicable_two_torsion(curve: Curve, construction: int) -> list[Point]:
 
 def _derive_points(curve: Curve, k: int, construction: int,
                    torsion_choice: Optional[tuple[int, int]],
-                   selection: PairSelection) -> tuple[Point, list[Point]]:
-    """(Qa, points) of a construction input, or `ConstructionError`.
+                   selection: PairSelection) -> tuple[tuple[int, int], tuple]:
+    """(Qa, points) of a construction input, encoded, or `ConstructionError`.
 
     Construction 1 translates k pairs by Qa = Q1 = (0, gamma1), the
     only rational 2-torsion point of its curve shape, and selects them by
@@ -399,8 +396,8 @@ def _derive_points(curve: Curve, k: int, construction: int,
     pairs = _pair_pool(curve, selection, qa if construction == 1 else None)
     points = [p for xe in _select_pairs(pairs, count, selection) for p in pairs[xe]]
     if construction == 2:
-        points = [curve.add(q, p) for q in (qa, qb) for p in points]
-    return qa, sorted(points, key=Point.key)
+        points = [curve._law.add(q, p) for q in (qa, qb) for p in points]
+    return qa, tuple(sorted(points))
 
 
 def construct(inp: ConstructionInput) -> IsoDualCertificate:
@@ -423,7 +420,7 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
         n=ctx.n,
         torsion_choice=inp.torsion_choice,
         pair_selection=ctx.pair_selection,
-        points=tuple(p.key() for p in ctx.points),
+        points=ctx.points,
         g_divisor=ctx.g_divisor,
         generator_matrix=ctx.generator_matrix,
         scaling_v=ctx.scaling_v,
@@ -445,9 +442,9 @@ class _Context:
     `cert` is the recorded claim under check, or None when constructing:
     then the input echo's one derivation gives Qa and the points, and
     `claim` is the context itself.  G and v always come from Qa and the
-    points.  Each derived value is computed on first use and kept, so an
-    invariant pays only for what it reads and a failed invariant skips the
-    work of the ones after it.
+    points, (x, y) encodings as the file writes them.  Each derived value is
+    computed on first use and kept, so an invariant pays only for what it
+    reads and a failed invariant skips the work of the ones after it.
     """
 
     iso_dual = True     # what a construction claims; the identity proves it
@@ -461,11 +458,10 @@ class _Context:
         self.cert = cert
         if cert is None:        # a ConstructionError surfaces here
             self.qa, self.points = self.derived
-            self.g_divisor = ((None, k - 1), (self.qa.key(), 1))
+            self.g_divisor = ((None, k - 1), (self.qa, 1))
         else:
-            self.points, self.g_divisor = cert.point_objects(curve), cert.g_divisor
-            self.qa = next((Point(*map(self.spec.element, pt))
-                            for pt, _ in cert.g_divisor if pt is not None), None)
+            self.points, self.g_divisor = cert.points, cert.g_divisor
+            self.qa = next((pt for pt, _ in cert.g_divisor if pt is not None), None)
 
     @property
     def claim(self):
@@ -473,7 +469,7 @@ class _Context:
         return self if self.cert is None else self.cert
 
     @cached_property
-    def derived(self) -> tuple[Point, list[Point]]:
+    def derived(self) -> tuple[tuple[int, int], tuple]:
         """(Qa, points) of the input echo, or `ConstructionError`."""
         selection = _selection(self)
         if selection is None:
@@ -484,8 +480,9 @@ class _Context:
     @cached_property
     def basis(self) -> funcspace.RRBasis:
         """The checked handle (curve, Qa, k) of the basis 1, u, x, u x, ...
-        of L((k-1)O + Qa); `FunctionError` for a G no construction has."""
-        return funcspace.rr_basis(self.curve, self.k, self.qa)
+        of L((k-1)O + Qa), Qa made a `Point` for it; `FunctionError` for a G
+        no construction has."""
+        return funcspace.rr_basis(self.curve, self.k, self.curve._point(self.qa))
 
     @cached_property
     def code(self) -> LinearCode:
@@ -496,7 +493,7 @@ class _Context:
         skips `LinearCode`'s entry checks.  Where the first k points are
         not k/2 whole pairs, which the canonical order of `construct`'s
         points never gives, it is the RREF of the evaluated basis."""
-        nodes = tuple(p.x.enc for p in self.points)
+        nodes = tuple(x for x, _ in self.points)
         rows = funcspace.systematic_rows(self.basis, self.points)
         if rows is not None:
             return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)), nodes)
@@ -516,20 +513,20 @@ class _Context:
         or zero, which only a file failing an earlier invariant holds."""
         spec, points = self.spec, self.points
         log, exp, q1 = spec._log, spec._exp, spec.q - 1
-        xs = {p.x.enc for p in points}
+        xs = {x for x, _ in points}
         if spec.p == 2:
             lhp = {a: sum([log[a ^ b] for b in xs]) for a in xs}
-            return tuple([exp[-lhp[p.x.enc] % q1] for p in points])
-        beta, sub = self.qa.x.enc, spec.sub_enc
-        if any(p.x.enc == beta or not p.y.enc for p in points):
+            return tuple([exp[-lhp[x] % q1] for x, _ in points])
+        beta, sub = self.qa[0], spec.sub_enc
+        if any(x == beta or not y for x, y in points):
             return None
         if spec._addt is None:
             lhp = {a: sum([log[sub(a, b)] for b in xs]) for a in xs}
         else:
             addt, neg_xs = spec._addt, [spec._negt[b] for b in xs]
             lhp = {a: sum(map(log.__getitem__, map(addt[a].__getitem__, neg_xs))) for a in xs}
-        return tuple([exp[(log[sub(p.x.enc, beta)] - lhp[p.x.enc] - log[p.y.enc]) % q1]
-                      for p in points])
+        return tuple([exp[(log[sub(x, beta)] - lhp[x] - log[y]) % q1]
+                      for x, y in points])
 
     @cached_property
     def mds_subset_count(self) -> int:
@@ -570,7 +567,7 @@ class _Context:
 
 def _x_pairs(c: _Context) -> bool:
     """Exactly k distinct x's, each carried by two points."""
-    carriers = Counter(p.x.enc for p in c.points)
+    carriers = Counter(x for x, _ in c.points)
     return len(carriers) == c.k and set(carriers.values()) == {2}
 
 
@@ -619,15 +616,15 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
     ("iso_dual_claimed", lambda c: c.claim.iso_dual is True),
     ("pair_selection_well_formed", lambda c: _selection(c) is not None),
     ("n_equals_2k", lambda c: c.n == 2 * c.k and len(c.points) == c.n),
-    ("points_on_curve", lambda c: all(c.curve.is_on_curve(p) for p in c.points)),
+    ("points_on_curve", lambda c: all(map(c.curve._law.contains, c.points))),
     ("points_distinct", lambda c: len(set(c.points)) == len(c.points)),
     ("x_pairs", _x_pairs),
-    ("y_nonzero", lambda c: c.spec.p == 2 or all(p.y for p in c.points)),
+    ("y_nonzero", lambda c: c.spec.p == 2 or all(y for _, y in c.points)),
     ("points_off_qa_x", lambda c: c.qa is None
-     or all(p.x != c.qa.x for p in c.points)),
+     or all(x != c.qa[0] for x, _ in c.points)),
     ("g_shape", lambda c: c.qa is not None
-     and c.g_divisor == ((None, c.k - 1), (c.qa.key(), 1))
-     and c.curve.is_on_curve(c.qa) and c.curve.point_order(c.qa) == 2),
+     and c.g_divisor == ((None, c.k - 1), (c.qa, 1))
+     and c.curve._law.contains(c.qa) and c.curve._law.add(c.qa, c.qa) is None),
     ("points_disjoint_from_G", lambda c: c.qa not in c.points),
     ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
      and (c.code.k, c.code.n) == (c.k, c.n)),
@@ -651,8 +648,9 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     """Run `INVARIANTS` on the file's data alone; returns the names of the
     failed invariants in table order.
 
-    A matrix row not n long, or a matrix or v entry that is no encoding,
-    raises `CertificateSchemaError`.  So does other data the library cannot
+    A matrix row not n long, or a matrix, v or point entry (G's first
+    affine point included) that is no encoding, raises
+    `CertificateSchemaError`.  So does other data the library cannot
     evaluate (a bad point, one outside the group), unless an invariant has
     already failed: the run then ends with those failures.
     """
@@ -663,14 +661,16 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
                                                            cert.curve_spec):
             raise CertificateSchemaError(
                 "field and curve must be spelled as construct writes them")
-        q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
-        if not all(len(r) == n and (not r or 0 <= min(r) and max(r) < q)
-                   for r in (*cert.generator_matrix, cert.scaling_v)):
-            raise CertificateSchemaError(
-                "generator_matrix rows must be n long, and they and scaling_v "
-                "must hold field encodings only")
         ctx = _Context(curve, cert.construction, cert.k, cert.n,
                        cert.torsion_choice, cert.pair_selection, cert)
+        q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
+        rows = (*cert.generator_matrix, cert.scaling_v)
+        coords = [c for p in (*ctx.points, ctx.qa or ()) for c in p]
+        if not (all(len(r) == n for r in rows) and all(
+                not r or 0 <= min(r) and max(r) < q for r in (*rows, coords))):
+            raise CertificateSchemaError(
+                "generator_matrix rows must be n long, and they, scaling_v, the "
+                "points and G's point must hold field encodings only")
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)

@@ -61,18 +61,19 @@ def subset_sum_counts(coords: Sequence[tuple[int, int]], k: int,
 
 
 def scaling_v_product(spec, points, qa) -> Optional[tuple[int, ...]]:
-    """v of the constructions from products of encodings: h'(alpha) is the
-    product of alpha - beta over the other distinct x's, and v_i is
-    1/h'(x_i) in characteristic 2 and (x_i - beta_a)/(h'(x_i) y_i)
-    otherwise; None where some v_i is zero or undefined."""
+    """v of the constructions from products of encodings, for encoded
+    (x, y) points and Qa: h'(alpha) is the product of alpha - beta over the
+    other distinct x's, and v_i is 1/h'(x_i) in characteristic 2 and
+    (x_i - beta_a)/(h'(x_i) y_i) otherwise; None where some v_i is zero or
+    undefined."""
     mul, sub, inv = spec.mul_enc, spec.sub_enc, spec.inv_enc
-    xs = {p.x.enc for p in points}
+    xs = {x for x, _ in points}
     hp = {a: reduce(mul, (sub(a, b) for b in xs - {a}), 1) for a in xs}
     if spec.p == 2:
-        return tuple(inv(hp[p.x.enc]) for p in points)
-    beta = qa.x.enc
-    entries = [mul(sub(p.x.enc, beta), inv(mul(hp[p.x.enc], p.y.enc)))
-               if p.y.enc else 0 for p in points]
+        return tuple(inv(hp[x]) for x, _ in points)
+    beta = qa[0]
+    entries = [mul(sub(x, beta), inv(mul(hp[x], y))) if y else 0
+               for x, y in points]
     return tuple(entries) if all(entries) else None
 
 

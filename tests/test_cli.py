@@ -539,6 +539,8 @@ G_EDITS = {
     "q16-g-swapped": {"g_divisor": [[[0, 11], 1], [None, 3]]},
     "q16-g-zero-entry": {"g_divisor": [[None, 3], [[0, 11], 1], [[1, 0], 0]]},
     "q16-g-off-curve": {"g_divisor": [[None, 3], [[0, 12], 1]]},
+    # on the curve, off the points' x's, of order 22: Qa + Qa is not O
+    "q16-g-order-22": {"g_divisor": [[None, 3], [[3, 12], 1]]},
 }
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, linalg
-from ellcode.curve import INFINITY, Point
+from ellcode.curve import INFINITY, CurveError
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
                           mds_subset_check, subset_sum_reachable)
 from oracle import subset_sum_counts, subset_sum_counts_exhaustive
@@ -224,36 +224,38 @@ def test_iso_dual_identity_via_scale(cert16, code16, f16):
     assert code16.scale(v).matrix == code16.dual().matrix
 
 
-def test_mds_subset_check_construction(cert16, e16, f16):
+def test_mds_subset_check_construction(cert16, e16):
+    # the points and the target are the certificate's encodings, O is None
     st = e16.group_structure()
-    pts = cert16.point_objects(e16)
-    q1 = Point(f16.element(0), f16.element(11))
+    pts, q1 = cert16.points, (0, 11)
     assert mds_subset_check(pts, st, 4, q1) == 0
     assert not any(_group_sum(e16, combo) == q1 for combo in combinations(pts, 4))
     # pairs of inverse pairs alone give C(4,2) = 6 subsets summing to O;
     # the witness answers 1, not their number
     exhaustive = sum(
         1 for combo in combinations(pts, 4)
-        if _group_sum(e16, combo) == INFINITY)
+        if _group_sum(e16, combo) is None)
     assert exhaustive >= 6
-    assert mds_subset_check(pts, st, 4, INFINITY) == 1
+    assert mds_subset_check(pts, st, 4, None) == 1
     # the empty subset sums to O
-    assert mds_subset_check(pts, st, 0, INFINITY) == 1
+    assert mds_subset_check(pts, st, 0, None) == 1
     assert mds_subset_check(pts, st, 0, q1) == 0
 
 
 def _group_sum(curve, pts):
-    acc = INFINITY
-    for p in pts:
-        acc = curve.add(acc, p)
-    return acc
+    return reduce(curve._law.add, pts, None)
 
 
 def test_mds_subset_check_rejects_duplicates(cert16, e16):
     st = e16.group_structure()
-    pts = cert16.point_objects(e16)
+    pts = cert16.points
     with pytest.raises(CodeError):
-        mds_subset_check(pts + [pts[0]], st, 4, INFINITY)
+        mds_subset_check(pts + pts[:1], st, 4, None)
+    # a point, or a target, off the dlog table is a CurveError
+    with pytest.raises(CurveError, match="not in the discrete-log table"):
+        mds_subset_check(pts[:-1] + ((0, 0),), st, 4, None)
+    with pytest.raises(CurveError, match="not in the discrete-log table"):
+        mds_subset_check(pts, st, 4, INFINITY)
 
 
 def test_dp_matches_exhaustive_random_groups():
@@ -275,14 +277,13 @@ def _support(counts):
 
 class _Labelled:
     """A stand-in group structure for `mds_subset_check` on a bare set of
-    coordinates: point i is the label i, with coordinates coords[i], and a
-    target is its own coordinate pair."""
+    coordinates: its dlog maps point i, the label i, to coords[i], and
+    each target (i, j) of Z/d1 x Z/d2 to itself."""
 
     def __init__(self, coords, d1, d2):
-        self.points, self.d1, self.d2 = coords, d1, d2
-
-    def coords(self, p):
-        return self.points[p] if type(p) is int else p
+        self.d1, self.d2 = d1, d2
+        self.dlog = {**{t: t for t in product(range(d1), range(d2))},
+                     **dict(enumerate(coords))}
 
 
 def _assert_witness_is_support(coords, k, d1, d2, counts):
@@ -318,15 +319,15 @@ def test_reachable_matches_exhaustive_random_groups():
 
 def _golden_groups():
     """(name, certificate, curve, group structure, points, Qa) of each of
-    the nine benchmark certificates."""
+    the nine benchmark certificates, the points and Qa as the file's
+    encodings."""
     names = sorted(f for f in os.listdir(GOLDENS) if f.startswith("q"))
     assert len(names) == 9
     for name in names:
         with open(os.path.join(GOLDENS, name)) as fh:
             cert = IsoDualCertificate.from_json(fh.read())
         curve = cert.curve()
-        qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
-        yield name, cert, curve, curve.group_structure(), cert.point_objects(curve), qa
+        yield name, cert, curve, curve.group_structure(), cert.points, cert.g_divisor[1][0]
 
 
 def test_reachable_matches_counts_on_golden_curves():
@@ -334,14 +335,13 @@ def test_reachable_matches_counts_on_golden_curves():
     # the packed witness, and `mds_subset_check` on each group element,
     # answer 1 exactly where the oracle's count is nonzero
     for name, cert, curve, st, points, _ in _golden_groups():
-        coords = [st.coords(p) for p in points]
+        coords = [st.dlog[p] for p in points]
         counts = subset_sum_counts(coords, cert.k, st.d1, st.d2)
         assert subset_sum_reachable(coords, cert.k, st.d1, st.d2) == \
             _support(counts), name
         assert len(st.dlog) == st.d1 * st.d2 == len(counts)
         for enc, (i, j) in st.dlog.items():
-            target = INFINITY if enc is None else Point(*map(curve.spec.element, enc))
-            assert mds_subset_check(points, st, cert.k, target) == \
+            assert mds_subset_check(points, st, cert.k, enc) == \
                 (counts[i * st.d2 + j] != 0), (name, enc)
 
 
@@ -357,17 +357,16 @@ def _witness_groups(monkeypatch):
 
 
 def test_mds_subset_check_pays_for_the_full_group_only_past_the_quotient(
-        cert16, e16, f16, monkeypatch):
+        cert16, e16, monkeypatch):
     # #E = 22, so the 2-primary quotient is Z/1 x Z/2: sum(G) = Q1 is
     # unreachable there and one call settles it; O is reachable there, so
     # the full group decides it with one more call
     groups = _witness_groups(monkeypatch)
-    pts, st = cert16.point_objects(e16), e16.group_structure()
+    pts, st = cert16.points, e16.group_structure()
     assert (st.d1, st.d2) == (1, 22)
-    q1 = Point(f16.element(0), f16.element(11))
-    assert mds_subset_check(pts, st, 4, q1) == 0
+    assert mds_subset_check(pts, st, 4, (0, 11)) == 0
     assert groups == [(1, 2)]
-    assert mds_subset_check(pts, st, 4, INFINITY) == 1
+    assert mds_subset_check(pts, st, 4, None) == 1
     assert groups == [(1, 2), (1, 2), (1, 22)]
 
 
@@ -389,20 +388,9 @@ def test_a_target_the_quotient_reaches_pays_for_the_full_witness(monkeypatch):
     for name, cert, curve, st, points, _ in _golden_groups():
         if name in moved:
             groups.clear()
-            target = Point(curve.spec.element(moved[name]), curve.spec.element(0))
+            target = (moved[name], 0)
             assert mds_subset_check(points, st, cert.k, target) == 1, name
             assert groups == [(st.d1 & -st.d1, st.d2 & -st.d2), (st.d1, st.d2)], name
-
-
-class _Listed:
-    """A group structure stand-in: point i has coordinates coords[i], and a
-    target is given as its own coordinates."""
-
-    def __init__(self, coords, d1, d2):
-        self.list, self.d1, self.d2 = coords, d1, d2
-
-    def coords(self, p):
-        return p if isinstance(p, tuple) else self.list[p]
 
 
 def test_mds_subset_check_is_the_count_support_on_random_sets(monkeypatch):
@@ -426,7 +414,7 @@ def test_mds_subset_check_is_the_count_support_on_random_sets(monkeypatch):
         coords = [(rng.randrange(-d1, 2 * d1), rng.randrange(-d2, 2 * d2))
                   for _ in range(n)]
         support = _support(subset_sum_counts(coords, k, d1, d2))
-        st, e1, e2 = _Listed(coords, d1, d2), d1 & -d1, d2 & -d2
+        st, e1, e2 = _Labelled(coords, d1, d2), d1 & -d1, d2 & -d2
         quotient = subset_sum_reachable([(i % e1, j % e2) for i, j in coords], k, e1, e2)
         for i, j in product(range(d1), range(d2)):
             answer = mds_subset_check(range(n), st, k, (i, j))

@@ -1,10 +1,14 @@
+import os
 import random
+from itertools import product
 
 import pytest
 
 from ellcode import FieldError, FieldSpec, feasible_orders, odd_part
 from ellcode import curve as curve_module
 from ellcode.curve import Curve, CurveError, Point, INFINITY
+from ellcode.isodual import (ConstructionInput, IsoDualCertificate, PairSelection,
+                             construct, verify_certificate)
 from ellcode.search import _curve_family, _default_spec, realized_orders
 from oracle import group_structure_grid_walk
 
@@ -103,22 +107,21 @@ def test_structure_invariants_and_reconstruction(e16, e25):
         points = curve.points()
         assert len(st.dlog) == len(points)
         for point in points:
-            i, j = st.coords(point)
+            i, j = st.dlog[curve_module._enc(point)]
             rebuilt = curve.add(curve.mul(i, p1), curve.mul(j, p2))
             assert rebuilt == point
-        assert st.coords(p2) == (0, 1 % st.d2)
+        assert st.dlog[p2.key()] == (0, 1 % st.d2)
 
 
 def test_coords_rejects_a_point_over_another_field(e25, f25):
-    # the dlog table is keyed by encodings, and (2, 2) has the encodings of
-    # a point of the GF(25) curve over GF(29) too
+    # the dlog table is keyed by encodings, O by None: (2, 2) is a point of
+    # the GF(25) curve, and an encoding pair off the curve is no key
     st = e25.group_structure()
     own = Point(f25.element(2), f25.element(2))
-    assert e25.is_on_curve(own) and st.coords(own) == (0, 1)
-    f29 = FieldSpec(29, 1, [0, 1])
-    with pytest.raises(CurveError, match="GF\\(29\\)"):
-        st.coords(Point(f29.element(2), f29.element(2)))
-    assert st.coords(INFINITY) == (0, 0)
+    assert e25.is_on_curve(own) and st.dlog[own.key()] == (0, 1)
+    off = next(e for e in product(range(25), repeat=2) if not e25._law.contains(e))
+    assert off not in st.dlog and len(st.dlog) == e25.order()
+    assert st.dlog[None] == (0, 0)
 
 
 def test_points_built_only_at_the_edge(monkeypatch):
@@ -140,6 +143,35 @@ def test_points_built_only_at_the_edge(monkeypatch):
     built.clear()
     torsion = curve.torsion_points(3)
     assert len(built) == len(torsion) == 9
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(GOLDENS) if f.startswith("q")))
+def test_construct_and_verify_build_points_only_at_the_edge(monkeypatch, name):
+    # the evaluation points stay the certificate's (x, y) encodings: an op
+    # builds only the group basis and the Qa that `rr_basis` takes, at most
+    # 3 Points whatever n is
+    with open(os.path.join(GOLDENS, name)) as fh:
+        text = fh.read()
+    cert = IsoDualCertificate.from_json(text)
+    sel = cert.pair_selection
+    inp = ConstructionInput(cert.curve(), cert.k, cert.construction, cert.torsion_choice,
+                            PairSelection(sel["mode"], sel["r"],
+                                          sel["pairs_x"] and tuple(sel["pairs_x"])))
+    built, init = [], Point.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    monkeypatch.setattr(Point, "__init__", counted)
+    assert construct(inp).to_json() == text
+    assert len(built) <= 3, built
+    built.clear()
+    assert verify_certificate(cert) == []
+    assert len(built) <= 3, built
 
 
 def test_torsion_points(e25, f25):

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from ellcode import FieldSpec, IsoDualCertificate
 from ellcode.eaqecc import (TABLE_COLUMNS, EaqeccError, derive,
                             derive_from_certificate, table_rows)
 from ellcode.search import rows_to_csv, rows_to_json
@@ -62,6 +65,29 @@ def test_construction1_certificates_have_kq_equal_c(cert16):
     p = derive_from_certificate(cert16)
     assert p.k_q == p.c
     assert p.k_q >= 1
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+GOLDEN_LABELS = {
+    "q16.json": "[[8,4,5;4]]_16", "q25.json": "[[16,8,9;8]]_25",
+    "q32.json": "[[20,8,11;8]]_32", "q49.json": "[[28,14,15;14]]_49",
+    "q64.json": "[[36,16,19;16]]_64", "q256.json": "[[140,68,71;68]]_256",
+    "q289.json": "[[160,80,81;80]]_289", "q729.json": "[[8,4,5;4]]_729",
+    "q1031.json": "[[8,4,5;4]]_1031",
+}
+
+
+def test_derive_from_certificate_builds_no_field(monkeypatch):
+    # q comes from the field string's p and m; no FieldSpec, and so no
+    # table, is built for it
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(FieldSpec, "__init__", no_field)
+    for name, label in GOLDEN_LABELS.items():
+        with open(os.path.join(GOLDENS, name)) as fh:
+            cert = IsoDualCertificate.from_json(fh.read())
+        assert derive_from_certificate(cert).label() == label, name
 
 
 def test_derive_from_certificate_with_override(cert16):

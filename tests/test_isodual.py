@@ -506,7 +506,7 @@ def test_constant_v_gives_a_self_dual_code_that_constructs():
                                                        PairSelection())
                 except ConstructionError:
                     continue
-                if reduce(xor, {p.x.enc for p in points}):
+                if reduce(xor, {x for x, _ in points}):
                     continue
                 cert = construct(ConstructionInput(curve, 4, 1))
                 assert cert.hull_dim == 4 and len(set(cert.scaling_v)) == 1
@@ -520,7 +520,7 @@ def _moment_fields(cert):
     curve = cert.curve()
     qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
     return {"basis": funcspace.rr_basis(curve, cert.k, qa),
-            "points": cert.point_objects(curve)}
+            "points": cert.points}
 
 
 def _three_duals(cert):
@@ -715,7 +715,7 @@ def test_library_rows_skip_the_entry_checks_and_give_the_checked_code(monkeypatc
     monkeypatch.setattr(LinearCode, "__init__", no_checks)
     made, scaled = ctx.code, ctx.code.scale(ctx.scaling_v)
     monkeypatch.setattr(LinearCode, "__init__", checked_init)
-    spec, nodes = ctx.spec, [p.x.enc for p in ctx.points]
+    spec, nodes = ctx.spec, [x for x, _ in ctx.points]
     checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points),
                          n=ctx.n, nodes=nodes)
     checked_scaled = LinearCode(
@@ -732,7 +732,7 @@ def test_v_is_none_where_a_point_leaves_it_undefined(cert25, point):
     # v_i = (x_i - beta)/(h'(x_i) y_i) is undefined at y = 0 and zero at
     # x = beta; only a file failing an earlier invariant holds such a point
     ctx = _verify_context(cert25)
-    beta = ctx.qa.x.enc
+    beta = ctx.qa[0]
     x, _ = next(p for p in cert25.points if p[0] != beta)
     bad = (x, 0) if point == "y = 0" else (beta, 3)
     ctx = _verify_context(_tamper(cert25, points=(bad, *cert25.points[1:])))
@@ -766,15 +766,20 @@ BAD_FILE_ENTRIES = {"bool": (True, "expected int"), "float": (2.0, "expected int
                     "too-large": (25, "field encodings only")}
 
 
-@pytest.mark.parametrize("key", ["generator_matrix", "scaling_v"])
+@pytest.mark.parametrize("key", ["generator_matrix", "scaling_v", "points", "g_divisor"])
 @pytest.mark.parametrize("bad, message", BAD_FILE_ENTRIES.values(),
                          ids=BAD_FILE_ENTRIES.keys())
 def test_file_entries_are_checked_per_row(cert25, key, bad, message):
     # a list of ints parses in one C-level pass and each row's range is its
-    # min and max; anything else is refused as by the per-entry checks
+    # min and max; anything else is refused as by the per-entry checks.  The
+    # points' and G's point's coordinates are range-checked with the rows
     doc = json.loads(cert25.to_json())
     if key == "scaling_v":
         doc[key][3] = bad
+    elif key == "points":
+        doc[key][3][1] = bad
+    elif key == "g_divisor":
+        doc[key][1][0][0] = bad
     else:
         doc[key][1][3] = bad
     with pytest.raises(CertificateSchemaError, match=message):
@@ -808,7 +813,7 @@ def _moments(cert):
     curve = cert.curve()
     qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
     basis = funcspace.rr_basis(curve, cert.k, qa)
-    points = cert.point_objects(curve)
+    points = cert.points
     rows = funcspace.rr_basis_rows(basis, points)
     return (funcspace.point_moments(basis, points), linalg.gram(rows, curve.spec),
             linalg.gram(LinearCode(curve.spec, rows).matrix, curve.spec))

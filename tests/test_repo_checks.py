@@ -2,6 +2,7 @@
 still exist, no `src/ellcode` module, test or demo imports a name it never
 uses, no library module computes in floating point, every public name,
 function, class and method of the library has a reader outside the tests,
+only `gf` and `curve` construct `Point`s and `FieldElement`s,
 the CLI maps errors to exit codes in `main` alone, README's quick start
 runs, and the docs list the certificate invariants in order."""
 
@@ -156,6 +157,37 @@ def test_library_arithmetic_is_exact(name):
     divides = frozenset({"evaluate"} if name == "funcspace.py" else ())
     with open(os.path.join(PACKAGE, name)) as handle:
         assert _inexact_arithmetic(handle.read(), divides) == []
+
+
+def _point_and_element_calls(source: str) -> list[str]:
+    """Each call of `Point(...)` or `FieldElement(...)` in a module, by bare
+    name or as an attribute, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("Point", "FieldElement"):
+                found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_point_and_element_call_check_flags_and_spares():
+    source = ('"""Point(x, y) in a docstring."""\n'
+              "from ellcode.curve import Point\n"
+              "p = Point(1, 2)\n"
+              "e = gf.FieldElement(spec, 3)\n"
+              "k = p.key(); q = curve._point(e)\n"
+              "def f(pt: Point) -> 'FieldElement': return PointSet(pt)\n")
+    assert _point_and_element_calls(source) == ["Point (line 3)", "FieldElement (line 4)"]
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_points_and_elements_are_built_in_gf_and_curve_only(name):
+    """Points and field elements are the API types: only `gf` and `curve`
+    construct them, and every other module computes on encodings."""
+    with open(os.path.join(PACKAGE, name)) as handle:
+        calls = _point_and_element_calls(handle.read())
+    assert calls == [] or name in ("gf.py", "curve.py")
 
 
 def _identifiers(source: str) -> set[str]:
