@@ -10,14 +10,20 @@ first asks in the 2-primary quotient, where the paper's parity settles it.
 It reads the points as (x, y) encodings, keys of the group's dlog table.
 
 Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
-the cached dual.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
+the dual.  An iso-dual code carries its dual as the scaling v with
+C-perp = C.v (`_carry_dual`), and the hull routes read A' and the dual's
+displacement factors from v: the matrix of C.v is built only when `dual`
+is read.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
 MDS [2k, k] codes, `stacked_hull_dim` ranks the k x k M = A' - W1^-1 A W2
 (on bytes in characteristic 2); in odd characteristic from k =
 `_DISPLACEMENT_MIN_K` on, with nodes (the x's of the evaluation points), it
 ranks M from displacement generators: A and A' are Cauchy-like in the
-nodes, so `linalg.cauchy_like_rank` takes O(k^2).  Other codes rank
-G diag(w) stacked on the dual.  `scale` writes the RREF of G diag(w)
-directly and carries a cached dual as w^-1.C-perp, with no elimination.
+nodes, so `linalg.cauchy_like_rank` takes O(k^2).  R = D_alpha A - A D_x
+has rank 2; a code made from `funcspace.systematic_rows` carries its
+closed-form factors, and any other code factors R by its RREF.  Other
+codes rank G diag(w) stacked on the dual.  `scale` writes the RREF of
+G diag(w) directly, with no elimination, and carries v as v w^-2 or a
+dual from a kernel as w^-1.C-perp.
 
 The second, independent distance check (`min_distance`, the certificates'
 "exhaustive" method) enumerates one codeword per scalar class: lambda.c has
@@ -79,6 +85,23 @@ class ScalingVector:
         return f"ScalingVector({list(self.entries)})"
 
 
+def _rescale(spec: FieldSpec, rows: Sequence[Sequence[int]],
+             row_w: Sequence[int], col_w: Sequence[int]):
+    """D_r X D_c for the matrix X of `rows`, r = row_w and c = col_w nonzero:
+    rows of encodings, or in characteristic 2 one bytes, row by row."""
+    if spec.p == 2:
+        # column j of X is the strided slice x[j::n]; the joined scaled
+        # columns hold row i at [i::k]
+        mulb, n, k = spec._mulb, len(col_w), len(row_w)
+        x = b"".join(map(bytes, rows))
+        cols = b"".join(x[j::n].translate(mulb[e]) for j, e in enumerate(col_w))
+        return b"".join(cols[i::k].translate(mulb[e]) for i, e in enumerate(row_w))
+    exp2, log = spec._exp2, spec._log
+    return [[exp2[log[x] + lc] if x else 0 for x in row]
+            for row, lc in zip(linalg.scale_columns(rows, col_w, spec),
+                               map(log.__getitem__, row_w))]
+
+
 class LinearCode:
     """[n, k] code over GF(q), stored as an RREF generator matrix.
 
@@ -88,7 +111,7 @@ class LinearCode:
     """
 
     __slots__ = ("spec", "n", "k", "matrix", "nodes", "_dual", "_dual_v",
-                 "_factors", "_halves")
+                 "_r_factors", "_factors", "_halves")
 
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
@@ -122,53 +145,58 @@ class LinearCode:
 
     @classmethod
     def _made(cls, spec: FieldSpec, n: int, matrix: tuple,
-              nodes: Optional[tuple] = None) -> "LinearCode":
+              nodes: Optional[tuple] = None,
+              r_factors: Optional[tuple] = None) -> "LinearCode":
         """A code on an RREF the library itself produced, with none of
         `__init__`'s entry checks: `matrix` is a tuple of n-long tuples of
-        encodings, `nodes` a tuple of n encodings or None."""
+        encodings, `nodes` a tuple of n encodings or None.  `r_factors`,
+        for G = [I | A] with n = 2k, is (P, Q) with P given by its two
+        columns and Q by its two rows, R = D_alpha A - A D_x = P Q for the
+        nodes alpha = nodes[:k] and x = nodes[k:]; `_displacement_factors`
+        then takes no RREF of R."""
         out = cls.__new__(cls)
-        out._set(spec, n, matrix, nodes)
+        out._set(spec, n, matrix, nodes, r_factors)
         return out
 
-    def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes) -> None:
+    def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes,
+             r_factors: Optional[tuple] = None) -> None:
         self.spec, self.n, self.k = spec, n, len(matrix)
-        self.matrix, self.nodes = matrix, nodes
+        self.matrix, self.nodes, self._r_factors = matrix, nodes, r_factors
         self._dual = self._dual_v = self._factors = self._halves = None
 
     def _carry_dual(self, v: Sequence[int]) -> None:
-        """Cache C.v as the dual, for a v the caller proved gives C-perp,
-        and keep v for `_displacement_factors`."""
-        self._dual, self._dual_v = self.scale(v), tuple(v)
+        """Keep v, for a v the caller proved gives C.v = C-perp: `dual`
+        builds C.v only when read, `_systematic_halves` reads A' from A and
+        v, and `_displacement_factors` P' and Q' from P, Q and v."""
+        self._dual_v = tuple(v)
 
     def dual(self) -> "LinearCode":
-        """The [n, n-k] orthogonal code, via the kernel of the generator."""
+        """The [n, n-k] orthogonal code: C.v where v is carried, else via
+        the kernel of the generator.  Built on first read and cached."""
         if self._dual is None:
-            basis = linalg.nullspace(self.matrix, self.spec, self.n)
-            self._dual = LinearCode(self.spec, basis, n=self.n, nodes=self.nodes)
+            if self._dual_v is not None:
+                self._dual = self.scale(self._dual_v)
+            else:
+                basis = linalg.nullspace(self.matrix, self.spec, self.n)
+                self._dual = LinearCode(self.spec, basis, n=self.n, nodes=self.nodes)
         return self._dual
 
     def scale(self, v: ScalingVector | Sequence[int]) -> "LinearCode":
         """w.C for w = v, with no elimination: row i of G diag(w) over w at
         row i's pivot is its RREF, as each pivot column keeps one nonzero.
-        A cached dual is carried as w^-1.C-perp, which is (w.C)-perp."""
-        w, spec = self._weights(v), self.spec
+        A carried v goes over as v w^-2, since (w.C)-perp = w^-1.C-perp =
+        w^-1 v.C = v w^-2.(w.C); a dual from a kernel is scaled to
+        w^-1.C-perp."""
+        w, spec, n = self._weights(v), self.spec, self.n
         inv = [spec.inv_enc(e) for e in w]
-        pivot_inv = [inv[row.index(1)] for row in self.matrix]
+        rows = _rescale(spec, self.matrix, [inv[row.index(1)] for row in self.matrix], w)
         if spec.p == 2:
-            # column j of G is the strided slice g[j::n]; the joined scaled
-            # columns hold row i at [i::k]
-            mulb, n, k = spec._mulb, self.n, self.k
-            g = b"".join(map(bytes, self.matrix))
-            cols = b"".join(g[j::n].translate(mulb[e]) for j, e in enumerate(w))
-            rows = tuple(tuple(cols[i::k].translate(mulb[c]))
-                         for i, c in enumerate(pivot_inv))
-        else:
-            exp2, log = spec._exp2, spec._log
-            rows = tuple(tuple([exp2[log[x] + lc] if x else 0 for x in row])
-                         for row, lc in zip(linalg.scale_columns(self.matrix, w, spec),
-                                            map(log.__getitem__, pivot_inv)))
-        out = LinearCode._made(spec, self.n, rows, self.nodes)
-        if self._dual is not None:
+            rows = [rows[i * n:(i + 1) * n] for i in range(self.k)]
+        out = LinearCode._made(spec, n, tuple(map(tuple, rows)), self.nodes)
+        if self._dual_v is not None:
+            mul = spec.mul_enc
+            out._dual_v = tuple([mul(e, mul(c, c)) for e, c in zip(self._dual_v, inv)])
+        elif self._dual is not None:
             out._dual = self._dual.scale(inv)
         return out
 
@@ -203,8 +231,9 @@ class LinearCode:
     def stacked_hull_dim(self, w: Optional[Sequence[int]] = None) -> int:
         """dim(w.C n C-perp) for nonzero weights w (all 1 when None); at
         w = u^2 it is the hull of u.C: x is in u.C n (u.C)-perp iff u.x is
-        in w.C n C-perp.  It is n - rank of G diag(w) stacked on the cached
-        dual's generator H, computed one of three ways.
+        in w.C n C-perp.  It is n - rank of G diag(w) stacked on the dual's
+        generator H, computed one of three ways; the first two read a
+        carried v (`_carry_dual`) in place of H.
 
         Where n = 2k and G = [I | A] and H = [I | A'] (`_systematic_halves`),
         eliminating H's identity against G diag(w) leaves k - rank(M) with
@@ -212,7 +241,8 @@ class LinearCode:
         row nodes alpha = nodes[:k] and column nodes x = nodes[k:],
         D_alpha M - M D_x = R' - W1^-1 R W2, where R = D_alpha A - A D_x
         and R' likewise from A'.  For the elliptic codes R and R' have rank
-        2, so M has displacement rank at most 4 and
+        2 (R = P Q in closed form, `funcspace.systematic_rows`), so M has
+        displacement rank at most 4 and
         `linalg.cauchy_like_rank` ranks it from generators in O(k^2): see
         `_displacement_factors` for when this route applies.  Otherwise
         `linalg.rank` ranks the k x k matrix W1 A' - A W2, of M's rank; in
@@ -247,19 +277,33 @@ class LinearCode:
                     for row, r, le in zip(dual_a, aw, map(log.__getitem__, w))]
         return k - linalg.rank(rows, spec)
 
+    def _systematic(self) -> bool:
+        """n = 2k > 0, and G and the dual's H both lead with I_k.  A k-row
+        RREF leads with I_k iff its last row's pivot is column k-1; where
+        the dual is C.v, H = [D_v1 | A D_v2] reduced keeps G's pivots."""
+        k = self.k
+        return self.n == 2 * k > 0 and any(self.matrix[-1][:k]) and (
+            self._dual_v is not None or any(self.dual().matrix[-1][:k]))
+
     def _systematic_halves(self) -> Optional[tuple]:
-        """(A, A') where n = 2k > 0, G = [I | A] and the dual's H = [I | A'];
-        None for any other code.  Cached, like the dual.  In characteristic
-        2 each half is one bytes, row by row: column j of A is a[j::k]."""
+        """(A, A') where G = [I | A] and the dual's H = [I | A']
+        (`_systematic`); None for any other code.  Cached, like the dual.
+        A carried v gives A' = D_v1^-1 A D_v2 directly, with no C.v.  In
+        characteristic 2 each half is one bytes, row by row: column j of A
+        is a[j::k]."""
         if self._halves is None:
-            k, self._halves = self.k, ()
-            if self.n == 2 * k > 0:
-                pair = (self.matrix, self.dual().matrix)
-                # a k-row RREF leads with I_k iff its last row's pivot is column k-1
-                if all(any(m[-1][:k]) for m in pair):
-                    self._halves = tuple(
-                        b"".join(bytes(r[k:]) for r in m) if self.spec.p == 2
-                        else [r[k:] for r in m] for m in pair)
+            spec, k, v, self._halves = self.spec, self.k, self._dual_v, ()
+            if self._systematic():
+                a = [r[k:] for r in self.matrix]
+                if v is None:
+                    dual_a = [r[k:] for r in self.dual().matrix]
+                    if spec.p == 2:
+                        dual_a = b"".join(map(bytes, dual_a))
+                else:       # bytes in characteristic 2
+                    dual_a = _rescale(spec, a, [spec.inv_enc(e) for e in v[:k]], v[k:])
+                if spec.p == 2:
+                    a = b"".join(map(bytes, a))
+                self._halves = (a, dual_a)
         return self._halves or None
 
     def _displacement_factors(self) -> Optional[tuple]:
@@ -271,36 +315,43 @@ class LinearCode:
         It applies in odd characteristic up to the add-table cap when the
         code has nodes, n = 2k with k at least `_DISPLACEMENT_MIN_K`, the
         row nodes are disjoint from the column nodes, G and H both lead
-        with I_k, and R and R' have rank at most 2 each.  Each R is
-        factored by its RREF: P is R at the pivot columns, Q the RREF.  A
-        dual C.v (`_carry_dual`) has A' = D_v1^-1 A D_v2, so P' = D_v1^-1 P
-        and Q' = Q D_v2, with no second RREF."""
+        with I_k (`_systematic`), and R and R' have rank at most 2 each.
+        A code made with the closed form's `r_factors` (`_made`) has P and
+        Q as given.  Otherwise R is formed and factored by its RREF: P is R
+        at the pivot columns, Q the RREF.  A dual C.v (`_carry_dual`) has
+        A' = D_v1^-1 A D_v2, so P' = D_v1^-1 P and Q' = Q D_v2, with no
+        second RREF; a dual from a kernel factors R' like R."""
         if self._factors is None:
             spec, k, nodes, self._factors = self.spec, self.k, self.nodes, ()
             if (spec.p == 2 or spec._addt is None or nodes is None
                     or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
                 return None
             alpha, x = nodes[:k], nodes[k:]
-            halves = self._systematic_halves()
-            if halves is None or not set(alpha).isdisjoint(x):
+            if not set(alpha).isdisjoint(x) or not self._systematic():
                 return None
             log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
-            # log (alpha_i - x_j), nonzero as the nodes are disjoint
-            neg_x = [negt[b] for b in x]
-            ldiff = [[log[row[b]] for b in neg_x] for row in map(addt.__getitem__, alpha)]
-            out, dual_v = [alpha, x], self._dual_v
-            for half in halves if dual_v is None else halves[:1]:
-                r = [[exp2[log[v] + ld] if v else 0 for v, ld in zip(row, lrow)]
-                     for row, lrow in zip(half, ldiff)]
+
+            def factor(m):
+                """[P, Q] of R = D_alpha A - A D_x, A the right half of m,
+                by R's RREF; None where R has rank above 2."""
+                # log (alpha_i - x_j), nonzero as the nodes are disjoint
+                neg_x = [negt[b] for b in x]
+                r = [[exp2[log[e] + log[d[b]]] if e else 0 for e, b in zip(row[k:], neg_x)]
+                     for row, d in zip(m, map(addt.__getitem__, alpha))]
                 q_rows, pivots = linalg.rref(r, spec)
-                if len(pivots) > 2:
-                    return None
-                out += [[[row[c] for row in r] for c in pivots], q_rows]
-            if dual_v is not None:
-                out += [linalg.scale_columns(out[2], [spec.inv_enc(e) for e in dual_v[:k]],
-                                             spec),
-                        linalg.scale_columns(out[3], dual_v[k:], spec)]
-            self._factors = tuple(out)
+                return None if len(pivots) > 2 else [
+                    [[row[c] for row in r] for c in pivots], q_rows]
+
+            pq = self._r_factors or factor(self.matrix)
+            if pq is None:
+                return None
+            v = self._dual_v
+            dual_pq = factor(self.dual().matrix) if v is None else (
+                linalg.scale_columns(pq[0], [spec.inv_enc(e) for e in v[:k]], spec),
+                linalg.scale_columns(pq[1], v[k:], spec))
+            if dual_pq is None:
+                return None
+            self._factors = (alpha, x, *pq, *dual_pq)
         return self._factors or None
 
     def codewords(self):

@@ -242,9 +242,6 @@ class Curve:
 
     # -- group law ------------------------------------------------------------
 
-    def neg(self, p: Point) -> Point:
-        return self._point(self._law.neg(_enc(p)))
-
     def add(self, p: Point, q: Point) -> Point:
         return self._point(self._law.add(_enc(p), _enc(q)))
 

@@ -8,7 +8,8 @@ symbolic basis functions are the reference, built when read.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
-of the Cauchy systematic form of GRS codes), and `point_moments`, the
+of the Cauchy systematic form of GRS codes), with the rank-2 factors of
+its displacement D_alpha A - A D_x, and `point_moments`, the
 3(k-1) sums S[e][t] = sum_j w_j u_j^e x_j^t, the entries S[e + e'][a + a']
 at u^e x^a, u^e' x^a' of the Gram of the evaluated basis under weights w,
 whose Hankel blocks `isodual` ranks for the hull.  Their test
@@ -315,10 +316,11 @@ def rr_basis_rows(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[lis
     return rows
 
 
-def systematic_rows(basis: RRBasis,
-                    points: Sequence[tuple[int, int]]) -> Optional[list[list[int]]]:
-    """The RREF [I | A] of `rr_basis_rows(basis, points)` in closed form, or
-    None where the closed form does not apply.
+def systematic_rows(basis: RRBasis, points: Sequence[tuple[int, int]]
+                    ) -> Optional[tuple[list[list[int]], tuple[list, list]]]:
+    """The RREF [I | A] of `rr_basis_rows(basis, points)` in closed form,
+    with the rank-2 factors (P, Q) of its displacement R, or None where the
+    closed form does not apply.
 
     It applies when the first k points are k/2 whole pairs {P, -P}: two
     points on each of k/2 x's alpha_r, with distinct u, and no later point
@@ -337,6 +339,12 @@ def systematic_rows(basis: RRBasis,
     columns is the column factor prod_r (x_j - alpha_r) over
     x_j - alpha_r(i), times u_j - u(P_i'), over f_i(P_i).  A point at a
     pole of u raises `FunctionError`, as in `rr_basis_rows`.
+
+    So R = D_alpha A - A D_x, alpha_i = x(P_i) and x the x_j, has entries
+    (alpha_i - x_j) A_ij = col_j (u(P_i') - u_j) / L_i, col_j =
+    prod_r (x_j - alpha_r) and L_i = f_i(P_i): R = P Q with P's columns
+    [1/L_i] and [u(P_i')/L_i] and Q's rows [-col_j u_j] and [col_j], each
+    k long, for `code.LinearCode._made`'s `r_factors`.
     """
     spec, k = basis.curve.spec, basis.k
     us = _u_values(basis, points)
@@ -355,17 +363,23 @@ def systematic_rows(basis: RRBasis,
         return None
     ldiff = [[log[d] for d in row] for row in diff]
     column = [sum(col) for col in zip(*ldiff)]
-    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    rows = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    p_cols = [[0] * k, [0] * k]
     for r, a in enumerate(alphas):
         # log of prod_{r' != r} (alpha_r - alpha_r')
         lh = sum(log[sub(a, b)] for b in alphas if b != a)
         base = [c - d for c, d in zip(column, ldiff[r])]
         for i, partner in (pairs[a], pairs[a][::-1]):
             up = us[partner]
-            lead = lh + log[sub(us[i], up)]
+            lead = lh + log[sub(us[i], up)]     # log L_i
             rows[i] += [exp[(b + log[d] - lead) % q1] if d else 0
                         for b, d in zip(base, [sub(u, up) for u in us[k:]])]
-    return rows
+            p_cols[0][i] = exp[-lead % q1]
+            p_cols[1][i] = exp[(log[up] - lead) % q1] if up else 0
+    neg = spec.neg_enc
+    q_rows = [[neg(exp[(c + log[u]) % q1]) if u else 0 for c, u in zip(column, us[k:])],
+              [exp[c % q1] for c in column]]
+    return rows, (p_cols, q_rows)
 
 
 def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
@@ -400,13 +414,21 @@ def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
                     packed[e] ^= int.from_bytes(powers.translate(mulb[c]), "big")
         return [[m ^ v for m, v in zip(row, acc.to_bytes(k - 1, "big"))]
                 for row, acc in zip(moments, packed)]
+    if addt is not None:
+        # the q x q table, without a call per term; log c + t log x, below
+        # k (q - 1), indexes the exp table repeated k times with no modulo
+        # (k (q - 1) entries, fewer than the table's q^2 for k < q)
+        expk = spec._exp * k
+        for x, acc in weights.items():
+            lx = log[x]
+            lpow = range(0, (k - 1) * lx, lx) if lx else [0] * (k - 1)
+            for e, lc in [(e, log[c]) for e, c in enumerate(acc) if c]:
+                moments[e] = [addt[s][expk[lc + lp]] for s, lp in zip(moments[e], lpow)]
+        return moments
     for x, acc in weights.items():
         lpow = [t * log[x] % q1 for t in range(k - 1)]
         for e, lc in [(e, log[c]) for e, c in enumerate(acc) if c]:
-            if addt is not None:    # the q x q table, without a call per term
-                moments[e] = [addt[s][exp2[lc + lp]] for s, lp in zip(moments[e], lpow)]
-            else:
-                moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
+            moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
     return moments
 
 

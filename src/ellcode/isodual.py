@@ -39,23 +39,26 @@ target sum(G) is Qa, and Qa + Qa = O on the group law.
 iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
 residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
-nullspace computed; the code keeps v for the dual's displacement factors,
+nullspace computed; the code carries v, from which the hull cross-check
+reads the dual's half A' and displacement factors without building C.v,
 and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
 k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
 Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
 (construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
 so its hulls are even); other points rank G G^T.  Either is
 cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
-that identity proved, which reads G.  The sampler and the hull search
+that identity proved, which reads G and v.  The sampler and the hull search
 share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
 each u as encodings, take the hull of u.C from the same method against the
-cached dual at w = u^2, with no Gram matrix per trial, and wrap only the u
+code's dual at w = u^2, with no Gram matrix per trial, and wrap only the u
 they return in a ScalingVector.
 The codes of `_Context.code` and `IsoDualCertificate.code` carry the
 points' x's as nodes.  So in odd characteristic, from k =
 `code._DISPLACEMENT_MIN_K` on, that method ranks from the displacement
 generators of the Cauchy-like G and C.v, in O(k^2) per scaling; otherwise
-it ranks the k x k M of `LinearCode.stacked_hull_dim`.
+it ranks the k x k M of `LinearCode.stacked_hull_dim`.  `_Context.code`
+also carries the closed form's factors of G's displacement, so construct
+and verify take no RREF of it.
 
 `construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -487,16 +490,19 @@ class _Context:
     @cached_property
     def code(self) -> LinearCode:
         """The systematic generator [I | A] of the points, in closed form
-        (`funcspace.systematic_rows`), with the points' x's as its nodes;
-        `iso_dual_identity` caches C.v as its dual.  The closed form is
-        already an RREF of n-long rows (the `n_equals_2k` gate), so it
-        skips `LinearCode`'s entry checks.  Where the first k points are
+        (`funcspace.systematic_rows`), with the points' x's as its nodes
+        and the closed form's factors of its displacement R;
+        `iso_dual_identity` has it carry v, so C.v is its dual.  The closed
+        form is already an RREF of n-long rows (the `n_equals_2k` gate), so
+        it skips `LinearCode`'s entry checks.  Where the first k points are
         not k/2 whole pairs, which the canonical order of `construct`'s
         points never gives, it is the RREF of the evaluated basis."""
         nodes = tuple(x for x, _ in self.points)
-        rows = funcspace.systematic_rows(self.basis, self.points)
-        if rows is not None:
-            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)), nodes)
+        made = funcspace.systematic_rows(self.basis, self.points)
+        if made is not None:
+            rows, r_factors = made
+            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)), nodes,
+                                    r_factors)
         return LinearCode(self.spec, funcspace.rr_basis_rows(self.basis, self.points),
                           n=self.n, nodes=nodes)
 
@@ -595,9 +601,9 @@ def _points_match_input(c: _Context) -> bool:
 
 def _iso_dual_identity(c: _Context) -> bool:
     """A zero Gram under v of a basis of C puts C.v inside C-perp, and with
-    n = 2k both have dimension k, so C.v is C-perp: it becomes the code's
-    cached dual, which the `hull` cross-check then reads without a
-    nullspace; the code keeps v too.  For even k every point moment at
+    n = 2k both have dimension k, so C.v is C-perp: the code carries v as
+    its dual, which the `hull` cross-check then reads without a nullspace
+    or the matrix of C.v.  For even k every point moment at
     w = v is a Gram entry, so the Gram is 0 iff the 3(k-1) moments are."""
     code, v = c.code, c.scaling_v
     if v is None or code.n != 2 * code.k or any(
@@ -742,7 +748,7 @@ def lcd_transform(cert: IsoDualCertificate,
 
 
 def _code_with_dual(cert: IsoDualCertificate, curve: Curve) -> LinearCode:
-    """The certificate's code, with C.v as its dual where n = 2k and
+    """The certificate's code, carrying v as its dual C.v where n = 2k and
     G diag(v) G^T = 0; otherwise `LinearCode.dual` takes the kernel."""
     code, v = cert.code(curve), cert.scaling_v
     if code.n == 2 * code.k and not any(map(any, linalg.gram(code.matrix, curve.spec, v))):
@@ -752,7 +758,8 @@ def _code_with_dual(cert: IsoDualCertificate, curve: Curve) -> LinearCode:
 
 def _accept(code: LinearCode, u: Sequence[int], hull: int, what: str) -> LinearCode:
     """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it
-    against its dual, carried by `LinearCode.scale` where `code` has one."""
+    against its dual, carried by `LinearCode.scale` where `code` has one:
+    a carried v goes over as v u^-2."""
     scaled = code.scale(u)
     if scaled.hull_dim() != hull:
         raise VerificationError(f"{what} did not reach hull = {hull}")
@@ -772,8 +779,9 @@ def _scaling_trials(code: LinearCode, trials: int, seed: int,
     per block: block=1 samples all of (F_q*)^n, block=2 the vectors
     constant on the inverse pairs the constructions emit adjacently, where
     the rare higher hulls live.  The hull is the `stacked_hull_dim` at
-    w = u^2 against the dual cached on `code` (C.v once proved, otherwise
-    one nullspace), with no scaled code and no Gram matrix built.  A
+    w = u^2 against the dual of `code` (the carried v once C.v is proved,
+    otherwise one nullspace), with no scaled code and no Gram matrix
+    built.  A
     negative trial count is a `ValueError`, and a block size that does not
     divide n a `CodeError`, both before the first draw."""
     if trials < 0:

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, linalg
+from ellcode import FieldError, FieldSpec, IsoDualCertificate, code, isodual, linalg
 from ellcode.curve import INFINITY, CurveError
 from ellcode.code import (CodeError, LinearCode, ScalingVector,
                           mds_subset_check, subset_sum_reachable)
@@ -779,9 +779,13 @@ def test_code_nodes_are_checked_and_carried(cert25, f25):
             LinearCode(f25, c.matrix, nodes=bad)
 
 
-def _golden_code(q):
+def _golden_cert(q):
     with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
-        return IsoDualCertificate.from_json(fh.read()).code()
+        return IsoDualCertificate.from_json(fh.read())
+
+
+def _golden_code(q):
+    return _golden_cert(q).code()
 
 
 def test_generator_route_runs_from_the_crossover(monkeypatch):
@@ -920,7 +924,7 @@ def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
     v, k = cert.scaling_v, kernel.k
     proved = cert.code()
     proved._carry_dual(v)
-    assert proved._dual.matrix == kernel.dual().matrix
+    assert proved._dual_v == tuple(v) and proved._dual is None
     dense = LinearCode(spec, kernel.matrix, n=kernel.n)
     assert dense._systematic_halves() is not None
     assert dense._displacement_factors() is None
@@ -938,6 +942,52 @@ def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
         assert [c.stacked_hull_dim(w) for c in (kernel, proved, dense)] == [h] * 3
         hulls.append(h)
     assert hulls[4:7] == [k] * 3 and min(hulls[7:]) < k
+    # every route read v, not C.v, which is built only now
+    assert proved._dual is None and proved.dual().matrix == kernel.dual().matrix
+
+
+def test_closed_form_factors_rref_factors_and_the_stack_give_one_hull(monkeypatch,
+                                                                      sweep):
+    # stacked_hull_dim from the closed form's factors of R (and v's of R'),
+    # from the RREFs of R and R' (the same matrix, built without them) and
+    # from the 2k-row stack, at w = 1 and at seeded random w: on q = 289
+    # (k = 80) and, with the crossover lowered, on the sweep's odd codes,
+    # whose k is at most 14
+    monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 2)
+    cert = _golden_cert(289)
+    inputs = [(cert.curve(), cert.k, cert.torsion_choice, cert.pair_selection)]
+    inputs += [(curve, k, choice, sel.to_dict())
+               for curve, k, choice, sel, _, _ in sweep if curve.spec.p != 2]
+    rng = random.Random(289)
+    for curve, k, choice, selection in inputs:
+        ctx = isodual._Context(curve, 2, k, 2 * k, choice, selection)
+        closed, spec = ctx.code, curve.spec
+        assert closed._r_factors is not None and isodual._iso_dual_identity(ctx)
+        plain = LinearCode(spec, closed.matrix, nodes=closed.nodes)
+        factors = closed._displacement_factors()
+        assert factors[2:4] == closed._r_factors and plain._displacement_factors()
+        for w in [[1] * 2 * k, *(_random_weights(spec, 2 * k, rng) for _ in range(2))]:
+            h = _stack_hull(plain, w)
+            assert closed.stacked_hull_dim(w) == plain.stacked_hull_dim(w) == h, (curve, k)
+        assert closed._dual is None     # the closed form's route never built C.v
+
+
+@pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
+def test_scaled_dual_spans_the_kernel_of_the_scaled_code(q):
+    # scale carries a v as v w^-2 and a dual from a kernel as w^-1.C-perp;
+    # either way the scaled code's dual is the kernel of its generator
+    cert = _golden_cert(q)
+    spec, v = cert.spec(), cert.scaling_v
+    proved, kernel = cert.code(), cert.code()
+    proved._carry_dual(v)
+    kernel.dual()
+    rng = random.Random(q)
+    for w in [[1] * len(v), v, *(_random_weights(spec, len(v), rng) for _ in range(3))]:
+        for c in (proved, kernel):
+            scaled = c.scale(w)
+            assert (scaled._dual_v is None) == (c is kernel)
+            fresh = LinearCode(spec, scaled.matrix, n=scaled.n)
+            assert scaled.dual().matrix == fresh.dual().matrix
 
 
 @pytest.mark.parametrize("fixture, bad", [("f25", -1), ("f25", 30), ("f25", 0),

@@ -1,10 +1,10 @@
 import os
 import random
-from itertools import islice, permutations, product
+from itertools import permutations
 
 import pytest
 
-from ellcode import IsoDualCertificate, PairSelection, gf, isodual, linalg, search
+from ellcode import IsoDualCertificate, gf, linalg
 from ellcode.curve import Point, INFINITY
 from ellcode.funcspace import (Divisor, FunctionError, RationalFunction,
                                divisor_sum, evaluate, interpolation_poly,
@@ -67,7 +67,7 @@ def test_valuation_of_y_at_two_torsion(e25, q1_25, f25):
 def test_divisor_sum_examples(e16, q1_16):
     p = next(q for q in e16.points() if not q.is_infinity
              and e16.point_order(q) == 11)
-    pair = Divisor(e16, {p: 1, e16.neg(p): 1})
+    pair = Divisor(e16, {p: 1, e16.mul(-1, p): 1})
     assert divisor_sum(pair) == INFINITY
     g = Divisor(e16, {INFINITY: 3, q1_16: 1})
     assert divisor_sum(g) == q1_16
@@ -249,48 +249,39 @@ def _golden_inputs():
 
 def test_systematic_rows_are_the_rref_on_the_goldens():
     for cert, basis, pts in _golden_inputs():
-        rows = systematic_rows(basis, pts)
+        rows, _ = systematic_rows(basis, pts)
         assert rows == linalg.rref(rr_basis_rows(basis, pts), cert.spec())[0]
         assert tuple(map(tuple, rows)) == cert.generator_matrix
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """(curve, k, torsion choice, selection, Qa, points) of every input that
-    `_derive_points` accepts on the first 24 curves a construction runs on,
-    among every (q^2 // 48 + 1)-th curve of the canonical families over
-    GF(8), 16, 32, 9, 25, 27 and 49: k = 2, 4, ..., every torsion choice,
-    canonical and torsion selections."""
-    selections = [PairSelection()] + [PairSelection("torsion", r) for r in (3, 5, 7)]
-    out = []
-    for q in (8, 16, 32, 9, 25, 27, 49):
-        construction = 1 if q % 2 == 0 else 2
-        choices = [None] if construction == 1 else list(permutations((1, 2, 3), 2))
-        curves = []
-        for curve in islice(search._curve_family(q), 0, None, q * q // 48 + 1):
-            try:
-                isodual.applicable_two_torsion(curve, construction)
-            except isodual.ConstructionError:
-                continue
-            curves.append(curve)
-            if len(curves) == 24:
-                break
-        for curve in curves:
-            for k, choice, sel in product(range(2, curve.order() // 2 + 1, 2),
-                                          choices, selections):
-                try:
-                    qa, pts = isodual._derive_points(curve, k, construction, choice, sel)
-                except isodual.ConstructionError:
-                    continue
-                out.append((curve, k, choice, sel, curve._point(qa), pts))
-    return out
+def _assert_factors_give_r(spec, rows, factors, points):
+    """R = D_alpha A - A D_x equals P Q entry for entry, alpha the first k
+    points' x's and x the others'."""
+    k, (p_cols, q_rows) = len(rows), factors
+    add, mul, sub = spec.add_enc, spec.mul_enc, spec.sub_enc
+    xs = [x for x, _ in points]
+    assert [len(v) for v in (*p_cols, *q_rows)] == [k] * 4
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row[k:]):
+            r = mul(sub(xs[i], xs[k + j]), a)
+            assert r == add(mul(p_cols[0][i], q_rows[0][j]),
+                            mul(p_cols[1][i], q_rows[1][j])), (spec, k, i, j)
+
+
+def test_systematic_factors_give_r_on_the_goldens_and_the_sweep(sweep):
+    # R = P Q with P = [1/L_i, u(P_i')/L_i] and Q = [-col_j u_j; col_j]
+    inputs = [(cert.spec(), basis, pts) for cert, basis, pts in _golden_inputs()]
+    inputs += [(curve.spec, rr_basis(curve, k, qa), pts)
+               for curve, k, _, _, qa, pts in sweep]
+    for spec, basis, pts in inputs:
+        _assert_factors_give_r(spec, *systematic_rows(basis, pts), pts)
 
 
 def test_systematic_rows_are_the_rref_on_a_field_sweep(sweep):
     seen = set()
     for curve, k, choice, sel, qa, pts in sweep:
         basis = rr_basis(curve, k, qa)
-        assert (systematic_rows(basis, pts)
+        assert (systematic_rows(basis, pts)[0]
                 == linalg.rref(rr_basis_rows(basis, pts), curve.spec)[0]), (curve, k)
         seen.add((curve.spec.q, choice, sel.mode))
     # every field, both constructions, every torsion choice, both selections
@@ -371,7 +362,7 @@ def test_systematic_rows_apply_only_to_whole_first_pairs(e25, q1_25, cert25):
     k = cert25.k
     # the first k points in any order still give the RREF
     shuffled = pts[:k][::-1] + pts[k:]
-    assert (systematic_rows(basis, shuffled)
+    assert (systematic_rows(basis, shuffled)[0]
             == linalg.rref(rr_basis_rows(basis, shuffled), e25.spec)[0])
     # a pair split across the first k, a repeated point, a 2-torsion point
     two_torsion = next(p.key() for p in e25.points()

@@ -409,6 +409,30 @@ def test_golden_certificates_verify_without_a_nullspace(monkeypatch):
         assert verify_certificate(cert) == [], name
 
 
+def test_construct_and_verify_at_q289_take_no_rref_and_no_scale(monkeypatch):
+    # the closed form gives R's factors and the carried v those of R', so
+    # neither op takes R's RREF or builds C.v; the w = 1 cross-check still
+    # ranks M from generators, once per op, against the Hankel rank
+    cert = _golden_cert(289)
+    sel = cert.pair_selection
+    inp = ConstructionInput(cert.curve(), cert.k, cert.construction,
+                            torsion_choice=cert.torsion_choice,
+                            pair_selection=PairSelection(sel["mode"], sel["r"]))
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the op called {name}")
+        return call
+
+    ranks, real = [], linalg.cauchy_like_rank
+    monkeypatch.setattr(linalg, "rref", refused("linalg.rref"))
+    monkeypatch.setattr(LinearCode, "scale", refused("LinearCode.scale"))
+    monkeypatch.setattr(linalg, "cauchy_like_rank",
+                        lambda *args: ranks.append(args[0]) or real(*args))
+    assert construct(inp).to_json() == cert.to_json()
+    assert verify_certificate(cert) == [] and len(ranks) == 2
+
+
 # a v that is right up to order, or right but for one entry's inverse: v is
 # compared as written with the v the points give.  Kept out of TAMPERS,
 # where a repeated id would rename the cases already there.
@@ -530,7 +554,7 @@ def _three_duals(cert):
     proved = cert.code()
     ctx = SimpleNamespace(code=proved, spec=spec, scaling_v=cert.scaling_v,
                           **_moment_fields(cert))
-    assert isodual._iso_dual_identity(ctx) and proved._dual is not None
+    assert isodual._iso_dual_identity(ctx) and proved._dual_v == tuple(cert.scaling_v)
     kernel = cert.code()
     kernel.dual()
     assert kernel.dual().matrix == proved.dual().matrix
@@ -544,7 +568,7 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
     spec, code = cert.spec(), cert.code()
     v = _replace_at(cert.scaling_v, 0, 7)
     ctx = SimpleNamespace(code=code, spec=spec, scaling_v=v, **_moment_fields(cert))
-    assert not isodual._iso_dual_identity(ctx) and code._dual is None
+    assert not isodual._iso_dual_identity(ctx) and code._dual is code._dual_v is None
 
 
 @pytest.mark.parametrize("source, block, trials", [
@@ -716,7 +740,7 @@ def test_library_rows_skip_the_entry_checks_and_give_the_checked_code(monkeypatc
     made, scaled = ctx.code, ctx.code.scale(ctx.scaling_v)
     monkeypatch.setattr(LinearCode, "__init__", checked_init)
     spec, nodes = ctx.spec, [x for x, _ in ctx.points]
-    checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points),
+    checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points)[0],
                          n=ctx.n, nodes=nodes)
     checked_scaled = LinearCode(
         spec, linalg.scale_columns(checked.matrix, ctx.scaling_v, spec),
