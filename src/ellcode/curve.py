@@ -11,10 +11,11 @@ curve.
 `Curve.group_structure` is the one place that works out point orders: its
 walk over E(F_q) = Z/d1 x Z/d2 is the one discrete-log table, keyed by
 encoded points, and orders and torsion are read from it.  The enumeration
-behind it is encoded too; `points`, `torsion_points` and the basis build
-`Point`s only for what they return.  `isodual`'s construct and verify read
-the encoded torsion and group law directly, so their points stay
-``(x_enc, y_enc)`` pairs, the certificate's own encoding.
+behind it and its basis are encoded too; `points` and `torsion_points`
+build `Point`s only for what they return.  `isodual`'s construct and
+verify read the encoded torsion, group law and structure directly, so
+their points and Qa stay ``(x_enc, y_enc)`` pairs, the certificate's own
+encoding, and they build no `Point`.
 
 Point lists are always produced in canonical order (infinity first, then
 lexicographic by encoded coordinates) so downstream artifacts are
@@ -80,13 +81,13 @@ INFINITY = Point(None, None)
 class GroupStructure:
     """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table.
 
-    ``dlog`` is the walk's own table, keyed by encoded points (None for O);
-    the basis is a pair of `Point`s, built at the edge.
+    The basis (p1, p2) and the keys of ``dlog``, the walk's own table, are
+    encoded points, None for O.
     """
 
     d1: int
     d2: int
-    basis: tuple[Point, Point]
+    basis: tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]
     dlog: dict[Optional[tuple[int, int]], tuple[int, int]]
 
 
@@ -235,11 +236,6 @@ class Curve:
             raise CurveError("point and curve live over different fields")
         return self._law.contains(_enc(p))
 
-    def is_ramified(self, p: Point) -> bool:
-        """True iff p is fixed by the hyperelliptic involution (p = -p)."""
-        e = _enc(p)
-        return self._law.neg(e) == e
-
     # -- group law ------------------------------------------------------------
 
     def add(self, p: Point, q: Point) -> Point:
@@ -365,8 +361,7 @@ class Curve:
         coords = _grid(add, row, p1, p2, d1, d2)
         if len(coords) != n:
             raise CurveError("the basis grid does not cover the group")
-        basis = (self._point(p1), self._point(p2))
-        self._structure = GroupStructure(d1, d2, basis, coords)
+        self._structure = GroupStructure(d1, d2, (p1, p2), coords)
         return self._structure
 
     def __repr__(self) -> str:
@@ -401,8 +396,10 @@ def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def check_field_size(q: int) -> None:
-    """`CurveError` unless q is at most the field-size cap that `FieldSpec`
-    enforces, so no factorization starts on an out-of-range q."""
+    """`CurveError` unless 2 <= q and q is at most the field-size cap that
+    `FieldSpec` enforces, so no factorization starts on an out-of-range q."""
+    if q < 2:
+        raise CurveError(f"q={q} is not a prime power")
     if q > _MAX_Q:
         raise CurveError(f"q={q} exceeds the supported field size {_MAX_Q}")
 

@@ -1,10 +1,12 @@
-"""Divisors and rational functions (a(x) + b(x) y) / c(x) on an elliptic curve.
+"""The Riemann-Roch space L((k-1)O + Q) of both constructions, on encodings.
 
-The only Riemann-Roch spaces are the ones both constructions need,
-L((k-1)O + Q) for a rational 2-torsion point Q.  `rr_basis` checks G and
-returns `RRBasis`, the handle (curve, Q, k) that the closed forms read,
-with the points as the (x, y) encoding pairs a certificate writes; its
-symbolic basis functions are the reference, built when read.
+Q is a rational 2-torsion point: (0, gamma1) on y^2 + xy = x^3 + a2 x^2 + a6
+in characteristic 2, (beta, 0) otherwise.  `rr_basis` checks G and returns
+`RRBasis`, the handle (curve, Q, k) that the closed forms read, with Q and
+the points as the (x, y) encoding pairs a certificate writes.  The basis is
+1, u, x, u x, x^2, ..., with pole orders 0, ..., k-1 at O, where
+u = (y - gamma1)/x in characteristic 2 and y/(x - beta) otherwise;
+`rr_basis_rows` evaluates it at encoded points.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
 elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
 when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
@@ -16,121 +18,30 @@ whose Hankel blocks `isodual` ranks for the hull.  Their test
 references are `rr_basis_rows` and `linalg.gram`; the verifier also
 takes G from `rr_basis_rows` for a file whose first k points are not whole
 pairs.
-Valuations at affine points use the conjugate-norm technique: for
-g = a + b y the product with its involution image is a polynomial in x
-alone, whose root multiplicity at x(P) settles v_P(g) exactly, with no
-local power-series machinery.
+The symbolic layer, divisors, rational functions (a(x) + b(x) y) / c(x),
+valuations and the check div f + G >= 0 of each basis function, is the
+tests' reference, not part of the library.  `evaluate` (such a function at
+a `Point`) and `interpolation_poly` remain on `FieldElement` polynomials
+for the benchmark's span table, which wraps them; no op calls either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import gf
 from .gf import FieldElement, Poly
-from .curve import Curve, CurveError, Point, INFINITY
+from .curve import Curve, Point
 
 
 class FunctionError(ValueError):
-    """Invalid rational-function data or an evaluation at a pole."""
+    """Invalid Riemann-Roch data or an evaluation at a pole."""
 
 
-class Divisor:
-    """Formal integer combination of rational points on one curve."""
-
-    __slots__ = ("curve", "coeffs")
-
-    def __init__(self, curve: Curve, coeffs: Mapping[Point, int]):
-        clean = {}
-        for p, n in coeffs.items():
-            if n == 0:
-                continue
-            if not curve.is_on_curve(p):
-                raise CurveError(f"divisor point {p} is not on the curve")
-            clean[p] = n
-        self.curve = curve
-        self.coeffs = clean
-
-    def degree(self) -> int:
-        return sum(self.coeffs.values())
-
-    def multiplicity(self, p: Point) -> int:
-        return self.coeffs.get(p, 0)
-
-    def items(self) -> list[tuple[Point, int]]:
-        return [(p, self.coeffs[p]) for p in sorted(self.coeffs, key=Point.key)]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Divisor) and other.curve == self.curve
-                and other.coeffs == self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Div(0)"
-        return "Div(" + " + ".join(f"{n}*{p}" for p, n in self.items()) + ")"
-
-
-def divisor_sum(d: Divisor) -> Point:
-    """Group sum [a1]P1 + ... + [an]Pn of the divisor's points."""
-    acc = INFINITY
-    e = d.curve
-    for p, n in d.coeffs.items():
-        acc = e.add(acc, e.mul(n, p))
-    return acc
-
-
-def is_principal(d: Divisor) -> bool:
-    """Abel-Jacobi on an elliptic curve: degree 0 and group sum O."""
-    return d.degree() == 0 and divisor_sum(d).is_infinity
-
-
-class RationalFunction:
-    """(a(x) + b(x) y) / c(x) on a fixed curve, in canonical form.
-
-    Canonical form divides out gcd(a, b, c) and scales so c is monic.
-    The zero function is rejected: no caller needs it, and rejecting it
-    keeps valuations total.
-    """
-
-    __slots__ = ("curve", "a", "b", "c")
-
-    def __init__(self, curve: Curve,
-                 a: Sequence[FieldElement] | Sequence[int],
-                 b: Sequence[FieldElement] | Sequence[int] = (),
-                 c: Sequence[FieldElement] | Sequence[int] = (1,)):
-        spec = curve.spec
-        a = gf.poly_trim([spec.element(v) for v in a])
-        b = gf.poly_trim([spec.element(v) for v in b])
-        c = gf.poly_trim([spec.element(v) for v in c])
-        if not c:
-            raise FunctionError("denominator polynomial is zero")
-        if not a and not b:
-            raise FunctionError("zero function is not representable")
-        g = gf.poly_gcd(gf.poly_gcd(a, b) if (a and b) else (a or b), c)
-        if gf.poly_degree(g) > 0:
-            a, _ = gf.poly_divmod(a, g) if a else ((), ())
-            b, _ = gf.poly_divmod(b, g) if b else ((), ())
-            c, _ = gf.poly_divmod(c, g)
-        lead_inv = c[-1].inverse()
-        if lead_inv.enc != 1:
-            a = gf.poly_scale(a, lead_inv)
-            b = gf.poly_scale(b, lead_inv)
-            c = gf.poly_scale(c, lead_inv)
-        self.curve = curve
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def __repr__(self) -> str:
-        def fmt(poly: Poly) -> str:
-            return "[" + ",".join(str(e.enc) for e in poly) + "]"
-        return f"RationalFunction(a={fmt(self.a)}, b={fmt(self.b)}, c={fmt(self.c)})"
-
-
-def evaluate(f: RationalFunction, p: Point) -> FieldElement:
-    """(a(x) + b(x) y) / c(x) at an affine point away from poles of f."""
+def evaluate(f, p: Point) -> FieldElement:
+    """(a(x) + b(x) y) / c(x) at an affine point away from poles of f, for
+    any f with polynomials `a`, `b` and `c`."""
     if p.is_infinity:
         raise FunctionError("cannot evaluate at the place at infinity")
     cx = gf.poly_eval(f.c, p.x)
@@ -140,136 +51,42 @@ def evaluate(f: RationalFunction, p: Point) -> FieldElement:
     return num / cx
 
 
-def valuation(f: RationalFunction, p: Point) -> int:
-    """Discrete valuation v_P(f).
-
-    At O the weighted degrees v_O(x) = -2, v_O(y) = -3 give
-    v_O = -max(2 deg a, 3 + 2 deg b) + 2 deg c; the two pole orders have
-    opposite parity, so no cancellation is possible.  At affine P the
-    numerator's valuation comes from the conjugate norm.
-    """
-    curve = f.curve
-    if p.is_infinity:
-        da, db = gf.poly_degree(f.a), gf.poly_degree(f.b)
-        pole = 0
-        if da >= 0:
-            pole = 2 * da
-        if db >= 0:
-            pole = max(pole, 3 + 2 * db)
-        return -pole + 2 * gf.poly_degree(f.c)
-    if not curve.is_on_curve(p):
-        raise CurveError(f"{p} is not on the curve")
-    e = 2 if curve.is_ramified(p) else 1
-    v_num = _numerator_valuation(curve, f.a, f.b, p, e)
-    v_den = gf.root_multiplicity(f.c, p.x) * e
-    return v_num - v_den
-
-
-def _numerator_valuation(curve: Curve, a: Poly, b: Poly, p: Point, e: int) -> int:
-    """v_P(a + b y) for an affine P with ramification index e of x - x(P)."""
-    spec = curve.spec
-    x0, y0 = p.x, p.y
-    if not b:
-        return gf.root_multiplicity(a, x0) * e
-    # factor out the shared power of (x - x0)
-    ma = gf.root_multiplicity(a, x0) if a else None
-    mb = gf.root_multiplicity(b, x0)
-    t = mb if ma is None else min(ma, mb)
-    lin = (-x0, spec.one)
-    a1p, b1p = a, b
-    for _ in range(t):
-        if a1p:
-            a1p, _ = gf.poly_divmod(a1p, lin)
-        b1p, _ = gf.poly_divmod(b1p, lin)
-    val = t * e
-    g1 = gf.poly_eval(a1p, x0) + gf.poly_eval(b1p, x0) * y0
-    if g1:
-        return val
-    # both the function and enough of the pair vanish: use the norm
-    # N = a^2 - a b (a1 x + a3) - b^2 (x^3 + a2 x^2 + a4 x + a6)
-    line = gf.poly_trim((curve.a3, curve.a1))
-    rhs = gf.poly_trim((curve.a6, curve.a4, curve.a2, spec.one))
-    norm = gf.poly_sub(
-        gf.poly_sub(gf.poly_mul(a1p, a1p),
-                    gf.poly_mul(gf.poly_mul(a1p, b1p), line)),
-        gf.poly_mul(gf.poly_mul(b1p, b1p), rhs))
-    return val + gf.root_multiplicity(norm, x0)
-
-
-def principal_divisor(f: RationalFunction) -> Divisor:
-    """div(f) restricted to rational points (plus O).
-
-    For the construction data every zero and pole is rational, so this is
-    the full divisor and must have degree 0 with group sum O.
-    """
-    coeffs = {}
-    for p in f.curve.points():
-        v = valuation(f, p)
-        if v:
-            coeffs[p] = v
-    return Divisor(f.curve, coeffs)
-
-
 @dataclass(frozen=True)
 class RRBasis:
     """The checked handle (curve, Q, k) of the basis x^i, u x^i of L(G),
-    G = (k-1)O + Q, with pole orders 0, ..., k-1 at O: the closed forms read
-    it alone.  Its symbolic `functions`, the reference `validate_rr_basis`
-    and the tests read, are built on first read."""
+    G = (k-1)O + Q, with pole orders 0, ..., k-1 at O and Q an encoded
+    (x, y) pair: the closed forms read it alone."""
 
     curve: Curve
-    point: Point
+    point: tuple[int, int]
     k: int
 
-    @property
-    def divisor(self) -> Divisor:
-        return Divisor(self.curve, {INFINITY: self.k - 1, self.point: 1})
 
-    @property
-    def pole_orders_at_O(self) -> tuple[int, ...]:
-        return tuple(range(self.k))
-
-    @cached_property
-    def functions(self) -> tuple[RationalFunction, ...]:
-        curve, k, q2, spec = self.curve, self.k, self.point, self.curve.spec
-        # x^i and u x^i have pole orders 2i and 2i + 1 at O; in even
-        # characteristic u x^i is x^(i-1) (y - gamma1) once i >= 1
-        funcs: list[RationalFunction] = []
-        for i in range(k // 2):
-            mono = [spec.zero] * i + [spec.one]
-            funcs.append(RationalFunction(curve, mono))
-            if spec.p != 2:
-                u = RationalFunction(curve, (), mono, (-q2.x, spec.one))
-            elif i == 0:
-                u = RationalFunction(curve, (-q2.y,), (spec.one,), (spec.zero, spec.one))
-            else:
-                u = RationalFunction(curve, gf.poly_scale(mono[1:], -q2.y), mono[1:])
-            funcs.append(u)
-        return tuple(funcs)
-
-
-def rr_basis(curve: Curve, k: int, q2: Point) -> RRBasis:
-    """The basis of L((k-1)O + Q) for a 2-torsion point Q, |basis| = k.
+def rr_basis(curve: Curve, k: int, q2: Optional[tuple[int, int]]) -> RRBasis:
+    """The basis of L((k-1)O + Q) for a 2-torsion point Q, |basis| = k, with
+    Q as its (x, y) encodings (None is O).
 
     Even characteristic needs the curve shape y^2 + xy = x^3 + a2 x^2 + a6
-    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  Each
-    violation raises `FunctionError`; what comes back is the checked
-    handle, whose functions are built only when read.
+    with Q = (0, gamma1); odd characteristic needs Q = (beta, 0).  Q is
+    checked on the curve's group law, Q + Q = O for order 2.  Each
+    violation, or a coordinate outside [0, q), raises `FunctionError`.
     """
-    spec = curve.spec
+    spec, law = curve.spec, curve._law
     if k < 2 or k % 2:
         raise FunctionError(f"k must be even and >= 2, got {k}")
-    if q2.is_infinity or not curve.is_on_curve(q2):
+    if q2 is not None and not all(0 <= c < spec.q for c in q2):
+        raise FunctionError(f"Q = {q2} has a coordinate outside [0, {spec.q})")
+    if q2 is None or not law.contains(q2):
         raise FunctionError("Q must be an affine rational point on the curve")
-    if curve.point_order(q2) != 2:
+    if law.add(q2, q2) is not None:
         raise FunctionError("Q must have order 2")
     if spec.p == 2:
         if (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
             raise FunctionError(
                 "even characteristic needs the curve shape y^2+xy = x^3+a2x^2+a6")
-        if q2.x.enc != 0:
+        if q2[0] != 0:
             raise FunctionError("even-characteristic Q must be (0, gamma1)")
-    elif q2.y.enc != 0:
+    elif q2[1] != 0:
         raise FunctionError("odd-characteristic Q must be (beta, 0)")
     return RRBasis(curve, q2, k)
 
@@ -287,9 +104,9 @@ def _u_values(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[int]:
             raise FunctionError("cannot evaluate at the place at infinity")
         x, y = p
         if spec.p == 2:
-            num, den = sub(y, q2.y.enc), x
+            num, den = sub(y, q2[1]), x
         else:
-            num, den = y, sub(x, q2.x.enc)
+            num, den = y, sub(x, q2[0])
         if den == 0:
             raise FunctionError(f"pole or indeterminacy at ({x},{y}) (denominator vanishes)")
         out.append(mul(num, inv(den)))
@@ -430,33 +247,6 @@ def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
         for e, lc in [(e, log[c]) for e, c in enumerate(acc) if c]:
             moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
     return moments
-
-
-def validate_rr_basis(basis: RRBasis) -> None:
-    """Check div(f) + G >= 0 for every basis function, pointwise.
-
-    Valuations are taken at every rational point of the curve; the pole
-    bound at O uses the weighted-degree formula.  Raises on violation.
-    """
-    curve, g = basis.curve, basis.divisor
-    pole_orders = set()
-    for f, stated in zip(basis.functions, basis.pole_orders_at_O):
-        v_inf = valuation(f, INFINITY)
-        if -v_inf != stated:
-            raise FunctionError(
-                f"pole order at O is {-v_inf}, basis claims {stated}")
-        if v_inf + g.multiplicity(INFINITY) < 0:
-            raise FunctionError(f"{f} violates the bound at O")
-        for p in curve.points():
-            if p.is_infinity:
-                continue
-            if valuation(f, p) + g.multiplicity(p) < 0:
-                raise FunctionError(f"{f} has a disallowed pole at {p}")
-        pole_orders.add(stated)
-    if len(pole_orders) != len(basis.functions):
-        raise FunctionError("pole orders at O are not pairwise distinct")
-    if len(basis.functions) != g.degree():
-        raise FunctionError("basis size differs from deg(G)")
 
 
 def interpolation_poly(xs: Sequence[FieldElement]) -> tuple[Poly, Poly]:

@@ -24,7 +24,6 @@ q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from operator import xor
 from typing import Optional, Sequence
 
@@ -474,7 +473,8 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(q): tuples of FieldElement, index i = coefficient of x^i
+# polynomials over GF(q): tuples of FieldElement, index i = coefficient of x^i,
+# for `funcspace.evaluate` and `funcspace.interpolation_poly`
 # ---------------------------------------------------------------------------
 
 Poly = tuple[FieldElement, ...]
@@ -485,24 +485,6 @@ def poly_trim(f: Sequence[FieldElement]) -> Poly:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def poly_degree(f: Sequence[FieldElement]) -> int:
-    """Degree with the convention deg(0) = -1."""
-    return len(poly_trim(f)) - 1
-
-
-def poly_add(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
-    return poly_trim([b if a is None else a if b is None else a + b
-                      for a, b in zip_longest(f, g)])
-
-
-def poly_neg(f: Sequence[FieldElement]) -> Poly:
-    return tuple(-c for c in f)
-
-
-def poly_sub(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
-    return poly_add(f, poly_neg(g))
 
 
 def poly_mul(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
@@ -519,10 +501,6 @@ def poly_mul(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
                 if gj.enc:
                     out_enc[i + j] = add(out_enc[i + j], mul(ei, gj.enc))
     return poly_trim([FieldElement(spec, e) for e in out_enc])
-
-
-def poly_scale(f: Sequence[FieldElement], s: FieldElement) -> Poly:
-    return poly_trim([c * s for c in f])
 
 
 def poly_eval(f: Sequence[FieldElement], a: FieldElement) -> FieldElement:
@@ -546,71 +524,3 @@ def poly_derivative(f: Sequence[FieldElement]) -> Poly:
     out = [FieldElement(spec, spec.mul_enc(f[i].enc, (i % spec.p)))
            for i in range(1, len(f))]
     return poly_trim(out)
-
-
-def poly_divmod(f: Sequence[FieldElement],
-                g: Sequence[FieldElement]) -> tuple[Poly, Poly]:
-    f, g = poly_trim(f), poly_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    spec = g[0].spec
-    if not f:
-        return (), ()
-    rem = list(f)
-    dg = len(g) - 1
-    quot = [spec.zero] * max(0, len(f) - dg)
-    inv_lead = g[-1].inverse()
-    while True:
-        rem = list(poly_trim(rem))
-        if not rem or len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
-        factor = rem[-1] * inv_lead
-        quot[shift] = factor
-        for i, gi in enumerate(g):
-            rem[i + shift] = rem[i + shift] - factor * gi
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_mod(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
-    return poly_divmod(f, g)[1]
-
-
-def poly_monic(f: Sequence[FieldElement]) -> Poly:
-    f = poly_trim(f)
-    if not f:
-        return ()
-    lead = f[-1]
-    if lead.enc == 1:
-        return f
-    return poly_scale(f, lead.inverse())
-
-
-def poly_gcd(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
-    f, g = poly_trim(f), poly_trim(g)
-    while g:
-        f, g = g, poly_mod(f, g)
-    return poly_monic(f)
-
-
-def root_multiplicity(f: Sequence[FieldElement], x0: FieldElement) -> int:
-    """Multiplicity of x0 as a root of f (0 if not a root).  f must be nonzero."""
-    f = poly_trim(f)
-    if not f:
-        raise ValueError("zero polynomial has no root multiplicity")
-    spec = x0.spec
-    mult = 0
-    coeffs = list(f)
-    while True:
-        if poly_eval(coeffs, x0).enc != 0:
-            return mult
-        # synthetic division by (x - x0)
-        out = [spec.zero] * (len(coeffs) - 1)
-        carry = spec.zero
-        for i in range(len(coeffs) - 1, 0, -1):
-            carry = coeffs[i] + carry * x0
-            out[i - 1] = carry
-        coeffs = out
-        mult += 1
-        if not coeffs:
-            return mult

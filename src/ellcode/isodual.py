@@ -22,8 +22,9 @@ comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
 (`funcspace.point_moments`).  Only a file whose first k points are not whole
 pairs, which `construct` never writes, takes G as the RREF of the
 evaluated basis, as before the closed form.  All three read only the
-checked handle (curve, Qa, k) of `funcspace.rr_basis`: no op builds the
-symbolic basis, the tests' reference, which is built only when read.
+checked handle (curve, Qa, k) of `funcspace.rr_basis`, Qa an encoding like
+the points: the symbolic basis, its divisors and valuations are the
+tests' reference and no part of the library, and an op builds no `Point`.
 
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
@@ -483,9 +484,8 @@ class _Context:
     @cached_property
     def basis(self) -> funcspace.RRBasis:
         """The checked handle (curve, Qa, k) of the basis 1, u, x, u x, ...
-        of L((k-1)O + Qa), Qa made a `Point` for it; `FunctionError` for a G
-        no construction has."""
-        return funcspace.rr_basis(self.curve, self.k, self.curve._point(self.qa))
+        of L((k-1)O + Qa); `FunctionError` for a G no construction has."""
+        return funcspace.rr_basis(self.curve, self.k, self.qa)
 
     @cached_property
     def code(self) -> LinearCode:

@@ -67,5 +67,5 @@ def sweep():
                     qa, pts = isodual._derive_points(curve, k, construction, choice, sel)
                 except isodual.ConstructionError:
                     continue
-                out.append((curve, k, choice, sel, curve._point(qa), pts))
+                out.append((curve, k, choice, sel, qa, pts))
     return out

@@ -4,12 +4,28 @@ against; `ellcode` never imports this module.
 The subset-sum references count k-subsets by group sum: by brute force up
 to n around 16, and by the counting DP (`subset_sum_counts`) on inputs too
 large for that.  The library's MDS witness only asks whether a sum is
-reachable, so the support of these counts is what it must reproduce."""
+reachable, so the support of these counts is what it must reproduce.
+
+The function-field reference is symbolic: divisors, rational functions
+(a(x) + b(x) y) / c(x) in canonical form, their valuations at every
+rational point, and the basis functions of an `RRBasis` as such functions,
+with `validate_rr_basis` checking div f + G >= 0 for each.  Valuations at
+affine points use the conjugate-norm technique: for g = a + b y the product
+with its involution image is a polynomial in x alone, whose root
+multiplicity at x(P) settles v_P(g) exactly, with no local power-series
+machinery.  It rests on the polynomial helpers over GF(q) below, and
+`funcspace.evaluate` evaluates its functions at `Point`s."""
+
+from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+from ellcode.curve import Curve, CurveError, Point, INFINITY
+from ellcode.funcspace import FunctionError, RRBasis
+from ellcode.gf import FieldElement, Poly, poly_eval, poly_mul, poly_trim
 
 
 def subset_sum_counts_exhaustive(coords: Sequence[tuple[int, int]], k: int,
@@ -103,3 +119,330 @@ def group_structure_grid_walk(curve):
         if len(dlog) == n:
             return d1, d2, p1, p2, dlog
     raise AssertionError("no p1 covers the group")
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(q): tuples of FieldElement, index i = coefficient of x^i
+# ---------------------------------------------------------------------------
+
+def poly_degree(f: Sequence[FieldElement]) -> int:
+    """Degree with the convention deg(0) = -1."""
+    return len(poly_trim(f)) - 1
+
+
+def poly_add(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
+    return poly_trim([b if a is None else a if b is None else a + b
+                      for a, b in zip_longest(f, g)])
+
+
+def poly_neg(f: Sequence[FieldElement]) -> Poly:
+    return tuple(-c for c in f)
+
+
+def poly_sub(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
+    return poly_add(f, poly_neg(g))
+
+
+def poly_scale(f: Sequence[FieldElement], s: FieldElement) -> Poly:
+    return poly_trim([c * s for c in f])
+
+
+def poly_divmod(f: Sequence[FieldElement],
+                g: Sequence[FieldElement]) -> tuple[Poly, Poly]:
+    f, g = poly_trim(f), poly_trim(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    spec = g[0].spec
+    if not f:
+        return (), ()
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [spec.zero] * max(0, len(f) - dg)
+    inv_lead = g[-1].inverse()
+    while True:
+        rem = list(poly_trim(rem))
+        if not rem or len(rem) - 1 < dg:
+            break
+        shift = len(rem) - 1 - dg
+        factor = rem[-1] * inv_lead
+        quot[shift] = factor
+        for i, gi in enumerate(g):
+            rem[i + shift] = rem[i + shift] - factor * gi
+    return poly_trim(quot), poly_trim(rem)
+
+
+def poly_mod(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
+    return poly_divmod(f, g)[1]
+
+
+def poly_monic(f: Sequence[FieldElement]) -> Poly:
+    f = poly_trim(f)
+    if not f:
+        return ()
+    lead = f[-1]
+    if lead.enc == 1:
+        return f
+    return poly_scale(f, lead.inverse())
+
+
+def poly_gcd(f: Sequence[FieldElement], g: Sequence[FieldElement]) -> Poly:
+    f, g = poly_trim(f), poly_trim(g)
+    while g:
+        f, g = g, poly_mod(f, g)
+    return poly_monic(f)
+
+
+def root_multiplicity(f: Sequence[FieldElement], x0: FieldElement) -> int:
+    """Multiplicity of x0 as a root of f (0 if not a root).  f must be nonzero."""
+    f = poly_trim(f)
+    if not f:
+        raise ValueError("zero polynomial has no root multiplicity")
+    spec = x0.spec
+    mult = 0
+    coeffs = list(f)
+    while True:
+        if poly_eval(coeffs, x0).enc != 0:
+            return mult
+        # synthetic division by (x - x0)
+        out = [spec.zero] * (len(coeffs) - 1)
+        carry = spec.zero
+        for i in range(len(coeffs) - 1, 0, -1):
+            carry = coeffs[i] + carry * x0
+            out[i - 1] = carry
+        coeffs = out
+        mult += 1
+        if not coeffs:
+            return mult
+
+
+# ---------------------------------------------------------------------------
+# divisors, rational functions and valuations
+# ---------------------------------------------------------------------------
+
+def is_ramified(curve: Curve, p: Point) -> bool:
+    """True iff p is fixed by the hyperelliptic involution (p = -p)."""
+    return curve.mul(-1, p) == p
+
+
+class Divisor:
+    """Formal integer combination of rational points on one curve."""
+
+    __slots__ = ("curve", "coeffs")
+
+    def __init__(self, curve: Curve, coeffs: Mapping[Point, int]):
+        clean = {}
+        for p, n in coeffs.items():
+            if n == 0:
+                continue
+            if not curve.is_on_curve(p):
+                raise CurveError(f"divisor point {p} is not on the curve")
+            clean[p] = n
+        self.curve = curve
+        self.coeffs = clean
+
+    def degree(self) -> int:
+        return sum(self.coeffs.values())
+
+    def multiplicity(self, p: Point) -> int:
+        return self.coeffs.get(p, 0)
+
+    def items(self) -> list[tuple[Point, int]]:
+        return [(p, self.coeffs[p]) for p in sorted(self.coeffs, key=Point.key)]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Divisor) and other.curve == self.curve
+                and other.coeffs == self.coeffs)
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "Div(0)"
+        return "Div(" + " + ".join(f"{n}*{p}" for p, n in self.items()) + ")"
+
+
+def divisor_sum(d: Divisor) -> Point:
+    """Group sum [a1]P1 + ... + [an]Pn of the divisor's points."""
+    acc = INFINITY
+    e = d.curve
+    for p, n in d.coeffs.items():
+        acc = e.add(acc, e.mul(n, p))
+    return acc
+
+
+def is_principal(d: Divisor) -> bool:
+    """Abel-Jacobi on an elliptic curve: degree 0 and group sum O."""
+    return d.degree() == 0 and divisor_sum(d).is_infinity
+
+
+class RationalFunction:
+    """(a(x) + b(x) y) / c(x) on a fixed curve, in canonical form.
+
+    Canonical form divides out gcd(a, b, c) and scales so c is monic.
+    The zero function is rejected: no caller needs it, and rejecting it
+    keeps valuations total.
+    """
+
+    __slots__ = ("curve", "a", "b", "c")
+
+    def __init__(self, curve: Curve,
+                 a: Sequence[FieldElement] | Sequence[int],
+                 b: Sequence[FieldElement] | Sequence[int] = (),
+                 c: Sequence[FieldElement] | Sequence[int] = (1,)):
+        spec = curve.spec
+        a = poly_trim([spec.element(v) for v in a])
+        b = poly_trim([spec.element(v) for v in b])
+        c = poly_trim([spec.element(v) for v in c])
+        if not c:
+            raise FunctionError("denominator polynomial is zero")
+        if not a and not b:
+            raise FunctionError("zero function is not representable")
+        g = poly_gcd(poly_gcd(a, b) if (a and b) else (a or b), c)
+        if poly_degree(g) > 0:
+            a, _ = poly_divmod(a, g) if a else ((), ())
+            b, _ = poly_divmod(b, g) if b else ((), ())
+            c, _ = poly_divmod(c, g)
+        lead_inv = c[-1].inverse()
+        if lead_inv.enc != 1:
+            a = poly_scale(a, lead_inv)
+            b = poly_scale(b, lead_inv)
+            c = poly_scale(c, lead_inv)
+        self.curve = curve
+        self.a = a
+        self.b = b
+        self.c = c
+
+    def __repr__(self) -> str:
+        def fmt(poly: Poly) -> str:
+            return "[" + ",".join(str(e.enc) for e in poly) + "]"
+        return f"RationalFunction(a={fmt(self.a)}, b={fmt(self.b)}, c={fmt(self.c)})"
+
+
+def valuation(f: RationalFunction, p: Point) -> int:
+    """Discrete valuation v_P(f).
+
+    At O the weighted degrees v_O(x) = -2, v_O(y) = -3 give
+    v_O = -max(2 deg a, 3 + 2 deg b) + 2 deg c; the two pole orders have
+    opposite parity, so no cancellation is possible.  At affine P the
+    numerator's valuation comes from the conjugate norm.
+    """
+    curve = f.curve
+    if p.is_infinity:
+        da, db = poly_degree(f.a), poly_degree(f.b)
+        pole = 0
+        if da >= 0:
+            pole = 2 * da
+        if db >= 0:
+            pole = max(pole, 3 + 2 * db)
+        return -pole + 2 * poly_degree(f.c)
+    if not curve.is_on_curve(p):
+        raise CurveError(f"{p} is not on the curve")
+    e = 2 if is_ramified(curve, p) else 1
+    v_num = _numerator_valuation(curve, f.a, f.b, p, e)
+    v_den = root_multiplicity(f.c, p.x) * e
+    return v_num - v_den
+
+
+def _numerator_valuation(curve: Curve, a: Poly, b: Poly, p: Point, e: int) -> int:
+    """v_P(a + b y) for an affine P with ramification index e of x - x(P)."""
+    spec = curve.spec
+    x0, y0 = p.x, p.y
+    if not b:
+        return root_multiplicity(a, x0) * e
+    # factor out the shared power of (x - x0)
+    ma = root_multiplicity(a, x0) if a else None
+    mb = root_multiplicity(b, x0)
+    t = mb if ma is None else min(ma, mb)
+    lin = (-x0, spec.one)
+    a1p, b1p = a, b
+    for _ in range(t):
+        if a1p:
+            a1p, _ = poly_divmod(a1p, lin)
+        b1p, _ = poly_divmod(b1p, lin)
+    val = t * e
+    g1 = poly_eval(a1p, x0) + poly_eval(b1p, x0) * y0
+    if g1:
+        return val
+    # both the function and enough of the pair vanish: use the norm
+    # N = a^2 - a b (a1 x + a3) - b^2 (x^3 + a2 x^2 + a4 x + a6)
+    line = poly_trim((curve.a3, curve.a1))
+    rhs = poly_trim((curve.a6, curve.a4, curve.a2, spec.one))
+    norm = poly_sub(
+        poly_sub(poly_mul(a1p, a1p),
+                 poly_mul(poly_mul(a1p, b1p), line)),
+        poly_mul(poly_mul(b1p, b1p), rhs))
+    return val + root_multiplicity(norm, x0)
+
+
+def principal_divisor(f: RationalFunction) -> Divisor:
+    """div(f) restricted to rational points (plus O).
+
+    For the construction data every zero and pole is rational, so this is
+    the full divisor and must have degree 0 with group sum O.
+    """
+    coeffs = {}
+    for p in f.curve.points():
+        v = valuation(f, p)
+        if v:
+            coeffs[p] = v
+    return Divisor(f.curve, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic basis of an `RRBasis` handle, and its check
+# ---------------------------------------------------------------------------
+
+def basis_divisor(basis: RRBasis) -> Divisor:
+    """G = (k-1)O + Q of the handle, Q made a `Point`."""
+    q2 = Point(*map(basis.curve.spec.element, basis.point))
+    return Divisor(basis.curve, {INFINITY: basis.k - 1, q2: 1})
+
+
+def pole_orders_at_O(basis: RRBasis) -> tuple[int, ...]:
+    return tuple(range(basis.k))
+
+
+def basis_functions(basis: RRBasis) -> tuple[RationalFunction, ...]:
+    """The basis 1, u, x, u x, ... of L(G) as `RationalFunction`s, in the
+    order of `rr_basis_rows`."""
+    curve, k, spec = basis.curve, basis.k, basis.curve.spec
+    qx, qy = map(spec.element, basis.point)
+    # x^i and u x^i have pole orders 2i and 2i + 1 at O; in even
+    # characteristic u x^i is x^(i-1) (y - gamma1) once i >= 1
+    funcs: list[RationalFunction] = []
+    for i in range(k // 2):
+        mono = [spec.zero] * i + [spec.one]
+        funcs.append(RationalFunction(curve, mono))
+        if spec.p != 2:
+            u = RationalFunction(curve, (), mono, (-qx, spec.one))
+        elif i == 0:
+            u = RationalFunction(curve, (-qy,), (spec.one,), (spec.zero, spec.one))
+        else:
+            u = RationalFunction(curve, poly_scale(mono[1:], -qy), mono[1:])
+        funcs.append(u)
+    return tuple(funcs)
+
+
+def validate_rr_basis(basis: RRBasis) -> None:
+    """Check div(f) + G >= 0 for every basis function, pointwise.
+
+    Valuations are taken at every rational point of the curve; the pole
+    bound at O uses the weighted-degree formula.  Raises on violation.
+    """
+    curve, g, functions = basis.curve, basis_divisor(basis), basis_functions(basis)
+    pole_orders = set()
+    for f, stated in zip(functions, pole_orders_at_O(basis)):
+        v_inf = valuation(f, INFINITY)
+        if -v_inf != stated:
+            raise FunctionError(
+                f"pole order at O is {-v_inf}, basis claims {stated}")
+        if v_inf + g.multiplicity(INFINITY) < 0:
+            raise FunctionError(f"{f} violates the bound at O")
+        for p in curve.points():
+            if p.is_infinity:
+                continue
+            if valuation(f, p) + g.multiplicity(p) < 0:
+                raise FunctionError(f"{f} has a disallowed pole at {p}")
+        pole_orders.add(stated)
+    if len(pole_orders) != len(functions):
+        raise FunctionError("pole orders at O are not pairwise distinct")
+    if len(functions) != g.degree():
+        raise FunctionError("basis size differs from deg(G)")

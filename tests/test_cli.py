@@ -414,6 +414,14 @@ def test_search_out_of_range_input_exit_2_at_once(capsys, argv):
     assert printed.out == "" and "exceed" in printed.err
 
 
+@pytest.mark.parametrize("table, q", [("bounds", "0"), ("bounds", "-3"), ("bounds", "1"),
+                                      ("census", "0"), ("census", "-3")])
+def test_search_q_below_2_is_not_a_prime_power(capsys, table, q):
+    # q = 1 and q < 1 get the same message, not factorization's internal one
+    assert main(["search", "--table", table, "--q", q]) == 2
+    assert capsys.readouterr() == ("", f"error: q={q} is not a prime power\n")
+
+
 def test_construct_2_wrong_curve_shape_exit_2(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert main(["construct", "--field", "p=7,m=1,mod=0,1", "--curve", "1,0,0,6,0",

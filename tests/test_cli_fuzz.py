@@ -1,4 +1,4 @@
-"""Property test: `ellcode verify` on mutated q = 16 and q = 25 certificates.
+"""Property test: `ellcode verify` on mutated q = 16, 25 and 1031 certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
@@ -9,7 +9,10 @@ q = 16 file is characteristic 2 with an exhaustive distance and the packed
 kernels; the q = 25 golden reaches the odd routes: the add table, the
 Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where a
 tweak moves G to a target the quotient reaches, the full witness, and
-where a tweak moves a point off the pairs, the hull's G G^T fallback.
+where a tweak moves a point off the pairs, the hull's G G^T fallback.  The
+q = 1031 golden lies above the add-table cap, so its adds go mod p: the
+same tweaks reach the mod-p branches of `rref`, `hankel_rank`,
+`point_moments`, v and, off the pairs, `gram`.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellcode import code, linalg
+from ellcode import Curve, FieldSpec, code, linalg
 from ellcode.cli import main
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
                              PairSelection, construct)
@@ -48,8 +51,8 @@ EDITS = st.tuples(
     st.integers(0, 10 ** 6), VALUE, JUNK)
 
 
-GOLDEN25 = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens",
-                        "q25.json")
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
+GOLDEN25 = os.path.join(GOLDENS, "q25.json")
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,18 @@ def cert16_doc(cert16):
 def cert25_doc():
     with open(GOLDEN25) as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def cert1031_doc():
+    with open(os.path.join(GOLDENS, "q1031.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def e1031(cert1031_doc):
+    return Curve.from_string(FieldSpec.from_string(cert1031_doc["field"]),
+                             cert1031_doc["curve"])
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +263,25 @@ def test_q25_off_x_tweak_ranks_the_gram_of_g(cert25_doc, e25, work_dir, monkeypa
     hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1
     assert hankel == [] and [args[1:] for args in hulls] == [(None,)] * 3
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
+def test_verified_tweaked_q1031_certificate_is_what_construct_writes(cert1031_doc, e1031,
+                                                                    work_dir, tweaks):
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert1031_doc, tweaks, e1031))
+
+
+def test_q1031_off_x_tweak_ranks_the_gram_of_g_mod_p(cert1031_doc, e1031, work_dir,
+                                                     monkeypatch):
+    # point 3 moved off the pairs, to (3, 359): the hull ranks G G^T, which
+    # `gram` computes mod p above the add-table cap, with no Hankel rank,
+    # in each command
+    doc = _tweak(cert1031_doc, [("off_x", 3, 0)], e1031)
+    assert e1031.spec._addt is None and doc["points"][3] == [3, 359]
+    hankel = _calls(monkeypatch, linalg, "hankel_rank")
+    grams = _calls(monkeypatch, linalg, "gram")
+    hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
+    assert _verify_exit_means_what_it_says(work_dir, doc) == 1
+    assert hankel == [] and [args[1:] for args in hulls] == [(None,)] * 3
+    assert len(grams) == 3

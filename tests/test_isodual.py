@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ellcode import FieldSpec, funcspace, gf, linalg, search
-from ellcode.curve import Curve, CurveError, Point
+from ellcode.curve import Curve, CurveError
 from ellcode import code as code_module
 from ellcode.code import CodeError, LinearCode, ScalingVector
 from ellcode import isodual
@@ -500,14 +500,14 @@ def test_goldens_rebuild_byte_identical_from_their_echoes():
 
 def test_construct_and_verify_need_no_interpolation_polynomial(monkeypatch):
     # G and v come from encodings alone: the closed forms read the basis
-    # handle, h'(alpha) is a product of differences, and no symbolic basis
-    # function is built; q = 16 and q = 289 cover both forms of u
+    # handle, h'(alpha) is a product of differences, and no FieldElement
+    # polynomial is built or evaluated; q = 16 and q = 289 cover both forms
+    # of u
     def banned(*args):
         raise AssertionError("a FieldElement polynomial was used")
 
-    for module, name in ((funcspace, "interpolation_poly"), (gf, "poly_eval"),
-                         (gf, "poly_gcd"), (gf, "poly_divmod"),
-                         (funcspace, "RationalFunction")):
+    for module, name in ((funcspace, "evaluate"), (funcspace, "interpolation_poly"),
+                         (gf, "poly_eval"), (gf, "poly_mul")):
         monkeypatch.setattr(module, name, banned)
     for q in (16, 289):
         cert = _golden_cert(q)
@@ -541,9 +541,7 @@ def test_constant_v_gives_a_self_dual_code_that_constructs():
 
 def _moment_fields(cert):
     """The basis handle and points whose moments give a context's Gram."""
-    curve = cert.curve()
-    qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
-    return {"basis": funcspace.rr_basis(curve, cert.k, qa),
+    return {"basis": funcspace.rr_basis(cert.curve(), cert.k, cert.g_divisor[1][0]),
             "points": cert.points}
 
 
@@ -835,8 +833,7 @@ def _moments(cert):
     evaluated basis, whose entries they are (`tests/test_funcspace.py`),
     and G G^T for G, that basis's RREF, the matrix the verifier derives."""
     curve = cert.curve()
-    qa = Point(*map(curve.spec.element, cert.g_divisor[1][0]))
-    basis = funcspace.rr_basis(curve, cert.k, qa)
+    basis = funcspace.rr_basis(curve, cert.k, cert.g_divisor[1][0])
     points = cert.points
     rows = funcspace.rr_basis_rows(basis, points)
     return (funcspace.point_moments(basis, points), linalg.gram(rows, curve.spec),

@@ -2,9 +2,10 @@
 still exist, no `src/ellcode` module, test or demo imports a name it never
 uses, no library module computes in floating point, every public name,
 function, class and method of the library has a reader outside the tests,
-only `gf` and `curve` construct `Point`s and `FieldElement`s,
-the CLI maps errors to exit codes in `main` alone, README's quick start
-runs, and the docs list the certificate invariants in order."""
+only `gf` and `curve` construct `Point`s and `FieldElement`s, the
+library neither imports the tests' oracle nor loads its function-field
+layer, the CLI maps errors to exit codes in `main` alone, README's quick
+start runs, and the docs list the certificate invariants in order."""
 
 import ast
 import contextlib
@@ -13,6 +14,8 @@ import inspect
 import io
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +193,56 @@ def test_points_and_elements_are_built_in_gf_and_curve_only(name):
     assert calls == [] or name in ("gf.py", "curve.py")
 
 
+def _imported_names(source: str) -> set[str]:
+    """Every dotted name an import statement of a module mentions: the
+    modules of ``import`` and ``from ... import``, and the names the latter
+    takes, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+    return found
+
+
+def test_imported_name_check_flags_and_spares():
+    source = ('"""import oracle in a docstring."""\n'
+              "import os.path\n"
+              "from . import gf\n"
+              "from .curve import Curve\n"
+              "from oracle import valuation\n"
+              "def f():\n    import json\n")
+    assert _imported_names(source) == {"os.path", "gf", "curve", "Curve", "oracle",
+                                       "valuation", "json"}
+
+
+# the test references of `tests/oracle.py`: the symbolic function-field layer
+ORACLE_ONLY_NAMES = ("Divisor", "RationalFunction", "principal_divisor",
+                     "valuation", "validate_rr_basis")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_library_never_imports_the_oracle(name):
+    """`ellcode` is checked against `tests/oracle.py`, so it must not use it."""
+    with open(os.path.join(PACKAGE, name)) as handle:
+        imported = _imported_names(handle.read())
+    assert not {m for m in imported if "oracle" in m.split(".")}, name
+
+
+def test_fresh_import_loads_no_symbolic_function_field_layer():
+    """A fresh ``import ellcode`` loads no module that defines a name of the
+    tests' function-field reference, and not the oracle itself."""
+    probe = ("import sys, ellcode\n"
+             f"names = {ORACLE_ONLY_NAMES!r}\n"
+             "print(sorted(m for m, mod in list(sys.modules.items())\n"
+             "             if m == 'oracle' or any(n in vars(mod) for n in names)))\n")
+    src = os.path.dirname(PACKAGE)
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 def _identifiers(source: str) -> set[str]:
     """Every name a module reads as an identifier: a loaded `Name` or
     `Attribute`, or a name imported with ``from ... import``; a word in a
@@ -245,9 +298,6 @@ def test_public_definition_check_flags_and_spares():
                                            "_Context.hull"}
 
 
-# the symbolic function-field layer, which only the tests and its own
-# module read; ROADMAP 3d moves it out of the library
-TEST_ONLY_NAMES = {"is_principal", "principal_divisor", "validate_rr_basis"}
 # the tests' references for the scalar-class enumeration of `min_distance`
 REFERENCE_NAMES = {"LinearCode.codewords", "LinearCode.weight_distribution"}
 
@@ -274,7 +324,7 @@ def test_public_names_are_read_outside_the_tests(layers):
             with open(os.path.join(PACKAGE, name)) as handle:
                 defined |= _public_definitions(handle.read())
     unread = {n for n in defined if n.rsplit(".", 1)[-1] not in read}
-    assert sorted(unread - TEST_ONLY_NAMES - REFERENCE_NAMES) == []
+    assert sorted(unread - REFERENCE_NAMES) == []
 
 
 def _try_owners(source: str) -> list[str]:
