@@ -62,53 +62,62 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand `only` alone."""
     parser = argparse.ArgumentParser(
         prog="ellcode",
         description="iso-dual MDS codes on elliptic curves over small fields")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage line names all five subcommands either way
+    names = None if only is None else "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("construct", help="run a construction, write a certificate")
-    p.add_argument("--field", required=True,
-                   help="field spec, e.g. p=2,m=4,mod=1,1,0,0,1")
-    p.add_argument("--curve", required=True,
-                   help="a1,a2,a3,a4,a6 as canonical encodings")
-    p.add_argument("--k", required=True, type=int, help="code dimension (even)")
-    p.add_argument("--construction", required=True, type=int, choices=(1, 2))
-    p.add_argument("--pairs-x", help="explicit pair x-coordinates, comma separated")
-    p.add_argument("--p-torsion", type=int,
-                   help="take the odd-order set from E[r] minus identity")
-    p.add_argument("--torsion", help="construction 2 only: indices a,b of the "
-                                     "2-torsion points to use (default 1,2)")
-    p.add_argument("--out", default="certificate.json", help="certificate path")
+    if only in (None, "construct"):
+        p = sub.add_parser("construct", help="run a construction, write a certificate")
+        p.add_argument("--field", required=True,
+                       help="field spec, e.g. p=2,m=4,mod=1,1,0,0,1")
+        p.add_argument("--curve", required=True,
+                       help="a1,a2,a3,a4,a6 as canonical encodings")
+        p.add_argument("--k", required=True, type=int, help="code dimension (even)")
+        p.add_argument("--construction", required=True, type=int, choices=(1, 2))
+        p.add_argument("--pairs-x", help="explicit pair x-coordinates, comma separated")
+        p.add_argument("--p-torsion", type=int,
+                       help="take the odd-order set from E[r] minus identity")
+        p.add_argument("--torsion", help="construction 2 only: indices a,b of the "
+                                         "2-torsion points to use (default 1,2)")
+        p.add_argument("--out", default="certificate.json", help="certificate path")
 
-    p = sub.add_parser("verify", help="re-run all invariants of a certificate")
-    p.add_argument("certificate", nargs=1)
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", help="re-run all invariants of a certificate")
+        p.add_argument("certificate", nargs=1)
 
-    p = sub.add_parser("transform", help="self-dual or LCD scaling of a certificate")
-    p.add_argument("certificate", nargs=1)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--selfdual", action="store_true")
-    group.add_argument("--lcd", action="store_true")
-    p.add_argument("--budget", type=int, default=2000,
-                   help="LCD search budget (hull evaluations)")
-    p.add_argument("--out", help="write the transformed code as JSON")
+    if only in (None, "transform"):
+        p = sub.add_parser("transform", help="self-dual or LCD scaling of a certificate")
+        p.add_argument("certificate", nargs=1)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--selfdual", action="store_true")
+        group.add_argument("--lcd", action="store_true")
+        p.add_argument("--budget", type=int, default=2000,
+                       help="LCD search budget (hull evaluations)")
+        p.add_argument("--out", help="write the transformed code as JSON")
 
-    p = sub.add_parser("eaqecc", help="entanglement-assisted parameters of a certificate")
-    p.add_argument("certificate", nargs="+")
-    p.add_argument("--out", help="write the table")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if only in (None, "eaqecc"):
+        p = sub.add_parser("eaqecc",
+                           help="entanglement-assisted parameters of a certificate")
+        p.add_argument("certificate", nargs="+")
+        p.add_argument("--out", help="write the table")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("search", help="bound tables, curve census, lemma search")
-    p.add_argument("--table", required=True, choices=("bounds", "census", "lemma-max"))
-    p.add_argument("--q", help="comma-separated prime powers")
-    p.add_argument("--achieve", action="store_true",
-                   help="bounds: also construct achieving certificates")
-    p.add_argument("--group", help="lemma-max: group as d1xd2, e.g. 2x6")
-    p.add_argument("--n", type=int, help="lemma-max: subset size (even)")
-    p.add_argument("--out", help="write the table")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if only in (None, "search"):
+        p = sub.add_parser("search", help="bound tables, curve census, lemma search")
+        p.add_argument("--table", required=True, choices=("bounds", "census", "lemma-max"))
+        p.add_argument("--q", help="comma-separated prime powers")
+        p.add_argument("--achieve", action="store_true",
+                       help="bounds: also construct achieving certificates")
+        p.add_argument("--group", help="lemma-max: group as d1xd2, e.g. 2x6")
+        p.add_argument("--n", type=int, help="lemma-max: subset size (even)")
+        p.add_argument("--out", help="write the table")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -214,16 +223,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "transform": _cmd_transform,
+    "eaqecc": _cmd_eaqecc,
+    "search": _cmd_search,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "transform": _cmd_transform,
-        "eaqecc": _cmd_eaqecc,
-        "search": _cmd_search,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, --version, a bad command or none at all need the full parser
+    only = argv[0] if argv and argv[0] in _HANDLERS else None
+    args = _build_parser(only).parse_args(argv)
     # while the certificates load, a failure is the file's: it cannot be
     # read or parsed (2), or it fails an invariant (1); after that it is a
     # usage error (2) or a check inside the library that broke (1)
@@ -231,7 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         certs = [_load_certificate(path) for path in getattr(args, "certificate", ())]
         usage, invariant = "error", "internal verification failure"
-        return handlers[args.command](args, *certs)
+        return _HANDLERS[args.command](args, *certs)
     except VerificationError as exc:
         print(f"{invariant}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -10,12 +10,14 @@ curve.
 
 `Curve.group_structure` is the one place that works out point orders: its
 walk over E(F_q) = Z/d1 x Z/d2 is the one discrete-log table, keyed by
-encoded points, and orders and torsion are read from it.  The enumeration
-behind it and its basis are encoded too; `points` and `torsion_points`
-build `Point`s only for what they return.  `isodual`'s construct and
-verify read the encoded torsion, group law and structure directly, so
-their points and Qa stay ``(x_enc, y_enc)`` pairs, the certificate's own
-encoding, and they build no `Point`.
+encoded points, and orders and torsion are read from it.  It scans one
+point of each pair {P, -P} and fills each row's mirror by negation, in
+about #E/2 additions.  Its basis and the enumeration behind it, which
+reads odd-characteristic square roots from log parity, are encoded too;
+`points` and `torsion_points` build `Point`s only for what they return.
+`isodual`'s construct and verify read the encoded torsion, group law and
+structure directly, so their points and Qa stay ``(x_enc, y_enc)`` pairs,
+the certificate's own encoding, and they build no `Point`.
 
 Point lists are always produced in canonical order (infinity first, then
 lexicographic by encoded coordinates) so downstream artifacts are
@@ -25,6 +27,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd, isqrt, lcm
 from typing import Optional
 
@@ -251,19 +254,22 @@ class Curve:
         return [self._point(e) for e in self._enumerate()]
 
     def _enumerate(self) -> list:
-        """The encoded points in canonical order, None (O) first; cached."""
+        """The encoded points in canonical order, None (O) first; cached.
+
+        Odd characteristic solves (y + b/2)^2 = c + b^2/4, b = a1 x + a3, or
+        y^2 = c when a1 = a3 = 0: the roots are +-exp(log(c)/2) when log(c)
+        is even, and there are none when it is odd."""
         if self._encoded is not None:
             return self._encoded
         s = self.spec
         a1, a3 = self.a1.enc, self.a3.enc
         add, sub, neg, mul = s.add_enc, s.sub_enc, s.neg_enc, s.mul_enc
         rhs = self._law.rhs
-        half = None if s.p == 2 else s.inv_enc(2 % s.p)
         affine = []
-        for x in range(s.q):
-            b = add(mul(a1, x), a3)
-            c = rhs(x)
-            if s.p == 2:
+        if s.p == 2:
+            for x in range(s.q):
+                b = add(mul(a1, x), a3)
+                c = rhs(x)
                 if not b:
                     affine.append((x, s.sqrt_enc(c)))
                 else:
@@ -271,13 +277,17 @@ class Curve:
                     if z is not None:
                         y = mul(b, z)
                         affine += [(x, y), (x, add(y, b))]
-            else:
-                # complete the square: (y + b/2)^2 = c + b^2/4
-                shift = mul(b, half)
-                r = s.sqrt_enc(add(c, mul(shift, shift)))
-                if r == 0:
+        else:
+            exp, log, half = s._exp, s._log, s.inv_enc(2 % s.p)
+            for x in range(s.q):
+                c, shift = rhs(x), 0
+                if a1 or a3:
+                    shift = mul(add(mul(a1, x), a3), half)
+                    c = add(c, mul(shift, shift))
+                if not c:
                     affine.append((x, neg(shift)))
-                elif r is not None:
+                elif not log[c] & 1:
+                    r = exp[log[c] >> 1]
                     affine += [(x, sub(r, shift)), (x, sub(neg(r), shift))]
         affine.sort()
         self._encoded = [None] + affine
@@ -312,45 +322,44 @@ class Curve:
 
         p2 is the smallest-key point of order d2, the group's exponent.
         Points are scanned in canonical order, each one's order found by
-        descent over the divisors of #E.  A point whose order d2 is the lcm
+        descent over the primes of #E.  A point whose order d2 is the lcm
         of the orders so far is tried as p2: p1 is the smallest-key point
         of order d1 = #E / d2 whose grid {i*p1 + j*p2} covers the group.
         Such a p1 exists exactly when d2 is the exponent, so the first
         point that gets one is the p2 of the rule.  The grid covers the
         group iff <p1> n <p2> = {O}, that is iff for each prime l | d1 the
         order-l point (d1/l)*p1 is not a multiple of p2, so p1 is chosen by
-        that test and only its grid is walked.  The walk is the dlog table;
-        the order of the point at (i, j) is
-        lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
+        that test and only its grid is walked.  P and -P, side by side on
+        one x, share their order and the p1 test (<p2> = -<p2>), so both
+        scans read the first point on each x.  The walk is the dlog table;
+        -(i*p1 + j*p2) is at (-i mod d1, -j mod d2), so each row fills its
+        mirror by negation, in about #E/2 additions in all.  The order of
+        the point at (i, j) is lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
         """
         if self._structure is not None:
             return self._structure
         pts = self._enumerate()
         n = len(pts)
-        add, mul = self._law.add, self._law.mul
+        add, neg, mul = self._law.add, self._law.neg, self._law.mul
 
-        def order(pt, m: int) -> int:
-            """ord(pt), for a multiple m of it."""
-            for ell in factorize(m):
-                while m % ell == 0 and mul(m // ell, pt) is None:
-                    m //= ell
-            return m
+        def firsts():
+            return (next(on_x) for _, on_x in groupby(pts, lambda pt: pt and pt[0]))
 
+        primes = list(factorize(n))
         lcm_so_far, tried = 1, set()
-        for p2 in pts:
-            d2 = order(p2, n)
+        for p2 in firsts():
+            d2 = _order(mul, p2, n, primes)
             lcm_so_far = lcm(lcm_so_far, d2)
             d1 = n // d2
             if d2 != lcm_so_far or d2 in tried or d2 % d1 or (self.spec.q - 1) % d1:
                 continue
             tried.add(d2)
-            row, cur = {}, None
-            for j in range(d2):
-                row[cur] = (0, j)
-                cur = add(cur, p2)
+            row = {}
+            _walk_row(row, add, neg, None, p2, 0, 0, d2)
             cofactors = [d1 // ell for ell in factorize(d1)]
-            for p1 in pts:
-                if (mul(d1, p1) is None and order(p1, d1) == d1
+            # (d1/l)*p1 outside <p2>, which holds O, also makes ord(p1) = d1
+            for p1 in firsts():
+                if (mul(d1, p1) is None
                         and all(mul(c, p1) not in row for c in cofactors)):
                     break
             else:
@@ -358,7 +367,7 @@ class Curve:
             break
         else:
             raise CurveError("no basis of the group found")
-        coords = _grid(add, row, p1, p2, d1, d2)
+        coords = _grid(add, neg, row, p1, p2, d1, d2)
         if len(coords) != n:
             raise CurveError("the basis grid does not cover the group")
         self._structure = GroupStructure(d1, d2, (p1, p2), coords)
@@ -375,18 +384,32 @@ class Curve:
         return hash((self.spec, self.coefficients()))
 
 
-def _grid(add, row: dict, p1, p2, d1: int, d2: int) -> dict:
+def _order(mul, pt, m: int, primes) -> int:
+    """ord(pt), for a multiple m of it whose prime factors are `primes`."""
+    for ell in primes:
+        while m % ell == 0 and mul(m // ell, pt) is None:
+            m //= ell
+    return m
+
+
+def _walk_row(coords: dict, add, neg, cur, p2, i: int, mirror: int, d2: int) -> None:
+    """Enter cur + j*p2, cur = i*p1, as (i, j) and its negation as (mirror,
+    -j mod d2), mirror = -i mod d1; a row its own mirror stops at j = d2/2."""
+    for j in range(d2 if mirror != i else d2 // 2 + 1):
+        coords[cur] = (i, j)
+        coords[neg(cur)] = (mirror, -j % d2)
+        cur = add(cur, p2)
+
+
+def _grid(add, neg, row: dict, p1, p2, d1: int, d2: int) -> dict:
     """{i*p1 + j*p2: (i, j)} over the d1 x d2 grid.
 
     `row` is the first row, the multiples of p2 keyed to (0, j).
     """
     coords = dict(row)
     base = p1
-    for i in range(1, d1):
-        cur = base
-        for j in range(d2):
-            coords[cur] = (i, j)
-            cur = add(cur, p2)
+    for i in range(1, d1 // 2 + 1):
+        _walk_row(coords, add, neg, base, p2, i, d1 - i, d2)
         base = add(base, p1)
     return coords
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ellcode import FieldSpec
+from ellcode import FieldSpec, cli
 from ellcode.cli import main
 
 FIELD16 = "p=2,m=4,mod=1,1,0,0,1"
@@ -457,6 +457,31 @@ def test_search_has_no_seed_option():
         main(["search", "--table", "lemma-max", "--group", "2x4", "--n", "6",
               "--seed", "5"])
     assert exc.value.code == 2
+
+
+def _argparse_outcome(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    printed = capsys.readouterr()
+    return exc.value.code, printed.out, printed.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "-h"] for command in ("construct", "verify", "transform",
+                                      "eaqecc", "search")),
+    # the usage errors above, and one more for each other subcommand
+    ["construct", "--field", FIELD16, "--curve", CURVE16, "--construction", "1"],
+    ["search", "--table", "lemma-max", "--group", "2x4", "--n", "6", "--seed", "5"],
+    ["verify", "a.json", "b.json"],
+    ["transform", "a.json"],
+    ["eaqecc", "a.json", "--format", "xml"],
+    [], ["-h"], ["--version"], ["bogus"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_one_subcommand_parser_answers_as_the_full_parser(argv, capsys):
+    # main builds the named subcommand's parser only; its help, usage
+    # errors and exit codes are the full parser's, byte for byte
+    full = _argparse_outcome(lambda a: cli._build_parser().parse_args(a), argv, capsys)
+    assert _argparse_outcome(main, argv, capsys) == full
 
 
 @pytest.mark.parametrize("group", ["0x6", "2x-6"])

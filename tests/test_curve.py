@@ -403,14 +403,15 @@ def _sweep_curves(q: int, rng: random.Random, count: int) -> list[Curve]:
     return out
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 16, 25, 27, 49])
+@pytest.mark.parametrize("q", [5, 7, 9, 16, 25, 27, 49, 243, 1031])
 def test_group_structure_matches_the_grid_walk_rule(q):
     # the basis is chosen by the prime-order test and one grid is walked;
     # the oracle walks grids until one covers the group.  Every curve of
     # the census family over GF(5), 7 and 9, sampled general curves of
-    # every field, and the paper curves of the field where there is one
+    # every field (only a few over GF(1031), above the add-table cap), and
+    # the paper curves of the field where there is one
     rng = random.Random(q)
-    curves = _sweep_curves(q, rng, 40)
+    curves = _sweep_curves(q, rng, 3 if q == 1031 else 40)
     if q in (5, 7, 9):
         curves += list(_curve_family(q))
     curves += [paper_curve(row[0]) for row in PAPER_CURVES if row[0] == q]
@@ -420,14 +421,97 @@ def test_group_structure_matches_the_grid_walk_rule(q):
             group_structure_grid_walk(curve), curve
 
 
+# (q, curve, (d1, d2)) of census-family curves: odd d1 >= 3, where rows i
+# and d1 - i of the walk differ, and odd d2
+ODD_GROUPS = [
+    (7, "0,0,0,0,2", (3, 3)),
+    (13, "0,0,0,7,0", (3, 6)),
+    (19, "0,0,0,0,5", (3, 9)),
+    (16, "0,0,1,0,8", (5, 5)),
+    (61, "0,0,0,0,4", (5, 15)),
+    (43, "0,0,0,0,3", (7, 7)),
+    (64, "0,0,1,0,0", (9, 9)),
+    (16, "0,0,1,2,0", (1, 17)),
+]
+
+
+@pytest.mark.parametrize("q, text, group", ODD_GROUPS)
+def test_group_structure_matches_the_grid_walk_rule_on_odd_groups(q, text, group):
+    curve = Curve.from_string(_default_spec(q), text)
+    st = curve.group_structure()
+    assert (st.d1, st.d2) == group
+    assert (st.d1, st.d2, *st.basis, st.dlog) == group_structure_grid_walk(curve)
+
+
+def _first_on_each_x(pts: list) -> list:
+    return [pt for k, pt in enumerate(pts) if k < 2 or pts[k - 1][0] != pt[0]]
+
+
 @pytest.mark.parametrize("q", [row[0] for row in PAPER_CURVES])
 def test_group_structure_walks_one_grid_on_the_paper_curves(monkeypatch, q):
-    walks = []
-    real = curve_module._grid
+    # one grid, walked with each row's mirror filled by negation in at most
+    # #E/2 + d1 + 1 additions; orders are found for the first point on each
+    # x up to p2 only: over GF(1031), O, the three points of order 2 and
+    # the first of 9 pairs, 13 points where p2 is the 21st
+    walks, scanned = [], []
+    real_grid, real_order = curve_module._grid, curve_module._order
     monkeypatch.setattr(curve_module, "_grid",
-                        lambda *args: walks.append(args[2]) or real(*args))
+                        lambda *args: walks.append(args[3]) or real_grid(*args))
+    monkeypatch.setattr(curve_module, "_order",
+                        lambda *args: scanned.append(args[1]) or real_order(*args))
     _, field, text, *_ = next(row for row in PAPER_CURVES if row[0] == q)
     curve = Curve.from_string(FieldSpec.from_string(field), text)    # uncached
+    adds, real_add = [], curve._law.add
+    curve._law.add = lambda pt, qt: adds.append(pt) or real_add(pt, qt)
     st = curve.group_structure()
+    walk_adds = len(adds)
     d1, d2, p1, p2, dlog = group_structure_grid_walk(curve)
     assert walks == [p1] and st.dlog == dlog and len(dlog) == curve.order()
+    assert walk_adds <= curve.order() // 2 + d1 + 1
+    firsts = _first_on_each_x(curve._enumerate())
+    assert scanned == firsts[:firsts.index(p2) + 1]
+    if q == 1031:
+        assert len(scanned) == 13 and curve._enumerate().index(p2) == 20
+
+
+def _scan_points(curve: Curve) -> list:
+    """O and every (x, y) with y^2 + b y = rhs(x), b = a1 x + a3, found by
+    trying every y against every x."""
+    spec, (a1, _, a3, _, _) = curve.spec, curve.coefficients()
+    mul, add, q = spec.mul_enc, spec.add_enc, spec.q
+    lhs: dict[int, dict[int, list[int]]] = {}       # b -> {y^2 + b y: ys}
+    pts = [None]
+    for x in range(q):
+        b = add(mul(a1, x), a3)
+        if b not in lhs:
+            lhs[b] = {}
+            for y in range(q):
+                lhs[b].setdefault(add(mul(y, y), mul(b, y)), []).append(y)
+        pts += [(x, y) for y in lhs[b].get(curve._law.rhs(x), ())]
+    return pts
+
+
+@pytest.mark.parametrize("q", [3, 5, 25, 27, 729, 1031])
+def test_enumerate_matches_a_scan_of_every_pair(q):
+    # odd characteristic reads roots from the parity of the field log and
+    # completes the square only when a1 or a3 is nonzero.  Random curves of
+    # both kinds (above 100, with a1 = 0 to keep the scan short); the first
+    # of each has a6 = -(a3/2)^2, so (0, -a3/2) is the one point on x = 0
+    spec, rng = _default_spec(q), random.Random(q)
+    half = spec.inv_enc(2)
+    for plain in (True, False):
+        made = 0
+        while made < 4:
+            a1, a3 = (0, 0) if plain else (rng.randrange(q) * (q < 100),
+                                           rng.randrange(1, q))
+            y0 = spec.neg_enc(spec.mul_enc(a3, half))
+            a6 = rng.randrange(q) if made else spec.neg_enc(spec.mul_enc(y0, y0))
+            try:
+                curve = Curve(spec, a1, rng.randrange(q), a3, rng.randrange(q), a6)
+            except CurveError:
+                continue
+            pts = curve._enumerate()
+            assert pts == _scan_points(curve), curve
+            if not made:
+                assert [pt for pt in pts[1:] if pt[0] == 0] == [(0, y0)], curve
+            made += 1

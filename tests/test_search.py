@@ -39,6 +39,15 @@ def test_census_rows_pinned_up_to_gf27():
     assert digest == "e31040affda720ddfbfd36e51051cdb0e66410374f13425106b2d9828e282ee5"
 
 
+def test_census_rows_pinned_gf61():
+    # a prime field whose groups have d1 up to 6, odd d1 = 3 and 5 among
+    # them; digest as written before the walk filled each row's mirror
+    rows = search.census_rows([61])
+    assert len(rows) == 3660
+    digest = hashlib.sha256(isodual.canonical_json(rows).encode()).hexdigest()
+    assert digest == "c70d4119040a58188d487b17da463a5f4b2b05b518c3d4bb78a4c13144a9f2cb"
+
+
 def test_length_bound_returns_attaining_order():
     bound, order = length_bound(49)
     assert bound == 28 and order == 60
