@@ -32,11 +32,16 @@ EXIT_USAGE = 2
 
 def _atomic_write(path: str, text: str) -> None:
     """Write `text` to a temp file beside `path`, then rename it over `path`;
-    a failure names `path`, not the temp file."""
+    a failure names `path`, not the temp file.  The file gets the mode
+    `open(path, "w")` gives a new file, 0666 less the umask, where the temp
+    file has 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellcode-")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

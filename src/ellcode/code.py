@@ -13,17 +13,17 @@ Scaled hulls dim(u.C n (u.C)-perp) = dim(u^2.C n C-perp) are ranks against
 the dual.  An iso-dual code carries its dual as the scaling v with
 C-perp = C.v (`_carry_dual`), and the hull routes read A' and the dual's
 displacement factors from v: the matrix of C.v is built only when `dual`
-is read.  Where G = [I | A] and the dual is [I | A'], n = 2k, as for
-MDS [2k, k] codes, `stacked_hull_dim` ranks the k x k M = A' - W1^-1 A W2
-(on bytes in characteristic 2); in odd characteristic from k =
-`_DISPLACEMENT_MIN_K` on, with nodes (the x's of the evaluation points), it
-ranks M from displacement generators: A and A' are Cauchy-like in the
-nodes, so `linalg.cauchy_like_rank` takes O(k^2).  R = D_alpha A - A D_x
-has rank 2; a code made from `funcspace.systematic_rows` carries its
-closed-form factors, and any other code factors R by its RREF.  Other
-codes rank G diag(w) stacked on the dual.  `scale` writes the RREF of
-G diag(w) directly, with no elimination, and carries v as v w^-2 or a
-dual from a kernel as w^-1.C-perp.
+is read.  Where v is carried and G = [I | A] with n = 2k, as for MDS
+[2k, k] codes, `stacked_hull_dim` ranks the k x k M = A' - W1^-1 A W2 (on
+bytes in characteristic 2).  A code made from `funcspace.systematic_rows`
+also carries its nodes (the x's of the evaluation points) and the
+closed-form factors of its rank-2 R = D_alpha A - A D_x; in odd
+characteristic from k = `_DISPLACEMENT_MIN_K` on it ranks M from
+displacement generators: A and A' are Cauchy-like in the nodes, so
+`linalg.cauchy_like_rank` takes O(k^2).  A code without v ranks
+G diag(w) stacked on its dual from the kernel.  `scale` writes the RREF of
+G diag(w) directly, with no elimination, and carries v as v w^-2, R's
+factors as (W1^-1 P, Q W2) and a dual from a kernel as w^-1.C-perp.
 
 The second, independent distance check (`min_distance`, the certificates'
 "exhaustive" method) enumerates one codeword per scalar class: lambda.c has
@@ -102,6 +102,15 @@ def _rescale(spec: FieldSpec, rows: Sequence[Sequence[int]],
                                map(log.__getitem__, row_w))]
 
 
+def _scaled_factors(spec: FieldSpec, factors: tuple, row_w: Sequence[int],
+                    col_w: Sequence[int]) -> tuple:
+    """(D_r P, Q D_c) for R = P Q, r = row_w and c = col_w nonzero: the
+    factors of D_r R D_c, with P given by its columns and Q by its rows."""
+    p_cols, q_rows = factors
+    return (linalg.scale_columns(p_cols, row_w, spec),
+            linalg.scale_columns(q_rows, col_w, spec))
+
+
 class LinearCode:
     """[n, k] code over GF(q), stored as an RREF generator matrix.
 
@@ -115,8 +124,7 @@ class LinearCode:
 
     def __init__(self, spec: FieldSpec,
                  rows: Sequence[Sequence[int | FieldElement]],
-                 n: Optional[int] = None,
-                 nodes: Optional[Sequence[int]] = None):
+                 n: Optional[int] = None):
         # a row of in-range int encodings passes in one C-level pass
         q, element = spec.q, spec.element
         enc_rows = [row if set(map(type, row)) <= {int}
@@ -132,16 +140,11 @@ class LinearCode:
             n = width
         elif n is None:
             raise CodeError("empty code needs an explicit length")
-        if nodes is not None:
-            nodes = tuple(nodes)
-            if len(nodes) != n or not all(type(x) is int and 0 <= x < q
-                                          for x in nodes):
-                raise CodeError("nodes must be n field encodings")
         k = len(enc_rows)
         if not (k <= n and all(r[i] == 1 and not any(r[:i]) and not any(r[i + 1:k])
                                for i, r in enumerate(enc_rows))):
             enc_rows, _ = linalg.rref(enc_rows, spec)
-        self._set(spec, n, tuple(map(tuple, enc_rows)), nodes)
+        self._set(spec, n, tuple(map(tuple, enc_rows)))
 
     @classmethod
     def _made(cls, spec: FieldSpec, n: int, matrix: tuple,
@@ -149,17 +152,17 @@ class LinearCode:
               r_factors: Optional[tuple] = None) -> "LinearCode":
         """A code on an RREF the library itself produced, with none of
         `__init__`'s entry checks: `matrix` is a tuple of n-long tuples of
-        encodings, `nodes` a tuple of n encodings or None.  `r_factors`,
-        for G = [I | A] with n = 2k, is (P, Q) with P given by its two
-        columns and Q by its two rows, R = D_alpha A - A D_x = P Q for the
-        nodes alpha = nodes[:k] and x = nodes[k:]; `_displacement_factors`
-        then takes no RREF of R."""
+        encodings.  The closed form (`funcspace.systematic_rows`) gives
+        G = [I | A] with n = 2k, its `nodes`, a tuple of n encodings, and
+        `r_factors`, (P, Q) with P given by its two columns and Q by its
+        two rows, R = D_alpha A - A D_x = P Q for the nodes alpha =
+        nodes[:k] and x = nodes[k:]; `_displacement_factors` reads them."""
         out = cls.__new__(cls)
         out._set(spec, n, matrix, nodes, r_factors)
         return out
 
-    def _set(self, spec: FieldSpec, n: int, matrix: tuple, nodes,
-             r_factors: Optional[tuple] = None) -> None:
+    def _set(self, spec: FieldSpec, n: int, matrix: tuple,
+             nodes: Optional[tuple] = None, r_factors: Optional[tuple] = None) -> None:
         self.spec, self.n, self.k = spec, n, len(matrix)
         self.matrix, self.nodes, self._r_factors = matrix, nodes, r_factors
         self._dual = self._dual_v = self._factors = self._halves = None
@@ -178,7 +181,7 @@ class LinearCode:
                 self._dual = self.scale(self._dual_v)
             else:
                 basis = linalg.nullspace(self.matrix, self.spec, self.n)
-                self._dual = LinearCode(self.spec, basis, n=self.n, nodes=self.nodes)
+                self._dual = LinearCode(self.spec, basis, n=self.n)
         return self._dual
 
     def scale(self, v: ScalingVector | Sequence[int]) -> "LinearCode":
@@ -186,13 +189,16 @@ class LinearCode:
         row i's pivot is its RREF, as each pivot column keeps one nonzero.
         A carried v goes over as v w^-2, since (w.C)-perp = w^-1.C-perp =
         w^-1 v.C = v w^-2.(w.C); a dual from a kernel is scaled to
-        w^-1.C-perp."""
-        w, spec, n = self._weights(v), self.spec, self.n
+        w^-1.C-perp.  R's factors go over as (W1^-1 P, Q W2), those of
+        w.C = [I | W1^-1 A W2]."""
+        w, spec, n, k = self._weights(v), self.spec, self.n, self.k
         inv = [spec.inv_enc(e) for e in w]
         rows = _rescale(spec, self.matrix, [inv[row.index(1)] for row in self.matrix], w)
         if spec.p == 2:
-            rows = [rows[i * n:(i + 1) * n] for i in range(self.k)]
-        out = LinearCode._made(spec, n, tuple(map(tuple, rows)), self.nodes)
+            rows = [rows[i * n:(i + 1) * n] for i in range(k)]
+        factors = self._r_factors and _scaled_factors(spec, self._r_factors,
+                                                      inv[:k], w[k:])
+        out = LinearCode._made(spec, n, tuple(map(tuple, rows)), self.nodes, factors)
         if self._dual_v is not None:
             mul = spec.mul_enc
             out._dual_v = tuple([mul(e, mul(c, c)) for e, c in zip(self._dual_v, inv)])
@@ -235,19 +241,19 @@ class LinearCode:
         generator H, computed one of three ways; the first two read a
         carried v (`_carry_dual`) in place of H.
 
-        Where n = 2k and G = [I | A] and H = [I | A'] (`_systematic_halves`),
-        eliminating H's identity against G diag(w) leaves k - rank(M) with
-        M = A' - W1^-1 A W2, W = diag(w) split at k.  With the nodes, the
-        row nodes alpha = nodes[:k] and column nodes x = nodes[k:],
-        D_alpha M - M D_x = R' - W1^-1 R W2, where R = D_alpha A - A D_x
-        and R' likewise from A'.  For the elliptic codes R and R' have rank
-        2 (R = P Q in closed form, `funcspace.systematic_rows`), so M has
-        displacement rank at most 4 and
-        `linalg.cauchy_like_rank` ranks it from generators in O(k^2): see
-        `_displacement_factors` for when this route applies.  Otherwise
+        Where v is carried, n = 2k and G = [I | A], H = [I | A'] too
+        (`_systematic_halves`), and eliminating H's identity against
+        G diag(w) leaves k - rank(M) with M = A' - W1^-1 A W2, W = diag(w)
+        split at k.  With the nodes, the row nodes alpha = nodes[:k] and
+        column nodes x = nodes[k:], D_alpha M - M D_x = R' - W1^-1 R W2,
+        where R = D_alpha A - A D_x and R' likewise from A'.  For the
+        elliptic codes R and R' have rank 2 (R = P Q in closed form,
+        `funcspace.systematic_rows`), so M has displacement rank at most 4
+        and `linalg.cauchy_like_rank` ranks it from generators in O(k^2):
+        see `_displacement_factors` for when this route applies.  Otherwise
         `linalg.rank` ranks the k x k matrix W1 A' - A W2, of M's rank; in
         characteristic 2 it is formed on bytes, A W2 by strided column
-        slices.  Only a code without that form ranks the 2k x 2k stack.
+        slices.  A code without v ranks the 2k x 2k stack.
         """
         spec, k = self.spec, self.k
         w = [1] * self.n if w is None else self._weights(w)
@@ -277,30 +283,19 @@ class LinearCode:
                     for row, r, le in zip(dual_a, aw, map(log.__getitem__, w))]
         return k - linalg.rank(rows, spec)
 
-    def _systematic(self) -> bool:
-        """n = 2k > 0, and G and the dual's H both lead with I_k.  A k-row
-        RREF leads with I_k iff its last row's pivot is column k-1; where
-        the dual is C.v, H = [D_v1 | A D_v2] reduced keeps G's pivots."""
-        k = self.k
-        return self.n == 2 * k > 0 and any(self.matrix[-1][:k]) and (
-            self._dual_v is not None or any(self.dual().matrix[-1][:k]))
-
     def _systematic_halves(self) -> Optional[tuple]:
-        """(A, A') where G = [I | A] and the dual's H = [I | A']
-        (`_systematic`); None for any other code.  Cached, like the dual.
-        A carried v gives A' = D_v1^-1 A D_v2 directly, with no C.v.  In
-        characteristic 2 each half is one bytes, row by row: column j of A
-        is a[j::k]."""
+        """(A, A') where the code carries v, n = 2k > 0 and G = [I | A], so
+        the dual C.v's H = [D_v1 | A D_v2] reduces to [I | A'] too; None for
+        any other code.  Cached, like the dual.  A k-row RREF leads with I_k
+        iff its last row's pivot is column k-1.  The carried v gives
+        A' = D_v1^-1 A D_v2 directly, with no C.v.  In characteristic 2 each
+        half is one bytes, row by row: column j of A is a[j::k]."""
         if self._halves is None:
             spec, k, v, self._halves = self.spec, self.k, self._dual_v, ()
-            if self._systematic():
+            if v is not None and self.n == 2 * k > 0 and any(self.matrix[-1][:k]):
                 a = [r[k:] for r in self.matrix]
-                if v is None:
-                    dual_a = [r[k:] for r in self.dual().matrix]
-                    if spec.p == 2:
-                        dual_a = b"".join(map(bytes, dual_a))
-                else:       # bytes in characteristic 2
-                    dual_a = _rescale(spec, a, [spec.inv_enc(e) for e in v[:k]], v[k:])
+                # bytes in characteristic 2
+                dual_a = _rescale(spec, a, [spec.inv_enc(e) for e in v[:k]], v[k:])
                 if spec.p == 2:
                     a = b"".join(map(bytes, a))
                 self._halves = (a, dual_a)
@@ -312,46 +307,21 @@ class LinearCode:
         generator route does not apply.  Computed once and cached, like the
         dual.
 
-        It applies in odd characteristic up to the add-table cap when the
-        code has nodes, n = 2k with k at least `_DISPLACEMENT_MIN_K`, the
-        row nodes are disjoint from the column nodes, G and H both lead
-        with I_k (`_systematic`), and R and R' have rank at most 2 each.
-        A code made with the closed form's `r_factors` (`_made`) has P and
-        Q as given.  Otherwise R is formed and factored by its RREF: P is R
-        at the pivot columns, Q the RREF.  A dual C.v (`_carry_dual`) has
-        A' = D_v1^-1 A D_v2, so P' = D_v1^-1 P and Q' = Q D_v2, with no
-        second RREF; a dual from a kernel factors R' like R."""
+        It applies in odd characteristic up to the add-table cap, with k at
+        least `_DISPLACEMENT_MIN_K`, to a code that carries v and the closed
+        form's nodes and factors (`_made`; `scale` carries them too), whose
+        G = [I | A] has n = 2k.  The dual C.v has A' = D_v1^-1 A D_v2, so
+        P' = D_v1^-1 P and Q' = Q D_v2.  The closed form's row nodes are
+        disjoint from its column nodes, as `linalg.cauchy_like_rank`
+        needs."""
         if self._factors is None:
-            spec, k, nodes, self._factors = self.spec, self.k, self.nodes, ()
-            if (spec.p == 2 or spec._addt is None or nodes is None
-                    or self.n != 2 * k or k < _DISPLACEMENT_MIN_K):
+            spec, k, v, self._factors = self.spec, self.k, self._dual_v, ()
+            if (spec.p == 2 or spec._addt is None or self._r_factors is None
+                    or v is None or k < _DISPLACEMENT_MIN_K):
                 return None
-            alpha, x = nodes[:k], nodes[k:]
-            if not set(alpha).isdisjoint(x) or not self._systematic():
-                return None
-            log, exp2, addt, negt = spec._log, spec._exp2, spec._addt, spec._negt
-
-            def factor(m):
-                """[P, Q] of R = D_alpha A - A D_x, A the right half of m,
-                by R's RREF; None where R has rank above 2."""
-                # log (alpha_i - x_j), nonzero as the nodes are disjoint
-                neg_x = [negt[b] for b in x]
-                r = [[exp2[log[e] + log[d[b]]] if e else 0 for e, b in zip(row[k:], neg_x)]
-                     for row, d in zip(m, map(addt.__getitem__, alpha))]
-                q_rows, pivots = linalg.rref(r, spec)
-                return None if len(pivots) > 2 else [
-                    [[row[c] for row in r] for c in pivots], q_rows]
-
-            pq = self._r_factors or factor(self.matrix)
-            if pq is None:
-                return None
-            v = self._dual_v
-            dual_pq = factor(self.dual().matrix) if v is None else (
-                linalg.scale_columns(pq[0], [spec.inv_enc(e) for e in v[:k]], spec),
-                linalg.scale_columns(pq[1], v[k:], spec))
-            if dual_pq is None:
-                return None
-            self._factors = (alpha, x, *pq, *dual_pq)
+            self._factors = (self.nodes[:k], self.nodes[k:], *self._r_factors,
+                             *_scaled_factors(spec, self._r_factors,
+                                              [spec.inv_enc(e) for e in v[:k]], v[k:]))
         return self._factors or None
 
     def codewords(self):

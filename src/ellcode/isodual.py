@@ -41,8 +41,10 @@ iso_dual_identity holds when n = 2k and every moment at w = v is 0, the
 residue theorem's sum_j v_j (f g)(P_j) = 0 for f, g in L(G): then C.v
 lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed; the code carries v, from which the hull cross-check
-reads the dual's half A' and displacement factors without building C.v,
-and the transforms prove C.v = C-perp from G diag(v) G^T = 0.  hull is
+reads the dual's half A' and displacement factors without building C.v.
+`IsoDualCertificate.code`, which the transforms and the samplers start
+from, is that same code, returned once matrix_rref, iso_dual_identity and
+scaling_matches_points hold, so it carries v too.  hull is
 k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
 Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
 (construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
@@ -53,13 +55,12 @@ share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
 each u as encodings, take the hull of u.C from the same method against the
 code's dual at w = u^2, with no Gram matrix per trial, and wrap only the u
 they return in a ScalingVector.
-The codes of `_Context.code` and `IsoDualCertificate.code` carry the
-points' x's as nodes.  So in odd characteristic, from k =
-`code._DISPLACEMENT_MIN_K` on, that method ranks from the displacement
-generators of the Cauchy-like G and C.v, in O(k^2) per scaling; otherwise
-it ranks the k x k M of `LinearCode.stacked_hull_dim`.  `_Context.code`
-also carries the closed form's factors of G's displacement, so construct
-and verify take no RREF of it.
+That code carries the points' x's as nodes and the closed form's factors
+of G's displacement, and `LinearCode.scale` carries both.  So in odd
+characteristic, from k = `code._DISPLACEMENT_MIN_K` on, that method ranks
+from the displacement generators of the Cauchy-like G and C.v, in O(k^2)
+per scaling, with no RREF of the displacement; otherwise it ranks the
+k x k M of `LinearCode.stacked_hull_dim`.
 
 `construct` raises `VerificationError` naming the first invariant that
 fails.  That is an internal error, not a user error: the construction succeeds
@@ -208,7 +209,8 @@ class IsoDualCertificate:
     iso_dual: bool
 
     # (JSON key, attribute, parser): `to_json` writes each attribute as it
-    # is, and `from_json` requires each key and parses it back.  A parser
+    # is, and `from_json` requires each key, and no other, and parses it
+    # back, so writing a file that loads leaves none of its data out.  A parser
     # raises TypeError or ValueError; pair_selection is checked by the
     # `pair_selection_well_formed` invariant, not here.
     _WIRE: ClassVar[tuple[tuple[str, str, Callable[[object], object]], ...]] = (
@@ -245,11 +247,14 @@ class IsoDualCertificate:
         return Curve.from_string(self.spec(), self.curve_spec)
 
     def code(self, curve: Optional[Curve] = None) -> LinearCode:
-        """The code of the recorded matrix, with the x's of the points as
-        its nodes, which rank its scaled hulls from generators."""
-        curve = curve or self.curve()
-        return LinearCode(curve.spec, self.generator_matrix, n=self.n,
-                          nodes=[x for x, _ in self.points])
+        """The recorded code, carrying v as its dual C.v: `_Context.code`,
+        the closed form [I | A] of the points, once the shared invariants
+        `_CODE_INVARIANTS` hold; `VerificationError` names the first that
+        fails, as in `construct`.  Data that is no field encoding is a
+        `CertificateSchemaError`, as in `verify_certificate`."""
+        ctx = _file_context(self, curve or self.curve())
+        _require(ctx, _CODE_INVARIANTS)
+        return ctx.code
 
     # -- wire format ----------------------------------------------------------
 
@@ -264,6 +269,9 @@ class IsoDualCertificate:
             raise CertificateSchemaError(f"not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CertificateSchemaError("certificate must be a JSON object")
+        unknown = sorted(doc.keys() - {key for key, _, _ in cls._WIRE})
+        if unknown:
+            raise CertificateSchemaError(f"unknown field {unknown[0]!r}")
         values = {}
         for key, attr, parse in cls._WIRE:
             if key not in doc:
@@ -411,9 +419,7 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
     # construction 1) needs no check: for even k the sum is Qa or Qb
     ctx = _Context(curve, inp.construction, k, 2 * k, inp.torsion_choice,
                    inp.pair_selection.to_dict())
-    for name, holds in INVARIANTS:
-        if not holds(ctx):
-            raise VerificationError(f"certificate invariant {name} failed")
+    _require(ctx, INVARIANTS)
     return IsoDualCertificate(
         schema=CERTIFICATE_SCHEMA,
         tool_version=__version__,
@@ -496,15 +502,15 @@ class _Context:
         form is already an RREF of n-long rows (the `n_equals_2k` gate), so
         it skips `LinearCode`'s entry checks.  Where the first k points are
         not k/2 whole pairs, which the canonical order of `construct`'s
-        points never gives, it is the RREF of the evaluated basis."""
-        nodes = tuple(x for x, _ in self.points)
+        points never gives, it is the RREF of the evaluated basis, with no
+        nodes."""
         made = funcspace.systematic_rows(self.basis, self.points)
         if made is not None:
             rows, r_factors = made
-            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)), nodes,
-                                    r_factors)
+            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)),
+                                    tuple(x for x, _ in self.points), r_factors)
         return LinearCode(self.spec, funcspace.rr_basis_rows(self.basis, self.points),
-                          n=self.n, nodes=nodes)
+                          n=self.n)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -649,16 +655,45 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
 # build G from the file's k, which only n = 2k = #points bounds
 _GATES = ("n_equals_2k", "g_shape")
 
+# what `IsoDualCertificate.code` needs: the file's matrix is the closed
+# form of its points, that code then carries the v they give, and that v
+# is the file's
+_CODE_INVARIANTS = tuple((name, holds) for name, holds in INVARIANTS if name in (
+    "matrix_rref", "iso_dual_identity", "scaling_matches_points"))
+
+
+def _require(ctx: _Context, invariants) -> None:
+    """`VerificationError` naming the first of `invariants` that fails."""
+    for name, holds in invariants:
+        if not holds(ctx):
+            raise VerificationError(f"certificate invariant {name} failed")
+
+
+def _file_context(cert: IsoDualCertificate, curve: Curve) -> _Context:
+    """The context of the file `cert` on its `curve`, once every matrix row
+    is n long and the matrix, v, the points and G's first affine point hold
+    field encodings only; `CertificateSchemaError` otherwise."""
+    ctx = _Context(curve, cert.construction, cert.k, cert.n,
+                   cert.torsion_choice, cert.pair_selection, cert)
+    q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
+    rows = (*cert.generator_matrix, cert.scaling_v)
+    coords = [c for p in (*ctx.points, ctx.qa or ()) for c in p]
+    if not (all(len(r) == n for r in rows) and all(
+            not r or 0 <= min(r) and max(r) < q for r in (*rows, coords))):
+        raise CertificateSchemaError(
+            "generator_matrix rows must be n long, and they, scaling_v, the "
+            "points and G's point must hold field encodings only")
+    return ctx
+
 
 def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     """Run `INVARIANTS` on the file's data alone; returns the names of the
     failed invariants in table order.
 
-    A matrix row not n long, or a matrix, v or point entry (G's first
-    affine point included) that is no encoding, raises
-    `CertificateSchemaError`.  So does other data the library cannot
-    evaluate (a bad point, one outside the group), unless an invariant has
-    already failed: the run then ends with those failures.
+    Data that is no field encoding raises `CertificateSchemaError`
+    (`_file_context`).  So does other data the library cannot evaluate (a
+    bad point, one outside the group), unless an invariant has already
+    failed: the run then ends with those failures.
     """
     failures: list[str] = []
     try:
@@ -667,16 +702,7 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
                                                            cert.curve_spec):
             raise CertificateSchemaError(
                 "field and curve must be spelled as construct writes them")
-        ctx = _Context(curve, cert.construction, cert.k, cert.n,
-                       cert.torsion_choice, cert.pair_selection, cert)
-        q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
-        rows = (*cert.generator_matrix, cert.scaling_v)
-        coords = [c for p in (*ctx.points, ctx.qa or ()) for c in p]
-        if not (all(len(r) == n for r in rows) and all(
-                not r or 0 <= min(r) and max(r) < q for r in (*rows, coords))):
-            raise CertificateSchemaError(
-                "generator_matrix rows must be n long, and they, scaling_v, the "
-                "points and G's point must hold field encodings only")
+        ctx = _file_context(cert, curve)
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)
@@ -705,7 +731,7 @@ def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearC
             "odd characteristic: square roots of v may not exist; "
             "no self-dual scaling is provided")
     u = [spec.sqrt_enc(e) for e in cert.scaling_v]
-    return ScalingVector(spec, u), _accept(_code_with_dual(cert, curve), u, cert.k,
+    return ScalingVector(spec, u), _accept(cert.code(curve), u, cert.k,
                                            "self-dual transform")
 
 
@@ -727,9 +753,9 @@ def lcd_transform(cert: IsoDualCertificate,
     curve = cert.curve()
     spec = curve.spec
     ell = cert.hull_dim
+    code = cert.code(curve)
     if ell == 0:
-        return ScalingVector(spec, [1] * cert.n), cert.code(curve)
-    code = _code_with_dual(cert, curve)
+        return ScalingVector(spec, [1] * cert.n), code
     mul = spec.mul_enc
     non_square_one = [e for e in range(2, spec.q) if mul(e, e) != 1]
     spent = 0
@@ -747,19 +773,10 @@ def lcd_transform(cert: IsoDualCertificate,
     return None
 
 
-def _code_with_dual(cert: IsoDualCertificate, curve: Curve) -> LinearCode:
-    """The certificate's code, carrying v as its dual C.v where n = 2k and
-    G diag(v) G^T = 0; otherwise `LinearCode.dual` takes the kernel."""
-    code, v = cert.code(curve), cert.scaling_v
-    if code.n == 2 * code.k and not any(map(any, linalg.gram(code.matrix, curve.spec, v))):
-        code._carry_dual(v)
-    return code
-
-
 def _accept(code: LinearCode, u: Sequence[int], hull: int, what: str) -> LinearCode:
-    """Build u.C, whose Gram-matrix hull was `hull`, and cross-check it
-    against its dual, carried by `LinearCode.scale` where `code` has one:
-    a carried v goes over as v u^-2."""
+    """Build u.C, whose hull was `hull`, and cross-check it against its
+    dual, carried by `LinearCode.scale` where `code` has one: a carried v
+    goes over as v u^-2."""
     scaled = code.scale(u)
     if scaled.hull_dim() != hull:
         raise VerificationError(f"{what} did not reach hull = {hull}")

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import time
 
 import pytest
@@ -278,6 +279,32 @@ OUT_WRITERS = {
     "eaqecc": ["eaqecc", "{cert}"],
     "search": ["search", "--table", "lemma-max", "--group", "1x6", "--n", "4"],
 }
+
+
+@pytest.mark.parametrize("command", READERS.values(), ids=READERS.keys())
+def test_unknown_key_is_schema_error(tmp_path, capsys, command):
+    # the q = 16 golden with a key the schema does not name, which would
+    # not re-serialise to the file
+    path = _edited_golden(tmp_path, "q16.json", {"extra": [1, 2, 3]})
+    assert _read(command, path) == 2
+    assert capsys.readouterr() == ("", "schema error: unknown field 'extra'\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+@pytest.mark.parametrize("argv", [OUT_WRITERS["construct"], OUT_WRITERS["search"]],
+                         ids=["construct", "search"])
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, argv, umask):
+    # --out gets the mode open(path, "w") gives a new file, not the temp
+    # file's 0600
+    old = os.umask(umask)
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "out").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("argv", OUT_WRITERS.values(), ids=OUT_WRITERS.keys())

@@ -770,13 +770,15 @@ def test_stacked_hull_rejects_a_zero_weight(request, fixture):
 
 
 def test_code_nodes_are_checked_and_carried(cert25, f25):
+    # nodes arrive only with the closed form's factors, which `scale` and
+    # the dual C.v carry; `LinearCode` itself takes no nodes
     c = cert25.code()
     assert c.nodes == tuple(x for x, _ in cert25.points)
-    assert c.dual().nodes == c.scale([2] * c.n).nodes == c.nodes
+    for other in (c.dual(), c.scale([2] * c.n)):
+        assert other.nodes == c.nodes and other._r_factors is not None
     assert LinearCode(f25, c.matrix).nodes is None
-    for bad in (c.nodes[:-1], (*c.nodes[:-1], 25), (*c.nodes[:-1], -1)):
-        with pytest.raises(CodeError, match="nodes"):
-            LinearCode(f25, c.matrix, nodes=bad)
+    with pytest.raises(TypeError, match="nodes"):
+        LinearCode(f25, c.matrix, nodes=c.nodes)
 
 
 def _golden_cert(q):
@@ -808,40 +810,41 @@ def test_generator_route_runs_from_the_crossover(monkeypatch):
 
 def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
                                                             cert25, f16, f25):
-    # with no crossover, every code that qualifies takes the route, and
-    # every code that does not keeps the stacked rank
+    # with no crossover, every code that qualifies takes the route; a code
+    # without the closed form's factors that carries v ranks the k x k M,
+    # and a code without v or not leading with I_k ranks the 2k-row stack
     monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 1)
-    route = cert25.code()
+    route, v = cert25.code(), cert25.scaling_v
     assert route._displacement_factors() is not None
-    nodes, k = list(route.nodes), route.k
-    shared = LinearCode(f25, route.matrix, nodes=[*nodes[:k], nodes[0], *nodes[k + 1:]])
-    systematic_no_dual = LinearCode(f25, [[int(i == j) for j in range(6)]
-                                          for i in range(3)], nodes=range(6))
+    no_factors = LinearCode(f25, route.matrix)
+    no_factors._carry_dual(v)
     gf5, rows = STACKED_CODES["gf5"]
-    rng = random.Random(5)
-    random_a = LinearCode(f25, [[int(i == j) for j in range(k)]
-                                + [rng.randrange(1, 25) for _ in range(k)]
-                                for i in range(k)], nodes=nodes)
-    assert any(random_a.dual().matrix[-1][:k])      # only R's rank fails
+    non_systematic = LinearCode(f25, [[1, 2, 0, 0, 0, 0], [0, 0, 1, 0, 2, 1],
+                                      [0, 0, 0, 1, 4, 2]])
+    n_not_2k = LinearCode(FieldSpec(*gf5), rows)
+    for c in (non_systematic, n_not_2k):
+        c._carry_dual([1] * c.n)
     fallbacks = {
-        "no nodes": LinearCode(f25, route.matrix),
-        "shared node": shared,
-        "dual not systematic": systematic_no_dual,
-        "non-systematic, n != 2k": LinearCode(FieldSpec(*gf5), rows,
-                                              nodes=[0, 1, 2, 3, 4, 0, 1]),
-        "non-systematic": LinearCode(f25, [[1, 2, 0, 0, 0, 0], [0, 0, 1, 0, 2, 1],
-                                           [0, 0, 0, 1, 4, 2]], nodes=range(6)),
-        "displacement rank above 2": random_a,
+        "no factors": no_factors,
+        "no v": LinearCode._made(f25, route.n, route.matrix, route.nodes,
+                                 route._r_factors),
+        "non-systematic": non_systematic,
+        "non-systematic, n != 2k": n_not_2k,
+        "above the add-table cap": _golden_code(1031),
         "characteristic 2": cert16.code(),
     }
     for name, c in fallbacks.items():
         assert c._displacement_factors() is None, name
-    plain = fallbacks["no nodes"]
+    assert no_factors._systematic_halves() is not None
+    for name in ("no v", "non-systematic", "non-systematic, n != 2k"):
+        assert fallbacks[name]._systematic_halves() is None, name
+    rng = random.Random(5)
     for _ in range(20):
         w = _random_weights(f25, route.n, rng)
-        assert route.stacked_hull_dim(w) == plain.stacked_hull_dim(w)
-    # characteristic 2 ranks the k x k matrix W1 A' - A W2 where G and its
-    # dual lead with I_k, and the packed 2k-row stack only where they do not
+        assert route.stacked_hull_dim(w) == no_factors.stacked_hull_dim(w) == \
+            fallbacks["no v"].stacked_hull_dim(w) == _stack_hull(route, w)
+    # characteristic 2 ranks the k x k matrix W1 A' - A W2 where the code
+    # carries v, and the packed 2k-row stack where it does not
     packed = []
     real = linalg._rref_packed
     monkeypatch.setattr(linalg, "_rref_packed",
@@ -849,7 +852,7 @@ def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
     c16 = fallbacks["characteristic 2"]
     assert c16.stacked_hull_dim([1] * c16.n) == c16.hull_dim()
     assert c16.k in packed and 2 * c16.k not in packed
-    no_dual16 = LinearCode(f16, systematic_no_dual.matrix)
+    no_dual16 = LinearCode(f16, [[int(i == j) for j in range(6)] for i in range(3)])
     assert no_dual16._systematic_halves() is None
     packed.clear()
     assert no_dual16.stacked_hull_dim([1] * 6) == no_dual16.hull_dim() == 0
@@ -915,20 +918,21 @@ def test_scale_writes_the_rref_and_carries_the_dual(field):
 
 @pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
 def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
-    # the k x k rank (and at q = 289 the generator route) against the stack,
-    # with the dual from a nullspace and with C.v, the dual iso_dual_identity
-    # proves; w = lambda v has hull k, and v on a prefix hulls in between
-    with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
-        cert = IsoDualCertificate.from_json(fh.read())
-    kernel, spec = cert.code(), cert.spec()
-    v, k = cert.scaling_v, kernel.k
-    proved = cert.code()
-    proved._carry_dual(v)
+    # the generator route (odd q from the crossover) and the k x k rank,
+    # both reading the carried v, against the 2k-row stack of a code with
+    # its dual from the kernel; w = lambda v has hull k, and v on a prefix
+    # hulls in between
+    cert = _golden_cert(q)
+    spec, v = cert.spec(), cert.scaling_v
+    kernel = LinearCode(spec, cert.generator_matrix)
+    proved, k = cert.code(), kernel.k
     assert proved._dual_v == tuple(v) and proved._dual is None
     dense = LinearCode(spec, kernel.matrix, n=kernel.n)
+    dense._carry_dual(v)
     assert dense._systematic_halves() is not None
     assert dense._displacement_factors() is None
-    assert (kernel._displacement_factors() is not None) == (
+    assert kernel._systematic_halves() is kernel._displacement_factors() is None
+    assert (proved._displacement_factors() is not None) == (
         spec.p != 2 and k >= code._DISPLACEMENT_MIN_K and spec._addt is not None)
     rng = random.Random(q)
     weights = [_random_weights(spec, kernel.n, rng) for _ in range(4)]
@@ -949,10 +953,10 @@ def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
 def test_closed_form_factors_rref_factors_and_the_stack_give_one_hull(monkeypatch,
                                                                       sweep):
     # stacked_hull_dim from the closed form's factors of R (and v's of R'),
-    # from the RREFs of R and R' (the same matrix, built without them) and
-    # from the 2k-row stack, at w = 1 and at seeded random w: on q = 289
-    # (k = 80) and, with the crossover lowered, on the sweep's odd codes,
-    # whose k is at most 14
+    # from the k x k M of the same matrix carrying v without them, and from
+    # the 2k-row stack of the kernel's code, at w = 1 and at seeded random
+    # w: on q = 289 (k = 80) and, with the crossover lowered, on the
+    # sweep's odd codes, whose k is at most 14
     monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 2)
     cert = _golden_cert(289)
     inputs = [(cert.curve(), cert.k, cert.torsion_choice, cert.pair_selection)]
@@ -963,12 +967,16 @@ def test_closed_form_factors_rref_factors_and_the_stack_give_one_hull(monkeypatc
         ctx = isodual._Context(curve, 2, k, 2 * k, choice, selection)
         closed, spec = ctx.code, curve.spec
         assert closed._r_factors is not None and isodual._iso_dual_identity(ctx)
-        plain = LinearCode(spec, closed.matrix, nodes=closed.nodes)
+        dense, plain = LinearCode(spec, closed.matrix), LinearCode(spec, closed.matrix)
+        dense._carry_dual(ctx.scaling_v)
         factors = closed._displacement_factors()
-        assert factors[2:4] == closed._r_factors and plain._displacement_factors()
+        assert factors[2:4] == closed._r_factors
+        assert factors[:2] == (closed.nodes[:k], closed.nodes[k:])
+        assert dense._displacement_factors() is None and dense._systematic_halves()
         for w in [[1] * 2 * k, *(_random_weights(spec, 2 * k, rng) for _ in range(2))]:
             h = _stack_hull(plain, w)
-            assert closed.stacked_hull_dim(w) == plain.stacked_hull_dim(w) == h, (curve, k)
+            assert closed.stacked_hull_dim(w) == dense.stacked_hull_dim(w) == \
+                plain.stacked_hull_dim(w) == h, (curve, k)
         assert closed._dual is None     # the closed form's route never built C.v
 
 
@@ -978,8 +986,7 @@ def test_scaled_dual_spans_the_kernel_of_the_scaled_code(q):
     # either way the scaled code's dual is the kernel of its generator
     cert = _golden_cert(q)
     spec, v = cert.spec(), cert.scaling_v
-    proved, kernel = cert.code(), cert.code()
-    proved._carry_dual(v)
+    proved, kernel = cert.code(), LinearCode(spec, cert.generator_matrix)
     kernel.dual()
     rng = random.Random(q)
     for w in [[1] * len(v), v, *(_random_weights(spec, len(v), rng) for _ in range(3))]:
@@ -988,6 +995,35 @@ def test_scaled_dual_spans_the_kernel_of_the_scaled_code(q):
             assert (scaled._dual_v is None) == (c is kernel)
             fresh = LinearCode(spec, scaled.matrix, n=scaled.n)
             assert scaled.dual().matrix == fresh.dual().matrix
+
+
+def _r_entries(c):
+    """R = D_alpha A - A D_x of a code [I | A] carrying its nodes, entry by
+    entry, and the same from the product P Q of its carried factors."""
+    spec, k = c.spec, c.k
+    mul, add, sub = spec.mul_enc, spec.add_enc, spec.sub_enc
+    alpha, x, (p_cols, q_rows) = c.nodes[:k], c.nodes[k:], c._r_factors
+    r = [[mul(sub(alpha[i], x[j]), c.matrix[i][k + j]) for j in range(k)]
+         for i in range(k)]
+    pq = [[reduce(add, (mul(col[i], row[j]) for col, row in zip(p_cols, q_rows)), 0)
+           for j in range(k)] for i in range(k)]
+    return r, pq
+
+
+@pytest.mark.parametrize("q", [16, 25, 49, 256, 289, 1031])
+def test_scaled_factors_reproduce_r_of_the_scaled_code(q):
+    # w.C = [I | W1^-1 A W2] has R_w = W1^-1 R W2, so scale carries the
+    # factors as (W1^-1 P, Q W2); the dual C.v is scale(v), and its R' too
+    cert = _golden_cert(q)
+    c, spec = cert.code(), cert.spec()
+    rng = random.Random(q)
+    for w in (cert.scaling_v, *(_random_weights(spec, c.n, rng) for _ in range(2))):
+        scaled = c.scale(w)
+        assert scaled.nodes == c.nodes and scaled._r_factors is not None
+        r, pq = _r_entries(scaled)
+        assert r == pq and any(map(any, r))
+    dual = c.dual()
+    assert dual._r_factors is not None and dual.matrix == c.scale(cert.scaling_v).matrix
 
 
 @pytest.mark.parametrize("fixture, bad", [("f25", -1), ("f25", 30), ("f25", 0),
@@ -1027,19 +1063,17 @@ def test_gram_and_scale_columns_refuse_a_zero_weight(request, fixture):
 def test_dual_factors_from_v_reproduce_r_prime(monkeypatch):
     # with the dual C.v, A' = D_v1^-1 A D_v2, so the dual's displacement
     # R' = D_alpha A' - A' D_x is P' Q' for P' = D_v1^-1 P and Q' = Q D_v2:
-    # one RREF (of R) where the kernel's dual takes two
-    with open(os.path.join(GOLDENS, "q289.json")) as fh:
-        cert = IsoDualCertificate.from_json(fh.read())
+    # no RREF, of R or of R'
+    cert = _golden_cert(289)
     spec, v = cert.spec(), cert.scaling_v
-    proved, kernel = cert.code(), cert.code()
-    proved._carry_dual(v)
-    kernel_factors = kernel._displacement_factors()
+    proved, kernel = cert.code(), LinearCode(spec, cert.generator_matrix)
     rrefs = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda rows, *args, **kw:
                         rrefs.append(len(rows)) or real(rows, *args, **kw))
     alpha, x, p_cols, q_rows, dual_p, dual_q = proved._displacement_factors()
-    assert rrefs == [proved.k] and kernel_factors[:4] == (alpha, x, p_cols, q_rows)
+    assert rrefs == [] and (p_cols, q_rows) == proved._r_factors
+    assert (alpha, x) == (proved.nodes[:proved.k], proved.nodes[proved.k:])
     k, mul, add, sub = proved.k, spec.mul_enc, spec.add_enc, spec.sub_enc
     dual_a = [row[k:] for row in proved.dual().matrix]
     for i in range(k):

@@ -210,6 +210,19 @@ def test_schema_rejects_garbage():
         IsoDualCertificate.from_json('{"schema":"ellcode.isodual-certificate/1"}')
 
 
+@pytest.mark.parametrize("key, value", [("extra", [1, 2, 3]), ("", None),
+                                        ("Schema", "ellcode.isodual-certificate/1")])
+def test_schema_refuses_unknown_keys(key, value):
+    # a file that loads re-serialises to its own bytes, so it names no key
+    # that `to_json` does not write
+    text = _golden_text(16)
+    assert IsoDualCertificate.from_json(text).to_json() == text
+    doc = json.loads(text)
+    doc[key] = value
+    with pytest.raises(CertificateSchemaError, match=f"unknown field {key!r}"):
+        IsoDualCertificate.from_json(json.dumps(doc))
+
+
 def _tamper(cert, **overrides):
     import dataclasses
     return dataclasses.replace(cert, **overrides)
@@ -254,13 +267,25 @@ def test_lcd_transform_trivial_when_already_lcd(cert16):
     assert code.hull_dim() == 0
 
 
-def test_lcd_transform_search_from_selfdual(cert16, e16, f16):
-    # start from the hull-4 scaled code and search back down to hull 0
+def _scaled_source(monkeypatch, cert, scaled, hull):
+    """`cert` recording the scaled code `scaled`, with the v that code
+    carries and `hull`.  Its matrix is not the closed form of its points,
+    so `IsoDualCertificate.code` refuses it, and so do the transforms; with
+    `code` patched to give `scaled`, the LCD ladder runs on it."""
+    source = _tamper(cert, generator_matrix=scaled.matrix,
+                     scaling_v=scaled._dual_v, hull_dim=hull)
+    with pytest.raises(VerificationError, match="matrix_rref"):
+        lcd_transform(source)
+    monkeypatch.setattr(IsoDualCertificate, "code", lambda self, curve=None: scaled)
+    return source
+
+
+def test_lcd_transform_search_from_selfdual(monkeypatch, cert16, e16, f16):
+    # start from the hull-4 scaled code and search back down to hull 0;
+    # u.C with u^2 = v is self-dual, so it carries v u^-2 = 1
     u, scaled = selfdual_transform(cert16)
-    source = _tamper(cert16,
-                     generator_matrix=scaled.matrix,
-                     scaling_v=tuple(f16.inv_enc(e) for e in u.entries),
-                     hull_dim=4)
+    assert scaled._dual_v == (1,) * 8
+    source = _scaled_source(monkeypatch, cert16, scaled, 4)
     result = lcd_transform(source, budget=4000)
     assert result is not None
     u_hat, code = result
@@ -269,12 +294,15 @@ def test_lcd_transform_search_from_selfdual(cert16, e16, f16):
     assert non_one and all(f16.mul_enc(e, e) != 1 for e in non_one)
 
 
-def test_lcd_transform_budget_exhaustion(cert16, e16, f16):
-    # a hull-1 scaling whose LCD search succeeds on its second candidate
+def test_lcd_transform_budget_exhaustion(monkeypatch, cert16, e16, f16):
+    # a hull-1 scaling whose LCD search succeeds on its second candidate;
+    # w.C carries v w^-2
     w = ScalingVector(f16, [1, 12, 5, 6, 12, 3, 5, 13])
     scaled = cert16.code(e16).scale(w)
     assert scaled.hull_dim() == 1
-    source = _tamper(cert16, generator_matrix=scaled.matrix, hull_dim=1)
+    assert scaled._dual_v == tuple(f16.mul_enc(e, f16.inv_enc(f16.mul_enc(c, c)))
+                                   for e, c in zip(cert16.scaling_v, w.entries))
+    source = _scaled_source(monkeypatch, cert16, scaled, 1)
     assert lcd_transform(source, budget=1) is None
     assert lcd_transform(source, budget=2) is not None
 
@@ -473,9 +501,13 @@ def test_construct_names_the_failed_invariant(monkeypatch, e16):
         construct(ConstructionInput(e16, 2, 1))
 
 
-def _golden_cert(q):
+def _golden_text(q):
     with open(os.path.join(GOLDENS, f"q{q}.json")) as fh:
-        return IsoDualCertificate.from_json(fh.read())
+        return fh.read()
+
+
+def _golden_cert(q):
+    return IsoDualCertificate.from_json(_golden_text(q))
 
 
 def _construct_echo(cert):
@@ -547,13 +579,14 @@ def _moment_fields(cert):
 
 def _three_duals(cert):
     """The code of `cert` three times: with its dual proved to be C.v by
-    iso_dual_identity, with the dual from a nullspace, and fresh."""
+    iso_dual_identity, with the dual from a nullspace, and as
+    `IsoDualCertificate.code` gives it."""
     spec = cert.spec()
-    proved = cert.code()
+    proved = _verify_context(cert).code
     ctx = SimpleNamespace(code=proved, spec=spec, scaling_v=cert.scaling_v,
                           **_moment_fields(cert))
     assert isodual._iso_dual_identity(ctx) and proved._dual_v == tuple(cert.scaling_v)
-    kernel = cert.code()
+    kernel = LinearCode(spec, cert.generator_matrix)
     kernel.dual()
     assert kernel.dual().matrix == proved.dual().matrix
     return proved, kernel, cert.code()
@@ -563,10 +596,59 @@ def _three_duals(cert):
 def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
     # no TAMPERS edit reaches it, since it reads the v the points give
     cert = request.getfixturevalue(fixture)
-    spec, code = cert.spec(), cert.code()
+    spec, code = cert.spec(), _verify_context(cert).code
     v = _replace_at(cert.scaling_v, 0, 7)
+    assert v != cert.scaling_v
     ctx = SimpleNamespace(code=code, spec=spec, scaling_v=v, **_moment_fields(cert))
     assert not isodual._iso_dual_identity(ctx) and code._dual is code._dual_v is None
+
+
+@pytest.mark.parametrize("q", [16, 25, 32, 49, 64, 256, 289, 729, 1031])
+def test_certificate_code_is_the_closed_form_carrying_v(monkeypatch, q):
+    # the verifier's code: the file's matrix, from the closed form, with v
+    # carried from the point moments, and no nullspace, Gram or RREF taken
+    cert = _golden_cert(q)
+    curve = cert.curve()
+    for name in ("nullspace", "gram", "rref"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, **kw:
+                            pytest.fail(f"cert.code() called linalg.{name}"))
+    c = cert.code(curve)
+    assert (c.matrix, c.k, c.n) == (cert.generator_matrix, cert.k, cert.n)
+    assert c._dual_v == cert.scaling_v and c._dual is None
+    assert c.nodes == tuple(x for x, _ in cert.points) and c._r_factors is not None
+
+
+@pytest.mark.parametrize("fixture", ["cert16", "cert25"])
+@pytest.mark.parametrize("edit, failure", [("scaled matrix", "matrix_rref"),
+                                           ("changed v", "scaling_matches_points"),
+                                           ("scaled matrix and its v", "matrix_rref")])
+def test_certificate_code_and_transforms_refuse_a_code_the_points_do_not_give(
+        request, fixture, edit, failure):
+    cert = request.getfixturevalue(fixture)
+    spec = cert.spec()
+    w = [spec.mul_enc(2, e) if i % 3 else e for i, e in enumerate(cert.scaling_v)]
+    scaled = cert.code().scale(w)
+    bad = _tamper(cert, **{
+        "scaled matrix": {"generator_matrix": scaled.matrix},
+        "changed v": {"scaling_v": _replace_at(cert.scaling_v, 0, 7)},
+        "scaled matrix and its v": {"generator_matrix": scaled.matrix,
+                                    "scaling_v": scaled._dual_v}}[edit])
+    assert bad != cert and failure in verify_certificate(bad)
+    calls = {"code": bad.code, "lcd": lambda: lcd_transform(bad)}
+    if spec.p == 2:
+        calls["selfdual"] = lambda: selfdual_transform(bad)
+    for name, call in calls.items():
+        with pytest.raises(VerificationError, match=f"invariant {failure} failed"):
+            call()
+
+
+def test_certificate_code_refuses_what_verify_cannot_evaluate(cert25):
+    # a point coordinate outside [0, q) is a schema error before any table
+    # is read, as in verify
+    bad = _tamper(cert25, points=((25, 1), *cert25.points[1:]))
+    for call in (lambda: verify_certificate(bad), bad.code, lambda: lcd_transform(bad)):
+        with pytest.raises(CertificateSchemaError, match="field encodings only"):
+            call()
 
 
 @pytest.mark.parametrize("source, block, trials", [
@@ -575,19 +657,22 @@ def test_iso_dual_identity_rejects_a_wrong_scaling(request, fixture):
 def test_scaled_hull_dim_matches_gram_and_scaled_code(request, source, block,
                                                       trials):
     # hull(u.C) = n - rank([G diag(u^2); H]); the Gram formula is the
-    # reference.  The three codes carry nodes, so from the crossover on they
-    # rank from displacement generators; a fourth without nodes ranks the
-    # k x k M = A' - W1^-1 A W2.
+    # reference.  The closed-form codes carry v and their factors, so from
+    # the crossover on they rank from displacement generators; the kernel's
+    # code ranks the 2k-row stack, and a fourth carrying v without the
+    # factors ranks the k x k M = A' - W1^-1 A W2.
     cert = (_golden_cert(source) if isinstance(source, int)
             else request.getfixturevalue(source))
     codes = _three_duals(cert)
     code, spec = codes[0], codes[0].spec
-    stacked = LinearCode(spec, code.matrix, n=code.n)
-    codes += (stacked,)
+    dense = LinearCode(spec, code.matrix, n=code.n)
+    dense._carry_dual(cert.scaling_v)
+    codes += (dense,)
     k = code.k
     assert (code._displacement_factors() is not None) == (
         spec.p != 2 and k >= code_module._DISPLACEMENT_MIN_K)
-    assert stacked._displacement_factors() is None
+    assert dense._displacement_factors() is None and dense._systematic_halves()
+    assert codes[1]._systematic_halves() is None
 
     def reference(w):
         return k - linalg.rank(linalg.gram(code.matrix, spec, w), spec)
@@ -737,15 +822,14 @@ def test_library_rows_skip_the_entry_checks_and_give_the_checked_code(monkeypatc
     monkeypatch.setattr(LinearCode, "__init__", no_checks)
     made, scaled = ctx.code, ctx.code.scale(ctx.scaling_v)
     monkeypatch.setattr(LinearCode, "__init__", checked_init)
-    spec, nodes = ctx.spec, [x for x, _ in ctx.points]
+    spec, nodes = ctx.spec, tuple(x for x, _ in ctx.points)
     checked = LinearCode(spec, funcspace.systematic_rows(ctx.basis, ctx.points)[0],
-                         n=ctx.n, nodes=nodes)
+                         n=ctx.n)
     checked_scaled = LinearCode(
-        spec, linalg.scale_columns(checked.matrix, ctx.scaling_v, spec),
-        n=ctx.n, nodes=nodes)
+        spec, linalg.scale_columns(checked.matrix, ctx.scaling_v, spec), n=ctx.n)
     for got, want in ((made, checked), (scaled, checked_scaled)):
         assert (got.matrix, got.nodes, got.k, got.n) == \
-            (want.matrix, want.nodes, want.k, want.n)
+            (want.matrix, nodes, want.k, want.n)
     assert made.matrix == ctx.cert.generator_matrix
 
 
