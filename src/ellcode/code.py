@@ -47,11 +47,12 @@ BRUTE_FORCE_BUDGET = 2 ** 24
 enumerate."""
 
 
-_DISPLACEMENT_MIN_K = 32
+_DISPLACEMENT_MIN_K = 22
 """Smallest k that ranks scaled hulls from displacement generators.  On
 [2k, k] curve codes over GF(289), per scaling, the generator route took
-0.93-1.01 of the dense k x k rank's time at k = 32, 0.82-0.87 at k = 36,
-1.06-1.11 at k = 28 and 1.15-1.25 at k = 24 (`stacked_hull_dim`)."""
+0.97-0.99 of the dense k x k rank's time at k = 22, 1.03-1.07 at k = 20,
+1.12-1.13 at k = 18, 0.92-0.94 at k = 24 and 0.61-0.62 at k = 40
+(`stacked_hull_dim`, min and median of 200 calls)."""
 
 
 class CodeError(ValueError):
@@ -260,8 +261,10 @@ class LinearCode:
         factors = self._displacement_factors()
         if factors is not None:
             alpha, x, p_cols, q_rows, dual_p_cols, dual_q_rows = factors
-            # generators of M: G = [P' | -W1^-1 P], H = [Q'; Q W2]
-            neg_inv = [spec.neg_enc(spec.inv_enc(e)) for e in w[:k]]
+            # generators of M: G = [P' | -W1^-1 P], H = [Q'; Q W2]; -1/e
+            # has log (q - 1)/2 - log e
+            q1, exp2, log = spec.q - 1, spec._exp2, spec._log
+            neg_inv = [exp2[q1 + q1 // 2 - log[e]] for e in w[:k]]
             g = [*dual_p_cols, *linalg.scale_columns(p_cols, neg_inv, spec)]
             h = [*dual_q_rows, *linalg.scale_columns(q_rows, w[k:], spec)]
             return k - linalg.cauchy_like_rank(alpha, x, g, h, spec)

@@ -331,9 +331,10 @@ class Curve:
         order-l point (d1/l)*p1 is not a multiple of p2, so p1 is chosen by
         that test and only its grid is walked.  P and -P, side by side on
         one x, share their order and the p1 test (<p2> = -<p2>), so both
-        scans read the first point on each x.  The walk is the dlog table;
-        -(i*p1 + j*p2) is at (-i mod d1, -j mod d2), so each row fills its
-        mirror by negation, in about #E/2 additions in all.  The order of
+        scans read the first point on each x; O and a point alone on its x
+        (order 2) need no descent.  The walk is the dlog table; -(i*p1 +
+        j*p2) is at (-i mod d1, -j mod d2), so each row fills its mirror by
+        negation, in about #E/2 additions in all.  The order of
         the point at (i, j) is lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
         """
         if self._structure is not None:
@@ -348,7 +349,8 @@ class Curve:
         primes = list(factorize(n))
         lcm_so_far, tried = 1, set()
         for p2 in firsts():
-            d2 = _order(mul, p2, n, primes)
+            # O has order 1, and a point alone on its x (P = -P) order 2
+            d2 = 1 if p2 is None else 2 if neg(p2) == p2 else _order(mul, p2, n, primes)
             lcm_so_far = lcm(lcm_so_far, d2)
             d1 = n // d2
             if d2 != lcm_so_far or d2 in tried or d2 % d1 or (self.spec.q - 1) % d1:

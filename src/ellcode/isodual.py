@@ -249,8 +249,9 @@ class IsoDualCertificate:
     def code(self, curve: Optional[Curve] = None) -> LinearCode:
         """The recorded code, carrying v as its dual C.v: `_Context.code`,
         the closed form [I | A] of the points, once the shared invariants
-        `_CODE_INVARIANTS` hold; `VerificationError` names the first that
-        fails, as in `construct`.  Data that is no field encoding is a
+        `_CODE_INVARIANTS` hold, the gates `n_equals_2k` and `g_shape`
+        first; `VerificationError` names the first that fails, as in
+        `construct`.  Data that is no field encoding is a
         `CertificateSchemaError`, as in `verify_certificate`."""
         ctx = _file_context(self, curve or self.curve())
         _require(ctx, _CODE_INVARIANTS)
@@ -655,11 +656,12 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
 # build G from the file's k, which only n = 2k = #points bounds
 _GATES = ("n_equals_2k", "g_shape")
 
-# what `IsoDualCertificate.code` needs: the file's matrix is the closed
-# form of its points, that code then carries the v they give, and that v
-# is the file's
+# what `IsoDualCertificate.code` needs: the gates, which bound the points
+# and G that the closed form reads, then the file's matrix is the closed
+# form of its points, that code carries the v they give, and that v is the
+# file's
 _CODE_INVARIANTS = tuple((name, holds) for name, holds in INVARIANTS if name in (
-    "matrix_rref", "iso_dual_identity", "scaling_matches_points"))
+    *_GATES, "matrix_rref", "iso_dual_identity", "scaling_matches_points"))
 
 
 def _require(ctx: _Context, invariants) -> None:

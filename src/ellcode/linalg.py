@@ -12,7 +12,8 @@ XOR; results are unpacked to the same lists of encodings.
 Two structured kernels rank a matrix with none formed.  `cauchy_like_rank`
 ranks a Cauchy-like matrix, D_a M - M D_b = G H, by elimination on the r
 columns of G and rows of H (Gohberg-Kailath-Olshevsky), O(m n r); it runs
-in odd characteristic, with the field's log, exp and add tables.
+in odd characteristic, with the field's log, exp and add tables, on G's
+rows and H's columns held as tuples of 4 generators.
 `hankel_rank` ranks an m x m Hankel matrix from the linear complexity of
 its 2m - 1 entries (Berlekamp-Massey), O(m^2), in any field.
 """
@@ -131,6 +132,11 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
     zero, and otherwise pivots on its first nonzero entry, forms the pivot
     row and folds both into G and H, which then generate the next Schur
     complement.  Odd characteristic up to the add-table cap only.
+
+    G and H are padded with zeros to a multiple of 4 (at least 4) and cut
+    into 4-wide chunks, lists of G's row tuples and H's column tuples; per
+    chunk, a step makes one pass for each of column j, row p and the update
+    of each side.  The library's r = 4 is one chunk.
     """
     if spec.p == 2 or spec._addt is None:
         raise ValueError("cauchy_like_rank needs odd q with an add table")
@@ -138,74 +144,67 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
         raise ValueError("row and column nodes must be disjoint")
     log, addt, negt = spec._log, spec._addt, spec._negt
     q1 = spec.q - 1
-    # zlog is log with 0 sent to Z: every exponent sum below stays under Z
-    # for nonzero factors and at or above it otherwise, where ez reads 0
+    # zlog is log with 0 sent to z: every exponent sum below stays under z
+    # for nonzero factors and lies in [z, 2z + 2(q - 1)) otherwise, where ez
+    # reads 0
     z = 4 * q1
-    ez = spec._exp * 4 + [0] * z
+    ez = spec._exp * 4 + [0] * (z + 2 * q1)
     zlog = log.copy()
     zlog[0] = z
-    g = [list(col) for col in g]
-    h = [list(row) for row in h]
+    pad = -len(g) % 4 if g else 4
+    g = [*g, *[[0] * len(a)] * pad]
+    h = [*h, *[[0] * len(b)] * pad]
+    gs = [list(zip(*g[c:c + 4])) for c in range(0, len(g), 4)]
+    hs = [list(zip(*h[c:c + 4])) for c in range(0, len(h), 4)]
+
+    def dots(chunks, vecs):
+        """Each tuple's product with its chunk's vec, summed over chunks."""
+        acc = None
+        for tuples, vec in zip(chunks, vecs):
+            l0, l1, l2, l3 = [zlog[x] for x in vec]
+            part = [addt[addt[ez[zlog[x0] + l0]][ez[zlog[x1] + l1]]][
+                        addt[ez[zlog[x2] + l2]][ez[zlog[x3] + l3]]]
+                    for x0, x1, x2, x3 in tuples]
+            acc = part if acc is None else [addt[x][y] for x, y in zip(acc, part)]
+        return acc
+
+    def fold(chunks, vecs, s, nodes, diff, lc):
+        """Tuple i plus its chunk's vec times s_i c / diff[node_i]."""
+        return [[(addt[x0][ez[y + l0]], addt[x1][ez[y + l1]],
+                  addt[x2][ez[y + l2]], addt[x3][ez[y + l3]])
+                 for (x0, x1, x2, x3), v, u in zip(tuples, s, nodes)
+                 for y in (zlog[v] + lc - log[diff[u]],)]
+                for tuples, vec in zip(chunks, vecs)
+                for l0, l1, l2, l3 in ([zlog[x] for x in vec],)]
+
     rows = list(a)
     nb = [negt[x] for x in b]
-    rank = base = 0         # h's lists start at column base
+    rank = base = 0         # hs' lists start at column base
     for j, nbj in enumerate(nb):
         if not rows:
             break
-        jj = j - base
+        hj = [hc[j - base] for hc in hs]
         # column j of the Schur complement times (a_i - b_j)
-        s = _combine([(log[ht[jj]], gt) for gt, ht in zip(g, h) if ht[jj]],
-                     ez, zlog, addt)
-        if s is None or not any(s):
+        s = dots(gs, hj)
+        p = next(filter(s.__getitem__, range(len(s))), None)
+        if p is None:
             continue
-        p = next(i for i, v in enumerate(s) if v)
         rank += 1
         ap = rows.pop(p)
         # c = -(a_p - b_j) / s_p, whose log lc is shifted into [q - 1, 2(q - 1))
         # so that the exponents below stay nonnegative
         lc = (log[addt[ap][nbj]] - log[s.pop(p)] + q1 // 2) % q1 + q1
-        # logs of -M_ij / M_pj = s_i c / (a_i - b_j), which clear column j
-        ls = [zlog[v] + lc - log[addt[ai][nbj]] for v, ai in zip(s, rows)]
-        gp = [gt.pop(p) for gt in g]
-        tail = [ht[jj + 1:] for ht in h]
+        gp = [gc.pop(p) for gc in gs]
+        tails = [hc[j - base + 1:] for hc in hs]
         base = j + 1
-        # logs of -M_pc / M_pj, from row p of M past column j; s_p != 0, so
-        # row p of G is not zero
-        t = _combine([(log[x], ht) for x, ht in zip(gp, tail) if x],
-                     ez, zlog, addt)
-        lt = [zlog[v] + lc - log[addt[ap][nbc]] for v, nbc in zip(t, nb[base:])]
-        for i, x in enumerate(gp):
-            if x:
-                x = log[x]
-                g[i] = [addt[v][ez[y + x]] for v, y in zip(g[i], ls)]
-        for i, ht in enumerate(h):
-            x = ht[jj]
-            if x:
-                x = log[x]
-                h[i] = [addt[v][ez[y + x]] for v, y in zip(tail[i], lt)]
-            else:
-                h[i] = tail[i]
+        # row p of the Schur complement past column j, times (a_p - b_c)
+        t = dots(tails, gp)
+        # row i of G gains row p times -M_ij / M_pj = s_i c / (a_i - b_j),
+        # column c of H column j times -M_pc / M_pj = t_c c / (a_p - b_c):
+        # the next Schur complement's generators
+        gs = fold(gs, gp, s, rows, addt[nbj], lc)
+        hs = fold(tails, hj, t, nb[base:], addt[ap], lc)
     return rank
-
-
-def _combine(terms: list[tuple[int, list[int]]], ez: list[int],
-             zlog: list[int], addt: list[list[int]]) -> Optional[list[int]]:
-    """The sum of the vectors of `terms`, each times its scalar, given as
-    (log of the scalar, vector); None for no terms.  Two terms per pass."""
-    acc = None
-    for (l0, v0), (l1, v1) in zip(terms[::2], terms[1::2]):
-        if acc is None:
-            acc = [addt[ez[zlog[x] + l0]][ez[zlog[y] + l1]] for x, y in zip(v0, v1)]
-        else:
-            acc = [addt[s][addt[ez[zlog[x] + l0]][ez[zlog[y] + l1]]]
-                   for s, x, y in zip(acc, v0, v1)]
-    if len(terms) % 2:
-        l0, v0 = terms[-1]
-        if acc is None:
-            acc = [ez[zlog[x] + l0] for x in v0]
-        else:
-            acc = [addt[s][ez[zlog[x] + l0]] for s, x in zip(acc, v0)]
-    return acc
 
 
 def hankel_rank(s: Sequence[int], spec: FieldSpec) -> int:

@@ -706,7 +706,9 @@ def _cauchy_dense(spec, a, b, g, h):
 
 
 def _cauchy_cases(spec, rng):
-    """(name, a, b, G by columns, H by rows), with repeated row nodes."""
+    """(name, a, b, G by columns, H by rows), with repeated row nodes.  The
+    kernel cuts the generators into chunks of 4, so r = 5 and 8 take two
+    chunks, the first with zero padding; planted ones have up to 20."""
     q, mul, neg = spec.q, spec.mul_enc, spec.neg_enc
     pool = rng.sample(range(q), 10)
     for trial in range(12):
@@ -717,8 +719,8 @@ def _cauchy_cases(spec, rng):
         def rand(size, zeros=0):
             return [0] * zeros + [rng.randrange(q) for _ in range(size - zeros)]
 
-        r = rng.randint(1, 4)
-        yield "random", a, b, [rand(m) for _ in range(r)], [rand(n) for _ in range(r)]
+        for r in (rng.randint(1, 4), 5, 8):
+            yield "random", a, b, [rand(m) for _ in range(r)], [rand(n) for _ in range(r)]
         # M = X Y of rank at most rho: D_a M - M D_b = [D_a X, -X] [Y; Y D_b];
         # Y's zero leading columns make M's, which the kernel drops
         rho = rng.randint(0, min(m, n) - 1) if min(m, n) > 1 else 0
@@ -748,6 +750,28 @@ def test_cauchy_like_rank_matches_dense_rank(field):
     assert all(r == 0 for r, _ in ranks["zero"])
     assert any(0 < r < full for r, full in ranks["planted"])
     assert any(r == full for r, full in ranks["random"])
+
+
+def test_generator_route_reads_only_the_field_tables(monkeypatch):
+    # the q = 289 golden's scaled hulls, at a random w and at w = v, again
+    # with the field's per-element arithmetic unavailable: past the cached
+    # factors, each scaling's generators and `cauchy_like_rank` work from
+    # the log, exp and add tables
+    cert = _golden_cert(289)
+    c, spec, rng = cert.code(), cert.spec(), random.Random(289)
+    w = [spec.mul_enc(u, u) for u in (rng.randrange(1, spec.q) for _ in range(c.n))]
+    expected = [c.stacked_hull_dim(w), c.stacked_hull_dim(cert.scaling_v)]
+    assert expected == [0, c.k]        # M of full rank and M = 0
+
+    def refuse(*args):
+        raise AssertionError("per-element field arithmetic called")
+
+    for name in ("add_enc", "sub_enc"):
+        monkeypatch.setattr(c.spec, name, refuse)
+    for name in ("mul_enc", "inv_enc"):
+        monkeypatch.setattr(FieldSpec, name, refuse)
+    assert [c.stacked_hull_dim(w), c.stacked_hull_dim(cert.scaling_v)] == expected
+    assert c._displacement_factors() is not None
 
 
 def test_cauchy_like_rank_rejects_shared_nodes_and_characteristic_2(f16, f25):

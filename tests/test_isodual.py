@@ -651,6 +651,20 @@ def test_certificate_code_refuses_what_verify_cannot_evaluate(cert25):
             call()
 
 
+@pytest.mark.parametrize("edit, gate", [("g names no affine point", "g_shape"),
+                                        ("one point short", "n_equals_2k")])
+def test_certificate_code_runs_the_gates_first(edit, gate):
+    # the closed form reads G's affine point and 2k points, so a file the
+    # gates refuse is a VerificationError naming the gate, as verify reports
+    wire = json.loads(_golden_text(25))
+    wire.update({"g names no affine point": {"g_divisor": [[None, wire["k"]]]},
+                 "one point short": {"points": wire["points"][:-1]}}[edit])
+    bad = IsoDualCertificate.from_json(json.dumps(wire))
+    assert verify_certificate(bad) == [gate]
+    with pytest.raises(VerificationError, match=f"invariant {gate} failed"):
+        bad.code()
+
+
 @pytest.mark.parametrize("source, block, trials", [
     ("cert16", 1, 40), ("cert25", 1, 40), ("cert25", 2, 40), (289, 1, 3),
     (49, 1, 30), (49, 2, 30), (289, 1, 6), (289, 2, 4)])
