@@ -4,8 +4,8 @@ Modules
 -------
 gf         exact GF(p) / GF(p^m) arithmetic in a fixed polynomial basis
 curve      Weierstrass curves: group law, enumeration, orders, structure
-funcspace  the checked Riemann-Roch basis of L((k-1)O + Q), its evaluation,
-           the closed-form systematic generator and moment Grams
+funcspace  the checked Riemann-Roch basis of L((k-1)O + Q), the closed-form
+           systematic generator and moment Grams
 code       linear codes: duals, hulls, distances, the subset-sum certifier
 isodual    the constructions, certificates, self-dual / LCD scalings
 eaqecc     entanglement-assisted quantum code parameters
@@ -17,7 +17,7 @@ from ._version import __version__
 from .gf import FieldElement, FieldSpec, FieldError
 from .curve import (Curve, CurveError, GroupStructure, Point, INFINITY,
                     feasible_orders, odd_part)
-from .funcspace import RRBasis, FunctionError, rr_basis, rr_basis_rows
+from .funcspace import RRBasis, FunctionError, rr_basis
 from .code import (CodeError, LinearCode, ScalingVector, mds_subset_check,
                    subset_sum_reachable)
 from .isodual import (CertificateSchemaError, ConstructionError,

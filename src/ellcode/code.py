@@ -225,8 +225,10 @@ class LinearCode:
     def hull_dim(self, gram_rank: Optional[int] = None) -> int:
         """dim(C n C-perp) = k - rank(B B^T) for the rows B of any basis of
         C, cross-checked against `stacked_hull_dim` at w = 1.  `gram_rank`
-        is that rank, G G^T's when None; `isodual` passes one from the
-        Hankel blocks of its point moments, a route independent of G."""
+        is that rank, G G^T's when None, as for the scaled codes that
+        `isodual._accept` checks; `isodual`'s construct and verify always
+        pass one, from the Hankel blocks of their point moments, a route
+        independent of G, and form no G G^T."""
         if gram_rank is None:
             gram_rank = linalg.rank(linalg.gram(self.matrix, self.spec), self.spec)
         h = self.k - gram_rank

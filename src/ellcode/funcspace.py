@@ -5,19 +5,18 @@ in characteristic 2, (beta, 0) otherwise.  `rr_basis` checks G and returns
 `RRBasis`, the handle (curve, Q, k) that the closed forms read, with Q and
 the points as the (x, y) encoding pairs a certificate writes.  The basis is
 1, u, x, u x, x^2, ..., with pole orders 0, ..., k-1 at O, where
-u = (y - gamma1)/x in characteristic 2 and y/(x - beta) otherwise;
-`rr_basis_rows` evaluates it at encoded points.
+u = (y - gamma1)/x in characteristic 2 and y/(x - beta) otherwise.
 Two closed forms serve `isodual`'s construct and verify, with no k^3
-elimination: `systematic_rows`, the RREF [I | A] of the evaluated basis
-when the first k points are k/2 whole pairs {P, -P} (the elliptic analogue
-of the Cauchy systematic form of GRS codes), with the rank-2 factors of
-its displacement D_alpha A - A D_x, and `point_moments`, the
-3(k-1) sums S[e][t] = sum_j w_j u_j^e x_j^t, the entries S[e + e'][a + a']
-at u^e x^a, u^e' x^a' of the Gram of the evaluated basis under weights w,
-whose Hankel blocks `isodual` ranks for the hull.  Their test
-references are `rr_basis_rows` and `linalg.gram`; the verifier also
-takes G from `rr_basis_rows` for a file whose first k points are not whole
-pairs.
+elimination and no evaluated basis: `systematic_rows`, the RREF [I | A] of
+the basis evaluated at the points when the first k points are k/2 whole
+pairs {P, -P} (the elliptic analogue of the Cauchy systematic form of GRS
+codes), with the rank-2 factors of its displacement D_alpha A - A D_x, and
+`point_moments`, the 3(k-1) sums S[e][t] = sum_j w_j u_j^e x_j^t, the
+entries S[e + e'][a + a'] at u^e x^a, u^e' x^a' of the Gram of the
+evaluated basis under weights w, whose Hankel blocks `isodual` ranks for
+the hull.  The evaluated basis itself (`rr_basis_rows` in
+`tests/oracle.py`), its RREF and `linalg.gram` are their test references;
+where `systematic_rows` does not apply, the verifier has no code.
 The symbolic layer, divisors, rational functions (a(x) + b(x) y) / c(x),
 valuations and the check div f + G >= 0 of each basis function, is the
 tests' reference, not part of the library.  `evaluate` (such a function at
@@ -113,31 +112,11 @@ def _u_values(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[int]:
     return out
 
 
-def rr_basis_rows(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The functions of an `rr_basis` result evaluated at encoded points, as
-    encodings.
-
-    One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
-    a column costs one inverse for u(P) and a running power of x(P).  A
-    point where u has a pole raises `FunctionError`, as in `evaluate`, the
-    reference the rows are tested against.
-    """
-    mul, k = basis.curve.spec.mul_enc, basis.k
-    rows: list[list[int]] = [[] for _ in range(k)]
-    for (x, _), u in zip(points, _u_values(basis, points)):
-        power = 1
-        for i in range(0, k, 2):
-            rows[i].append(power)
-            rows[i + 1].append(mul(u, power))
-            power = mul(power, x)
-    return rows
-
-
 def systematic_rows(basis: RRBasis, points: Sequence[tuple[int, int]]
                     ) -> Optional[tuple[list[list[int]], tuple[list, list]]]:
-    """The RREF [I | A] of `rr_basis_rows(basis, points)` in closed form,
-    with the rank-2 factors (P, Q) of its displacement R, or None where the
-    closed form does not apply.
+    """The RREF [I | A] of the basis evaluated at the points, in closed
+    form, with the rank-2 factors (P, Q) of its displacement R, or None
+    where the closed form does not apply.
 
     It applies when the first k points are k/2 whole pairs {P, -P}: two
     points on each of k/2 x's alpha_r, with distinct u, and no later point
@@ -151,11 +130,11 @@ def systematic_rows(basis: RRBasis, points: Sequence[tuple[int, int]]
     in L(G), vanishes on the other first points and not on P_i.  As
     sum_{l <= k} P_l = O and Q != O, L(G - sum P_l) = 0, so the first k
     columns are independent and [I | A] is the RREF.  f_i is written in
-    the basis, so the rows span the rows of `rr_basis_rows` for any
+    the basis, so the rows lie in the span of the evaluated basis for any
     points, on the curve or not.  In logs, entry (i, j) after the first k
     columns is the column factor prod_r (x_j - alpha_r) over
     x_j - alpha_r(i), times u_j - u(P_i'), over f_i(P_i).  A point at a
-    pole of u raises `FunctionError`, as in `rr_basis_rows`.
+    pole of u raises `FunctionError` (`_u_values`).
 
     So R = D_alpha A - A D_x, alpha_i = x(P_i) and x the x_j, has entries
     (alpha_i - x_j) A_ij = col_j (u(P_i') - u_j) / L_i, col_j =
@@ -205,7 +184,7 @@ def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
     when None: 3(k - 1) terms per distinct x, one packed step per (x, e) in
     characteristic 2 (x^t a strided slice of the exp bytes; `FieldSpec`
     caps m at 8, so every such field packs), a term loop for odd q.
-    A point at a pole of u raises `FunctionError`, as in `rr_basis_rows`.
+    A point at a pole of u raises `FunctionError` (`_u_values`).
     Every moment at the iso-dual scaling w = v is 0 (residue theorem).  At
     w = 1 over whole pairs {P, -P}, S1 = 0 if a1 = a3 = 0 (u(-P) = -u(P)),
     and S0 = 0, S1 = S2 in characteristic 2 (a1 = 1, u(-P) = u(P) + 1)."""

@@ -19,12 +19,13 @@ of x - alpha over the other first pairs' x's times the line through Qa and
 -P_i over x - beta.  The Gram of the basis 1, u, x, u x, ... of L(G)
 (u = y/(x - beta), or (y - gamma1)/x in characteristic 2) under weights w
 comes from 3(k-1) point moments sum_j w_j u_j^e x_j^t
-(`funcspace.point_moments`).  Only a file whose first k points are not whole
-pairs, which `construct` never writes, takes G as the RREF of the
-evaluated basis, as before the closed form.  All three read only the
-checked handle (curve, Qa, k) of `funcspace.rr_basis`, Qa an encoding like
-the points: the symbolic basis, its divisors and valuations are the
-tests' reference and no part of the library, and an op builds no `Point`.
+(`funcspace.point_moments`).  That closed form is the one route to G: a
+file whose first k points are not whole pairs, which `construct` never
+writes, has no code, and the invariants that read it fail.  Both read only
+the checked handle (curve, Qa, k) of `funcspace.rr_basis`, Qa an encoding
+like the points: the evaluated and symbolic basis, its divisors and
+valuations are the tests' reference and no part of the library, and an op
+builds no `Point`.
 
 `construct` and `verify_certificate` share one ordered table of named
 certificate invariants, `INVARIANTS`: construction_matches_field,
@@ -48,7 +49,8 @@ scaling_matches_points hold, so it carries v too.  hull is
 k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
 Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
 (construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
-so its hulls are even); other points rank G G^T.  Either is
+so its hulls are even); points in neither shape have no hull, and hull
+fails, as does a file with no code: no G G^T is formed.  Either rank is
 cross-checked against `LinearCode.stacked_hull_dim` with C.v, the dual
 that identity proved, which reads G and v.  The sampler and the hull search
 share one seeded trial loop, `_scaling_trials`; it and the LCD ladder keep
@@ -495,23 +497,23 @@ class _Context:
         return funcspace.rr_basis(self.curve, self.k, self.qa)
 
     @cached_property
-    def code(self) -> LinearCode:
+    def code(self) -> Optional[LinearCode]:
         """The systematic generator [I | A] of the points, in closed form
         (`funcspace.systematic_rows`), with the points' x's as its nodes
         and the closed form's factors of its displacement R;
         `iso_dual_identity` has it carry v, so C.v is its dual.  The closed
-        form is already an RREF of n-long rows (the `n_equals_2k` gate), so
-        it skips `LinearCode`'s entry checks.  Where the first k points are
-        not k/2 whole pairs, which the canonical order of `construct`'s
-        points never gives, it is the RREF of the evaluated basis, with no
-        nodes."""
+        form is already an RREF of k rows n long (the `n_equals_2k` gate),
+        so it skips `LinearCode`'s entry checks.  None where the first k
+        points are not k/2 whole pairs, which the canonical order of
+        `construct`'s points never gives: `matrix_rref`,
+        `iso_dual_identity`, `hull` and an exhaustive `min_distance` then
+        fail."""
         made = funcspace.systematic_rows(self.basis, self.points)
-        if made is not None:
-            rows, r_factors = made
-            return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)),
-                                    tuple(x for x, _ in self.points), r_factors)
-        return LinearCode(self.spec, funcspace.rr_basis_rows(self.basis, self.points),
-                          n=self.n)
+        if made is None:
+            return None
+        rows, r_factors = made
+        return LinearCode._made(self.spec, self.n, tuple(map(tuple, rows)),
+                                tuple(x for x, _ in self.points), r_factors)
 
     @property
     def generator_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -550,20 +552,23 @@ class _Context:
                                 self.k, self.qa)
 
     @cached_property
-    def hull_dim(self) -> int:
+    def hull_dim(self) -> Optional[int]:
         """k - rank of the moment Gram at w = 1, entry S[e + e'][a + a'] at
         u^e x^a, u^e' x^a', from its (k/2) x (k/2) Hankel blocks H(S)
         (`linalg.hankel_rank`); `LinearCode.hull_dim` cross-checks it
         against G.  Reordered, the Gram is diag(H, H) [[0, I], [I, I]] of
         rank 2 rank H, H = H(S1), when S0 = 0 and S1 = S2, diag(H(S0), H(S2))
-        when S1 = 0 (`funcspace.point_moments`); other points rank G G^T."""
+        when S1 = 0 (`funcspace.point_moments`).  None with no code or
+        points in neither shape, which no construction gives."""
+        if self.code is None:
+            return None
         spec, (s0, s1, s2) = self.spec, funcspace.point_moments(self.basis, self.points)
         if not any(s0) and s1 == s2:
             rank = 2 * linalg.hankel_rank(s1, spec)
         elif not any(s1):
             rank = linalg.hankel_rank(s0, spec) + linalg.hankel_rank(s2, spec)
         else:
-            rank = None
+            return None
         return self.code.hull_dim(rank)
 
     @cached_property
@@ -571,10 +576,11 @@ class _Context:
         return "exhaustive" if self.spec.q ** self.k <= BRUTE_FORCE_BUDGET else "dp"
 
     @cached_property
-    def min_distance(self) -> int:
-        """Enumerated within the budget; otherwise n-k+1 from the DP witness."""
+    def min_distance(self) -> Optional[int]:
+        """Enumerated within the budget, None with no code; otherwise n-k+1
+        from the DP witness."""
         if self.min_distance_method == "exhaustive":
-            return self.code.min_distance()
+            return None if self.code is None else self.code.min_distance()
         return self.k + 1
 
 
@@ -608,12 +614,13 @@ def _points_match_input(c: _Context) -> bool:
 
 def _iso_dual_identity(c: _Context) -> bool:
     """A zero Gram under v of a basis of C puts C.v inside C-perp, and with
-    n = 2k both have dimension k, so C.v is C-perp: the code carries v as
-    its dual, which the `hull` cross-check then reads without a nullspace
-    or the matrix of C.v.  For even k every point moment at
-    w = v is a Gram entry, so the Gram is 0 iff the 3(k-1) moments are."""
+    n = 2k (the `n_equals_2k` gate) both have dimension k, so C.v is C-perp:
+    the code carries v as its dual, which the `hull` cross-check then reads
+    without a nullspace or the matrix of C.v.  For even k every point
+    moment at w = v is a Gram entry, so the Gram is 0 iff the 3(k-1)
+    moments are."""
     code, v = c.code, c.scaling_v
-    if v is None or code.n != 2 * code.k or any(
+    if code is None or v is None or any(
             map(any, funcspace.point_moments(c.basis, c.points, v))):
         return False
     code._carry_dual(v)
@@ -639,14 +646,14 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
      and c.g_divisor == ((None, c.k - 1), (c.qa, 1))
      and c.curve._law.contains(c.qa) and c.curve._law.add(c.qa, c.qa) is None),
     ("points_disjoint_from_G", lambda c: c.qa not in c.points),
-    ("matrix_rref", lambda c: c.code.matrix == c.claim.generator_matrix
-     and (c.code.k, c.code.n) == (c.k, c.n)),
+    ("matrix_rref", lambda c: c.code is not None
+     and c.code.matrix == c.claim.generator_matrix),
     ("iso_dual_identity", _iso_dual_identity),
     ("scaling_matches_points", lambda c: c.scaling_v is not None
      and c.claim.scaling_v == c.scaling_v),
     ("points_match_input", _points_match_input),
     ("mds_witness", lambda c: c.claim.mds_subset_count == c.mds_subset_count == 0),
-    ("hull", lambda c: c.claim.hull_dim == c.hull_dim),
+    ("hull", lambda c: c.hull_dim is not None and c.claim.hull_dim == c.hull_dim),
     ("length_bound", lambda c: c.n <= c.curve.order() // 2),
     ("min_distance", lambda c: c.claim.min_distance_method == c.min_distance_method
      and c.claim.min_distance == c.k + 1 == c.min_distance),

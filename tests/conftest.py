@@ -3,7 +3,7 @@ from itertools import islice, permutations, product
 import pytest
 
 from ellcode import (Curve, FieldSpec, ConstructionInput, PairSelection,
-                     construct, isodual, search)
+                     construct, isodual, linalg, search)
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,17 @@ def cert25(e25):
     return construct(ConstructionInput(
         e25, 8, 2, torsion_choice=(1, 2),
         pair_selection=PairSelection("torsion", r=3)))
+
+
+@pytest.fixture
+def no_rref_or_gram(monkeypatch):
+    """`linalg.rref`, and so `linalg.rank`, and `linalg.gram` fail any call
+    for the test's length: a route that forms an RREF or a G G^T shows as
+    a traceback."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("no RREF or G G^T may be formed here")
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "gram", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,9 @@ affine points use the conjugate-norm technique: for g = a + b y the product
 with its involution image is a polynomial in x alone, whose root
 multiplicity at x(P) settles v_P(g) exactly, with no local power-series
 machinery.  It rests on the polynomial helpers over GF(q) below, and
-`funcspace.evaluate` evaluates its functions at `Point`s."""
+`funcspace.evaluate` evaluates its functions at `Point`s.  `rr_basis_rows`
+evaluates the basis at encoded points directly: the reference for the
+library's closed forms, which never form it."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from ellcode.curve import Curve, CurveError, Point, INFINITY
-from ellcode.funcspace import FunctionError, RRBasis
+from ellcode.funcspace import FunctionError, RRBasis, _u_values
 from ellcode.gf import FieldElement, Poly, poly_eval, poly_mul, poly_trim
 
 
@@ -387,7 +389,9 @@ def principal_divisor(f: RationalFunction) -> Divisor:
 
 
 # ---------------------------------------------------------------------------
-# the symbolic basis of an `RRBasis` handle, and its check
+# the basis of an `RRBasis` handle: evaluated at encoded points, which
+# the closed forms `systematic_rows` and `point_moments` are tested
+# against, and symbolic, with its check
 # ---------------------------------------------------------------------------
 
 def basis_divisor(basis: RRBasis) -> Divisor:
@@ -398,6 +402,26 @@ def basis_divisor(basis: RRBasis) -> Divisor:
 
 def pole_orders_at_O(basis: RRBasis) -> tuple[int, ...]:
     return tuple(range(basis.k))
+
+
+def rr_basis_rows(basis: RRBasis, points: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The functions of an `rr_basis` result evaluated at encoded points, as
+    encodings.
+
+    One row per function, in the basis's pole order 1, u, x, u x, x^2, ...;
+    a column costs one inverse for u(P) and a running power of x(P).  A
+    point where u has a pole raises `FunctionError`, as in `evaluate`, the
+    reference the rows are tested against.
+    """
+    mul, k = basis.curve.spec.mul_enc, basis.k
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for (x, _), u in zip(points, _u_values(basis, points)):
+        power = 1
+        for i in range(0, k, 2):
+            rows[i].append(power)
+            rows[i + 1].append(mul(u, power))
+            power = mul(power, x)
+    return rows
 
 
 def basis_functions(basis: RRBasis) -> tuple[RationalFunction, ...]:

@@ -628,15 +628,16 @@ def test_verify_doubled_scaling_exit_1(tmp_path, capsys, name):
     assert "verification failed: scaling_matches_points " in err
 
 
-def test_verify_two_torsion_point_exit_1(tmp_path, capsys):
-    # (12, 0) has y = 0, where v is undefined: a failed invariant, not a crash
+def test_verify_two_torsion_point_exit_1(tmp_path, capsys, no_rref_or_gram):
+    # (12, 0) has y = 0, where v is undefined: a failed invariant, not a
+    # crash; the first pair is split, so there is no code and no hull
     points = _golden("q25.json")["points"]
     path = _edited_golden(tmp_path, "q25.json", {"points": [[12, 0]] + points[1:]})
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert ("(all failures: x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
-            "scaling_matches_points, points_match_input)") in err
+            "scaling_matches_points, points_match_input, hull)") in err
     assert "Traceback" not in err
 
 
@@ -655,12 +656,13 @@ def _points_swapped(name, i, j):
 # point sets on which the closed-form generator does not apply: a y = 0
 # point or one at x(Qa) = beta (q25: Qa = (4, 0); q16: Q1 = (0, 11)), where
 # u has its pole, or first k = 8 (q25), 4 (q16) points that are not whole
-# pairs {P, -P}, where G is the RREF of the evaluated basis.  Each fails
-# the invariants it failed before the closed form, never with a traceback.
+# pairs {P, -P}, where there is no code: the invariants that read it,
+# matrix_rref, iso_dual_identity, hull and the exhaustive min_distance
+# (q16), fail, never with a traceback.
 HOSTILE_POINTS = {
     "y-zero-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [12, 0]),
                               "x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
-                              "scaling_matches_points, points_match_input"),
+                              "scaling_matches_points, points_match_input, hull"),
     "at-beta-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [4, 0]),
                                "x_pairs, y_nonzero, points_off_qa_x, "
                                "points_disjoint_from_G"),
@@ -670,16 +672,18 @@ HOSTILE_POINTS = {
     "at-beta-q16": ("q16.json", _points_at("q16.json", 1, [0, 11]),
                     "x_pairs, points_off_qa_x, points_disjoint_from_G"),
     "unpaired-first-k-q25": ("q25.json", _points_swapped("q25.json", 1, 8),
-                             "matrix_rref, scaling_matches_points, points_match_input"),
+                             "matrix_rref, iso_dual_identity, scaling_matches_points, "
+                             "points_match_input, hull"),
     "unpaired-first-k-q16": ("q16.json", _points_swapped("q16.json", 1, 4),
-                             "matrix_rref, scaling_matches_points, points_match_input"),
+                             "matrix_rref, iso_dual_identity, scaling_matches_points, "
+                             "points_match_input, hull, min_distance"),
 }
 
 
 @pytest.mark.parametrize("name, points, failures", HOSTILE_POINTS.values(),
                          ids=HOSTILE_POINTS.keys())
-def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, name, points,
-                                                  failures):
+def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, no_rref_or_gram,
+                                                  name, points, failures):
     path = _edited_golden(tmp_path, name, {"points": points})
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1

@@ -1,4 +1,5 @@
-"""Property test: `ellcode verify` on mutated q = 16, 25 and 1031 certificates.
+"""Property test: `ellcode verify` on mutated q = 16, 25, 289 and 1031
+certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
@@ -8,11 +9,16 @@ was read from it and what `construct` writes for its input echo.  The
 q = 16 file is characteristic 2 with an exhaustive distance and the packed
 kernels; the q = 25 golden reaches the odd routes: the add table, the
 Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where a
-tweak moves G to a target the quotient reaches, the full witness, and
-where a tweak moves a point off the pairs, the hull's G G^T fallback.  The
+tweak moves G to a target the quotient reaches, the full witness.  Where a
+tweak moves a point off the pairs, the moments leave both Hankel shapes
+and `hull` fails with no G G^T formed; where it permutes the points or
+swaps a first-k point with a later one, the first k points are no longer
+whole pairs, so the closed form gives no code and the invariants that
+read it fail, with no RREF of the evaluated basis.  The q = 289 golden
+(k = 80) is the one that ranks its hulls on the generator route.  The
 q = 1031 golden lies above the add-table cap, so its adds go mod p: the
-same tweaks reach the mod-p branches of `rref`, `hankel_rank`,
-`point_moments`, v and, off the pairs, `gram`.
+same tweaks reach the mod-p branches of `hankel_rank`, `point_moments`
+and v.
 """
 
 import contextlib
@@ -21,6 +27,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import re
 
 import pytest
@@ -30,7 +37,7 @@ from hypothesis import strategies as st
 from ellcode import Curve, FieldSpec, code, linalg
 from ellcode.cli import main
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
-                             PairSelection, construct)
+                             PairSelection, construct, verify_certificate)
 
 INT_FIELDS = ("construction", "k", "n", "hull_dim", "mds_subset_count",
               "min_distance")
@@ -74,8 +81,22 @@ def cert1031_doc():
 
 @pytest.fixture(scope="module")
 def e1031(cert1031_doc):
-    return Curve.from_string(FieldSpec.from_string(cert1031_doc["field"]),
-                             cert1031_doc["curve"])
+    return _curve(cert1031_doc)
+
+
+@pytest.fixture(scope="module")
+def cert289_doc():
+    with open(os.path.join(GOLDENS, "q289.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def e289(cert289_doc):
+    return _curve(cert289_doc)
+
+
+def _curve(doc):
+    return Curve.from_string(FieldSpec.from_string(doc["field"]), doc["curve"])
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +191,11 @@ def test_verify_exit_codes_on_mutated_q25_certificates(cert25_doc, work_dir, edi
 # a list swapped, a field or curve number respelled with a space or a
 # leading zero, a zero-multiplicity G entry appended, every v entry times
 # a constant other than 1 (which keeps G diag(v) G^T = 0), another
-# tool_version
-KINDS = ["swap", "respell", "zero_entry", "scale_v", "version"]
+# tool_version; and two that keep the file well formed but move it off the
+# closed form: one permutation of the points, G's columns and v together,
+# and a first-k point swapped with a later one
+KINDS = ["swap", "respell", "zero_entry", "scale_v", "version", "permute",
+         "swap_first_k"]
 TWEAKS = st.tuples(st.sampled_from(KINDS), st.integers(0, 10 ** 6),
                    st.integers(0, 10 ** 6))
 # the q = 25 file may also move G's point to another rational 2-torsion
@@ -208,6 +232,17 @@ def _tweak(doc, tweaks, curve):
             others = [t for t in torsion if t not in [e[0] for e in entries]]
             for e in entries:
                 e[0] = others[i % len(others)]
+        elif kind == "permute":
+            order = list(range(len(doc["points"])))
+            random.Random(i).shuffle(order)
+            for key in ("points", "scaling_v"):
+                doc[key] = [doc[key][c] for c in order]
+            doc["generator_matrix"] = [[row[c] for c in order]
+                                       for row in doc["generator_matrix"]]
+        elif kind == "swap_first_k":
+            points, k = doc["points"], doc["k"]
+            a, b = i % k, k + j % (len(points) - k)
+            points[a], points[b] = points[b], points[a]
         elif kind == "off_x":
             used = {x for x, _ in doc["points"]}
             free = [[p.x.enc, p.y.enc] for p in curve.points()
@@ -254,15 +289,22 @@ def test_q25_torsion_tweak_pays_for_the_full_witness(cert25_doc, e25, work_dir,
     assert [args[2:] for args in calls] == [(2, 2), (6, 6)] * 3
 
 
-def test_q25_off_x_tweak_ranks_the_gram_of_g(cert25_doc, e25, work_dir, monkeypatch):
-    # point 9 moved to (0, 1), on an unused x: the hull ranks G G^T, with no
-    # Hankel rank, in each command
+def _failures(doc):
+    return verify_certificate(IsoDualCertificate.from_json(_canonical(doc)))
+
+
+def test_q25_off_x_tweak_fails_hull_with_no_gram(cert25_doc, e25, work_dir, monkeypatch,
+                                                 no_rref_or_gram):
+    # point 9 moved to (0, 1), on an unused x: the moments leave both Hankel
+    # shapes, so `hull` fails in each command with no Hankel rank, no hull
+    # cross-check and no G G^T
     doc = _tweak(cert25_doc, [("off_x", 9, 0)], e25)
     assert doc["points"][9] == [0, 1]
     hankel = _calls(monkeypatch, linalg, "hankel_rank")
     hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1
-    assert hankel == [] and [args[1:] for args in hulls] == [(None,)] * 3
+    assert "hull" in _failures(doc)
+    assert hankel == [] and hulls == []
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -272,16 +314,35 @@ def test_verified_tweaked_q1031_certificate_is_what_construct_writes(cert1031_do
     _verify_exit_means_what_it_says(work_dir, _tweak(cert1031_doc, tweaks, e1031))
 
 
-def test_q1031_off_x_tweak_ranks_the_gram_of_g_mod_p(cert1031_doc, e1031, work_dir,
-                                                     monkeypatch):
-    # point 3 moved off the pairs, to (3, 359): the hull ranks G G^T, which
-    # `gram` computes mod p above the add-table cap, with no Hankel rank,
-    # in each command
+def test_q1031_off_x_tweak_fails_hull_with_no_gram(cert1031_doc, e1031, work_dir,
+                                                  monkeypatch, no_rref_or_gram):
+    # point 3 moved off the pairs, to (3, 359), above the add-table cap:
+    # there is no code, since the first pair is split, and `hull` fails in
+    # each command with no Hankel rank, no hull cross-check and no G G^T
     doc = _tweak(cert1031_doc, [("off_x", 3, 0)], e1031)
     assert e1031.spec._addt is None and doc["points"][3] == [3, 359]
     hankel = _calls(monkeypatch, linalg, "hankel_rank")
-    grams = _calls(monkeypatch, linalg, "gram")
     hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1
-    assert hankel == [] and [args[1:] for args in hulls] == [(None,)] * 3
-    assert len(grams) == 3
+    assert "hull" in _failures(doc)
+    assert hankel == [] and hulls == []
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
+def test_verified_tweaked_q289_certificate_is_what_construct_writes(cert289_doc, e289,
+                                                                   work_dir, tweaks):
+    _verify_exit_means_what_it_says(work_dir, _tweak(cert289_doc, tweaks, e289))
+
+
+def test_q289_first_point_off_x_exits_1_with_no_rref_or_gram(cert289_doc, e289,
+                                                              work_dir, no_rref_or_gram):
+    # the first point moved to a curve point on an unused x: the first pair
+    # is split, so there is no code; each command exits 1 with neither an
+    # RREF of the evaluated basis nor a G G^T
+    doc = _tweak(cert289_doc, [("off_x", 0, 0)], e289)
+    assert doc["points"][0] != cert289_doc["points"][0]
+    assert _verify_exit_means_what_it_says(work_dir, doc) == 1
+    assert _failures(doc) == ["x_pairs", "matrix_rref", "iso_dual_identity",
+                              "scaling_matches_points", "points_match_input",
+                              "mds_witness", "hull"]

@@ -14,7 +14,7 @@ from ellcode.curve import Curve, CurveError
 from ellcode import code as code_module
 from ellcode.code import CodeError, LinearCode, ScalingVector
 from ellcode import isodual
-from oracle import scaling_v_product
+from oracle import rr_basis_rows, scaling_v_product
 from ellcode.isodual import (INVARIANTS, CertificateSchemaError,
                              ConstructionError, ConstructionInput,
                              IsoDualCertificate, PairSelection,
@@ -933,7 +933,7 @@ def _moments(cert):
     curve = cert.curve()
     basis = funcspace.rr_basis(curve, cert.k, cert.g_divisor[1][0])
     points = cert.points
-    rows = funcspace.rr_basis_rows(basis, points)
+    rows = rr_basis_rows(basis, points)
     return (funcspace.point_moments(basis, points), linalg.gram(rows, curve.spec),
             linalg.gram(LinearCode(curve.spec, rows).matrix, curve.spec))
 
@@ -1014,8 +1014,8 @@ def test_berlekamp_massey_gives_even_characteristic_2_hulls(monkeypatch, q, curv
 
 
 # a golden with one point moved to a curve point on a new x: the points are
-# in neither Hankel shape, so the verifier ranks G G^T, and the failures
-# are those of the moment Gram it replaced
+# in neither Hankel shape, so the verifier has no w = 1 hull and `hull`
+# fails, with no G G^T formed or ranked
 OFF_SHAPE = {
     "q25": ("q25.json", 9, [0, 1], ["x_pairs", "matrix_rref", "iso_dual_identity",
                                     "scaling_matches_points", "points_match_input",
@@ -1028,7 +1028,7 @@ OFF_SHAPE = {
 
 @pytest.mark.parametrize("name, index, point, failures", OFF_SHAPE.values(),
                          ids=OFF_SHAPE.keys())
-def test_points_off_both_hankel_shapes_rank_g_gt(monkeypatch, name, index, point,
+def test_points_off_both_hankel_shapes_fail_hull(monkeypatch, name, index, point,
                                                  failures):
     with open(os.path.join(GOLDENS, name)) as fh:
         doc = json.load(fh)
@@ -1037,5 +1037,11 @@ def test_points_off_both_hankel_shapes_rank_g_gt(monkeypatch, name, index, point
     (s0, s1, s2), _, gram_of_g = _moments(cert)
     assert any(s1) and (any(s0) or s1 != s2)
     seen = _hull_routes(monkeypatch)
+    grams, gram = [], linalg.gram
+
+    def recorded(*args, **kwargs):
+        grams.append(args)
+        return gram(*args, **kwargs)
+    monkeypatch.setattr(linalg, "gram", recorded)
     assert verify_certificate(cert) == failures
-    assert seen.hankel == [] and gram_of_g in seen.ranked
+    assert seen.hankel == [] and grams == [] and gram_of_g not in seen.ranked

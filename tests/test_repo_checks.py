@@ -2,10 +2,11 @@
 still exist, no `src/ellcode` module, test or demo imports a name it never
 uses, no library module computes in floating point, every public name,
 function, class and method of the library has a reader outside the tests,
-only `gf` and `curve` construct `Point`s and `FieldElement`s, the
-library neither imports the tests' oracle nor loads its function-field
-layer, the CLI maps errors to exit codes in `main` alone, README's quick
-start runs, and the docs list the certificate invariants in order."""
+only `gf` and `curve` construct `Point`s and `FieldElement`s, `isodual`
+has one generator route, the library neither imports the tests' oracle
+nor loads its function-field layer, the CLI maps errors to exit codes in
+`main` alone, README's quick start runs, and the docs list the
+certificate invariants in order."""
 
 import ast
 import contextlib
@@ -162,14 +163,14 @@ def test_library_arithmetic_is_exact(name):
         assert _inexact_arithmetic(handle.read(), divides) == []
 
 
-def _point_and_element_calls(source: str) -> list[str]:
-    """Each call of `Point(...)` or `FieldElement(...)` in a module, by bare
-    name or as an attribute, in source order."""
+def _calls_of(source: str, names: tuple[str, ...]) -> list[str]:
+    """Each call in a module of a function named in `names`, by bare name
+    or as an attribute, in source order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("Point", "FieldElement"):
+            if name in names:
                 found.append((node.lineno, node.col_offset, name))
     return [f"{name} (line {line})" for line, _, name in sorted(found)]
 
@@ -181,7 +182,9 @@ def test_point_and_element_call_check_flags_and_spares():
               "e = gf.FieldElement(spec, 3)\n"
               "k = p.key(); q = curve._point(e)\n"
               "def f(pt: Point) -> 'FieldElement': return PointSet(pt)\n")
-    assert _point_and_element_calls(source) == ["Point (line 3)", "FieldElement (line 4)"]
+    assert _calls_of(source, ("Point", "FieldElement")) == ["Point (line 3)",
+                                                            "FieldElement (line 4)"]
+    assert _calls_of(source, ("key", "PointSet")) == ["key (line 5)", "PointSet (line 6)"]
 
 
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
@@ -189,8 +192,16 @@ def test_points_and_elements_are_built_in_gf_and_curve_only(name):
     """Points and field elements are the API types: only `gf` and `curve`
     construct them, and every other module computes on encodings."""
     with open(os.path.join(PACKAGE, name)) as handle:
-        calls = _point_and_element_calls(handle.read())
+        calls = _calls_of(handle.read(), ("Point", "FieldElement"))
     assert calls == [] or name in ("gf.py", "curve.py")
+
+
+def test_isodual_has_one_generator_route():
+    """Construct and verify take G from the closed form alone and the w = 1
+    hull from the point moments: `isodual` builds no `LinearCode` through
+    its entry checks and calls neither `linalg.rref` nor `linalg.gram`."""
+    with open(os.path.join(PACKAGE, "isodual.py")) as handle:
+        assert _calls_of(handle.read(), ("LinearCode", "rref", "gram")) == []
 
 
 def _imported_names(source: str) -> set[str]:
