@@ -21,7 +21,7 @@ print(f"  distance method: {cert.min_distance_method} "
 print("   certifier settles MDS exactly instead)")
 print(f"  hull dimension: {cert.hull_dim}")
 
-code = cert.code(curve)
+code = cert.code()
 hist = sample_scaling_hulls(code, trials=300, seed=0)
 print(f"\nhull histogram over 300 uniform rescalings: {hist}")
 hist2 = sample_scaling_hulls(code, trials=300, seed=0, block=2)

@@ -44,8 +44,8 @@ lies in C-perp and both have dimension k, so C.v = C-perp with no
 nullspace computed; the code carries v, from which the hull cross-check
 reads the dual's half A' and displacement factors without building C.v.
 `IsoDualCertificate.code`, which the transforms and the samplers start
-from, is that same code, returned once matrix_rref, iso_dual_identity and
-scaling_matches_points hold, so it carries v too.  hull is
+from, is that same code, kept by a verify with no failure, or proved by the
+gates, matrix_rref, iso_dual_identity and scaling_matches_points.  hull is
 k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
 Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
 (construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
@@ -83,6 +83,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from . import gf, funcspace, linalg
@@ -209,6 +210,8 @@ class IsoDualCertificate:
     min_distance: int
     min_distance_method: str
     iso_dual: bool
+    # the code its own context proved (never the context: it refers back here)
+    _code: Optional[LinearCode] = field(default=None, init=False, repr=False, compare=False)
 
     # (JSON key, attribute, parser): `to_json` writes each attribute as it
     # is, and `from_json` requires each key, and no other, and parses it
@@ -248,16 +251,16 @@ class IsoDualCertificate:
     def curve(self) -> Curve:
         return Curve.from_string(self.spec(), self.curve_spec)
 
-    def code(self, curve: Optional[Curve] = None) -> LinearCode:
-        """The recorded code, carrying v as its dual C.v: `_Context.code`,
-        the closed form [I | A] of the points, once the shared invariants
-        `_CODE_INVARIANTS` hold, the gates `n_equals_2k` and `g_shape`
-        first; `VerificationError` names the first that fails, as in
-        `construct`.  Data that is no field encoding is a
-        `CertificateSchemaError`, as in `verify_certificate`."""
-        ctx = _file_context(self, curve or self.curve())
-        _require(ctx, _CODE_INVARIANTS)
-        return ctx.code
+    def code(self) -> LinearCode:
+        """The closed form [I | A], `_Context.code`, carrying v as its dual
+        C.v: the code a verify with no failure kept, or else, kept now, that
+        of a fresh `_file_context` once `_CODE_INVARIANTS` hold, the gates
+        first; `VerificationError` names the first that fails."""
+        if self._code is None:
+            ctx = _file_context(self)
+            _require(ctx, _CODE_INVARIANTS)
+            object.__setattr__(self, "_code", ctx.code)
+        return self._code
 
     # -- wire format ----------------------------------------------------------
 
@@ -678,10 +681,18 @@ def _require(ctx: _Context, invariants) -> None:
             raise VerificationError(f"certificate invariant {name} failed")
 
 
-def _file_context(cert: IsoDualCertificate, curve: Curve) -> _Context:
-    """The context of the file `cert` on its `curve`, once every matrix row
-    is n long and the matrix, v, the points and G's first affine point hold
-    field encodings only; `CertificateSchemaError` otherwise."""
+def _file_context(cert: IsoDualCertificate) -> _Context:
+    """The file's context, for the verifier and `IsoDualCertificate.code`,
+    or `CertificateSchemaError`: its field and curve build, spelled as
+    `construct` writes them, every matrix row is n long, and the matrix, v,
+    the points and G's first affine point hold field encodings only."""
+    try:
+        curve = cert.curve()
+    except (gf.FieldError, CurveError) as exc:
+        raise CertificateSchemaError(f"certificate data invalid: {exc}") from None
+    if (curve.spec.to_string(), curve.to_string()) != (cert.field_spec, cert.curve_spec):
+        raise CertificateSchemaError(
+            "field and curve must be spelled as construct writes them")
     ctx = _Context(curve, cert.construction, cert.k, cert.n,
                    cert.torsion_choice, cert.pair_selection, cert)
     q, n = curve.spec.q, len(cert.scaling_v)    # n, as `from_json` checks
@@ -697,21 +708,15 @@ def _file_context(cert: IsoDualCertificate, curve: Curve) -> _Context:
 
 def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     """Run `INVARIANTS` on the file's data alone; returns the names of the
-    failed invariants in table order.
+    failed invariants in table order; with none, `cert` keeps its code.
 
-    Data that is no field encoding raises `CertificateSchemaError`
-    (`_file_context`).  So does other data the library cannot evaluate (a
-    bad point, one outside the group), unless an invariant has already
-    failed: the run then ends with those failures.
+    A file `_file_context` refuses is a `CertificateSchemaError`, as is
+    other data the library cannot evaluate (a bad point, one outside the
+    group), unless an invariant has failed: then it returns the failures.
     """
     failures: list[str] = []
     try:
-        curve = cert.curve()
-        if (curve.spec.to_string(), curve.to_string()) != (cert.field_spec,
-                                                           cert.curve_spec):
-            raise CertificateSchemaError(
-                "field and curve must be spelled as construct writes them")
-        ctx = _file_context(cert, curve)
+        ctx = _file_context(cert)
         for name, holds in INVARIANTS:
             if not holds(ctx):
                 failures.append(name)
@@ -720,6 +725,8 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     except (gf.FieldError, CurveError, CodeError, funcspace.FunctionError) as exc:
         if not failures:
             raise CertificateSchemaError(f"certificate data invalid: {exc}") from None
+    if not failures:
+        object.__setattr__(cert, "_code", ctx.code)
     return failures
 
 
@@ -728,20 +735,16 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def selfdual_transform(cert: IsoDualCertificate) -> tuple[ScalingVector, LinearCode]:
-    """u with u_i^2 = v_i turns the code self-dual (characteristic 2 only).
-
-    `cert` must be verified (`verify_certificate`): its matrix and v are
-    used as written.
-    """
-    curve = cert.curve()
-    spec = curve.spec
-    if spec.p != 2:
+    """u with u_i^2 = v_i turns the code self-dual (characteristic 2 only,
+    read before any table is built).  `cert` must be verified
+    (`verify_certificate`): u is read from its v and scales the kept code."""
+    if FieldSpec.parse(cert.field_spec)[0] != 2:
         raise ConstructionError(
             "odd characteristic: square roots of v may not exist; "
             "no self-dual scaling is provided")
-    u = [spec.sqrt_enc(e) for e in cert.scaling_v]
-    return ScalingVector(spec, u), _accept(cert.code(curve), u, cert.k,
-                                           "self-dual transform")
+    code = cert.code()
+    u = [code.spec.sqrt_enc(e) for e in cert.scaling_v]
+    return ScalingVector(code.spec, u), _accept(code, u, cert.k, "self-dual transform")
 
 
 def lcd_transform(cert: IsoDualCertificate,
@@ -752,17 +755,14 @@ def lcd_transform(cert: IsoDualCertificate,
     non-square-one entry; ordered by (ell', entry encoding, position
     combination).  Returns the first success within `budget` hull
     evaluations, or None; a budget below 1 is a `ValueError`.  `cert` must
-    be verified (`verify_certificate`): its recorded hull_dim starts the
-    ladder, and hull_dim 0 returns the all-ones scaling with no search.
+    be verified (`verify_certificate`): the search scales the code it kept,
+    its recorded hull_dim starts the ladder, and hull_dim 0 returns the
+    all-ones scaling with no search.
     """
-    from itertools import combinations
-
     if budget < 1:
         raise ValueError(f"LCD search budget must be at least 1, got {budget}")
-    curve = cert.curve()
-    spec = curve.spec
-    ell = cert.hull_dim
-    code = cert.code(curve)
+    code = cert.code()
+    spec, ell = code.spec, cert.hull_dim
     if ell == 0:
         return ScalingVector(spec, [1] * cert.n), code
     mul = spec.mul_enc

@@ -122,7 +122,7 @@ def test_criterion_1_example_iv1(e16, f16):
         e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))
     assert (cert.n, cert.k, cert.min_distance) == (8, 4, 5)
     assert cert.min_distance_method == "exhaustive"
-    code = cert.code(e16)
+    code = cert.code()
     v = ScalingVector(e16.spec, cert.scaling_v)
     assert code.scale(v).matrix == code.dual().matrix
     assert cert.hull_dim == 0 and code.hull_dim() == 0
@@ -143,7 +143,7 @@ def test_criterion_2_example_v1(e25, cert25):
     assert cert25.min_distance_method == "dp"
     assert cert25.mds_subset_count == 0
     assert cert25.hull_dim == 0
-    code = cert25.code(e25)
+    code = cert25.code()
     assert code.scale(ScalingVector(e25.spec, cert25.scaling_v)).matrix == code.dual().matrix
     # 25^8 brute force is infeasible; the k=4 sibling is checked exhaustively
     sibling = construct(ConstructionInput(e25, 4, 2))
@@ -224,7 +224,7 @@ def test_criterion_5_eaqecc_table(cert16, cert25, cert32, cert49, cert289,
     assert lcd256 is not None and lcd256[1].hull_dim() == 0
     row(cert256, 0)                                    # [[140,70,71;70]]_256
     row(cert25, cert25.hull_dim)                       # [[16,8,9;8]]_25
-    code25 = cert25.code(e25)
+    code25 = cert25.code()
     u2 = find_scaling_with_hull(code25, 2, trials=3000, seed=0, block=2)
     assert u2 is not None and code25.scale(u2).hull_dim() == 2
     row(cert25, 2)                                     # [[16,6,9;6]]_25

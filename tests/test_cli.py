@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ellcode import FieldSpec, cli
+from ellcode import FieldSpec, cli, funcspace
 from ellcode.cli import main
 
 FIELD16 = "p=2,m=4,mod=1,1,0,0,1"
@@ -349,6 +349,20 @@ def test_transform_lcd(tmp_path, capsys):
     _construct16(cert)
     assert main(["transform", str(cert), "--lcd"]) == 0
     assert "hull=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("golden, flag", [("q289.json", "--lcd"),
+                                          ("q256.json", "--selfdual")])
+def test_transform_derives_the_code_once(monkeypatch, capsys, golden, flag):
+    # the verify that loads the file keeps the code it proved, and the
+    # transform starts from that code: one closed form per run
+    calls = []
+    real = funcspace.systematic_rows
+    monkeypatch.setattr(funcspace, "systematic_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["transform", os.path.join(GOLDENS, golden), flag]) == 0
+    assert "hull=" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("golden", ["q16.json", "q64.json"])

@@ -5,11 +5,15 @@ Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
 exit with the same code on the same file, nothing escapes as a traceback,
 and a file that verifies is exactly the canonical serialisation of what
-was read from it and what `construct` writes for its input echo.  The
-q = 16 file is characteristic 2 with an exhaustive distance and the packed
-kernels; the q = 25 golden reaches the odd routes: the add table, the
-Berlekamp-Massey hull, the MDS witness's 2-primary quotient and, where a
-tweak moves G to a target the quotient reaches, the full witness.  Where a
+was read from it and what `construct` writes for its input echo.  On a
+tweaked file, `cert.code()` in process fails as verify does: a schema
+error exactly when verify raises one, otherwise the first of the code's
+invariants that verify lists, and it returns the code when verify lists
+none of them.  The q = 16 file is characteristic 2 with an exhaustive
+distance and the packed kernels; the q = 25 golden reaches the odd
+routes: the add table, the Berlekamp-Massey hull, the MDS witness's
+2-primary quotient and, where a tweak moves G to a target the quotient
+reaches, the full witness.  Where a
 tweak moves a point off the pairs, the moments leave both Hankel shapes
 and `hull` fails with no G G^T formed; where it permutes the points or
 swaps a first-k point with a later one, the first k points are no longer
@@ -34,10 +38,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellcode import Curve, FieldSpec, code, linalg
+from ellcode import Curve, FieldSpec, code, isodual, linalg
 from ellcode.cli import main
-from ellcode.isodual import (ConstructionInput, IsoDualCertificate,
-                             PairSelection, construct, verify_certificate)
+from ellcode.isodual import (CertificateSchemaError, ConstructionInput,
+                             IsoDualCertificate, PairSelection, VerificationError,
+                             construct, verify_certificate)
 
 INT_FIELDS = ("construction", "k", "n", "hull_dim", "mds_subset_count",
               "min_distance")
@@ -253,18 +258,44 @@ def _tweak(doc, tweaks, curve):
     return doc
 
 
+def _code_fails_as_verify_does(doc):
+    """`cert.code()` on a fresh parse raises only what verify's outcome
+    says: `CertificateSchemaError` exactly when verify raises one, and
+    otherwise `VerificationError` naming the first of `_CODE_INVARIANTS`
+    that verify lists, or no error when it lists none of them."""
+    text = _canonical(doc)
+    cert = IsoDualCertificate.from_json(text)
+    try:
+        failures = verify_certificate(IsoDualCertificate.from_json(text))
+    except CertificateSchemaError:
+        with pytest.raises(CertificateSchemaError):
+            cert.code()
+        return
+    first = next((name for name, _ in isodual._CODE_INVARIANTS if name in failures), None)
+    if first is None:
+        assert cert.code().matrix == cert.generator_matrix
+    else:
+        with pytest.raises(VerificationError, match=f"invariant {first} failed"):
+            cert.code()
+
+
+def _tweaked_file_means_what_it_says(work_dir, doc):
+    _verify_exit_means_what_it_says(work_dir, doc)
+    _code_fails_as_verify_does(doc)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
 def test_verified_tweaked_certificate_is_what_construct_writes(cert16_doc, e16, work_dir,
                                                               tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks, e16))
+    _tweaked_file_means_what_it_says(work_dir, _tweak(cert16_doc, tweaks, e16))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
 def test_verified_tweaked_q25_certificate_is_what_construct_writes(cert25_doc, e25,
                                                                   work_dir, tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert25_doc, tweaks, e25))
+    _tweaked_file_means_what_it_says(work_dir, _tweak(cert25_doc, tweaks, e25))
 
 
 def _calls(monkeypatch, module, name):
@@ -311,7 +342,7 @@ def test_q25_off_x_tweak_fails_hull_with_no_gram(cert25_doc, e25, work_dir, monk
 @given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
 def test_verified_tweaked_q1031_certificate_is_what_construct_writes(cert1031_doc, e1031,
                                                                     work_dir, tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert1031_doc, tweaks, e1031))
+    _tweaked_file_means_what_it_says(work_dir, _tweak(cert1031_doc, tweaks, e1031))
 
 
 def test_q1031_off_x_tweak_fails_hull_with_no_gram(cert1031_doc, e1031, work_dir,
@@ -332,7 +363,7 @@ def test_q1031_off_x_tweak_fails_hull_with_no_gram(cert1031_doc, e1031, work_dir
 @given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
 def test_verified_tweaked_q289_certificate_is_what_construct_writes(cert289_doc, e289,
                                                                    work_dir, tweaks):
-    _verify_exit_means_what_it_says(work_dir, _tweak(cert289_doc, tweaks, e289))
+    _tweaked_file_means_what_it_says(work_dir, _tweak(cert289_doc, tweaks, e289))
 
 
 def test_q289_first_point_off_x_exits_1_with_no_rref_or_gram(cert289_doc, e289,

@@ -17,7 +17,7 @@ GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "goldens")
 
 @pytest.fixture(scope="module")
 def code16(cert16, e16):
-    return cert16.code(e16)
+    return cert16.code()
 
 
 def test_rref_canonical(f25):
@@ -434,7 +434,7 @@ def test_min_distance_vs_dp_consistency(e25, f25):
     # brute-forceable construction instances: d = n-k+1 iff DP count is 0
     from ellcode import ConstructionInput, construct
     cert = construct(ConstructionInput(e25, 4, 2))
-    code = cert.code(e25)
+    code = cert.code()
     assert cert.mds_subset_count == 0
     assert code.min_distance() == code.n - code.k + 1
 
@@ -487,7 +487,7 @@ def _enumeration_cases(name, request):
     if name == "construct2-25":
         from ellcode import ConstructionInput, construct
         e25 = request.getfixturevalue("e25")
-        return [construct(ConstructionInput(e25, 4, 2)).code(e25)]
+        return [construct(ConstructionInput(e25, 4, 2)).code()]
     spec = request.getfixturevalue({"random-16": "f16", "random-25": "f25"}[name])
     codes = _random_codes(spec, spec.q)
     assert {c.k for c in codes} >= {1, 3}
@@ -836,9 +836,12 @@ def test_generator_route_falls_back_where_it_does_not_apply(monkeypatch, cert16,
                                                             cert25, f16, f25):
     # with no crossover, every code that qualifies takes the route; a code
     # without the closed form's factors that carries v ranks the k x k M,
-    # and a code without v or not leading with I_k ranks the 2k-row stack
+    # and a code without v or not leading with I_k ranks the 2k-row stack;
+    # the route is a fresh copy's code, as the code the shared cert25 keeps
+    # may have cached its factors under the real crossover
     monkeypatch.setattr(code, "_DISPLACEMENT_MIN_K", 1)
-    route, v = cert25.code(), cert25.scaling_v
+    route = IsoDualCertificate.from_json(cert25.to_json()).code()
+    v = cert25.scaling_v
     assert route._displacement_factors() is not None
     no_factors = LinearCode(f25, route.matrix)
     no_factors._carry_dual(v)

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import os
 import random
+import weakref
 from functools import reduce
 from itertools import product
 from operator import xor
@@ -298,7 +301,7 @@ def test_lcd_transform_budget_exhaustion(monkeypatch, cert16, e16, f16):
     # a hull-1 scaling whose LCD search succeeds on its second candidate;
     # w.C carries v w^-2
     w = ScalingVector(f16, [1, 12, 5, 6, 12, 3, 5, 13])
-    scaled = cert16.code(e16).scale(w)
+    scaled = cert16.code().scale(w)
     assert scaled.hull_dim() == 1
     assert scaled._dual_v == tuple(f16.mul_enc(e, f16.inv_enc(f16.mul_enc(c, c)))
                                    for e, c in zip(cert16.scaling_v, w.entries))
@@ -316,7 +319,7 @@ def test_lcd_transform_refuses_budget_below_one(cert16, budget):
 
 
 def test_scaling_samplers_deterministic(cert25, e25):
-    code = cert25.code(e25)
+    code = cert25.code()
     h1 = sample_scaling_hulls(code, trials=60, seed=4)
     h2 = sample_scaling_hulls(code, trials=60, seed=4)
     assert h1 == h2
@@ -324,7 +327,7 @@ def test_scaling_samplers_deterministic(cert25, e25):
 
 
 def test_find_scaling_with_hull_two(cert25, e25):
-    code = cert25.code(e25)
+    code = cert25.code()
     u = find_scaling_with_hull(code, 2, trials=3000, seed=0, block=2)
     assert u is not None
     assert code.scale(u).hull_dim() == 2
@@ -608,11 +611,10 @@ def test_certificate_code_is_the_closed_form_carrying_v(monkeypatch, q):
     # the verifier's code: the file's matrix, from the closed form, with v
     # carried from the point moments, and no nullspace, Gram or RREF taken
     cert = _golden_cert(q)
-    curve = cert.curve()
     for name in ("nullspace", "gram", "rref"):
         monkeypatch.setattr(linalg, name, lambda *args, name=name, **kw:
                             pytest.fail(f"cert.code() called linalg.{name}"))
-    c = cert.code(curve)
+    c = cert.code()
     assert (c.matrix, c.k, c.n) == (cert.generator_matrix, cert.k, cert.n)
     assert c._dual_v == cert.scaling_v and c._dual is None
     assert c.nodes == tuple(x for x, _ in cert.points) and c._r_factors is not None
@@ -663,6 +665,127 @@ def test_certificate_code_runs_the_gates_first(edit, gate):
     assert verify_certificate(bad) == [gate]
     with pytest.raises(VerificationError, match=f"invariant {gate} failed"):
         bad.code()
+
+
+def _counted(monkeypatch, module, name):
+    """Record each call of `module.name`, which still runs."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("q", [16, 289])
+def test_verified_certificate_keeps_its_code(monkeypatch, q):
+    # a verify with no failure keeps the code it proved: code() builds no
+    # closed form and no moments, and returns that one object each time
+    cert = _golden_cert(q)
+    assert verify_certificate(cert) == []
+    rows = _counted(monkeypatch, funcspace, "systematic_rows")
+    moments = _counted(monkeypatch, funcspace, "point_moments")
+    c = cert.code()
+    assert c is cert.code() is cert.code()
+    assert rows == moments == []
+    assert (c.matrix, c._dual_v) == (cert.generator_matrix, cert.scaling_v)
+    # the kept code is no part of equality, repr or the wire
+    fresh = IsoDualCertificate.from_json(cert.to_json())
+    assert fresh == cert and repr(fresh) == repr(cert)
+    assert cert.to_json() == _golden_text(q)
+
+
+def test_code_proves_once_and_keeps_its_code(monkeypatch):
+    # with no verify, the first code() proves the code invariants; later
+    # calls return the same code
+    cert = _golden_cert(25)
+    rows = _counted(monkeypatch, funcspace, "systematic_rows")
+    assert cert.code() is cert.code() and len(rows) == 1
+
+
+def test_a_replaced_copy_does_not_inherit_the_kept_code():
+    # dataclasses.replace builds a new certificate, which keeps nothing:
+    # its own code() proves the scaled matrix wrong
+    cert = _golden_cert(25)
+    assert verify_certificate(cert) == []
+    spec = cert.spec()
+    w = [spec.mul_enc(2, e) if i % 3 else e for i, e in enumerate(cert.scaling_v)]
+    bad = dataclasses.replace(cert, generator_matrix=cert.code().scale(w).matrix)
+    with pytest.raises(VerificationError, match="invariant matrix_rref failed"):
+        bad.code()
+    assert cert.code().matrix == cert.generator_matrix
+
+
+@pytest.mark.parametrize("failure", ["scaling_matches_points", "hull"])
+def test_a_failed_verify_keeps_no_code(monkeypatch, failure):
+    # the context of a failed verify holds a code here; the certificate
+    # keeps none of it, so code() proves the code invariants afresh: v[0]
+    # changed fails one of them, a wrong hull_dim none
+    wire = json.loads(_golden_text(25))
+    if failure == "hull":
+        wire["hull_dim"] = 5
+    else:
+        wire["scaling_v"][0] = 7
+    cert = IsoDualCertificate.from_json(json.dumps(wire))
+    assert verify_certificate(cert) == [failure]
+    rows = _counted(monkeypatch, funcspace, "systematic_rows")
+    if failure == "hull":
+        assert cert.code().matrix == cert.generator_matrix
+    else:
+        with pytest.raises(VerificationError, match=f"invariant {failure} failed"):
+            cert.code()
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("by", ["verify", "code"])
+def test_a_kept_code_makes_no_reference_cycle(by):
+    # the certificate keeps the code, never the context, whose `cert` refers
+    # back to it: with the collector off, dropping the certificate frees it
+    gc.disable()
+    try:
+        cert = _golden_cert(729)
+        if by == "verify":
+            assert verify_certificate(cert) == []
+        else:
+            cert.code()
+        assert cert.code() is not None
+        assert not any(isinstance(v, isodual._Context) for v in vars(cert).values())
+        dropped = weakref.ref(cert)
+        del cert
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+SCHEMA_EDITS = {
+    "q16-field-respelled": (16, {"field": "p=2,m=4,mod=3,1,0,0,1"}),
+    "q16-curve-singular": (16, {"curve": "0,0,0,0,0"}),
+    "q25-field-respelled": (25, {"field": "p=5,m=2,mod=7,4,1"}),
+    "q25-curve-singular": (25, {"curve": "0,0,0,0,0"}),
+}
+
+
+@pytest.mark.parametrize("q, edit", SCHEMA_EDITS.values(), ids=SCHEMA_EDITS.keys())
+def test_every_entry_refuses_what_verify_refuses_as_a_schema_error(q, edit):
+    # the field and curve are built and their spelling checked in one place,
+    # `_file_context`, which the verifier, code() and the transforms share
+    wire = json.loads(_golden_text(q))
+    wire.update(edit)
+    text = json.dumps(wire)
+    calls = [verify_certificate, IsoDualCertificate.code, lcd_transform]
+    if q == 16:
+        calls.append(selfdual_transform)
+    for call in calls:
+        with pytest.raises(CertificateSchemaError):
+            call(IsoDualCertificate.from_json(text))
+
+
+def test_selfdual_transform_refuses_odd_characteristic_before_any_table(monkeypatch):
+    # p comes from the field string alone, so no field is built
+    cert = _golden_cert(289)
+
+    def refuse(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(FieldSpec, "__init__", refuse)
+    with pytest.raises(ConstructionError, match="odd characteristic"):
+        selfdual_transform(cert)
 
 
 @pytest.mark.parametrize("source, block, trials", [
