@@ -97,8 +97,8 @@ def _rescale(spec: FieldSpec, rows: Sequence[Sequence[int]],
         x = b"".join(map(bytes, rows))
         cols = b"".join(x[j::n].translate(mulb[e]) for j, e in enumerate(col_w))
         return b"".join(cols[i::k].translate(mulb[e]) for i, e in enumerate(row_w))
-    exp2, log = spec._exp2, spec._log
-    return [[exp2[log[x] + lc] if x else 0 for x in row]
+    zexp, log = spec._zexp, spec._log
+    return [[zexp[log[x] + lc] for x in row]
             for row, lc in zip(linalg.scale_columns(rows, col_w, spec),
                                map(log.__getitem__, row_w))]
 
@@ -265,8 +265,8 @@ class LinearCode:
             alpha, x, p_cols, q_rows, dual_p_cols, dual_q_rows = factors
             # generators of M: G = [P' | -W1^-1 P], H = [Q'; Q W2]; -1/e
             # has log (q - 1)/2 - log e
-            q1, exp2, log = spec.q - 1, spec._exp2, spec._log
-            neg_inv = [exp2[q1 + q1 // 2 - log[e]] for e in w[:k]]
+            q1, zexp, log = spec.q - 1, spec._zexp, spec._log
+            neg_inv = [zexp[q1 + q1 // 2 - log[e]] for e in w[:k]]
             g = [*dual_p_cols, *linalg.scale_columns(p_cols, neg_inv, spec)]
             h = [*dual_q_rows, *linalg.scale_columns(q_rows, w[k:], spec)]
             return k - linalg.cauchy_like_rank(alpha, x, g, h, spec)
@@ -282,9 +282,9 @@ class LinearCode:
                 dual_a[i * k:(i + 1) * k].translate(mulb[e]), "big")).to_bytes(k, "big")
                 for i, e in enumerate(w[:k])]
         else:
-            exp2, log, add = spec._exp2, spec._log, spec.add_enc
+            zexp, log, add = spec._zexp, spec._log, spec.add_enc
             aw = linalg.scale_columns(a, [spec.neg_enc(e) for e in w[k:]], spec)
-            rows = [list(map(add, [exp2[log[x] + le] if x else 0 for x in row], r))
+            rows = [list(map(add, [zexp[log[x] + le] for x in row], r))
                     for row, r, le in zip(dual_a, aw, map(log.__getitem__, w))]
         return k - linalg.rank(rows, spec)
 

@@ -109,16 +109,16 @@ class _GroupLaw:
 
     def __init__(self, spec: FieldSpec, a1: int, a2: int, a3: int, a4: int,
                  a6: int):
-        exp2, log = spec._exp2, spec._log
+        zexp, log = spec._zexp, spec._log
         qm1 = spec.q - 1
         fadd, fsub, fneg = spec.add_enc, spec.sub_enc, spec.neg_enc
         two, three = 2 % spec.p, 3 % spec.p
 
         def fmul(a: int, b: int) -> int:
-            return exp2[log[a] + log[b]] if a and b else 0
+            return zexp[log[a] + log[b]]
 
         def fdiv(a: int, b: int) -> int:
-            return exp2[log[a] + qm1 - log[b]] if a else 0
+            return zexp[log[a] + qm1 - log[b]]
 
         def rhs(x: int) -> int:
             return fadd(fmul(fadd(fmul(fadd(x, a2), x), a4), x), a6)

@@ -151,14 +151,14 @@ def systematic_rows(basis: RRBasis, points: Sequence[tuple[int, int]]
     if len(pairs) != k // 2 or any(len(g) != 2 or us[g[0]] == us[g[1]]
                                    for g in pairs.values()):
         return None
-    sub, log, exp, q1 = spec.sub_enc, spec._log, spec._exp, spec.q - 1
+    sub, log, exp, zexp, q1 = spec.sub_enc, spec._log, spec._exp, spec._zexp, spec.q - 1
     alphas = list(pairs)
     # diff[r][c]: x_j - alpha_r for the c-th point after the first k
     diff = [[sub(x, a) for x in xs[k:]] for a in alphas]
     if any(0 in row for row in diff):
         return None
     ldiff = [[log[d] for d in row] for row in diff]
-    column = [sum(col) for col in zip(*ldiff)]
+    column = [sum(col) % q1 for col in zip(*ldiff)]
     rows = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
     p_cols = [[0] * k, [0] * k]
     for r, a in enumerate(alphas):
@@ -167,14 +167,14 @@ def systematic_rows(basis: RRBasis, points: Sequence[tuple[int, int]]
         base = [c - d for c, d in zip(column, ldiff[r])]
         for i, partner in (pairs[a], pairs[a][::-1]):
             up = us[partner]
-            lead = lh + log[sub(us[i], up)]     # log L_i
-            rows[i] += [exp[(b + log[d] - lead) % q1] if d else 0
+            linv = -(lh + log[sub(us[i], up)]) % q1     # log 1/L_i
+            rows[i] += [zexp[(b + linv) % q1 + log[d]]
                         for b, d in zip(base, [sub(u, up) for u in us[k:]])]
-            p_cols[0][i] = exp[-lead % q1]
-            p_cols[1][i] = exp[(log[up] - lead) % q1] if up else 0
+            p_cols[0][i] = exp[linv]
+            p_cols[1][i] = zexp[linv + log[up]]
     neg = spec.neg_enc
-    q_rows = [[neg(exp[(c + log[u]) % q1]) if u else 0 for c, u in zip(column, us[k:])],
-              [exp[c % q1] for c in column]]
+    q_rows = [[neg(zexp[c + log[u]]) for c, u in zip(column, us[k:])],
+              list(map(exp.__getitem__, column))]
     return rows, (p_cols, q_rows)
 
 
@@ -189,7 +189,7 @@ def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
     w = 1 over whole pairs {P, -P}, S1 = 0 if a1 = a3 = 0 (u(-P) = -u(P)),
     and S0 = 0, S1 = S2 in characteristic 2 (a1 = 1, u(-P) = u(P) + 1)."""
     spec, k = basis.curve.spec, basis.k
-    add, mul, log, exp2 = spec.add_enc, spec.mul_enc, spec._log, spec._exp2
+    add, mul, log, zexp = spec.add_enc, spec.mul_enc, spec._log, spec._zexp
     addt, mulb, q1 = spec._addt, spec._mulb, spec.q - 1
     # per distinct x: sum of w_j u_j^e over the points on it, e = 0, 1, 2
     weights: dict[int, list[int]] = {}
@@ -224,7 +224,7 @@ def point_moments(basis: RRBasis, points: Sequence[tuple[int, int]],
     for x, acc in weights.items():
         lpow = [t * log[x] % q1 for t in range(k - 1)]
         for e, lc in [(e, log[c]) for e, c in enumerate(acc) if c]:
-            moments[e] = [add(s, exp2[lc + lp]) for s, lp in zip(moments[e], lpow)]
+            moments[e] = [add(s, zexp[lc + lp]) for s, lp in zip(moments[e], lpow)]
     return moments
 
 

@@ -7,9 +7,11 @@ files, certificates and the command line, so results are bit-reproducible.
 
 Fields are desk-scale: q is at most `_MAX_Q`, checked before any other
 work.  Multiplication runs on exp/log tables built from a fixed primitive
-element.  The bootstrap works on plain mod-p coefficient lists with one
-product (`_pp_mulmod`), one square-and-multiply (`_pp_powmod`) and one
-irreducibility test (`_is_irreducible`).  Multiplication by the generator
+element, and the field alone says how zero reads in log space (`FieldSpec`:
+log 0 and ``_zexp``), so no kernel tests a factor for zero.  The bootstrap
+works on plain mod-p coefficient lists with one product (`_pp_mulmod`),
+one square-and-multiply (`_pp_powmod`) and one irreducibility test
+(`_is_irreducible`).  Multiplication by the generator
 is GF(p)-linear, so the exp/log walk splits an encoding as lo + P * hi
 with P = p^(m//2) and steps through two tables of about sqrt(q) products.
 Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a q x q table
@@ -24,6 +26,7 @@ q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import xor
 from typing import Optional, Sequence
 
@@ -172,6 +175,11 @@ class FieldSpec:
     once per field by `_bind_addition`.  Specs are immutable after
     construction and safe to share.
 
+    ``_log`` inverts ``_exp[i] = gen^i`` and sends 0 to 4(q - 1), which is
+    0 mod q - 1.  ``_zexp`` is ``_exp`` four times over, then 6(q - 1) zeros:
+    a sum of logs and nonnegative shifts indexes the product there, with no
+    zero test, while it stays below 4(q - 1) for nonzero factors.
+
     In characteristic 2, ``_mulb[s]`` is the translate table of
     multiplication by s: ``_mulb[s][x] == mul_enc(s, x)`` for x < q, and
     encodings q..255 map to 0.  The kernels of `linalg` and `code` pack a
@@ -179,7 +187,7 @@ class FieldSpec:
     Other fields have ``_mulb = None``.
     """
 
-    __slots__ = ("p", "m", "modulus", "q", "_exp", "_exp2", "_log", "_addt",
+    __slots__ = ("p", "m", "modulus", "q", "_exp", "_zexp", "_log", "_addt",
                  "_negt", "_mulb", "_gen_enc", "_artin", "add_enc", "sub_enc",
                  "neg_enc")
 
@@ -244,20 +252,20 @@ class FieldSpec:
             P, add = p ** (m // 2), self.add_enc
             by_lo = [self._raw_mul(lo, gen) for lo in range(P)]
             by_hi = [self._raw_mul(hi, gen) for hi in range(0, q, P)]
-        exp, log, x = [0] * (q - 1), [0] * q, 1
+        exp, log, x = [0] * (q - 1), [4 * (q - 1)] * q, 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = x * gen % p if m == 1 else add(by_lo[x % P], by_hi[x // P])
         if x != 1:
             raise FieldError("generator search failed to close the cycle")
-        self._exp = exp
-        self._exp2 = exp2 = exp + exp      # doubled so mul can skip a modulo
-        self._log = log
+        zexp = exp * 4      # grown in place to exactly its size: the build peaks at that
+        zexp += repeat(0, 6 * (q - 1))
+        self._exp, self._zexp, self._log = exp, zexp, log
         if p == 2:
             # _mulb[gen^(i+1)] is _mulb[gen^i] translated by x -> gen * x
             pad = bytes(256 - q)
-            by_gen = bytes(exp2[log[x] + 1] if x else 0 for x in range(q)) + pad
+            by_gen = bytes(zexp[log[x] + 1] for x in range(q)) + pad
             mulb = [bytes(256)] * q
             table = bytes(range(q)) + pad
             for e in exp:
@@ -291,9 +299,7 @@ class FieldSpec:
     # -- raw encoded arithmetic ----------------------------------------------
 
     def mul_enc(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp2[self._log[a] + self._log[b]]
+        return self._zexp[self._log[a] + self._log[b]]
 
     def inv_enc(self, a: int) -> int:
         if a == 0:

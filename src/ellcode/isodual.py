@@ -45,7 +45,7 @@ nullspace computed; the code carries v, from which the hull cross-check
 reads the dual's half A' and displacement factors without building C.v.
 `IsoDualCertificate.code`, which the transforms and the samplers start
 from, is that same code, kept by a verify with no failure, or proved by the
-gates, matrix_rref, iso_dual_identity and scaling_matches_points.  hull is
+table up to scaling_matches_points, failing as verify does.  hull is
 k - rank of the moment Gram at w = 1, from Berlekamp-Massey ranks of its
 Hankel blocks, which read only the points: H(S0) plus H(S2) when S1 = 0
 (construction 2), twice H(S1) when S0 = 0 and S1 = S2 (construction 1,
@@ -254,12 +254,12 @@ class IsoDualCertificate:
     def code(self) -> LinearCode:
         """The closed form [I | A], `_Context.code`, carrying v as its dual
         C.v: the code a verify with no failure kept, or else, kept now, that
-        of a fresh `_file_context` once `_CODE_INVARIANTS` hold, the gates
-        first; `VerificationError` names the first that fails."""
+        `_run` keeps once `_CODE_INVARIANTS` hold; it fails as verify does,
+        `VerificationError` naming the first failure."""
         if self._code is None:
-            ctx = _file_context(self)
-            _require(ctx, _CODE_INVARIANTS)
-            object.__setattr__(self, "_code", ctx.code)
+            failures = _run(self, _CODE_INVARIANTS)
+            if failures:
+                raise VerificationError(f"certificate invariant {failures[0]} failed")
         return self._code
 
     # -- wire format ----------------------------------------------------------
@@ -526,7 +526,7 @@ class _Context:
     def scaling_v(self) -> Optional[tuple[int, ...]]:
         """The scaling carrying the code onto its dual (module docstring),
         with log h'(alpha) the sum of log (alpha - beta) over all distinct
-        x's beta, alpha's own term adding the table's log 0 = 0.
+        x's beta, alpha's own term adding log 0 = 4(q - 1), 0 mod q - 1.
         None when a point with y = 0 or x = beta leaves some v_i undefined
         or zero, which only a file failing an earlier invariant holds."""
         spec, points = self.spec, self.points
@@ -666,12 +666,11 @@ INVARIANTS: tuple[tuple[str, Callable[[_Context], bool]], ...] = (
 # build G from the file's k, which only n = 2k = #points bounds
 _GATES = ("n_equals_2k", "g_shape")
 
-# what `IsoDualCertificate.code` needs: the gates, which bound the points
-# and G that the closed form reads, then the file's matrix is the closed
-# form of its points, that code carries the v they give, and that v is the
-# file's
-_CODE_INVARIANTS = tuple((name, holds) for name, holds in INVARIANTS if name in (
-    *_GATES, "matrix_rref", "iso_dual_identity", "scaling_matches_points"))
+# what `IsoDualCertificate.code` proves: the table up to the file's matrix
+# being the closed form of its points, that code carrying the v they give,
+# and that v being the file's
+_CODE_INVARIANTS = INVARIANTS[:[name for name, _ in INVARIANTS].index(
+    "scaling_matches_points") + 1]
 
 
 def _require(ctx: _Context, invariants) -> None:
@@ -706,18 +705,16 @@ def _file_context(cert: IsoDualCertificate) -> _Context:
     return ctx
 
 
-def verify_certificate(cert: IsoDualCertificate) -> list[str]:
-    """Run `INVARIANTS` on the file's data alone; returns the names of the
-    failed invariants in table order; with none, `cert` keeps its code.
-
-    A file `_file_context` refuses is a `CertificateSchemaError`, as is
-    other data the library cannot evaluate (a bad point, one outside the
-    group), unless an invariant has failed: then it returns the failures.
-    """
+def _run(cert: IsoDualCertificate, invariants) -> list[str]:
+    """The names of the `invariants` that fail on the file's context, in
+    table order, a failed gate ending the run; with none, `cert` keeps its
+    code.  A file `_file_context` refuses is a `CertificateSchemaError`, as
+    is other data the library cannot evaluate (a bad point, one outside the
+    group, a curve of the wrong shape) before any invariant fails."""
     failures: list[str] = []
     try:
         ctx = _file_context(cert)
-        for name, holds in INVARIANTS:
+        for name, holds in invariants:
             if not holds(ctx):
                 failures.append(name)
                 if name in _GATES:
@@ -728,6 +725,11 @@ def verify_certificate(cert: IsoDualCertificate) -> list[str]:
     if not failures:
         object.__setattr__(cert, "_code", ctx.code)
     return failures
+
+
+def verify_certificate(cert: IsoDualCertificate) -> list[str]:
+    """The failures of `INVARIANTS` on the file's data alone (`_run`)."""
+    return _run(cert, INVARIANTS)
 
 
 # ---------------------------------------------------------------------------

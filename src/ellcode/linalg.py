@@ -35,7 +35,7 @@ def rref(rows: list[list[int]], spec: FieldSpec, *,
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    exp2, log = spec._exp2, spec._log
+    zexp, log = spec._zexp, spec._log
     addt, add = spec._addt, spec.add_enc
     q1 = spec.q - 1
     pivots: list[int] = []
@@ -55,10 +55,10 @@ def rref(rows: list[list[int]], spec: FieldSpec, *,
         # a leading 1 with nothing to clear, as in every row of a systematic
         # [I | A], costs no pass over the row
         if lp:      # scale the pivot row to a leading 1
-            row_r[c:] = [exp2[log[v] - lp + q1] if v else 0 for v in row_r[c:]]
+            row_r[c:] = [zexp[log[v] - lp + q1] for v in row_r[c:]]
         if clear:
             # -1 has log (q-1)/2, so row_i -= f * row_r adds -f * x =
-            # exp2[lf + lx] with the shift folded into lx, over the pivot
+            # zexp[lf + lx] with the shift folded into lx, over the pivot
             # row's nonzeros only, listed once as (column, shifted log)
             nz = [(j, (log[v] + q1 // 2) % q1) for j, v in enumerate(row_r[c:], c) if v]
             for i in clear:
@@ -66,11 +66,11 @@ def rref(rows: list[list[int]], spec: FieldSpec, *,
                 lf = log[row_i[c]]
                 if addt is not None:
                     for j, lv in nz:
-                        row_i[j] = addt[row_i[j]][exp2[lf + lv]]
+                        row_i[j] = addt[row_i[j]][zexp[lf + lv]]
                 else:
                     # beyond the add-table size cap: the field's own add
                     for j, lv in nz:
-                        row_i[j] = add(row_i[j], exp2[lf + lv])
+                        row_i[j] = add(row_i[j], zexp[lf + lv])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -142,15 +142,8 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
         raise ValueError("cauchy_like_rank needs odd q with an add table")
     if not set(a).isdisjoint(b):
         raise ValueError("row and column nodes must be disjoint")
-    log, addt, negt = spec._log, spec._addt, spec._negt
+    log, zexp, addt, negt = spec._log, spec._zexp, spec._addt, spec._negt
     q1 = spec.q - 1
-    # zlog is log with 0 sent to z: every exponent sum below stays under z
-    # for nonzero factors and lies in [z, 2z + 2(q - 1)) otherwise, where ez
-    # reads 0
-    z = 4 * q1
-    ez = spec._exp * 4 + [0] * (z + 2 * q1)
-    zlog = log.copy()
-    zlog[0] = z
     pad = -len(g) % 4 if g else 4
     g = [*g, *[[0] * len(a)] * pad]
     h = [*h, *[[0] * len(b)] * pad]
@@ -161,21 +154,21 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
         """Each tuple's product with its chunk's vec, summed over chunks."""
         acc = None
         for tuples, vec in zip(chunks, vecs):
-            l0, l1, l2, l3 = [zlog[x] for x in vec]
-            part = [addt[addt[ez[zlog[x0] + l0]][ez[zlog[x1] + l1]]][
-                        addt[ez[zlog[x2] + l2]][ez[zlog[x3] + l3]]]
+            l0, l1, l2, l3 = [log[x] for x in vec]
+            part = [addt[addt[zexp[log[x0] + l0]][zexp[log[x1] + l1]]][
+                        addt[zexp[log[x2] + l2]][zexp[log[x3] + l3]]]
                     for x0, x1, x2, x3 in tuples]
             acc = part if acc is None else [addt[x][y] for x, y in zip(acc, part)]
         return acc
 
     def fold(chunks, vecs, s, nodes, diff, lc):
         """Tuple i plus its chunk's vec times s_i c / diff[node_i]."""
-        return [[(addt[x0][ez[y + l0]], addt[x1][ez[y + l1]],
-                  addt[x2][ez[y + l2]], addt[x3][ez[y + l3]])
+        return [[(addt[x0][zexp[y + l0]], addt[x1][zexp[y + l1]],
+                  addt[x2][zexp[y + l2]], addt[x3][zexp[y + l3]])
                  for (x0, x1, x2, x3), v, u in zip(tuples, s, nodes)
-                 for y in (zlog[v] + lc - log[diff[u]],)]
+                 for y in (log[v] + lc - log[diff[u]],)]
                 for tuples, vec in zip(chunks, vecs)
-                for l0, l1, l2, l3 in ([zlog[x] for x in vec],)]
+                for l0, l1, l2, l3 in ([log[x] for x in vec],)]
 
     rows = list(a)
     nb = [negt[x] for x in b]
@@ -191,8 +184,8 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
             continue
         rank += 1
         ap = rows.pop(p)
-        # c = -(a_p - b_j) / s_p, whose log lc is shifted into [q - 1, 2(q - 1))
-        # so that the exponents below stay nonnegative
+        # c = -(a_p - b_j) / s_p, its log lc shifted into [q - 1, 2(q - 1)):
+        # the exponents below are >= 0, and < 4(q - 1) for nonzero factors
         lc = (log[addt[ap][nbj]] - log[s.pop(p)] + q1 // 2) % q1 + q1
         gp = [gc.pop(p) for gc in gs]
         tails = [hc[j - base + 1:] for hc in hs]
@@ -213,27 +206,27 @@ def hankel_rank(s: Sequence[int], spec: FieldSpec) -> int:
     Berlekamp-Massey (Massey 1969) in O(m^2).  c is the connection
     polynomial, lc the logs of c[1:], lb those of the polynomial before the
     last length change, ld the log of that step's discrepancy and gap the
-    steps since; a zero has log 2(q-1), which `ez` maps to 0."""
+    steps since; a zero's log reads 0 in the field's `_zexp`."""
     if len(s) % 2 == 0:
         raise ValueError("a Hankel matrix has 2m - 1 distinct entries")
-    log, addt, add, q1 = spec._log, spec._addt, spec.add_enc, spec.q - 1
-    z, neg = 2 * q1, (q1 // 2 if spec.p != 2 else 0)      # neg = log of -1
-    ez, ls = spec._exp2 + [0] * (z + 1), [log[x] if x else z for x in s]
+    log, zexp, addt, add, q1 = spec._log, spec._zexp, spec._addt, spec.add_enc, spec.q - 1
+    neg = q1 // 2 if spec.p != 2 else 0     # the log of -1
+    ls = list(map(log.__getitem__, s))
     c, lc, lb, length, gap, ld = [1], [], [0], 0, 1, 0
     for t, d in enumerate(s):
         # the discrepancy s_t + sum_i c_i s_(t-i), by the add table where
         # there is one; len(lc) <= length <= t
-        for v in [ez[u + v] for u, v in zip(lc, ls[t - 1::-1])]:
+        for v in [zexp[u + v] for u, v in zip(lc, ls[t - 1::-1])]:
             d = addt[d][v] if addt is not None else add(d, v)
         if d:       # c - (d / d_b) x^gap b, term by term
             lf = (log[d] - ld + neg) % q1
             new = c + [0] * (len(lb) + gap - len(c))
             for i, y in enumerate(lb, gap):
-                v = ez[lf + y]
+                v = zexp[lf + y]
                 new[i] = addt[new[i]][v] if addt is not None else add(new[i], v)
             if 2 * length <= t:
                 length, lb, ld, gap = t + 1 - length, [0] + lc, log[d], 0
-            c, lc = new, [log[v] if v else z for v in new[1:]]
+            c, lc = new, list(map(log.__getitem__, new[1:]))
         gap += 1
     return min(length, len(s) + 1 - length)
 
@@ -255,17 +248,16 @@ def nullspace(rows: list[list[int]], spec: FieldSpec, ncols: int) -> list[list[i
 
 def scale_columns(a: Sequence[Sequence[int]], w: Sequence[int],
                   spec: FieldSpec) -> list[list[int]]:
-    """A diag(w), for nonzero weights w: by table lookup, zeros skipped.
-    A zero weight is a `ValueError`: the odd kernel's log would read it as 1."""
+    """A diag(w), for nonzero weights w, by table lookup.  A zero weight is
+    a `ValueError`: a scaling's diag(w) must be invertible."""
     if 0 in w:
         raise ValueError("column weights must be nonzero")
     if spec.p == 2:
         tables = [spec._mulb[wj] for wj in w]
         return [[t[x] for t, x in zip(tables, row)] for row in a]
-    exp2, log = spec._exp2, spec._log
+    zexp, log = spec._zexp, spec._log
     lw = [log[wj] for wj in w]
-    return [[exp2[log[x] + lj] if x else 0 for x, lj in zip(row, lw)]
-            for row in a]
+    return [[zexp[log[x] + lj] for x, lj in zip(row, lw)] for row in a]
 
 
 def gram(a: list[list[int]], spec: FieldSpec,
@@ -289,16 +281,15 @@ def gram(a: list[list[int]], spec: FieldSpec,
                     acc ^= int.from_bytes(col.translate(mulb[f]), "big")
             out.append(list(acc.to_bytes(k, "big")))
         return out
-    log, addt, add = spec._log, spec._addt, spec.add_enc
+    log, zexp, addt, add = spec._log, spec._zexp, spec._addt, spec.add_enc
     q1 = spec.q - 1
     if w is None:
         w = [1] * (len(a[0]) if a else 0)
-    # row i's nonzeros once, as (column, log of entry times weight); in the
-    # rows it meets, a zero entry gets log 2(q-1), which `exp3` maps to 0
+    # row i's nonzeros once, as (column, log of entry times weight), read
+    # against the logs of the rows it meets, where a zero reads 0 in `_zexp`
     terms = [[(j, (log[x] + log[wj]) % q1) for j, (x, wj) in enumerate(zip(row, w))
               if x] for row in a]
-    logs = [[log[y] if y else 2 * q1 for y in row] for row in a]
-    exp3 = spec._exp2 + [0] * q1
+    logs = [list(map(log.__getitem__, row)) for row in a]
     k = len(a)
     out = [[0] * k for _ in range(k)]
     for i, ti in enumerate(terms):
@@ -306,10 +297,10 @@ def gram(a: list[list[int]], spec: FieldSpec,
             lj, acc = logs[j], 0
             if addt is not None:
                 for c, lx in ti:
-                    acc = addt[acc][exp3[lx + lj[c]]]
+                    acc = addt[acc][zexp[lx + lj[c]]]
             else:
                 for c, lx in ti:
-                    acc = add(acc, exp3[lx + lj[c]])
+                    acc = add(acc, zexp[lx + lj[c]])
             out[i][j] = out[j][i] = acc
     return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from ellcode import FieldSpec, cli, funcspace
+from ellcode import Curve, FieldSpec, cli, funcspace
 from ellcode.cli import main
 
 FIELD16 = "p=2,m=4,mod=1,1,0,0,1"
@@ -363,6 +364,33 @@ def test_transform_derives_the_code_once(monkeypatch, capsys, golden, flag):
     assert main(["transform", os.path.join(GOLDENS, golden), flag]) == 0
     assert "hull=" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+FIELD2187 = "p=3,m=7,mod=1,0,2,0,0,0,0,1"
+CURVE2187 = "0,0,0,2,0"
+
+
+@pytest.mark.parametrize("k, digest", [
+    (4, "e2ae8a528eb2cfe1c1576cfe780c62a9c0bb0e6fcc58eb0bc533b01809adb441"),
+    (24, "f53b51bf732c352b7a3e5868bfe7ed46eb45fbdfa51921c821882add34ece939")],
+    ids=["k4", "k24"])
+def test_gf2187_round_trip_above_the_add_table_cap(tmp_path, capsys, k, digest):
+    # GF(3^7) lies above the add-table cap with m > 1, so every sum of the
+    # whole run, from the exp/log walk on, goes through the split adds; its
+    # curve y^2 = x^3 + 2x has full rational 2-torsion
+    curve = Curve.from_string(FieldSpec.from_string(FIELD2187), CURVE2187)
+    structure = curve.group_structure()
+    assert curve.order() == 2188 and (structure.d1, structure.d2) == (2, 1094)
+    cert = tmp_path / "c2187.json"
+    assert main(["construct", "--field", FIELD2187, "--curve", CURVE2187,
+                 "--k", str(k), "--construction", "2", "--out", str(cert)]) == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
+    assert json.loads(cert.read_text())["hull_dim"] == 0
+    assert main(["verify", str(cert)]) == 0
+    assert main(["transform", str(cert), "--lcd"]) == 0
+    assert main(["eaqecc", str(cert)]) == 0
+    out = capsys.readouterr().out
+    assert "hull=0" in out and f"[[{2 * k},{k},{k + 1};{k}]]_2187 mds=true" in out
 
 
 @pytest.mark.parametrize("golden", ["q16.json", "q64.json"])

@@ -1,5 +1,5 @@
-"""Property test: `ellcode verify` on mutated q = 16, 25, 289 and 1031
-certificates.
+"""Property test: `ellcode verify` on mutated q = 16, 25, 256, 289 and
+1031 certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
@@ -7,11 +7,13 @@ exit with the same code on the same file, nothing escapes as a traceback,
 and a file that verifies is exactly the canonical serialisation of what
 was read from it and what `construct` writes for its input echo.  On a
 tweaked file, `cert.code()` in process fails as verify does: a schema
-error exactly when verify raises one, otherwise the first of the code's
-invariants that verify lists, and it returns the code when verify lists
-none of them.  The q = 16 file is characteristic 2 with an exhaustive
-distance and the packed kernels; the q = 25 golden reaches the odd
-routes: the add table, the Berlekamp-Massey hull, the MDS witness's
+error exactly when verify raises one, otherwise verify's first failure
+when it lies in the code's prefix of the table, and it returns the code
+when verify lists no failure there; a tweak that moves a point onto Qa,
+the pole of u, must not escape as a `FunctionError`.  The q = 16 file is
+characteristic 2 with an exhaustive distance and the packed kernels, and
+the q = 256 file (k = 70) runs them at scale; the q = 25 golden reaches
+the odd routes: the add table, the Berlekamp-Massey hull, the MDS witness's
 2-primary quotient and, where a tweak moves G to a target the quotient
 reaches, the full witness.  Where a
 tweak moves a point off the pairs, the moments leave both Hankel shapes
@@ -87,6 +89,17 @@ def cert1031_doc():
 @pytest.fixture(scope="module")
 def e1031(cert1031_doc):
     return _curve(cert1031_doc)
+
+
+@pytest.fixture(scope="module")
+def cert256_doc():
+    with open(os.path.join(GOLDENS, "q256.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def e256(cert256_doc):
+    return _curve(cert256_doc)
 
 
 @pytest.fixture(scope="module")
@@ -198,9 +211,10 @@ def test_verify_exit_codes_on_mutated_q25_certificates(cert25_doc, work_dir, edi
 # a constant other than 1 (which keeps G diag(v) G^T = 0), another
 # tool_version; and two that keep the file well formed but move it off the
 # closed form: one permutation of the points, G's columns and v together,
-# and a first-k point swapped with a later one
+# and a first-k point swapped with a later one; and one that puts a point
+# on Qa, at the pole of u, where the closed form cannot evaluate
 KINDS = ["swap", "respell", "zero_entry", "scale_v", "version", "permute",
-         "swap_first_k"]
+         "swap_first_k", "onto_qa"]
 TWEAKS = st.tuples(st.sampled_from(KINDS), st.integers(0, 10 ** 6),
                    st.integers(0, 10 ** 6))
 # the q = 25 file may also move G's point to another rational 2-torsion
@@ -210,6 +224,12 @@ TWEAKS = st.tuples(st.sampled_from(KINDS), st.integers(0, 10 ** 6),
 TWEAKS25 = st.tuples(st.sampled_from(KINDS + ["torsion", "off_x"]),
                      st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 SWAPPABLE = ("points", "g_divisor", "generator_matrix", "scaling_v")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_q256_certificates(cert256_doc, work_dir, edits):
+    _verify_exit_means_what_it_says(work_dir, _apply(cert256_doc, edits))
 
 
 def _tweak(doc, tweaks, curve):
@@ -244,6 +264,9 @@ def _tweak(doc, tweaks, curve):
                 doc[key] = [doc[key][c] for c in order]
             doc["generator_matrix"] = [[row[c] for c in order]
                                        for row in doc["generator_matrix"]]
+        elif kind == "onto_qa":
+            qa = next(pt for pt, _ in doc["g_divisor"] if pt is not None)
+            doc["points"][i % len(doc["points"])] = list(qa)
         elif kind == "swap_first_k":
             points, k = doc["points"], doc["k"]
             a, b = i % k, k + j % (len(points) - k)
@@ -261,8 +284,9 @@ def _tweak(doc, tweaks, curve):
 def _code_fails_as_verify_does(doc):
     """`cert.code()` on a fresh parse raises only what verify's outcome
     says: `CertificateSchemaError` exactly when verify raises one, and
-    otherwise `VerificationError` naming the first of `_CODE_INVARIANTS`
-    that verify lists, or no error when it lists none of them."""
+    otherwise `VerificationError` naming verify's first failure when that
+    lies in `_CODE_INVARIANTS`, the table's prefix, or no error when it
+    lists no failure there."""
     text = _canonical(doc)
     cert = IsoDualCertificate.from_json(text)
     try:
@@ -271,7 +295,8 @@ def _code_fails_as_verify_does(doc):
         with pytest.raises(CertificateSchemaError):
             cert.code()
         return
-    first = next((name for name, _ in isodual._CODE_INVARIANTS if name in failures), None)
+    prefix = [name for name, _ in isodual._CODE_INVARIANTS]
+    first = failures[0] if failures and failures[0] in prefix else None
     if first is None:
         assert cert.code().matrix == cert.generator_matrix
     else:
@@ -336,6 +361,13 @@ def test_q25_off_x_tweak_fails_hull_with_no_gram(cert25_doc, e25, work_dir, monk
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1
     assert "hull" in _failures(doc)
     assert hankel == [] and hulls == []
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS, min_size=1, max_size=2))
+def test_verified_tweaked_q256_certificate_is_what_construct_writes(cert256_doc, e256,
+                                                                   work_dir, tweaks):
+    _tweaked_file_means_what_it_says(work_dir, _tweak(cert256_doc, tweaks, e256))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -466,3 +466,31 @@ def test_gf729_bootstrap_makes_about_sqrt_q_products(monkeypatch):
     monkeypatch.setattr(FieldSpec, "_raw_mul", counted)
     FieldSpec(3, 6, [2, 1, 0, 0, 0, 0, 1])
     assert 0 < len(calls) <= 2 * 27
+
+
+ZEXP_FIELDS = {
+    "GF(2)": (2, 1, CHAR2_FIELDS["GF(2)"]),
+    "GF(16)": (2, 4, CHAR2_FIELDS["GF(16)"]),
+    "GF(25)": (5, 2, [2, 4, 1]),
+    "GF(1031)": BOOTSTRAP_FIELDS["GF(1031)"],
+    "GF(2187)": BOOTSTRAP_FIELDS["GF(2187)"],
+}
+
+
+@pytest.mark.parametrize("p, m, modulus", ZEXP_FIELDS.values(), ids=ZEXP_FIELDS.keys())
+def test_zero_has_one_log_which_zexp_reads_as_zero(p, m, modulus):
+    # log 0 = 4(q-1), and _zexp is exp four times over, then 6(q-1) zeros:
+    # a sum of two logs is the product's index, with no zero test
+    spec = FieldSpec(p, m, modulus)
+    q, q1 = spec.q, spec.q - 1
+    assert not hasattr(spec, "_exp2")
+    assert spec._log[0] == 4 * q1 and len(spec._zexp) == 10 * q1
+    assert spec._zexp == [spec._exp[i % q1] for i in range(4 * q1)] + [0] * (6 * q1)
+    if q <= 32:
+        pairs = product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        pairs += [(0, 0), (0, q - 1), (q - 1, 0), (1, q - 1)]
+    for a, b in pairs:
+        assert spec.mul_enc(a, b) == spec._raw_mul(a, b), (a, b)

@@ -777,6 +777,66 @@ def test_every_entry_refuses_what_verify_refuses_as_a_schema_error(q, edit):
             call(IsoDualCertificate.from_json(text))
 
 
+def _point_at(i, point):
+    def edit(wire):
+        wire["points"][i] = point
+    return edit
+
+
+def _cut_to_k(k):
+    def edit(wire):
+        n = 2 * k
+        wire.update(k=k, n=n, points=wire["points"][:n], scaling_v=wire["scaling_v"][:n],
+                    generator_matrix=[row[:n] for row in wire["generator_matrix"][:k]])
+        wire["g_divisor"][0][1] = k - 1
+    return edit
+
+
+# files the closed form cannot evaluate: a point at x(Qa), the pole of u,
+# or on Qa itself; a curve of the wrong characteristic-2 shape; an odd k.
+# Verify's outcome: its failures, or None for a schema error
+UNEVALUABLE_EDITS = {
+    "q25-point-0-at-qa-x": (25, _point_at(0, [4, 1]),
+                            ["points_on_curve", "x_pairs", "points_off_qa_x"]),
+    "q16-point-1-on-qa": (16, _point_at(1, [0, 11]),
+                          ["x_pairs", "points_off_qa_x", "points_disjoint_from_G"]),
+    "q16-point-0-at-qa-x": (16, _point_at(0, [0, 3]),
+                            ["points_on_curve", "x_pairs", "points_off_qa_x"]),
+    "q289-point-5-at-qa-x": (289, _point_at(5, [100, 1]),
+                             ["points_on_curve", "x_pairs", "points_off_qa_x"]),
+    "q16-curve-odd-shape": (16, lambda wire: wire.update(curve="1,8,0,5,9"),
+                            ["points_on_curve"]),
+    "q16-cut-to-k3": (16, _cut_to_k(3), None),
+}
+
+
+@pytest.mark.parametrize("q, edit, failures", UNEVALUABLE_EDITS.values(),
+                         ids=UNEVALUABLE_EDITS.keys())
+def test_every_entry_fails_as_verify_does_where_the_closed_form_cannot_evaluate(
+        q, edit, failures):
+    # code() runs verify's loop over the table up to scaling_matches_points,
+    # so the closed form's FunctionError never escapes: after a failure it
+    # ends the run, before one it is a schema error
+    wire = json.loads(_golden_text(q))
+    edit(wire)
+    text = json.dumps(wire)
+    calls = [IsoDualCertificate.code, lcd_transform]
+    if q == 16:
+        calls.append(selfdual_transform)
+    if failures is None:
+        with pytest.raises(CertificateSchemaError):
+            verify_certificate(IsoDualCertificate.from_json(text))
+    else:
+        assert verify_certificate(IsoDualCertificate.from_json(text)) == failures
+    for call in calls:
+        if failures is None:
+            with pytest.raises(CertificateSchemaError):
+                call(IsoDualCertificate.from_json(text))
+        else:
+            with pytest.raises(VerificationError, match=f"invariant {failures[0]} failed"):
+                call(IsoDualCertificate.from_json(text))
+
+
 def test_selfdual_transform_refuses_odd_characteristic_before_any_table(monkeypatch):
     # p comes from the field string alone, so no field is built
     cert = _golden_cert(289)

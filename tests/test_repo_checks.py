@@ -1,6 +1,7 @@
 """Checks on the source tree itself: the library names the benchmark wraps
 still exist, no `src/ellcode` module, test or demo imports a name it never
-uses, no library module computes in floating point, every public name,
+uses, no library module computes in floating point or tests a factor for
+zero around a read of the exp/log tables, every public name,
 function, class and method of the library has a reader outside the tests,
 only `gf` and `curve` construct `Point`s and `FieldElement`s, `isodual`
 has one generator route, the library neither imports the tests' oracle
@@ -23,6 +24,7 @@ import pytest
 import ellcode
 from ellcode import code, isodual, linalg
 from ellcode.code import LinearCode
+from ellcode.gf import FieldSpec
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH = os.path.join(ROOT, "bench")
@@ -161,6 +163,73 @@ def test_library_arithmetic_is_exact(name):
     divides = frozenset({"evaluate"} if name == "funcspace.py" else ())
     with open(os.path.join(PACKAGE, name)) as handle:
         assert _inexact_arithmetic(handle.read(), divides) == []
+
+
+def _zero_tested(test: ast.expr) -> set[str]:
+    """The names a condition tests for zero: ``x``, ``not x``, ``x == 0``,
+    ``x != 0``, or an ``and``/``or`` of such tests; empty for any other."""
+    if isinstance(test, ast.Name):
+        return {test.id}
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _zero_tested(test.operand)
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Eq, ast.NotEq))):
+        sides = [test.left, test.comparators[0]]
+        if any(isinstance(s, ast.Constant) and s.value == 0 for s in sides):
+            return {s.id for s in sides if isinstance(s, ast.Name)}
+    if isinstance(test, ast.BoolOp):
+        names = [_zero_tested(v) for v in test.values]
+        return set().union(*names) if all(names) else set()
+    return set()
+
+
+def _zero_guarded_table_reads(source: str) -> list[str]:
+    """Each conditional expression of a module that tests a name for zero
+    and reads a log table (a name or attribute ending in ``log``) at an
+    index holding that name, in either branch: a zero the field's own log
+    already reads as 0 in ``_zexp``.  A test of a log itself, such as a
+    step of 0, guards no read of the log at it and is spared."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.IfExp):
+            continue
+        tested = _zero_tested(node.test)
+        for branch in (node.body, node.orelse):
+            reads = [sub for sub in ast.walk(branch) if isinstance(sub, ast.Subscript)
+                     and getattr(sub.value, "id", getattr(sub.value, "attr", "")).endswith("log")]
+            if any(isinstance(n, ast.Name) and n.id in tested
+                   for sub in reads for n in ast.walk(sub.slice)):
+                found.append(node.lineno)
+                break
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_zero_guard_check_flags_and_spares():
+    source = ("def f(x, a, b, lx, k):\n"
+              "    y = exp2[log[x] + 1] if x else 0\n"
+              "    z = zexp[log[a] + log[b]] if a and b else 0\n"
+              "    w = 2 * q1 if x == 0 else spec._log[x]\n"
+              "    s = expb[0:k * lx:lx] if lx else b'\\x01' * k\n"
+              "    t = zexp[log[x] + 1]\n"
+              "    u = log[b] if x else a\n"
+              "    v = log[x] if x > 1 else 0\n"
+              "    if x:\n        v = log[x]\n")
+    assert _zero_guarded_table_reads(source) == ["line 2", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_no_zero_branch_around_a_table_read(name):
+    """The field decides how zero reads in log space (`gf`'s log 0 and
+    ``_zexp``), so no kernel tests a factor for zero around a table read."""
+    with open(os.path.join(PACKAGE, name)) as handle:
+        assert _zero_guarded_table_reads(handle.read()) == []
+
+
+def test_mul_enc_has_no_zero_test():
+    body = ast.parse(inspect.getsource(FieldSpec.mul_enc).strip()).body[0].body
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    assert not [n for n in ast.walk(body[0]) if isinstance(n, (ast.IfExp, ast.Compare,
+                                                                ast.BoolOp))]
 
 
 def _calls_of(source: str, names: tuple[str, ...]) -> list[str]:
