@@ -59,7 +59,9 @@ def _load_certificate(path: str) -> IsoDualCertificate:
         cert = IsoDualCertificate.from_json(handle.read())
     failures = isodual.verify_certificate(cert)
     if failures:
-        raise VerificationError(f"{failures[0]} (all failures: {', '.join(failures)})")
+        listed = ("all failures" if failures.complete
+                  else "failures before verification stopped")
+        raise VerificationError(f"{failures[0]} ({listed}: {', '.join(failures)})")
     return cert
 
 

@@ -309,20 +309,21 @@ class LinearCode:
     def _displacement_factors(self) -> Optional[tuple]:
         """(alpha, x, P, Q, P', Q') with R = P Q and R' = P' Q' as in
         `stacked_hull_dim`, P and P' given by columns; None where the
-        generator route does not apply.  Computed once and cached, like the
-        dual.
+        generator route does not apply.  Computed once the field has its add
+        table, which construct and verify ask for from q and k
+        (`isodual._ADD_TABLE_Q_PER_K`) and the transforms always, and then
+        cached, like the dual.
 
-        It applies in odd characteristic up to the add-table cap, with k at
-        least `_DISPLACEMENT_MIN_K`, to a code that carries v and the closed
-        form's nodes and factors (`_made`; `scale` carries them too), whose
-        G = [I | A] has n = 2k.  The dual C.v has A' = D_v1^-1 A D_v2, so
-        P' = D_v1^-1 P and Q' = Q D_v2.  The closed form's row nodes are
-        disjoint from its column nodes, as `linalg.cauchy_like_rank`
-        needs."""
-        if self._factors is None:
-            spec, k, v, self._factors = self.spec, self.k, self._dual_v, ()
-            if (spec.p == 2 or spec._addt is None or self._r_factors is None
-                    or v is None or k < _DISPLACEMENT_MIN_K):
+        It applies with k at least `_DISPLACEMENT_MIN_K`, to a code that
+        carries v and the closed form's nodes and factors (`_made`; `scale`
+        carries them too), whose G = [I | A] has n = 2k.  The dual C.v has
+        A' = D_v1^-1 A D_v2, so P' = D_v1^-1 P and Q' = Q D_v2.  The closed
+        form's row nodes are disjoint from its column nodes, as
+        `linalg.cauchy_like_rank` needs."""
+        spec = self.spec
+        if self._factors is None and spec._addt is not None:
+            k, v, self._factors = self.k, self._dual_v, ()
+            if self._r_factors is None or v is None or k < _DISPLACEMENT_MIN_K:
                 return None
             self._factors = (self.nodes[:k], self.nodes[k:], *self._r_factors,
                              *_scaled_factors(spec, self._r_factors,

@@ -175,7 +175,7 @@ class _GroupLaw:
 class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_law", "_encoded",
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_glaw", "_encoded",
                  "_structure")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
@@ -187,9 +187,16 @@ class Curve:
         self.a6 = spec.element(a6)
         if not self.discriminant():
             raise CurveError("curve is singular (zero discriminant)")
-        self._law = _GroupLaw(spec, *self.coefficients())
+        self._glaw: Optional[_GroupLaw] = None
         self._encoded: Optional[list] = None
         self._structure: Optional[GroupStructure] = None
+
+    @property
+    def _law(self) -> _GroupLaw:
+        """The group law, built on first use, after any add-table request."""
+        if self._glaw is None:
+            self._glaw = _GroupLaw(self.spec, *self.coefficients())
+        return self._glaw
 
     @classmethod
     def from_string(cls, spec: FieldSpec, text: str) -> "Curve":

@@ -14,14 +14,14 @@ one square-and-multiply (`_pp_powmod`) and one irreducibility test
 (`_is_irreducible`).  Multiplication by the generator
 is GF(p)-linear, so the exp/log walk splits an encoding as lo + P * hi
 with P = p^(m//2) and steps through two tables of about sqrt(q) products.
-Odd-characteristic addition up to `_ADD_TABLE_MAX_Q` runs on a q x q table
-of the same split: row lo + P * hi is row lo of the low-digit table shifted
-by multiples of P, in the order of row hi of the high-digit table.  Every
-entry is one of q shared int objects.  Above the cap, a sum adds the two
-halves of the same split in their own tables.  Characteristic-2 fields have
-q <= 256, so an encoding fits in one byte: their ``_mulb[s]`` is the
-256-byte ``bytes.translate`` table of x -> s * x, with which `linalg` and
-`code` scale whole rows packed one byte per entry.
+Odd extension fields add the halves of the same split in their own tables
+(`_split_add`), prime fields mod p.  Up to `_ADD_TABLE_MAX_Q`, an op that
+pays for it asks for the q x q table (`FieldSpec.add_table`): row
+lo + P * hi is row lo of the low-digit table shifted by multiples of P, in
+the order of row hi of the high-digit table; every entry is one of q shared
+int objects.  Characteristic-2 fields have q <= 256, so an encoding fits in
+one byte: their ``_mulb[s]`` is the 256-byte ``bytes.translate`` table of
+x -> s * x, with which `linalg` and `code` scale rows packed one byte each.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def _addition_table(p: int, m: int) -> list[list[int]]:
 
 
 def _split_add(p: int, m: int):
-    """a + b on encodings of GF(p^m) above `_ADD_TABLE_MAX_Q`, by the split
-    of `_addition_table`: the low digits add in the table of GF(p^(m//2)),
-    the high digits in theirs, or split again while still above the cap."""
+    """a + b on encodings of GF(p^m), m >= 2, by the split of
+    `_addition_table`: the low digits add in the table of GF(p^(m//2)), the
+    high digits in theirs, or split again while still above the cap."""
     P, high_m = p ** (m // 2), m - m // 2
     low = _addition_table(p, m // 2)
     if p ** high_m > _ADD_TABLE_MAX_Q:      # only GF(37^3), through 37^2
@@ -171,9 +171,10 @@ class FieldSpec:
 
     The spec owns the arithmetic tables; raw ``*_enc`` methods operate on
     integer encodings and back every `FieldElement` operator.  The additive
-    ones, ``add_enc``, ``sub_enc`` and ``neg_enc``, are plain callables chosen
-    once per field by `_bind_addition`.  Specs are immutable after
-    construction and safe to share.
+    ones, ``add_enc``, ``sub_enc`` and ``neg_enc``, are plain callables bound
+    by `_bind_addition`, and ``add_table`` rebinds the first two to the
+    q x q table it builds on request.  Values never change after
+    construction, so specs compare by their modulus and are safe to share.
 
     ``_log`` inverts ``_exp[i] = gen^i`` and sends 0 to 4(q - 1), which is
     0 mod q - 1.  ``_zexp`` is ``_exp`` four times over, then 6(q - 1) zeros:
@@ -238,7 +239,6 @@ class FieldSpec:
                 negt = [n + size * (-h % p) for h in range(p) for n in negt]
                 size *= p
             self._negt = negt
-            self._addt = _addition_table(p, m) if q <= _ADD_TABLE_MAX_Q else None
         self._bind_addition()
         q1_factors = factorize(q - 1)
         # the smallest primitive encoding: below p lies GF(p), so for m >= 2
@@ -274,27 +274,35 @@ class FieldSpec:
             self._mulb = mulb
 
     def _bind_addition(self) -> None:
-        """Choose the integer add, subtract and negate, once per field, before
-        the exp/log walk, which steps by ``add_enc``.  Characteristic 2 adds
-        by XOR.  Other fields up to `_ADD_TABLE_MAX_Q` look sums up in the
-        q x q table of `_addition_table`, and subtract through the negation
-        table; larger prime fields add mod p, and larger extension fields
-        add the two halves of the same split in smaller tables (`_split_add`)."""
-        p, addt, negt = self.p, self._addt, self._negt
+        """Bind the table-free integer add, subtract and negate, for every q,
+        before the exp/log walk, which steps by ``add_enc``: XOR in
+        characteristic 2, mod p in prime fields, and the split of
+        `_split_add` in the other extension fields, which subtract through
+        the negation table; `add_table` rebinds add and subtract."""
+        p, negt = self.p, self._negt
         if p == 2:
             self.add_enc = self.sub_enc = xor
             self.neg_enc = lambda a: a
             return
         self.neg_enc = negt.__getitem__
-        if addt is not None:
-            self.add_enc = lambda a, b: addt[a][b]
-            self.sub_enc = lambda a, b: addt[a][negt[b]]
-        elif self.m == 1:
+        if self.m == 1:
             self.add_enc = lambda a, b: (a + b) % p
             self.sub_enc = lambda a, b: (a - b) % p
         else:
             add = self.add_enc = _split_add(p, self.m)
             self.sub_enc = lambda a, b: add(a, negt[b])
+
+    def add_table(self) -> Optional[list[list[int]]]:
+        """The q x q table of `_addition_table`, built on the first call and
+        kept, with ``add_enc`` and ``sub_enc`` rebound to it; None in
+        characteristic 2 and above `_ADD_TABLE_MAX_Q`.  Kernels read it where
+        the field has it, and call ``add_enc`` otherwise."""
+        if self._addt is None and self.p != 2 and self.q <= _ADD_TABLE_MAX_Q:
+            addt, negt = _addition_table(self.p, self.m), self._negt
+            self._addt = addt
+            self.add_enc = lambda a, b: addt[a][b]
+            self.sub_enc = lambda a, b: addt[a][negt[b]]
+        return self._addt
 
     # -- raw encoded arithmetic ----------------------------------------------
 

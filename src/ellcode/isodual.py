@@ -452,6 +452,22 @@ def construct(inp: ConstructionInput) -> IsoDualCertificate:
 # certificate invariants, shared by `construct` and the verifier
 # ---------------------------------------------------------------------------
 
+_ADD_TABLE_Q_PER_K = (12, 16)
+"""An op asks for the field's add table (`FieldSpec.add_table`) when
+q <= c k, c = 12 in prime fields and 16 in extension fields: its build
+grows as q^2, the adds it speeds up as k^2.  Construct and verify of
+[2k, k] curve codes, each with its field build, took this many times as
+long on split adds as on the table (medians of 5-9 runs, Python 3.11,
+2-core Xeon): over GF(289) 0.92 at k = 16, 0.87-1.24 at 20 and 1.02-1.12
+at 22; over GF(625) 0.84-0.98 at 36 and 1.08-1.24 at 44; over GF(729)
+0.33-0.44 at 4, 0.91-1.01 at 44, 1.01-1.08 at 48, 1.54-1.57 at 64.  On
+adds mod p, cheaper than the split, it was 0.79 at k = 64, 0.87-0.89 at
+72, 1.01-1.10 at 80, 1.19-1.22 at 88 and 1.35-1.36 at 100 over GF(997),
+and 0.72-0.75, 0.89-0.90, 0.90-1.00, 1.11-1.33 and 1.17-1.27 over
+GF(1021).  The transforms (`lcd_transform`, the scaling samplers) rank so
+many scaled hulls that they ask for it whatever k is."""
+
+
 class _Context:
     """One op's certificate fields and the values derived from it.
 
@@ -472,6 +488,8 @@ class _Context:
         self.construction, self.k, self.n = construction, k, n
         self.torsion_choice, self.pair_selection = torsion_choice, pair_selection
         self.cert = cert
+        if self.spec.q <= _ADD_TABLE_Q_PER_K[self.spec.m > 1] * k:
+            self.spec.add_table()
         if cert is None:        # a ConstructionError surfaces here
             self.qa, self.points = self.derived
             self.g_divisor = ((None, k - 1), (self.qa, 1))
@@ -705,29 +723,38 @@ def _file_context(cert: IsoDualCertificate) -> _Context:
     return ctx
 
 
-def _run(cert: IsoDualCertificate, invariants) -> list[str]:
-    """The names of the `invariants` that fail on the file's context, in
-    table order, a failed gate ending the run; with none, `cert` keeps its
-    code.  A file `_file_context` refuses is a `CertificateSchemaError`, as
-    is other data the library cannot evaluate (a bad point, one outside the
-    group, a curve of the wrong shape) before any invariant fails."""
-    failures: list[str] = []
+class Failures(list):
+    """The names of the invariants a file fails, in table order; `complete`
+    is False where the run stopped early and the rest never ran."""
+
+    complete = True
+
+
+def _run(cert: IsoDualCertificate, invariants) -> Failures:
+    """The `invariants` that fail on the file's context; a failed gate ends
+    the run, and with none `cert` keeps its code.  A file `_file_context`
+    refuses is a `CertificateSchemaError`, as is other data the library
+    cannot evaluate (a bad point, one outside the group, a curve of the
+    wrong shape) before any invariant fails; after one, it ends the run."""
+    failures = Failures()
     try:
         ctx = _file_context(cert)
         for name, holds in invariants:
             if not holds(ctx):
                 failures.append(name)
                 if name in _GATES:
+                    failures.complete = False
                     break
     except (gf.FieldError, CurveError, CodeError, funcspace.FunctionError) as exc:
         if not failures:
             raise CertificateSchemaError(f"certificate data invalid: {exc}") from None
+        failures.complete = False
     if not failures:
         object.__setattr__(cert, "_code", ctx.code)
     return failures
 
 
-def verify_certificate(cert: IsoDualCertificate) -> list[str]:
+def verify_certificate(cert: IsoDualCertificate) -> Failures:
     """The failures of `INVARIANTS` on the file's data alone (`_run`)."""
     return _run(cert, INVARIANTS)
 
@@ -767,6 +794,7 @@ def lcd_transform(cert: IsoDualCertificate,
     spec, ell = code.spec, cert.hull_dim
     if ell == 0:
         return ScalingVector(spec, [1] * cert.n), code
+    spec.add_table()        # for up to `budget` scaled hulls
     mul = spec.mul_enc
     non_square_one = [e for e in range(2, spec.q) if mul(e, e) != 1]
     spent = 0
@@ -809,7 +837,7 @@ def _scaling_trials(code: LinearCode, trials: int, seed: int,
     the rare higher hulls live.  The hull is the `stacked_hull_dim` at
     w = u^2 against the dual of `code` (the carried v once C.v is proved,
     otherwise one nullspace), with no scaled code and no Gram matrix
-    built.  A
+    built, on the field's add table, which so many ranks pay for.  A
     negative trial count is a `ValueError`, and a block size that does not
     divide n a `CodeError`, both before the first draw."""
     if trials < 0:
@@ -817,6 +845,7 @@ def _scaling_trials(code: LinearCode, trials: int, seed: int,
     if block < 1 or code.n % block:
         raise CodeError(f"block size {block} is not a positive divisor of n = {code.n}")
     rng, q, mul = random.Random(seed), code.spec.q, code.spec.mul_enc
+    code.spec.add_table()
     for _ in range(trials):
         u: list[int] = []
         for _ in range(code.n // block):

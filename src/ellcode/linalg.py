@@ -131,14 +131,15 @@ def cauchy_like_rank(a: Sequence[int], b: Sequence[int],
     the first active column of the Schur complement, drops it when it is
     zero, and otherwise pivots on its first nonzero entry, forms the pivot
     row and folds both into G and H, which then generate the next Schur
-    complement.  Odd characteristic up to the add-table cap only.
+    complement.  Odd characteristic, on a field whose add table an op has
+    asked for (`FieldSpec.add_table`); it builds none.
 
     G and H are padded with zeros to a multiple of 4 (at least 4) and cut
     into 4-wide chunks, lists of G's row tuples and H's column tuples; per
     chunk, a step makes one pass for each of column j, row p and the update
     of each side.  The library's r = 4 is one chunk.
     """
-    if spec.p == 2 or spec._addt is None:
+    if spec._addt is None:
         raise ValueError("cauchy_like_rank needs odd q with an add table")
     if not set(a).isdisjoint(b):
         raise ValueError("row and column nodes must be disjoint")

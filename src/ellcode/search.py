@@ -183,6 +183,7 @@ def _curve_family(q: int):
     short Weierstrass.  Iteration order is ascending encodings.
     """
     spec = _default_spec(q)
+    spec.add_table()        # the walk makes q adds per curve, over q curves or more
     p = spec.p
     if p == 2:
         for a2 in range(q):

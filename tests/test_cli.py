@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ellcode import Curve, FieldSpec, cli, funcspace
+from ellcode import Curve, FieldSpec, cli, funcspace, isodual
 from ellcode.cli import main
 
 FIELD16 = "p=2,m=4,mod=1,1,0,0,1"
@@ -700,38 +700,41 @@ def _points_swapped(name, i, j):
 # u has its pole, or first k = 8 (q25), 4 (q16) points that are not whole
 # pairs {P, -P}, where there is no code: the invariants that read it,
 # matrix_rref, iso_dual_identity, hull and the exhaustive min_distance
-# (q16), fail, never with a traceback.
+# (q16), fail, never with a traceback.  At beta the basis cannot evaluate,
+# which ends the run after points_disjoint_from_G: the message then lists
+# the failures before the stop, and does not call them all.
 HOSTILE_POINTS = {
     "y-zero-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [12, 0]),
                               "x_pairs, y_nonzero, matrix_rref, iso_dual_identity, "
-                              "scaling_matches_points, points_match_input, hull"),
+                              "scaling_matches_points, points_match_input, hull", True),
     "at-beta-in-first-k-q25": ("q25.json", _points_at("q25.json", 3, [4, 0]),
                                "x_pairs, y_nonzero, points_off_qa_x, "
-                               "points_disjoint_from_G"),
+                               "points_disjoint_from_G", False),
     "at-beta-after-first-k-q25": ("q25.json", _points_at("q25.json", 12, [4, 0]),
                                   "x_pairs, y_nonzero, points_off_qa_x, "
-                                  "points_disjoint_from_G"),
+                                  "points_disjoint_from_G", False),
     "at-beta-q16": ("q16.json", _points_at("q16.json", 1, [0, 11]),
-                    "x_pairs, points_off_qa_x, points_disjoint_from_G"),
+                    "x_pairs, points_off_qa_x, points_disjoint_from_G", False),
     "unpaired-first-k-q25": ("q25.json", _points_swapped("q25.json", 1, 8),
                              "matrix_rref, iso_dual_identity, scaling_matches_points, "
-                             "points_match_input, hull"),
+                             "points_match_input, hull", True),
     "unpaired-first-k-q16": ("q16.json", _points_swapped("q16.json", 1, 4),
                              "matrix_rref, iso_dual_identity, scaling_matches_points, "
-                             "points_match_input, hull, min_distance"),
+                             "points_match_input, hull, min_distance", True),
 }
 
 
-@pytest.mark.parametrize("name, points, failures", HOSTILE_POINTS.values(),
+@pytest.mark.parametrize("name, points, failures, complete", HOSTILE_POINTS.values(),
                          ids=HOSTILE_POINTS.keys())
 def test_verify_points_off_the_closed_form_exit_1(tmp_path, capsys, no_rref_or_gram,
-                                                  name, points, failures):
+                                                  name, points, failures, complete):
     path = _edited_golden(tmp_path, name, {"points": points})
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     first = failures.split(",")[0]
-    assert f"verification failed: {first} (all failures: {failures})" in err
+    listed = "all failures" if complete else "failures before verification stopped"
+    assert f"verification failed: {first} ({listed}: {failures})" in err
     assert "Traceback" not in err
 
 
@@ -765,8 +768,26 @@ def test_verify_huge_k_stops_at_n_equals_2k(tmp_path, capsys):
                           {"k": 10 ** 6, "g_divisor": g_divisor})
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
-    assert ("verification failed: n_equals_2k (all failures: n_equals_2k)"
-            in capsys.readouterr().err)
+    # the gate ends the run, so the message does not call its list complete
+    assert ("verification failed: n_equals_2k (failures before verification "
+            "stopped: n_equals_2k)" in capsys.readouterr().err)
+
+
+def test_verify_wrong_curve_shape_lists_failures_before_the_stop(tmp_path, capsys):
+    # the q = 16 golden on 1,8,0,5,9: its points fall off the curve, then
+    # the basis cannot evaluate, which ends the run, so iso_dual_identity
+    # through min_distance never run and the list is not called complete
+    path = _edited_golden(tmp_path, "q16.json", {"curve": "1,8,0,5,9"})
+    cert = isodual.IsoDualCertificate.from_json(path.read_text())
+    failures = isodual.verify_certificate(cert)
+    assert failures == ["points_on_curve"] and not failures.complete
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("verification failed: points_on_curve (failures before "
+                   "verification stopped: points_on_curve)\n")
+    golden = isodual.IsoDualCertificate.from_json(json.dumps(_golden("q16.json")))
+    assert isodual.verify_certificate(golden).complete
 
 
 def test_construct_self_dual_code_with_constant_v(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Property test: `ellcode verify` on mutated q = 16, 25, 256, 289 and
-1031 certificates.
+"""Property test: `ellcode verify` on mutated q = 16, 25, 256, 289, 729
+and 1031 certificates.
 
 Whatever the mutation, the exit code means what it says (0 verified,
 1 invariant failed, 2 usage or schema error), `eaqecc` and `transform`
@@ -24,7 +24,8 @@ read it fail, with no RREF of the evaluated basis.  The q = 289 golden
 (k = 80) is the one that ranks its hulls on the generator route.  The
 q = 1031 golden lies above the add-table cap, so its adds go mod p: the
 same tweaks reach the mod-p branches of `hankel_rank`, `point_moments`
-and v.
+and v.  The q = 729 golden (k = 4) is too small for its op to ask for the
+add table, so the same tweaks run those branches on `gf._split_add`.
 """
 
 import contextlib
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellcode import Curve, FieldSpec, code, isodual, linalg
+from ellcode import Curve, FieldSpec, code, gf, isodual, linalg
 from ellcode.cli import main
 from ellcode.isodual import (CertificateSchemaError, ConstructionInput,
                              IsoDualCertificate, PairSelection, VerificationError,
@@ -89,6 +90,17 @@ def cert1031_doc():
 @pytest.fixture(scope="module")
 def e1031(cert1031_doc):
     return _curve(cert1031_doc)
+
+
+@pytest.fixture(scope="module")
+def cert729_doc():
+    with open(os.path.join(GOLDENS, "q729.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def e729(cert729_doc):
+    return _curve(cert729_doc)
 
 
 @pytest.fixture(scope="module")
@@ -377,13 +389,29 @@ def test_verified_tweaked_q1031_certificate_is_what_construct_writes(cert1031_do
     _tweaked_file_means_what_it_says(work_dir, _tweak(cert1031_doc, tweaks, e1031))
 
 
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(tweaks=st.lists(TWEAKS25, min_size=1, max_size=2))
+def test_verified_tweaked_q729_certificate_is_what_construct_writes(cert729_doc, e729,
+                                                                   work_dir, tweaks):
+    # k = 4 over GF(729) asks for no add table: every command adds by the
+    # split over two GF(27) tables, and none builds the 729 x 729 one
+    def small_only(p, m):
+        assert p ** m < 729, "the 729 x 729 add table was built"
+        return real(p, m)
+
+    real = gf._addition_table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf, "_addition_table", small_only)
+        _tweaked_file_means_what_it_says(work_dir, _tweak(cert729_doc, tweaks, e729))
+
+
 def test_q1031_off_x_tweak_fails_hull_with_no_gram(cert1031_doc, e1031, work_dir,
                                                   monkeypatch, no_rref_or_gram):
     # point 3 moved off the pairs, to (3, 359), above the add-table cap:
     # there is no code, since the first pair is split, and `hull` fails in
     # each command with no Hankel rank, no hull cross-check and no G G^T
     doc = _tweak(cert1031_doc, [("off_x", 3, 0)], e1031)
-    assert e1031.spec._addt is None and doc["points"][3] == [3, 359]
+    assert e1031.spec.add_table() is None and doc["points"][3] == [3, 359]
     hankel = _calls(monkeypatch, linalg, "hankel_rank")
     hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1

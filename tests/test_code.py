@@ -738,6 +738,7 @@ def _cauchy_cases(spec, rng):
 @pytest.mark.parametrize("field", CAUCHY_FIELDS.values(), ids=CAUCHY_FIELDS.keys())
 def test_cauchy_like_rank_matches_dense_rank(field):
     spec = FieldSpec(*field)
+    spec.add_table()            # the kernel reads it and builds none
     rng = random.Random(spec.q)
     ranks = {}
     for name, a, b, g, h in _cauchy_cases(spec, rng):
@@ -774,7 +775,11 @@ def test_generator_route_reads_only_the_field_tables(monkeypatch):
     assert c._displacement_factors() is not None
 
 
-def test_cauchy_like_rank_rejects_shared_nodes_and_characteristic_2(f16, f25):
+def test_cauchy_like_rank_rejects_shared_nodes_and_characteristic_2(f16):
+    f25 = FieldSpec(5, 2, [2, 4, 1])
+    with pytest.raises(ValueError, match="odd q"):      # no table asked for
+        linalg.cauchy_like_rank([1, 2], [3, 4], [[1, 1]], [[1, 1]], f25)
+    f25.add_table()
     with pytest.raises(ValueError, match="disjoint"):
         linalg.cauchy_like_rank([1, 2], [3, 2], [[1, 1]], [[1, 1]], f25)
     with pytest.raises(ValueError, match="odd q"):
@@ -960,7 +965,7 @@ def test_every_hull_route_gives_the_stacked_hull_on_the_goldens(q):
     assert dense._displacement_factors() is None
     assert kernel._systematic_halves() is kernel._displacement_factors() is None
     assert (proved._displacement_factors() is not None) == (
-        spec.p != 2 and k >= code._DISPLACEMENT_MIN_K and spec._addt is not None)
+        spec.p != 2 and k >= code._DISPLACEMENT_MIN_K and proved.spec.add_table() is not None)
     rng = random.Random(q)
     weights = [_random_weights(spec, kernel.n, rng) for _ in range(4)]
     weights += [[spec.mul_enc(lam, x) for x in v]
@@ -991,6 +996,7 @@ def test_closed_form_factors_rref_factors_and_the_stack_give_one_hull(monkeypatc
                for curve, k, choice, sel, _, _ in sweep if curve.spec.p != 2]
     rng = random.Random(289)
     for curve, k, choice, selection in inputs:
+        curve.spec.add_table()      # which the generator route needs
         ctx = isodual._Context(curve, 2, k, 2 * k, choice, selection)
         closed, spec = ctx.code, curve.spec
         assert closed._r_factors is not None and isodual._iso_dual_identity(ctx)

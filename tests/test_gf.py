@@ -328,14 +328,15 @@ ODD_TABLE_FIELDS = {
 
 def _assert_shared_ints(spec):
     # one shared int object per encoding, not one per cell
-    assert len({id(x) for row in spec._addt for x in row}) <= spec.q
+    assert len({id(x) for row in spec.add_table() for x in row}) <= spec.q
 
 
 @pytest.mark.parametrize("p, m, modulus", ODD_TABLE_FIELDS.values(),
                          ids=ODD_TABLE_FIELDS.keys())
 def test_addition_table_matches_digitwise_sums(p, m, modulus):
     spec = FieldSpec(p, m, modulus)
-    q, addt, negt = spec.q, spec._addt, spec._negt
+    q, addt, negt = spec.q, spec.add_table(), spec._negt
+    assert spec.add_table() is addt         # built once, then kept
     for a in range(q):
         assert addt[a] == _digitwise_row(a, p, m)
         assert negt[a] == _digitwise_neg(a, p, m)
@@ -344,7 +345,7 @@ def test_addition_table_matches_digitwise_sums(p, m, modulus):
 
 
 def _check_sampled_table(spec, seed):
-    p, m, q, addt, negt = spec.p, spec.m, spec.q, spec._addt, spec._negt
+    p, m, q, addt, negt = spec.p, spec.m, spec.q, spec.add_table(), spec._negt
     rng = random.Random(seed)
     for _ in range(20000):
         a, b = rng.randrange(q), rng.randrange(q)
@@ -370,18 +371,28 @@ def _prime_power_degree(q):
 # 16 with m >= 3, and p^2 for each prime p from 37 to 251
 SPLIT_ADD_FIELDS = [q for q in range(gf._ADD_TABLE_MAX_Q + 1, gf._MAX_Q + 1, 2)
                     if 2 <= _prime_power_degree(q) <= 8]
+# and the 17 below it, GF(9) through GF(961), until a table is requested
+SPLIT_ADD_FIELDS_BELOW_CAP = [q for q in range(9, gf._ADD_TABLE_MAX_Q + 1, 2)
+                              if _prime_power_degree(q) >= 2]
 
 
 def test_split_add_fields_listed():
     assert len(SPLIT_ADD_FIELDS) == 59
     assert sum(_prime_power_degree(q) >= 3 for q in SPLIT_ADD_FIELDS) == 16
+    assert len(SPLIT_ADD_FIELDS_BELOW_CAP) == 17
+    assert SPLIT_ADD_FIELDS_BELOW_CAP[::16] == [9, 961]
 
 
-@pytest.mark.parametrize("q", SPLIT_ADD_FIELDS, ids=lambda q: f"GF({q})")
+@pytest.mark.parametrize("q", SPLIT_ADD_FIELDS_BELOW_CAP + SPLIT_ADD_FIELDS,
+                         ids=lambda q: f"GF({q})")
 def test_split_addition_above_table_cap(q):
     spec = search._default_spec(q)
     p, m = spec.p, spec.m
-    assert spec._addt is None
+    # the field adds by the split until a table is requested, and above the
+    # cap a request builds none
+    assert spec._addt is None and spec.add_enc.__qualname__.startswith("_split_add")
+    if q > gf._ADD_TABLE_MAX_Q:
+        assert spec.add_table() is None
     rng = random.Random(q)
     for _ in range(1000):
         a, b = rng.randrange(spec.q), rng.randrange(spec.q)

@@ -533,6 +533,93 @@ def test_goldens_rebuild_byte_identical_from_their_echoes():
         assert verify_certificate(cert) == [], name
 
 
+def _law_adds(curve):
+    """The field add and subtract that the curve's group law bound."""
+    law = curve._law.add
+    cells = dict(zip(law.__code__.co_freevars, law.__closure__))
+    return cells["fadd"].cell_contents, cells["fsub"].cell_contents
+
+
+def test_q729_golden_ops_build_no_add_table(monkeypatch):
+    # k = 4 over GF(729), where q > 16 k: construct, verify and the kept
+    # code add by the split over two GF(27) tables, and no op builds the
+    # 729 x 729 one
+    def small_only(p, m):
+        assert p ** m < 729, "the 729 x 729 add table was built"
+        return real(p, m)
+
+    real = gf._addition_table
+    monkeypatch.setattr(gf, "_addition_table", small_only)
+    cert = _golden_cert(729)
+    assert _construct_echo(cert).to_json() == _golden_text(729)
+    assert verify_certificate(cert) == [] and cert.code().spec._addt is None
+
+
+def test_q289_golden_ops_build_the_add_table_once_before_the_group_law(monkeypatch):
+    # k = 80 over GF(289): each op asks for its field's table once, before
+    # its curve binds the group law, so the group structure adds on it
+    built, real_table = [], gf._addition_table
+
+    def counted(p, m):
+        built.append(p ** m)
+        return real_table(p, m)
+
+    monkeypatch.setattr(gf, "_addition_table", counted)
+    cert = _golden_cert(289)
+    curve = cert.curve()
+    sel = cert.pair_selection
+    made = construct(ConstructionInput(curve, cert.k, cert.construction,
+                                       cert.torsion_choice,
+                                       PairSelection(sel["mode"], sel["r"], None)))
+    assert made.to_json() == _golden_text(289) and built.count(289) == 1
+    contexts, real = [], isodual._file_context
+    monkeypatch.setattr(isodual, "_file_context",
+                        lambda c: contexts.append(real(c)) or contexts[-1])
+    assert verify_certificate(cert) == [] and built.count(289) == 2
+    for c in (curve, contexts[0].curve):
+        spec, (fadd, fsub) = c.spec, _law_adds(c)
+        assert spec._addt is not None and (fadd, fsub) == (spec.add_enc, spec.sub_enc)
+        assert fadd.__qualname__ == "FieldSpec.add_table.<locals>.<lambda>"
+        assert c._structure is not None
+
+
+@pytest.mark.parametrize("k, table", [(8, False), (10, True)])
+def test_prime_fields_ask_for_the_add_table_from_q_at_most_12_k(k, table):
+    # 12 k < 101 <= 16 k at k = 8: an extension field that size would take
+    # the table, while adds mod p cost less than the split
+    curve = Curve.from_string(FieldSpec.from_string("p=101,m=1,mod=0,1"), "0,0,0,1,0")
+    construct(ConstructionInput(curve, k, 2))
+    assert (curve.spec._addt is not None) is table
+
+
+@pytest.fixture(scope="module")
+def q625_hull1_text():
+    # k = 36 over GF(625), hull 1: q > 16 k, so construct and verify build
+    # no add table, while the generator route (k >= 22) needs one
+    curve = Curve.from_string(FieldSpec.from_string("p=5,m=4,mod=2,0,0,0,1"), "0,0,0,10,1")
+    cert = construct(ConstructionInput(curve, 36, 2))
+    assert cert.hull_dim == 1 and curve.spec._addt is None
+    return cert.to_json()
+
+
+@pytest.mark.parametrize("op", [lambda cert: lcd_transform(cert)[1].hull_dim(),
+                                lambda cert: sample_scaling_hulls(cert.code(), 3, seed=1)],
+                         ids=["lcd", "sample"])
+def test_transforms_ask_for_the_add_table_and_rank_on_generators(monkeypatch,
+                                                                q625_hull1_text, op):
+    # verify ranks its one hull densely on split adds and keeps no answer
+    # on the generator route, which the transform's table then opens
+    cert = IsoDualCertificate.from_json(q625_hull1_text)
+    assert verify_certificate(cert) == [] and cert.code().spec._addt is None
+    ranks, real = [], linalg.cauchy_like_rank
+    monkeypatch.setattr(linalg, "cauchy_like_rank",
+                        lambda *args: ranks.append(args[0]) or real(*args))
+    op(cert)
+    kept = cert.code()
+    assert kept.spec._addt is not None and kept._displacement_factors() is not None
+    assert ranks
+
+
 def test_construct_and_verify_need_no_interpolation_polynomial(monkeypatch):
     # G and v come from encodings alone: the closed forms read the basis
     # handle, h'(alpha) is a product of differences, and no FieldElement
