@@ -8,15 +8,20 @@ arithmetic indexes the field's exp/log tables directly.  `Point` and
 `FieldElement` are the API layer, built only where a result leaves the
 curve.
 
-`Curve.group_structure` is the one place that works out point orders: its
-walk over E(F_q) = Z/d1 x Z/d2 is the one discrete-log table, keyed by
-encoded points, and orders and torsion are read from it.  It scans one
-point of each pair {P, -P} and fills each row's mirror by negation, in
-about #E/2 additions.  Its basis and the enumeration behind it, which
-reads odd-characteristic square roots from log parity, are encoded too;
-`points` and `torsion_points` build `Point`s only for what they return.
+`Curve._basis` is the one place that works out point orders: it finds the
+basis (p1, p2) of E(F_q) = Z/d1 x Z/d2 from one point of each pair
+{P, -P}, with no walk.  Walks fill the one discrete-log table, keyed by
+encoded points: E[r], g_i = gcd(r, d_i), is the g1 x g2 grid of
+(d1/g1)*p1 and (d2/g2)*p2, each row's mirror filled by negation, and a
+translate of two table points enters at their coordinates' sum.  An op
+walks E[2] and E[odd part] and translates by Qa and Qb, so the MDS witness
+reads its dlogs there; `group_structure`, which the witness calls only for
+a point off them, walks E(F_q) whole in about #E/2 additions.  The
+enumeration, which reads odd-characteristic square roots from log
+parity, is encoded too; `points` and `torsion_points` build `Point`s
+only for what they return.
 `isodual`'s construct and verify read the encoded torsion, group law and
-structure directly, so their points and Qa stay ``(x_enc, y_enc)`` pairs,
+dlogs directly, so their points and Qa stay ``(x_enc, y_enc)`` pairs,
 the certificate's own encoding, and they build no `Point`.
 
 Point lists are always produced in canonical order (infinity first, then
@@ -82,10 +87,11 @@ INFINITY = Point(None, None)
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and full dlog table.
+    """E(F_q) as Z/d1 x Z/d2 with d1 | d2, plus a basis and a dlog table.
 
-    The basis (p1, p2) and the keys of ``dlog``, the walk's own table, are
-    encoded points, None for O.
+    The basis (p1, p2) and the keys of ``dlog`` are encoded points, None
+    for O; ``dlog`` holds what the curve's walks entered, every point after
+    `Curve.group_structure`.
     """
 
     d1: int
@@ -101,8 +107,9 @@ def _enc(p: Point) -> Optional[tuple[int, int]]:
 class _GroupLaw:
     """The chord-tangent group law of one curve on encoded points.
 
-    The closures bind the field's exp/log tables and its integer add,
-    subtract and negate once.  Points passed in must lie on the curve.
+    The closures bind the field's integer add, subtract and negate once, and
+    multiply and divide by indexing ``_zexp`` with a sum of two logs, where
+    log 0 reads zero (`FieldSpec`).  Points passed in must lie on the curve.
     """
 
     __slots__ = ("add", "neg", "mul", "rhs", "contains")
@@ -112,28 +119,24 @@ class _GroupLaw:
         zexp, log = spec._zexp, spec._log
         qm1 = spec.q - 1
         fadd, fsub, fneg = spec.add_enc, spec.sub_enc, spec.neg_enc
-        two, three = 2 % spec.p, 3 % spec.p
-
-        def fmul(a: int, b: int) -> int:
-            return zexp[log[a] + log[b]]
-
-        def fdiv(a: int, b: int) -> int:
-            return zexp[log[a] + qm1 - log[b]]
+        la1, ltwo, lthree = log[a1], log[2 % spec.p], log[3 % spec.p]
+        twice_a2 = zexp[ltwo + log[a2]]
 
         def rhs(x: int) -> int:
-            return fadd(fmul(fadd(fmul(fadd(x, a2), x), a4), x), a6)
+            lx = log[x]
+            return fadd(zexp[lx + log[fadd(zexp[lx + log[fadd(x, a2)]], a4)]], a6)
 
         def contains(pt) -> bool:
             if pt is None:
                 return True
             x, y = pt
-            return fmul(y, fadd(fadd(y, fmul(a1, x)), a3)) == rhs(x)
+            return zexp[log[y] + log[fadd(fadd(y, zexp[la1 + log[x]]), a3)]] == rhs(x)
 
         def neg(pt):
             if pt is None:
                 return None
             x, y = pt
-            return (x, fneg(fadd(fadd(y, fmul(a1, x)), a3)))
+            return (x, fneg(fadd(fadd(y, zexp[la1 + log[x]]), a3)))
 
         def add(pt, qt):
             if pt is None:
@@ -143,17 +146,19 @@ class _GroupLaw:
             x1, y1 = pt
             x2, y2 = qt
             if x1 != x2:
-                lam = fdiv(fsub(y2, y1), fsub(x2, x1))
+                lam = zexp[log[fsub(y2, y1)] + qm1 - log[fsub(x2, x1)]]
             else:
                 # same x: qt is pt or -pt, and pt = -pt on a vertical tangent
-                den = fadd(fadd(fmul(two, y1), fmul(a1, x1)), a3)
+                den = fadd(fadd(zexp[ltwo + log[y1]], zexp[la1 + log[x1]]), a3)
                 if y1 != y2 or not den:
                     return None
-                num = fadd(fadd(fmul(three, fmul(x1, x1)), fmul(two, fmul(a2, x1))),
-                           fsub(a4, fmul(a1, y1)))
-                lam = fdiv(num, den)
-            x3 = fsub(fadd(fmul(lam, lam), fmul(a1, lam)), fadd(fadd(a2, x1), x2))
-            y3 = fsub(fmul(lam, fsub(x1, x3)), fadd(fadd(y1, fmul(a1, x3)), a3))
+                # 3 x1^2 + 2 a2 x1 + a4 - a1 y1, as x1 (3 x1 + 2 a2) + ...
+                num = fadd(zexp[log[x1] + log[fadd(zexp[lthree + log[x1]], twice_a2)]],
+                           fsub(a4, zexp[la1 + log[y1]]))
+                lam = zexp[log[num] + qm1 - log[den]]
+            ll = log[lam]
+            x3 = fsub(fadd(zexp[ll + ll], zexp[la1 + ll]), fadd(fadd(a2, x1), x2))
+            y3 = fsub(zexp[ll + log[fsub(x1, x3)]], fadd(fadd(y1, zexp[la1 + log[x3]]), a3))
             return (x3, y3)
 
         def mul(n: int, pt):
@@ -304,7 +309,7 @@ class Curve:
         return len(self._enumerate())
 
     def point_order(self, p: Point) -> int:
-        """Least n >= 1 with [n]p = O, read from the group-structure walk."""
+        """Least n >= 1 with [n]p = O, read from the full dlog table."""
         if not self.is_on_curve(p):
             raise CurveError(f"{p} is not on the curve")
         st = self.group_structure()
@@ -312,20 +317,29 @@ class Curve:
         return lcm(st.d1 // gcd(i, st.d1), st.d2 // gcd(j, st.d2))
 
     def torsion_points(self, r: int) -> list[Point]:
-        """E[r] in canonical order: the points with d1 | r*i and d2 | r*j."""
+        """E[r] in canonical order, from the walk of its sub-grid alone."""
         return [self._point(e) for e in self._torsion(r)]
 
     def _torsion(self, r: int) -> list:
-        """E[r] as encoded points, None (O) first, in canonical order."""
+        """E[r] as encoded points, None (O) first, in canonical order: the
+        points of `_walk(r)`, those at (i, j) with d1 | r*i and d2 | r*j."""
         if r < 1:
             raise CurveError("torsion order must be positive")
-        st = self.group_structure()
-        d1, d2, dlog = st.d1, st.d2, st.dlog
-        return [e for e in self._encoded
-                if (r * dlog[e][0]) % d1 == 0 and (r * dlog[e][1]) % d2 == 0]
+        return [None, *sorted(filter(None, self._walk(r)))]
 
     def group_structure(self) -> GroupStructure:
-        """(d1, d2), a basis (p1, p2) and the dlog of every point.
+        """`_basis`, whose p1 test reads the order-l subgroups of <p2> and
+        walks nothing, with the dlog of every point: the walk of E[d2] =
+        E(F_q) in about #E/2 additions, run once.  The point at (i, j) has
+        order lcm(d1 / gcd(i, d1), d2 / gcd(j, d2))."""
+        st = self._basis()
+        if len(st.dlog) < len(self._encoded):
+            self._walk(st.d2)
+        return st
+
+    def _basis(self) -> GroupStructure:
+        """The structure with no walk: its dlog table holds only what walks
+        and translates have entered since; cached.
 
         p2 is the smallest-key point of order d2, the group's exponent.
         Points are scanned in canonical order, each one's order found by
@@ -335,20 +349,19 @@ class Curve:
         Such a p1 exists exactly when d2 is the exponent, so the first
         point that gets one is the p2 of the rule.  The grid covers the
         group iff <p1> n <p2> = {O}, that is iff for each prime l | d1 the
-        order-l point (d1/l)*p1 is not a multiple of p2, so p1 is chosen by
-        that test and only its grid is walked.  P and -P, side by side on
-        one x, share their order and the p1 test (<p2> = -<p2>), so both
-        scans read the first point on each x; O and a point alone on its x
-        (order 2) need no descent.  The walk is the dlog table; -(i*p1 +
-        j*p2) is at (-i mod d1, -j mod d2), so each row fills its mirror by
-        negation, in about #E/2 additions in all.  The order of
-        the point at (i, j) is lcm(d1 / gcd(i, d1), d2 / gcd(j, d2)).
+        point (d1/l)*p1, of order l, is not in the order-l subgroup of
+        <p2>, generated by t = (d2/l)*p2.  That subgroup holds O and the
+        points on the x's of t, 2t, ..., (l//2)t, so p1's test compares
+        one x for l <= 3 and walks no multiple of p2.  P and -P, side by
+        side on one x, share their order and the p1 test, so both scans
+        read the first point on each x; O and a point alone on its x
+        (order 2) need no descent.
         """
         if self._structure is not None:
             return self._structure
         pts = self._enumerate()
         n = len(pts)
-        add, neg, mul = self._law.add, self._law.neg, self._law.mul
+        neg, mul = self._law.neg, self._law.mul
 
         def firsts():
             return (next(on_x) for _, on_x in groupby(pts, lambda pt: pt and pt[0]))
@@ -363,24 +376,46 @@ class Curve:
             if d2 != lcm_so_far or d2 in tried or d2 % d1 or (self.spec.q - 1) % d1:
                 continue
             tried.add(d2)
-            row = {}
-            _walk_row(row, add, neg, None, p2, 0, 0, d2)
-            cofactors = [d1 // ell for ell in factorize(d1)]
-            # (d1/l)*p1 outside <p2>, which holds O, also makes ord(p1) = d1
+            subgroups = [(d1 // ell, {mul(m * d2 // ell, p2)[0]
+                                      for m in range(1, ell // 2 + 1)}) for ell in factorize(d1)]
+            # (d1/l)*p1 off O, and so of order l, also makes ord(p1) = d1
             for p1 in firsts():
-                if (mul(d1, p1) is None
-                        and all(mul(c, p1) not in row for c in cofactors)):
+                if mul(d1, p1) is None and all((u := mul(c, p1)) is not None
+                                               and u[0] not in xs for c, xs in subgroups):
                     break
             else:
                 continue        # no p1 for this p2
             break
         else:
             raise CurveError("no basis of the group found")
-        coords = _grid(add, neg, row, p1, p2, d1, d2)
-        if len(coords) != n:
-            raise CurveError("the basis grid does not cover the group")
-        self._structure = GroupStructure(d1, d2, (p1, p2), coords)
+        self._structure = GroupStructure(d1, d2, (p1, p2), {})
         return self._structure
+
+    def _walk(self, r: int) -> dict:
+        """E[r]'s dlogs, entered in the table and returned.  With
+        g_i = gcd(r, d_i), E[r] is the g1 x g2 grid of s1 = (d1/g1)*p1 and
+        s2 = (d2/g2)*p2, each point entered at its coordinates in the full
+        group; r = d2 walks all of E(F_q)."""
+        st, law = self._basis(), self._law
+        (p1, p2), d1, d2 = st.basis, st.d1, st.d2
+        c1, c2 = d1 // gcd(r, d1), d2 // gcd(r, d2)
+        coords = _grid(law.add, law.neg, (c1, c2), law.mul(c1, p1), law.mul(c2, p2),
+                       d1, d2)
+        if len(coords) * c1 * c2 != d1 * d2:
+            raise CurveError("the basis grid does not cover the group")
+        st.dlog.update(coords)
+        return coords
+
+    def _translate(self, shift, pts) -> list:
+        """[shift + P for P in pts], encoded, each sum entered in the dlog
+        table at the sum of the coordinates of shift and P mod (d1, d2)."""
+        st, add = self._basis(), self._law.add
+        dlog, (si, sj) = st.dlog, st.dlog[shift]
+        out = [add(shift, p) for p in pts]
+        for p, s in zip(pts, out):
+            i, j = dlog[p]
+            dlog[s] = ((si + i) % st.d1, (sj + j) % st.d2)
+        return out
 
     def __repr__(self) -> str:
         return f"Curve({self.spec!r}; {self.to_string()})"
@@ -401,25 +436,20 @@ def _order(mul, pt, m: int, primes) -> int:
     return m
 
 
-def _walk_row(coords: dict, add, neg, cur, p2, i: int, mirror: int, d2: int) -> None:
-    """Enter cur + j*p2, cur = i*p1, as (i, j) and its negation as (mirror,
-    -j mod d2), mirror = -i mod d1; a row its own mirror stops at j = d2/2."""
-    for j in range(d2 if mirror != i else d2 // 2 + 1):
-        coords[cur] = (i, j)
-        coords[neg(cur)] = (mirror, -j % d2)
-        cur = add(cur, p2)
-
-
-def _grid(add, neg, row: dict, p1, p2, d1: int, d2: int) -> dict:
-    """{i*p1 + j*p2: (i, j)} over the d1 x d2 grid.
-
-    `row` is the first row, the multiples of p2 keyed to (0, j).
-    """
-    coords = dict(row)
-    base = p1
-    for i in range(1, d1 // 2 + 1):
-        _walk_row(coords, add, neg, base, p2, i, d1 - i, d2)
-        base = add(base, p1)
+def _grid(add, neg, steps, s1, s2, d1: int, d2: int) -> dict:
+    """{a*s1 + b*s2: (a*c1, b*c2)} over the (d1/c1) x (d2/c2) grid, with
+    (c1, c2) = steps, s1 the point at (c1, 0) and s2 the one at (0, c2).
+    Row i fills row -i mod d1 by negation, so rows 0 and d1/2, their own
+    mirrors, stop at j = d2/2."""
+    c1, c2 = steps
+    coords, base = {}, None
+    for i in range(0, d1 // 2 + 1, c1):
+        cur, mirror = base, -i % d1
+        for j in range(0, d2 if mirror != i else d2 // 2 + 1, c2):
+            coords[cur] = (i, j)
+            coords[neg(cur)] = (mirror, -j % d2)
+            cur = add(cur, s2)
+        base = s1 if base is None else add(base, s1)
     return coords
 
 

@@ -308,7 +308,7 @@ def _pair_pool(curve: Curve, selection: PairSelection,
     r = selection.r if selection.mode == "torsion" else odd_part(curve.order())
     pool = [p for p in curve._torsion(r) if p is not None]
     if shift is not None:
-        pool = [curve._law.add(shift, p) for p in pool]
+        pool = curve._translate(shift, pool)
     return _group_pairs(pool)
 
 
@@ -414,7 +414,7 @@ def _derive_points(curve: Curve, k: int, construction: int,
     pairs = _pair_pool(curve, selection, qa if construction == 1 else None)
     points = [p for xe in _select_pairs(pairs, count, selection) for p in pairs[xe]]
     if construction == 2:
-        points = [curve._law.add(q, p) for q in (qa, qb) for p in points]
+        points = [*curve._translate(qa, points), *curve._translate(qb, points)]
     return qa, tuple(sorted(points))
 
 
@@ -566,11 +566,15 @@ class _Context:
 
     @cached_property
     def mds_subset_count(self) -> int:
-        """1 if some k-subset of the points sums to sum(G) = Qa, else 0
-        (the group structure is cached on the curve); an int, so the
-        certificate writes 0, not false."""
-        return mds_subset_check(self.points, self.curve.group_structure(),
-                                self.k, self.qa)
+        """1 if some k-subset of the points sums to sum(G) = Qa, else 0; an
+        int, so the certificate writes 0, not false.  The dlogs come from
+        the derivation's walks; a point or Qa off them, on a file whose
+        points the derivation does not give, pays for the full walk."""
+        try:
+            return mds_subset_check(self.points, self.curve._basis(), self.k, self.qa)
+        except CurveError:
+            return mds_subset_check(self.points, self.curve.group_structure(),
+                                    self.k, self.qa)
 
     @cached_property
     def hull_dim(self) -> Optional[int]:

@@ -233,7 +233,7 @@ def census_rows(qs: Sequence[int]) -> list[dict]:
         for i, curve in enumerate(walk):
             if i % 500 == 0:
                 print(f"census_rows: q={q}: {i} candidates scanned", file=sys.stderr)
-            structure = curve.group_structure()
+            structure = curve._basis()
             rows.append({"q": q, "curve": curve.to_string(), "order": curve.order(),
                          "d1": structure.d1, "d2": structure.d2})
     return rows

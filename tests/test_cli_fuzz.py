@@ -244,6 +244,20 @@ def test_verify_exit_codes_on_mutated_q256_certificates(cert256_doc, work_dir, e
     _verify_exit_means_what_it_says(work_dir, _apply(cert256_doc, edits))
 
 
+# the q = 729 and 1031 witnesses read the dlogs the derivation's walks
+# entered, and a mutated point or G off them makes the witness walk E(F_q)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_q729_certificates(cert729_doc, work_dir, edits):
+    _verify_exit_means_what_it_says(work_dir, _apply(cert729_doc, edits))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=2))
+def test_verify_exit_codes_on_mutated_q1031_certificates(cert1031_doc, work_dir, edits):
+    _verify_exit_means_what_it_says(work_dir, _apply(cert1031_doc, edits))
+
+
 def _tweak(doc, tweaks, curve):
     doc = copy.deepcopy(doc)
     spec = curve.spec
@@ -405,18 +419,37 @@ def test_verified_tweaked_q729_certificate_is_what_construct_writes(cert729_doc,
         _tweaked_file_means_what_it_says(work_dir, _tweak(cert729_doc, tweaks, e729))
 
 
+OFF_X_1031_FAILURES = ["x_pairs", "matrix_rref", "iso_dual_identity", "scaling_matches_points",
+                       "points_match_input", "mds_witness", "hull"]
+
+
 def test_q1031_off_x_tweak_fails_hull_with_no_gram(cert1031_doc, e1031, work_dir,
                                                   monkeypatch, no_rref_or_gram):
     # point 3 moved off the pairs, to (3, 359), above the add-table cap:
     # there is no code, since the first pair is split, and `hull` fails in
-    # each command with no Hankel rank, no hull cross-check and no G G^T
+    # each command with no Hankel rank, no hull cross-check and no G G^T.
+    # (3, 359) has order 129, so the witness reads its dlog from the walk of
+    # E[129] that the derivation ran, and no command walks E(F_q)
     doc = _tweak(cert1031_doc, [("off_x", 3, 0)], e1031)
     assert e1031.spec.add_table() is None and doc["points"][3] == [3, 359]
     hankel = _calls(monkeypatch, linalg, "hankel_rank")
     hulls = _calls(monkeypatch, code.LinearCode, "hull_dim")
+    walks = _calls(monkeypatch, Curve, "group_structure")
     assert _verify_exit_means_what_it_says(work_dir, doc) == 1
-    assert "hull" in _failures(doc)
-    assert hankel == [] and hulls == []
+    assert _failures(doc) == OFF_X_1031_FAILURES
+    assert hankel == [] and hulls == [] and walks == []
+
+
+def test_q1031_off_x_tweak_off_the_walks_pays_for_the_full_walk(cert1031_doc, e1031,
+                                                                  work_dir, monkeypatch):
+    # point 3 moved to (4, 313), of order 258: off the derivation's walks of
+    # E[2] and E[129] and their translates, so each command's witness walks
+    # E(F_q) once, and the file fails as the one above does
+    doc = _tweak(cert1031_doc, [("off_x", 3, 2)], e1031)
+    assert doc["points"][3] == [4, 313] and e1031.point_order(e1031._point((4, 313))) == 258
+    walks = _calls(monkeypatch, Curve, "group_structure")
+    assert _verify_exit_means_what_it_says(work_dir, doc) == 1
+    assert _failures(doc) == OFF_X_1031_FAILURES and len(walks) == 4
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

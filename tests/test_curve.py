@@ -475,6 +475,26 @@ def test_group_structure_walks_one_grid_on_the_paper_curves(monkeypatch, q):
         assert len(scanned) == 9 and curve._enumerate().index(p2) == 20
 
 
+@pytest.mark.parametrize("q", [row[0] for row in PAPER_CURVES])
+def test_torsion_walks_match_the_grid_walk_filter(q):
+    # E[r] for every r | #E on the golden curves (d1 = 6, 18 and 28 among
+    # them) is the oracle's dlog filter {d1 | r i, d2 | r j}, walked as a
+    # sub-grid from the basis alone, and every point a walk enters has the
+    # oracle's dlog; a walk covers the group only where d2 | r
+    _, field, text, *_ = next(row for row in PAPER_CURVES if row[0] == q)
+    curve = Curve.from_string(FieldSpec.from_string(field), text)    # uncached
+    d1, d2, p1, p2, dlog = group_structure_grid_walk(paper_curve(q))
+    n = curve.order()
+    assert curve._basis().basis == (p1, p2) and curve._structure.dlog == {}
+    for r in [r for r in range(1, n + 1) if n % r == 0]:
+        walked = curve._walk(r)
+        assert walked == {pt: dlog[pt] for pt in walked}
+        assert curve._torsion(r) == [pt for pt in curve._enumerate()
+                                     if r * dlog[pt][0] % d1 == r * dlog[pt][1] % d2 == 0]
+        assert (len(walked) == n) is (r % d2 == 0)
+    assert curve.group_structure().dlog == dlog
+
+
 def _scan_points(curve: Curve) -> list:
     """O and every (x, y) with y^2 + b y = rhs(x), b = a1 x + a3, found by
     trying every y against every x."""

@@ -533,6 +533,28 @@ def test_goldens_rebuild_byte_identical_from_their_echoes():
         assert verify_certificate(cert) == [], name
 
 
+def test_golden_ops_walk_only_the_torsion_they_read(monkeypatch):
+    # construct and verify read E[2], E[r] and the translates of its pairs:
+    # neither runs the full walk, and every dlog they entered, the MDS
+    # witness's among them, is the full table's
+    def no_full_walk(curve):
+        raise AssertionError("the full walk ran")
+
+    contexts, real = [], isodual._file_context
+    monkeypatch.setattr(isodual, "_file_context",
+                        lambda c: contexts.append(real(c)) or contexts[-1])
+    certs = [_golden_cert(q) for q in (16, 25, 32, 49, 64, 256, 289, 729, 1031)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Curve, "group_structure", no_full_walk)
+        for cert in certs:
+            assert _construct_echo(cert).to_json() == cert.to_json()
+            assert verify_certificate(cert) == [], cert.field_spec
+    for cert, ctx in zip(certs, contexts, strict=True):
+        dlog, full = ctx.curve._structure.dlog, cert.curve().group_structure().dlog
+        assert {*cert.points, ctx.qa} <= dlog.keys()
+        assert all(full[pt] == ij for pt, ij in dlog.items())
+
+
 def _law_adds(curve):
     """The field add and subtract that the curve's group law bound."""
     law = curve._law.add
@@ -580,7 +602,9 @@ def test_q289_golden_ops_build_the_add_table_once_before_the_group_law(monkeypat
         spec, (fadd, fsub) = c.spec, _law_adds(c)
         assert spec._addt is not None and (fadd, fsub) == (spec.add_enc, spec.sub_enc)
         assert fadd.__qualname__ == "FieldSpec.add_table.<locals>.<lambda>"
-        assert c._structure is not None
+        # the op's walks of E[2] and E[9] and its translates, not the full walk
+        dlog = c._structure.dlog
+        assert set(made.points) < dlog.keys() and len(dlog) < c.order()
 
 
 @pytest.mark.parametrize("k, table", [(8, False), (10, True)])
