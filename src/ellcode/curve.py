@@ -8,7 +8,9 @@ arithmetic indexes the field's exp/log tables directly.  `Point` and
 `FieldElement` are the API layer, built only where a result leaves the
 curve.
 
-`Curve._basis` is the one place that works out point orders: it finds the
+#E comes with no point listed (`Curve.order`), and `_on_each_x`, the one
+source of points, gives `_basis` the first point on each x as it reads.
+`_basis` is the one place that works out point orders: it finds the
 basis (p1, p2) of E(F_q) = Z/d1 x Z/d2 from one point of each pair
 {P, -P}, with no walk.  Walks fill the one discrete-log table, keyed by
 encoded points: E[r], g_i = gcd(r, d_i), is the g1 x g2 grid of
@@ -16,10 +18,8 @@ encoded points: E[r], g_i = gcd(r, d_i), is the g1 x g2 grid of
 translate of two table points enters at their coordinates' sum.  An op
 walks E[2] and E[odd part] and translates by Qa and Qb, so the MDS witness
 reads its dlogs there; `group_structure`, which the witness calls only for
-a point off them, walks E(F_q) whole in about #E/2 additions.  The
-enumeration, which reads odd-characteristic square roots from log
-parity, is encoded too; `points` and `torsion_points` build `Point`s
-only for what they return.
+a point off them, walks E(F_q) whole in about #E/2 additions.  `points`
+and `torsion_points` build `Point`s only for what they return.
 `isodual`'s construct and verify read the encoded torsion, group law and
 dlogs directly, so their points and Qa stay ``(x_enc, y_enc)`` pairs,
 the certificate's own encoding, and they build no `Point`.
@@ -32,7 +32,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, tee
 from math import gcd, isqrt, lcm
 from typing import Optional
 
@@ -180,7 +180,7 @@ class _GroupLaw:
 class Curve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_glaw", "_encoded",
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_glaw", "_count", "_scan",
                  "_structure")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
@@ -193,7 +193,7 @@ class Curve:
         if not self.discriminant():
             raise CurveError("curve is singular (zero discriminant)")
         self._glaw: Optional[_GroupLaw] = None
-        self._encoded: Optional[list] = None
+        self._count = self._scan = None     # #E, and the scan its count made for `_basis`
         self._structure: Optional[GroupStructure] = None
 
     @property
@@ -259,54 +259,82 @@ class Curve:
     def mul(self, n: int, p: Point) -> Point:
         return self._point(self._law.mul(n, _enc(p)))
 
-    # -- enumeration & structure ---------------------------------------------
+    # -- the count, the points & structure -------------------------------------
 
     def points(self) -> list[Point]:
-        """All rational points in canonical order, infinity first."""
-        return [self._point(e) for e in self._enumerate()]
-
-    def _enumerate(self) -> list:
-        """The encoded points in canonical order, None (O) first; cached.
-
-        Odd characteristic solves (y + b/2)^2 = c + b^2/4, b = a1 x + a3, or
-        y^2 = c when a1 = a3 = 0: the roots are +-exp(log(c)/2) when log(c)
-        is even, and there are none when it is odd."""
-        if self._encoded is not None:
-            return self._encoded
-        s = self.spec
-        a1, a3 = self.a1.enc, self.a3.enc
-        add, sub, neg, mul = s.add_enc, s.sub_enc, s.neg_enc, s.mul_enc
-        rhs = self._law.rhs
-        affine = []
-        if s.p == 2:
-            for x in range(s.q):
-                b = add(mul(a1, x), a3)
-                c = rhs(x)
-                if not b:
-                    affine.append((x, s.sqrt_enc(c)))
-                else:
-                    z = s.artin_solve(mul(c, s.inv_enc(mul(b, b))))
-                    if z is not None:
-                        y = mul(b, z)
-                        affine += [(x, y), (x, add(y, b))]
-        else:
-            exp, log, half = s._exp, s._log, s.inv_enc(2 % s.p)
-            for x in range(s.q):
-                c, shift = rhs(x), 0
-                if a1 or a3:
-                    shift = mul(add(mul(a1, x), a3), half)
-                    c = add(c, mul(shift, shift))
-                if not c:
-                    affine.append((x, neg(shift)))
-                elif not log[c] & 1:
-                    r = exp[log[c] >> 1]
-                    affine += [(x, sub(r, shift)), (x, sub(neg(r), shift))]
-        affine.sort()
-        self._encoded = [None] + affine
-        return self._encoded
+        """All rational points in canonical order, infinity first: E[#E]."""
+        return self.torsion_points(self.order())
 
     def order(self) -> int:
-        return len(self._enumerate())
+        """#E(F_q), with no point built; cached.  Where m > 1 and every
+        coefficient lies in F_p, #E(F_p) by Legendre symbols (directly for
+        p = 2) gives the trace s1 = p + 1 - #E(F_p), and s_(i+1) = s1 s_i -
+        p s_(i-1), s_0 = 2, gives #E = q + 1 - s_m (Washington, Elliptic
+        Curves, Thm 4.12); elsewhere `_on_each_x` counts."""
+        if self._count is None:
+            s, cs = self.spec, self.coefficients()
+            if s.m == 1 or max(cs) >= s.p:
+                self._count, self._scan = self._on_each_x(count=True)
+            else:
+                p, (a1, a2, a3, a4, a6) = s.p, cs
+                fx = [(a1 * x + a3, ((x + a2) * x + a4) * x + a6) for x in range(p)]
+                s1 = -sum(b % 2 * (1 - c % 2 * 2) if p == 2 else
+                          (pow(4 * c + b * b, (p - 1) // 2, p) + 1) % p - 1 for b, c in fx)
+                prev, trace = 2, s1
+                for _ in range(s.m - 1):
+                    prev, trace = trace, s1 * trace - p * prev
+                self._count = s.q + 1 - trace
+        return self._count
+
+    def _on_each_x(self, count: bool = False):
+        """The curve's one source of points: O, then the first (least-y)
+        point on each x that has one, in x order, each computed as it is
+        read; with `count`, #E and that scan.  Odd characteristic solves
+        (y + u)^2 = c, u = (a1 x + a3)/2, c = rhs(x) + u^2: two roots where
+        log c is even, one where c = 0.  Characteristic 2 takes sqrt(rhs(x))
+        where b = a1 x + a3 = 0, else y = b z, z^2 + z = w = rhs(x)/b^2:
+        two roots where the trace of w, the parity of w & mask, is 0."""
+        s, (a1, a2, a3, a4, a6) = self.spec, self.coefficients()
+        p, q, q1, log, zexp, add = s.p, s.q, s.q - 1, s._log, s._zexp, s.add_enc
+        if p == 2:
+            rhs, la1 = self._law.rhs, log[a1]
+            x0 = zexp[log[a3] + q1 - la1] if a1 else -1
+
+            def firsts():
+                for x, lx in zip(range(q), log):
+                    b, c = zexp[la1 + lx] ^ a3, rhs(x)
+                    if x == x0:
+                        yield (x, s.sqrt_enc(c))
+                    elif (z := s.artin_solve(zexp[log[c] + 2 * (q1 - log[b])])) is not None:
+                        y = zexp[log[b] + log[z]]
+                        yield (x, min(y, y ^ b))
+            if count:   # bit i of mask: the trace of theta^i, sum_j theta^(i 2^j), is 0 or 1
+                mask = sum(sum(zexp[(log[1 << i] << j) % q1] & 1 for j in range(s.m)) % 2 << i
+                           for i in range(s.m))
+                n = 1 + (x0 >= 0) + 2 * sum(1 ^ (zexp[
+                    log[zexp[lx + log[zexp[lx + log[x ^ a2]] ^ a4]] ^ a6]
+                    + 2 * (q1 - log[zexp[la1 + lx] ^ a3])] & mask).bit_count() & 1
+                    for x, lx in zip(range(q), log) if x != x0)
+        else:
+            mul, half, sub, neg = s.mul_enc, s.inv_enc(2), s.sub_enc, s.neg_enc
+            u1, u3 = mul(a1, half), mul(a3, half)       # c = x^3 + k2 x^2 + k4 x + k6
+            k2, k4, k6 = add(a2, mul(u1, u1)), add(a4, mul(a1, u3)), add(a6, mul(u3, u3))
+            if s.m == 1:
+                cubic = lambda x: (((x + k2) * x + k4) * x + k6) % p
+            else:
+                cubic = lambda x: add(zexp[log[x] + log[add(zexp[log[x] + log[add(x, k2)]], k4)]],
+                                      k6)
+            if count:
+                cs = list(map(cubic, range(q)))
+                n, cubic = 1 + 2 * sum(1 - (log[c] & 1) for c in cs) - cs.count(0), cs.__getitem__
+
+            def firsts():
+                for x, lx in zip(range(q), log):
+                    if (r := s.sqrt_enc(cubic(x))) is not None:
+                        u = add(zexp[log[u1] + lx], u3)
+                        yield (x, min(sub(r, u), sub(neg(r), u)))
+        scan = chain((None,), firsts())
+        return (n, scan) if count else scan
 
     def point_order(self, p: Point) -> int:
         """Least n >= 1 with [n]p = O, read from the full dlog table."""
@@ -330,10 +358,11 @@ class Curve:
     def group_structure(self) -> GroupStructure:
         """`_basis`, whose p1 test reads the order-l subgroups of <p2> and
         walks nothing, with the dlog of every point: the walk of E[d2] =
-        E(F_q) in about #E/2 additions, run once.  The point at (i, j) has
-        order lcm(d1 / gcd(i, d1), d2 / gcd(j, d2))."""
+        E(F_q) in about #E/2 additions, run once, until the table holds
+        `order()` points.  The point at (i, j) has order
+        lcm(d1 / gcd(i, d1), d2 / gcd(j, d2))."""
         st = self._basis()
-        if len(st.dlog) < len(self._encoded):
+        if len(st.dlog) < self.order():
             self._walk(st.d2)
         return st
 
@@ -342,8 +371,8 @@ class Curve:
         and translates have entered since; cached.
 
         p2 is the smallest-key point of order d2, the group's exponent.
-        Points are scanned in canonical order, each one's order found by
-        descent over the primes of #E.  A point whose order d2 is the lcm
+        Points are scanned in canonical order, as `_on_each_x` computes
+        them, each one's order found by descent over the primes of #E.  A point whose order d2 is the lcm
         of the orders so far is tried as p2: p1 is the smallest-key point
         of order d1 = #E / d2 whose grid {i*p1 + j*p2} covers the group.
         Such a p1 exists exactly when d2 is the exponent, so the first
@@ -359,12 +388,9 @@ class Curve:
         """
         if self._structure is not None:
             return self._structure
-        pts = self._enumerate()
-        n = len(pts)
+        n, head, self._scan = self.order(), tee(self._scan or self._on_each_x(), 1)[0], None
         neg, mul = self._law.neg, self._law.mul
-
-        def firsts():
-            return (next(on_x) for _, on_x in groupby(pts, lambda pt: pt and pt[0]))
+        firsts = head.__copy__      # each scan from O, computing each x once
 
         primes = list(factorize(n))
         lcm_so_far, tried = 1, set()

@@ -204,8 +204,6 @@ class FieldSpec:
             raise FieldError(f"modulus needs {m + 1} coefficients, got {len(mod)}")
         if mod[-1] != 1:
             raise FieldError("modulus must be monic")
-        if not _is_irreducible(mod, p):
-            raise FieldError(f"modulus {mod} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.modulus = tuple(mod)
@@ -226,9 +224,10 @@ class FieldSpec:
                                        self.modulus, self.p))
 
     def _is_primitive(self, enc: int, q1_factors: dict[int, int]) -> bool:
-        a, mod, p = self._coeffs_of(enc), self.modulus, self.p
-        return all(_pp_powmod(a, (self.q - 1) // ell, mod, p) != [1]
-                   for ell in q1_factors)
+        a, mod, p, q1 = self._coeffs_of(enc), self.modulus, self.p, self.q - 1
+        if self.m == 1:
+            return all(pow(enc, q1 // ell, p) != 1 for ell in q1_factors)
+        return all(_pp_powmod(a, q1 // ell, mod, p) != [1] for ell in q1_factors)
 
     def _build_tables(self) -> None:
         q, p, m = self.q, self.p, self.m
@@ -241,24 +240,30 @@ class FieldSpec:
             self._negt = negt
         self._bind_addition()
         q1_factors = factorize(q - 1)
-        # the smallest primitive encoding: below p lies GF(p), so for m >= 2
-        # it is theta (enc p) whenever theta is primitive; 1 is primitive
-        # only in GF(2), and gen = 0 fails the cycle check below
-        gen = next((c for c in range(1, q) if self._is_primitive(c, q1_factors)), 0)
-        self._gen_enc = gen
-        if m > 1:
-            # x -> gen * x is GF(p)-linear on the digits, so with x = lo + P * hi
-            # it is gen * lo + gen * (P * hi): two tables of about sqrt(q) products
-            P, add = p ** (m // 2), self.add_enc
-            by_lo = [self._raw_mul(lo, gen) for lo in range(P)]
-            by_hi = [self._raw_mul(hi, gen) for hi in range(0, q, P)]
-        exp, log, x = [0] * (q - 1), [4 * (q - 1)] * q, 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = x * gen % p if m == 1 else add(by_lo[x % P], by_hi[x // P])
-        if x != 1:
+        # the smallest primitive encoding: for m >= 2 GF(p) lies below p, so it is theta
+        # (enc p) when the walk by theta first returns to 1 after q - 1 steps, which proves
+        # the modulus irreducible too; else Rabin's test, then the search (0: none found)
+        for gen in (p, None) if m > 1 else (None,):
+            if gen is None:
+                if not _is_irreducible(self.modulus, p):
+                    raise FieldError(f"modulus {list(self.modulus)} is reducible over GF({p})")
+                gen = next((c for c in range(1, q) if self._is_primitive(c, q1_factors)), 0)
+            if m > 1:
+                # x -> gen * x is GF(p)-linear on the digits, so with x = lo + P * hi
+                # it is gen * lo + gen * (P * hi): two tables of about sqrt(q) products
+                P, add = p ** (m // 2), self.add_enc
+                by_lo = [self._raw_mul(lo, gen) for lo in range(P)]
+                by_hi = [self._raw_mul(hi, gen) for hi in range(0, q, P)]
+            exp, log, x = [0] * (q - 1), [4 * (q - 1)] * q, 1
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                x = x * gen % p if m == 1 else add(by_lo[x % P], by_hi[x // P])
+            if x == 1 and log[1] == 0:
+                break
+        else:
             raise FieldError("generator search failed to close the cycle")
+        self._gen_enc = gen
         zexp = exp * 4      # grown in place to exactly its size: the build peaks at that
         zexp += repeat(0, 6 * (q - 1))
         self._exp, self._zexp, self._log = exp, zexp, log

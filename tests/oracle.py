@@ -95,6 +95,34 @@ def scaling_v_product(spec, points, qa) -> Optional[tuple[int, ...]]:
     return tuple(entries) if all(entries) else None
 
 
+def enumerate_points(curve) -> list:
+    """E(F_q) on encoded points, None (O) first, then sorted: the roots y
+    of the curve's equation on every x, as `ellcode` found them before it
+    counted #E without listing the points.  Odd characteristic solves
+    (y + b/2)^2 = c + b^2/4, b = a1 x + a3, c = rhs(x), reading the roots
+    +-sqrt from the parity of the field log; characteristic 2 solves
+    y^2 + b y = c by a square root where b = 0, else as y = b z with
+    z^2 + z = c/b^2."""
+    s, rhs = curve.spec, curve._law.rhs
+    a1, _, a3, _, _ = curve.coefficients()
+    add, sub, neg, mul = s.add_enc, s.sub_enc, s.neg_enc, s.mul_enc
+    affine = []
+    for x in range(s.q):
+        b, c = add(mul(a1, x), a3), rhs(x)
+        if s.p == 2:
+            if not b:
+                affine.append((x, s.sqrt_enc(c)))
+            elif (z := s.artin_solve(mul(c, s.inv_enc(mul(b, b))))) is not None:
+                affine += [(x, mul(b, z)), (x, add(mul(b, z), b))]
+            continue
+        shift = mul(b, s.inv_enc(2))
+        c = add(c, mul(shift, shift))
+        r = s.sqrt_enc(c)
+        if r is not None:
+            affine += sorted({(x, sub(r, shift)), (x, sub(neg(r), shift))})
+    return [None, *sorted(affine)]
+
+
 def group_structure_grid_walk(curve):
     """(d1, d2, p1, p2, dlog) of E(F_q) on encoded points (None for O): p2
     is the first point, in canonical order, whose order is the group's
@@ -102,7 +130,7 @@ def group_structure_grid_walk(curve):
     grid {i p1 + j p2} holds no repeat; dlog maps each grid point to
     (i, j).  Orders come from the smallest divisor of #E that kills the
     point."""
-    pts = curve._enumerate()
+    pts = enumerate_points(curve)
     n = len(pts)
     add, mul = curve._law.add, curve._law.mul
     divisors = [m for m in range(1, n + 1) if n % m == 0]

@@ -10,7 +10,7 @@ from ellcode.curve import Curve, CurveError, Point, INFINITY
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate, PairSelection,
                              construct, verify_certificate)
 from ellcode.search import _curve_family, _default_spec, realized_orders
-from oracle import group_structure_grid_walk
+from oracle import enumerate_points, group_structure_grid_walk
 
 
 def test_known_points_lie_on_curves(f16, e16, f25, e25):
@@ -468,11 +468,11 @@ def test_group_structure_walks_one_grid_on_the_paper_curves(monkeypatch, q):
     d1, d2, p1, p2, dlog = group_structure_grid_walk(curve)
     assert walks == [p1] and st.dlog == dlog and len(dlog) == curve.order()
     assert walk_adds <= curve.order() // 2 + d1 + 1
-    firsts = _first_on_each_x(curve._enumerate())
+    firsts = _first_on_each_x(enumerate_points(curve))
     assert scanned == [pt for pt in firsts[:firsts.index(p2) + 1]
                        if pt is not None and curve._law.neg(pt) != pt]
     if q == 1031:
-        assert len(scanned) == 9 and curve._enumerate().index(p2) == 20
+        assert len(scanned) == 9 and enumerate_points(curve).index(p2) == 20
 
 
 @pytest.mark.parametrize("q", [row[0] for row in PAPER_CURVES])
@@ -489,7 +489,7 @@ def test_torsion_walks_match_the_grid_walk_filter(q):
     for r in [r for r in range(1, n + 1) if n % r == 0]:
         walked = curve._walk(r)
         assert walked == {pt: dlog[pt] for pt in walked}
-        assert curve._torsion(r) == [pt for pt in curve._enumerate()
+        assert curve._torsion(r) == [pt for pt in enumerate_points(curve)
                                      if r * dlog[pt][0] % d1 == r * dlog[pt][1] % d2 == 0]
         assert (len(walked) == n) is (r % d2 == 0)
     assert curve.group_structure().dlog == dlog
@@ -514,10 +514,12 @@ def _scan_points(curve: Curve) -> list:
 
 @pytest.mark.parametrize("q", [3, 5, 25, 27, 729, 1031])
 def test_enumerate_matches_a_scan_of_every_pair(q):
-    # odd characteristic reads roots from the parity of the field log and
-    # completes the square only when a1 or a3 is nonzero.  Random curves of
-    # both kinds (above 100, with a1 = 0 to keep the scan short); the first
-    # of each has a6 = -(a3/2)^2, so (0, -a3/2) is the one point on x = 0
+    # the oracle's enumeration, and the library's count and first point on
+    # each x, where odd characteristic reads roots from the parity of the
+    # field log and completes the square when a1 or a3 is nonzero.  Random
+    # curves of both kinds (above 100, with a1 = 0 to keep the scan short);
+    # the first of each has a6 = -(a3/2)^2, so (0, -a3/2) is the one point
+    # on x = 0
     spec, rng = _default_spec(q), random.Random(q)
     half = spec.inv_enc(2)
     for plain in (True, False):
@@ -531,8 +533,100 @@ def test_enumerate_matches_a_scan_of_every_pair(q):
                 curve = Curve(spec, a1, rng.randrange(q), a3, rng.randrange(q), a6)
             except CurveError:
                 continue
-            pts = curve._enumerate()
+            pts = enumerate_points(curve)
             assert pts == _scan_points(curve), curve
+            assert curve.order() == len(pts), curve
+            assert list(curve._on_each_x()) == _first_on_each_x(pts), curve
             if not made:
                 assert [pt for pt in pts[1:] if pt[0] == 0] == [(0, y0)], curve
             made += 1
+
+
+def _counted_scans(monkeypatch) -> list:
+    """Patch the per-x routine so each scan it makes records, in one list
+    per scan, the affine points read from it."""
+    scans, real = [], Curve._on_each_x
+
+    def counted(self, count=False):
+        made = real(self, count)
+        n, scan = made if count else (None, made)
+        scans.append(read := [])
+        scan = (pt for pt in scan if pt is None or not read.append(pt))
+        return (n, scan) if count else scan
+
+    monkeypatch.setattr(Curve, "_on_each_x", counted)
+    return scans
+
+
+# x's the basis scan reads on each golden, of the x's that carry points
+GOLDEN_SCAN_READS = {"q16.json": (2, 11), "q32.json": (5, 21), "q64.json": (2, 39),
+                     "q256.json": (2, 143), "q25.json": (8, 19), "q49.json": (11, 31),
+                     "q289.json": (20, 163), "q729.json": (5, 393),
+                     "q1031.json": (12, 517)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCAN_READS))
+def test_construct_and_verify_list_no_point_of_the_group(monkeypatch, name):
+    # #E comes from a count or the trace lift and the basis from a scan of
+    # the first point on each x, read only as far as p1 and p2: neither op
+    # lists E(F_q), so `points` and `group_structure` can raise
+    def listed(self):
+        raise AssertionError("E(F_q) listed")
+
+    with open(os.path.join(GOLDENS, name)) as fh:
+        text = fh.read()
+    cert = IsoDualCertificate.from_json(text)
+    sel = cert.pair_selection
+    inp = ConstructionInput(cert.curve(), cert.k, cert.construction, cert.torsion_choice,
+                            PairSelection(sel["mode"], sel["r"],
+                                          sel["pairs_x"] and tuple(sel["pairs_x"])))
+    monkeypatch.setattr(Curve, "points", listed)
+    monkeypatch.setattr(Curve, "group_structure", listed)
+    scans = _counted_scans(monkeypatch)
+    assert construct(inp).to_json() == text
+    assert verify_certificate(IsoDualCertificate.from_json(text)) == []
+    reads, on_x = GOLDEN_SCAN_READS[name]
+    assert [len(scan) for scan in scans] == [reads, reads]
+    assert len(_first_on_each_x(enumerate_points(inp.curve))) == on_x + 1
+
+
+@pytest.mark.parametrize("q", [16, 25, 27, 61])
+def test_order_and_the_scan_match_the_oracle_on_every_curve_of_the_family(q):
+    # the trace-mask count in characteristic 2, the character sums of the
+    # odd extension and prime fields, and the first point on each x
+    for curve in _curve_family(q):
+        pts = enumerate_points(curve)
+        assert curve.order() == len(pts), curve
+        assert list(curve._on_each_x()) == _first_on_each_x(pts), curve
+
+
+@pytest.mark.parametrize("q", [729, 625, 256])
+def test_trace_lift_matches_the_oracle_on_subfield_curves(monkeypatch, q):
+    # every short curve with coefficients in F_p, and 12 general ones, over
+    # GF(3^6), GF(5^4) and GF(2^8): #E from #E(F_p) alone, no count over F_q
+    spec, rng = _default_spec(q), random.Random(q)
+    p, counts = spec.p, []
+    real = Curve._on_each_x
+    monkeypatch.setattr(Curve, "_on_each_x",
+                        lambda self, count=False: counts.append(count) or real(self, count))
+    shapes = [(a1, 0, a3, a4, a6) for a1, a3 in ((1, 0), (0, 1)) for a4 in range(p)
+              for a6 in range(p)] if p == 2 else \
+        [(0, 0, 0, a4, a6) for a4 in range(p) for a6 in range(p)]
+    shapes += [tuple(rng.randrange(p) for _ in range(5)) for _ in range(12)]
+    lifted = 0
+    for coefficients in shapes:
+        try:
+            curve = Curve(spec, *coefficients)
+        except CurveError:
+            continue
+        assert curve.order() == len(enumerate_points(curve)), curve
+        lifted += 1
+    assert lifted > 12 and True not in counts
+
+
+@pytest.mark.parametrize("q", [row[0] for row in PAPER_CURVES])
+def test_points_match_the_oracle_on_the_paper_curves(q):
+    _, field, text, *_ = next(row for row in PAPER_CURVES if row[0] == q)
+    curve = Curve.from_string(FieldSpec.from_string(field), text)    # uncached
+    assert [None if p.is_infinity else p.key() for p in curve.points()] == \
+        enumerate_points(paper_curve(q))

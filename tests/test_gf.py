@@ -245,15 +245,49 @@ def test_golden_field_generators(q, gen):
 
 
 def test_no_primitive_candidate_fails_the_cycle_check(monkeypatch):
+    # over x^2 + 1, theta = i has order 4 of 8, so the search runs
     monkeypatch.setattr(FieldSpec, "_is_primitive", lambda self, enc, factors: False)
     with pytest.raises(FieldError, match="cycle"):
-        FieldSpec(5, 2, [2, 4, 1])
+        FieldSpec(3, 2, [1, 0, 1])
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3),
+                                  (3, 4), (5, 2), (7, 2)])
+def test_generator_is_the_smallest_primitive_encoding(monkeypatch, p, m):
+    # over every irreducible modulus: the walk by theta (enc p) settles it
+    # where theta is primitive, and only otherwise does the search run
+    calls, real = [], FieldSpec._is_primitive
+    monkeypatch.setattr(FieldSpec, "_is_primitive",
+                        lambda self, enc, factors: calls.append(enc) or real(self, enc, factors))
+    q, thetas = p ** m, 0
+    for mod in (f for f in _monic(p, m) if gf._is_irreducible(f, p)):
+        calls.clear()
+        spec = FieldSpec(p, m, mod)
+        assert spec._gen_enc == next(c for c in range(1, q) if _mult_order(spec, c) == q - 1)
+        assert (calls == []) is (spec._gen_enc == p)
+        thetas += spec._gen_enc == p
+    assert 0 < thetas
+
+
+def test_prime_field_generator_is_the_smallest_primitive_root():
+    for p in (c for c in range(2, 400) if gf.is_prime(c)):
+        spec = FieldSpec(p, 1, [0, 1])
+        assert spec._gen_enc == next(c for c in range(1, p) if _mult_order(spec, c) == p - 1)
 
 
 def test_reducible_modulus_rejected():
     # x^5 + x + 1 = (x^2+x+1)(x^3+x^2+1) over GF(2)
     with pytest.raises(FieldError):
         FieldSpec(2, 5, [1, 1, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("p, modulus", [(2, [1, 1, 0, 0, 0, 1]), (2, [1, 0, 1]),
+                                         (3, [0, 0, 1]), (5, [1, 0, 0, 1])])
+def test_reducible_modulus_fails_the_theta_walk_then_rabin(p, modulus):
+    # theta of too small an order ((x + 1)^2 over GF(2), x^3 + 1 over
+    # GF(5)) or nilpotent (x^2) does not prove the ring a field
+    with pytest.raises(FieldError, match="reducible"):
+        FieldSpec(p, len(modulus) - 1, modulus)
 
 
 def test_nonprime_p_rejected():
@@ -466,7 +500,7 @@ def test_exp_log_follow_the_generator(p, m, modulus):
 
 def test_gf729_bootstrap_makes_about_sqrt_q_products(monkeypatch):
     # at most 2 * ceil(sqrt(729)) polynomial products, where a walk by one
-    # product per step makes 728; the generator search uses _pp_powmod
+    # product per step makes 728; theta is primitive, so no search runs
     calls = []
     raw_mul = FieldSpec._raw_mul
 

@@ -4,7 +4,7 @@ uses, no library module computes in floating point or tests a factor for
 zero around a read of the exp/log tables, every public name,
 function, class and method of the library has a reader outside the tests,
 only `gf` and `curve` construct `Point`s and `FieldElement`s, `isodual`
-has one generator route, the library neither imports the tests' oracle
+has one generator route, `curve` has one source of points, the library neither imports the tests' oracle
 nor loads its function-field layer, the CLI maps errors to exit codes in
 `main` alone, README's quick start runs, and the docs list the
 certificate invariants in order."""
@@ -271,6 +271,53 @@ def test_isodual_has_one_generator_route():
     its entry checks and calls neither `linalg.rref` nor `linalg.gram`."""
     with open(os.path.join(PACKAGE, "isodual.py")) as handle:
         assert _calls_of(handle.read(), ("LinearCode", "rref", "gram")) == []
+
+
+def _point_finders(source: str) -> list[str]:
+    """The top-level functions and methods of a module that look for the
+    points on an x: those that call `sqrt_enc` or `artin_solve`, loop over
+    ``range(q)`` (q a name or an attribute), or test a square by log
+    parity, a read of a table whose name ends in ``log`` ANDed with 1."""
+    tree, found = ast.parse(source), set()
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+        n for c in tree.body if isinstance(c, ast.ClassDef)
+        for n in c.body if isinstance(n, ast.FunctionDef)]
+    for fn in defs:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                args = [getattr(a, "id", getattr(a, "attr", None)) for a in node.args]
+                if name in ("sqrt_enc", "artin_solve") or (name, args) == ("range", ["q"]):
+                    found.add(fn.name)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+                sides = (node.left, node.right)
+                if any(isinstance(s, ast.Constant) and s.value == 1 for s in sides) and any(
+                        isinstance(s, ast.Subscript) and getattr(
+                            s.value, "id", getattr(s.value, "attr", "")).endswith("log")
+                        for s in sides):
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_point_finder_check_flags_and_spares():
+    source = ('"""sqrt_enc(c) and range(q) in a docstring."""\n'
+              "def a(s, c):\n    return s.sqrt_enc(c)\n"
+              "class K:\n"
+              "    def b(self, q):\n        return [x for x in range(q)]\n"
+              "    def c(self, s):\n        return zip(range(s.q), s._log)\n"
+              "    def d(self, log, c):\n        return 1 - (log[c] & 1)\n"
+              "    def e(self, n, p, q, spec):\n"
+              "        return n & 1, range(p), range(q // 2), spec._log[1] & 2, solve(1)\n"
+              "def f(s, w):\n    return s.artin_solve(w)\n")
+    assert _point_finders(source) == ["a", "b", "c", "d", "f"]
+
+
+def test_curve_has_one_source_of_points():
+    """`Curve._on_each_x` alone finds the points on an x: `order` counts
+    through it or by the trace lift over F_p, and `_basis` scans it, so no
+    second enumeration of E(F_q) can come back."""
+    with open(os.path.join(PACKAGE, "curve.py")) as handle:
+        assert _point_finders(handle.read()) == ["_on_each_x"]
 
 
 def _imported_names(source: str) -> set[str]:

@@ -71,6 +71,16 @@ def test_bound_achieved_where_the_first_curve_of_the_order_lacks_e2(q):
     assert row.witness.curve().order() == length_bound(q)[1]
 
 
+def test_bound_achieved_by_hunts_on_each_count_route():
+    # the first hunts above q = 83, one on each route to #E: the trace mask
+    # (GF(2^7)), the odd-extension sum (GF(7^3)) and the prime-field sum
+    rows = bound_table([128, 343, 449], achieve=True)
+    assert [(row.q, row.achieved_n) for row in rows] == [(128, 72), (343, 188), (449, 244)]
+    for row in rows:
+        assert row.witness.n == row.bound_n
+        assert isodual.verify_certificate(row.witness) == []
+
+
 @pytest.mark.parametrize("qs", [[521], [16, 8839]])
 def test_witness_hunt_refuses_past_its_range_at_once(qs):
     start = time.perf_counter()
