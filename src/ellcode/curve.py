@@ -2,11 +2,12 @@
 
 One chord-tangent code path covers every characteristic, matching the
 curve shapes used on both the even and odd sides of the constructions.
-The group law runs on integer encodings: inside this module a point is an
-``(x_enc, y_enc)`` tuple, or None for the point at infinity, and the
-arithmetic indexes the field's exp/log tables directly.  `Point` and
-`FieldElement` are the API layer, built only where a result leaves the
-curve.
+A curve keeps its coefficients as five integer encodings, and its
+discriminant, group law, count and walks run on encodings: inside this
+module a point is an ``(x_enc, y_enc)`` tuple, or None for the point at
+infinity, and the arithmetic indexes the field's exp/log tables directly.
+`Point` and `FieldElement` are the API edge, built only in
+`Curve._point`, where a result leaves the curve.
 
 #E comes with no point listed (`Curve.order`), and `_on_each_x`, the one
 source of points, gives `_basis` the first point on each x as it reads.
@@ -178,18 +179,14 @@ class _GroupLaw:
 
 
 class Curve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over a FieldSpec, kept
+    as five encodings, each given as an int or a `FieldElement` of the field."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "_glaw", "_count", "_scan",
-                 "_structure")
+    __slots__ = ("spec", "_coeffs", "_glaw", "_count", "_scan", "_structure")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
-        self.a1 = spec.element(a1)
-        self.a2 = spec.element(a2)
-        self.a3 = spec.element(a3)
-        self.a4 = spec.element(a4)
-        self.a6 = spec.element(a6)
+        self._coeffs = tuple(spec.element(c).enc for c in (a1, a2, a3, a4, a6))
         if not self.discriminant():
             raise CurveError("curve is singular (zero discriminant)")
         self._glaw: Optional[_GroupLaw] = None
@@ -216,25 +213,25 @@ class Curve:
         return cls(spec, *encs)
 
     def to_string(self) -> str:
-        return ",".join(str(c.enc) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        return ",".join(map(str, self._coeffs))
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1.enc, self.a2.enc, self.a3.enc, self.a4.enc, self.a6.enc)
+        return self._coeffs
 
-    def discriminant(self) -> FieldElement:
-        """Standard b2/b4/b6/b8 discriminant, valid in every characteristic."""
-        s = self.spec
-        two, three, four = s.element(2 % s.p), s.element(3 % s.p), s.element(4 % s.p)
-        eight, nine = s.element(8 % s.p), s.element(9 % s.p)
-        ts = s.element(27 % s.p)
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + four * a2
-        b4 = two * a4 + a1 * a3
-        b6 = a3 * a3 + four * a6
-        b8 = (a1 * a1 * a6 + four * a2 * a6 - a1 * a3 * a4
-              + a2 * a3 * a3 - a4 * a4)
-        return (-(b2 * b2 * b8) - eight * (b4 ** 3) - ts * (b6 * b6)
-                + nine * b2 * b4 * b6)
+    def discriminant(self) -> int:
+        """The b2/b4/b6/b8 discriminant (Silverman, AEC III.1), valid in
+        every characteristic, as an encoding, with b8 = b2 a6 - a1 a3 a4 +
+        a2 a3^2 - a4^2.  Products nest two factors at a time, so no
+        ``_zexp`` read sums more than two logs of zero."""
+        s, (a1, a2, a3, a4, a6) = self.spec, self._coeffs
+        mul, add, sub, p = s.mul_enc, s.add_enc, s.sub_enc, s.p
+        b2 = add(mul(a1, a1), mul(4 % p, a2))
+        b4 = add(mul(2 % p, a4), mul(a1, a3))
+        b6 = add(mul(a3, a3), mul(4 % p, a6))
+        b8 = sub(add(sub(mul(b2, a6), mul(mul(a1, a3), a4)), mul(a2, mul(a3, a3))),
+                 mul(a4, a4))
+        return sub(add(s.neg_enc(mul(mul(b2, b2), b8)), mul(9 % p, mul(mul(b2, b4), b6))),
+                   add(mul(8 % p, mul(mul(b4, b4), b4)), mul(27 % p, mul(b6, b6))))
 
     # -- encodings <-> API points ---------------------------------------------
 

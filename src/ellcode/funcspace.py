@@ -79,8 +79,9 @@ def rr_basis(curve: Curve, k: int, q2: Optional[tuple[int, int]]) -> RRBasis:
         raise FunctionError("Q must be an affine rational point on the curve")
     if law.add(q2, q2) is not None:
         raise FunctionError("Q must have order 2")
+    a1, _, a3, a4, _ = curve.coefficients()
     if spec.p == 2:
-        if (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
+        if (a1, a3, a4) != (1, 0, 0):
             raise FunctionError(
                 "even characteristic needs the curve shape y^2+xy = x^3+a2x^2+a6")
         if q2[0] != 0:

@@ -173,8 +173,8 @@ class FieldSpec:
     integer encodings and back every `FieldElement` operator.  The additive
     ones, ``add_enc``, ``sub_enc`` and ``neg_enc``, are plain callables bound
     by `_bind_addition`, and ``add_table`` rebinds the first two to the
-    q x q table it builds on request.  Values never change after
-    construction, so specs compare by their modulus and are safe to share.
+    q x q table it builds on request: the bound callables change, but no
+    result does, so specs compare by their modulus and are safe to share.
 
     ``_log`` inverts ``_exp[i] = gen^i`` and sends 0 to 4(q - 1), which is
     0 mod q - 1.  ``_zexp`` is ``_exp`` four times over, then 6(q - 1) zeros:

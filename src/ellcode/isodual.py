@@ -366,10 +366,11 @@ def applicable_two_torsion(curve: Curve, construction: int) -> list[tuple[int, i
         raise ConstructionError("construction 1 needs characteristic 2")
     if construction == 2 and curve.spec.p == 2:
         raise ConstructionError("construction 2 needs odd characteristic")
-    if construction == 1 and (curve.a1.enc, curve.a3.enc, curve.a4.enc) != (1, 0, 0):
+    a1, _, a3, a4, _ = curve.coefficients()
+    if construction == 1 and (a1, a3, a4) != (1, 0, 0):
         raise ConstructionError(
             "construction 1 needs the curve shape y^2+xy = x^3+a2x^2+a6")
-    if construction == 2 and (curve.a1.enc, curve.a3.enc) != (0, 0):
+    if construction == 2 and (a1, a3) != (0, 0):
         raise ConstructionError(
             "construction 2 needs the curve shape y^2 = x^3+a2x^2+a4x+a6")
     two_torsion = [p for p in curve._torsion(2) if p is not None]

@@ -6,6 +6,10 @@ to n around 16, and by the counting DP (`subset_sum_counts`) on inputs too
 large for that.  The library's MDS witness only asks whether a sum is
 reachable, so the support of these counts is what it must reproduce.
 
+The singularity references are the b2/b4/b6/b8 discriminant on
+`FieldElement`s and a brute-force search of F_q^2 for a point where the
+Weierstrass equation and both its partials vanish.
+
 The function-field reference is symbolic: divisors, rational functions
 (a(x) + b(x) y) / c(x) in canonical form, their valuations at every
 rational point, and the basis functions of an `RRBasis` as such functions,
@@ -149,6 +153,51 @@ def group_structure_grid_walk(curve):
         if len(dlog) == n:
             return d1, d2, p1, p2, dlog
     raise AssertionError("no p1 covers the group")
+
+
+def coefficient_elements(curve) -> tuple[FieldElement, ...]:
+    """(a1, a2, a3, a4, a6) of a curve as `FieldElement`s."""
+    return tuple(curve.spec.element(c) for c in curve.coefficients())
+
+
+def discriminant(spec, coeffs) -> FieldElement:
+    """Standard b2/b4/b6/b8 discriminant, valid in every characteristic, of
+    the Weierstrass equation with encoded coefficients (a1, a2, a3, a4, a6),
+    on `FieldElement`s, apart from the encoded products of
+    `Curve.discriminant` and its shorter b8."""
+    s = spec
+    two, three, four = s.element(2 % s.p), s.element(3 % s.p), s.element(4 % s.p)
+    eight, nine = s.element(8 % s.p), s.element(9 % s.p)
+    ts = s.element(27 % s.p)
+    a1, a2, a3, a4, a6 = (s.element(c) for c in coeffs)
+    b2 = a1 * a1 + four * a2
+    b4 = two * a4 + a1 * a3
+    b6 = a3 * a3 + four * a6
+    b8 = (a1 * a1 * a6 + four * a2 * a6 - a1 * a3 * a4
+          + a2 * a3 * a3 - a4 * a4)
+    return (-(b2 * b2 * b8) - eight * (b4 ** 3) - ts * (b6 * b6)
+            + nine * b2 * b4 * b6)
+
+
+def singular_points(spec, coeffs) -> list[tuple[int, int]]:
+    """Every encoded (x, y) in F_q^2, by brute force, that lies on the
+    Weierstrass equation F = y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6)
+    = 0 with both partials, F_x = a1 y - 3 x^2 - 2 a2 x - a4 and
+    F_y = 2 y + a1 x + a3, zero.  A singular cubic has exactly one singular
+    point, which Frobenius fixes, so it is rational: the equation is
+    singular iff this list is not empty."""
+    a1, a2, a3, a4, a6 = (spec.element(c) for c in coeffs)
+    two, three = spec.element(2 % spec.p), spec.element(3 % spec.p)
+    elems = [spec.element(e) for e in range(spec.q)]
+    out = []
+    for x in elems:
+        fx0 = three * x * x + two * a2 * x + a4
+        rhs = x * x * x + a2 * x * x + a4 * x + a6
+        for y in elems:
+            if not (two * y + a1 * x + a3 or a1 * y - fx0
+                    or y * y + a1 * x * y + a3 * y - rhs):
+                out.append((x.enc, y.enc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +442,9 @@ def _numerator_valuation(curve: Curve, a: Poly, b: Poly, p: Point, e: int) -> in
         return val
     # both the function and enough of the pair vanish: use the norm
     # N = a^2 - a b (a1 x + a3) - b^2 (x^3 + a2 x^2 + a4 x + a6)
-    line = poly_trim((curve.a3, curve.a1))
-    rhs = poly_trim((curve.a6, curve.a4, curve.a2, spec.one))
+    a1, a2, a3, a4, a6 = coefficient_elements(curve)
+    line = poly_trim((a3, a1))
+    rhs = poly_trim((a6, a4, a2, spec.one))
     norm = poly_sub(
         poly_sub(poly_mul(a1p, a1p),
                  poly_mul(poly_mul(a1p, b1p), line)),

@@ -20,8 +20,8 @@ from ellcode.eaqecc import derive
 from ellcode.search import (AbelianGroupSpec, bound_table, lemma_max_search,
                             realized_orders)
 from ellcode.cli import main as cli_main
-from oracle import (pole_orders_at_O, subset_sum_counts, subset_sum_counts_exhaustive,
-                    validate_rr_basis)
+from oracle import (coefficient_elements, pole_orders_at_O, subset_sum_counts,
+                    subset_sum_counts_exhaustive, validate_rr_basis)
 
 
 def _report(criterion, message):
@@ -79,7 +79,7 @@ def cert289(e289):
 def _pair_keys(curve):
     """x-coordinates of the translated odd-order pairs, ascending."""
     spec = curve.spec
-    gamma1 = spec.element(spec.sqrt_enc(curve.a6.enc))
+    gamma1 = coefficient_elements(curve)[4].sqrt()
     q1 = Point(spec.zero, gamma1)
     keys = set()
     for p in curve.points():

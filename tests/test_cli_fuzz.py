@@ -223,10 +223,13 @@ def test_verify_exit_codes_on_mutated_q25_certificates(cert25_doc, work_dir, edi
 # a constant other than 1 (which keeps G diag(v) G^T = 0), another
 # tool_version; and two that keep the file well formed but move it off the
 # closed form: one permutation of the points, G's columns and v together,
-# and a first-k point swapped with a later one; and one that puts a point
-# on Qa, at the pole of u, where the closed form cannot evaluate
+# and a first-k point swapped with a later one; one that puts a point
+# on Qa, at the pole of u, where the closed form cannot evaluate; and one
+# that sets a curve coefficient to a value in [0, q], so that some files
+# name a value out of range or a singular curve (a schema error) and the
+# rest another curve, which the invariants judge
 KINDS = ["swap", "respell", "zero_entry", "scale_v", "version", "permute",
-         "swap_first_k", "onto_qa"]
+         "swap_first_k", "onto_qa", "coeff"]
 TWEAKS = st.tuples(st.sampled_from(KINDS), st.integers(0, 10 ** 6),
                    st.integers(0, 10 ** 6))
 # the q = 25 file may also move G's point to another rational 2-torsion
@@ -297,6 +300,10 @@ def _tweak(doc, tweaks, curve):
             points, k = doc["points"], doc["k"]
             a, b = i % k, k + j % (len(points) - k)
             points[a], points[b] = points[b], points[a]
+        elif kind == "coeff":
+            coeffs = doc["curve"].split(",")
+            coeffs[i % 5] = str(j % (spec.q + 1))
+            doc["curve"] = ",".join(coeffs)
         elif kind == "off_x":
             used = {x for x, _ in doc["points"]}
             free = [[p.x.enc, p.y.enc] for p in curve.points()
@@ -305,6 +312,16 @@ def _tweak(doc, tweaks, curve):
         else:
             doc["tool_version"] = str(i)
     return doc
+
+
+@pytest.mark.parametrize("i, j, code", [(4, 0, 2), (4, 25, 2), (3, 1, 1), (0, 0, 0)])
+def test_q25_coefficient_tweak_exits_as_the_curve_reads(cert25_doc, e25, work_dir, i, j,
+                                                       code):
+    # a6 = 0 makes y^2 = x^3, which is singular, and a6 = 25 lies out of
+    # range: both are schema errors; a4 = 1 names another nonsingular curve,
+    # off which the file's points lie; a1 = 0 leaves the file as it was
+    doc = _tweak(cert25_doc, [("coeff", i, j)], e25)
+    assert _verify_exit_means_what_it_says(work_dir, doc) == code
 
 
 def _code_fails_as_verify_does(doc):

@@ -10,7 +10,8 @@ from ellcode.curve import Curve, CurveError, Point, INFINITY
 from ellcode.isodual import (ConstructionInput, IsoDualCertificate, PairSelection,
                              construct, verify_certificate)
 from ellcode.search import _curve_family, _default_spec, realized_orders
-from oracle import enumerate_points, group_structure_grid_walk
+from oracle import (coefficient_elements, discriminant, enumerate_points,
+                    group_structure_grid_walk, singular_points)
 
 
 def test_known_points_lie_on_curves(f16, e16, f25, e25):
@@ -32,6 +33,88 @@ def test_singular_curve_rejected(f25):
 def test_curve_refuses_non_integer_coefficients(f25):
     with pytest.raises(FieldError):
         Curve(f25, 0, 0, 0, 0, 1.9)     # once read as y^2 = x^3 + 1
+
+
+@pytest.mark.parametrize("bad, match", [
+    (True, "not an int encoding"), ("1", "not an int encoding"), (25, "out of range"),
+    (-1, "out of range")])
+def test_curve_validates_each_coefficient_as_an_encoding(f25, bad, match):
+    for i in range(5):
+        coeffs = [0, 0, 0, 0, 1]
+        coeffs[i] = bad
+        with pytest.raises(FieldError, match=match):
+            Curve(f25, *coeffs)
+
+
+def test_curve_keeps_its_coefficients_as_encodings(f16, f25, e25):
+    # a FieldElement of the field reads as its encoding, one of another
+    # field is refused, and the curve keeps one tuple of five ints
+    curve = Curve(f25, *(f25.element(c) for c in (0, 0, 0, 0, 1)))
+    assert curve == e25 and curve.to_string() == "0,0,0,0,1"
+    assert curve.coefficients() is curve.coefficients() == (0, 0, 0, 0, 1)
+    assert all(type(c) is int for c in curve.coefficients())
+    assert not any(hasattr(curve, name) for name in ("a1", "a2", "a3", "a4", "a6"))
+    with pytest.raises(FieldError, match="different field"):
+        Curve(f25, 0, 0, 0, 0, f16.element(1))
+
+
+def _singular_at(spec, rng):
+    """Encoded coefficients of y^2 + a1 xy = x^3 + a2 x^2, singular at the
+    origin, moved by x -> x - r, y -> y - s to be singular at (r, s)."""
+    a1, a2, r, s = (spec.element(rng.randrange(spec.q)) for _ in range(4))
+    three = spec.element(3 % spec.p)
+    a3 = -(s + s) - a1 * r
+    a4 = three * r * r - (a2 + a2) * r + a1 * s
+    a6 = a2 * r * r - r * r * r - s * s - a1 * r * s
+    return (a1.enc, (a2 - three * r).enc, a3.enc, a4.enc, a6.enc), (r.enc, s.enc)
+
+
+DISCRIMINANT_FIELDS = [4, 16, 25, 27, 61, 256, 729, 1031, 37 ** 3]
+
+
+@pytest.mark.parametrize("q", DISCRIMINANT_FIELDS)
+def test_discriminant_matches_the_oracle(q):
+    # random coefficients, and curves moved to be singular at a random point:
+    # the encoded discriminant is the FieldElement formula's, zero exactly
+    # where the oracle's is, and `Curve` refuses exactly those
+    spec = _default_spec(q)     # GF(37^3) over x^3 + 2, which splits its adds twice
+    rng, zeros = random.Random(q), 0
+    bare = Curve.__new__(Curve)
+    bare.spec = spec
+    for i in range(300):
+        if i % 3:
+            coeffs = tuple(rng.randrange(q) for _ in range(5))
+        else:
+            coeffs, at = _singular_at(spec, rng)
+            if q <= 27:
+                assert singular_points(spec, coeffs) == [at]
+        bare._coeffs = coeffs
+        expected = discriminant(spec, coeffs).enc
+        assert type(bare.discriminant()) is int and bare.discriminant() == expected
+        if expected:
+            assert Curve(spec, *coeffs).discriminant() == expected
+        else:
+            zeros += 1
+            with pytest.raises(CurveError, match="singular"):
+                Curve(spec, *coeffs)
+    assert zeros >= 100
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_curve_is_singular_exactly_where_a_singular_point_is(q):
+    # every 5-tuple of coefficients: `Curve` refuses the curve exactly when
+    # brute force finds a rational point where F and both partials vanish
+    spec, singular = _default_spec(q), 0
+    for coeffs in product(range(q), repeat=5):
+        found = singular_points(spec, coeffs)
+        assert len(found) <= 1, coeffs
+        if found:
+            singular += 1
+            with pytest.raises(CurveError, match="singular"):
+                Curve(spec, *coeffs)
+        else:
+            assert Curve(spec, *coeffs).discriminant()
+    assert 0 < singular < q ** 5
 
 
 def test_negation(f16, e16, f25, e25):
@@ -264,7 +347,7 @@ def _reference_add(curve, p, q):
     if q.is_infinity:
         return p
     s = curve.spec
-    a1, a2, a3, a4 = curve.a1, curve.a2, curve.a3, curve.a4
+    a1, a2, a3, a4, _ = coefficient_elements(curve)
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
     if x1 == x2:
         if y2 == -y1 - a1 * x1 - a3:

@@ -419,11 +419,19 @@ def test_split_add_fields_listed():
 
 @pytest.mark.parametrize("q", SPLIT_ADD_FIELDS_BELOW_CAP + SPLIT_ADD_FIELDS,
                          ids=lambda q: f"GF({q})")
-def test_split_addition_above_table_cap(q):
+def test_split_addition_above_table_cap(monkeypatch, q):
+    splits, real = [], gf._split_add
+
+    def recorded(p, m):
+        splits.append((p, m))
+        return real(p, m)
+    monkeypatch.setattr(gf, "_split_add", recorded)
     spec = search._default_spec(q)
     p, m = spec.p, spec.m
     # the field adds by the split until a table is requested, and above the
-    # cap a request builds none
+    # cap a request builds none; only GF(37^3), whose high digits form
+    # GF(37^2), above the cap, splits a second time
+    assert splits == [(p, m)] + [(p, m - m // 2)] * (q == 37 ** 3)
     assert spec._addt is None and spec.add_enc.__qualname__.startswith("_split_add")
     if q > gf._ADD_TABLE_MAX_Q:
         assert spec.add_table() is None

@@ -186,6 +186,19 @@ def test_certificate_round_trip_bit_exact(cert16, cert25):
         assert again.to_json() == text
 
 
+@pytest.mark.parametrize("coeffs, order", [("0,0,0,36,0", 50440), ("0,1,0,2,0", 50764)])
+def test_gf37_cubed_round_trip(coeffs, order):
+    # k = 4 over GF(37^3), whose adds take `_split_add`'s second split:
+    # construct, write, read back and verify, with no add table built
+    spec = FieldSpec(37, 3, [2, 0, 0, 1])
+    curve = Curve.from_string(spec, coeffs)
+    assert curve.order() == order
+    text = construct(ConstructionInput(curve, 4, 2)).to_json()
+    cert = IsoDualCertificate.from_json(text)
+    assert cert.to_json() == text and verify_certificate(cert) == []
+    assert spec._addt is None and cert.curve().spec._addt is None
+
+
 def test_certificate_determinism(e16, cert16):
     rebuilt = construct(ConstructionInput(
         e16, 4, 1, pair_selection=PairSelection("pairs_x", pairs_x=(5, 1, 2, 7))))

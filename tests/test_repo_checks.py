@@ -3,7 +3,8 @@ still exist, no `src/ellcode` module, test or demo imports a name it never
 uses, no library module computes in floating point or tests a factor for
 zero around a read of the exp/log tables, every public name,
 function, class and method of the library has a reader outside the tests,
-only `gf` and `curve` construct `Point`s and `FieldElement`s, `isodual`
+only `gf` and `curve` construct `Point`s and `FieldElement`s (in `curve`,
+`Curve._point` alone), no op runs `FieldElement` arithmetic, `isodual`
 has one generator route, `curve` has one source of points, the library neither imports the tests' oracle
 nor loads its function-field layer, the CLI maps errors to exit codes in
 `main` alone, README's quick start runs, and the docs list the
@@ -24,7 +25,10 @@ import pytest
 import ellcode
 from ellcode import code, isodual, linalg
 from ellcode.code import LinearCode
-from ellcode.gf import FieldSpec
+from ellcode.gf import FieldElement, FieldSpec
+from ellcode.isodual import (ConstructionInput, IsoDualCertificate, PairSelection,
+                             construct, verify_certificate)
+from ellcode.search import census_rows
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH = os.path.join(ROOT, "bench")
@@ -263,6 +267,78 @@ def test_points_and_elements_are_built_in_gf_and_curve_only(name):
     with open(os.path.join(PACKAGE, name)) as handle:
         calls = _calls_of(handle.read(), ("Point", "FieldElement"))
     assert calls == [] or name in ("gf.py", "curve.py")
+
+
+def _callers_of(source: str, names: tuple[str, ...]) -> list[str]:
+    """The top-level functions and methods of a module, as ``f`` or
+    ``Class.f``, whose bodies (closures included) call a function named in
+    `names`, and ``<module>`` for such a call outside them; sorted."""
+    found = set()
+
+    def scan(node, scope, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and scope == "<module>":
+                scan(child, scope, child.name)
+            elif isinstance(child, ast.FunctionDef) and scope == "<module>":
+                scan(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                if isinstance(child, ast.Call) and getattr(
+                        child.func, "id", getattr(child.func, "attr", None)) in names:
+                    found.add(scope)
+                scan(child, scope, cls)
+    scan(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_caller_check_flags_and_spares():
+    source = ('"""FieldElement(spec, 1) in a docstring."""\n'
+              "from ellcode.gf import FieldElement\n"
+              "ONE = FieldElement(spec, 1)\n"
+              "def f(spec):\n    return [FieldElement(spec, e) for e in range(2)]\n"
+              "def g(spec, x: 'FieldElement') -> FieldElement:\n    return spec.element(x)\n"
+              "class K:\n"
+              "    def m(self):\n"
+              "        def inner(e):\n            return gf.FieldElement(self.spec, e)\n"
+              "        return inner\n"
+              "    def n(self, e):\n        return isinstance(e, FieldElement)\n")
+    assert _callers_of(source, ("FieldElement",)) == ["<module>", "K.m", "f"]
+    assert _callers_of(source, ("element", "isinstance")) == ["K.n", "g"]
+
+
+def test_curve_builds_field_elements_at_its_api_edge_only():
+    """The coefficients are encodings and the discriminant and every op
+    compute on them: in `curve`, `Curve._point` alone builds a
+    `FieldElement`, for the `Point`s the API returns, and `Curve.__init__`
+    alone reads one, checking each coefficient through `spec.element`."""
+    with open(os.path.join(PACKAGE, "curve.py")) as handle:
+        source = handle.read()
+    assert _callers_of(source, ("FieldElement",)) == ["Curve._point"]
+    assert _callers_of(source, ("element",)) == ["Curve.__init__"]
+
+
+def test_no_op_runs_field_element_arithmetic(layers, monkeypatch):
+    """Construct and verify of every golden, and the census, with each
+    `FieldElement` operator that the benchmark counts made to raise."""
+    names = sorted(f for f in os.listdir(os.path.join(BENCH, "goldens")) if f[1:-5].isdigit())
+    texts = []
+    for name in names:
+        with open(os.path.join(BENCH, "goldens", name)) as fh:
+            texts.append(fh.read())
+    rows = census_rows([16, 25])
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic in an op")
+    for op in layers.ELEMENT_OPS:
+        monkeypatch.setattr(FieldElement, op, refuse)
+    for text in texts:
+        cert = IsoDualCertificate.from_json(text)
+        sel = cert.pair_selection
+        assert construct(ConstructionInput(
+            cert.curve(), cert.k, cert.construction, cert.torsion_choice,
+            PairSelection(sel["mode"], sel["r"], sel["pairs_x"] and tuple(sel["pairs_x"]))
+        )).to_json() == text
+        assert verify_certificate(IsoDualCertificate.from_json(text)) == []
+    assert len(names) == 9 and census_rows([16, 25]) == rows
 
 
 def test_isodual_has_one_generator_route():
